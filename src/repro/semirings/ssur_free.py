@@ -13,7 +13,9 @@ variable already present, so the generated order has a concrete normal
 form: ``P ≼ Q`` iff the monomial occurrences of ``P`` can be assigned
 injectively (respecting coefficients) to occurrences of ``Q`` with the
 *same variable support* and *pointwise-greater-or-equal exponents* —
-a bipartite matching problem, solved here with Hopcroft–Karp.
+a bipartite matching problem, decided on distinct monomials with their
+coefficients as demand and capacity
+(:func:`repro.homomorphisms.matching.saturates`).
 
 ``Ssur[X]`` is the paper's "universal semiring of Ssur" (Sec. 5.3) and
 our representative for the ``C∞sur`` row: UCQ containment over it is
@@ -25,8 +27,7 @@ paper gives it bounds only; see `trio.py`.)
 
 from __future__ import annotations
 
-import networkx as nx
-
+from ..homomorphisms.matching import saturates
 from ..polynomials.polynomial import Monomial, Polynomial
 from .base import INFINITE_OFFSET, Semiring, SemiringProperties
 
@@ -80,30 +81,20 @@ class SsurFreeSemiring(Semiring):
     def leq(self, a: Polynomial, b: Polynomial) -> bool:
         """Injective support-preserving exponent-raising assignment.
 
-        Monomial occurrences are expanded by coefficient and matched
-        with Hopcroft–Karp; ``a ≼ b`` iff a maximum matching saturates
-        all of ``a``'s occurrences.
+        Each distinct monomial of ``a`` demands its coefficient, each
+        monomial of ``b`` supplies its coefficient; ``a ≼ b`` iff the
+        capacitated matching meets every demand (Hall's condition on
+        the coefficient-expanded occurrences).
         """
-        left: list[Monomial] = []
-        for mono, coeff in a.items():
-            left.extend([mono] * coeff)
-        right: list[Monomial] = []
-        for mono, coeff in b.items():
-            right.extend([mono] * coeff)
-        if len(left) > len(right):
-            return False
-        graph = nx.Graph()
-        left_nodes = [("a", i) for i in range(len(left))]
-        graph.add_nodes_from(left_nodes, bipartite=0)
-        graph.add_nodes_from((("b", j) for j in range(len(right))),
-                             bipartite=1)
-        for i, source in enumerate(left):
-            for j, target in enumerate(right):
-                if _dominates(target, source):
-                    graph.add_edge(("a", i), ("b", j))
-        matching = nx.bipartite.maximum_matching(graph,
-                                                 top_nodes=left_nodes)
-        return all(node in matching for node in left_nodes)
+        left = list(a.items())
+        right = list(b.items())
+
+        def edges(i: int) -> list[int]:
+            return [j for j, (target, _) in enumerate(right)
+                    if _dominates(target, left[i][0])]
+
+        return saturates([coeff for _, coeff in left],
+                         [coeff for _, coeff in right], edges)
 
     def var(self, name: str) -> Polynomial:
         """The annotation consisting of a single variable."""
