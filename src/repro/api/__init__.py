@@ -21,12 +21,10 @@ The CLI, the examples and the benchmarks all route through this facade.
 from .batch import (BatchError, error_text, process_lines,
                     requests_from_lines)
 from .documents import ContainmentRequest, VerdictDocument
-from .engine import (CachingDecisionContext, ContainmentEngine, EngineStats,
-                     stats_report)
+from .engine import ContainmentEngine, EngineStats, stats_report
 
 __all__ = [
     "BatchError",
-    "CachingDecisionContext",
     "ContainmentEngine",
     "ContainmentRequest",
     "EngineStats",

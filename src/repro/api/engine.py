@@ -19,10 +19,11 @@ benchmarks go through.  One engine owns:
 * the document types of :mod:`repro.api.documents` for JSON-clean
   input/output, including the streaming batch entry points.
 
-The engine's :class:`CachingDecisionContext` is threaded through the
-whole decision surface (CQ dispatch, UCQ local/covering/counting/
-matching conditions, and the bag-semantics bounds search), so even a
-single cold verdict reuses work across its own sub-conditions.
+The engine is itself a :class:`~repro.core.context.DecisionContext`
+threaded through the whole decision surface (CQ dispatch, UCQ local/
+covering/counting/matching conditions, and the bag-semantics bounds
+search), so even a single cold verdict reuses work across its own
+sub-conditions.
 
 Registering (or replacing) a semiring bumps the registry's version;
 the engine detects the bump and drops its semiring-dependent caches
@@ -31,19 +32,18 @@ covered atoms, descriptions, canonical forms, polynomial-order certificates — 
 mention queries and polynomials and survive.
 
 Every cache layer is declared exactly once, in
-:data:`repro.api.layers.CACHE_LAYERS`; this module *derives*
-``cache_info``/``cache_stats``/``clear_caches`` and the snapshot
-export/import payload from that registry, and the ``RL002`` lint rule
-cross-checks it against the code, so an undeclared (or phantom) layer
-fails ``repro lint``.  ``docs/ARCHITECTURE.md`` documents every layer
-(key shape, eviction, snapshot behavior) and the invariants a new
-layer must keep.
+:data:`repro.api.layers.CACHE_LAYERS`, with its store size and counter
+names; this module *derives* the stores, the :class:`EngineStats`
+fields, ``cache_info``/``cache_stats``/``clear_caches`` and the
+snapshot export/import payload from that registry, and every plain
+layer goes through the one memo path :meth:`ContainmentEngine._memo`.
+``docs/ARCHITECTURE.md`` documents every layer (key shape, eviction,
+snapshot behavior) and the invariants a new layer must keep.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..core.classes import Classification, classify
@@ -62,8 +62,7 @@ from ..semirings.registry import DEFAULT_REGISTRY, SemiringRegistry
 from .documents import ContainmentRequest, VerdictDocument, _coerce_query
 from .layers import CACHE_LAYERS
 
-__all__ = ["CachingDecisionContext", "ContainmentEngine", "EngineStats",
-           "stats_report"]
+__all__ = ["ContainmentEngine", "EngineStats", "stats_report"]
 
 #: The cache-miss sentinel.  Every ``_LRU`` lookup in this module goes
 #: through ``get(key, _MISSING)`` and compares with ``is`` — never a
@@ -75,50 +74,33 @@ __all__ = ["CachingDecisionContext", "ContainmentEngine", "EngineStats",
 _MISSING = object()
 
 
-@dataclass
+#: Every :class:`EngineStats` counter, in ``as_dict`` order: the
+#: engine-wide ``decisions``/``verdict_hits``, each computing layer's
+#: ``calls``/``hits`` (plus ``rejected`` for a revalidating layer), and
+#: ``evaluations`` — derived from the one cache-layer registry.
+_COUNTERS: tuple[str, ...] = (
+    "decisions", "verdict_hits",
+    *(counter for layer in CACHE_LAYERS if layer.calls is not None
+      for counter in (layer.calls, layer.hits, layer.rejected)
+      if counter is not None),
+    "evaluations")
+
+
 class EngineStats:
     """Observable cache counters of one engine.
 
     ``*_calls`` count actual computations, ``*_hits`` count cache
-    recalls; ``decisions`` counts every :meth:`ContainmentEngine.decide`.
+    recalls; ``decisions`` counts every :meth:`ContainmentEngine.decide`
+    and ``evaluations`` every :meth:`ContainmentEngine.evaluate`.  The
+    fields are :data:`_COUNTERS`, all starting at zero.
     """
 
-    decisions: int = 0
-    verdict_hits: int = 0
-    classify_calls: int = 0
-    classify_hits: int = 0
-    parse_calls: int = 0
-    parse_hits: int = 0
-    hom_calls: int = 0
-    hom_hits: int = 0
-    hom_enum_calls: int = 0
-    hom_enum_hits: int = 0
-    cover_calls: int = 0
-    cover_hits: int = 0
-    description_calls: int = 0
-    description_hits: int = 0
-    canon_calls: int = 0
-    canon_hits: int = 0
-    poly_calls: int = 0
-    poly_hits: int = 0
-    poly_rejected: int = 0
-    eval_plan_calls: int = 0
-    eval_plan_hits: int = 0
-    evaluations: int = 0
+    def __init__(self):
+        vars(self).update(dict.fromkeys(_COUNTERS, 0))
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (for logs and reports)."""
         return dict(vars(self))
-
-
-#: ``layer name → (hits counter, calls counter, entries counter)`` —
-#: the schema :func:`stats_report` reads out of a ``cache_info()`` dict,
-#: derived from the one cache-layer registry.  The verdict layer is the
-#: only one excluded (``calls is None``): its computation count is
-#: derived as ``decisions - verdict_hits`` below.
-_LAYER_COUNTERS = tuple(
-    (layer.name, layer.hits, layer.calls, layer.entries)
-    for layer in CACHE_LAYERS if layer.calls is not None)
 
 
 def stats_report(info: Mapping[str, int], *,
@@ -143,12 +125,15 @@ def stats_report(info: Mapping[str, int], *,
         return {"hits": hits, "calls": calls, "entries": entries,
                 "hit_ratio": (hits / total) if total else None}
 
-    layers = {
-        name: layer(info.get(hits_key, 0), info.get(calls_key, 0),
-                    info.get(entries_key, 0))
-        for name, hits_key, calls_key, entries_key in _LAYER_COUNTERS
-    }
-    layers["poly_orders"]["rejected"] = info.get("poly_rejected", 0)
+    layers = {}
+    for spec in CACHE_LAYERS:
+        if spec.calls is None:
+            continue  # the verdict layer: derived from decisions below
+        layers[spec.name] = layer(info.get(spec.hits, 0),
+                                  info.get(spec.calls, 0),
+                                  info.get(spec.entries, 0))
+        if spec.rejected is not None:
+            layers[spec.name]["rejected"] = info.get(spec.rejected, 0)
     decisions = info.get("decisions", 0)
     verdict_hits = info.get("verdict_hits", 0)
     layers["verdicts"] = layer(verdict_hits, decisions - verdict_hits,
@@ -168,10 +153,11 @@ class _LRU:
 
     def get(self, key, default=None):
         """Recall ``key``, refreshing its recency."""
-        if key not in self._data:
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
             return default
         self._data.move_to_end(key)
-        return self._data[key]
+        return value
 
     def put(self, key, value) -> None:
         """Store ``key``, evicting the least recently used entry."""
@@ -192,101 +178,52 @@ class _LRU:
         """Snapshot view of the entries, least recently used first."""
         return list(self._data.items())
 
+    def __contains__(self, key) -> bool:
+        """Presence test that leaves the recency order alone."""
+        return key in self._data
+
     def __len__(self) -> int:
         return len(self._data)
 
-
-class CachingDecisionContext(DecisionContext):
-    """A :class:`DecisionContext` that routes through an engine's caches.
-
-    Every primitive of the widened context contract — classification,
-    homomorphism existence and enumeration, covered atoms, covering,
-    complete descriptions, and the polynomial order ``poly_leq`` —
-    recalls the owning engine's LRUs, so the covering/UCQ/small-model/
-    bounds code paths share work with the top-level dispatch (and with
-    each other) instead of recomputing searches.
-    """
-
-    def __init__(self, engine: "ContainmentEngine"):
-        self._engine = engine
-
-    def classify(self, semiring) -> Classification:
-        """Classification via the engine's per-semiring cache."""
-        return self._engine.classification(semiring)
-
-    def find_homomorphism(self, source, target, kind: HomKind):
-        """Homomorphism search via the engine's LRU."""
-        return self._engine.find_homomorphism(source, target, kind)
-
-    def homomorphism_mappings(self, source, target,
-                              kind: HomKind) -> tuple[dict, ...]:
-        """Full enumeration via the engine's LRU."""
-        return self._engine.homomorphism_mappings(source, target, kind)
-
-    def covered_atoms(self, source, target) -> frozenset:
-        """Covered-atom sets via the engine's LRU."""
-        return self._engine.covered_atoms(source, target)
-
-    def complete_description(self, union) -> tuple:
-        """Complete descriptions ``⟨Q⟩`` via the engine's LRU."""
-        return self._engine.complete_description(union)
-
-    def canonical_form(self, query) -> CanonicalForm:
-        """Canonical labeling records via the engine's LRU."""
-        return self._engine.canonical_form(query)
-
-    def eval_plan(self, query):
-        """Columnar evaluation plans via the engine's LRU."""
-        return self._engine.eval_plan(query)
-
-    def poly_leq(self, semiring, p1, p2) -> bool:
-        """Polynomial-order decisions via the engine's certificate memo."""
-        return self._engine.poly_leq(semiring, p1, p2)
+    # ``_memo`` stores through the subscript form shared with the
+    # unbounded dict store of the classification layer.
+    __setitem__ = put
 
 
-class ContainmentEngine:
+#: ``layer name → CacheLayer``, for :meth:`ContainmentEngine._memo`.
+_LAYER_BY_NAME = {layer.name: layer for layer in CACHE_LAYERS}
+
+
+class ContainmentEngine(DecisionContext):
     """Cached facade over the Table-1 containment decision procedures.
 
     ``registry`` defaults to a private copy of the built-in semirings;
     pass an explicit :class:`SemiringRegistry` to share one.  The cache
-    sizes bound the LRU layers (parse interning, homomorphism results
-    and enumerations, covered atoms, complete descriptions, whole
-    verdicts), keeping long-running batch/service workloads at bounded
-    memory; only the classification cache is unbounded (one small entry
-    per semiring).  The structural layers default generously (tens of
-    thousands of entries, still only a few MB): a single bag-semantics
-    bounds verdict touches hundreds of CCQ pairs, and warm-start
-    snapshots can only persist what eviction has not already dropped.
+    stores are built from :data:`~repro.api.layers.CACHE_LAYERS`, which
+    bounds every LRU layer (parse interning, homomorphism results and
+    enumerations, covered atoms, complete descriptions, whole
+    verdicts, …), keeping long-running batch/service workloads at
+    bounded memory; only the classification cache is unbounded (one
+    small entry per semiring).
+
+    The engine *is* a :class:`DecisionContext`: every primitive of the
+    context contract recalls this engine's stores, so the covering/
+    UCQ/small-model/bounds code paths share work with the top-level
+    dispatch (and with each other) instead of recomputing searches.
     """
 
-    def __init__(self, registry: SemiringRegistry | None = None, *,
-                 parse_cache_size: int = 16384,
-                 hom_cache_size: int = 65536,
-                 verdict_cache_size: int = 16384,
-                 cover_cache_size: int = 65536,
-                 description_cache_size: int = 8192,
-                 canon_cache_size: int = 65536,
-                 poly_cache_size: int = 65536,
-                 eval_plan_cache_size: int = 4096):
+    def __init__(self, registry: SemiringRegistry | None = None):
         self.registry = (registry if registry is not None
                          else DEFAULT_REGISTRY.copy())
         self.stats = EngineStats()
-        self._classifications: dict[Any, Classification] = {}
-        self._parsed: _LRU = _LRU(parse_cache_size)
-        self._homs = _LRU(hom_cache_size)
-        self._hom_enums = _LRU(hom_cache_size)
-        self._covered = _LRU(cover_cache_size)
-        self._descriptions = _LRU(description_cache_size)
-        self._canon = _LRU(canon_cache_size)
-        self._poly_orders = _LRU(poly_cache_size)
-        self._eval_plans = _LRU(eval_plan_cache_size)
-        self._verdicts = _LRU(verdict_cache_size)
-        self._context = CachingDecisionContext(self)
+        for layer in CACHE_LAYERS:
+            setattr(self, layer.attr,
+                    {} if layer.size is None else _LRU(layer.size))
         self._registry_version = self.registry.version
 
     @property
     def context(self) -> DecisionContext:
-        """This engine's caching :class:`DecisionContext`.
+        """This engine, as the caching :class:`DecisionContext`.
 
         Thread it (``context=engine.context``) into direct calls of the
         decision and optimization primitives — ``explain``,
@@ -294,7 +231,7 @@ class ContainmentEngine:
         containment checks share this engine's caches instead of
         recomputing from cold.
         """
-        return self._context
+        return self
 
     # -- registry -------------------------------------------------------
 
@@ -318,61 +255,68 @@ class ContainmentEngine:
         return semiring
 
     def _sync(self) -> None:
-        """Drop semiring-dependent caches if the registry mutated."""
+        """Drop semiring-dependent caches if the registry mutated.
+
+        Their keys hold semiring *instances*, and a replaced
+        registration would otherwise keep answering for the old one.
+        """
         if self.registry.version != self._registry_version:
-            self._classifications.clear()
-            self._verdicts.clear()
+            for layer in CACHE_LAYERS:
+                if layer.keyed_by_semiring:
+                    getattr(self, layer.attr).clear()
             self._registry_version = self.registry.version
 
     # -- memoized primitives -------------------------------------------
+
+    def _memo(self, layer: str, key, compute):
+        """Recall ``key`` from ``layer``'s store, or ``compute()`` it.
+
+        The one memo path of the engine: it owns the store lookup, the
+        ``_MISSING`` contract (``None`` is a cacheable value), the store
+        write and the layer's ``hits``/``calls`` counters.  ``compute``
+        runs only on a miss, after the call is counted.
+        """
+        spec = _LAYER_BY_NAME[layer]
+        store = getattr(self, spec.attr)
+        counters = vars(self.stats)
+        value = store.get(key, _MISSING)
+        if value is _MISSING:
+            counters[spec.calls] += 1
+            value = compute()
+            store[key] = value
+        else:
+            counters[spec.hits] += 1
+        return value
 
     def classification(self, semiring: str | Semiring) -> Classification:
         """The Table-1 classification, computed once per semiring."""
         self._sync()
         semiring = self.semiring(semiring)
-        cls = self._classifications.get(semiring)
-        if cls is None:
-            self.stats.classify_calls += 1
-            cls = classify(semiring)
-            self._classifications[semiring] = cls
-        else:
-            self.stats.classify_hits += 1
-        return cls
+        return self._memo("classifications", semiring,
+                          lambda: classify(semiring))
+
+    def classify(self, semiring) -> Classification:
+        """The context's classification hook: :meth:`classification`."""
+        return self.classification(semiring)
 
     def parse(self, text: str) -> CQ:
         """Parse CQ source text, interning by the exact source string."""
-        cq = self._parsed.get(text, _MISSING)
-        if cq is _MISSING:
-            self.stats.parse_calls += 1
-            cq = parse_cq(text)
-            self._parsed.put(text, cq)
-        else:
-            self.stats.parse_hits += 1
-        return cq
+        return self._memo("parsed", text, lambda: parse_cq(text))
 
     def find_homomorphism(self, source, target, kind: HomKind):
         """LRU-cached homomorphism search (``None`` results included)."""
         key = (source, target, kind)
-        hit = self._homs.get(key, _MISSING)
-        if hit is not _MISSING:
-            self.stats.hom_hits += 1
-            return hit
-        # A cached full enumeration already knows the first mapping.
-        enumerated = self._hom_enums.get(key, _MISSING)
-        if enumerated is not _MISSING:
-            self.stats.hom_hits += 1
-            result = enumerated[0] if enumerated else None
-            self._homs.put(key, result)
-            return result
-        self.stats.hom_calls += 1
-        result = find_homomorphism(source, target, kind)
-        self._homs.put(key, result)
-        return result
-
-    def has_homomorphism(self, source, target, kind: HomKind) -> bool:
-        """LRU-backed existence check (shares :meth:`find_homomorphism`'s
-        cache entry)."""
-        return self.find_homomorphism(source, target, kind) is not None
+        if key not in self._homs:
+            # A cached full enumeration already knows the first mapping:
+            # answer from it, remember it, and count a ``homs`` hit.
+            enumerated = self._hom_enums.get(key, _MISSING)
+            if enumerated is not _MISSING:
+                self.stats.hom_hits += 1
+                result = enumerated[0] if enumerated else None
+                self._homs.put(key, result)
+                return result
+        return self._memo("homs", key,
+                          lambda: find_homomorphism(source, target, kind))
 
     def homomorphism_mappings(self, source, target,
                               kind: HomKind) -> tuple[dict, ...]:
@@ -381,14 +325,17 @@ class ContainmentEngine:
         Also seeds the first-mapping cache, so a later
         :meth:`find_homomorphism` on the same key is a hit.
         """
-        key = (source, target, kind)
-        hit = self._hom_enums.get(key, _MISSING)
-        if hit is not _MISSING:
-            self.stats.hom_enum_hits += 1
-            return hit
-        self.stats.hom_enum_calls += 1
+        return self._memo("hom_enums", (source, target, kind),
+                          lambda: self._enumerate(source, target, kind))
+
+    def _enumerate(self, source, target, kind: HomKind) -> tuple[dict, ...]:
+        """The ``hom_enums`` computation, seeding ``homs`` on the way.
+
+        An enumeration learns the existence answer too, so it seeds the
+        ``homs`` layer when that has no entry for the key yet.
+        """
         result = tuple(homomorphisms(source, target, kind))
-        self._hom_enums.put(key, result)
+        key = (source, target, kind)
         if self._homs.get(key, _MISSING) is _MISSING:
             self._homs.put(key, result[0] if result else None)
         return result
@@ -406,12 +353,16 @@ class ContainmentEngine:
         materializing an enumeration the old lazy path would have
         skipped, which can be exponentially larger.
         """
-        key = (source, target)
-        hit = self._covered.get(key, _MISSING)
-        if hit is not _MISSING:
-            self.stats.cover_hits += 1
-            return hit
-        self.stats.cover_calls += 1
+        return self._memo("covered", (source, target),
+                          lambda: self._cover(source, target))
+
+    def _cover(self, source, target) -> frozenset:
+        """The ``covered`` computation, reading and seeding the
+        ``hom_enums``/``homs`` layers (see :meth:`covered_atoms`).
+
+        It counts its own ``hom_enums`` traffic: a replayed enumeration
+        is a hit, and an exhausted search is a computed enumeration.
+        """
         target_atoms = set(target.atoms)
         covered: set = set()
         enum_key = (source, target, HomKind.PLAIN)
@@ -423,37 +374,28 @@ class ContainmentEngine:
                     atom.substitute(mapping) for atom in source.atoms))
                 if len(covered) == len(target_atoms):
                     break
-        else:
-            collected: list = []
-            exhausted = True
-            for mapping in homomorphisms(source, target, HomKind.PLAIN):
-                collected.append(mapping)
-                covered.update(target_atoms.intersection(
-                    atom.substitute(mapping) for atom in source.atoms))
-                if len(covered) == len(target_atoms):
-                    exhausted = False  # stopped early: enumeration partial
-                    break
-            if exhausted:
-                self.stats.hom_enum_calls += 1
-                self._hom_enums.put(enum_key, tuple(collected))
-            # Either way the search learned the existence answer.
-            if self._homs.get(enum_key, _MISSING) is _MISSING:
-                self._homs.put(enum_key,
-                               collected[0] if collected else None)
-        result = frozenset(covered)
-        self._covered.put(key, result)
-        return result
+            return frozenset(covered)
+        collected: list = []
+        exhausted = True
+        for mapping in homomorphisms(source, target, HomKind.PLAIN):
+            collected.append(mapping)
+            covered.update(target_atoms.intersection(
+                atom.substitute(mapping) for atom in source.atoms))
+            if len(covered) == len(target_atoms):
+                exhausted = False  # stopped early: enumeration partial
+                break
+        if exhausted:
+            self.stats.hom_enum_calls += 1
+            self._hom_enums.put(enum_key, tuple(collected))
+        # Either way the search learned the existence answer.
+        if self._homs.get(enum_key, _MISSING) is _MISSING:
+            self._homs.put(enum_key, collected[0] if collected else None)
+        return frozenset(covered)
 
     def complete_description(self, union) -> tuple:
         """LRU-cached complete description ``⟨Q⟩`` of a UCQ."""
-        hit = self._descriptions.get(union, _MISSING)
-        if hit is not _MISSING:
-            self.stats.description_hits += 1
-            return hit
-        self.stats.description_calls += 1
-        result = complete_description_ucq(union)
-        self._descriptions.put(union, result)
-        return result
+        return self._memo("descriptions", union,
+                          lambda: complete_description_ucq(union))
 
     def canonical_form(self, query) -> CanonicalForm:
         """LRU-cached canonical labeling record of a (C)CQ.
@@ -466,14 +408,8 @@ class ContainmentEngine:
         query, so the layer survives registry changes and snapshots
         as-is.
         """
-        hit = self._canon.get(query, _MISSING)
-        if hit is not _MISSING:
-            self.stats.canon_hits += 1
-            return hit
-        self.stats.canon_calls += 1
-        result = compute_canonical_form(query)
-        self._canon.put(query, result)
-        return result
+        return self._memo("canonical", query,
+                          lambda: compute_canonical_form(query))
 
     def poly_leq(self, semiring, p1, p2) -> bool:
         """Certificate-memoized polynomial-order decision (Prop. 4.19).
@@ -494,7 +430,8 @@ class ContainmentEngine:
         ``poly_hits``; an invalid (tampered/stale/mis-keyed) recall
         counts as ``poly_rejected``, is evicted, and the decision is
         recomputed — so a warmed run's answers are byte-identical to a
-        cold run's no matter what the snapshot contained.
+        cold run's no matter what the snapshot contained.  This is why
+        the layer keeps its own lookup instead of :meth:`_memo`.
 
         Semirings without a tropical kind (finite/lattice orders, which
         are already cheap exhaustive checks) pass through uncached.
@@ -525,15 +462,8 @@ class ContainmentEngine:
         and travels in snapshots as-is — a warm-started worker answers
         ``repro eval`` workloads without ever re-planning.
         """
-        hit = self._eval_plans.get(query, _MISSING)
-        if hit is not _MISSING:
-            self.stats.eval_plan_hits += 1
-            return hit
-        self.stats.eval_plan_calls += 1
         from ..eval.plan import build_plan
-        result = build_plan(query)
-        self._eval_plans.put(query, result)
-        return result
+        return self._memo("eval_plans", query, lambda: build_plan(query))
 
     # -- deciding -------------------------------------------------------
 
@@ -554,6 +484,8 @@ class ContainmentEngine:
         # Keyed by the resolved *instance* (identity hash), not its name:
         # two distinct semirings sharing a name must not share verdicts.
         key = (resolved, union1, union2, equivalence)
+        # Not ``_memo``: a recalled document is re-stamped with this
+        # request's id and ``cached=True``, which a miss must not be.
         cached = self._verdicts.get(key, _MISSING)
         if cached is not _MISSING:
             self.stats.verdict_hits += 1
@@ -561,16 +493,16 @@ class ContainmentEngine:
         singletons = len(union1) == 1 and len(union2) == 1
         if equivalence:
             verdict = (k_equivalent(union1.cqs[0], union2.cqs[0], resolved,
-                                    context=self._context)
+                                    context=self)
                        if singletons else
                        k_equivalent(union1, union2, resolved,
-                                    context=self._context))
+                                    context=self))
         elif singletons:
             verdict = decide_cq_containment(union1.cqs[0], union2.cqs[0],
-                                            resolved, context=self._context)
+                                            resolved, context=self)
         else:
             verdict = decide_ucq_containment(union1, union2, resolved,
-                                             context=self._context)
+                                             context=self)
         document = VerdictDocument.from_verdict(
             verdict, semiring=resolved.name, q1=union1, q2=union2,
             request_id=request_id)
@@ -599,7 +531,7 @@ class ContainmentEngine:
                     else instance.semiring)
         self.stats.evaluations += 1
         return columnar_evaluate(union, instance, resolved,
-                                 context=self._context)
+                                 context=self)
 
     def decide_request(self, request: ContainmentRequest) -> VerdictDocument:
         """Decide one :class:`ContainmentRequest`."""

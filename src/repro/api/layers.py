@@ -1,22 +1,20 @@
 """The engine cache-layer registry — one declaration, many consumers.
 
-Every cache layer of :class:`repro.api.engine.ContainmentEngine` used
-to be listed in five places (engine ``__init__``, ``cache_info``,
-``export_caches``/``import_caches``, the snapshot ``_LAYERS`` tuple and
-the stats-report counter table), and forgetting one of them was a
-silent cache-coherence bug — an unexported layer simply never warmed
-up across processes.  This module is the single source of truth:
+Every cache layer of :class:`repro.api.engine.ContainmentEngine` is
+declared here exactly once, with its store size and counter names:
 
-* the engine derives ``cache_info``, ``cache_stats``, ``clear_caches``
-  and the export/import payload from :data:`CACHE_LAYERS`;
+* the engine builds its stores from :data:`CACHE_LAYERS`, derives the
+  :class:`~repro.api.engine.EngineStats` counter fields from it, and
+  derives ``cache_info``, ``cache_stats``, ``clear_caches`` and the
+  export/import payload from it;
 * :mod:`repro.service.snapshot` imports :data:`SNAPSHOT_LAYERS` as its
   envelope schema (and :func:`~repro.service.snapshot.merge_states`,
   which the :class:`~repro.service.pool.WorkerPool` cache merge goes
   through, iterates the same tuple);
-* the ``RL002`` rule of :mod:`repro.lint` cross-checks the registry
-  against the engine/snapshot sources, so a layer added in code but
-  not declared here (or declared but never created) fails ``repro
-  lint`` instead of shipping.
+* the ``RL002`` lint rule checks that the registry parses, that the
+  engine constructs no store outside it and that the snapshot module
+  imports its schema from here, and ``RL104`` reads it to check every
+  layer's memo keys.
 
 The declaration must stay a *literal* tuple of keyword-argument
 :class:`CacheLayer` calls: the linter reads it from the AST, without
@@ -36,7 +34,8 @@ class CacheLayer:
 
     ``name``
         The layer's export/snapshot key (``export_caches`` payload,
-        snapshot envelope, ``cache_stats`` report).
+        snapshot envelope, ``cache_stats`` report) and the name the
+        engine's ``_memo`` is called with.
     ``attr``
         The :class:`~repro.api.engine.ContainmentEngine` attribute
         holding the store.
@@ -47,14 +46,20 @@ class CacheLayer:
         (``decisions - verdict_hits``) in ``stats_report``.
     ``entries``
         The ``cache_info()`` key reporting the store's current size.
-    ``kind``
-        ``"lru"`` for :class:`~repro.api.engine._LRU` stores, ``"dict"``
-        for the unbounded classification map.
+    ``size``
+        The LRU bound of the store, or ``None`` for an unbounded
+        insertion-ordered dict (the classification map: one small
+        entry per semiring).
+    ``rejected``
+        For layers that revalidate recalled values (the certificate
+        pattern): the counter of recalls that failed revalidation and
+        were recomputed.
     ``keyed_by_semiring``
-        True for layers whose keys mention semiring *instances* and
-        must be re-keyed by canonical registry name on export (the
-        classification and verdict layers); the structural layers
-        export their entries verbatim.
+        True for layers whose keys mention semiring *instances*: they
+        are dropped when the registry changes and re-keyed by
+        canonical registry name on export (the classification and
+        verdict layers); the structural layers survive registry
+        changes and export their entries verbatim.
     """
 
     name: str
@@ -62,45 +67,51 @@ class CacheLayer:
     hits: str
     calls: str | None
     entries: str
-    kind: str = "lru"
+    size: int | None = None
+    rejected: str | None = None
     keyed_by_semiring: bool = False
 
 
 #: Every cache layer of the engine, in snapshot-envelope order
 #: (classifications first so restored semiring lookups are warm before
 #: the structural layers land; verdicts last because they are optional).
+#: The structural layers are sized generously (tens of thousands of
+#: entries, still only a few MB): a single bag-semantics bounds verdict
+#: touches hundreds of CCQ pairs, and warm-start snapshots can only
+#: persist what eviction has not already dropped.
 CACHE_LAYERS: tuple[CacheLayer, ...] = (
     CacheLayer(name="classifications", attr="_classifications",
                hits="classify_hits", calls="classify_calls",
-               entries="classification_entries", kind="dict",
+               entries="classification_entries", size=None,
                keyed_by_semiring=True),
     CacheLayer(name="parsed", attr="_parsed",
                hits="parse_hits", calls="parse_calls",
-               entries="parsed_entries"),
+               entries="parsed_entries", size=16384),
     CacheLayer(name="homs", attr="_homs",
                hits="hom_hits", calls="hom_calls",
-               entries="hom_entries"),
+               entries="hom_entries", size=65536),
     CacheLayer(name="hom_enums", attr="_hom_enums",
                hits="hom_enum_hits", calls="hom_enum_calls",
-               entries="hom_enum_entries"),
+               entries="hom_enum_entries", size=65536),
     CacheLayer(name="covered", attr="_covered",
                hits="cover_hits", calls="cover_calls",
-               entries="cover_entries"),
+               entries="cover_entries", size=65536),
     CacheLayer(name="descriptions", attr="_descriptions",
                hits="description_hits", calls="description_calls",
-               entries="description_entries"),
+               entries="description_entries", size=8192),
     CacheLayer(name="canonical", attr="_canon",
                hits="canon_hits", calls="canon_calls",
-               entries="canon_entries"),
+               entries="canon_entries", size=65536),
     CacheLayer(name="poly_orders", attr="_poly_orders",
                hits="poly_hits", calls="poly_calls",
-               entries="poly_entries"),
+               entries="poly_entries", size=65536,
+               rejected="poly_rejected"),
     CacheLayer(name="eval_plans", attr="_eval_plans",
                hits="eval_plan_hits", calls="eval_plan_calls",
-               entries="eval_plan_entries"),
+               entries="eval_plan_entries", size=4096),
     CacheLayer(name="verdicts", attr="_verdicts",
                hits="verdict_hits", calls=None,
-               entries="verdict_entries",
+               entries="verdict_entries", size=16384,
                keyed_by_semiring=True),
 )
 

@@ -16,8 +16,8 @@ Usage (after installation)::
         --input requests.jsonl
     python -m repro serve --snapshot caches.snap --flush-every 200
     python -m repro minimize --semiring B "Q(x) :- R(x, y), R(x, z)"
-    python -m repro evaluate --semiring N \\
-        --fact "R(a, b) = 2" --fact "S(b) = 3" "Q(x) :- R(x, y), S(y)"
+    python -m repro eval --semiring N --query "Q(x) :- R(x, y), S(y)" \\
+        --fact "R('a', 'b') = 2" --fact "S('b') = 3"
     python -m repro eval --semiring T+ \\
         --query "Q(x, y) :- Road(x, z), Road(z, y)" \\
         --instance examples/data/route_costs.csv --json
@@ -45,9 +45,9 @@ import sys
 from typing import Sequence
 
 from .api import ContainmentEngine, process_lines
+from .api.layers import CACHE_LAYERS
 from .data import Instance
 from .optimize import minimize_cq
-from .queries import evaluate_all
 from .queries.parser import ParseError
 
 __all__ = ["main"]
@@ -206,10 +206,9 @@ def _cmd_batch(args) -> int:
                 # A fully-warm run computed nothing the snapshot does
                 # not already contain — skip the redundant rewrite.
                 stats = engine.stats
-                computed = (stats.parse_calls + stats.classify_calls
-                            + stats.hom_calls + stats.hom_enum_calls
-                            + stats.cover_calls + stats.description_calls
-                            + stats.poly_calls)
+                computed = sum(getattr(stats, layer.calls)
+                               for layer in CACHE_LAYERS
+                               if layer.calls is not None)
                 if args.snapshot_verdicts:
                     computed += stats.decisions - stats.verdict_hits
                 if computed or not os.path.exists(args.snapshot):
@@ -328,21 +327,6 @@ def _cmd_minimize(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
-    engine = args.engine
-    semiring = engine.semiring(args.semiring)
-    facts = [_parse_fact(text, semiring, engine) for text in args.fact or []]
-    instance = Instance.from_facts(semiring, facts)
-    query = engine.parse(args.query)
-    answers = evaluate_all(query, instance)
-    if not answers:
-        print("no answers (all annotations are 0)")
-        return 0
-    for row, annotation in sorted(answers.items(), key=lambda kv: repr(kv[0])):
-        print(f"  {row} ↦ {annotation!r}")
-    return 0
-
-
 def _json_value(value):
     """A JSON-clean rendering of a domain value or annotation."""
     if isinstance(value, (bool, int, str)) or value is None:
@@ -358,7 +342,12 @@ def _cmd_eval(args) -> int:
 
     engine = args.engine
     semiring = engine.semiring(args.semiring)
-    instance = Instance.from_csv(args.instance, semiring)
+    if args.instance is not None:
+        instance = Instance.from_csv(args.instance, semiring)
+    else:
+        instance = Instance.from_facts(
+            semiring, [_parse_fact(text, semiring, engine)
+                       for text in args.fact])
     table = engine.evaluate(args.query, instance, semiring)
     rows = sorted(table.rows, key=lambda kv: repr(kv[0]))
     if args.json:
@@ -555,29 +544,26 @@ def build_parser() -> argparse.ArgumentParser:
     minimize.add_argument("query")
     minimize.set_defaults(func=_cmd_minimize)
 
-    evaluate_cmd = commands.add_parser(
-        "evaluate", help="evaluate a query over --fact annotations")
-    evaluate_cmd.add_argument("--semiring", required=True)
-    evaluate_cmd.add_argument("--fact", action="append")
-    evaluate_cmd.add_argument("query")
-    evaluate_cmd.set_defaults(func=_cmd_evaluate)
-
     eval_cmd = commands.add_parser(
         "eval", help="evaluate a query columnar-ly over an annotated "
-                     "CSV instance")
+                     "CSV instance or --fact annotations")
     eval_cmd.add_argument("--semiring", required=True)
     eval_cmd.add_argument("--query", action="append", required=True,
                           help="CQ source text (repeat for a union)")
-    eval_cmd.add_argument("--instance", required=True, metavar="FILE",
-                          help="annotated CSV: relation, v1, …, vk, "
-                               "annotation")
+    facts = eval_cmd.add_mutually_exclusive_group(required=True)
+    facts.add_argument("--instance", metavar="FILE",
+                       help="annotated CSV: relation, v1, …, vk, "
+                            "annotation")
+    facts.add_argument("--fact", action="append", metavar="FACT",
+                       help="one annotated ground fact, e.g. "
+                            "\"R(a, b) = 2\" (repeat for more)")
     eval_cmd.add_argument("--json", action="store_true",
                           help="print the answer table as JSON")
     eval_cmd.set_defaults(func=_cmd_eval)
 
     lint = commands.add_parser(
-        "lint", help="run the project invariant checker "
-                     "(RL001–RL005, RL101–RL104)")
+        "lint", help="run the project invariant checker (per-file "
+                     "rules RL001–RL005, interprocedural RL101–RL104)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package)")

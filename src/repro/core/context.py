@@ -7,8 +7,9 @@ description ``⟨Q⟩`` of a UCQ, and the canonical form (isomorphism key,
 canonical renaming, automorphism group size) of a CCQ.
 :class:`DecisionContext` routes
 all of them through one object so callers (most notably
-:class:`repro.api.ContainmentEngine`) can interpose caches without the
-core procedures knowing anything about caching policy.
+:class:`repro.api.ContainmentEngine`, which subclasses it) can
+interpose caches without the core procedures knowing anything about
+caching policy.
 
 Every Table-1 code path — the CQ dispatch, the UCQ local conditions,
 the covering conditions ``⇉1``/``⇉2``, the counting conditions

@@ -20,8 +20,8 @@ The correspondence, member by member:
 
 Plan lookups go through the supplied
 :class:`~repro.core.context.DecisionContext` — the default memoizes
-process-wide, a :class:`~repro.api.engine.CachingDecisionContext`
-routes into the owning engine's snapshot-persisted ``eval_plans`` LRU.
+process-wide, a :class:`~repro.api.engine.ContainmentEngine` (itself a
+context) routes into its snapshot-persisted ``eval_plans`` LRU.
 """
 
 from __future__ import annotations

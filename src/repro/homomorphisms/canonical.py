@@ -42,8 +42,8 @@ variables, the worst case for the factorial scheme) canonicalize in a
 quadratic number of tree nodes, and a 20-existential complete CCQ gets
 key, renaming and ``|Aut|`` in milliseconds
 (``benchmarks/bench_canonical.py`` pins this, plus agreement with the
-preserved factorial reference in
-:mod:`repro.homomorphisms._reference_iso`).
+preserved factorial reference, the test oracle
+``tests/reference_iso.py``).
 
 Serializations label variables with *integers* (never strings like
 ``"e10"``, whose lexicographic order disagrees with label order past

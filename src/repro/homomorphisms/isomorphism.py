@@ -15,8 +15,8 @@ refinement-based canonical labeling engine of
 :mod:`repro.homomorphisms.canonical`, which computes them in one
 individualization-refinement pass instead of minimizing over all
 (factorially many) permutations of the existential variables.  The old
-exhaustive algorithm survives as an executable specification in
-:mod:`repro.homomorphisms._reference_iso`.  Callers holding a
+exhaustive algorithm survives as an executable specification in the
+test oracle ``tests/reference_iso.py``.  Callers holding a
 :class:`repro.core.DecisionContext` can route the computation through
 an engine's observable LRU via ``context.canonical_form``;
 the plain functions here use the process-wide memo.

@@ -42,7 +42,7 @@ indexed, plan-driven backtracking join:
   longer cover it.
 
 The enumeration contract matches the original generate-and-test
-searcher (kept in :mod:`repro.homomorphisms._reference`): the same
+searcher (kept as a test oracle in ``tests/reference_search.py``): the same
 *set* of deduplicated variable mappings is produced, though not
 necessarily in the same order.
 """

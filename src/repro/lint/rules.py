@@ -8,8 +8,8 @@ README's "Static analysis" section describe them from the user side.
   thread ``context=`` (an omitted keyword silently bypasses every
   engine cache).
 * **RL002** — the engine's cache layers live in exactly one registry
-  (:mod:`repro.api.layers`); the engine/snapshot code must derive from
-  it, never re-list it.
+  (:mod:`repro.api.layers`): it parses, names each layer once, and no
+  engine store or snapshot layer list exists outside it.
 * **RL003** — registered semirings declare a coherent ``poly_order``
   and any :class:`~repro.semirings.base.VectorizedOps` kernel is a
   complete, exact pair with the object fallback.
@@ -161,22 +161,22 @@ class ContextThreadingRule(Rule):
 
 @rule
 class CacheLayerRule(Rule):
-    """RL002: one cache-layer registry, consumed everywhere.
+    """RL002: one cache-layer registry, and no store outside it.
 
-    Cross-checks :mod:`repro.api.layers` (parsed as a literal, never
-    imported) against the engine and the snapshot module: every LRU
-    store created in ``ContainmentEngine.__init__`` is declared, every
-    declared layer exists, declared counters are real ``EngineStats``
-    fields, ``export_caches``/``import_caches`` iterate the registry,
-    and the snapshot schema is imported from it — a literal re-listing
-    anywhere is flagged as drift waiting to happen.
+    The engine derives its stores, counters, reports and snapshot
+    payload from :mod:`repro.api.layers` (parsed as a literal, never
+    imported), so what is left to check is the registry itself: it
+    parses and declares each layer once (RL104 reads it too),
+    ``ContainmentEngine`` constructs no ``_LRU`` store outside a loop
+    over it, and the snapshot schema is imported from it — a literal
+    re-listing anywhere is flagged as drift waiting to happen.
     """
 
     id = "RL002"
-    title = "cache-layer completeness"
+    title = "cache-layer registry"
 
-    _FIELD_ORDER = ("name", "attr", "hits", "calls", "entries", "kind",
-                    "keyed_by_semiring")
+    _FIELD_ORDER = ("name", "attr", "hits", "calls", "entries", "size",
+                    "rejected", "keyed_by_semiring")
 
     def check(self, project: Project) -> Iterator[Finding]:
         engine_sf = project.file("repro.api.engine")
@@ -196,7 +196,7 @@ class CacheLayerRule(Rule):
             yield self.finding(layers_sf, 1,
                                f"layer {name!r} is declared twice")
         if engine_sf is not None:
-            yield from self._check_engine(engine_sf, layers)
+            yield from self._check_engine(engine_sf)
         snapshot_sf = project.file("repro.service.snapshot")
         if snapshot_sf is not None:
             yield from self._check_snapshot(snapshot_sf)
@@ -243,8 +243,7 @@ class CacheLayerRule(Rule):
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "CacheLayer"):
             return None
-        values: dict[str, object] = {"kind": "lru",
-                                     "keyed_by_semiring": False}
+        values: dict[str, object] = {}
         for index, arg in enumerate(node.args):
             if index >= len(self._FIELD_ORDER):
                 return None
@@ -262,81 +261,40 @@ class CacheLayerRule(Rule):
             return None
         return values
 
-    def _check_engine(self, sf: SourceFile,
-                      layers: list[dict]) -> Iterator[Finding]:
+    def _check_engine(self, sf: SourceFile) -> Iterator[Finding]:
         engine_cls = next(
             (node for node in sf.tree.body
              if isinstance(node, ast.ClassDef)
              and node.name == "ContainmentEngine"), None)
-        stats_cls = next(
-            (node for node in sf.tree.body
-             if isinstance(node, ast.ClassDef)
-             and node.name == "EngineStats"), None)
         if engine_cls is None:
             return
-        declared = {layer["attr"]: layer for layer in layers}
-        init = next((node for node in engine_cls.body
-                     if isinstance(node, ast.FunctionDef)
-                     and node.name == "__init__"), None)
-        assigned: dict[str, ast.AST] = {}
-        lru_created: dict[str, ast.AST] = {}
-        if init is not None:
-            for node in ast.walk(init):
-                target = value = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign):
-                    target, value = node.target, node.value
-                if not (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    continue
-                assigned[target.attr] = node
-                if (isinstance(value, ast.Call)
-                        and isinstance(value.func, ast.Name)
-                        and value.func.id == "_LRU"):
-                    lru_created[target.attr] = node
-        for attr, node in sorted(lru_created.items()):
-            if attr not in declared:
-                yield self.finding(
-                    sf, node,
-                    f"cache store self.{attr} is not declared in "
-                    f"repro.api.layers.CACHE_LAYERS — stats, snapshot "
-                    f"export/import and the pool merge will all miss it")
-        for layer in layers:
-            if layer["attr"] not in assigned:
-                yield self.finding(
-                    sf, 1,
-                    f"layer {layer['name']!r} declares attr "
-                    f"{layer['attr']!r} but ContainmentEngine.__init__ "
-                    f"never creates it")
-        if stats_cls is not None:
-            fields = {node.target.id for node in stats_cls.body
-                      if isinstance(node, ast.AnnAssign)
-                      and isinstance(node.target, ast.Name)}
-            for layer in layers:
-                for counter in (layer["hits"], layer["calls"]):
-                    if counter is not None and counter not in fields:
-                        yield self.finding(
-                            sf, stats_cls,
-                            f"layer {layer['name']!r} references "
-                            f"counter {counter!r}, which is not an "
-                            f"EngineStats field")
-        for method_name in ("export_caches", "import_caches"):
-            method = next((node for node in engine_cls.body
-                           if isinstance(node, ast.FunctionDef)
-                           and node.name == method_name), None)
-            if method is None:
-                continue
-            uses_registry = any(
-                isinstance(node, ast.Name) and node.id == "CACHE_LAYERS"
-                for node in ast.walk(method))
-            if not uses_registry:
-                yield self.finding(
-                    sf, method,
-                    f"{method_name} does not iterate CACHE_LAYERS — "
-                    f"a new layer would silently be skipped by "
-                    f"snapshots and the pool merge")
+        parents = _parents(engine_cls)
+        for call in self._stray_stores(engine_cls, False):
+            parent = parents.get(call)
+            target = (parent.targets[0] if isinstance(parent, ast.Assign)
+                      else getattr(parent, "target", None))
+            label = (f"store self.{target.attr}"
+                     if isinstance(target, ast.Attribute) else "store")
+            yield self.finding(
+                sf, call,
+                f"cache {label} is built outside CACHE_LAYERS — declare "
+                f"it (with its size) in repro.api.layers; stats, "
+                f"snapshot export/import and the pool merge all miss "
+                f"an undeclared store")
+
+    def _stray_stores(self, node: ast.AST,
+                      in_registry_loop: bool) -> Iterator[ast.Call]:
+        """``_LRU(...)`` calls not inside a loop over ``CACHE_LAYERS``."""
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "_LRU" and not in_registry_loop):
+            yield node
+        loops = ([node] if isinstance(node, (ast.For, ast.AsyncFor))
+                 else getattr(node, "generators", ()))
+        in_registry_loop = in_registry_loop or any(
+            isinstance(loop.iter, ast.Name) and loop.iter.id == "CACHE_LAYERS"
+            for loop in loops)
+        for child in ast.iter_child_nodes(node):
+            yield from self._stray_stores(child, in_registry_loop)
 
     def _check_snapshot(self, sf: SourceFile) -> Iterator[Finding]:
         imports_schema = any(

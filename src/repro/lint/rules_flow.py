@@ -19,11 +19,11 @@ CFGs (:mod:`repro.lint.cfg`) and the forward taint engine
   a ``# repro-lint: owner=`` annotation outside their declared owner
   methods, with CFG-based alias tracking (``home = self._home[i];
   home.pop()`` is still a mutation of ``self._home``).
-* **RL104** — cache-key completeness: for every ``_LRU`` memo write
-  and every ``CACHE_LAYERS`` layer, taint-check that each parameter
-  influencing the cached value appears in the key expression — the
-  rule that keeps a shared cache tier sound (two calls differing only
-  in a dropped parameter would alias one entry).
+* **RL104** — cache-key completeness: for every ``_memo`` call and
+  ``_LRU`` memo write, and every ``CACHE_LAYERS`` layer, taint-check
+  that each parameter influencing the cached value appears in the key
+  expression — the rule that keeps a shared cache tier sound (two
+  calls differing only in a dropped parameter would alias one entry).
 
 All four are pure AST analyses; the shared call graph is built once
 per project and memoized.  An unresolved receiver or import produces
@@ -731,6 +731,11 @@ class OwnershipRule(Rule):
 # RL104 — cache-key completeness
 # ---------------------------------------------------------------------------
 
+
+def _is_self(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 _MEMO_DECORATORS = frozenset({"lru_cache", "cache", "cached_property"})
 
 
@@ -738,15 +743,17 @@ _MEMO_DECORATORS = frozenset({"lru_cache", "cache", "cached_property"})
 class CacheKeyRule(Rule):
     """RL104: every memo key covers every value-influencing parameter.
 
-    For each class attribute created as ``self.X = _LRU(...)`` — plus
-    every attribute declared in the ``CACHE_LAYERS`` registry when the
-    engine is under analysis — the rule finds the memo *write* sites
-    (``self.X.put(key, value)`` and ``self.X[key] = value``), runs the
-    forward taint analysis seeded with the enclosing method's
-    parameters, and requires the value's parameter taint to be a
-    subset of the key's.  A parameter that influences the cached value
-    but is missing from the key means two calls differing only in that
-    parameter alias a single cache entry — exactly the silent-
+    The memo *write* sites are the engine's one memo path,
+    ``self._memo("layer", key, compute)`` (the ``compute`` callable
+    stands for the cached value), plus direct writes
+    ``self.X.put(key, value)`` and ``self.X[key] = value`` to a class
+    attribute created as ``self.X = _LRU(...)`` or declared in the
+    ``CACHE_LAYERS`` registry when the engine is under analysis.  For
+    each, the rule runs the forward taint analysis seeded with the
+    enclosing method's parameters and requires the value's parameter
+    taint to be a subset of the key's.  A parameter that influences the
+    cached value but is missing from the key means two calls differing
+    only in that parameter alias a single cache entry — exactly the silent-
     divergence failure a shared cache tier must exclude.  Functions
     memoized with ``functools.lru_cache`` are skipped (their keys are
     complete by construction), and each declared layer must have at
@@ -766,14 +773,11 @@ class CacheKeyRule(Rule):
         written: set[str] = set()
         for class_id in sorted(graph.classes):
             cls = graph.classes[class_id]
-            memo_attrs = self._memo_attrs(graph, cls)
             is_engine = (cls.name == "ContainmentEngine"
                          and cls.module == "repro.api.engine")
-            store_attrs = set(memo_attrs)
+            store_attrs = self._memo_attrs(graph, cls)
             if is_engine:
                 store_attrs |= set(layer_by_attr)
-            if not store_attrs:
-                continue
             for method_name in sorted(cls.methods):
                 method = graph.functions[cls.methods[method_name]]
                 if self._is_memoized(method.node):
@@ -788,9 +792,9 @@ class CacheKeyRule(Rule):
                     yield self.finding(
                         layers_sf, layer.get("line", 1),
                         f"layer {layer['name']!r} declares attr "
-                        f"{attr!r} but no memo write (.put or "
-                        f"subscript store) exists in ContainmentEngine "
-                        f"— the layer can never fill")
+                        f"{attr!r} but no memo write (_memo call, .put "
+                        f"or subscript store) exists in "
+                        f"ContainmentEngine — the layer can never fill")
 
     # -- collection ----------------------------------------------------
 
@@ -835,10 +839,12 @@ class CacheKeyRule(Rule):
     def _check_method(self, sf: SourceFile, method: FunctionInfo,
                       store_attrs: set[str], layer_by_attr: dict,
                       written: set[str]) -> Iterator[Finding]:
-        sites = self._write_sites(method.node, store_attrs)
+        attr_by_name = {layer["name"]: attr
+                        for attr, layer in layer_by_attr.items()}
+        sites = self._write_sites(method.node, store_attrs, attr_by_name)
         if not sites:
             return
-        for attr, _key, _value, _anchor in sites:
+        for attr, _name, _key, _value, _anchor in sites:
             written.add(attr)
         args = method.node.args
         params = [arg.arg
@@ -858,27 +864,37 @@ class CacheKeyRule(Rule):
                 # scanning its own expressions here visits every
                 # write site once, with the correct pre-state.
                 for expr in _stmt_exprs(stmt):
-                    for site in self._write_sites(expr, store_attrs):
+                    for site in self._write_sites(expr, store_attrs,
+                                                  attr_by_name):
                         yield from self._check_site(sf, method, site,
                                                     state, analysis,
                                                     layer_by_attr)
                 analysis.transfer(stmt, state)
 
     @staticmethod
-    def _write_sites(func, store_attrs: set[str]):
-        """``(attr, key expr, value expr, anchor)`` per memo write."""
+    def _write_sites(func, store_attrs: set[str], attr_by_name: dict):
+        """``(attr, layer name, key expr, value expr, anchor)`` per memo
+        write: ``self._memo("layer", key, compute)`` calls (``compute``
+        stands for the cached value), ``self.X.put(key, value)`` and
+        ``self.X[key] = value``.  ``attr`` is ``None`` for a ``_memo``
+        layer the registry does not declare."""
         sites = []
         for node in _walk_scope(func):
             if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "put" \
-                    and len(node.args) >= 2:
-                store = node.func.value
-                if (isinstance(store, ast.Attribute)
-                        and isinstance(store.value, ast.Name)
-                        and store.value.id == "self"
-                        and store.attr in store_attrs):
-                    sites.append((store.attr, node.args[0],
+                    and isinstance(node.func, ast.Attribute):
+                receiver = node.func.value
+                if node.func.attr == "_memo" and len(node.args) >= 3 \
+                        and _is_self(receiver) \
+                        and isinstance(node.args[0], ast.Constant) \
+                        and isinstance(node.args[0].value, str):
+                    name = node.args[0].value
+                    sites.append((attr_by_name.get(name), name,
+                                  node.args[1], node.args[2], node))
+                elif node.func.attr == "put" and len(node.args) >= 2 \
+                        and isinstance(receiver, ast.Attribute) \
+                        and _is_self(receiver.value) \
+                        and receiver.attr in store_attrs:
+                    sites.append((receiver.attr, None, node.args[0],
                                   node.args[1], node))
             elif isinstance(node, ast.Assign) \
                     and len(node.targets) == 1 \
@@ -886,25 +902,26 @@ class CacheKeyRule(Rule):
                 subscript = node.targets[0]
                 store = subscript.value
                 if (isinstance(store, ast.Attribute)
-                        and isinstance(store.value, ast.Name)
-                        and store.value.id == "self"
+                        and _is_self(store.value)
                         and store.attr in store_attrs):
-                    sites.append((store.attr, subscript.slice,
+                    sites.append((store.attr, None, subscript.slice,
                                   node.value, subscript))
         return sites
 
     def _check_site(self, sf: SourceFile, method: FunctionInfo, site,
                     state: dict, analysis: TaintAnalysis,
                     layer_by_attr: dict) -> Iterator[Finding]:
-        attr, key_expr, value_expr, anchor = site
+        attr, name, key_expr, value_expr, anchor = site
         key_taint = analysis.expr_taint(key_expr, state)
         value_taint = analysis.expr_taint(value_expr, state)
         missing = sorted(value_taint - key_taint)
         if not missing:
             return
         layer = layer_by_attr.get(attr)
-        label = (f"self.{attr} (layer {layer['name']!r})"
-                 if layer is not None else f"self.{attr}")
+        if layer is not None:
+            name = layer["name"]
+        label = (f"self.{attr} (layer {name!r})" if attr and name
+                 else f"self.{attr}" if attr else f"layer {name!r}")
         noun = "parameter" if len(missing) == 1 else "parameters"
         yield self.finding(
             sf, anchor,

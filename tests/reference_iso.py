@@ -1,6 +1,7 @@
-"""The original permutation-based isomorphism machinery (reference).
+"""The original permutation-based isomorphism machinery: a test oracle.
 
-Before PR 5, :mod:`repro.homomorphisms.isomorphism` computed canonical
+Before the refinement-based engine,
+:mod:`repro.homomorphisms.isomorphism` computed canonical
 keys, canonical renamings and automorphism counts by minimizing a
 serialization over *all* permutations of the existential variables —
 factorial time, unusable past ~10 existentials.  The production path
@@ -8,7 +9,8 @@ now delegates to the refinement-based engine in
 :mod:`repro.homomorphisms.canonical`; this module preserves the
 exhaustive algorithm as an executable specification for the
 equivalence property tests (``tests/test_canonical_labeling.py``) and
-the agreement sweep in ``benchmarks/bench_canonical.py``.
+the agreement sweep in ``benchmarks/bench_canonical.py``, and lives
+under ``tests/``, outside the installed package.
 
 Two historical bugs are fixed here as well, so the reference states
 the intended semantics rather than the buggy ones:
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from ..queries.atoms import Var, is_var
-from ..queries.cq import CQ
-from .canonical import fresh_existential_labels
+from repro.homomorphisms.canonical import fresh_existential_labels
+from repro.queries.atoms import Var, is_var
+from repro.queries.cq import CQ
 
 __all__ = [
     "reference_automorphism_count",

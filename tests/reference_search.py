@@ -1,4 +1,4 @@
-"""The pre-plan reference homomorphism searcher (kept for validation).
+"""The pre-plan reference homomorphism searcher: a test and benchmark oracle.
 
 This is the original generate-and-test backtracker that
 :mod:`repro.homomorphisms.search` replaced with an indexed, plan-driven
@@ -12,16 +12,16 @@ after a full mapping is built.  It is deliberately kept verbatim so
   query pairs (the two implementations must enumerate the same mapping
   *sets*; enumeration order is not part of the contract).
 
-Nothing in the library proper may import this module.
+It lives under ``tests/``, outside the installed package.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator
 
-from ..queries.atoms import Atom, Var, is_var
-from ..queries.cq import CQ
-from .search import HomKind
+from repro.homomorphisms.search import HomKind
+from repro.queries.atoms import Atom, Var, is_var
+from repro.queries.cq import CQ
 
 __all__ = [
     "reference_homomorphisms",

@@ -190,10 +190,34 @@ def test_verdict_cache_distinguishes_same_named_semirings():
 
 
 def test_hom_lru_evicts_at_capacity():
-    engine = ContainmentEngine(hom_cache_size=1)
+    from repro.api.engine import _LRU
+
+    lru = _LRU(2)
+    lru.put("a", 1)
+    lru.put("b", None)            # None is a storable value
+    assert lru.get("a") == 1      # a recall refreshes recency...
+    assert "b" in lru             # ...and a presence test does not
+    lru.put("c", 3)
+    assert lru.items() == [("a", 1), ("c", 3)]
+    engine = ContainmentEngine()
+    engine._homs = _LRU(1)
     engine.decide(Q1, Q2, "B")
     engine.decide("Q() :- S(x)", "Q() :- S(y)", "B")
     assert engine.cache_info()["hom_entries"] == 1
+
+
+def test_engine_stores_are_sized_by_the_registry():
+    from repro.api.engine import _LRU
+    from repro.api.layers import CACHE_LAYERS
+
+    engine = ContainmentEngine()
+    for layer in CACHE_LAYERS:
+        store = getattr(engine, layer.attr)
+        if layer.size is None:
+            assert type(store) is dict, layer.name
+        else:
+            assert isinstance(store, _LRU), layer.name
+            assert store.maxsize == layer.size, layer.name
 
 
 def test_decide_many_preserves_order_and_ids():
@@ -424,3 +448,72 @@ def test_covered_atoms_stays_lazy_on_early_success():
     mappings = engine.homomorphism_mappings(source, target, HomKind.PLAIN)
     assert engine.stats.hom_enum_calls == 1
     assert len(mappings) == 81
+
+
+def _golden_stream(engine):
+    """A fixed request stream touching every layer and special case."""
+    from repro.data import Instance
+    from repro.homomorphisms import HomKind
+
+    engine.decide(["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
+                  ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"], "N")
+    for name in ("B", "N[X]", "Lin[X]", "B"):
+        engine.decide(Q1, Q2, name)
+    engine.decide("Q() :- R(v), S(v)",
+                  ["Q() :- R(v), R(v)", "Q() :- S(v), S(v)"], "T+")
+    engine.decide(Q1, Q2, "B", equivalence=True)
+    source = engine.parse("Q() :- R(x, y)")
+    target = engine.parse("Q() :- R(u, v), R(v, w)")
+    engine.homomorphism_mappings(source, target, HomKind.PLAIN)
+    engine.find_homomorphism(source, target, HomKind.PLAIN)
+    engine.covered_atoms(source, target)
+    engine.covered_atoms(target, source)
+    engine.find_homomorphism(target, source, HomKind.INJECTIVE)
+    instance = Instance.from_facts(engine.semiring("N"), [
+        ("R", ("a", "b"), 2), ("R", ("b", "c"), 3)])
+    table = engine.evaluate("Q(x) :- R(x, y), R(y, z)", instance)
+    assert [(row, int(value)) for row, value in table.rows] == [(("a",), 6)]
+
+
+#: ``cache_info()`` after :func:`_golden_stream` on a cold engine and on
+#: a second engine restored from its structural export, recorded before
+#: the per-layer cache methods were collapsed onto ``_memo`` (counters,
+#: entry counts and key order must not move).
+_GOLDEN_COLD = {
+    "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
+    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 7,
+    "hom_hits": 5, "hom_enum_calls": 8, "hom_enum_hits": 1,
+    "cover_calls": 12, "cover_hits": 0, "description_calls": 2,
+    "description_hits": 4, "canon_calls": 7, "canon_hits": 24,
+    "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
+    "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 18,
+    "hom_enum_entries": 8, "cover_entries": 12, "description_entries": 2,
+    "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
+    "verdict_entries": 6}
+
+_GOLDEN_RESTORED = {
+    "decisions": 7, "verdict_hits": 1, "classify_calls": 0,
+    "classify_hits": 7, "parse_calls": 0, "parse_hits": 20, "hom_calls": 0,
+    "hom_hits": 12, "hom_enum_calls": 0, "hom_enum_hits": 1,
+    "cover_calls": 0, "cover_hits": 12, "description_calls": 0,
+    "description_hits": 6, "canon_calls": 0, "canon_hits": 31,
+    "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
+    "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 18,
+    "hom_enum_entries": 8, "cover_entries": 12, "description_entries": 2,
+    "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
+    "verdict_entries": 6}
+
+
+def test_golden_cache_counters_cold_and_restored():
+    cold = ContainmentEngine()
+    _golden_stream(cold)
+    restored = ContainmentEngine()
+    restored.import_caches(cold.export_caches(include_verdicts=False))
+    _golden_stream(restored)
+    for engine, golden in ((cold, _GOLDEN_COLD),
+                           (restored, _GOLDEN_RESTORED)):
+        info = engine.cache_info()
+        assert info == golden
+        assert list(info) == list(golden)

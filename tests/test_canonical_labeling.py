@@ -18,8 +18,6 @@ import pytest
 
 from repro.api import ContainmentEngine
 from repro.homomorphisms import isomorphism
-from repro.homomorphisms._reference_iso import (reference_automorphism_count,
-                                                reference_canonical_key)
 from repro.homomorphisms.canonical import (CanonicalForm,
                                            compute_canonical_form,
                                            fresh_existential_labels)
@@ -33,6 +31,8 @@ from repro.queries.atoms import Atom, Var
 from repro.queries.ccq import complete_description
 from repro.queries.generators import random_cq
 from repro.service import load_snapshot, save_snapshot
+from tests.reference_iso import (reference_automorphism_count,
+                                 reference_canonical_key)
 
 
 def _rename_existentials(query, rng: random.Random):
@@ -285,7 +285,7 @@ def test_isomorphism_module_exports_complete():
 def test_engine_routes_canonical_forms_through_its_lru():
     engine = ContainmentEngine()
     query = parse_cq("Q() :- R(u, v), R(v, u)")
-    context = engine._context
+    context = engine.context
     first = context.canonical_form(query)
     second = context.canonical_form(query)
     assert isinstance(first, CanonicalForm)
@@ -339,7 +339,7 @@ def test_isomorphism_classes_with_context_matches_plain():
         parse_cq("Q() :- R(u, u)"),
     ]
     plain = isomorphism_classes(queries)
-    routed = isomorphism_classes(queries, context=engine._context)
+    routed = isomorphism_classes(queries, context=engine.context)
     assert ({key: len(members) for key, members in plain.items()}
             == {key: len(members) for key, members in routed.items()})
     assert engine.stats.canon_calls > 0

@@ -163,43 +163,45 @@ def test_minimize(capsys):
 
 def test_evaluate_with_counts(capsys):
     code, out, _ = run_cli(
-        capsys, "evaluate", "--semiring", "N",
+        capsys, "eval", "--semiring", "N",
         "--fact", "R('a', 'b') = 2", "--fact", "S('b') = 3",
-        "Q(x) :- R(x, y), S(y)")
+        "--query", "Q(x) :- R(x, y), S(y)")
     assert code == 0
     assert "6" in out
 
 
 def test_evaluate_with_provenance_tokens(capsys):
     code, out, _ = run_cli(
-        capsys, "evaluate", "--semiring", "N[X]",
+        capsys, "eval", "--semiring", "N[X]",
         "--fact", "R('a', 'b') = t1", "--fact", "S('b') = t2",
-        "Q(x) :- R(x, y), S(y)")
+        "--query", "Q(x) :- R(x, y), S(y)")
     assert code == 0
     assert "t1·t2" in out
 
 
 def test_evaluate_empty_answers(capsys):
     code, out, _ = run_cli(
-        capsys, "evaluate", "--semiring", "N",
+        capsys, "eval", "--semiring", "N",
         "--fact", "R('a', 'b') = 1",
-        "Q(x) :- S(x)")
+        "--query", "Q(x) :- S(x)")
     assert code == 0
     assert "no answers" in out
 
 
 def test_evaluate_rejects_nonground_fact(capsys):
     code, _, err = run_cli(
-        capsys, "evaluate", "--semiring", "N",
-        "--fact", "R(x, 'b') = 1", "Q(x) :- R(x, y)")
+        capsys, "eval", "--semiring", "N",
+        "--fact", "R(x, 'b') = 1",
+        "--query", "Q(x) :- R(x, y)")
     assert code == 1
     assert "ground" in err
 
 
 def test_evaluate_rejects_bad_annotation(capsys):
     code, _, err = run_cli(
-        capsys, "evaluate", "--semiring", "N",
-        "--fact", "R('a') = banana", "Q(x) :- R(x)")
+        capsys, "eval", "--semiring", "N",
+        "--fact", "R('a') = banana",
+        "--query", "Q(x) :- R(x)")
     assert code == 1
 
 
@@ -248,8 +250,9 @@ def test_evaluate_rejects_malformed_numeric_annotation(capsys):
     # "--5" used to slip past the digit guard and crash int() with a
     # bare "invalid literal" message.
     code, _, err = run_cli(
-        capsys, "evaluate", "--semiring", "N",
-        "--fact", "R('a') = --5", "Q(x) :- R(x)")
+        capsys, "eval", "--semiring", "N",
+        "--fact", "R('a') = --5",
+        "--query", "Q(x) :- R(x)")
     assert code == 1
     assert "cannot parse annotation" in err
 
@@ -257,8 +260,9 @@ def test_evaluate_rejects_malformed_numeric_annotation(capsys):
 def test_evaluate_rejects_malformed_token_for_provenance(capsys):
     # Even with a var-capable semiring, "--5" is not a token name.
     code, _, err = run_cli(
-        capsys, "evaluate", "--semiring", "N[X]",
-        "--fact", "R('a') = --5", "Q(x) :- R(x)")
+        capsys, "eval", "--semiring", "N[X]",
+        "--fact", "R('a') = --5",
+        "--query", "Q(x) :- R(x)")
     assert code == 1
     assert "cannot parse annotation" in err
 
@@ -266,8 +270,9 @@ def test_evaluate_rejects_malformed_token_for_provenance(capsys):
 def test_evaluate_accepts_negative_annotation_where_lawful(capsys):
     # Plain integers (including signed forms) still parse.
     code, out, _ = run_cli(
-        capsys, "evaluate", "--semiring", "N",
-        "--fact", "R('a') = +2", "Q(x) :- R(x)")
+        capsys, "eval", "--semiring", "N",
+        "--fact", "R('a') = +2",
+        "--query", "Q(x) :- R(x)")
     assert code == 0
     assert "2" in out
 
@@ -283,3 +288,69 @@ def test_batch_numeric_request_id(tmp_path, capsys):
     assert code == 0
     (doc,) = [json.loads(line) for line in out.splitlines() if line]
     assert doc["request_id"] == "7"
+
+
+def test_eval_needs_exactly_one_fact_source(capsys, tmp_path):
+    csv = tmp_path / "r.csv"
+    csv.write_text("R,a,1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "eval", "--semiring", "N",
+                           "--query", "Q(x) :- R(x)")
+    assert code == 2
+    assert "one of the arguments --instance --fact is required" in err
+    code, _, err = run_cli(capsys, "eval", "--semiring", "N",
+                           "--query", "Q(x) :- R(x)",
+                           "--instance", str(csv), "--fact", "R('a') = 1")
+    assert code == 2
+    assert "not allowed with" in err
+
+
+def test_evaluate_subcommand_is_gone(capsys):
+    import argparse
+
+    from repro.cli import build_parser
+
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert "eval" in commands.choices
+    assert "evaluate" not in commands.choices
+    code, _, err = run_cli(capsys, "evaluate", "--semiring", "N",
+                           "Q(x) :- R(x)")
+    assert code == 2
+    assert "invalid choice: 'evaluate'" in err
+
+
+_WARM_RUNS = (
+    [{"semiring": "Lin[X]×N_2",
+      "q1": ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
+      "q2": ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"]},
+     {"semiring": "N", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"}],
+    [{"semiring": "N", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"},
+     {"semiring": "N",
+      "q1": ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
+      "q2": ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"]}],
+)
+
+
+def test_batch_snapshot_keeps_every_computed_layer(capsys, tmp_path):
+    """A run that computes only a canonical form must still re-save.
+
+    The second run's only new work is one canonical form; skipping the
+    rewrite would drop it, and the third run would recompute it."""
+    import json
+
+    snapshot = tmp_path / "s.snap"
+    calls = []
+    for run, requests in enumerate((_WARM_RUNS[0], _WARM_RUNS[1],
+                                    _WARM_RUNS[1])):
+        source = tmp_path / f"run{run}.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in requests),
+                          encoding="utf-8")
+        code, _, err = run_cli(capsys, "batch", "--snapshot", str(snapshot),
+                               "--input", str(source), "--output",
+                               str(tmp_path / f"out{run}.jsonl"), "--stats")
+        assert code == 0
+        stats = json.loads(err.strip().splitlines()[-1])
+        calls.append({key: value for key, value in stats.items()
+                      if key.endswith("_calls") and value})
+    assert calls[1] == {"canon_calls": 1}
+    assert calls[2] == {}

@@ -1,7 +1,7 @@
 """The indexed, plan-driven homomorphism search (PR 2).
 
 Edge cases are pinned two ways: against the preserved pre-rewrite
-searcher (:mod:`repro.homomorphisms._reference`, exact mapping-set
+searcher (``tests/reference_search.py``, exact mapping-set
 equality) and against the semantic oracle (decision procedures built on
 the new search must never be refuted by a concrete annotated instance).
 """
@@ -15,12 +15,12 @@ import pytest
 from repro.core import decide_cq_containment
 from repro.homomorphisms import (HomKind, find_homomorphism,
                                  has_homomorphism, homomorphisms)
-from repro.homomorphisms._reference import (reference_find_homomorphism,
-                                            reference_homomorphisms)
 from repro.oracle import find_counterexample
 from repro.queries import CQ, Atom, Var, parse_cq
 from repro.queries.ccq import complete_description
 from repro.queries.generators import random_cq
+from tests.reference_search import (reference_find_homomorphism,
+                                    reference_homomorphisms)
 
 
 def mapping_set(source, target, kind):

@@ -114,7 +114,7 @@ def test_rl001_kwargs_splat_counts_as_threaded(tmp_path):
     assert report.clean
 
 
-# -- RL002: cache-layer completeness -----------------------------------
+# -- RL002: cache-layer registry --------------------------------------
 
 
 _LAYERS_OK = """
@@ -124,31 +124,19 @@ class CacheLayer:
 
 CACHE_LAYERS = (
     CacheLayer(name="parsed", attr="_parsed", hits="parse_hits",
-               calls="parse_calls", entries="parsed_entries"),
+               calls="parse_calls", entries="parsed_entries", size=8),
 )
 """
 
 _ENGINE_OK = """
-class EngineStats:
-    parse_hits: int = 0
-    parse_calls: int = 0
-
-
 class _LRU:
     pass
 
 
 class ContainmentEngine:
     def __init__(self):
-        self._parsed = _LRU(8)
-
-    def export_caches(self):
-        return {layer.name: getattr(self, layer.attr)
-                for layer in CACHE_LAYERS}
-
-    def import_caches(self, state):
         for layer in CACHE_LAYERS:
-            state.get(layer.name)
+            setattr(self, layer.attr, _LRU(layer.size))
 """
 
 _SNAPSHOT_OK = """
@@ -167,25 +155,26 @@ def test_rl002_silent_on_registry_driven_engine(tmp_path):
 
 
 def test_rl002_fires_on_undeclared_store(tmp_path):
-    engine = _ENGINE_OK.replace(
-        "self._parsed = _LRU(8)",
-        "self._parsed = _LRU(8)\n        self._rogue = _LRU(8)")
+    engine = _ENGINE_OK + "        self._rogue = _LRU(8)\n"
     package = _write_tree(tmp_path, {
         "api/layers.py": _LAYERS_OK,
         "api/engine.py": engine,
         "service/snapshot.py": _SNAPSHOT_OK,
     })
     report = run_lint([package], rule_ids=["RL002"])
-    assert any("_rogue" in f.message for f in report.findings)
+    [finding] = report.findings
+    assert "self._rogue" in finding.message
+    assert "outside CACHE_LAYERS" in finding.message
 
 
-def test_rl002_fires_on_phantom_layer_and_bad_counter(tmp_path):
+def test_rl002_fires_on_unreadable_or_duplicate_registry(tmp_path):
     layers = _LAYERS_OK.replace(
-        "               calls=\"parse_calls\", entries=\"parsed_entries\"),",
-        "               calls=\"parse_calls\", entries=\"parsed_entries\"),\n"
-        "    CacheLayer(name=\"ghost\", attr=\"_ghost\",\n"
-        "               hits=\"ghost_hits\", calls=\"ghost_calls\",\n"
-        "               entries=\"ghost_entries\"),")
+        "entries=\"parsed_entries\", size=8),",
+        "entries=\"parsed_entries\", size=8),\n"
+        "    CacheLayer(name=\"parsed\", attr=\"_again\", hits=\"a\",\n"
+        "               calls=\"b\", entries=\"c\"),\n"
+        "    CacheLayer(name=\"plans\", attr=PLANS, hits=\"a\",\n"
+        "               calls=\"b\", entries=\"c\"),")
     package = _write_tree(tmp_path, {
         "api/layers.py": layers,
         "api/engine.py": _ENGINE_OK,
@@ -193,8 +182,8 @@ def test_rl002_fires_on_phantom_layer_and_bad_counter(tmp_path):
     })
     report = run_lint([package], rule_ids=["RL002"])
     messages = " | ".join(f.message for f in report.findings)
-    assert "never creates it" in messages        # phantom attr
-    assert "not an EngineStats field" in messages  # phantom counter
+    assert "unparseable CACHE_LAYERS entry" in messages  # attr=PLANS
+    assert "layer 'parsed' is declared twice" in messages
 
 
 def test_rl002_fires_on_literal_snapshot_schema(tmp_path):
@@ -207,20 +196,6 @@ def test_rl002_fires_on_literal_snapshot_schema(tmp_path):
     messages = " | ".join(f.message for f in report.findings)
     assert "import SNAPSHOT_LAYERS" in messages
     assert "duplicates the registry" in messages
-
-
-def test_rl002_fires_when_export_ignores_registry(tmp_path):
-    engine = _ENGINE_OK.replace(
-        "        return {layer.name: getattr(self, layer.attr)\n"
-        "                for layer in CACHE_LAYERS}",
-        "        return {\"parsed\": self._parsed}")
-    package = _write_tree(tmp_path, {
-        "api/layers.py": _LAYERS_OK,
-        "api/engine.py": engine,
-        "service/snapshot.py": _SNAPSHOT_OK,
-    })
-    report = run_lint([package], rule_ids=["RL002"])
-    assert any("export_caches" in f.message for f in report.findings)
 
 
 # -- RL003: semiring conformance ---------------------------------------

@@ -391,6 +391,39 @@ def test_rl104_pragma_with_justification(tmp_path):
     assert report.suppressed == 1
 
 
+_MEMO_PATH = """
+def build(query, dialect):
+    return (query, dialect)
+
+
+class Engine:
+    def _memo(self, layer, key, compute):
+        return compute()
+
+    def plan(self, query, dialect):
+        return self._memo("plans", query, lambda: build(query, dialect))
+"""
+
+
+def test_rl104_fires_on_memo_call_missing_a_key_parameter(tmp_path):
+    package = _write_tree(tmp_path, {"api/memo.py": _MEMO_PATH})
+    report = run_lint([package], select=["RL104"])
+    [finding] = report.findings
+    assert "layer 'plans'" in finding.message
+    assert "'dialect'" in finding.message
+    assert "alias one cache entry" in finding.message
+
+
+def test_rl104_silent_on_memo_call_with_complete_key(tmp_path):
+    package = _write_tree(tmp_path, {
+        "api/memo.py": _MEMO_PATH.replace(
+            'self._memo("plans", query,',
+            'self._memo("plans", (query, dialect),'),
+    })
+    report = run_lint([package], select=["RL104"])
+    assert report.clean, [f.message for f in report.findings]
+
+
 _LAYERS = """
 class CacheLayer:
     pass
