@@ -182,13 +182,32 @@ class SupervisedWorkerPool(WorkerPool):
             with self._cond:
                 self._requests[seq] = request
                 self._key_of[seq] = key
-                duplicate = key in self._seen_keys or key in self._live_keys
+                live = key in self._live_keys
+                duplicate = live or key in self._seen_keys
                 self._live_keys[key] = self._live_keys.get(key, 0) + 1
                 if duplicate:
                     self._expect_cached.add(seq)
+                if live:
+                    self._reclaim_spilled_locked(key, worker)
                 self._home[worker].append((seq, request, not duplicate))
                 self._pump_locked()
             return seq
+
+    def _reclaim_spilled_locked(self, key: bytes, worker: int) -> None:
+        """Move ``key``'s spilled occurrence back home (``_cond`` held).
+
+        A duplicate is pinned to its home shard; were the occurrence it
+        duplicates left in the overflow deque, the duplicate could
+        overtake it there and the earlier request would then hit the
+        verdict LRU — ``cached: true`` where a sequential run says
+        ``false``.  Re-queued ahead of the duplicate, and pinned, the
+        pair keeps submit order on one worker.
+        """
+        for position, (seq, request, _) in enumerate(self._overflow):
+            if self._key_of.get(seq) == key:
+                del self._overflow[position]
+                self._home[worker].append((seq, request, False))
+                return
 
     def _dispatch_locked(self, index: int, seq: int,
                          request: ContainmentRequest) -> None:

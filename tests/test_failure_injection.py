@@ -21,7 +21,8 @@ from repro.api import ContainmentEngine, ContainmentRequest
 from repro.semirings import (Semiring, SemiringProperties,
                              audit_declared_axioms, audit_positivity,
                              audit_semiring_laws)
-from repro.service import DecisionError, SupervisedWorkerPool
+from repro.service import (DecisionError, SupervisedWorkerPool, load_snapshot,
+                           save_snapshot)
 
 
 class BrokenDistributivity(Semiring):
@@ -321,3 +322,54 @@ def test_poisonous_request_fails_in_band_after_redrive_budget():
         assert pool.metrics.get("redrive_failures") == 1
         # The shard itself respawned and keeps serving fresh submissions.
         assert pool.decide_one(request).result is False
+
+
+def _steal_behind_pinned_duplicate(pool) -> list[dict]:
+    """Force a spill whose duplicate is pinned, with no timing involved.
+
+    One SIGSTOPped worker with ``prefetch=1`` and ``steal_threshold=2``:
+    ``S0`` is dispatched, ``S1``/``S2`` wait at home and ``S3`` spills
+    into the overflow deque.  ``S3'`` duplicates ``S3`` and is pinned
+    home, so without care it overtakes ``S3`` on the worker.
+    """
+    requests = [ContainmentRequest.make(f"Q() :- R(u, v), S{index}(u)",
+                                        "Q() :- R(u, v)", "B",
+                                        id=f"s{index}")
+                for index in range(4)]
+    requests.append(requests[3])
+    pid = pool.worker_pids()[0]
+    os.kill(pid, signal.SIGSTOP)
+    try:
+        seqs = [pool.submit(request) for request in requests]
+    finally:
+        os.kill(pid, signal.SIGCONT)
+    return requests, [pool.result(seq, timeout=30).to_dict()
+                      for seq in seqs]
+
+
+def test_spilled_first_occurrence_is_not_overtaken_by_its_duplicate():
+    with SupervisedWorkerPool(1, prefetch=1, steal_threshold=2) as pool:
+        requests, outcomes = _steal_behind_pinned_duplicate(pool)
+    assert [outcome["cached"] for outcome in outcomes] \
+        == [False, False, False, False, True]
+    assert outcomes == sequential_documents(requests)
+
+
+def test_spilled_first_occurrence_stays_warm_from_a_verdict_snapshot(
+        tmp_path):
+    path = tmp_path / "verdicts.snap"
+    warm = ContainmentRequest.make("Q() :- R(u, v), S3(u)",
+                                   "Q() :- R(u, v)", "B")
+    engine = ContainmentEngine()
+    engine.decide_request(warm)
+    save_snapshot(engine, path, include_verdicts=True)
+    with SupervisedWorkerPool(1, prefetch=1, steal_threshold=2,
+                              snapshot_path=path,
+                              include_verdict_snapshot=True) as pool:
+        requests, outcomes = _steal_behind_pinned_duplicate(pool)
+    sequential = ContainmentEngine()
+    load_snapshot(sequential, path)
+    expected = [doc.to_dict() for doc in sequential.decide_many(requests)]
+    assert [outcome["cached"] for outcome in outcomes] \
+        == [False, False, False, True, True]
+    assert outcomes == expected
