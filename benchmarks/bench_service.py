@@ -13,7 +13,7 @@ independent Table-1 decisions over a fixed semiring set):
   structural snapshot must be ≥ 3× faster than its cold twin, again
   with byte-identical output (the structural layers carry no verdict
   documents, so ``cached`` stays ``false``);
-* **self-healing** — a supervised pool with one worker SIGKILLed
+* **self-healing** — a 4-worker pool with one worker SIGKILLed
   mid-stream must still produce the byte-identical verdict stream,
   with the respawn visible in the service metrics; and the asyncio
   gateway must shed load in-band under a wedged worker and serve
@@ -39,8 +39,8 @@ import time
 
 from repro.api import ContainmentEngine
 from repro.queries import CQ, Atom, Var
-from repro.service import (AsyncGateway, SupervisedWorkerPool, WorkerPool,
-                           load_snapshot, save_snapshot)
+from repro.service import (AsyncGateway, WorkerPool, load_snapshot,
+                           save_snapshot)
 
 from conftest import curated_cq_pairs, curated_ucq_pairs
 
@@ -209,7 +209,7 @@ def test_supervised_pool_survives_sigkill_byte_identically():
     if not SMOKE:
         assert len(requests) >= 400, len(requests)
     sequential, sequential_seconds = sequential_pass(requests)
-    with SupervisedWorkerPool(PARALLEL_WORKERS) as pool:
+    with WorkerPool(PARALLEL_WORKERS) as pool:
         start = time.perf_counter()
         seqs = [pool.submit(pool.normalize(request))
                 for request in requests]
@@ -237,7 +237,7 @@ def test_gateway_sheds_load_in_band_and_recovers():
     and the pipelined rest are shed in-band.  After SIGCONT the same
     gateway serves normally — shedding is a mode, not a death.
     """
-    with SupervisedWorkerPool(1) as pool:
+    with WorkerPool(1) as pool:
         gateway = AsyncGateway(pool, deadline=1.0, queue_limit=1)
         ready = threading.Event()
         thread = threading.Thread(

@@ -1,6 +1,6 @@
-"""CI smoke: the async serving stack survives a SIGKILLed worker.
+"""CI smoke: the serving stack survives a SIGKILLed worker.
 
-Boots ``python -m repro serve --tcp --async`` as a real subprocess,
+Boots ``python -m repro serve --tcp`` as a real subprocess,
 drives it over two pipelined TCP connections, SIGKILLs one worker
 process mid-run, and asserts that the service recovers (respawn
 visible in the ``stats`` op, every later request answered) and shuts
@@ -46,7 +46,7 @@ def main() -> int:
     env["PYTHONPATH"] = "src"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--tcp", "127.0.0.1:0",
-         "--async", "--workers", "2", "--deadline", "30", "--stats"],
+         "--workers", "2", "--deadline", "30", "--stats"],
         stderr=subprocess.PIPE, env=env, text=True)
     try:
         announce = proc.stderr.readline().strip()
@@ -71,7 +71,7 @@ def main() -> int:
             got = [reply["request_id"] for reply in replies[prefix]]
             assert got == [f"{prefix}{i}" for i in range(20)], got
 
-        # SIGKILL one worker; the supervisor must respawn it.
+        # SIGKILL one worker; the pool must respawn it.
         stats = exchange(address, ['{"op": "stats"}'])[0]
         victims = [pid for pid in stats["service"]["worker_pids"] if pid]
         assert len(victims) == 2, stats["service"]

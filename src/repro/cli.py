@@ -231,19 +231,17 @@ def _parse_tcp_address(text: str) -> tuple[str, int]:
 
 
 def _cmd_serve(args) -> int:
+    import asyncio
     import signal
+    from types import SimpleNamespace
 
-    from .service import DecisionServer, SupervisedWorkerPool, WorkerPool
+    from .service import AsyncGateway, WorkerPool
 
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 1
-    tcp_address = None
-    if args.tcp is not None:
-        tcp_address = _parse_tcp_address(args.tcp)
-    if args.use_async and tcp_address is None:
-        print("error: --async requires --tcp", file=sys.stderr)
-        return 1
+    tcp_address = (_parse_tcp_address(args.tcp) if args.tcp is not None
+                   else None)
 
     def _terminate(signum, frame):  # pragma: no cover - signal path
         raise KeyboardInterrupt
@@ -252,66 +250,36 @@ def _cmd_serve(args) -> int:
         signal.signal(signal.SIGTERM, _terminate)
     except ValueError:  # pragma: no cover - non-main thread
         pass
-    pool = None
-    if args.workers > 1 or args.use_async:
-        # The async gateway always fronts a pool (even of one worker):
-        # decisions must not block its event loop, and only the
-        # supervised pool gives it the self-healing contract.
-        pool_class = WorkerPool if args.no_respawn else SupervisedWorkerPool
-        pool = pool_class(args.workers, snapshot_path=args.snapshot,
-                          include_verdict_snapshot=args.snapshot_verdicts)
-    server = DecisionServer(
-        engine=None if pool is not None else args.engine,
-        pool=pool,
-        snapshot_path=args.snapshot,
-        include_verdict_snapshot=args.snapshot_verdicts,
-        flush_every=args.flush_every,
-        flush_interval=args.flush_interval,
-        max_line_bytes=args.max_line_bytes)
-    front = server
-    gateway = None
-    if args.use_async:
-        from .service import AsyncGateway
-        gateway = AsyncGateway(pool, server=server,
-                               deadline=args.deadline,
-                               queue_limit=args.queue_limit,
-                               max_line_bytes=args.max_line_bytes)
-        front = gateway
+    pool = WorkerPool(args.workers, snapshot_path=args.snapshot,
+                      include_verdict_snapshot=args.snapshot_verdicts)
+    gateway = AsyncGateway(pool, flush_every=args.flush_every,
+                           flush_interval=args.flush_interval,
+                           deadline=args.deadline,
+                           queue_limit=args.queue_limit,
+                           max_line_bytes=args.max_line_bytes)
     try:
-        if tcp_address is not None:
-            host, port = tcp_address
-            import threading
-            ready = threading.Event()
-            announce = threading.Thread(
-                target=lambda: (ready.wait(), print(
-                    f"serving on {front.tcp_address[0]}:"
-                    f"{front.tcp_address[1]}", file=sys.stderr)),
-                daemon=True)
-            announce.start()
-            if gateway is not None:
-                import asyncio
-                asyncio.run(gateway.serve(host, port, ready=ready))
-            else:
-                server.serve_tcp(host, port, ready=ready)
+        if tcp_address is None:
+            asyncio.run(gateway.serve_stdio())
         else:
-            server.serve_lines(sys.stdin, sys.stdout)
+            announce = SimpleNamespace(set=lambda: print(
+                "serving on {}:{}".format(*gateway.tcp_address),
+                file=sys.stderr, flush=True))
+            asyncio.run(gateway.serve(*tcp_address, ready=announce))
     except KeyboardInterrupt:
         pass  # graceful: final flush happens below
     finally:
-        close_stats = server.close()
-        if pool is not None:
-            pool.close()
+        close_stats = gateway.server.close()
+        pool.close()
     flush_error = close_stats.get("flush_error")
     if flush_error:
         print(f"warning: final snapshot flush failed: {flush_error}",
               file=sys.stderr)
     if args.stats:
-        report = {"served": server.served, "errors": server.errors}
+        report = {"served": close_stats["served"],
+                  "errors": close_stats["errors"]}
         if flush_error:
             report["flush_error"] = flush_error
-        metrics = getattr(pool, "metrics", None)
-        if metrics is not None:
-            report["service"] = metrics.as_dict()
+        report["service"] = pool.metrics.as_dict()
         print(json.dumps(report), file=sys.stderr)
     return 0
 
@@ -494,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="long-lived JSONL decision service (stdio or TCP)")
     serve.add_argument("--workers", type=int, default=1,
-                       help="decide across N engine processes (default 1)")
+                       help="decide across N self-healing engine "
+                            "processes (default 1)")
     serve.add_argument("--snapshot", metavar="PATH",
                        help="warm-start from PATH and flush caches back "
                             "to it (periodically and at shutdown)")
@@ -508,29 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="also flush the snapshot on a timer "
                             "(default 0: disabled)")
+    # Accepted and ignored: every serve mode runs the asyncio gateway,
+    # and perfbench/serve.py still launches `serve --async`.
     serve.add_argument("--async", dest="use_async", action="store_true",
-                       help="asyncio TCP gateway: per-connection "
-                            "pipelining, bounded admission with load "
-                            "shedding, per-request deadlines (requires "
-                            "--tcp; always runs a supervised worker pool)")
+                       help=argparse.SUPPRESS)
     serve.add_argument("--deadline", type=float, default=0.0,
                        metavar="SECONDS",
-                       help="per-request deadline for --async; an "
-                            "expired request is answered in-band with "
-                            "an 'expired' error (default: no deadline)")
+                       help="per-request deadline; an expired request "
+                            "is answered in-band with an 'expired' "
+                            "error (default: no deadline)")
     serve.add_argument("--queue-limit", type=int, default=256, metavar="N",
-                       help="max decisions admitted at once under "
-                            "--async; excess requests are shed with an "
-                            "in-band 'overloaded' response (default 256)")
+                       help="max decisions admitted at once; excess "
+                            "requests are shed with an in-band "
+                            "'overloaded' response (default 256)")
     serve.add_argument("--max-line-bytes", type=int, default=1_000_000,
                        metavar="N",
                        help="bound on one JSONL input line; longer "
                             "lines are answered in-band as 'oversized' "
                             "instead of buffered (0 disables; default 1MB)")
-    serve.add_argument("--no-respawn", action="store_true",
-                       help="disable worker supervision: a crashed "
-                            "worker's shard stays dead instead of being "
-                            "respawned from the snapshot")
     serve.add_argument("--tcp", metavar="[HOST:]PORT",
                        help="serve over TCP instead of stdin/stdout "
                             "(port 0 picks a free port)")

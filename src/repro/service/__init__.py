@@ -1,30 +1,28 @@
 """``repro.service`` — the containment engine as a deployable service.
 
-Five layers turn the cached :class:`~repro.api.ContainmentEngine`
+Four layers turn the cached :class:`~repro.api.ContainmentEngine`
 library facade into a scalable, self-healing decision service:
 
 * :mod:`repro.service.pool` — :class:`WorkerPool`, a multiprocess
   ``decide_many``/``decide_stream`` that shards requests onto
   per-process engines by a deterministic query/semiring digest
-  (identical pairs share one worker's LRUs), preserves input order and
-  reports per-worker engine stats;
-* :mod:`repro.service.supervisor` — :class:`SupervisedWorkerPool`, the
-  self-healing pool: dead workers are respawned warm from the latest
-  snapshot, their in-flight requests re-driven, and skewed shards
-  relieved through a bounded work-stealing overflow queue — all while
-  keeping results byte-identical to sequential evaluation;
+  (identical pairs share one worker's LRUs) and preserves input order;
+  dead workers are respawned warm from the latest snapshot, their
+  in-flight requests re-driven, and skewed shards relieved through a
+  bounded work-stealing overflow queue — all while keeping results
+  byte-identical to sequential evaluation;
 * :mod:`repro.service.snapshot` — versioned, validated warm-start
   snapshots of every engine cache layer, so short-lived CLI batch runs
   stop re-paying for structural work;
-* :mod:`repro.service.server` — :class:`DecisionServer`, a long-lived
-  stdin/stdout or TCP JSONL loop with in-band errors, control ops,
-  bounded input lines and periodic snapshot flushes, behind
-  ``python -m repro serve``;
-* :mod:`repro.service.gateway` — :class:`AsyncGateway`, the asyncio
-  front end (``serve --tcp --async``) adding per-connection
-  pipelining, bounded admission with load shedding, and per-request
-  deadlines, with :mod:`repro.service.metrics` counting every
-  admission and supervision event for the ``stats`` op.
+* :mod:`repro.service.server` — :class:`DecisionServer`, the JSONL
+  protocol's control ops, request counters and periodic snapshot
+  flushes;
+* :mod:`repro.service.gateway` — :class:`AsyncGateway`, the one front
+  end behind ``python -m repro serve``: stdio or TCP on one event loop,
+  with per-connection pipelining, bounded input lines, bounded
+  admission with load shedding, and per-request deadlines, while
+  :mod:`repro.service.metrics` counts every admission and supervision
+  event for the ``stats`` op.
 """
 
 from .gateway import AsyncGateway
@@ -34,7 +32,6 @@ from .server import DecisionServer
 from .snapshot import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SnapshotError,
                        load_snapshot, merge_states, read_snapshot,
                        save_snapshot, write_snapshot)
-from .supervisor import SupervisedWorkerPool
 
 __all__ = [
     "AsyncGateway",
@@ -44,7 +41,6 @@ __all__ = [
     "SNAPSHOT_VERSION",
     "ServiceMetrics",
     "SnapshotError",
-    "SupervisedWorkerPool",
     "WorkerPool",
     "load_snapshot",
     "merge_states",

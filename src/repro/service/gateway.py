@@ -1,17 +1,18 @@
-"""Asyncio JSONL front end: pipelining, backpressure, deadlines.
+"""The one ``serve`` front end: asyncio JSONL over stdio or TCP.
 
-``serve --tcp`` handles each connection with a thread and decides one
-request at a time per connection — robust, but a single slow client
-ties up a thread and a pipelining client gets no overlap.  The
-:class:`AsyncGateway` (``python -m repro serve --tcp --async``) is a
-single-threaded asyncio front end over the same
-:class:`~repro.service.server.DecisionServer` protocol that adds the
-elastic-serving behaviours:
+:class:`AsyncGateway` speaks the :mod:`repro.service.server` protocol
+on a single event loop, deciding on one self-healing
+:class:`~repro.service.pool.WorkerPool` (a pool of one worker by
+default, so a long decision never blocks the loop).  TCP connections
+(:meth:`AsyncGateway.serve`) and stdin/stdout
+(:meth:`AsyncGateway.serve_stdio`) run the same per-connection
+conversation, so every behaviour below applies to both:
 
-**Pipelining.**  A connection may write many request lines without
+**Pipelining.**  A client may write many request lines without
 waiting; the gateway submits each to the worker pool as it arrives
 and writes responses back *in request order*, overlapping the pool's
-computation across the whole pipeline.
+computation across the whole pipeline.  A control op runs when the
+writer reaches it, so ``stats`` sees every decision answered before it.
 
 **Backpressure & load shedding.**  At most ``queue_limit`` decisions
 are admitted gateway-wide at once; a request past the high watermark
@@ -26,37 +27,48 @@ complete in time is answered in-band with ``{"error": "deadline
 expired...", "expired": true}`` and the pool's interest in the result
 is abandoned; the eventual verdict is discarded instead of leaking.
 
-**Bounded lines.**  The same ``max_line_bytes`` contract as the
-synchronous server: an over-long line is drained in bounded chunks and
-answered in-band, never buffered whole.
+**Bounded lines.**  With ``max_line_bytes`` set, an over-long (or
+unterminated) line is drained in bounded chunks and answered in-band
+with ``{"error": ..., "oversized": true}``, never buffered whole.
 
-Admission outcomes are counted in the shared
+EOF ends a conversation after its pipeline drains; on stdio that also
+stops serving, as does a ``shutdown`` op on any conversation.  Stdin
+may be a pipe, a regular file or ``/dev/null``: asyncio's pipe
+transports refuse regular files, so a daemon thread does bounded
+binary reads and feeds a ``StreamReader`` (paused by the reader's own
+flow control), and responses are written to stdout directly.
+
+Admission outcomes are counted in the pool's
 :class:`~repro.service.metrics.ServiceMetrics` (``accepted`` / ``shed``
-/ ``expired``) next to the supervisor's respawn/steal counters, and
-the protocol's control ops (``ping``/``stats``/``snapshot``/
-``shutdown``) are delegated to the wrapped ``DecisionServer`` on an
-executor thread so a stats broadcast never stalls the event loop.
+/ ``expired``) next to its respawn/steal counters; control ops and
+snapshot flushes run on executor threads so a stats broadcast never
+stalls the event loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
-from typing import Mapping
+import os
+import sys
+import threading
 
 from ..api.batch import error_text
-from ..api.documents import coerce_request_id
 from ..queries.parser import ParseError
-from .metrics import ServiceMetrics
-from .pool import DecisionError, WorkerPool
+from .pool import DecisionError, WorkerPool, request_id_of
 from .server import DecisionServer
 
 __all__ = ["AsyncGateway"]
 
 _REQUEST_ERRORS = (ValueError, TypeError, KeyError, ParseError)
 
-#: Chunk size for draining oversized lines without buffering them.
+#: Chunk size for reads, including draining oversized lines without
+#: buffering them.
 _DRAIN_CHUNK = 1 << 16
+
+#: Responses a conversation may have queued before its reader waits.
+_PIPELINE_DEPTH = 64
 
 
 class _BoundedLineReader:
@@ -64,8 +76,8 @@ class _BoundedLineReader:
 
     Owns its buffer (``StreamReader.readline`` raises and leaves
     partial state on overrun) so an oversized line can be drained in
-    bounded chunks while pipelined follow-on lines in the same TCP
-    segment are preserved.
+    bounded chunks while pipelined follow-on lines in the same read
+    are preserved.
     """
 
     def __init__(self, reader: asyncio.StreamReader, max_bytes: int):
@@ -119,6 +131,82 @@ class _BoundedLineReader:
             self._buffer += chunk
 
 
+class _StdinFeed:
+    """Feeds a ``StreamReader`` from a blocking binary stream.
+
+    A daemon thread reads bounded chunks and hands them to the event
+    loop.  The feed registers itself as the reader's transport, so the
+    reader's own flow control pauses the thread (``pause_reading``)
+    while a backlog of unread input is buffered.  Reads go to the raw
+    file descriptor when there is one: a daemon thread parked inside a
+    buffered stdin object would hold its lock at interpreter exit.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 reader: asyncio.StreamReader, source):
+        self._loop = loop
+        self._reader = reader
+        self._source = source
+        self._resumed = threading.Event()
+        self._resumed.set()
+        reader.set_transport(self)
+        threading.Thread(target=self._pump, name="repro-stdin-reader",
+                         daemon=True).start()
+
+    def pause_reading(self) -> None:
+        """Flow control: the reader's buffer is full."""
+        self._resumed.clear()
+
+    def resume_reading(self) -> None:
+        """Flow control: the reader drained its buffer."""
+        self._resumed.set()
+
+    def _pump(self) -> None:
+        try:
+            fd = self._source.fileno()
+        except (AttributeError, OSError):
+            read = getattr(self._source, "read1", self._source.read)
+        else:
+            read = functools.partial(os.read, fd)
+        while True:
+            self._resumed.wait()
+            try:
+                chunk = read(_DRAIN_CHUNK)
+            except OSError:
+                chunk = b""
+            feed = (functools.partial(self._reader.feed_data, chunk)
+                    if chunk else self._reader.feed_eof)
+            try:
+                self._loop.call_soon_threadsafe(feed)
+            except RuntimeError:  # the loop closed: serving is over
+                return
+            if not chunk:
+                return
+
+
+class _SinkWriter:
+    """The ``StreamWriter`` surface a conversation uses, over a file.
+
+    Stdout may be a regular file, which asyncio's pipe transports
+    refuse; each response is written and flushed synchronously, so
+    downstream consumers see every verdict as it is answered.
+    """
+
+    def __init__(self, sink):
+        self._sink = sink
+
+    def write(self, data: bytes) -> None:
+        """Write and flush one response line."""
+        self._sink.write(data)
+        self._sink.flush()
+
+    async def drain(self) -> None:
+        """Nothing to drain: :meth:`write` already flushed."""
+
+    def close(self) -> None:
+        """Leave the sink open: it belongs to the caller."""
+
+
 def _resolve(future: asyncio.Future, outcome) -> None:
     """Set a bridged result, tolerating a deadline-cancelled future."""
     if not future.done():
@@ -140,36 +228,30 @@ def _bridge(loop: asyncio.AbstractEventLoop, future: asyncio.Future,
 
 
 class AsyncGateway:
-    """An asyncio TCP server multiplexing JSONL clients into a pool.
+    """An asyncio JSONL front end multiplexing clients into a pool.
 
-    Wraps a :class:`WorkerPool` (for byte-identical decisions) and a
-    :class:`DecisionServer` (for control ops, counters and snapshot
-    flushing).  One instance serves many concurrent connections on one
-    event loop; per-request work happens in the pool's worker
-    processes, bridged back via ``call_soon_threadsafe``.
+    Wraps a :class:`WorkerPool` (for byte-identical decisions) and
+    builds its :attr:`server`, a :class:`DecisionServer` for control
+    ops, counters and snapshot flushing (every ``flush_every``
+    decisions and/or ``flush_interval`` seconds, into the pool's
+    snapshot file).  One instance serves stdio or many concurrent TCP
+    connections on one event loop; per-request work happens in the
+    pool's worker processes, bridged back via ``call_soon_threadsafe``.
     """
 
     def __init__(self, pool: WorkerPool, *,
-                 server: DecisionServer | None = None,
+                 flush_every: int = 0,
+                 flush_interval: float = 0.0,
                  deadline: float = 0.0,
                  queue_limit: int = 256,
-                 pipeline_depth: int = 64,
-                 max_line_bytes: int = 0,
-                 metrics: ServiceMetrics | None = None):
+                 max_line_bytes: int = 0):
         self._pool = pool
-        self._server = (server if server is not None
-                        else DecisionServer(pool=pool,
-                                            max_line_bytes=max_line_bytes))
+        self.server = DecisionServer(pool, flush_every=flush_every,
+                                     flush_interval=flush_interval)
         self._deadline = max(0.0, float(deadline))
         self._queue_limit = max(1, int(queue_limit))
-        self._pipeline_depth = max(1, int(pipeline_depth))
         self._max_line_bytes = max(0, int(max_line_bytes))
-        if metrics is not None:
-            self.metrics = metrics
-        else:
-            pool_metrics = getattr(pool, "metrics", None)
-            self.metrics = (pool_metrics if pool_metrics is not None
-                            else ServiceMetrics())
+        self.metrics = pool.metrics
         self._inflight = 0  # repro-lint: owner=_admit,_decide
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Event | None = None
@@ -180,25 +262,27 @@ class AsyncGateway:
 
     @property
     def served(self) -> int:
-        """Decision requests answered (shared with the wrapped server)."""
-        return self._server.served
+        """Decision requests answered so far (the server's counter)."""
+        return self.server.served
 
     # -- serving -------------------------------------------------------
 
+    def _begin(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stopping = asyncio.Event()
+
     async def serve(self, host: str = "127.0.0.1", port: int = 0, *,
                     ready=None) -> int:
-        """Accept and serve connections until a ``shutdown`` op arrives.
+        """Accept and serve TCP connections until a ``shutdown`` op.
 
         With ``port=0`` the OS picks a free port; :attr:`tcp_address`
-        carries the bound address once ``ready`` (a
-        ``threading.Event`` or ``asyncio.Event``) is set.  On shutdown,
-        open connections are closed, in-flight responses are drained,
-        and the wrapped server's final snapshot flush runs.  Returns
-        the number of decision requests served.
+        carries the bound address once ``ready`` (anything with a
+        ``set()`` method, e.g. a ``threading.Event``) is set.  On
+        shutdown, open connections are closed, in-flight responses are
+        drained, and the final snapshot flush runs.  Returns the number
+        of decision requests served.
         """
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._stopping = asyncio.Event()
+        self._begin()
         server = await asyncio.start_server(self._on_connection, host, port)
         self.tcp_address = server.sockets[0].getsockname()[:2]
         if ready is not None:
@@ -222,23 +306,36 @@ class AsyncGateway:
                 for task in stragglers:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
-            await loop.run_in_executor(None, self._server.close)
-        return self._server.served
+            await self._loop.run_in_executor(None, self.server.close)
+        return self.served
 
-    def shutdown(self) -> None:
-        """Stop :meth:`serve` from the event loop's own callbacks."""
-        if self._stopping is not None:
-            self._stopping.set()
+    async def serve_stdio(self, stdin=None, stdout=None) -> int:
+        """Serve one conversation on binary ``stdin``/``stdout``.
+
+        Defaults to the process's standard streams.  EOF or a
+        ``shutdown`` op drains the pipeline, runs the final snapshot
+        flush and returns the number of decision requests served.
+        """
+        self._begin()
+        reader = asyncio.StreamReader()
+        _StdinFeed(self._loop, reader,
+                   stdin if stdin is not None else sys.stdin.buffer)
+        sink = stdout if stdout is not None else sys.stdout.buffer
+        try:
+            await self._on_connection(reader, _SinkWriter(sink))
+        finally:
+            await self._loop.run_in_executor(None, self.server.close)
+        return self.served
 
     async def _on_connection(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+                             writer) -> None:
         """One client conversation: read, admit, answer in order."""
         task = asyncio.current_task()
         self._conn_tasks.add(task)
         self._readers.add(reader)
         self._writers.add(writer)
         lines = _BoundedLineReader(reader, self._max_line_bytes)
-        pending: asyncio.Queue = asyncio.Queue(maxsize=self._pipeline_depth)
+        pending: asyncio.Queue = asyncio.Queue(maxsize=_PIPELINE_DEPTH)
         pump = asyncio.ensure_future(self._write_responses(pending, writer))
         stopping = False
         try:
@@ -247,8 +344,11 @@ class AsyncGateway:
                 if kind == "eof":
                     break
                 if kind == "oversized":
-                    self._server.record(served=1, errors=1)
-                    await pending.put(self._server.oversized_response())
+                    self.server.record(served=1, errors=1)
+                    await pending.put({
+                        "error": f"request line exceeds --max-line-bytes "
+                                 f"({self._max_line_bytes} bytes)",
+                        "oversized": True})
                     continue
                 item, stop = self._admit(payload)
                 if item is not None:
@@ -276,22 +376,34 @@ class AsyncGateway:
                 self._stopping.set()
 
     async def _write_responses(self, pending: asyncio.Queue,
-                               writer: asyncio.StreamWriter) -> None:
-        """Drain the connection's pipeline, writing responses in order."""
+                               writer) -> None:
+        """Drain the connection's pipeline, writing responses in order.
+
+        A pipeline item is a response dict, a decision future, or a
+        control op (a callable) that runs only now — after every item
+        ahead of it was answered.  After a write fails the pump keeps
+        draining without writing, so the reader never blocks on a full
+        pipeline.
+        """
+        broken = False
         while True:
             item = await pending.get()
             if item is None:
                 return
-            response = (await item) if isinstance(item, asyncio.Future) \
-                else item
-            if response is None:
+            if broken:
                 continue
+            if callable(item):
+                response = await item()
+            elif isinstance(item, asyncio.Future):
+                response = await item
+            else:
+                response = item
             payload = json.dumps(response, ensure_ascii=False)
-            writer.write(payload.encode("utf-8") + b"\n")
             try:
+                writer.write(payload.encode("utf-8") + b"\n")
                 await writer.drain()
-            except (ConnectionError, ConnectionResetError):
-                return
+            except ConnectionError:
+                broken = True
 
     # -- admission -----------------------------------------------------
 
@@ -299,10 +411,11 @@ class AsyncGateway:
         """Classify one line; returns ``(pipeline item, stop serving)``.
 
         The pipeline item is ``None`` (nothing to answer), a plain
-        response dict, or a scheduled task whose result the writer
-        pump will await in pipeline order.  Admission — including the
-        shed decision — happens *here*, synchronously in arrival
-        order, so the high watermark cannot be overrun by a burst.
+        response dict, a scheduled decision the writer pump awaits in
+        pipeline order, or a control op the pump runs in that order.
+        Admission — including the shed decision — happens *here*,
+        synchronously in arrival order, so the high watermark cannot
+        be overrun by a burst.
         """
         text = text.strip()
         if not text or text.startswith("#"):
@@ -312,20 +425,20 @@ class AsyncGateway:
             if not isinstance(data, dict):
                 raise ValueError("request line must be a JSON object")
         except ValueError as error:
-            self._server.record(served=1, errors=1)
+            self.server.record(served=1, errors=1)
             return {"error": error_text(error)}, False
         if "op" in data:
             if data.get("op") == "shutdown":
                 return {"op": "shutdown", "ok": True}, True
-            return asyncio.ensure_future(self._control(data)), False
+            return functools.partial(self._control, data), False
         if self._inflight >= self._queue_limit:
             self.metrics.add("shed")
-            self._server.record(served=1, errors=1)
+            self.server.record(served=1, errors=1)
             response = {"error": f"overloaded: {self._inflight} requests "
                                  f"in flight (limit {self._queue_limit}); "
                                  f"retry later",
                         "overloaded": True}
-            request_id = self._request_id_of(data)
+            request_id = request_id_of(data)
             if request_id is not None:
                 response["id"] = request_id
             return response, False
@@ -333,21 +446,10 @@ class AsyncGateway:
         self.metrics.add("accepted")
         return asyncio.ensure_future(self._decide(data)), False
 
-    @staticmethod
-    def _request_id_of(data: Mapping) -> str | None:
-        """The request's correlation id, when one is readable."""
-        try:
-            return coerce_request_id(data.get("id"))
-        except TypeError:
-            return None
-
     async def _control(self, data: dict) -> dict:
         """Run a control op on an executor thread; never blocks the loop."""
-        response, stop = await self._loop.run_in_executor(
-            None, self._server.control, data)
-        if stop:  # pragma: no cover - shutdown is short-circuited earlier
-            self._stopping.set()
-        return response
+        return await self._loop.run_in_executor(None, self.server.control,
+                                                data)
 
     async def _decide(self, data: dict) -> dict:
         """Decide one admitted request against the pool, with deadline."""
@@ -355,16 +457,13 @@ class AsyncGateway:
             try:
                 request = self._pool.normalize(data)
             except _REQUEST_ERRORS as error:
-                self._server.record(served=1, errors=1)
-                response = {"error": error_text(error)}
-                request_id = self._request_id_of(data)
-                if request_id is not None:
-                    response["id"] = request_id
-                return response
+                self.server.record(served=1, errors=1)
+                return DecisionError(error_text(error),
+                                     id=request_id_of(data)).to_dict()
             try:
                 seq = self._pool.submit(request)
             except RuntimeError as error:  # dead shard / closed: in-band
-                self._server.record(served=1, errors=1)
+                self.server.record(served=1, errors=1)
                 return DecisionError(str(error), id=request.id).to_dict()
             loop = self._loop
             future = loop.create_future()
@@ -378,7 +477,7 @@ class AsyncGateway:
             except asyncio.TimeoutError:
                 self._pool.abandon(seq)
                 self.metrics.add("expired")
-                self._server.record(served=1, errors=1)
+                self.server.record(served=1, errors=1)
                 response = {"error": f"deadline expired after "
                                      f"{self._deadline:g}s",
                             "expired": True}
@@ -386,10 +485,10 @@ class AsyncGateway:
                     response["id"] = request.id
                 return response
             if isinstance(outcome, DecisionError):
-                self._server.record(served=1, errors=1)
+                self.server.record(served=1, errors=1)
                 return outcome.to_dict()
-            self._server.record(served=1, decided=1)
-            loop.run_in_executor(None, self._server.maybe_flush)
+            self.server.record(served=1, decided=1)
+            loop.run_in_executor(None, self.server.maybe_flush)
             return outcome.to_dict()
         finally:
             self._inflight -= 1

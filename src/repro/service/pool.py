@@ -1,4 +1,4 @@
-"""A sharded multiprocess worker pool over :class:`ContainmentEngine`.
+"""A self-healing, sharded multiprocess pool over :class:`ContainmentEngine`.
 
 ``ContainmentEngine.decide_many`` is strictly sequential — fine for a
 library call, wasteful for the rewrite-auditing and bag-semantics sweep
@@ -18,22 +18,46 @@ with a *deterministic* digest of the parsed-query/semiring key, so:
 Results are returned in input order regardless of which worker finishes
 first.  Per-request failures (unknown semirings, malformed queries) are
 reported in-band as :class:`DecisionError` values — one bad request
-never kills the stream.  A worker process that dies is detected and its
-in-flight requests are converted to in-band errors; the pool refuses
-new work for its shard afterwards.  (The subclass in
-:mod:`repro.service.supervisor` upgrades that policy to respawn and
-re-drive.)
+never kills the stream.  Workers can warm-start from a
+:mod:`repro.service.snapshot` file, and :meth:`WorkerPool.collect_caches`
+gathers the merged cache state back out of the workers so a batch run
+can leave a fresh snapshot behind.
 
-Every dispatched request carries a *ticket* — the worker echoes it back
-with the reply, and the collector drops replies whose ticket no longer
-matches the current dispatch of that sequence number.  For this base
-pool a ticket never changes; the supervisor bumps it when it re-drives
-a request after a respawn, so a zombie reply from the previous worker
-generation can never race the re-driven one.
+**Dispatch and stealing.**  Dispatch is parent-side: each shard has a
+backlog deque and at most ``prefetch`` requests actually inside the
+worker process, so the parent still holds everything it may need to
+re-drive or steal.  When a shard's backlog outgrows ``steal_threshold``,
+its *stealable* tail spills into a bounded overflow deque that any
+worker with an empty backlog may drain.  Only globally-fresh requests
+are stealable: a request whose key was already decided (or is in
+flight) is pinned to its home shard, and a spilled occurrence is pulled
+back home when its duplicate arrives, so verdict-LRU locality — and
+therefore the ``cached`` flag — is preserved.
 
-Workers can warm-start from a :mod:`repro.service.snapshot` file, and
-:meth:`WorkerPool.collect_caches` gathers the merged cache state back
-out of the workers so a batch run can leave a fresh snapshot behind.
+**Respawn and re-drive.**  A dead worker is replaced *in its own shard
+slot* by a fresh process, warm-started from the pool's snapshot file
+with the verdict layer stripped (structural caches carry over; the
+``cached`` flags of its verdicts do not).  Requests that were on the
+dead worker are re-queued, in sequence order, at the front of the
+replacement's backlog.  Every dispatch carries a *ticket* (the shard's
+restart count) that the worker echoes back, so a zombie reply from the
+dead generation can never race the re-driven computation.  A request
+that kills its worker more than ``max_redrives`` times is answered with
+an in-band error instead of crash-looping the shard.  A shard that dies
+more than ``max_respawns`` times is retired: its work, and every later
+request hashing there, gets an in-band error (``max_respawns=0`` is
+the plain retire-on-death policy).
+
+The byte-identity contract (``decide_many`` equals sequential
+evaluation, chaos included) is kept by one delivery-time rule: a
+request whose key was seen before — the definition of "would have hit
+a sequential engine's verdict cache" — has its ``cached`` flag
+re-stamped ``true`` even when chaos (a respawned worker's cold verdict
+LRU, or a steal to a foreign worker) forced a recomputation.  Fresh
+keys are never stamped, and stamping never flips ``true`` to ``false``.
+Every supervision event is counted in a shared
+:class:`~repro.service.metrics.ServiceMetrics`, surfaced by the
+``stats`` op.
 """
 
 from __future__ import annotations
@@ -44,7 +68,7 @@ import os
 import queue
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -53,6 +77,7 @@ from ..api.documents import (ContainmentRequest, VerdictDocument,
                              coerce_request_id)
 from ..api.engine import ContainmentEngine
 from ..queries.parser import ParseError
+from .metrics import ServiceMetrics
 from .snapshot import SnapshotError, load_snapshot, merge_states
 
 __all__ = ["DecisionError", "WorkerPool", "shard_key", "sum_stats"]
@@ -60,6 +85,15 @@ __all__ = ["DecisionError", "WorkerPool", "shard_key", "sum_stats"]
 #: How often the collector checks worker liveness even while results
 #: keep flowing — a steady stream must not postpone crash detection.
 _REAP_INTERVAL = 0.25
+
+#: Worker start method: ``fork`` keeps worker start-up cheap (the parent
+#: has already imported the engine); elsewhere the platform default.
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else multiprocessing.get_all_start_methods()[0])
+
+#: Bound on the work-stealing overflow deque; past it, spilling stops
+#: and the backlog simply grows on its home shard.
+_OVERFLOW_LIMIT = 256
 
 
 def sum_stats(infos: Iterable[Mapping[str, int]]) -> dict[str, int]:
@@ -98,6 +132,16 @@ class DecisionError:
         if self.id is not None:
             data["id"] = self.id
         return data
+
+
+def request_id_of(item) -> str | None:
+    """The correlation id of a raw request, when one is readable."""
+    if isinstance(item, Mapping):
+        try:
+            return coerce_request_id(item.get("id"))
+        except TypeError:
+            pass
+    return None
 
 
 def shard_key(request: ContainmentRequest, registry=None) -> bytes:
@@ -145,6 +189,33 @@ def _close_inherited_sockets() -> None:
             continue
 
 
+class _BoundedKeySet:
+    """An insertion-bounded set of key digests (oldest dropped first).
+
+    Mirrors the engine's verdict-LRU bound so the parent's "was this
+    key decided before?" memory cannot grow without limit on endless
+    streams.  Eviction only ever *under*-reports a duplicate, which
+    degrades a ``cached`` stamp, never correctness — and the bound is
+    far above the per-worker verdict LRU, so in practice the parent
+    forgets after the workers do.
+    """
+
+    def __init__(self, maxsize: int = 1 << 17):
+        self._maxsize = max(1, int(maxsize))
+        self._entries: OrderedDict[bytes, None] = OrderedDict()
+
+    def __contains__(self, key: bytes) -> bool:
+        return key in self._entries
+
+    def add(self, key: bytes) -> None:
+        """Insert a key, evicting the oldest entry past the bound."""
+        if key in self._entries:
+            return
+        self._entries[key] = None
+        if len(self._entries) > self._maxsize:
+            self._entries.popitem(last=False)
+
+
 def _worker_main(index: int, inbox, outbox, snapshot_path,
                  load_verdicts: bool) -> None:
     """One worker process: an engine plus a message loop.
@@ -152,8 +223,8 @@ def _worker_main(index: int, inbox, outbox, snapshot_path,
     ``load_verdicts`` controls whether the warm-start snapshot's
     verdict layer is imported: a *respawned* worker must start with the
     structural layers only, so the requests it re-decides carry the
-    same ``cached`` flags a sequential run would produce (the
-    supervisor re-stamps true duplicates at delivery).
+    same ``cached`` flags a sequential run would produce (the pool
+    re-stamps true duplicates at delivery).
     """
     _close_inherited_sockets()
     engine = ContainmentEngine()
@@ -189,38 +260,60 @@ def _worker_main(index: int, inbox, outbox, snapshot_path,
 
 
 class WorkerPool:
-    """``decide_many``/``decide_stream`` across a pool of engine processes.
+    """``decide_many``/``decide_stream`` across self-healing engine processes.
 
     ``workers`` defaults to ``os.cpu_count()``.  ``snapshot_path`` makes
     every worker warm-start from that snapshot file (missing or stale
     files are silently ignored).  The pool is a context manager; always
     :meth:`close` it (worker processes are not daemons of your request
-    stream).
+    stream).  The remaining knobs bound the supervision behaviour:
+
+    ``max_respawns``
+        restarts allowed per shard before it is retired for good
+        (``0`` retires a shard on its first death).
+    ``max_redrives``
+        times one request may be re-driven after killing its worker
+        before it is answered with an in-band error.
+    ``prefetch``
+        requests kept inside each worker process; the rest of the
+        backlog stays parent-side where it can be re-driven or stolen.
+    ``steal_threshold``
+        backlog depth beyond which a shard spills stealable work into
+        the overflow deque.
+    ``metrics``
+        a shared :class:`ServiceMetrics`; one is created when omitted.
 
     Thread safety: all public methods may be called from multiple
-    threads (a TCP server decides from one thread per connection); a
-    single background collector routes worker replies to waiters.
+    threads; a single background collector routes worker replies to
+    waiters and applies the death policy.
     """
 
     def __init__(self, workers: int | None = None, *,
                  snapshot_path: str | os.PathLike | None = None,
                  include_verdict_snapshot: bool = True,
-                 start_method: str | None = None):
+                 max_respawns: int = 5,
+                 max_redrives: int = 2,
+                 prefetch: int = 4,
+                 steal_threshold: int = 8,
+                 metrics: ServiceMetrics | None = None):
         count = workers if workers is not None else (os.cpu_count() or 1)
         if count < 1:
             raise ValueError(f"need at least one worker, got {count}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(_START_METHOD)
         self._snapshot_path = (os.fspath(snapshot_path)
                                if snapshot_path is not None else None)
         self._include_verdict_snapshot = include_verdict_snapshot
+        self.metrics = metrics if metrics is not None \
+            else ServiceMetrics(workers=count)
+        self._max_respawns = max(0, int(max_respawns))
+        self._max_redrives = max(0, int(max_redrives))
+        self._prefetch = max(1, int(prefetch))
+        self._steal_threshold = max(1, int(steal_threshold))
         # Parent-side engine: parse interning for request normalization
         # plus the registry for canonical shard keys.  It never decides.
         self._parent_engine = ContainmentEngine()
         self._outbox = self._context.Queue()
-        # repro-lint: owner=_spawn_process,submit,_broadcast,_dispatch_locked,_handle_worker_death
+        # repro-lint: owner=_spawn_process,_broadcast,_dispatch_locked,_handle_worker_death
         self._inboxes: list = []
         self._processes: list = []
         self._cond = threading.Condition()
@@ -235,6 +328,18 @@ class WorkerPool:
         self._abandoned: set[int] = set()
         self._active_broadcast: tuple | None = None
         self._dead: set[int] = set()
+        # Parent-side dispatch state, all guarded by self._cond.
+        # repro-lint: owner=submit,_reclaim_spilled_locked,_pump_locked,_retire_worker_locked,_handle_worker_death
+        self._home: list[deque] = [deque() for _ in range(count)]
+        # repro-lint: owner=_reclaim_spilled_locked,_pump_locked,_retire_worker_locked
+        self._overflow: deque = deque()   # (seq, request, origin shard)
+        self._outstanding = [0] * count   # requests inside each worker
+        self._restarts = [0] * count  # repro-lint: owner=_handle_worker_death
+        self._redrives: dict[int, int] = {}
+        self._key_of: dict[int, bytes] = {}
+        self._live_keys: dict[bytes, int] = {}   # key → in-flight count
+        self._seen_keys = _BoundedKeySet()
+        self._expect_cached: set[int] = set()
         self._next_seq = 0
         self._dispatch_lock = threading.Lock()
         self._control_lock = threading.Lock()
@@ -253,6 +358,11 @@ class WorkerPool:
     def workers(self) -> int:
         """Number of worker processes (including any that have died)."""
         return len(self._processes)
+
+    @property
+    def snapshot_path(self) -> str | None:
+        """The warm-start snapshot file (``None`` when not configured)."""
+        return self._snapshot_path
 
     def worker_pids(self) -> list[int | None]:
         """Live worker process ids by shard index (``None`` when dead)."""
@@ -324,6 +434,112 @@ class WorkerPool:
             q.close()
             q.cancel_join_thread()
 
+    # -- dispatch --------------------------------------------------------
+
+    def shard_of(self, request: ContainmentRequest) -> int:
+        """The worker index a request is routed to (deterministic)."""
+        digest = hashlib.blake2b(
+            shard_key(request, self._parent_engine.registry),
+            digest_size=8).digest()
+        return int.from_bytes(digest, "big") % len(self._processes)
+
+    def _request_key(self, request: ContainmentRequest) -> bytes:
+        """The duplicate-detection digest of a request's verdict key."""
+        return hashlib.blake2b(
+            shard_key(request, self._parent_engine.registry),
+            digest_size=16).digest()
+
+    def submit(self, request: ContainmentRequest) -> int:
+        """Queue one request; returns its sequence token for :meth:`result`.
+
+        The request joins its shard's parent-side backlog, from which
+        the pump keeps each worker ``prefetch`` deep.
+        """
+        worker = self.shard_of(request)
+        with self._dispatch_lock:
+            if self._closed:
+                raise RuntimeError("pool is closed")
+            if worker in self._dead:
+                raise RuntimeError(
+                    f"worker {worker} died; its shard cannot accept work")
+            seq = self._next_seq
+            self._next_seq += 1
+            key = self._request_key(request)
+            with self._cond:
+                self._requests[seq] = request
+                self._key_of[seq] = key
+                live = key in self._live_keys
+                duplicate = live or key in self._seen_keys
+                self._live_keys[key] = self._live_keys.get(key, 0) + 1
+                if duplicate:
+                    self._expect_cached.add(seq)
+                if live:
+                    self._reclaim_spilled_locked(key, worker)
+                self._home[worker].append((seq, request, not duplicate))
+                self._pump_locked()
+            return seq
+
+    def _reclaim_spilled_locked(self, key: bytes, worker: int) -> None:
+        """Move ``key``'s spilled occurrence back home (``_cond`` held).
+
+        A duplicate is pinned to its home shard; were the occurrence it
+        duplicates left in the overflow deque, the duplicate could
+        overtake it there and the earlier request would then hit the
+        verdict LRU — ``cached: true`` where a sequential run says
+        ``false``.  Re-queued ahead of the duplicate, and pinned, the
+        pair keeps submit order on one worker.
+        """
+        for position, (seq, request, _) in enumerate(self._overflow):
+            if self._key_of.get(seq) == key:
+                del self._overflow[position]
+                self._home[worker].append((seq, request, False))
+                return
+
+    def _dispatch_locked(self, index: int, seq: int,
+                         request: ContainmentRequest) -> None:
+        """Hand one request to worker ``index`` (``self._cond`` held)."""
+        ticket = self._restarts[index]
+        self._assigned[seq] = index
+        self._tickets[seq] = ticket
+        self._outstanding[index] += 1
+        self._inboxes[index].put(("req", seq, request, ticket))
+
+    def _pump_locked(self) -> None:
+        """Fill every worker to ``prefetch``; spill and steal as needed.
+
+        Must run with ``self._cond`` held.  Called after every submit
+        and every delivery, so dispatch depth is an invariant, not a
+        schedule.
+        """
+        count = len(self._processes)
+        # Spill the stealable tails of oversized backlogs.
+        for index in range(count):
+            if index in self._dead:
+                continue
+            home = self._home[index]
+            while (len(home) > self._steal_threshold
+                   and len(self._overflow) < _OVERFLOW_LIMIT
+                   and home[-1][2]):
+                seq, request, _ = home.pop()
+                self._overflow.append((seq, request, index))
+        # Top every worker up; idle workers drain the overflow.
+        for index in range(count):
+            if index in self._dead:
+                continue
+            home = self._home[index]
+            while self._outstanding[index] < self._prefetch:
+                if home:
+                    seq, request, _ = home.popleft()
+                elif self._overflow:
+                    seq, request, origin = self._overflow.popleft()
+                    if origin != index:
+                        self.metrics.add("steals")
+                else:
+                    break
+                self._dispatch_locked(index, seq, request)
+        self.metrics.note_depths([len(backlog) for backlog in self._home],
+                                 len(self._overflow))
+
     # -- result collection ----------------------------------------------
 
     @staticmethod
@@ -333,15 +549,37 @@ class WorkerPool:
             return message[2]
         return DecisionError(message[2], id=message[3])
 
-    def _note_result(self, seq: int, worker: int | None,
-                     message: tuple) -> tuple:
-        """Hook: observe (and possibly rewrite) a result at delivery.
+    def _forget_seq(self, seq: int) -> None:
+        """Drop a seq's duplicate-tracking state (``self._cond`` held)."""
+        self._redrives.pop(seq, None)
+        self._expect_cached.discard(seq)
+        key = self._key_of.pop(seq, None)
+        if key is not None:
+            live = self._live_keys.get(key, 0) - 1
+            if live > 0:
+                self._live_keys[key] = live
+            else:
+                self._live_keys.pop(key, None)
 
-        Runs on the collector thread with ``self._cond`` held, after
-        the seq's dispatch records were removed.  The base pool does
-        nothing; the supervisor uses it for dispatch accounting and
-        for re-stamping the ``cached`` flag of duplicate requests.
-        """
+    def _account_delivery_locked(self, seq: int, worker: int | None,
+                                 message: tuple) -> tuple:
+        """Free the worker's seat; re-stamp duplicate ``cached`` flags."""
+        if worker is not None:
+            self._outstanding[worker] -= 1
+        expect_cached = seq in self._expect_cached
+        key = self._key_of.get(seq)
+        self._forget_seq(seq)
+        if message[0] == "ok":
+            if key is not None:
+                self._seen_keys.add(key)
+            document = message[2]
+            if expect_cached and not document.cached:
+                # Chaos (respawn or steal) recomputed a verdict that a
+                # sequential engine would have served from cache; the
+                # document must say so.
+                document = document.with_request(document.request_id, True)
+                message = (message[0], message[1], document, message[3])
+        self._pump_locked()
         return message
 
     def _collect(self) -> None:
@@ -370,7 +608,8 @@ class WorkerPool:
                     worker = self._assigned.pop(seq, None)
                     self._requests.pop(seq, None)
                     self._tickets.pop(seq, None)
-                    message = self._note_result(seq, worker, message)
+                    message = self._account_delivery_locked(seq, worker,
+                                                            message)
                     if seq in self._abandoned:
                         self._abandoned.discard(seq)
                     elif seq in self._callbacks:
@@ -405,28 +644,100 @@ class WorkerPool:
         self._results[seq] = ("err", seq, text, request_id, None)
         return None
 
-    def _handle_worker_death(self, index: int, process) -> list:
-        """Policy hook for a crashed worker (``self._cond`` held).
+    # -- death policy --------------------------------------------------
 
-        The base pool retires the shard: the index joins ``_dead`` and
-        every in-flight request becomes an in-band error.  Returns the
-        ``(callback, outcome)`` pairs to fire outside the lock.  The
-        supervisor overrides this with respawn-and-re-drive.
+    def _retire_worker_locked(self, index: int, process) -> list:
+        """Retire a shard for good (``self._cond`` held).
+
+        Everything routed to it — dispatched, backlogged, and (when no
+        worker survives) the overflow — becomes an in-band error.
+        Returns the ``(callback, outcome)`` pairs to fire outside the
+        lock.
         """
         self._dead.add(index)
+        failed = []
+        for seq in sorted(seq for seq, worker in self._assigned.items()
+                          if worker == index):
+            del self._assigned[seq]
+            failed.append((seq, f"worker {index} exited with code "
+                                f"{process.exitcode} while deciding"))
+        failed += [(seq, f"worker {index} died and exceeded its respawn "
+                         f"budget") for seq, _, _ in self._home[index]]
+        self._home[index].clear()
+        self._outstanding[index] = 0
+        if len(self._dead) == len(self._processes):
+            # Nobody left to steal the overflow: fail it in-band rather
+            # than strand its waiters.
+            failed += [(seq, "all workers died; request abandoned")
+                       for seq, _, _ in self._overflow]
+            self._overflow.clear()
         fired = []
+        for seq, text in failed:
+            self._forget_seq(seq)
+            request = self._requests.pop(seq, None)
+            routed = self._deliver_error_locked(
+                seq, text, request.id if request is not None else None)
+            if routed is not None:
+                fired.append(routed)
+        return fired
+
+    def _handle_worker_death(self, index: int, process) -> list:
+        """Respawn the shard and re-drive its work (``self._cond`` held).
+
+        Retires the shard once it exhausts ``max_respawns``.  In-flight
+        seqs are re-queued at the front of the backlog in sequence
+        order; seqs past their ``max_redrives`` budget are answered
+        in-band instead.  Returns the ``(callback, outcome)`` pairs to
+        fire outside the lock.
+        """
+        self._restarts[index] += 1
+        if self._restarts[index] > self._max_respawns:
+            return self._retire_worker_locked(index, process)
+        self.metrics.add("respawns")
+        self.metrics.note_restart(index)
+        fired = []
+        requeue = []
         pending = sorted(seq for seq, worker in self._assigned.items()
                          if worker == index)
         for seq in pending:
             del self._assigned[seq]
-            request = self._requests.pop(seq, None)
-            routed = self._deliver_error_locked(
-                seq,
-                f"worker {index} exited with code {process.exitcode} "
-                f"while deciding",
-                request.id if request is not None else None)
-            if routed is not None:
-                fired.append(routed)
+            request = self._requests.get(seq)
+            if seq in self._abandoned:
+                self._abandoned.discard(seq)
+                self._forget_seq(seq)
+                self._requests.pop(seq, None)
+                self._tickets.pop(seq, None)
+                continue
+            attempts = self._redrives.get(seq, 0) + 1
+            if attempts > self._max_redrives:
+                self.metrics.add("redrive_failures")
+                self._forget_seq(seq)
+                self._requests.pop(seq, None)
+                routed = self._deliver_error_locked(
+                    seq,
+                    f"request crashed worker {index} {attempts} times; "
+                    f"giving up",
+                    request.id if request is not None else None)
+                if routed is not None:
+                    fired.append(routed)
+                continue
+            self._redrives[seq] = attempts
+            self.metrics.add("redriven")
+            # Bump the ticket to the new generation *now*: the dead
+            # worker may have answered just before dying, and that
+            # zombie reply must not beat the re-driven dispatch.
+            self._tickets[seq] = self._restarts[index]
+            # Re-driven work is pinned: it must re-run on its home
+            # shard, in its original order, ahead of newer arrivals.
+            requeue.append((seq, request, False))
+        self._outstanding[index] = 0
+        self._home[index].extendleft(reversed(requeue))
+        self._spawn_process(index, load_verdicts=False)
+        if self._active_broadcast is not None:
+            # A stats/caches broadcast was waiting on the dead worker;
+            # re-send it so the caller is answered by the replacement.
+            self._inboxes[index].put(self._active_broadcast)
+        self._pump_locked()
         return fired
 
     def _reap_dead_workers(self) -> None:
@@ -443,32 +754,7 @@ class WorkerPool:
             for callback, outcome in fired:
                 callback(outcome)
 
-    # -- dispatch --------------------------------------------------------
-
-    def shard_of(self, request: ContainmentRequest) -> int:
-        """The worker index a request is routed to (deterministic)."""
-        digest = hashlib.blake2b(
-            shard_key(request, self._parent_engine.registry),
-            digest_size=8).digest()
-        return int.from_bytes(digest, "big") % len(self._processes)
-
-    def submit(self, request: ContainmentRequest) -> int:
-        """Queue one request; returns its sequence token for :meth:`result`."""
-        worker = self.shard_of(request)
-        with self._dispatch_lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            if worker in self._dead:
-                raise RuntimeError(
-                    f"worker {worker} died; its shard cannot accept work")
-            seq = self._next_seq
-            self._next_seq += 1
-            with self._cond:
-                self._assigned[seq] = worker
-                self._requests[seq] = request
-                self._tickets[seq] = 0
-            self._inboxes[worker].put(("req", seq, request, 0))
-            return seq
+    # -- results ----------------------------------------------------------
 
     def result(self, seq: int,
                timeout: float | None = None) -> VerdictDocument | DecisionError:
@@ -510,7 +796,7 @@ class WorkerPool:
         with self._cond:
             if seq in self._results:
                 del self._results[seq]
-            elif seq in self._assigned or seq in self._callbacks:
+            elif seq in self._requests or seq in self._callbacks:
                 self._abandoned.add(seq)
             self._callbacks.pop(seq, None)
 
@@ -523,29 +809,12 @@ class WorkerPool:
                 item, parse=self._parent_engine.parse)
         raise TypeError(f"cannot read request {item!r}")
 
-    # Kept for callers of the pre-gateway private name.
-    _normalize = normalize
-
     # -- deciding --------------------------------------------------------
 
     def decide_one(self,
                    request) -> VerdictDocument | DecisionError:
         """Decide a single request (dicts accepted); errors in-band."""
-        try:
-            normalized = self.normalize(request)
-        except _REQUEST_ERRORS as error:
-            request_id = None
-            if isinstance(request, Mapping):
-                try:
-                    request_id = coerce_request_id(request.get("id"))
-                except TypeError:
-                    request_id = None
-            return DecisionError(error_text(error), id=request_id)
-        try:
-            seq = self.submit(normalized)
-        except RuntimeError as error:  # dead shard / closed pool: in-band
-            return DecisionError(str(error), id=normalized.id)
-        return self.result(seq)
+        return next(self.decide_stream([request]))
 
     def decide_stream(self, requests: Iterable, *,
                       window: int | None = None
@@ -574,14 +843,8 @@ class WorkerPool:
                 try:
                     request = self.normalize(item)
                 except _REQUEST_ERRORS as error:
-                    request_id = None
-                    if isinstance(item, Mapping):
-                        try:
-                            request_id = coerce_request_id(item.get("id"))
-                        except TypeError:
-                            request_id = None
                     outputs.append(("done", DecisionError(
-                        error_text(error), id=request_id)))
+                        error_text(error), id=request_id_of(item))))
                     continue
                 try:
                     outputs.append(("seq", self.submit(request)))
@@ -613,8 +876,7 @@ class WorkerPool:
         """Send a control message to every live worker; gather replies.
 
         The in-progress message is remembered in ``_active_broadcast``
-        so a supervisor that respawns a worker mid-broadcast can re-send
-        it to the replacement — otherwise a ``stats`` call issued just
+        so a worker respawned mid-broadcast gets it re-sent — otherwise a ``stats`` call issued just
         before a crash would block until its timeout.
         """
         with self._control_lock:

@@ -1,10 +1,11 @@
-"""Long-lived JSONL decision service (``python -m repro serve``).
+"""The ``serve`` protocol's control ops, counters and snapshot flushing.
 
-Wraps one :class:`ContainmentEngine` (or a
-:class:`~repro.service.pool.WorkerPool`) in a newline-delimited-JSON
-request/response loop, served either over stdin/stdout (the default —
-composable with pipes and process supervisors) or over TCP (one
-concurrent JSONL conversation per connection).
+``python -m repro serve`` speaks newline-delimited JSON over stdio or
+TCP through one front end, :class:`~repro.service.gateway.AsyncGateway`,
+deciding on one :class:`~repro.service.pool.WorkerPool`.
+:class:`DecisionServer` is the part of that service that is not about
+moving lines: the control ops, the ``served``/``errors`` counters and
+the warm-start snapshot flushes.
 
 Protocol
 --------
@@ -16,117 +17,68 @@ batch format::
 
 and is answered with the verdict document (the ``request_id`` echoes
 ``id``).  Malformed lines and per-request failures are answered
-*in-band* as ``{"error": ..., "id": ...}`` — the loop never dies on a
-bad request.  Blank lines and ``#`` comments are ignored.
+*in-band* as ``{"error": ..., "id": ...}`` — the service never dies on
+a bad request.  Blank lines and ``#`` comments are ignored.
 
 A *control* request is an object with an ``"op"`` key:
 
 ``{"op": "ping"}``
     liveness probe; answers ``{"op": "ping", "ok": true}``.
 ``{"op": "stats"}``
-    engine ``cache_info()`` plus a layered ``cache_stats`` report —
-    every cache layer (poly_leq certificates included) with
-    zero-division-safe hit ratios; pools answer with the per-worker
-    counter list and the report over their sum.
+    the per-worker ``cache_info()`` counter list (``workers``), a
+    layered ``cache_stats`` report over their sum — every cache layer,
+    poly_leq certificates included, with zero-division-safe hit ratios
+    — and the serving layer's ``service`` counters.
 ``{"op": "snapshot"}``
     flush the warm-start snapshot now; answers the per-layer counts.
 ``{"op": "shutdown"}``
-    acknowledge, flush the snapshot, and stop serving (stdio: end the
-    loop; TCP: stop the whole server).
+    acknowledge, drain, flush the snapshot, and stop serving.
 
-Shutdown is always graceful: EOF on stdin, the ``shutdown`` op, and
-``SIGINT``/``SIGTERM`` (installed by the CLI) all run the final
-snapshot flush before the process exits.  When a snapshot path is
-configured, the server also flushes periodically — every
-``flush_every`` decisions and/or every ``flush_interval`` seconds —
-so a crash loses at most one flush window of cache warmth.
-:meth:`DecisionServer.close` returns the final counters *including*
-any snapshot-flush failure, so supervising callers see a broken
-snapshot path instead of silently losing warmth.
-
-With ``max_line_bytes`` set, a single over-long (or unterminated)
-input line is answered with an in-band ``{"error": ..., "oversized":
-true}`` response instead of being buffered without bound — on stdio
-and TCP alike.  The asyncio gateway applies the same bound with the
-same response shape.
+When a snapshot path is configured, the service flushes periodically —
+every ``flush_every`` decisions and/or every ``flush_interval``
+seconds — so a crash loses at most one flush window of cache warmth,
+and once more at shutdown.  :meth:`DecisionServer.close` returns the
+final counters *including* any snapshot-flush failure, so supervising
+callers see a broken snapshot path instead of silently losing warmth.
 """
 
 from __future__ import annotations
 
-import json
-import socketserver
 import threading
-from typing import Iterable, TextIO
 
 from ..api.batch import error_text
-from ..api.documents import ContainmentRequest, coerce_request_id
-from ..api.engine import ContainmentEngine
-from ..queries.parser import ParseError
-from .pool import DecisionError, WorkerPool
-from .snapshot import SnapshotError, load_snapshot, save_snapshot
+from ..api.engine import stats_report
+from .pool import WorkerPool, sum_stats
 
 __all__ = ["DecisionServer"]
 
-_REQUEST_ERRORS = (ValueError, TypeError, KeyError, ParseError)
-
-#: Sentinel yielded by the bounded line iterators for a line that was
-#: dropped (never fully buffered) because it exceeded the byte bound.
-_OVERSIZED = object()
-
 
 class DecisionServer:
-    """A JSONL request/response loop over an engine or a worker pool.
+    """Control ops, request counters and snapshot flushing over a pool.
 
-    Exactly one of ``engine``/``pool`` is used: pass a ``pool`` for
-    multi-core service, otherwise an ``engine`` (created on demand) is
-    decided on directly, guarded by a lock so TCP connection threads
-    can share it.  The server does not own the pool — close it where
-    you created it; :meth:`close` only stops the flush timer and runs
-    the final snapshot flush.
+    Snapshots go to the pool's warm-start file, with or without the
+    verdict layer as the pool was configured.  The server does not own
+    the pool — close it where you created it; :meth:`close` only stops
+    the flush timer and runs the final snapshot flush.  Counters and
+    flushes are thread-safe: the gateway records outcomes on its event
+    loop and runs control ops and flushes on executor threads.
     """
 
-    def __init__(self, *, engine: ContainmentEngine | None = None,
-                 pool: WorkerPool | None = None,
-                 snapshot_path=None,
-                 include_verdict_snapshot: bool = True,
-                 flush_every: int = 0,
-                 flush_interval: float = 0.0,
-                 max_line_bytes: int = 0,
-                 metrics=None):
-        if pool is not None and engine is not None:
-            raise ValueError("pass an engine or a pool, not both")
+    def __init__(self, pool: WorkerPool, *, flush_every: int = 0,
+                 flush_interval: float = 0.0):
         self._pool = pool
-        self._engine = (None if pool is not None
-                        else (engine or ContainmentEngine()))
-        self._snapshot_path = snapshot_path
-        self._include_verdict_snapshot = include_verdict_snapshot
+        self._snapshot_path = pool.snapshot_path
         self._flush_every = max(0, int(flush_every))
         self._flush_interval = max(0.0, float(flush_interval))
-        self._max_line_bytes = max(0, int(max_line_bytes))
-        # Serving-layer counters (respawns, shedding, …): default to the
-        # pool's scoreboard so the stats op needs no extra wiring.
-        self._metrics = (metrics if metrics is not None
-                         else getattr(pool, "metrics", None))
         self._flush_error: str | None = None
         self._close_stats: dict | None = None
-        self._decide_lock = threading.Lock()
         self._flush_lock = threading.Lock()
-        # Guards the counters: handle_line runs concurrently from TCP
-        # handler threads.
+        self._close_lock = threading.Lock()
         self._count_lock = threading.Lock()
         self._decided_since_flush = 0
         self._served = 0
         self._errors = 0
-        self._closed = False
         self._stopped = threading.Event()
-        self._tcp_server: socketserver.BaseServer | None = None
-        # The warm start: the pool's workers load the snapshot
-        # themselves; an engine-backed server loads it here.
-        if (self._engine is not None and snapshot_path is not None):
-            try:
-                load_snapshot(self._engine, snapshot_path)
-            except SnapshotError:
-                pass  # cold start; the first flush will create the file
         self._flusher = None
         if self._snapshot_path is not None and self._flush_interval > 0:
             self._flusher = threading.Thread(
@@ -146,6 +98,14 @@ class DecisionServer:
         """How many of those answers were in-band errors."""
         return self._errors
 
+    def record(self, *, served: int = 0, errors: int = 0,
+               decided: int = 0) -> None:
+        """Count answered requests, in-band errors and decisions."""
+        with self._count_lock:
+            self._served += served
+            self._errors += errors
+            self._decided_since_flush += decided
+
     # -- snapshot flushing -----------------------------------------------
 
     def flush_snapshot(self) -> dict[str, int]:
@@ -153,15 +113,7 @@ class DecisionServer:
         if self._snapshot_path is None:
             raise ValueError("no snapshot path configured")
         with self._flush_lock:
-            if self._pool is not None:
-                counts = self._pool.save_snapshot(
-                    self._snapshot_path,
-                    include_verdicts=self._include_verdict_snapshot)
-            else:
-                with self._decide_lock:
-                    counts = save_snapshot(
-                        self._engine, self._snapshot_path,
-                        include_verdicts=self._include_verdict_snapshot)
+            counts = self._pool.save_snapshot()
             with self._count_lock:
                 self._decided_since_flush = 0
                 self._flush_error = None
@@ -174,7 +126,12 @@ class DecisionServer:
             except Exception as error:  # flush must not kill serve
                 self._flush_error = error_text(error)
 
-    def _maybe_flush(self) -> None:
+    def maybe_flush(self) -> None:
+        """Apply the every-N-decisions flush policy now, if it is due.
+
+        The gateway calls this from an executor thread after each
+        decision, so a flush never blocks the event loop.
+        """
         if (self._snapshot_path is not None and self._flush_every > 0
                 and self._decided_since_flush >= self._flush_every):
             try:
@@ -182,318 +139,59 @@ class DecisionServer:
             except Exception as error:  # flush must not kill serve
                 self._flush_error = error_text(error)
 
-    def maybe_flush(self) -> None:
-        """Apply the every-N-decisions flush policy now, if it is due.
-
-        The synchronous loops call this after each decision; the async
-        gateway calls it from an executor thread so a flush never
-        blocks the event loop.
-        """
-        self._maybe_flush()
-
     def close(self) -> dict:
         """Stop the flush timer and run the final snapshot flush.
 
-        Idempotent: the serve loops close on exit and CLI teardown may
+        Idempotent: the front end closes on exit and CLI teardown may
         close again — the snapshot is flushed exactly once and every
         call returns the same final stats dict: ``served``/``errors``
         counters, the per-layer ``flushed`` counts (``None`` when no
         snapshot is configured), and ``flush_error`` — the final
         flush's failure text instead of a silent drop.
         """
-        with self._count_lock:
-            if self._closed:
-                return dict(self._close_stats or {})
-            self._closed = True
-        self._stopped.set()
-        if self._flusher is not None:
-            self._flusher.join(timeout=2.0)
-        flushed = None
-        flush_error = None
-        if self._snapshot_path is not None:
-            try:
-                flushed = self.flush_snapshot()
-            except Exception as error:  # teardown stays graceful
-                flush_error = error_text(error)
-                self._flush_error = flush_error
-        self._close_stats = {"served": self._served,
-                             "errors": self._errors,
-                             "flushed": flushed,
-                             "flush_error": flush_error}
-        return dict(self._close_stats)
+        with self._close_lock:
+            if self._close_stats is None:
+                self._stopped.set()
+                if self._flusher is not None:
+                    self._flusher.join(timeout=2.0)
+                flushed = flush_error = None
+                if self._snapshot_path is not None:
+                    try:
+                        flushed = self.flush_snapshot()
+                    except Exception as error:  # teardown stays graceful
+                        flush_error = error_text(error)
+                        self._flush_error = flush_error
+                self._close_stats = {"served": self._served,
+                                     "errors": self._errors,
+                                     "flushed": flushed,
+                                     "flush_error": flush_error}
+            return dict(self._close_stats)
 
-    # -- request handling ------------------------------------------------
+    # -- control ops -----------------------------------------------------
 
-    def _count(self, *, served: int = 0, errors: int = 0,
-               decided: int = 0) -> None:
-        with self._count_lock:
-            self._served += served
-            self._errors += errors
-            self._decided_since_flush += decided
-
-    def record(self, *, served: int = 0, errors: int = 0,
-               decided: int = 0) -> None:
-        """Fold request accounting from an external front end in.
-
-        The asyncio gateway answers requests without going through
-        :meth:`handle_line`; it reports its outcomes here so ``served``
-        and ``errors`` stay the single source of truth.
-        """
-        self._count(served=served, errors=errors, decided=decided)
-
-    def _decide(self, data: dict) -> dict:
-        """Decide one request document; in-band error dict on failure."""
-        if self._pool is not None:
-            outcome = self._pool.decide_one(data)
-            if isinstance(outcome, DecisionError):
-                self._count(errors=1)
-                return outcome.to_dict()
-            return outcome.to_dict()
-        request_id = None
-        try:
-            try:
-                request_id = coerce_request_id(data.get("id"))
-            except TypeError:
-                request_id = None
-            with self._decide_lock:
-                request = ContainmentRequest.from_dict(
-                    data, parse=self._engine.parse)
-                return self._engine.decide_request(request).to_dict()
-        except _REQUEST_ERRORS as error:
-            self._count(errors=1)
-            response: dict = {"error": error_text(error)}
-            if request_id is not None:
-                response["id"] = request_id
-            return response
-
-    def _control(self, data: dict) -> tuple[dict, bool]:
-        """Handle an ``op`` object; returns (response, stop-serving)."""
+    def control(self, data: dict) -> dict:
+        """Answer one parsed control op (``shutdown`` is the front end's)."""
         op = data["op"]
         if op == "ping":
-            return {"op": "ping", "ok": True}, False
+            return {"op": "ping", "ok": True}
         if op == "stats":
-            from ..api.engine import stats_report
-            from .pool import sum_stats
-
-            response: dict = {"op": "stats", "served": self._served,
-                              "errors": self._errors}
-            service = None
-            if self._metrics is not None:
-                service = self._metrics.as_dict()
-                if self._pool is not None:
-                    service["worker_pids"] = self._pool.worker_pids()
-            if self._pool is not None:
-                # Per-worker flat counters plus one layered report over
-                # their sum — hit ratios stay zero-division-safe even
-                # for layers (e.g. poly_orders) that saw no traffic.
-                workers = self._pool.stats()
-                response["workers"] = workers
-                response["cache_stats"] = stats_report(sum_stats(workers),
-                                                       service=service)
-            else:
-                with self._decide_lock:
-                    response["cache_info"] = self._engine.cache_info()
-                    response["cache_stats"] = self._engine.cache_stats()
-            if service is not None:
-                response["service"] = service
+            service = self._pool.metrics.as_dict()
+            service["worker_pids"] = self._pool.worker_pids()
+            # Per-worker flat counters plus one layered report over
+            # their sum — hit ratios stay zero-division-safe even for
+            # layers (e.g. poly_orders) that saw no traffic.
+            workers = self._pool.stats()
+            response = {"op": "stats", "served": self._served,
+                        "errors": self._errors, "workers": workers,
+                        "cache_stats": stats_report(sum_stats(workers),
+                                                    service=service),
+                        "service": service}
             if self._flush_error is not None:
                 response["flush_error"] = self._flush_error
-            return response, False
+            return response
         if op == "snapshot":
             try:
-                return {"op": "snapshot",
-                        "layers": self.flush_snapshot()}, False
+                return {"op": "snapshot", "layers": self.flush_snapshot()}
             except (ValueError, OSError) as error:
-                return {"op": "snapshot",
-                        "error": error_text(error)}, False
-        if op == "shutdown":
-            return {"op": "shutdown", "ok": True}, True
-        return {"error": f"unknown op {op!r}"}, False
-
-    def control(self, data: dict) -> tuple[dict, bool]:
-        """Handle one already-parsed control op; returns (response, stop).
-
-        The public entry point for front ends (the asyncio gateway)
-        that parse their own lines but share this server's engine,
-        snapshot and counters.
-        """
-        return self._control(data)
-
-    def oversized_response(self) -> dict:
-        """The in-band answer for a line exceeding ``max_line_bytes``."""
-        return {"error": f"request line exceeds --max-line-bytes "
-                         f"({self._max_line_bytes} bytes)",
-                "oversized": True}
-
-    def _line_too_long(self, text: str) -> bool:
-        """True when a line's UTF-8 payload exceeds the configured bound.
-
-        Character count is a lower bound on byte count, so the encode
-        only runs for lines that could actually be over.
-        """
-        limit = self._max_line_bytes
-        if limit <= 0:
-            return False
-        if len(text) > limit:
-            return True
-        return len(text.encode("utf-8", errors="replace")) > limit
-
-    def handle_line(self, line: str) -> tuple[dict | None, bool]:
-        """Process one protocol line.
-
-        Returns ``(response, stop)``: ``response`` is ``None`` for
-        blank/comment lines, ``stop`` is True after a ``shutdown`` op.
-        An over-long line (when ``max_line_bytes`` is set) is answered
-        in-band and never parsed.
-        """
-        text = line.strip()
-        if not text or text.startswith("#"):
-            return None, False
-        if self._line_too_long(text):
-            self._count(served=1, errors=1)
-            return self.oversized_response(), False
-        try:
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise ValueError("request line must be a JSON object")
-        except ValueError as error:
-            self._count(served=1, errors=1)
-            return {"error": error_text(error)}, False
-        if "op" in data:
-            return self._control(data)
-        response = self._decide(data)
-        self._count(served=1, decided=1)
-        self._maybe_flush()
-        return response, False
-
-    # -- serving ---------------------------------------------------------
-
-    def _iter_bounded(self, source: Iterable[str]):
-        """Iterate input lines without ever buffering an oversized one.
-
-        With ``max_line_bytes`` set and a ``readline``-capable source,
-        lines are read in bounded chunks: an over-long line is drained
-        chunk by chunk (never concatenated) and surfaced as the
-        :data:`_OVERSIZED` sentinel.  Other sources fall back to plain
-        iteration — :meth:`handle_line` still rejects long lines, it
-        just cannot prevent the buffering.
-        """
-        readline = getattr(source, "readline", None)
-        if self._max_line_bytes <= 0 or readline is None:
-            yield from source
-            return
-        limit = self._max_line_bytes
-        while True:
-            chunk = readline(limit + 2)
-            if not chunk:
-                return
-            if len(chunk) > limit + 1 and not chunk.endswith("\n"):
-                # Oversized and unterminated: drop the rest of the
-                # physical line in bounded reads.
-                while True:
-                    rest = readline(limit + 2)
-                    if not rest or rest.endswith("\n"):
-                        break
-                yield _OVERSIZED
-            else:
-                yield chunk
-
-    def serve_lines(self, source: Iterable[str],
-                    sink: TextIO) -> int:
-        """The stdio loop: one response line per request line.
-
-        Flushes per line (downstream consumers must see each verdict as
-        its request is decided) and runs the final snapshot flush on
-        EOF or ``shutdown``.  Returns the number of decision requests
-        served.
-        """
-        try:
-            for line in self._iter_bounded(source):
-                if line is _OVERSIZED:
-                    self._count(served=1, errors=1)
-                    response, stop = self.oversized_response(), False
-                else:
-                    response, stop = self.handle_line(line)
-                if response is not None:
-                    print(json.dumps(response, ensure_ascii=False),
-                          file=sink, flush=True)
-                if stop:
-                    break
-        finally:
-            self.close()
-        return self._served
-
-    def serve_tcp(self, host: str = "127.0.0.1", port: int = 0, *,
-                  ready: threading.Event | None = None) -> int:
-        """Serve the JSONL protocol over TCP until shut down.
-
-        Each connection is its own conversation; connections are
-        handled in threads, sharing this server's engine/pool.  With
-        ``port=0`` the OS picks a free port — :attr:`tcp_address`
-        carries the bound address once ``ready`` is set.  Returns the
-        number of decision requests served.
-        """
-        decision_server = self
-
-        limit = self._max_line_bytes
-
-        class _Handler(socketserver.StreamRequestHandler):
-            def _read_bounded(self):
-                """One physical line, or ``_OVERSIZED`` (drained), or b''."""
-                if limit <= 0:
-                    return self.rfile.readline()
-                raw = self.rfile.readline(limit + 2)
-                if len(raw) > limit + 1 and not raw.endswith(b"\n"):
-                    while True:
-                        rest = self.rfile.readline(limit + 2)
-                        if not rest or rest.endswith(b"\n"):
-                            return _OVERSIZED
-                return raw
-
-            def handle(self) -> None:
-                while True:
-                    raw = self._read_bounded()
-                    if raw is _OVERSIZED:
-                        decision_server._count(served=1, errors=1)
-                        response, stop = (decision_server
-                                          .oversized_response(), False)
-                    elif not raw:
-                        return
-                    else:
-                        line = raw.decode("utf-8", errors="replace")
-                        response, stop = decision_server.handle_line(line)
-                    if response is not None:
-                        payload = json.dumps(response, ensure_ascii=False)
-                        try:
-                            self.wfile.write(payload.encode("utf-8") + b"\n")
-                            self.wfile.flush()
-                        except (BrokenPipeError, ConnectionError):
-                            return
-                    if stop:
-                        # Stop accepting while finishing this handler;
-                        # shutdown() must run off the serve_forever
-                        # thread, and handler threads qualify.
-                        self.server.shutdown()
-                        return
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        with _Server((host, port), _Handler) as server:
-            self._tcp_server = server
-            self.tcp_address = server.server_address
-            if ready is not None:
-                ready.set()
-            try:
-                server.serve_forever(poll_interval=0.1)
-            finally:
-                self._tcp_server = None
-                self.close()
-        return self._served
-
-    def shutdown(self) -> None:
-        """Stop a running :meth:`serve_tcp` loop from another thread."""
-        server = self._tcp_server
-        if server is not None:
-            server.shutdown()
+                return {"op": "snapshot", "error": error_text(error)}
+        return {"error": f"unknown op {op!r}"}

@@ -3,7 +3,7 @@
 Two trust chains are defended here.  The first is the library's: the
 dispatcher believes the declared `SemiringProperties`, so the auditor
 has to be able to falsify wrong declarations.  The second is the
-service's: `SupervisedWorkerPool` promises byte-identical results even
+service's: `WorkerPool` promises byte-identical results even
 when workers are SIGKILLed mid-stream, so these tests kill workers and
 diff the survivors' output against a sequential engine.
 """
@@ -21,7 +21,7 @@ from repro.api import ContainmentEngine, ContainmentRequest
 from repro.semirings import (Semiring, SemiringProperties,
                              audit_declared_axioms, audit_positivity,
                              audit_semiring_laws)
-from repro.service import (DecisionError, SupervisedWorkerPool, load_snapshot,
+from repro.service import (DecisionError, WorkerPool, load_snapshot,
                            save_snapshot)
 
 
@@ -224,7 +224,7 @@ def test_sigkill_mid_stream_keeps_output_byte_identical():
     requests = chaos_workload(repeats=2)
     assert len(requests) >= 70
     expected = sequential_documents(requests)
-    with SupervisedWorkerPool(4) as pool:
+    with WorkerPool(4) as pool:
         seqs = [pool.submit(pool.normalize(request))
                 for request in requests]
         outcomes = [pool.result(seq, timeout=60) for seq in seqs[:10]]
@@ -239,7 +239,7 @@ def test_sigkill_mid_stream_keeps_output_byte_identical():
 def test_respawned_worker_warm_starts_from_snapshot(tmp_path):
     path = tmp_path / "supervised.snap"
     requests = chaos_workload(repeats=1)
-    with SupervisedWorkerPool(2, snapshot_path=path) as pool:
+    with WorkerPool(2, snapshot_path=path) as pool:
         first = pool.decide_many(requests)
         assert not any(isinstance(doc, DecisionError) for doc in first)
         pool.save_snapshot()
@@ -264,7 +264,7 @@ def test_respawned_worker_warm_starts_from_snapshot(tmp_path):
 
 
 def test_work_stealing_relieves_a_skewed_shard():
-    with SupervisedWorkerPool(2, prefetch=1, steal_threshold=2) as pool:
+    with WorkerPool(2, prefetch=1, steal_threshold=2) as pool:
         skewed: list[ContainmentRequest] = []
         index = 0
         while len(skewed) < 24:
@@ -281,7 +281,7 @@ def test_work_stealing_relieves_a_skewed_shard():
 
 
 def test_exhausted_respawn_budget_retires_the_shard():
-    with SupervisedWorkerPool(2, max_respawns=0) as pool:
+    with WorkerPool(2, max_respawns=0) as pool:
         victim_index = 0
         pool._processes[victim_index].kill()
         assert _wait_until(lambda: victim_index in pool._dead), \
@@ -302,7 +302,7 @@ def test_exhausted_respawn_budget_retires_the_shard():
 
 
 def test_poisonous_request_fails_in_band_after_redrive_budget():
-    with SupervisedWorkerPool(1, max_redrives=0) as pool:
+    with WorkerPool(1, max_redrives=0) as pool:
         request = pool.normalize({"semiring": "B", "q1": "Q() :- R(u, v)",
                                   "q2": "Q() :- R(u, u)", "id": "poison"})
         pid = pool.worker_pids()[0]
@@ -348,7 +348,7 @@ def _steal_behind_pinned_duplicate(pool) -> list[dict]:
 
 
 def test_spilled_first_occurrence_is_not_overtaken_by_its_duplicate():
-    with SupervisedWorkerPool(1, prefetch=1, steal_threshold=2) as pool:
+    with WorkerPool(1, prefetch=1, steal_threshold=2) as pool:
         requests, outcomes = _steal_behind_pinned_duplicate(pool)
     assert [outcome["cached"] for outcome in outcomes] \
         == [False, False, False, False, True]
@@ -363,7 +363,7 @@ def test_spilled_first_occurrence_stays_warm_from_a_verdict_snapshot(
     engine = ContainmentEngine()
     engine.decide_request(warm)
     save_snapshot(engine, path, include_verdicts=True)
-    with SupervisedWorkerPool(1, prefetch=1, steal_threshold=2,
+    with WorkerPool(1, prefetch=1, steal_threshold=2,
                               snapshot_path=path,
                               include_verdict_snapshot=True) as pool:
         requests, outcomes = _steal_behind_pinned_duplicate(pool)

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.service import AsyncGateway, SupervisedWorkerPool
+from repro.service import AsyncGateway, WorkerPool
 
 
 def request_line(index: int, *, prefix: str = "g") -> str:
@@ -67,7 +67,7 @@ def exchange(gateway: AsyncGateway, lines: list[str],
 
 
 def test_pipelined_connections_answer_in_request_order(gateway_factory):
-    with SupervisedWorkerPool(2) as pool:
+    with WorkerPool(2) as pool:
         gateway = gateway_factory(pool)
         replies: dict[str, list[dict]] = {}
 
@@ -91,7 +91,7 @@ def test_pipelined_connections_answer_in_request_order(gateway_factory):
 
 
 def test_malformed_and_control_lines_keep_pipeline_order(gateway_factory):
-    with SupervisedWorkerPool(1) as pool:
+    with WorkerPool(1) as pool:
         gateway = gateway_factory(pool)
         replies = exchange(gateway, [request_line(0), "not json",
                                      '{"op": "ping"}', request_line(1)])
@@ -102,7 +102,7 @@ def test_malformed_and_control_lines_keep_pipeline_order(gateway_factory):
 
 
 def test_oversized_line_answered_in_band(gateway_factory):
-    with SupervisedWorkerPool(1) as pool:
+    with WorkerPool(1) as pool:
         gateway = gateway_factory(pool, max_line_bytes=256)
         replies = exchange(gateway, ["x" * 4096, request_line(0)])
         assert replies[0]["oversized"] is True
@@ -111,7 +111,7 @@ def test_oversized_line_answered_in_band(gateway_factory):
 
 
 def test_deadline_expiry_is_in_band_and_abandons_the_seat(gateway_factory):
-    with SupervisedWorkerPool(1) as pool:
+    with WorkerPool(1) as pool:
         gateway = gateway_factory(pool, deadline=0.3)
         pid = pool.worker_pids()[0]
         os.kill(pid, signal.SIGSTOP)
@@ -129,7 +129,7 @@ def test_deadline_expiry_is_in_band_and_abandons_the_seat(gateway_factory):
 
 
 def test_load_shedding_rejects_newest_in_band(gateway_factory):
-    with SupervisedWorkerPool(1) as pool:
+    with WorkerPool(1) as pool:
         gateway = gateway_factory(pool, deadline=1.0, queue_limit=1)
         pid = pool.worker_pids()[0]
         os.kill(pid, signal.SIGSTOP)
@@ -148,7 +148,7 @@ def test_load_shedding_rejects_newest_in_band(gateway_factory):
 
 
 def test_stats_op_reports_the_service_dimension(gateway_factory):
-    with SupervisedWorkerPool(2) as pool:
+    with WorkerPool(2) as pool:
         gateway = gateway_factory(pool)
         exchange(gateway, [request_line(i) for i in range(4)])
         replies = exchange(gateway, ['{"op": "stats"}'])
@@ -162,9 +162,29 @@ def test_stats_op_reports_the_service_dimension(gateway_factory):
 
 
 def test_shutdown_op_stops_the_gateway_cleanly(gateway_factory):
-    with SupervisedWorkerPool(1) as pool:
+    with WorkerPool(1) as pool:
         gateway = gateway_factory(pool)
         replies = exchange(gateway, [request_line(0),
                                      '{"op": "shutdown"}'])
         assert replies[0]["request_id"] == "g0"
         assert replies[1] == {"op": "shutdown", "ok": True}
+
+
+def test_stats_op_runs_in_pipeline_order(gateway_factory):
+    # The stats op is admitted while its predecessor is still wedged on
+    # a SIGSTOPped worker; it must run only once that decision has been
+    # answered, so it counts it.
+    with WorkerPool(1) as pool:
+        gateway = gateway_factory(pool)
+        pid = pool.worker_pids()[0]
+        os.kill(pid, signal.SIGSTOP)
+        resume = threading.Timer(0.5, os.kill, (pid, signal.SIGCONT))
+        resume.start()
+        try:
+            replies = exchange(gateway, [request_line(0),
+                                         '{"op": "stats"}'])
+        finally:
+            resume.join()
+        assert replies[0]["request_id"] == "g0"
+        assert replies[1]["served"] == 1
+        assert sum(info["decisions"] for info in replies[1]["workers"]) == 1

@@ -156,7 +156,8 @@ def test_workers_warm_start_from_snapshot(tmp_path):
 
 
 def test_dead_worker_shard_reports_and_other_workers_survive():
-    with WorkerPool(2) as fresh:
+    # max_respawns=0 is the retire-on-death policy: the shard stays dead.
+    with WorkerPool(2, max_respawns=0) as fresh:
         victim = fresh._processes[0]
         victim.terminate()
         deadline = time.monotonic() + 5.0

@@ -1,11 +1,11 @@
-"""The supervised worker pool's no-chaos behaviour and plumbing.
+"""The worker pool's supervision plumbing, with nobody dying.
 
 Chaos itself (SIGKILL mid-stream, warm-start respawn, redrive budgets)
-lives in ``test_failure_injection.py``; this module checks that, with
-nobody dying, :class:`SupervisedWorkerPool` is a drop-in
-:class:`WorkerPool` — byte-identical output, same duplicate-cache
-semantics — and that the supervision plumbing (metrics, result
-callbacks, abandonment, pid reporting) behaves.
+lives in ``test_failure_injection.py``; this module checks that the
+parent-side dispatcher (backlogs, prefetch, stealing) keeps output
+byte-identical and duplicate-cache semantics intact, and that the
+supervision plumbing (metrics, result callbacks, abandonment, pid
+reporting) behaves.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.api import ContainmentEngine
-from repro.service import ServiceMetrics, SupervisedWorkerPool
+from repro.service import ServiceMetrics, WorkerPool
 
 from test_service_pool import mixed_workload, sequential_documents
 
@@ -25,7 +25,7 @@ REQUEST = {"semiring": "B", "q1": "Q() :- R(u, v), R(u, w)",
 
 @pytest.fixture(scope="module")
 def pool():
-    with SupervisedWorkerPool(2) as shared:
+    with WorkerPool(2) as shared:
         yield shared
 
 
@@ -58,7 +58,7 @@ def test_metrics_report_shape(pool):
 
 def test_shared_metrics_instance_is_used_when_given():
     metrics = ServiceMetrics(workers=2)
-    with SupervisedWorkerPool(2, metrics=metrics) as fresh:
+    with WorkerPool(2, metrics=metrics) as fresh:
         assert fresh.metrics is metrics
         fresh.decide_one(dict(REQUEST))
     assert metrics.as_dict()["respawns"] == 0
@@ -90,7 +90,7 @@ def test_worker_pids_reports_live_processes(pool):
 
 def test_stats_surface_whole_workload():
     requests = mixed_workload()
-    with SupervisedWorkerPool(2) as fresh:
+    with WorkerPool(2) as fresh:
         fresh.decide_many(requests)
         stats = fresh.stats()
     assert sum(info["decisions"] for info in stats) == len(requests)
@@ -99,10 +99,10 @@ def test_stats_surface_whole_workload():
 def test_warm_start_matches_base_pool_contract(tmp_path):
     path = tmp_path / "supervised-warm.snap"
     requests = mixed_workload()
-    with SupervisedWorkerPool(2, snapshot_path=path) as first:
+    with WorkerPool(2, snapshot_path=path) as first:
         first.decide_many(requests)
         first.save_snapshot()
-    with SupervisedWorkerPool(2, snapshot_path=path) as second:
+    with WorkerPool(2, snapshot_path=path) as second:
         docs = second.decide_many(requests)
     assert all(doc.cached for doc in docs)
     engine = ContainmentEngine()
