@@ -39,9 +39,11 @@ slot* by a fresh process, warm-started from the pool's snapshot file
 with the verdict layer stripped (structural caches carry over; the
 ``cached`` flags of its verdicts do not).  Requests that were on the
 dead worker are re-queued, in sequence order, at the front of the
-replacement's backlog.  Every dispatch carries a *ticket* (the shard's
-restart count) that the worker echoes back, so a zombie reply from the
-dead generation can never race the re-driven computation.  A request
+replacement's backlog.  Every worker answers on its own result pipe,
+and the parent holds the only read end: a worker killed mid-reply can
+neither wedge the others (as one shared queue's write lock, dying with
+its holder, would) nor deliver a stale reply once its replacement runs
+(the dead generation's pipe is closed at respawn).  A request
 that kills its worker more than ``max_redrives`` times is answered with
 an in-band error instead of crash-looping the shard.  A shard that dies
 more than ``max_respawns`` times is retired: its work, and every later
@@ -65,10 +67,10 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
-import queue
 import threading
 import time
 from collections import OrderedDict, deque
+from multiprocessing.connection import wait as wait_readable
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -172,7 +174,8 @@ def _close_inherited_sockets() -> None:
     Held in the worker, those duplicates mean a client never sees the
     connection close (no FIN while any copy of the fd is open), so a
     pipelined client would hang waiting for EOF after a respawn.  The
-    pool's queue pipes are FIFOs, not sockets, and stay untouched.
+    pool's queues and result pipes are FIFOs, not sockets, and stay
+    untouched.
     """
     import stat
     try:
@@ -220,6 +223,9 @@ def _worker_main(index: int, inbox, outbox, snapshot_path,
                  load_verdicts: bool) -> None:
     """One worker process: an engine plus a message loop.
 
+    Requests and control messages arrive on ``inbox``; every answer is
+    written to ``outbox``, the worker's own result pipe.
+
     ``load_verdicts`` controls whether the warm-start snapshot's
     verdict layer is imported: a *respawned* worker must start with the
     structural layers only, so the requests it re-decides carry the
@@ -239,21 +245,18 @@ def _worker_main(index: int, inbox, outbox, snapshot_path,
             message = inbox.get()
             kind = message[0]
             if kind == "req":
-                _, seq, request, ticket = message
+                _, seq, request = message
                 try:
-                    outbox.put(("ok", seq, engine.decide_request(request),
-                                ticket))
+                    outbox.send(("ok", seq, engine.decide_request(request)))
                 except _REQUEST_ERRORS as error:
-                    outbox.put(("err", seq, error_text(error), request.id,
-                                ticket))
+                    outbox.send(("err", seq, error_text(error), request.id))
             elif kind == "caches":
-                outbox.put(("caches", index,
-                            engine.export_caches(
-                                include_verdicts=message[1])))
+                outbox.send(("caches", index,
+                             engine.export_caches(
+                                 include_verdicts=message[1])))
             elif kind == "stats":
-                outbox.put(("stats", index, engine.cache_info()))
+                outbox.send(("stats", index, engine.cache_info()))
             elif kind == "stop":
-                outbox.put(("bye", index))
                 return
     except (KeyboardInterrupt, EOFError, OSError):
         return  # parent went away or is shutting down
@@ -312,18 +315,19 @@ class WorkerPool:
         # Parent-side engine: parse interning for request normalization
         # plus the registry for canonical shard keys.  It never decides.
         self._parent_engine = ContainmentEngine()
-        self._outbox = self._context.Queue()
         # repro-lint: owner=_spawn_process,_broadcast,_dispatch_locked,_handle_worker_death
         self._inboxes: list = []
         self._processes: list = []
+        # Parent-side read end of each worker's result pipe (None once
+        # the collector saw it end).
+        self._result_pipes: list = []
         self._cond = threading.Condition()
-        # repro-lint: owner=_collect,_deliver_error_locked,result,on_result,abandon
+        # repro-lint: owner=_route_reply,_deliver_error_locked,result,on_result,abandon
         self._results: dict[int, tuple] = {}
         self._replies: dict[str, dict[int, Any]] = {"caches": {},
                                                     "stats": {}}
         self._assigned: dict[int, int] = {}     # seq → worker index
         self._requests: dict[int, ContainmentRequest] = {}  # in flight
-        self._tickets: dict[int, int] = {}      # seq → dispatch ticket
         self._callbacks: dict[int, Callable] = {}
         self._abandoned: set[int] = set()
         self._active_broadcast: tuple | None = None
@@ -381,23 +385,32 @@ class WorkerPool:
     def _spawn_process(self, index: int, *, load_verdicts: bool = True):
         """Create, register and start the worker process for ``index``.
 
-        Reuses the slot when respawning (the inbox is replaced so a
-        fresh worker never replays the dead one's queued messages).
-        Returns the started process.
+        Reuses the slot when respawning: the inbox is replaced so a
+        fresh worker never replays the dead one's queued messages, and
+        the dead one's result pipe is closed unread.  Returns the
+        started process.
         """
         inbox = self._context.Queue()
+        results, outbox = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_worker_main,
-            args=(index, inbox, self._outbox, self._snapshot_path,
+            args=(index, inbox, outbox, self._snapshot_path,
                   load_verdicts and self._include_verdict_snapshot),
             name=f"repro-worker-{index}", daemon=True)
         if index == len(self._inboxes):
             self._inboxes.append(inbox)
             self._processes.append(process)
+            self._result_pipes.append(results)
         else:
             self._inboxes[index] = inbox
             self._processes[index] = process
+            if self._result_pipes[index] is not None:
+                self._result_pipes[index].close()
+            self._result_pipes[index] = results
         process.start()
+        # The worker now holds the only write end, so its death reads
+        # as end-of-file here.
+        outbox.close()
         return process
 
     def close(self, timeout: float = 10.0) -> None:
@@ -430,24 +443,26 @@ class WorkerPool:
                 process.join(1.0)
         self._stop.set()
         self._collector.join(timeout=2.0)
-        for q in (*self._inboxes, self._outbox):
-            q.close()
-            q.cancel_join_thread()
+        for inbox in self._inboxes:
+            inbox.close()
+            inbox.cancel_join_thread()
+        for results in self._result_pipes:
+            if results is not None:
+                results.close()
 
     # -- dispatch --------------------------------------------------------
 
-    def shard_of(self, request: ContainmentRequest) -> int:
-        """The worker index a request is routed to (deterministic)."""
-        digest = hashlib.blake2b(
-            shard_key(request, self._parent_engine.registry),
-            digest_size=8).digest()
-        return int.from_bytes(digest, "big") % len(self._processes)
-
-    def _request_key(self, request: ContainmentRequest) -> bytes:
-        """The duplicate-detection digest of a request's verdict key."""
-        return hashlib.blake2b(
+    def _route(self, request: ContainmentRequest) -> tuple[bytes, int]:
+        """A request's verdict-key digest (duplicate detection) and the
+        worker index it is routed to — both deterministic."""
+        key = hashlib.blake2b(
             shard_key(request, self._parent_engine.registry),
             digest_size=16).digest()
+        return key, int.from_bytes(key[:8], "big") % len(self._processes)
+
+    def shard_of(self, request: ContainmentRequest) -> int:
+        """The worker index a request is routed to (deterministic)."""
+        return self._route(request)[1]
 
     def submit(self, request: ContainmentRequest) -> int:
         """Queue one request; returns its sequence token for :meth:`result`.
@@ -455,7 +470,7 @@ class WorkerPool:
         The request joins its shard's parent-side backlog, from which
         the pump keeps each worker ``prefetch`` deep.
         """
-        worker = self.shard_of(request)
+        key, worker = self._route(request)
         with self._dispatch_lock:
             if self._closed:
                 raise RuntimeError("pool is closed")
@@ -464,7 +479,6 @@ class WorkerPool:
                     f"worker {worker} died; its shard cannot accept work")
             seq = self._next_seq
             self._next_seq += 1
-            key = self._request_key(request)
             with self._cond:
                 self._requests[seq] = request
                 self._key_of[seq] = key
@@ -498,11 +512,9 @@ class WorkerPool:
     def _dispatch_locked(self, index: int, seq: int,
                          request: ContainmentRequest) -> None:
         """Hand one request to worker ``index`` (``self._cond`` held)."""
-        ticket = self._restarts[index]
         self._assigned[seq] = index
-        self._tickets[seq] = ticket
         self._outstanding[index] += 1
-        self._inboxes[index].put(("req", seq, request, ticket))
+        self._inboxes[index].put(("req", seq, request))
 
     def _pump_locked(self) -> None:
         """Fill every worker to ``prefetch``; spill and steal as needed.
@@ -578,53 +590,55 @@ class WorkerPool:
                 # sequential engine would have served from cache; the
                 # document must say so.
                 document = document.with_request(document.request_id, True)
-                message = (message[0], message[1], document, message[3])
+                message = ("ok", seq, document)
         self._pump_locked()
         return message
 
     def _collect(self) -> None:
-        """Single reader of the worker outbox; routes replies to waiters."""
+        """Single reader of the result pipes; routes replies to waiters."""
         last_reap = time.monotonic()
         while not self._stop.is_set():
-            try:
-                message = self._outbox.get(timeout=0.1)
-            except queue.Empty:
+            pipes = [pipe for pipe in self._result_pipes if pipe is not None]
+            ready = wait_readable(pipes, timeout=0.1)
+            for pipe in ready:
+                try:
+                    message = pipe.recv()
+                except (EOFError, OSError):
+                    # The worker exited, perhaps mid-reply; the reaper
+                    # respawns or retires its shard.
+                    self._result_pipes[self._result_pipes.index(pipe)] = None
+                    pipe.close()
+                    continue
+                self._route_reply(message)
+            if not ready or time.monotonic() - last_reap > _REAP_INTERVAL:
                 self._reap_dead_workers()
                 last_reap = time.monotonic()
-                continue
-            except (EOFError, OSError):  # pragma: no cover - teardown
-                return
-            callback = None
-            outcome = None
-            with self._cond:
-                kind = message[0]
-                if kind in ("ok", "err"):
-                    seq = message[1]
-                    if message[-1] != self._tickets.get(seq):
-                        # A zombie reply: this seq was re-driven on a
-                        # fresh worker generation after its first
-                        # worker was declared dead mid-decision.
-                        continue
-                    worker = self._assigned.pop(seq, None)
-                    self._requests.pop(seq, None)
-                    self._tickets.pop(seq, None)
-                    message = self._account_delivery_locked(seq, worker,
-                                                            message)
-                    if seq in self._abandoned:
-                        self._abandoned.discard(seq)
-                    elif seq in self._callbacks:
-                        callback = self._callbacks.pop(seq)
-                        outcome = self._outcome(message)
-                    else:
-                        self._results[seq] = message
-                elif kind in ("caches", "stats"):
-                    self._replies[kind][message[1]] = message[2]
-                self._cond.notify_all()
-            if callback is not None:
-                callback(outcome)
-            if time.monotonic() - last_reap > _REAP_INTERVAL:
-                self._reap_dead_workers()
-                last_reap = time.monotonic()
+
+    def _route_reply(self, message: tuple) -> None:
+        """Deliver one worker reply to its waiter, callback or slot."""
+        callback = None
+        with self._cond:
+            kind = message[0]
+            if kind in ("ok", "err"):
+                seq = message[1]
+                worker = self._assigned.pop(seq, None)
+                if worker is None:
+                    # Read after its shard was retired and the request
+                    # already answered with an in-band error.
+                    return
+                self._requests.pop(seq, None)
+                message = self._account_delivery_locked(seq, worker, message)
+                if seq in self._abandoned:
+                    self._abandoned.discard(seq)
+                elif seq in self._callbacks:
+                    callback = self._callbacks.pop(seq)
+                else:
+                    self._results[seq] = message
+            elif kind in ("caches", "stats"):
+                self._replies[kind][message[1]] = message[2]
+            self._cond.notify_all()
+        if callback is not None:
+            callback(self._outcome(message))
 
     def _deliver_error_locked(self, seq: int, text: str,
                               request_id) -> tuple | None:
@@ -634,14 +648,13 @@ class WorkerPool:
         outcome)`` for the caller to fire outside the lock), the
         abandoned set, or the results map — mirroring ``_collect``.
         """
-        self._tickets.pop(seq, None)
         if seq in self._abandoned:
             self._abandoned.discard(seq)
             return None
         if seq in self._callbacks:
             return (self._callbacks.pop(seq),
                     DecisionError(text, id=request_id))
-        self._results[seq] = ("err", seq, text, request_id, None)
+        self._results[seq] = ("err", seq, text, request_id)
         return None
 
     # -- death policy --------------------------------------------------
@@ -706,7 +719,6 @@ class WorkerPool:
                 self._abandoned.discard(seq)
                 self._forget_seq(seq)
                 self._requests.pop(seq, None)
-                self._tickets.pop(seq, None)
                 continue
             attempts = self._redrives.get(seq, 0) + 1
             if attempts > self._max_redrives:
@@ -723,10 +735,6 @@ class WorkerPool:
                 continue
             self._redrives[seq] = attempts
             self.metrics.add("redriven")
-            # Bump the ticket to the new generation *now*: the dead
-            # worker may have answered just before dying, and that
-            # zombie reply must not beat the re-driven dispatch.
-            self._tickets[seq] = self._restarts[index]
             # Re-driven work is pinned: it must re-run on its home
             # shard, in its original order, ahead of newer arrivals.
             requeue.append((seq, request, False))

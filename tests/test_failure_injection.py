@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import random
 import signal
+import struct
 import time
 
 import pytest
@@ -23,6 +24,7 @@ from repro.semirings import (Semiring, SemiringProperties,
                              audit_semiring_laws)
 from repro.service import (DecisionError, WorkerPool, load_snapshot,
                            save_snapshot)
+from repro.service import pool as pool_module
 
 
 class BrokenDistributivity(Semiring):
@@ -373,3 +375,32 @@ def test_spilled_first_occurrence_stays_warm_from_a_verdict_snapshot(
     assert [outcome["cached"] for outcome in outcomes] \
         == [False, False, False, True, True]
     assert outcomes == expected
+
+
+def test_worker_killed_mid_reply_wedges_nobody(monkeypatch):
+    """A reply cut off by its writer's death costs one respawn, no hang.
+
+    Shard 0's first worker takes a request, writes half a reply frame
+    to its result pipe and dies, as if SIGKILLed mid-write.  The other
+    worker's replies must keep flowing, and the re-driven request must
+    come back byte-identical.
+    """
+    real_worker_main = pool_module._worker_main
+
+    def dies_mid_reply(index, inbox, outbox, snapshot_path, load_verdicts):
+        if index == 0 and load_verdicts:  # first generation only
+            inbox.get()
+            os.write(outbox.fileno(),
+                     struct.pack("!i", 1 << 20) + b"half a reply")
+            os._exit(1)
+        real_worker_main(index, inbox, outbox, snapshot_path, load_verdicts)
+
+    monkeypatch.setattr(pool_module, "_worker_main", dies_mid_reply)
+    requests = chaos_workload(repeats=1)
+    with WorkerPool(2) as pool:
+        assert any(pool.shard_of(pool.normalize(request)) == 0
+                   for request in requests)
+        outcomes = pool.decide_many(requests)
+        assert pool.metrics.get("respawns") == 1
+    assert [outcome.to_dict() for outcome in outcomes] \
+        == sequential_documents(requests)
