@@ -270,8 +270,9 @@ def test_pool_close_escalates_to_kill_for_wedged_workers():
 def test_stdio_deadline_expiry_and_shedding_are_in_band():
     lines = [json.dumps(dict(REQUESTS[0], id=f"s{index}"))
              for index in range(3)]
-    with serving(deadline=0.3, queue_limit=1) as gateway:
-        pid = gateway._pool.worker_pids()[0]
+    with WorkerPool(1) as pool:
+        gateway = AsyncGateway(pool, deadline=0.3, queue_limit=1)
+        pid = pool.worker_pids()[0]
         os.kill(pid, signal.SIGSTOP)
         try:
             responses = run_stdio(gateway, lines)
