@@ -8,9 +8,9 @@ library facade into a scalable, self-healing decision service:
   per-process engines by a deterministic query/semiring digest
   (identical pairs share one worker's LRUs) and preserves input order;
   dead workers are respawned warm from the latest snapshot, their
-  in-flight requests re-driven, and skewed shards relieved through a
-  bounded work-stealing overflow queue — all while keeping results
-  byte-identical to sequential evaluation;
+  in-flight requests re-driven, and skewed shards relieved by idle
+  workers stealing fresh requests from the deepest backlog — all while
+  keeping results byte-identical to sequential evaluation;
 * :mod:`repro.service.snapshot` — versioned, validated warm-start
   snapshots of every engine cache layer, so short-lived CLI batch runs
   stop re-paying for structural work;

@@ -41,7 +41,6 @@ class ServiceMetrics:
         self._counts = {name: 0 for name in _COUNTERS}  # repro-lint: owner=add
         self._restarts = [0] * max(0, int(workers))  # repro-lint: owner=note_restart
         self._queue_depths: list[int] = []  # repro-lint: owner=note_depths
-        self._overflow_depth = 0  # repro-lint: owner=note_depths
         self._max_backlog = 0  # repro-lint: owner=note_depths
 
     def add(self, name: str, amount: int = 1) -> None:
@@ -61,13 +60,11 @@ class ServiceMetrics:
                 self._restarts.append(0)
             self._restarts[index] += 1
 
-    def note_depths(self, queue_depths: list[int],
-                    overflow_depth: int) -> None:
-        """Record the dispatcher's current per-shard/overflow backlog."""
+    def note_depths(self, queue_depths: list[int]) -> None:
+        """Record the dispatcher's current per-shard backlog depths."""
         with self._lock:
             self._queue_depths = list(queue_depths)
-            self._overflow_depth = overflow_depth
-            backlog = sum(queue_depths) + overflow_depth
+            backlog = sum(queue_depths)
             if backlog > self._max_backlog:
                 self._max_backlog = backlog
 
@@ -77,6 +74,5 @@ class ServiceMetrics:
             report: dict = dict(self._counts)
             report["worker_restarts"] = list(self._restarts)
             report["queue_depths"] = list(self._queue_depths)
-            report["overflow_depth"] = self._overflow_depth
             report["max_backlog"] = self._max_backlog
             return report

@@ -9,11 +9,11 @@ with a *deterministic* digest of the parsed-query/semiring key, so:
 * identical ``(semiring, q1, q2, equivalence)`` requests always land on
   the same worker and therefore share that worker's verdict LRU — a
   repeat is a ``cached: true`` hit exactly as in a sequential engine;
-* structurally similar requests cluster, so the per-worker structural
-  LRUs (hom search/enumeration, covered atoms, descriptions, tropical
-  poly_leq certificates) stay hot;
 * the assignment is reproducible across runs (the digest does not
   depend on ``PYTHONHASHSEED``).
+
+The digest covers the full query reprs, so distinct requests scatter
+evenly; only exact duplicates co-locate.
 
 Results are returned in input order regardless of which worker finishes
 first.  Per-request failures (unknown semirings, malformed queries) are
@@ -23,16 +23,17 @@ never kills the stream.  Workers can warm-start from a
 gathers the merged cache state back out of the workers so a batch run
 can leave a fresh snapshot behind.
 
-**Dispatch and stealing.**  Dispatch is parent-side: each shard has a
-backlog deque and at most ``prefetch`` requests actually inside the
+**Dispatch and stealing.**  Dispatch is parent-side: each shard has one
+FIFO backlog and at most ``_PREFETCH`` requests actually inside the
 worker process, so the parent still holds everything it may need to
-re-drive or steal.  When a shard's backlog outgrows ``steal_threshold``,
-its *stealable* tail spills into a bounded overflow deque that any
-worker with an empty backlog may drain.  Only globally-fresh requests
-are stealable: a request whose key was already decided (or is in
-flight) is pinned to its home shard, and a spilled occurrence is pulled
-back home when its duplicate arrives, so verdict-LRU locality — and
-therefore the ``cached`` flag — is preserved.
+re-drive, steal or drop.  A worker whose own backlog is empty takes the
+newest *fresh* entry of the deepest backlog — one whose key was neither
+decided nor in flight when it was submitted.  Every other entry is
+pinned to its home shard, so a duplicate always runs on the worker that
+will have decided its first occurrence, after it, and a worker never
+takes its own work out of order: one worker is plain FIFO.  A request
+abandoned (deadline expiry) while still in a backlog is dropped there
+and never reaches a worker.
 
 **Respawn and re-drive.**  A dead worker is replaced *in its own shard
 slot* by a fresh process, warm-started from the pool's snapshot file
@@ -44,20 +45,20 @@ and the parent holds the only read end: a worker killed mid-reply can
 neither wedge the others (as one shared queue's write lock, dying with
 its holder, would) nor deliver a stale reply once its replacement runs
 (the dead generation's pipe is closed at respawn).  A request
-that kills its worker more than ``max_redrives`` times is answered with
-an in-band error instead of crash-looping the shard.  A shard that dies
-more than ``max_respawns`` times is retired: its work, and every later
-request hashing there, gets an in-band error (``max_respawns=0`` is
-the plain retire-on-death policy).
+that kills its worker more than ``_MAX_REDRIVES`` times is answered
+with an in-band error instead of crash-looping the shard.  A shard that
+dies more than ``_MAX_RESPAWNS`` times is retired: its work, and every
+later request hashing there, gets an in-band error.
 
 The byte-identity contract (``decide_many`` equals sequential
 evaluation, chaos included) is kept by one delivery-time rule: a
 request whose key was seen before — the definition of "would have hit
 a sequential engine's verdict cache" — has its ``cached`` flag
-re-stamped ``true`` even when chaos (a respawned worker's cold verdict
-LRU, or a steal to a foreign worker) forced a recomputation.  Fresh
-keys are never stamped, and stamping never flips ``true`` to ``false``.
-Every supervision event is counted in a shared
+re-stamped ``true`` even when a respawned worker's cold verdict LRU,
+or a first occurrence stolen by another worker, forced a recomputation.
+Fresh keys are never stamped, and stamping never flips ``true`` to
+``false``.
+Every supervision event is counted in the pool's
 :class:`~repro.service.metrics.ServiceMetrics`, surfaced by the
 ``stats`` op.
 """
@@ -93,9 +94,16 @@ _REAP_INTERVAL = 0.25
 _START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                  else multiprocessing.get_all_start_methods()[0])
 
-#: Bound on the work-stealing overflow deque; past it, spilling stops
-#: and the backlog simply grows on its home shard.
-_OVERFLOW_LIMIT = 256
+#: Requests kept inside each worker process; the rest of a shard's
+#: backlog stays parent-side where it can be re-driven, stolen or dropped.
+_PREFETCH = 4
+
+#: Restarts allowed per shard before it is retired for good.
+_MAX_RESPAWNS = 5
+
+#: Times one request may be re-driven after killing its worker before
+#: it is answered with an in-band error.
+_MAX_REDRIVES = 2
 
 
 def sum_stats(infos: Iterable[Mapping[str, int]]) -> dict[str, int]:
@@ -267,24 +275,10 @@ class WorkerPool:
 
     ``workers`` defaults to ``os.cpu_count()``.  ``snapshot_path`` makes
     every worker warm-start from that snapshot file (missing or stale
-    files are silently ignored).  The pool is a context manager; always
-    :meth:`close` it (worker processes are not daemons of your request
-    stream).  The remaining knobs bound the supervision behaviour:
-
-    ``max_respawns``
-        restarts allowed per shard before it is retired for good
-        (``0`` retires a shard on its first death).
-    ``max_redrives``
-        times one request may be re-driven after killing its worker
-        before it is answered with an in-band error.
-    ``prefetch``
-        requests kept inside each worker process; the rest of the
-        backlog stays parent-side where it can be re-driven or stolen.
-    ``steal_threshold``
-        backlog depth beyond which a shard spills stealable work into
-        the overflow deque.
-    ``metrics``
-        a shared :class:`ServiceMetrics`; one is created when omitted.
+    files are silently ignored); ``include_verdict_snapshot`` says
+    whether first-generation workers import its verdict layer.  The
+    pool is a context manager; always :meth:`close` it (worker
+    processes are not daemons of your request stream).
 
     Thread safety: all public methods may be called from multiple
     threads; a single background collector routes worker replies to
@@ -293,12 +287,7 @@ class WorkerPool:
 
     def __init__(self, workers: int | None = None, *,
                  snapshot_path: str | os.PathLike | None = None,
-                 include_verdict_snapshot: bool = True,
-                 max_respawns: int = 5,
-                 max_redrives: int = 2,
-                 prefetch: int = 4,
-                 steal_threshold: int = 8,
-                 metrics: ServiceMetrics | None = None):
+                 include_verdict_snapshot: bool = True):
         count = workers if workers is not None else (os.cpu_count() or 1)
         if count < 1:
             raise ValueError(f"need at least one worker, got {count}")
@@ -306,12 +295,7 @@ class WorkerPool:
         self._snapshot_path = (os.fspath(snapshot_path)
                                if snapshot_path is not None else None)
         self._include_verdict_snapshot = include_verdict_snapshot
-        self.metrics = metrics if metrics is not None \
-            else ServiceMetrics(workers=count)
-        self._max_respawns = max(0, int(max_respawns))
-        self._max_redrives = max(0, int(max_redrives))
-        self._prefetch = max(1, int(prefetch))
-        self._steal_threshold = max(1, int(steal_threshold))
+        self.metrics = ServiceMetrics(workers=count)
         # Parent-side engine: parse interning for request normalization
         # plus the registry for canonical shard keys.  It never decides.
         self._parent_engine = ContainmentEngine()
@@ -333,10 +317,9 @@ class WorkerPool:
         self._active_broadcast: tuple | None = None
         self._dead: set[int] = set()
         # Parent-side dispatch state, all guarded by self._cond.
-        # repro-lint: owner=submit,_reclaim_spilled_locked,_pump_locked,_retire_worker_locked,_handle_worker_death
+        # Each entry is (seq, request, fresh); only fresh ones are stolen.
+        # repro-lint: owner=submit,_pump_locked,_steal_locked,_retire_worker_locked,_handle_worker_death
         self._home: list[deque] = [deque() for _ in range(count)]
-        # repro-lint: owner=_reclaim_spilled_locked,_pump_locked,_retire_worker_locked
-        self._overflow: deque = deque()   # (seq, request, origin shard)
         self._outstanding = [0] * count   # requests inside each worker
         self._restarts = [0] * count  # repro-lint: owner=_handle_worker_death
         self._redrives: dict[int, int] = {}
@@ -468,7 +451,7 @@ class WorkerPool:
         """Queue one request; returns its sequence token for :meth:`result`.
 
         The request joins its shard's parent-side backlog, from which
-        the pump keeps each worker ``prefetch`` deep.
+        the pump keeps each worker ``_PREFETCH`` deep.
         """
         key, worker = self._route(request)
         with self._dispatch_lock:
@@ -487,27 +470,9 @@ class WorkerPool:
                 self._live_keys[key] = self._live_keys.get(key, 0) + 1
                 if duplicate:
                     self._expect_cached.add(seq)
-                if live:
-                    self._reclaim_spilled_locked(key, worker)
                 self._home[worker].append((seq, request, not duplicate))
                 self._pump_locked()
             return seq
-
-    def _reclaim_spilled_locked(self, key: bytes, worker: int) -> None:
-        """Move ``key``'s spilled occurrence back home (``_cond`` held).
-
-        A duplicate is pinned to its home shard; were the occurrence it
-        duplicates left in the overflow deque, the duplicate could
-        overtake it there and the earlier request would then hit the
-        verdict LRU — ``cached: true`` where a sequential run says
-        ``false``.  Re-queued ahead of the duplicate, and pinned, the
-        pair keeps submit order on one worker.
-        """
-        for position, (seq, request, _) in enumerate(self._overflow):
-            if self._key_of.get(seq) == key:
-                del self._overflow[position]
-                self._home[worker].append((seq, request, False))
-                return
 
     def _dispatch_locked(self, index: int, seq: int,
                          request: ContainmentRequest) -> None:
@@ -517,40 +482,48 @@ class WorkerPool:
         self._inboxes[index].put(("req", seq, request))
 
     def _pump_locked(self) -> None:
-        """Fill every worker to ``prefetch``; spill and steal as needed.
+        """Fill every live worker to ``_PREFETCH``, stealing when idle.
 
         Must run with ``self._cond`` held.  Called after every submit
         and every delivery, so dispatch depth is an invariant, not a
-        schedule.
+        schedule.  Abandoned requests are dropped here, unsent.
         """
-        count = len(self._processes)
-        # Spill the stealable tails of oversized backlogs.
-        for index in range(count):
+        for index, home in enumerate(self._home):
             if index in self._dead:
                 continue
-            home = self._home[index]
-            while (len(home) > self._steal_threshold
-                   and len(self._overflow) < _OVERFLOW_LIMIT
-                   and home[-1][2]):
-                seq, request, _ = home.pop()
-                self._overflow.append((seq, request, index))
-        # Top every worker up; idle workers drain the overflow.
-        for index in range(count):
-            if index in self._dead:
-                continue
-            home = self._home[index]
-            while self._outstanding[index] < self._prefetch:
-                if home:
-                    seq, request, _ = home.popleft()
-                elif self._overflow:
-                    seq, request, origin = self._overflow.popleft()
-                    if origin != index:
-                        self.metrics.add("steals")
-                else:
+            while self._outstanding[index] < _PREFETCH:
+                stolen = not home
+                entry = self._steal_locked() if stolen else home.popleft()
+                if entry is None:
                     break
+                seq, request, _ = entry
+                if seq in self._abandoned:
+                    self._abandoned.discard(seq)
+                    self._forget_seq(seq)
+                    continue
+                if stolen:
+                    self.metrics.add("steals")
                 self._dispatch_locked(index, seq, request)
-        self.metrics.note_depths([len(backlog) for backlog in self._home],
-                                 len(self._overflow))
+        self.metrics.note_depths([len(backlog) for backlog in self._home])
+
+    def _steal_locked(self) -> tuple | None:
+        """Pop the newest fresh entry of the deepest backlog, if any.
+
+        The thief's own backlog is empty and a retired shard's is
+        cleared, so the deepest backlog is always a live peer's.  The
+        newest entry is the one its own worker would reach last.  Only
+        fresh entries move: every other occurrence of a fresh key is
+        pinned to the home shard, which is never the thief, so the
+        first occurrence never finds its key in a verdict LRU and stays
+        ``cached: false``, as in a sequential run.
+        """
+        backlog = max(self._home, key=len)
+        for position in reversed(range(len(backlog))):
+            if backlog[position][2]:
+                entry = backlog[position]
+                del backlog[position]
+                return entry
+        return None
 
     # -- result collection ----------------------------------------------
 
@@ -561,8 +534,9 @@ class WorkerPool:
             return message[2]
         return DecisionError(message[2], id=message[3])
 
-    def _forget_seq(self, seq: int) -> None:
-        """Drop a seq's duplicate-tracking state (``self._cond`` held)."""
+    def _forget_seq(self, seq: int) -> ContainmentRequest | None:
+        """Drop a seq's request and duplicate-tracking state
+        (``self._cond`` held); returns the request."""
         self._redrives.pop(seq, None)
         self._expect_cached.discard(seq)
         key = self._key_of.pop(seq, None)
@@ -572,6 +546,7 @@ class WorkerPool:
                 self._live_keys[key] = live
             else:
                 self._live_keys.pop(key, None)
+        return self._requests.pop(seq, None)
 
     def _account_delivery_locked(self, seq: int, worker: int | None,
                                  message: tuple) -> tuple:
@@ -586,7 +561,7 @@ class WorkerPool:
                 self._seen_keys.add(key)
             document = message[2]
             if expect_cached and not document.cached:
-                # Chaos (respawn or steal) recomputed a verdict that a
+                # A respawn or a steal recomputed a verdict that a
                 # sequential engine would have served from cache; the
                 # document must say so.
                 document = document.with_request(document.request_id, True)
@@ -626,7 +601,6 @@ class WorkerPool:
                     # Read after its shard was retired and the request
                     # already answered with an in-band error.
                     return
-                self._requests.pop(seq, None)
                 message = self._account_delivery_locked(seq, worker, message)
                 if seq in self._abandoned:
                     self._abandoned.discard(seq)
@@ -662,10 +636,9 @@ class WorkerPool:
     def _retire_worker_locked(self, index: int, process) -> list:
         """Retire a shard for good (``self._cond`` held).
 
-        Everything routed to it — dispatched, backlogged, and (when no
-        worker survives) the overflow — becomes an in-band error.
-        Returns the ``(callback, outcome)`` pairs to fire outside the
-        lock.
+        Everything routed to it, dispatched or backlogged, becomes an
+        in-band error.  Returns the ``(callback, outcome)`` pairs to
+        fire outside the lock.
         """
         self._dead.add(index)
         failed = []
@@ -678,16 +651,9 @@ class WorkerPool:
                          f"budget") for seq, _, _ in self._home[index]]
         self._home[index].clear()
         self._outstanding[index] = 0
-        if len(self._dead) == len(self._processes):
-            # Nobody left to steal the overflow: fail it in-band rather
-            # than strand its waiters.
-            failed += [(seq, "all workers died; request abandoned")
-                       for seq, _, _ in self._overflow]
-            self._overflow.clear()
         fired = []
         for seq, text in failed:
-            self._forget_seq(seq)
-            request = self._requests.pop(seq, None)
+            request = self._forget_seq(seq)
             routed = self._deliver_error_locked(
                 seq, text, request.id if request is not None else None)
             if routed is not None:
@@ -697,14 +663,14 @@ class WorkerPool:
     def _handle_worker_death(self, index: int, process) -> list:
         """Respawn the shard and re-drive its work (``self._cond`` held).
 
-        Retires the shard once it exhausts ``max_respawns``.  In-flight
+        Retires the shard once it exhausts ``_MAX_RESPAWNS``.  In-flight
         seqs are re-queued at the front of the backlog in sequence
-        order; seqs past their ``max_redrives`` budget are answered
+        order; seqs past their ``_MAX_REDRIVES`` budget are answered
         in-band instead.  Returns the ``(callback, outcome)`` pairs to
         fire outside the lock.
         """
         self._restarts[index] += 1
-        if self._restarts[index] > self._max_respawns:
+        if self._restarts[index] > _MAX_RESPAWNS:
             return self._retire_worker_locked(index, process)
         self.metrics.add("respawns")
         self.metrics.note_restart(index)
@@ -718,13 +684,11 @@ class WorkerPool:
             if seq in self._abandoned:
                 self._abandoned.discard(seq)
                 self._forget_seq(seq)
-                self._requests.pop(seq, None)
                 continue
             attempts = self._redrives.get(seq, 0) + 1
-            if attempts > self._max_redrives:
+            if attempts > _MAX_REDRIVES:
                 self.metrics.add("redrive_failures")
                 self._forget_seq(seq)
-                self._requests.pop(seq, None)
                 routed = self._deliver_error_locked(
                     seq,
                     f"request crashed worker {index} {attempts} times; "
@@ -735,8 +699,8 @@ class WorkerPool:
                 continue
             self._redrives[seq] = attempts
             self.metrics.add("redriven")
-            # Re-driven work is pinned: it must re-run on its home
-            # shard, in its original order, ahead of newer arrivals.
+            # Re-driven work is pinned: it must re-run on this shard,
+            # in its original order, ahead of newer arrivals.
             requeue.append((seq, request, False))
         self._outstanding[index] = 0
         self._home[index].extendleft(reversed(requeue))
@@ -796,8 +760,9 @@ class WorkerPool:
     def abandon(self, seq: int) -> None:
         """Drop all interest in a submitted request (deadline expiry).
 
-        The request may keep computing on its worker, but its outcome
-        is discarded on arrival instead of accumulating in the results
+        A request still in a backlog is dropped there, unsent.  One
+        already inside a worker keeps computing, but its outcome is
+        discarded on arrival instead of accumulating in the results
         map forever.  Safe to call whether or not the result already
         arrived; any registered callback is dropped unfired.
         """

@@ -14,6 +14,7 @@ import os
 import random
 import signal
 import struct
+import threading
 import time
 
 import pytest
@@ -266,7 +267,7 @@ def test_respawned_worker_warm_starts_from_snapshot(tmp_path):
 
 
 def test_work_stealing_relieves_a_skewed_shard():
-    with WorkerPool(2, prefetch=1, steal_threshold=2) as pool:
+    with WorkerPool(2) as pool:
         skewed: list[ContainmentRequest] = []
         index = 0
         while len(skewed) < 24:
@@ -279,15 +280,16 @@ def test_work_stealing_relieves_a_skewed_shard():
         outcomes = pool.decide_many(skewed)
         assert [outcome.to_dict() for outcome in outcomes] == expected
         assert pool.metrics.get("steals") > 0, \
-            "an idle worker must have drained the overflow deque"
+            "the idle worker must have stolen from the skewed backlog"
 
 
-def test_exhausted_respawn_budget_retires_the_shard():
-    with WorkerPool(2, max_respawns=0) as pool:
+def test_exhausted_respawn_budget_retires_the_shard(monkeypatch):
+    monkeypatch.setattr(pool_module, "_MAX_RESPAWNS", 0)
+    with WorkerPool(2) as pool:
         victim_index = 0
         pool._processes[victim_index].kill()
         assert _wait_until(lambda: victim_index in pool._dead), \
-            "a shard past max_respawns must be retired, not respawned"
+            "a shard past its respawn budget must be retired, not respawned"
         assert pool.metrics.get("respawns") == 0
         dead_request = survivor_request = None
         for index in range(64):
@@ -303,8 +305,9 @@ def test_exhausted_respawn_budget_retires_the_shard():
         assert pool.decide_one(survivor_request).result is True
 
 
-def test_poisonous_request_fails_in_band_after_redrive_budget():
-    with WorkerPool(1, max_redrives=0) as pool:
+def test_poisonous_request_fails_in_band_after_redrive_budget(monkeypatch):
+    monkeypatch.setattr(pool_module, "_MAX_REDRIVES", 0)
+    with WorkerPool(1) as pool:
         request = pool.normalize({"semiring": "B", "q1": "Q() :- R(u, v)",
                                   "q2": "Q() :- R(u, u)", "id": "poison"})
         pid = pool.worker_pids()[0]
@@ -326,13 +329,12 @@ def test_poisonous_request_fails_in_band_after_redrive_budget():
         assert pool.decide_one(request).result is False
 
 
-def _steal_behind_pinned_duplicate(pool) -> list[dict]:
-    """Force a spill whose duplicate is pinned, with no timing involved.
+def _duplicate_behind_a_stalled_worker(pool) -> tuple[list, list[dict]]:
+    """Queue ``S0``…``S3`` and a duplicate of ``S3`` on one stopped worker.
 
-    One SIGSTOPped worker with ``prefetch=1`` and ``steal_threshold=2``:
-    ``S0`` is dispatched, ``S1``/``S2`` wait at home and ``S3`` spills
-    into the overflow deque.  ``S3'`` duplicates ``S3`` and is pinned
-    home, so without care it overtakes ``S3`` on the worker.
+    With the worker SIGSTOPped, every request is submitted before any
+    is decided, so ``S3`` and its duplicate wait side by side; the
+    duplicate must still come back as the cache hit, not ``S3``.
     """
     requests = [ContainmentRequest.make(f"Q() :- R(u, v), S{index}(u)",
                                         "Q() :- R(u, v)", "B",
@@ -350,8 +352,8 @@ def _steal_behind_pinned_duplicate(pool) -> list[dict]:
 
 
 def test_spilled_first_occurrence_is_not_overtaken_by_its_duplicate():
-    with WorkerPool(1, prefetch=1, steal_threshold=2) as pool:
-        requests, outcomes = _steal_behind_pinned_duplicate(pool)
+    with WorkerPool(1) as pool:
+        requests, outcomes = _duplicate_behind_a_stalled_worker(pool)
     assert [outcome["cached"] for outcome in outcomes] \
         == [False, False, False, False, True]
     assert outcomes == sequential_documents(requests)
@@ -365,16 +367,73 @@ def test_spilled_first_occurrence_stays_warm_from_a_verdict_snapshot(
     engine = ContainmentEngine()
     engine.decide_request(warm)
     save_snapshot(engine, path, include_verdicts=True)
-    with WorkerPool(1, prefetch=1, steal_threshold=2,
-                              snapshot_path=path,
-                              include_verdict_snapshot=True) as pool:
-        requests, outcomes = _steal_behind_pinned_duplicate(pool)
+    with WorkerPool(1, snapshot_path=path,
+                    include_verdict_snapshot=True) as pool:
+        requests, outcomes = _duplicate_behind_a_stalled_worker(pool)
     sequential = ContainmentEngine()
     load_snapshot(sequential, path)
     expected = [doc.to_dict() for doc in sequential.decide_many(requests)]
     assert [outcome["cached"] for outcome in outcomes] \
         == [False, False, False, True, True]
     assert outcomes == expected
+
+
+def _distinct_requests(count: int, prefix: str) -> list[ContainmentRequest]:
+    return [ContainmentRequest.make(f"Q() :- R(u, v), {prefix}{index}(u)",
+                                    "Q() :- R(u, v)", "B",
+                                    id=f"{prefix}{index}")
+            for index in range(count)]
+
+
+def test_one_worker_decides_in_submit_order():
+    """One worker is plain FIFO, even for work submitted mid-stream.
+
+    Fifteen requests queue behind a stopped worker, and the first
+    one's callback submits a sixteenth.  Nothing may overtake anything:
+    a backlog that parked its newest entries elsewhere would finish
+    the sixteenth before them.
+    """
+    requests = _distinct_requests(16, "F")
+    order: list[int] = []
+    finished = threading.Event()
+    with WorkerPool(1) as pool:
+
+        def record(index):
+            def callback(outcome):
+                order.append(index)
+                if index == 0:
+                    pool.on_result(pool.submit(requests[15]), record(15))
+                if len(order) == len(requests):
+                    finished.set()
+            return callback
+
+        pid = pool.worker_pids()[0]
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            for index in range(15):
+                pool.on_result(pool.submit(requests[index]), record(index))
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        assert finished.wait(timeout=60)
+    assert order == list(range(16))
+
+
+def test_abandoned_backlog_requests_never_reach_a_worker():
+    requests = _distinct_requests(7, "A")
+    with WorkerPool(1) as pool:
+        pid = pool.worker_pids()[0]
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            seqs = [pool.submit(request) for request in requests]
+            for seq in seqs[4:]:
+                pool.abandon(seq)
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        outcomes = [pool.result(seq, timeout=30) for seq in seqs[:4]]
+        assert [outcome.request_id for outcome in outcomes] \
+            == ["A0", "A1", "A2", "A3"]
+        assert sum(info["decisions"] for info in pool.stats()) == 4
+        assert not pool._requests, "dropped requests must not linger"
 
 
 def test_worker_killed_mid_reply_wedges_nobody(monkeypatch):

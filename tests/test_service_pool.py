@@ -1,13 +1,24 @@
-"""The sharded multiprocess worker pool."""
+"""The sharded multiprocess worker pool and its supervision plumbing.
+
+Chaos itself (SIGKILL mid-stream, warm-start respawn, redrive budgets,
+stalled workers) lives in ``test_failure_injection.py``; this module
+checks the pool with nobody dying: byte identity with sequential
+evaluation, duplicate-cache semantics, snapshots, and the plumbing the
+gateway relies on (metrics, result callbacks, abandonment, pids).
+"""
 
 from __future__ import annotations
 
+import json
+import threading
 import time
 
 import pytest
 
 from repro.api import ContainmentEngine, ContainmentRequest
+from repro.api.batch import process_lines
 from repro.service import DecisionError, WorkerPool, load_snapshot, shard_key
+from repro.service import pool as pool_module
 
 CQ_PAIRS = [
     ("Q() :- R(u, v), R(u, w)", "Q() :- R(u, v), R(u, v)"),
@@ -24,6 +35,8 @@ UCQ_PAIRS = [
     (["Q() :- R(u, u)", "Q() :- R(u, u)"], ["Q() :- R(u, u)"]),
 ]
 SEMIRINGS = ["B", "N", "Lin[X]", "Why[X]", "T+", "N[X]", "Trio[X]"]
+REQUEST = {"semiring": "B", "q1": "Q() :- R(u, v), R(u, w)",
+           "q2": "Q() :- R(u, v), R(u, v)", "id": "cb"}
 
 
 def mixed_workload(*, repeats: int = 1) -> list[dict]:
@@ -155,9 +168,10 @@ def test_workers_warm_start_from_snapshot(tmp_path):
     assert sum(info["classify_calls"] for info in stats) == 0
 
 
-def test_dead_worker_shard_reports_and_other_workers_survive():
-    # max_respawns=0 is the retire-on-death policy: the shard stays dead.
-    with WorkerPool(2, max_respawns=0) as fresh:
+def test_dead_worker_shard_reports_and_other_workers_survive(monkeypatch):
+    # No respawn budget is the retire-on-death policy: the shard stays dead.
+    monkeypatch.setattr(pool_module, "_MAX_RESPAWNS", 0)
+    with WorkerPool(2) as fresh:
         victim = fresh._processes[0]
         victim.terminate()
         deadline = time.monotonic() + 5.0
@@ -192,3 +206,71 @@ def test_dead_worker_shard_reports_and_other_workers_survive():
 def test_rejects_zero_workers():
     with pytest.raises(ValueError):
         WorkerPool(0)
+
+
+def test_metrics_report_shape(pool):
+    report = pool.metrics.as_dict()
+    for counter in ("accepted", "shed", "expired", "respawns", "steals",
+                    "redriven", "redrive_failures"):
+        assert counter in report
+    assert report["respawns"] == 0
+    assert report["worker_restarts"] == [0, 0]
+    assert len(report["queue_depths"]) == 2
+    assert report["max_backlog"] >= 0
+
+
+def test_on_result_callback_fires_off_thread(pool):
+    done = threading.Event()
+    outcomes = []
+    seq = pool.submit(pool.normalize(dict(REQUEST)))
+    pool.on_result(seq, lambda outcome: (outcomes.append(outcome),
+                                         done.set()))
+    assert done.wait(timeout=30)
+    assert outcomes[0].request_id == "cb"
+
+
+def test_abandon_discards_the_eventual_result(pool):
+    seq = pool.submit(pool.normalize(dict(REQUEST)))
+    pool.abandon(seq)
+    with pytest.raises(TimeoutError):
+        pool.result(seq, timeout=0.5)
+
+
+def test_worker_pids_reports_live_processes(pool):
+    pids = pool.worker_pids()
+    assert len(pids) == 2
+    assert all(isinstance(pid, int) for pid in pids)
+    assert pids == [process.pid for process in pool._processes]
+
+
+def test_pooled_batch_equals_sequential_batch_byte_for_byte():
+    # Every in-band error shape of the JSONL stream, plus duplicates,
+    # through the pooled batch path and the sequential one.
+    valid = [{"semiring": "B", "q1": "Q() :- R(u, v), R(u, w)",
+              "q2": "Q() :- R(u, v), R(u, v)", "id": "a"},
+             {"semiring": "N", "q1": "Q() :- R(u, v)",
+              "q2": "Q() :- R(u, v), R(u, v)", "id": "b"},
+             {"semiring": "Lin[X]", "q1": "Q() :- R(x, y), R(y, z)",
+              "q2": "Q() :- R(a, b)"}]
+    lines = [json.dumps(valid[0]), "", "# a comment line",
+             '{"semiring": "B", "q1": ', "[1, 2, 3]",
+             json.dumps({"semiring": "no-such-semiring",
+                         "q1": "Q() :- R(u)", "q2": "Q() :- R(u)",
+                         "id": "unknown"}),
+             json.dumps({"semiring": "B", "q1": "Q() :- broken(",
+                         "q2": "Q() :- R(u)", "id": "unparsable"}),
+             json.dumps(valid[1]), json.dumps(valid[2]),
+             json.dumps(valid[0]), "   ", json.dumps(valid[2]),
+             json.dumps(valid[1])]
+
+    def render(documents) -> list[str]:
+        return [json.dumps(document, ensure_ascii=False)
+                for document in documents]
+
+    sequential = render(process_lines(ContainmentEngine(), lines))
+    with WorkerPool(2) as fresh:
+        pooled = render(process_lines(ContainmentEngine(), lines,
+                                      pool=fresh))
+    assert pooled == sequential
+    assert sum('"error"' in line for line in sequential) == 4
+    assert sum('"cached": true' in line for line in sequential) == 3
