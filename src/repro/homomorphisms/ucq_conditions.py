@@ -41,6 +41,12 @@ the capacitated class-level matching of
 and the 52 of a 5-clique into 7: each side of the grid shrinks by 40 %
 (chain) to 87 % (clique).
 
+The ``⇉1`` part of ``⇉2`` needs no description at all when the pair is
+rigid-free (no head variables, no constants): it is
+:func:`covering_union` on the given queries, by the paper's
+``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``.  That is one covered-atom
+enumeration per pair of members instead of one per pair of classes.
+
 Every function accepts an optional ``context``
 (:class:`repro.core.DecisionContext`-like) that reroutes the expensive
 primitives — homomorphism existence, atom covering, the complete
@@ -53,6 +59,7 @@ from __future__ import annotations
 
 import math
 
+from ..queries.atoms import is_var
 from ..queries.ccq import CQWithInequalities, complete_description_ucq
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
@@ -157,24 +164,33 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
       ``|Aut| ≥ 2`` equal summands per source, which offset 2
       saturates, hence its exemption (as in the paper).
 
-    Both parts run on set-reduced isomorphism classes (see the module
-    docstring for why this is sound).  Set reduction changes neither
-    the homomorphisms nor their images, so ``⇉1`` holds iff one
+    Part (1) runs on the given queries when the pair is rigid-free
+    (:func:`_rigid_free`): ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` iff ``Q2 ⇉1 Q1``
+    (Sec. 5.4), which :func:`covering_union` decides.  Otherwise it
+    runs on set-reduced isomorphism classes (see the module docstring
+    for why this is sound): set reduction changes neither the
+    homomorphisms nor their images, so ``⇉1`` holds iff one
     representative of every ``⟨Q1⟩`` class is covered by the union of
-    one representative per ``⟨Q2⟩`` class.  The preimages of a
-    ``⟨Q1⟩`` class are counted by summing the sizes of the ``⟨Q2⟩``
-    classes whose representative maps to it, stopping at two.
+    one representative per ``⟨Q2⟩`` class.  Part (2) always runs on
+    the classes: the preimages of a ``⟨Q1⟩`` class are counted by
+    summing the sizes of the ``⟨Q2⟩`` classes whose representative maps
+    to it, stopping at two.
     """
-    description2 = _description(context, as_ucq(source))
-    description1 = _description(context, as_ucq(target))
+    source, target = as_ucq(source), as_ucq(target)
+    rigid_free = _rigid_free(source, target)
+    if rigid_free and not covering_union(source, target, context=context):
+        return False
+    description2 = _description(context, source)
+    description1 = _description(context, target)
     classes1 = isomorphism_classes(
         [_set_reduce(ccq) for ccq in description1], context=context)
     classes2 = isomorphism_classes(
         [_set_reduce(ccq) for ccq in description2], context=context)
-    representatives2 = [members[0] for members in classes2.values()]
-    if not all(_union_covers(representatives2, members[0], context)
-               for members in classes1.values()):
-        return False
+    if not rigid_free:
+        representatives2 = [members[0] for members in classes2.values()]
+        if not all(_union_covers(representatives2, members[0], context)
+                   for members in classes1.values()):
+            return False
     for key, members in classes1.items():
         if len(members) < 2:
             continue
@@ -201,9 +217,30 @@ def _preimages_reach_two(classes2: dict, target: CQ, context) -> bool:
     return False
 
 
+def _rigid_free(source: UCQ, target: UCQ) -> bool:
+    """True iff no member of either side has a head variable or a
+    constant.
+
+    Only then is ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` decided on the given queries: ``⟨Q⟩``
+    never binds an existential to a constant or a head variable, so on
+    pairs with such rigid terms the class-level check and the direct one
+    disagree.  Fixing ``⟨Q⟩`` for rigid terms (ROADMAP item 1) deletes
+    this guard.
+    """
+    return all(not cq.head and all(is_var(term) for atom in cq.atoms
+                                   for term in atom.terms)
+               for cq in (*source, *target))
+
+
 def _set_reduce(ccq):
-    """Drop duplicate atoms (a K-equivalence over ⊗-idempotent K)."""
-    unique = sorted(set(ccq.atoms))
+    """Drop duplicate atoms (a K-equivalence over ⊗-idempotent K).
+
+    A CCQ without duplicates is returned as is: rebuilding it would
+    give an equal query with the same hash.
+    """
+    unique = set(ccq.atoms)
+    if len(unique) == len(ccq.atoms):
+        return ccq
     pairs = tuple(tuple(pair) for pair in
                   getattr(ccq, "inequalities", frozenset()))
     return CQWithInequalities(ccq.head, unique, pairs)

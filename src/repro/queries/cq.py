@@ -30,7 +30,7 @@ class CQ:
 
     def __init__(self, head: Iterable[Var], atoms: Iterable[Atom]):
         head = tuple(head)
-        atoms = tuple(sorted(atoms))
+        atoms = tuple(sorted(atoms, key=Atom.sort_key))
         for var in head:
             if not is_var(var):
                 raise TypeError(f"head terms must be variables, got {var!r}")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import ContainmentEngine, ContainmentRequest
@@ -450,18 +452,21 @@ def test_covered_atoms_stays_lazy_on_early_success():
     assert len(mappings) == 81
 
 
-def _golden_stream(engine):
-    """A fixed request stream touching every layer and special case."""
+def _golden_stream(engine) -> list:
+    """A fixed request stream touching every layer and special case;
+    returns its verdict documents."""
     from repro.data import Instance
     from repro.homomorphisms import HomKind
 
-    engine.decide(["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
-                  ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"], "N")
+    documents = [engine.decide(
+        ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
+        ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"], "N")]
     for name in ("B", "N[X]", "Lin[X]", "B"):
-        engine.decide(Q1, Q2, name)
-    engine.decide("Q() :- R(v), S(v)",
-                  ["Q() :- R(v), R(v)", "Q() :- S(v), S(v)"], "T+")
-    engine.decide(Q1, Q2, "B", equivalence=True)
+        documents.append(engine.decide(Q1, Q2, name))
+    documents.append(engine.decide(
+        "Q() :- R(v), S(v)", ["Q() :- R(v), R(v)", "Q() :- S(v), S(v)"],
+        "T+"))
+    documents.append(engine.decide(Q1, Q2, "B", equivalence=True))
     source = engine.parse("Q() :- R(x, y)")
     target = engine.parse("Q() :- R(u, v), R(v, w)")
     engine.homomorphism_mappings(source, target, HomKind.PLAIN)
@@ -473,22 +478,25 @@ def _golden_stream(engine):
         ("R", ("a", "b"), 2), ("R", ("b", "c"), 3)])
     table = engine.evaluate("Q(x) :- R(x, y), R(y, z)", instance)
     assert [(row, int(value)) for row, value in table.rows] == [(("a",), 6)]
+    return documents
 
 
 #: ``cache_info()`` after :func:`_golden_stream` on a cold engine and on
-#: a second engine restored from its structural export, recorded before
-#: the per-layer cache methods were collapsed onto ``_memo`` (counters,
-#: entry counts and key order must not move).
+#: a second engine restored from its structural export (counters, entry
+#: counts and key order must not move).  First recorded before the
+#: per-layer cache methods were collapsed onto ``_memo``; the hom, hom
+#: enumeration and cover figures were re-recorded when ``covering_2``
+#: began deciding ``⇉1`` of a rigid-free pair on the given queries.
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
-    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 7,
-    "hom_hits": 5, "hom_enum_calls": 8, "hom_enum_hits": 1,
-    "cover_calls": 12, "cover_hits": 0, "description_calls": 2,
+    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 8,
+    "hom_hits": 4, "hom_enum_calls": 2, "hom_enum_hits": 1,
+    "cover_calls": 5, "cover_hits": 0, "description_calls": 2,
     "description_hits": 4, "canon_calls": 7, "canon_hits": 24,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 18,
-    "hom_enum_entries": 8, "cover_entries": 12, "description_entries": 2,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 10,
+    "hom_enum_entries": 2, "cover_entries": 5, "description_entries": 2,
     "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
     "verdict_entries": 6}
 
@@ -496,22 +504,111 @@ _GOLDEN_RESTORED = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 0,
     "classify_hits": 7, "parse_calls": 0, "parse_hits": 20, "hom_calls": 0,
     "hom_hits": 12, "hom_enum_calls": 0, "hom_enum_hits": 1,
-    "cover_calls": 0, "cover_hits": 12, "description_calls": 0,
+    "cover_calls": 0, "cover_hits": 5, "description_calls": 0,
     "description_hits": 6, "canon_calls": 0, "canon_hits": 31,
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 18,
-    "hom_enum_entries": 8, "cover_entries": 12, "description_entries": 2,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 10,
+    "hom_enum_entries": 2, "cover_entries": 5, "description_entries": 2,
     "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
     "verdict_entries": 6}
 
 
+#: The ``to_dict()`` JSON of :func:`_golden_stream`'s verdict documents,
+#: the same on the cold and the restored engine.  Pinned next to the
+#: counters so that re-recording them cannot hide a verdict change.
+_GOLDEN_VERDICTS = (
+    '{"result": null, "method": "bounds-only", "semiring": "N", "q1": '
+     '{"kind": "ucq", "members": [{"kind": "cq", "head": [], "atoms": '
+     '[{"relation": "R", "terms": [{"var": "x"}, {"var": "x"}]}]}, '
+     '{"kind": "cq", "head": [], "atoms": [{"relation": "R", "terms": '
+     '[{"var": "x"}, {"var": "y"}]}, {"relation": "R", "terms": [{"var": '
+     '"y"}, {"var": "z"}]}]}]}, "q2": {"kind": "ucq", "members": '
+     '[{"kind": "cq", "head": [], "atoms": [{"relation": "R", "terms": '
+     '[{"var": "x"}, {"var": "y"}]}]}, {"kind": "cq", "head": [], '
+     '"atoms": [{"relation": "R", "terms": [{"var": "x"}, {"var": '
+     '"y"}]}, {"relation": "R", "terms": [{"var": "y"}, {"var": '
+     '"x"}]}]}]}, "certificate": null, "sufficient": false, "necessary": '
+     'true, "explanation": "N lies in no decidable class; all known '
+     'necessary conditions hold and all known sufficient conditions fail '
+     '— the gap is the open problem / undecidability frontier of the '
+     'paper", "request_id": null, "cached": false, "answer": '
+     '"UNDECIDED"}',
+    '{"result": true, "method": "homomorphism", "semiring": "B", "q1": '
+     '{"kind": "ucq", "members": [{"kind": "cq", "head": [], "atoms": '
+     '[{"relation": "R", "terms": [{"var": "u"}, {"var": "v"}]}, '
+     '{"relation": "R", "terms": [{"var": "u"}, {"var": "w"}]}]}]}, '
+     '"q2": {"kind": "ucq", "members": [{"kind": "cq", "head": [], '
+     '"atoms": [{"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}]}]}, "certificate": {"kind": "homomorphism", "mapping": '
+     '{"u": {"var": "u"}, "v": {"var": "v"}}}, "sufficient": null, '
+     '"necessary": null, "explanation": "B ∈ Chom (Thm. 3.3)", '
+     '"request_id": null, "cached": false, "answer": "CONTAINED"}',
+    '{"result": false, "method": "bijective-homomorphism", "semiring": '
+     '"N[X]", "q1": {"kind": "ucq", "members": [{"kind": "cq", "head": '
+     '[], "atoms": [{"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"w"}]}]}]}, "q2": {"kind": "ucq", "members": [{"kind": "cq", '
+     '"head": [], "atoms": [{"relation": "R", "terms": [{"var": "u"}, '
+     '{"var": "v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}]}]}, "certificate": null, "sufficient": null, "necessary": '
+     'null, "explanation": "N[X] ∈ Cbi (Thm. 4.10)", "request_id": null, '
+     '"cached": false, "answer": "NOT CONTAINED"}',
+    '{"result": true, "method": "homomorphic-covering", "semiring": '
+     '"Lin[X]", "q1": {"kind": "ucq", "members": [{"kind": "cq", "head": '
+     '[], "atoms": [{"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"w"}]}]}]}, "q2": {"kind": "ucq", "members": [{"kind": "cq", '
+     '"head": [], "atoms": [{"relation": "R", "terms": [{"var": "u"}, '
+     '{"var": "v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}]}]}, "certificate": null, "sufficient": null, "necessary": '
+     'null, "explanation": "Lin[X] ∈ Chcov (Thm. 4.3)", "request_id": '
+     'null, "cached": false, "answer": "CONTAINED"}',
+    '{"result": true, "method": "homomorphism", "semiring": "B", "q1": '
+     '{"kind": "ucq", "members": [{"kind": "cq", "head": [], "atoms": '
+     '[{"relation": "R", "terms": [{"var": "u"}, {"var": "v"}]}, '
+     '{"relation": "R", "terms": [{"var": "u"}, {"var": "w"}]}]}]}, '
+     '"q2": {"kind": "ucq", "members": [{"kind": "cq", "head": [], '
+     '"atoms": [{"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}]}]}, "certificate": {"kind": "homomorphism", "mapping": '
+     '{"u": {"var": "u"}, "v": {"var": "v"}}}, "sufficient": null, '
+     '"necessary": null, "explanation": "B ∈ Chom (Thm. 3.3)", '
+     '"request_id": null, "cached": true, "answer": "CONTAINED"}',
+    '{"result": true, "method": "small-model", "semiring": "T+", "q1": '
+     '{"kind": "ucq", "members": [{"kind": "cq", "head": [], "atoms": '
+     '[{"relation": "R", "terms": [{"var": "v"}]}, {"relation": "S", '
+     '"terms": [{"var": "v"}]}]}]}, "q2": {"kind": "ucq", "members": '
+     '[{"kind": "cq", "head": [], "atoms": [{"relation": "R", "terms": '
+     '[{"var": "v"}]}, {"relation": "R", "terms": [{"var": "v"}]}]}, '
+     '{"kind": "cq", "head": [], "atoms": [{"relation": "S", "terms": '
+     '[{"var": "v"}]}, {"relation": "S", "terms": [{"var": "v"}]}]}]}, '
+     '"certificate": null, "sufficient": null, "necessary": null, '
+     '"explanation": "T+: canonical-instance polynomial comparison (Thm. '
+     '4.17)", "request_id": null, "cached": false, "answer": '
+     '"CONTAINED"}',
+    '{"result": true, "method": "homomorphism+homomorphism", '
+     '"semiring": "B", "q1": {"kind": "ucq", "members": [{"kind": "cq", '
+     '"head": [], "atoms": [{"relation": "R", "terms": [{"var": "u"}, '
+     '{"var": "v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"w"}]}]}]}, "q2": {"kind": "ucq", "members": [{"kind": "cq", '
+     '"head": [], "atoms": [{"relation": "R", "terms": [{"var": "u"}, '
+     '{"var": "v"}]}, {"relation": "R", "terms": [{"var": "u"}, {"var": '
+     '"v"}]}]}]}, "certificate": null, "sufficient": null, "necessary": '
+     'null, "explanation": "both containments hold", "request_id": null, '
+     '"cached": false, "answer": "CONTAINED"}',
+)
+
+
 def test_golden_cache_counters_cold_and_restored():
     cold = ContainmentEngine()
-    _golden_stream(cold)
+    documents = _golden_stream(cold)
     restored = ContainmentEngine()
     restored.import_caches(cold.export_caches(include_verdicts=False))
-    _golden_stream(restored)
+    documents += _golden_stream(restored)
+    assert [json.dumps(document.to_dict(), ensure_ascii=False)
+            for document in documents] == list(_GOLDEN_VERDICTS) * 2
     for engine, golden in ((cold, _GOLDEN_COLD),
                            (restored, _GOLDEN_RESTORED)):
         info = engine.cache_info()

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ContainmentEngine
-from repro.homomorphisms import covering_2, sur_infty
+from repro.homomorphisms import covering_2, covering_union, sur_infty
 from repro.homomorphisms.matching import saturates
+from repro.homomorphisms.ucq_conditions import _rigid_free
 from repro.polynomials.polynomial import Monomial, Polynomial
 from repro.queries import UCQ, Atom, Var
 from repro.queries.cq import CQ
+from repro.queries.parser import parse_cq
 from repro.semirings.ssur_free import SSUR, _dominates
 from tests.occurrence_conditions import (occurrence_covering_2,
                                          occurrence_sur_infty)
@@ -32,11 +35,11 @@ CONSTANTS = ("a", 1)
 
 
 @st.composite
-def cqs(draw, head: tuple) -> CQ:
+def cqs(draw, head: tuple, constants: tuple = CONSTANTS) -> CQ:
     """Up to three atoms over ``R/2`` and ``S/1`` with variables, head
-    variables and constants, plus an optional duplicated atom and an
+    variables and ``constants``, plus an optional duplicated atom and an
     optional self-loop."""
-    terms = st.sampled_from(EXISTENTIALS + head + CONSTANTS)
+    terms = st.sampled_from(EXISTENTIALS + head + constants)
     atom = st.one_of(
         st.builds(lambda t: Atom("S", (t,)), terms),
         st.builds(lambda s, t: Atom("R", (s, t)), terms, terms),
@@ -59,6 +62,14 @@ def ucq_pairs(draw) -> tuple[UCQ, UCQ]:
     return UCQ(tuple(draw(members))), UCQ(tuple(draw(members)))
 
 
+@st.composite
+def rigid_free_pairs(draw) -> tuple[UCQ, UCQ]:
+    """Boolean, constant-free pairs: those whose ``⇉1`` part
+    :func:`covering_2` decides on the given queries."""
+    members = st.lists(cqs((), constants=()), min_size=1, max_size=3)
+    return UCQ(tuple(draw(members))), UCQ(tuple(draw(members)))
+
+
 PAIR_SETTINGS = settings(max_examples=120, deadline=None)
 
 
@@ -70,6 +81,38 @@ def test_covering_2_matches_occurrence_oracle(pair):
     assert covering_2(q2, q1) == expected
     assert covering_2(q2, q1,
                       context=ContainmentEngine().context) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(rigid_free_pairs())
+def test_covering_2_on_rigid_free_pairs_matches_occurrence_oracle(pair):
+    """``Q2 ⇉1 Q1`` on the given queries stands in for
+    ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` here (Sec. 5.4)."""
+    q2, q1 = pair
+    assert _rigid_free(q2, q1)
+    expected = occurrence_covering_2(q2, q1)
+    assert covering_2(q2, q1) == expected
+    assert covering_2(q2, q1,
+                      context=ContainmentEngine().context) == expected
+
+
+@pytest.mark.parametrize("source, target", [
+    ("Q() :- R(x, y), S(x)", "Q() :- R(x, 'a'), S(x)"),
+    ("Q(v1) :- R(v0, v3), S(v1)", "Q(v0) :- R(v1, v0), R(v2, v0), S(v0)"),
+])
+def test_covering_2_with_rigid_terms_keeps_the_class_level_check(
+        source, target):
+    """Pairs with a constant or a head variable, where ``Q2 ⇉1 Q1``
+    holds but ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` does not: ``⟨Q⟩`` never binds an
+    existential to a rigid term, so the direct check would answer
+    ``True`` here.  Both pass only while :func:`_rigid_free` guards
+    the direct check."""
+    q2, q1 = UCQ((parse_cq(source),)), UCQ((parse_cq(target),))
+    assert not _rigid_free(q2, q1)
+    assert covering_union(q2, q1)
+    assert occurrence_covering_2(q2, q1) is False
+    assert covering_2(q2, q1) is False
+    assert covering_2(q2, q1, context=ContainmentEngine().context) is False
 
 
 @PAIR_SETTINGS
@@ -112,6 +155,23 @@ def test_class_level_runs_fewer_primitive_searches():
             q2, q1, context=slow.context)
         assert fast.stats.hom_calls < slow.stats.hom_calls
         assert fast.stats.cover_calls <= slow.stats.cover_calls
+
+
+mixed_terms = st.one_of(st.sampled_from(EXISTENTIALS + (HEAD_VAR,)),
+                        st.sampled_from(("a", "b", "10")),
+                        st.integers(-2, 12))
+mixed_atoms = st.builds(Atom, st.sampled_from("RS"),
+                        st.lists(mixed_terms, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(mixed_atoms, max_size=8))
+def test_atom_key_sort_equals_comparison_sort(body):
+    """``CQ`` sorts its body by :meth:`Atom.sort_key`; the order is the
+    one ``Atom.__lt__`` gives, over variables and str and int
+    constants alike."""
+    assert (tuple(sorted(body, key=Atom.sort_key))
+            == tuple(sorted(body)))
 
 
 # --- the matcher -----------------------------------------------------------
