@@ -1,9 +1,9 @@
 """Condense perfbench run records into one committed ``BENCH_<PR>.json``,
 or compare two such files against the ``BENCHMARK.json`` bounds.
 
-Record: run the three workloads untraced and traced at one seed, then
-condense their ``.perfbench/<workload>-seed<seed>-trace{0,1}/record.json``
-files::
+Record: run the three workloads untraced and traced at the claim seed
+7919, then condense their
+``.perfbench/<workload>-seed7919-trace{0,1}/record.json`` files::
 
     for workload in bag_bounds table1_mix eval_columnar; do
         for trace in 0 1; do
@@ -38,6 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("bag_bounds", "table1_mix", "eval_columnar")
+SEED = 7919
 
 
 def _spread(values: list[float]) -> dict:
@@ -48,21 +49,23 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _read(records: Path, workload: str, seed: int, trace: int) -> dict:
-    path = records / f"{workload}-seed{seed}-trace{trace}" / "record.json"
+def _read(records: Path, workload: str, trace: int) -> dict:
+    path = records / f"{workload}-seed{SEED}-trace{trace}" / "record.json"
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
 
 
-def condense(records: Path, seed: int) -> dict:
+def condense(records: Path) -> dict:
     """The ``BENCH_*.json`` document for the records under ``records``."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import metrics
 
     workloads = {}
     for workload in WORKLOADS:
-        untraced = _read(records, workload, seed, 0)
-        traced = _read(records, workload, seed, 1)
+        untraced = _read(records, workload, 0)
+        traced = _read(records, workload, 1)
+        # Summarize every pass for eval_columnar, as perfbench/run.py's
+        # _measure does; the record does not store that choice.
         per_launch = [
             metrics.summarize([launch], workload == "eval_columnar")["metrics"]
             for launch in untraced["launch_records"]]
@@ -85,7 +88,7 @@ def condense(records: Path, seed: int) -> dict:
                        for key in ("correct", "attempted", "failed")},
             "per_layer": traced["result"]["metrics"],
         }
-    return {"seed": seed, "workloads": workloads}
+    return {"seed": SEED, "workloads": workloads}
 
 
 def compare(old: dict, new: dict, bounds: dict) -> tuple[list[str], bool]:
@@ -126,10 +129,9 @@ def main(argv=None) -> int:
                       help="compare two condensed files")
     parser.add_argument("--records", type=Path, default=ROOT / ".perfbench",
                         help="directory of perfbench run records")
-    parser.add_argument("--seed", type=int, default=7919)
     args = parser.parse_args(argv)
     if args.output is not None:
-        document = condense(args.records, args.seed)
+        document = condense(args.records)
         args.output.write_text(json.dumps(document, indent=1) + "\n",
                                encoding="utf-8")
         return 0

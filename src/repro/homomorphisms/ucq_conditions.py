@@ -42,7 +42,7 @@ and the 52 of a 5-clique into 7: each side of the grid shrinks by 40 %
 (chain) to 87 % (clique).
 
 The ``⇉1`` part of ``⇉2`` needs no description at all when the pair is
-rigid-free (no head variables, no constants): it is
+rigid-free (plain CQ members without head variables or constants): it is
 :func:`covering_union` on the given queries, by the paper's
 ``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``.  That is one covered-atom
 enumeration per pair of members instead of one per pair of classes.
@@ -218,17 +218,21 @@ def _preimages_reach_two(classes2: dict, target: CQ, context) -> bool:
 
 
 def _rigid_free(source: UCQ, target: UCQ) -> bool:
-    """True iff no member of either side has a head variable or a
-    constant.
+    """True iff every member of either side is a plain CQ (no
+    inequalities) with no head variable and no constant.
 
-    Only then is ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` decided on the given queries: ``⟨Q⟩``
+    Only then is ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` decided on the given queries.  ``⟨Q⟩``
     never binds an existential to a constant or a head variable, so on
     pairs with such rigid terms the class-level check and the direct one
-    disagree.  Fixing ``⟨Q⟩`` for rigid terms (ROADMAP item 1) deletes
-    this guard.
+    disagree; fixing ``⟨Q⟩`` for rigid terms (ROADMAP item 1) deletes
+    that part of this guard.  A member with inequalities stays excluded
+    even then: a homomorphism from it must map each constrained pair
+    onto a constrained pair, so it covers nothing of a plain member
+    although it covers that member's CCQs in ``⟨Q1⟩``.
     """
-    return all(not cq.head and all(is_var(term) for atom in cq.atoms
-                                   for term in atom.terms)
+    return all(not cq.head and not getattr(cq, "inequalities", None)
+               and all(is_var(term) for atom in cq.atoms
+                       for term in atom.terms)
                for cq in (*source, *target))
 
 

@@ -41,7 +41,7 @@ def _write_records(directory: Path, workload: str, scale: float) -> None:
         "metrics": {"homomorphisms.covered_atoms.calls":
                     {"value": 40, "unit": "count"}}}}
     for trace, record in ((0, untraced), (1, traced)):
-        path = directory / f"{workload}-seed5-trace{trace}"
+        path = directory / f"{workload}-seed7919-trace{trace}"
         path.mkdir(parents=True)
         (path / "record.json").write_text(json.dumps(record),
                                           encoding="utf-8")
@@ -53,13 +53,13 @@ def _record(tmp_path: Path, name: str, scale: float) -> Path:
         _write_records(records, workload, scale)
     output = tmp_path / f"BENCH_{name}.json"
     assert bench_record.main(["--output", str(output), "--records",
-                              str(records), "--seed", "5"]) == 0
+                              str(records)]) == 0
     return output
 
 
 def test_condenses_records_into_medians_and_quartiles(tmp_path):
     document = json.loads(_record(tmp_path, "old", 1.0).read_text())
-    assert document["seed"] == 5
+    assert document["seed"] == 7919
     bag = document["workloads"]["bag_bounds"]
     assert (bag["correct"], bag["failed"], bag["launches"]) == (True, 0, 3)
     # Per-launch throughput 10, 20 and 40 decisions per second.

@@ -23,6 +23,7 @@ from repro.homomorphisms.matching import saturates
 from repro.homomorphisms.ucq_conditions import _rigid_free
 from repro.polynomials.polynomial import Monomial, Polynomial
 from repro.queries import UCQ, Atom, Var
+from repro.queries.ccq import complete_description
 from repro.queries.cq import CQ
 from repro.queries.parser import parse_cq
 from repro.semirings.ssur_free import SSUR, _dominates
@@ -70,6 +71,20 @@ def rigid_free_pairs(draw) -> tuple[UCQ, UCQ]:
     return UCQ(tuple(draw(members))), UCQ(tuple(draw(members)))
 
 
+@st.composite
+def ccq_member_pairs(draw) -> tuple[UCQ, UCQ]:
+    """Boolean, constant-free pairs whose ``Q2`` holds CCQs of a
+    member of ``Q1`` (part of its complete description), next to
+    plain members: pairs the direct ``⇉1`` check must leave to the
+    class-level one."""
+    plain = st.lists(cqs((), constants=()), max_size=2)
+    split = draw(cqs((), constants=()))
+    ccqs = draw(st.lists(st.sampled_from(complete_description(split)),
+                         min_size=1, max_size=3))
+    return (UCQ(tuple(ccqs + draw(plain))),
+            UCQ((split, *draw(plain))))
+
+
 PAIR_SETTINGS = settings(max_examples=120, deadline=None)
 
 
@@ -113,6 +128,43 @@ def test_covering_2_with_rigid_terms_keeps_the_class_level_check(
     assert occurrence_covering_2(q2, q1) is False
     assert covering_2(q2, q1) is False
     assert covering_2(q2, q1, context=ContainmentEngine().context) is False
+
+
+def test_covering_2_with_a_ccq_member_keeps_the_class_level_check():
+    """``Q2 = Q1 + ΣS`` with ``Q1``'s ``R``-atom split over a CCQ member
+    and a loop, so ``Q1 ⊆N Q2``.  The CCQ member covers the ``u ≠ v``
+    CCQ of ``⟨Q1⟩`` but nothing of ``Q1`` itself: a homomorphism must
+    map ``x ≠ y`` onto an inequality, and ``Q1`` has none.  So
+    ``Q2 ⇉1 Q1`` fails while ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` holds."""
+    q2 = UCQ((parse_cq("Q() :- R(x, y), S(x), x != y"),
+              parse_cq("Q() :- R(x, x), S(x)"),
+              parse_cq("Q() :- S(z)")))
+    q1 = UCQ((parse_cq("Q() :- R(u, v), S(u)"),))
+    assert not _rigid_free(q2, q1)
+    assert not covering_union(q2, q1)
+    assert occurrence_covering_2(q2, q1) is True
+    assert covering_2(q2, q1) is True
+    assert covering_2(q2, q1, context=ContainmentEngine().context) is True
+    assert ContainmentEngine().decide(q1, q2, "N").result is True
+
+
+def test_covering_2_rejects_a_partially_constrained_member():
+    """Such a member has no complete description; the direct ``⇉1``
+    check must not answer before that is found out."""
+    partial = parse_cq("Q() :- R(x, y), R(y, z), x != y")
+    q1 = UCQ((parse_cq("Q() :- S(u)"),))
+    with pytest.raises(ValueError):
+        covering_2(UCQ((partial,)), q1)
+
+
+@PAIR_SETTINGS
+@given(ccq_member_pairs())
+def test_covering_2_with_ccq_members_matches_occurrence_oracle(pair):
+    q2, q1 = pair
+    expected = occurrence_covering_2(q2, q1)
+    assert covering_2(q2, q1) == expected
+    assert covering_2(q2, q1,
+                      context=ContainmentEngine().context) == expected
 
 
 @PAIR_SETTINGS
