@@ -183,7 +183,7 @@ def test_warm_start_snapshot_speeds_up_repeated_batch(tmp_path):
     assert warm == cold, \
         "warm-start verdict stream must be byte-identical to the cold run"
     assert warm_engine.stats.hom_calls == 0
-    assert warm_engine.stats.hom_enum_calls == 0
+    assert warm_engine.stats.cover_calls == 0
     assert warm_engine.stats.classify_calls == 0
     assert warm_engine.stats.parse_calls == 0
     assert warm_engine.stats.description_calls == 0

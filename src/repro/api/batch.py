@@ -25,12 +25,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..queries.parser import ParseError
 from .documents import ContainmentRequest, coerce_request_id
 from .engine import ContainmentEngine
 
-__all__ = ["BatchError", "error_text", "process_lines",
+__all__ = ["BatchError", "REQUEST_ERRORS", "error_text", "process_lines",
            "requests_from_lines"]
+
+#: Exceptions a decision may raise that are *request* problems, not
+#: engine or pool problems — reported in-band (a query ``ParseError``
+#: is a ``ValueError``).
+REQUEST_ERRORS = (ValueError, TypeError, KeyError)
 
 
 def error_text(error: BaseException) -> str:
@@ -82,7 +86,7 @@ def requests_from_lines(lines: Iterable[str], *, parse=None
             except TypeError:
                 request_id = None  # unusable id: not echoed on errors
             yield lineno, ContainmentRequest.from_dict(data, parse=parse)
-        except (ValueError, TypeError, KeyError, ParseError) as error:
+        except REQUEST_ERRORS as error:
             yield lineno, BatchError(lineno, error_text(error),
                                      id=request_id)
 
@@ -107,7 +111,7 @@ def process_lines(engine: ContainmentEngine, lines: Iterable[str], *,
                 continue
             try:
                 yield engine.decide_request(item).to_dict()
-            except (ValueError, TypeError, KeyError) as error:
+            except REQUEST_ERRORS as error:
                 yield BatchError(lineno, error_text(error),
                                  id=item.id).to_dict()
         return

@@ -8,8 +8,8 @@ benchmarks go through.  One engine owns:
 * memoization layers for every expensive primitive of the Table-1
   dispatch — classification per semiring, parsed-query interning per
   source text, structural LRUs over homomorphism-search results
-  (first mapping and full enumeration, keyed by ``(source, target,
-  HomKind)``), covered-atom sets, complete descriptions ``⟨Q⟩``, and
+  (first mapping, keyed by ``(source, target, HomKind)``), covered-atom
+  sets, complete descriptions ``⟨Q⟩``, and
   canonical labeling records (isomorphism key + capture-free renaming +
   automorphism group size per CCQ, keyed by the query),
   and a certificate memo for the LP-backed tropical polynomial orders
@@ -35,8 +35,10 @@ Every cache layer is declared exactly once, in
 :data:`repro.api.layers.CACHE_LAYERS`, with its store size and counter
 names; this module *derives* the stores, the :class:`EngineStats`
 fields, ``cache_info``/``cache_stats``/``clear_caches`` and the
-snapshot export/import payload from that registry, and every plain
-layer goes through the one memo path :meth:`ContainmentEngine._memo`.
+snapshot export/import payload from that registry, and every layer
+fills through the one memo path :meth:`ContainmentEngine._memo` — except
+``poly_orders`` (recalls are revalidated) and ``verdicts`` (recalls are
+re-stamped), which keep their own lookups.
 ``docs/ARCHITECTURE.md`` documents every layer (key shape, eviction,
 snapshot behavior) and the invariants a new layer must keep.
 """
@@ -200,14 +202,15 @@ class ContainmentEngine(DecisionContext):
     ``registry`` defaults to a private copy of the built-in semirings;
     pass an explicit :class:`SemiringRegistry` to share one.  The cache
     stores are built from :data:`~repro.api.layers.CACHE_LAYERS`, which
-    bounds every LRU layer (parse interning, homomorphism results and
-    enumerations, covered atoms, complete descriptions, whole
-    verdicts, …), keeping long-running batch/service workloads at
-    bounded memory; only the classification cache is unbounded (one
-    small entry per semiring).
+    bounds every LRU layer (parse interning, homomorphism results,
+    covered atoms, complete descriptions, whole verdicts, …), keeping
+    long-running batch/service workloads at bounded memory; only the
+    classification cache is unbounded (one small entry per semiring).
 
     The engine *is* a :class:`DecisionContext`: every primitive of the
-    context contract recalls this engine's stores, so the covering/
+    context contract the decision paths use recalls this engine's
+    stores (``homomorphism_mappings``, which none of them calls, stays
+    the uncached inherited enumeration), so the covering/
     UCQ/small-model/bounds code paths share work with the top-level
     dispatch (and with each other) instead of recomputing searches.
     """
@@ -305,91 +308,29 @@ class ContainmentEngine(DecisionContext):
 
     def find_homomorphism(self, source, target, kind: HomKind):
         """LRU-cached homomorphism search (``None`` results included)."""
-        key = (source, target, kind)
-        if key not in self._homs:
-            # A cached full enumeration already knows the first mapping:
-            # answer from it, remember it, and count a ``homs`` hit.
-            enumerated = self._hom_enums.get(key, _MISSING)
-            if enumerated is not _MISSING:
-                self.stats.hom_hits += 1
-                result = enumerated[0] if enumerated else None
-                self._homs.put(key, result)
-                return result
-        return self._memo("homs", key,
+        return self._memo("homs", (source, target, kind),
                           lambda: find_homomorphism(source, target, kind))
-
-    def homomorphism_mappings(self, source, target,
-                              kind: HomKind) -> tuple[dict, ...]:
-        """LRU-cached full homomorphism enumeration.
-
-        Also seeds the first-mapping cache, so a later
-        :meth:`find_homomorphism` on the same key is a hit.
-        """
-        return self._memo("hom_enums", (source, target, kind),
-                          lambda: self._enumerate(source, target, kind))
-
-    def _enumerate(self, source, target, kind: HomKind) -> tuple[dict, ...]:
-        """The ``hom_enums`` computation, seeding ``homs`` on the way.
-
-        An enumeration learns the existence answer too, so it seeds the
-        ``homs`` layer when that has no entry for the key yet.
-        """
-        result = tuple(homomorphisms(source, target, kind))
-        key = (source, target, kind)
-        if self._homs.get(key, _MISSING) is _MISSING:
-            self._homs.put(key, result[0] if result else None)
-        return result
 
     def covered_atoms(self, source, target) -> frozenset:
         """LRU-cached homomorphic atom coverage (the ``⇉`` primitive).
 
-        Shares one search per ``(source, target)`` pair with
-        :meth:`homomorphism_mappings`: a cached enumeration is replayed
-        for free, and when coverage itself must *exhaust* the search
-        (the covering-failure case, where the work actually lives) the
-        complete enumeration it produced is cached for later
-        enumeration asks.  When coverage succeeds early the iteration
-        still stops as soon as every target atom is reached — never
-        materializing an enumeration the old lazy path would have
-        skipped, which can be exponentially larger.
+        The search stops at the first mapping that completes the cover,
+        so a succeeding cover never enumerates the rest of the
+        (possibly exponentially many) homomorphisms.
         """
         return self._memo("covered", (source, target),
                           lambda: self._cover(source, target))
 
-    def _cover(self, source, target) -> frozenset:
-        """The ``covered`` computation, reading and seeding the
-        ``hom_enums``/``homs`` layers (see :meth:`covered_atoms`).
-
-        It counts its own ``hom_enums`` traffic: a replayed enumeration
-        is a hit, and an exhausted search is a computed enumeration.
-        """
+    @staticmethod
+    def _cover(source, target) -> frozenset:
+        """The ``covered`` computation (see :meth:`covered_atoms`)."""
         target_atoms = set(target.atoms)
         covered: set = set()
-        enum_key = (source, target, HomKind.PLAIN)
-        cached_mappings = self._hom_enums.get(enum_key, _MISSING)
-        if cached_mappings is not _MISSING:
-            self.stats.hom_enum_hits += 1
-            for mapping in cached_mappings:
-                covered.update(target_atoms.intersection(
-                    atom.substitute(mapping) for atom in source.atoms))
-                if len(covered) == len(target_atoms):
-                    break
-            return frozenset(covered)
-        collected: list = []
-        exhausted = True
         for mapping in homomorphisms(source, target, HomKind.PLAIN):
-            collected.append(mapping)
             covered.update(target_atoms.intersection(
                 atom.substitute(mapping) for atom in source.atoms))
             if len(covered) == len(target_atoms):
-                exhausted = False  # stopped early: enumeration partial
                 break
-        if exhausted:
-            self.stats.hom_enum_calls += 1
-            self._hom_enums.put(enum_key, tuple(collected))
-        # Either way the search learned the existence answer.
-        if self._homs.get(enum_key, _MISSING) is _MISSING:
-            self._homs.put(enum_key, collected[0] if collected else None)
         return frozenset(covered)
 
     def complete_description(self, union) -> tuple:

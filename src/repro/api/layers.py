@@ -90,9 +90,6 @@ CACHE_LAYERS: tuple[CacheLayer, ...] = (
     CacheLayer(name="homs", attr="_homs",
                hits="hom_hits", calls="hom_calls",
                entries="hom_entries", size=65536),
-    CacheLayer(name="hom_enums", attr="_hom_enums",
-               hits="hom_enum_hits", calls="hom_enum_calls",
-               entries="hom_enum_entries", size=65536),
     CacheLayer(name="covered", attr="_covered",
                hits="cover_hits", calls="cover_calls",
                entries="cover_entries", size=65536),

@@ -100,17 +100,15 @@ def _automorphisms(context, query: CQ) -> int:
 
 
 def local_condition(source: UCQ | CQ, target: UCQ | CQ,
-                    kind: HomKind, finder=None, *, context=None) -> bool:
+                    kind: HomKind, *, context=None) -> bool:
     """``Q2 (hom-kind)1 Q1``: each target member has a source preimage.
 
-    ``finder`` optionally overrides the existence check (signature of
-    :func:`has_homomorphism`); otherwise ``context`` routes it through
-    a cache-providing :class:`repro.core.DecisionContext`.
+    ``context`` routes the existence check through a cache-providing
+    :class:`repro.core.DecisionContext`.
     """
     source, target = as_ucq(source), as_ucq(target)
-    if finder is None:
-        finder = (has_homomorphism if context is None
-                  else context.has_homomorphism)
+    finder = (has_homomorphism if context is None
+              else context.has_homomorphism)
     return all(
         any(finder(cq2, cq1, kind) for cq2 in source)
         for cq1 in target

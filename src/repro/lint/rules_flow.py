@@ -153,8 +153,7 @@ _BLOCKING: dict[str, str] = {
 #: an event loop even though they never hit a syscall: the exhaustive
 #: homomorphism search.
 _HOM_SEARCH_NAMES = frozenset({"find_homomorphism",
-                               "homomorphism_mappings",
-                               "enumerate_homomorphisms"})
+                               "homomorphism_mappings"})
 _HOM_SEARCH_PREFIX = "repro.homomorphisms"
 
 

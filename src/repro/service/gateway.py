@@ -54,14 +54,11 @@ import os
 import sys
 import threading
 
-from ..api.batch import error_text
-from ..queries.parser import ParseError
+from ..api.batch import REQUEST_ERRORS, error_text
 from .pool import DecisionError, WorkerPool, request_id_of
 from .server import DecisionServer
 
 __all__ = ["AsyncGateway"]
-
-_REQUEST_ERRORS = (ValueError, TypeError, KeyError, ParseError)
 
 #: Chunk size for reads, including draining oversized lines without
 #: buffering them.
@@ -456,7 +453,7 @@ class AsyncGateway:
         try:
             try:
                 request = self._pool.normalize(data)
-            except _REQUEST_ERRORS as error:
+            except REQUEST_ERRORS as error:
                 self.server.record(served=1, errors=1)
                 return DecisionError(error_text(error),
                                      id=request_id_of(data)).to_dict()

@@ -75,11 +75,10 @@ from multiprocessing.connection import wait as wait_readable
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from ..api.batch import error_text
+from ..api.batch import REQUEST_ERRORS, error_text
 from ..api.documents import (ContainmentRequest, VerdictDocument,
                              coerce_request_id)
 from ..api.engine import ContainmentEngine
-from ..queries.parser import ParseError
 from .metrics import ServiceMetrics
 from .snapshot import SnapshotError, load_snapshot, merge_states
 
@@ -119,10 +118,6 @@ def sum_stats(infos: Iterable[Mapping[str, int]]) -> dict[str, int]:
         for key, value in info.items():
             totals[key] = totals.get(key, 0) + value
     return totals
-
-#: Exceptions a decision may raise that are *request* problems, not
-#: pool problems — converted to in-band errors.
-_REQUEST_ERRORS = (ValueError, TypeError, KeyError, ParseError)
 
 
 @dataclass(frozen=True)
@@ -256,7 +251,7 @@ def _worker_main(index: int, inbox, outbox, snapshot_path,
                 _, seq, request = message
                 try:
                     outbox.send(("ok", seq, engine.decide_request(request)))
-                except _REQUEST_ERRORS as error:
+                except REQUEST_ERRORS as error:
                     outbox.send(("err", seq, error_text(error), request.id))
             elif kind == "caches":
                 outbox.send(("caches", index,
@@ -815,7 +810,7 @@ class WorkerPool:
                     break
                 try:
                     request = self.normalize(item)
-                except _REQUEST_ERRORS as error:
+                except REQUEST_ERRORS as error:
                     outputs.append(("done", DecisionError(
                         error_text(error), id=request_id_of(item))))
                     continue

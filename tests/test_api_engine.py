@@ -335,20 +335,6 @@ def test_sur_infty_path_uses_description_cache():
     assert info["description_entries"] > 0
 
 
-def test_homomorphism_mappings_seeds_find_cache():
-    from repro.homomorphisms import HomKind
-    from repro.queries import parse_cq
-
-    engine = ContainmentEngine()
-    source, target = parse_cq(Q2), parse_cq(Q1)
-    mappings = engine.homomorphism_mappings(source, target, HomKind.PLAIN)
-    assert mappings
-    before = engine.stats.hom_calls
-    assert engine.find_homomorphism(source, target, HomKind.PLAIN) is not None
-    assert engine.stats.hom_calls == before  # served from the enum seed
-    assert engine.stats.hom_hits >= 1
-
-
 def test_structural_caches_survive_registration():
     engine = ContainmentEngine()
     engine.decide(Q1, Q2, "Lin[X]")
@@ -397,42 +383,11 @@ def test_batch_unusable_id_reported_in_band():
     assert out.get("id") is None  # the unusable id is not echoed raw
 
 
-def test_covered_atoms_and_enumeration_share_one_search():
-    # ROADMAP item: coverage and enumeration share one search per pair.
-    from repro.homomorphisms.covering import covered_atoms as plain_covered
-    from repro.homomorphisms.search import HomKind
-
-    # Covering failure exhausts the search, so the complete enumeration
-    # it produced is cached: the later enumeration ask is a hit.
-    engine = ContainmentEngine()
-    source = engine.parse("Q() :- R(u, v)")
-    target = engine.parse("Q() :- R(a, b), S(a)")
-    result = engine.covered_atoms(source, target)
-    assert result == plain_covered(source, target)
-    assert engine.stats.hom_enum_calls == 1
-    engine.homomorphism_mappings(source, target, HomKind.PLAIN)
-    assert engine.stats.hom_enum_calls == 1
-    assert engine.stats.hom_enum_hits == 1
-    # The search also learned the existence answer.
-    engine.find_homomorphism(source, target, HomKind.PLAIN)
-    assert engine.stats.hom_calls == 0 and engine.stats.hom_hits == 1
-
-    # In the other order a cached enumeration makes coverage search-free.
-    other = ContainmentEngine()
-    other.homomorphism_mappings(other.parse(Q1), other.parse(Q2),
-                                HomKind.PLAIN)
-    assert other.stats.hom_enum_calls == 1
-    other.covered_atoms(other.parse(Q1), other.parse(Q2))
-    assert other.stats.hom_enum_calls == 1
-    assert other.stats.hom_enum_hits == 1
-    assert other.stats.cover_calls == 1
-
-
-def test_covered_atoms_stays_lazy_on_early_success():
+def test_covered_atoms_stays_lazy_on_early_success(monkeypatch):
     # A pair with combinatorially many homomorphisms where the first
     # few already cover the target: coverage must stop early rather
     # than materialize the full enumeration (which is exponential).
-    from repro.homomorphisms.search import HomKind
+    from repro.homomorphisms.search import HomKind, homomorphisms
     from repro.queries import CQ, Atom, Var
 
     source = CQ((), [Atom("R", (Var(f"x{i}"), Var(f"y{i}")))
@@ -440,16 +395,23 @@ def test_covered_atoms_stays_lazy_on_early_success():
     target = CQ((), [Atom("R", (Var("a"), Var("b"))),
                      Atom("R", (Var("b"), Var("c"))),
                      Atom("R", (Var("c"), Var("d")))])
+    seen = []
+
+    def counting(*args):
+        for mapping in homomorphisms(*args):
+            seen.append(mapping)
+            yield mapping
+
+    monkeypatch.setattr("repro.api.engine.homomorphisms", counting)
     engine = ContainmentEngine()
     result = engine.covered_atoms(source, target)
     assert result == frozenset(target.atoms)
-    # The partial iteration must NOT be cached as a (wrong) complete
-    # enumeration — asking for the enumeration runs the real search
-    # (3^4 = 81 mappings: each independent atom picks a target atom).
-    assert engine.stats.hom_enum_calls == 0
+    # The uncached enumeration still sees all 3^4 = 81 mappings (each
+    # independent atom picks a target atom); coverage stopped long
+    # before that.
     mappings = engine.homomorphism_mappings(source, target, HomKind.PLAIN)
-    assert engine.stats.hom_enum_calls == 1
     assert len(mappings) == 81
+    assert 0 < len(seen) < len(mappings)
 
 
 def _golden_stream(engine) -> list:
@@ -469,7 +431,6 @@ def _golden_stream(engine) -> list:
     documents.append(engine.decide(Q1, Q2, "B", equivalence=True))
     source = engine.parse("Q() :- R(x, y)")
     target = engine.parse("Q() :- R(u, v), R(v, w)")
-    engine.homomorphism_mappings(source, target, HomKind.PLAIN)
     engine.find_homomorphism(source, target, HomKind.PLAIN)
     engine.covered_atoms(source, target)
     engine.covered_atoms(target, source)
@@ -486,30 +447,29 @@ def _golden_stream(engine) -> list:
 #: counts and key order must not move).  First recorded before the
 #: per-layer cache methods were collapsed onto ``_memo``; the hom, hom
 #: enumeration and cover figures were re-recorded when ``covering_2``
-#: began deciding ``⇉1`` of a rigid-free pair on the given queries.
+#: began deciding ``⇉1`` of a rigid-free pair on the given queries, and
+#: the hom figures again when the enumeration layer was removed.
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
-    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 8,
-    "hom_hits": 4, "hom_enum_calls": 2, "hom_enum_hits": 1,
-    "cover_calls": 5, "cover_hits": 0, "description_calls": 2,
+    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 9,
+    "hom_hits": 3, "cover_calls": 5, "cover_hits": 0, "description_calls": 2,
     "description_hits": 4, "canon_calls": 7, "canon_hits": 24,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 10,
-    "hom_enum_entries": 2, "cover_entries": 5, "description_entries": 2,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 9,
+    "cover_entries": 5, "description_entries": 2,
     "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
     "verdict_entries": 6}
 
 _GOLDEN_RESTORED = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 0,
     "classify_hits": 7, "parse_calls": 0, "parse_hits": 20, "hom_calls": 0,
-    "hom_hits": 12, "hom_enum_calls": 0, "hom_enum_hits": 1,
-    "cover_calls": 0, "cover_hits": 5, "description_calls": 0,
+    "hom_hits": 12, "cover_calls": 0, "cover_hits": 5, "description_calls": 0,
     "description_hits": 6, "canon_calls": 0, "canon_hits": 31,
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 10,
-    "hom_enum_entries": 2, "cover_entries": 5, "description_entries": 2,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 9,
+    "cover_entries": 5, "description_entries": 2,
     "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
     "verdict_entries": 6}
 

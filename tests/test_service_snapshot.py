@@ -51,7 +51,6 @@ def test_round_trip_restores_every_cache_layer(tmp_path):
     assert stats.parse_calls == 0
     assert stats.classify_calls == 0
     assert stats.hom_calls == 0
-    assert stats.hom_enum_calls == 0
     assert stats.cover_calls == 0
     assert stats.description_calls == 0
     for cold_doc, warm_doc in zip(baseline, docs):
@@ -177,6 +176,33 @@ def test_malformed_layer_entries_rejected(tmp_path):
     path.write_bytes(pickle.dumps(envelope))
     with pytest.raises(SnapshotError, match="malformed entry"):
         read_snapshot(path)
+
+
+def test_snapshot_with_retired_enumeration_layer_still_loads(tmp_path):
+    # Older engines also cached full homomorphism enumerations, so
+    # their snapshots carry one more entry list.  It is ignored; every
+    # layer this engine still has restores in full.
+    from repro.homomorphisms import HomKind
+    from repro.queries import parse_cq
+
+    warmed = ContainmentEngine()
+    baseline = run_workload(warmed)
+    state = warmed.export_caches()
+    source = parse_cq("Q() :- R(u, v)")
+    target = parse_cq("Q() :- R(u, v), R(v, w)")
+    state["hom_enums"] = [
+        ((source, target, HomKind.PLAIN),
+         warmed.homomorphism_mappings(source, target, HomKind.PLAIN))]
+    path = tmp_path / "old.snap"
+    write_snapshot(state, path, semirings=warmed.registry.names())
+
+    restored = ContainmentEngine()
+    counts = load_snapshot(restored, path)
+    assert counts == {layer: len(entries) for layer, entries
+                      in warmed.export_caches().items()}
+    assert entry_counts(restored) == entry_counts(warmed)
+    assert run_workload(restored) == [dict(doc, cached=True)
+                                      for doc in baseline]
 
 
 def test_unknown_semiring_entries_are_skipped():
