@@ -20,7 +20,9 @@ kernels are tried first, and an ``OverflowError`` from any relation's
 ``encode`` (counts beyond int64, tropical costs outside the
 float64-exact range) demotes the whole instance to
 :class:`~repro.eval.kernels.GenericObjectOps` — correctness never
-depends on the fast path being applicable.
+depends on the fast path being applicable.  An overflow that only
+shows while evaluating is demoted by :func:`repro.eval.engine.evaluate`
+through :meth:`ColumnarInstance.generic`.
 """
 
 from __future__ import annotations
@@ -39,19 +41,20 @@ __all__ = ["ColumnarInstance", "ColumnarRelation", "ValueInterner"]
 class ValueInterner:
     """Bidirectional map between domain values and dense int ids."""
 
-    __slots__ = ("_ids", "_values")
+    __slots__ = ("_ids", "by_id")
 
     def __init__(self):
         self._ids: dict[Any, int] = {}
-        self._values: list[Any] = []
+        #: The interned values, indexed by id (read it, never mutate it).
+        self.by_id: list[Any] = []
 
     def intern(self, value: Any) -> int:
         """The id of ``value``, allocating one on first sight."""
         found = self._ids.get(value)
         if found is None:
-            found = len(self._values)
+            found = len(self.by_id)
             self._ids[value] = found
-            self._values.append(value)
+            self.by_id.append(value)
         return found
 
     def lookup(self, value: Any) -> int | None:
@@ -60,15 +63,10 @@ class ValueInterner:
 
     def value(self, ident: int) -> Any:
         """The value behind an id."""
-        return self._values[ident]
-
-    def values(self, idents: np.ndarray) -> list[Any]:
-        """Decode a whole id column."""
-        table = self._values
-        return [table[ident] for ident in idents]
+        return self.by_id[ident]
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self.by_id)
 
 
 class ColumnarRelation:
@@ -139,3 +137,17 @@ class ColumnarInstance:
                 if isinstance(attempt_ops, GenericObjectOps):
                     raise
         raise AssertionError("unreachable")  # pragma: no cover
+
+    def generic(self) -> "ColumnarInstance":
+        """This instance on :class:`GenericObjectOps`: the same id
+        columns, the annotation columns decoded and re-encoded as exact
+        Python objects (the run-time demotion of
+        :func:`repro.eval.engine.evaluate`)."""
+        ops = GenericObjectOps(self.semiring)
+        relations = {
+            name: ColumnarRelation(
+                name, relation.arity, relation.columns,
+                ops.encode(self.ops.decode(relation.annotations)))
+            for name, relation in self.relations.items()
+        }
+        return ColumnarInstance(self.semiring, ops, self.interner, relations)

@@ -13,10 +13,22 @@ The correspondence, member by member:
 * the row's ⊗-annotation is the product over the plan's atom steps —
   commutative and canonical, so the different multiplication order
   does not show;
-* head grouping + ``segment_add`` replays the per-head ⊕-accumulation,
-  UCQ members merge into one answer map, and ⊕-zeros are dropped only
-  at the very end (zero *products* flow through joins, exactly like
-  the reference keeps them until its final filter).
+* head grouping + ``segment_add`` replays the per-head ⊕-accumulation:
+  each member groups its frontier rows by their head id columns (a
+  head constant is one more id, fresh past the interner's if the
+  instance never saw it), and the members' rows are concatenated in
+  member order and grouped once more, so the cross-member ⊕ is a
+  single ``segment_add`` too;
+* ⊕-zeros are dropped only after that merge, by one mask over the
+  encoded column (zero *products* flow through joins, exactly like
+  the reference keeps them until its final filter), and only the
+  surviving rows are decoded into values and head tuples.
+
+Everything stays in int64 id space and encoded annotation columns
+until that last step, for CQs and UCQs alike.  A dtype kernel that
+overflows at run time demotes the whole evaluation to
+:class:`~repro.eval.kernels.GenericObjectOps` at the :func:`evaluate`
+entry, as an overflow at encode time demotes the whole instance.
 
 Plan lookups go through the supplied
 :class:`~repro.core.context.DecisionContext` — the default memoizes
@@ -35,9 +47,10 @@ from ..data.instance import Instance
 from ..queries.atoms import is_var
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ
-from ..semirings.base import Semiring
+from ..semirings.base import Semiring, VectorizedOps
 from .columns import ColumnarInstance
 from .join import pack_rows, run_plan
+from .kernels import GenericObjectOps
 
 __all__ = ["AnswerTable", "evaluate"]
 
@@ -74,41 +87,101 @@ class AnswerTable:
                 f"semiring={self.semiring.name}>")
 
 
-def _member_answers(cq: CQ, columnar: ColumnarInstance,
-                    context: DecisionContext) -> list[tuple[tuple, Any]]:
-    """One CQ member's aggregated ``(head, annotation)`` pairs.
+def _group(head_columns: list[np.ndarray], values: np.ndarray,
+           ops: VectorizedOps) -> tuple[list[np.ndarray], np.ndarray]:
+    """One row per distinct head: representative id columns + ⊕-folds.
 
-    Zeros are *not* dropped here — members merge first, the union-level
-    filter runs last, mirroring the reference.
+    A stable sort keeps each head's rows in their original order, so
+    the object path's ``segment_add`` replays the reference's
+    first-value-then-``add`` accumulation.
+    """
+    keys = pack_rows(head_columns, len(values))
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    group_ids = np.cumsum(starts) - 1
+    representatives = order[starts]
+    folded = ops.segment_add(values[order], group_ids,
+                             len(representatives))
+    return [column[representatives] for column in head_columns], folded
+
+
+def _member_answers(cq: CQ, columnar: ColumnarInstance,
+                    context: DecisionContext, constant_ids: dict
+                    ) -> tuple[list[np.ndarray], np.ndarray] | None:
+    """One CQ member's answers, still in id space.
+
+    Returns one int64 id column per head position (a head constant
+    contributes a constant column of its id from ``constant_ids``) with
+    one row per distinct head, plus the encoded ⊕-fold per row.  ``None``
+    means the member has no valuation.  Zeros are *not* dropped here —
+    members merge first, the union-level mask runs last, mirroring the
+    reference.
     """
     plan = context.eval_plan(cq)
-    ops = columnar.ops
-    if not plan.steps:
+    if plan.steps:
+        frontier = run_plan(plan, columnar)
+        if frontier is None:
+            return None
+        columns = frontier.columns
+        annotations = frontier.annotations
+    else:
         # The empty conjunction has exactly one (empty) valuation.
-        return [(tuple(plan.head), columnar.semiring.one)]
-    frontier = run_plan(plan, columnar)
-    if frontier is None:
-        return []
-    var_columns = [frontier.columns[term] for term in plan.head
-                   if is_var(term)]
-    key = pack_rows(var_columns, frontier.row_count)
-    _, representatives, group_ids = np.unique(
-        key, return_index=True, return_inverse=True)
-    aggregated = ops.decode(ops.segment_add(
-        frontier.annotations, group_ids.astype(np.int64),
-        len(representatives)))
-    decoded_columns = [
-        columnar.interner.values(column[representatives])
-        for column in var_columns
+        columns = {}
+        annotations = columnar.ops.encode([columnar.semiring.one])
+    head_columns = [
+        np.full(len(annotations), constant_ids[term], dtype=np.int64)
+        if term in constant_ids else columns[term]
+        for term in plan.head
     ]
-    answers = []
-    for group, annotation in enumerate(aggregated):
-        variable_values = iter(
-            column[group] for column in decoded_columns)
-        head = tuple(next(variable_values) if is_var(term) else term
-                     for term in plan.head)
-        answers.append((head, annotation))
-    return answers
+    return _group(head_columns, annotations, columnar.ops)
+
+
+def _nonzero(values: np.ndarray, columnar: ColumnarInstance) -> np.ndarray:
+    """Mask of the encoded annotations that are not the ⊕-zero."""
+    semiring = columnar.semiring
+    if columnar.ops.dtype is None:
+        # Object elements: the semiring's own test decides (a
+        # ProductSemiring compares componentwise through its ``eq``).
+        is_zero = np.frompyfunc(semiring.is_zero, 1, 1)
+        return ~is_zero(values).astype(bool)
+    return values != columnar.ops.encode([semiring.zero])[0]
+
+
+def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance,
+             context: DecisionContext) -> list[tuple[tuple, Any]]:
+    """The non-zero ``(head, annotation)`` rows of a union of members."""
+    interner = columnar.interner
+    # Head constants join the id space.  One the instance never interned
+    # gets a fresh id past the interner's, which stays untouched.
+    constant_ids: dict[Any, int] = {}
+    fresh: list[Any] = []
+    for cq in members:
+        for term in cq.head:
+            if not is_var(term) and term not in constant_ids:
+                ident = interner.lookup(term)
+                if ident is None:
+                    ident = len(interner) + len(fresh)
+                    fresh.append(term)
+                constant_ids[term] = ident
+    parts = [part for part in (
+        _member_answers(cq, columnar, context, constant_ids)
+        for cq in members) if part is not None]
+    if not parts:
+        return []
+    head_columns = [np.concatenate(column)
+                    for column in zip(*(heads for heads, _ in parts))]
+    values = np.concatenate([folded for _, folded in parts])
+    head_columns, values = _group(head_columns, values, columnar.ops)
+    keep = _nonzero(values, columnar)
+    table = interner.by_id + fresh if fresh else interner.by_id
+    decoded = [list(map(table.__getitem__, column[keep].tolist()))
+               for column in head_columns]
+    annotations = columnar.ops.decode(values[keep])
+    heads = zip(*decoded) if decoded else [()] * len(annotations)
+    return list(zip(heads, annotations))
 
 
 def evaluate(query, instance: Instance | ColumnarInstance,
@@ -122,6 +195,12 @@ def evaluate(query, instance: Instance | ColumnarInstance,
     instance's; passing one that differs from a pre-built columnar
     instance's is an error (the annotation columns are already encoded
     for a specific kernel set).
+
+    A dtype kernel that overflows at run time (an ``N`` product or
+    segment sum beyond int64) demotes the evaluation to
+    :class:`~repro.eval.kernels.GenericObjectOps`: the annotation
+    columns are decoded, re-encoded as exact Python objects and the
+    query is run again.
     """
     if isinstance(instance, ColumnarInstance):
         if semiring is not None and semiring is not instance.semiring:
@@ -140,13 +219,10 @@ def evaluate(query, instance: Instance | ColumnarInstance,
         arity = query.arity if len(query) else 0
     else:
         raise TypeError(f"expected CQ or UCQ, got {type(query).__name__}")
-    answers: dict[tuple, Any] = {}
-    for cq in members:
-        for head, value in _member_answers(cq, columnar, context):
-            if head in answers:
-                answers[head] = semiring.add(answers[head], value)
-            else:
-                answers[head] = value
-    rows = [(head, value) for head, value in answers.items()
-            if not semiring.is_zero(value)]
+    try:
+        rows = _answers(members, columnar, context)
+    except OverflowError:
+        if isinstance(columnar.ops, GenericObjectOps):
+            raise
+        rows = _answers(members, columnar.generic(), context)
     return AnswerTable(semiring, arity, rows)

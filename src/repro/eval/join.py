@@ -49,16 +49,21 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
 
 
 def pack_rows(columns: list[np.ndarray], row_count: int) -> np.ndarray:
-    """One int64 key per row; keys are equal iff the rows are equal."""
+    """One int64 key per row; keys are equal iff the rows are equal.
+
+    The columns hold non-negative ids, so each one widens the key by
+    its maximum plus one; no per-column sort is needed.
+    """
     key = np.zeros(row_count, dtype=np.int64)
+    if not row_count:
+        return key
     cardinality = 1
     for column in columns:
-        uniques, codes = np.unique(column, return_inverse=True)
-        width = max(len(uniques), 1)
+        width = int(column.max()) + 1
         if cardinality * width >= _KEY_LIMIT:
             dense, key = np.unique(key, return_inverse=True)
             cardinality = max(len(dense), 1)
-        key = key * width + codes
+        key = key * width + column
         cardinality *= width
     return key
 

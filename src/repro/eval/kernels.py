@@ -12,10 +12,11 @@ first-value-then-``add`` accumulation of
 :func:`repro.queries.evaluation.evaluate_all`.
 
 :func:`ops_for` is the single dispatch point.  A declared kernel that
-*refuses* an actual payload (``OverflowError`` from ``encode`` — e.g.
-``N`` counts beyond int64) is demoted to the generic path by the caller
-(:meth:`repro.eval.columns.ColumnarInstance.from_instance`), so
-exactness never depends on the dtype fast path being applicable.
+*refuses* an actual payload (``OverflowError`` — ``N`` counts beyond
+int64) is demoted to the generic path: at encode time by
+:meth:`repro.eval.columns.ColumnarInstance.from_instance`, at run time
+by :func:`repro.eval.engine.evaluate`.  Exactness never depends on the
+dtype fast path being applicable.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def ops_for(semiring: Semiring) -> VectorizedOps:
     """The columnar kernels for ``semiring``.
 
     Prefers the semiring's declared exact dtype kernels and falls back
-    to :class:`GenericObjectOps`.  Callers that feed real payloads
-    through a declared kernel must additionally catch
-    ``OverflowError`` and retry generically.
+    to :class:`GenericObjectOps`.  A declared kernel may still raise
+    ``OverflowError`` on real payloads; the retry on
+    :class:`GenericObjectOps` happens in one place per stage —
+    :meth:`~repro.eval.columns.ColumnarInstance.from_instance` for
+    encoding, the :func:`repro.eval.engine.evaluate` entry for the run.
     """
     declared = semiring.vectorized_ops()
     if declared is not None:

@@ -124,7 +124,7 @@ def evaluate_all(query, instance: Instance,
     answers: dict[tuple, Any] = {}
     for cq in members:
         for valuation in valuations(cq, instance, None):
-            head = tuple(valuation[var] for var in cq.head)
+            head = tuple(valuation.get(term, term) for term in cq.head)
             value = semiring.prod(
                 instance.annotation(
                     atom.relation,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .atoms import term_sort_key
 from .cq import CQ
 
 __all__ = ["UCQ"]
@@ -91,7 +92,7 @@ class UCQ:
 def _cq_key(cq: CQ) -> tuple:
     """Deterministic ordering key for member CQs."""
     return (
-        tuple(var.name for var in cq.head),
+        tuple(term_sort_key(term) for term in cq.head),
         tuple(atom.sort_key() for atom in cq.atoms),
         tuple(sorted(
             tuple(sorted(var.name for var in pair))

@@ -8,9 +8,10 @@ Exactness is the whole point: the columnar evaluator promises answers
 byte-identical to the tuple-at-a-time fold, so each kernel either
 computes the same normalized Python values the scalar operations would,
 or refuses.  Refusal is spelled ``OverflowError`` from :meth:`encode`
-(or from an arithmetic kernel that detects int64 wraparound), which the
-dispatcher in :mod:`repro.eval.kernels` catches to fall back to the
-generic object-array path.  Silent wraparound never reaches an answer.
+(or from an arithmetic kernel that detects int64 wraparound); the
+column store (at encode time) and the evaluator's entry (at run time)
+catch it and fall back to the generic object-array path.  Silent
+wraparound never reaches an answer.
 
 Covered semirings:
 
@@ -26,7 +27,8 @@ Covered semirings:
     float64 columns — elements are small non-negative ints plus the
     semiring's infinity, and ⊗ is integer addition, so every value stays
     far below 2**53 where float64 arithmetic is exact.  Decode restores
-    ``int`` for finite values and ``math.inf``/``-math.inf`` otherwise.
+    ``int`` for finite values and ``math.inf``/``-math.inf`` otherwise,
+    through one int64 cast and one masked assignment.
 ``B``
     bool columns; ``|`` / ``&`` / ``logical_or.reduceat``.
 """
@@ -70,7 +72,7 @@ class NaturalOps(VectorizedOps):
         return np.asarray(list(values), dtype=np.int64)
 
     def decode(self, array: np.ndarray) -> list:
-        return [int(value) for value in array]
+        return array.tolist()
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         result = a + b
@@ -112,7 +114,7 @@ class SaturatingNaturalOps(VectorizedOps):
         return array
 
     def decode(self, array: np.ndarray) -> list:
-        return [int(value) for value in array]
+        return array.tolist()
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # a, b ≤ cap so the true sum cannot overflow int64.
@@ -158,8 +160,10 @@ class _TropicalOps(VectorizedOps):
         return np.asarray(encoded, dtype=np.float64)
 
     def decode(self, array: np.ndarray) -> list:
-        return [self.infinity if math.isinf(value) else int(value)
-                for value in array]
+        infinite = np.isinf(array)
+        values = np.where(infinite, 0, array).astype(np.int64).astype(object)
+        values[infinite] = self.infinity
+        return values.tolist()
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # ⊗ is numeric addition in both tropical semirings.
@@ -213,7 +217,7 @@ class BooleanOps(VectorizedOps):
                           dtype=np.bool_)
 
     def decode(self, array: np.ndarray) -> list:
-        return [bool(value) for value in array]
+        return array.tolist()
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a | b

@@ -160,3 +160,14 @@ def test_eval_unknown_semiring(capsys):
         capsys, "eval", "--semiring", "K9",
         "--query", "Q(x) :- R(x)", "--instance", SAMPLE)
     assert code != 0
+
+
+def test_eval_overflowing_product_is_exact(capsys):
+    """A count past int64 at run time still prints the exact product."""
+    code, out, _ = run_cli(
+        capsys, "eval", "--semiring", "N", "--json",
+        "--query", "Q(x, z) :- E(x, y), F(y, z)",
+        "--fact", f"E(1, 2) = {2 ** 40}", "--fact", f"F(2, 3) = {2 ** 40}")
+    assert code == 0
+    assert json.loads(out)["answers"] == [
+        {"tuple": [1, 3], "annotation": str(2 ** 80)}]

@@ -13,10 +13,14 @@ import math
 import numpy as np
 import pytest
 
+from repro.api import ContainmentEngine
 from repro.data.instance import Instance
+from repro.eval import evaluate
 from repro.eval.columns import ColumnarInstance, ValueInterner
 from repro.eval.join import join_indices, pack_pairs, pack_rows
 from repro.eval.kernels import GenericObjectOps, ops_for
+from repro.queries.evaluation import evaluate_all
+from repro.queries.parser import parse_cq
 from repro.semirings import (B, N, N2_SATURATING, N3_SATURATING, TMINUS,
                              TPLUS, VITERBI, WHY)
 
@@ -33,6 +37,7 @@ def test_interner_round_trip():
         ["a", 7, ("x", 1)]
     assert interner.lookup("never") is None
     assert len(interner) == 3
+    assert interner.by_id == ["a", 7, ("x", 1)]
 
 
 def test_interner_conflates_like_dict_keys():
@@ -66,6 +71,34 @@ def test_overflowing_counts_demote_to_generic():
     assert isinstance(columnar.ops, GenericObjectOps)
     assert sorted(columnar.ops.decode(
         columnar.relations["R"].annotations)) == [3, huge]
+
+
+#: Payloads that encode into int64 but overflow while evaluating: a
+#: product past 2**63, and a segment sum past it.
+RUN_TIME_OVERFLOWS = [
+    pytest.param("Q(x, z) :- E(x, y), F(y, z)",
+                 {"E": {(1, 2): 2 ** 40}, "F": {(2, 3): 2 ** 40}},
+                 {(1, 3): 2 ** 80}, id="product"),
+    pytest.param("Q() :- E(x, y)",
+                 {"E": {(i, 0): 2 ** 61 for i in range(8)}},
+                 {(): 2 ** 64}, id="segment-sum"),
+]
+
+
+@pytest.mark.parametrize("text, tables, expected", RUN_TIME_OVERFLOWS)
+def test_run_time_overflow_demotes_to_generic(text, tables, expected):
+    query = parse_cq(text)
+    instance = Instance(N, tables)
+    columnar = ColumnarInstance.from_instance(instance)
+    assert columnar.ops.dtype == np.int64  # encoding still fits
+    reference = evaluate_all(query, instance)
+    assert reference == expected
+    for answers in (evaluate(query, columnar).to_dict(),
+                    ContainmentEngine().evaluate(text, instance).to_dict()):
+        assert answers == reference
+        assert all(type(value) is int for value in answers.values())
+    # The caller's pre-built instance keeps its dtype kernels.
+    assert columnar.ops.dtype == np.int64
 
 
 def test_columnar_instance_encodes_annotations_exactly():

@@ -12,6 +12,7 @@ inequalities, cross products).
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,7 @@ from repro.queries.cq import CQ
 from repro.queries.evaluation import evaluate_all
 from repro.queries.parser import parse_cq
 from repro.queries.ucq import UCQ, as_ucq
-from repro.semirings import ALL_SEMIRINGS, N, TPLUS
+from repro.semirings import ALL_SEMIRINGS, LUKASIEWICZ, N, TPLUS
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -34,6 +35,29 @@ MIXED_UCQ = UCQ([
     CQ([X, Y], [Atom("R", (X, Z)), Atom("R", (Z, Y))]),
     CQ([X, X], [Atom("R", (X, X))]),
     CQ([X, Y], [Atom("R", (X, Y)), Atom("T", (Y,))]),
+])
+
+
+def _member(head, atoms) -> CQ:
+    """A UCQ member with head constants, or with no body at all.
+
+    ``CQ``'s constructor insists on variable heads and a non-empty
+    body; evaluation plans do not, so these members are built past
+    those checks.
+    """
+    return CQ._from_canonical(tuple(head),
+                              tuple(sorted(atoms, key=Atom.sort_key)))
+
+
+#: Head constants across members, on instances over ``range(3)``:
+#: member 2's constant ``1`` is a value member 1 binds to ``y``, so
+#: their rows merge into one answer; ``"absent"`` occurs in no instance;
+#: the body-less member merges with member 3 whenever ``R(2, 2)`` holds.
+CONSTANT_HEAD_UCQ = UCQ([
+    CQ([X, Y], [Atom("R", (X, Y))]),
+    _member([X, 1], [Atom("T", (X,))]),
+    _member([X, "absent"], [Atom("R", (X, X))]),
+    _member([2, "absent"], []),
 ])
 
 #: Inequalities + a constant filter + a repeated-variable atom.
@@ -64,6 +88,7 @@ def test_columnar_matches_reference_every_semiring(semiring):
             {"R": 2, "T": 1}, semiring, rng,
             domain_size=3, facts_per_relation=8)
         _agree(MIXED_UCQ, instance, semiring)
+        _agree(CONSTANT_HEAD_UCQ, instance, semiring)
 
 
 @pytest.mark.parametrize("semiring", ALL_SEMIRINGS,
@@ -102,6 +127,23 @@ def test_cross_product_member():
                             "S": {(5,): 4}})
     expected = evaluate_all(query, instance)
     assert expected == {(1, 5): 8, (2, 5): 12}
+    assert evaluate(query, instance).to_dict() == expected
+
+
+def test_zero_product_merges_before_the_zero_drop():
+    """A member's ⊗-zero still merges; only the merged ⊕-zeros drop."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    instance = Instance(LUKASIEWICZ, {
+        "R": {(1, 2): half, (3, 2): quarter},
+        "S": {(2,): half},
+        "T": {(1,): quarter},
+    })
+    # max(0, ½ + ½ − 1) = 0 at x = 1, and max(0, ¼ + ½ − 1) = 0 at x = 3.
+    zero_member = CQ([X], [Atom("R", (X, Y)), Atom("S", (Y,))])
+    assert evaluate(zero_member, instance).to_dict() == {}
+    query = UCQ([zero_member, CQ([X], [Atom("T", (X,))])])
+    expected = evaluate_all(query, instance)
+    assert expected == {(1,): quarter}
     assert evaluate(query, instance).to_dict() == expected
 
 
