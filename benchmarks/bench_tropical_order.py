@@ -1,12 +1,13 @@
 """The certificate-memoized tropical order layer: cold vs warm.
 
 ``T+``/``T−`` verdicts go through the small-model procedure
-(Thm. 4.17), whose cost is almost entirely the LP-backed polynomial
-order checks of Prop. 4.19.  Since the engine memoizes those decisions
-as revalidated certificates keyed by canonical admissible pair — and
-the snapshot layer persists them — a warmed run should never touch the
-LP solver at all.  This benchmark pins the three claims of that layer
-on the tropical slice of the Table-1 surface:
+(Thm. 4.17), whose cost is largely the polynomial order checks of
+Prop. 4.19: a few small linear systems per check, each solved once by
+an exact ``Fraction`` simplex.  Since the engine memoizes those
+decisions as revalidated certificates keyed by canonical admissible
+pair — and the snapshot layer persists them — a warmed run should
+never solve a system at all.  This benchmark pins the three claims of
+that layer on the tropical slice of the Table-1 surface:
 
 * **warm ≥ 10× cold** — restoring a structural snapshot (certificates
   included, verdicts excluded) makes the tropical slice at least an
@@ -14,7 +15,7 @@ on the tropical slice of the Table-1 surface:
 * **byte-identical** — the warm run's verdict documents equal the cold
   run's exactly (``cached`` flags included), and the warm engine
   reports zero ``poly_calls`` (every order decision was a certificate
-  recall, revalidated without an LP);
+  recall, revalidated without a solve);
 * **cross-validated** — every memoized dominance decision agrees with
   the bounded grid checker, and every certificate revalidates.
 
@@ -87,7 +88,7 @@ def test_warm_tropical_verdicts_are_certificate_recalls(tmp_path):
         "warm tropical verdicts must be byte-identical to the cold run"
     assert warm_engine.stats.poly_calls == 0, (
         "a warmed run must decide every tropical order from certificates, "
-        f"ran {warm_engine.stats.poly_calls} LPs")
+        f"ran {warm_engine.stats.poly_calls} order solves")
     assert warm_engine.stats.poly_hits > 0
     assert warm_engine.stats.poly_rejected == 0
     warm_report = warm_engine.cache_stats()["layers"]["poly_orders"]
@@ -110,7 +111,7 @@ def test_warm_tropical_verdicts_are_certificate_recalls(tmp_path):
 def test_memoized_decisions_match_the_grid_cross_validator(tmp_path):
     """Every certificate in the snapshot revalidates and agrees with the
     bounded grid checker (sound refutation: a dominance claim the grid
-    can falsify would be a bug in either the LP or the memo layer)."""
+    can falsify would be a bug in either the solver or the memo layer)."""
     requests = tropical_workload()
     engine = ContainmentEngine()
     engine.decide_many(requests)

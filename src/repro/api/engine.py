@@ -391,8 +391,7 @@ class ContainmentEngine(DecisionContext):
             self._poly_orders.pop(key)
         self.stats.poly_calls += 1
         holds, certificate = decide_poly_leq(kind, c1, c2)
-        if certificate is not None:
-            self._poly_orders.put(key, certificate)
+        self._poly_orders.put(key, certificate)
         return holds
 
     def eval_plan(self, query):

@@ -129,9 +129,9 @@ class DecisionContext:
 
         The small-model procedure (Thm. 4.17) issues every one of its
         canonical-instance comparisons through this hook, so an engine
-        can memoize the LP-backed tropical decisions (as revalidated
-        certificates keyed by canonical pair) — the last cold spot of
-        the Table-1 surface.  The default delegates to
+        can memoize the tropical decisions, each a few exact simplex
+        solves, as revalidated certificates keyed by canonical pair.
+        The default delegates to
         :meth:`repro.semirings.base.Semiring.poly_leq` unchanged.
         """
         return semiring.poly_leq(p1, p2)

@@ -143,8 +143,7 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     Requires (1) ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` and (2) every CCQ of ``⟨Q1⟩`` that has
     no nontrivial automorphism *and multiplicity greater than one* is
     reached by homomorphisms from two distinct CCQ occurrences of
-    ``⟨Q2⟩`` (which may be isomorphic or equal queries — footnote 7), or
-    the counting fallback ``min(⟨Q1⟩[Q≃], 2) ≤ ⟨Q2⟩[Q≃]`` holds.
+    ``⟨Q2⟩`` (which may be isomorphic or equal queries — footnote 7).
 
     Reconstruction notes (validated against the oracle):
 
@@ -189,17 +188,14 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
         if not all(_union_covers(representatives2, members[0], context)
                    for members in classes1.values()):
             return False
-    for key, members in classes1.items():
+    for members in classes1.values():
         if len(members) < 2:
             continue
         representative = members[0]
         if _automorphisms(context, representative) > 1:
             continue
-        if _preimages_reach_two(classes2, representative, context):
-            continue
-        if min(len(members), 2) <= len(classes2.get(key, ())):
-            continue
-        return False
+        if not _preimages_reach_two(classes2, representative, context):
+            return False
     return True
 
 

@@ -115,7 +115,6 @@ _BLOCKING: dict[str, str] = {
     "pickle.load": "pickle snapshot I/O",
     "pickle.dumps": "pickle serialization (CPU-bound)",
     "pickle.loads": "pickle deserialization (CPU-bound)",
-    "scipy.optimize.linprog": "an LP solve",
     "subprocess.run": "a subprocess wait",
     "subprocess.call": "a subprocess wait",
     "subprocess.check_call": "a subprocess wait",
@@ -150,11 +149,16 @@ _BLOCKING: dict[str, str] = {
 }
 
 #: Project functions that are CPU-bound enough to count as blocking on
-#: an event loop even though they never hit a syscall: the exhaustive
-#: homomorphism search.
-_HOM_SEARCH_NAMES = frozenset({"find_homomorphism",
-                               "homomorphism_mappings"})
-_HOM_SEARCH_PREFIX = "repro.homomorphisms"
+#: an event loop even though they never hit a syscall, keyed by
+#: ``(module prefix, function name)``: the exhaustive homomorphism
+#: search and the exact tropical-order solve.
+_CPU_BOUND: dict[tuple[str, str], str] = {
+    ("repro.homomorphisms", "find_homomorphism"): "exhaustive hom search",
+    ("repro.homomorphisms", "homomorphism_mappings"):
+        "exhaustive hom search",
+    ("repro.polynomials.tropical_order", "decide_poly_leq"):
+        "an exact LP solve",
+}
 
 
 @rule
@@ -230,12 +234,13 @@ class AsyncBlockingRule(Rule):
                                             f"{target}()")
                         worklist.append(qualname)
         for qualname, info in graph.functions.items():
-            if (qualname not in chains and not info.is_async
-                    and info.module.startswith(_HOM_SEARCH_PREFIX)
-                    and info.name in _HOM_SEARCH_NAMES):
-                chains[qualname] = (_short(qualname),
-                                    "exhaustive hom search")
-                worklist.append(qualname)
+            if qualname in chains or info.is_async:
+                continue
+            for (prefix, name), reason in _CPU_BOUND.items():
+                if info.name == name and info.module.startswith(prefix):
+                    chains[qualname] = (_short(qualname), reason)
+                    worklist.append(qualname)
+                    break
         while worklist:
             current = worklist.pop()
             for caller in callers.get(current, ()):

@@ -13,19 +13,26 @@ to the *maximum*.  The orders to decide are
 Both reduce to pointwise dominance between min- (resp. max-) of
 homogeneous linear forms.  Infinite coordinates are handled by a subset
 split (a variable at ``±∞`` simply deletes the monomials using it);
-finite dominance is decided *exactly* by linear programming: the forms
-are homogeneous, so a real violating point scales to an integer one and
-strict gaps can be normalized to ``≥ 1``.  The paper only proves a
-PSPACE bound for these orders — any sound and complete procedure
-reproduces Prop. 4.19; LP gives a polynomial-time one for the fixed
-query sizes of interest.
+finite dominance is a handful of small linear systems ``A·a ≤ b,
+a ≥ 0`` (one per form of ``P1``, with a row per form of either side).
+The forms are homogeneous, so a rational violating point scales to an
+integer one and strict gaps can be normalized to ``≥ 1``.  The paper
+only proves a PSPACE bound for these orders — any sound and complete
+procedure reproduces Prop. 4.19.
 
-A bounded grid checker (:func:`grid_violation`) cross-validates the LP
+Each system is solved once, in exact rational arithmetic, by a Phase-I
+simplex with Bland's rule (:func:`_solve`).  A feasible system yields
+its basic point, scaled to integers by the lcm of its denominators.
+An infeasible one yields a Farkas vector read off the final tableau:
+the reduced costs of the row slacks.  No floats are involved, so there
+is nothing to round back and no second solve for the certificate.
+
+A bounded grid checker (:func:`grid_violation`) cross-validates the
 decisions in the test suite.
 
 Certificates
 ------------
-Every decision can be packaged as a reusable
+Every decision comes with a reusable
 :class:`TropicalOrderCertificate` (see :func:`decide_poly_leq`) — the
 piece that makes the decisions *memoizable* across processes.  The
 certificate format:
@@ -46,19 +53,19 @@ certificate format:
     the tuple of variables set to the order's infinity and ``point``
     assigns a natural number to every variable (positionally, in
     sorted-variable order; entries under ``infinite`` are ignored).
-    Checking it is one evaluation of each side — no LP.
+    Checking it is one evaluation of each side — no solve.
 ``witnesses`` (``holds=True``)
     Per-subset-split dominance witnesses: for every split where the
-    decision ran LPs, one integer Farkas multiplier vector per pivot
-    form, proving each violation LP infeasible.  By Farkas' lemma the
-    system ``A·a ≤ b, a ≥ 0`` has no solution iff some ``y ≥ 0`` has
-    ``yᵀA ≥ 0`` and ``yᵀb < 0`` — and *that* is checkable with exact
-    integer arithmetic, again without touching the LP solver.
+    decision solved systems, one integer Farkas multiplier vector per
+    pivot form, proving each violation system infeasible.  By Farkas'
+    lemma the system ``A·a ≤ b, a ≥ 0`` has no solution iff some
+    ``y ≥ 0`` has ``yᵀA ≥ 0`` and ``yᵀb < 0`` — and *that* is
+    checkable with exact integer arithmetic, again without a solve.
 
 :func:`certificate_valid` is the cheap recall-time revalidation:
 it re-derives the split systems from the pair itself and verifies the
 stored witness arithmetic, so a tampered, stale or mis-keyed
-certificate is rejected (and the caller falls back to the LP).  A
+certificate is rejected (and the caller decides afresh).  A
 certificate is therefore *self-certifying*: trusting one never trusts
 the cache, only integer arithmetic.
 
@@ -74,9 +81,6 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.optimize import linprog
 
 from .polynomial import Monomial, Polynomial
 
@@ -96,10 +100,6 @@ MIN_PLUS = "min-plus"
 
 #: The ``≼T−`` order (max-plus / schedule algebra).
 MAX_PLUS = "max-plus"
-
-#: ``Fraction.limit_denominator`` ladder used to recover the exact
-#: rational LP vertex from the solver's floats before integer scaling.
-_DENOMINATORS = (10 ** 6, 10 ** 9, 10 ** 12)
 
 
 def _forms(poly: Polynomial, variables: Sequence[str],
@@ -122,78 +122,73 @@ def _sub(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a - b for a, b in zip(left, right))
 
 
-def _feasible_point(constraints: list[tuple[int, ...]],
-                    bounds: list[int]) -> tuple[float, ...] | None:
-    """A point ``a ≥ 0`` with ``constraint · a ≤ bound`` for all rows,
-    or ``None`` when the system is infeasible."""
-    if not constraints:
-        return ()
-    width = len(constraints[0])
-    if width == 0:
-        # No finite variables: the only point is the empty one.
-        return () if min(bounds) >= 0 else None
-    matrix = np.asarray(constraints, dtype=float)
-    result = linprog(
-        c=np.zeros(width),
-        A_ub=matrix,
-        b_ub=np.asarray(bounds, dtype=float),
-        bounds=[(0, None)] * width,
-        method="highs",
-    )
-    if result.status != 0:
-        return None
-    return tuple(float(value) for value in result.x)
+def _solve(constraints: list[tuple[int, ...]],
+           bounds: list[int]) -> tuple[bool, tuple[int, ...]]:
+    """Decide ``A·a ≤ b, a ≥ 0`` (with ``b ≤ 0``) by one exact
+    Phase-I simplex.
 
+    Every row gets a slack column; a row with ``b_i < 0`` is negated so
+    its right-hand side is positive and gets an artificial column, and
+    Phase I minimises the artificials' sum ``w``.  Bland's rule (the
+    lowest improving column enters; ratio ties leave by lowest basic
+    column) rules out cycling on the many degenerate rows.
 
-def _integer_candidates(point: Sequence[float]) -> Iterable[tuple[int, ...]]:
-    """Integer scalings of a rational LP vertex, best guess first.
-
-    The violation systems are homogeneous up to their ``≤ −1`` gap rows,
-    so scaling a rational solution by the denominator LCM preserves
-    feasibility — each candidate is *verified* by the caller, so a float
-    round-off here can only cost a retry, never soundness.
+    Returns ``(True, point)``: the basic point scaled by the lcm of its
+    denominators, still a solution because ``b ≤ 0``.  Or
+    ``(False, y)``: the reduced costs of the slacks in the optimal
+    tableau, scaled to integers.  Optimality makes every reduced cost
+    ``≥ 0``, which for the slacks is ``y ≥ 0`` and for the variables
+    ``yᵀA ≥ 0``, and duality gives ``yᵀb = −w < 0`` — a Farkas vector.
     """
-    if not point:
-        yield ()
-        return
-    for denominator in _DENOMINATORS:
-        fractions = [Fraction(value).limit_denominator(denominator)
-                     for value in point]
-        fractions = [frac if frac > 0 else Fraction(0) for frac in fractions]
-        scale = lcm(*(frac.denominator for frac in fractions))
-        yield tuple(int(frac * scale) for frac in fractions)
-    yield tuple(max(0, round(value)) for value in point)
+    rows, width = len(constraints), len(constraints[0])
+    negative = [i for i, bound in enumerate(bounds) if bound < 0]
+    columns = width + rows + len(negative)
+    tableau: list[list[Fraction]] = []
+    basis: list[int] = []
+    for i, (row, bound) in enumerate(zip(constraints, bounds)):
+        sign = -1 if bound < 0 else 1
+        line = [Fraction(sign * value) for value in row]
+        line += [Fraction(0)] * (columns - width)
+        line.append(Fraction(sign * bound))
+        line[width + i] = Fraction(sign)
+        tableau.append(line)
+        basis.append(width + i)
+    # The Phase-I objective row holds the reduced costs and, last, −w.
+    cost = [Fraction(0)] * (columns + 1)
+    for k, i in enumerate(negative):
+        basis[i] = width + rows + k
+        tableau[i][basis[i]] = Fraction(1)
+        cost = [c - t for c, t in zip(cost, tableau[i])]
+        cost[basis[i]] = Fraction(0)
+    while True:
+        entering = next((j for j in range(columns) if cost[j] < 0), None)
+        if entering is None:
+            break
+        _, _, leaving = min((line[-1] / line[entering], basis[i], i)
+                            for i, line in enumerate(tableau)
+                            if line[entering] > 0)
+        pivot = tableau[leaving]
+        scale = pivot[entering]
+        pivot[:] = [value / scale for value in pivot]
+        for line in (*tableau, cost):
+            factor = line[entering]
+            if factor and line is not pivot:
+                line[:] = [value - factor * p if p else value
+                           for value, p in zip(line, pivot)]
+        basis[leaving] = entering
+    if cost[-1]:
+        return False, _integral(cost[width:width + rows])
+    point = [Fraction(0)] * width
+    for line, column in zip(tableau, basis):
+        if column < width:
+            point[column] = line[-1]
+    return True, _integral(point)
 
 
-def _farkas_vector(constraints: list[tuple[int, ...]],
-                   bounds: list[int]) -> tuple[int, ...] | None:
-    """An integer Farkas certificate of infeasibility of
-    ``A·a ≤ b, a ≥ 0``: some ``y ≥ 0`` with ``yᵀA ≥ 0`` and ``yᵀb < 0``.
-
-    Solves the Farkas alternative as its own LP, then recovers exact
-    integers through the denominator ladder, *verifying* each candidate
-    with integer arithmetic — returns ``None`` only if no candidate
-    survives (never an unsound vector).
-    """
-    rows = len(constraints)
-    width = len(constraints[0]) if constraints else 0
-    matrix = np.asarray(constraints, dtype=float).reshape(rows, width)
-    system = np.vstack([-matrix.T,
-                        np.asarray(bounds, dtype=float).reshape(1, rows)])
-    result = linprog(
-        c=np.zeros(rows),
-        A_ub=system,
-        b_ub=np.concatenate([np.zeros(width), [-1.0]]),
-        bounds=[(0, None)] * rows,
-        method="highs",
-    )
-    if result.status != 0:  # pragma: no cover - Farkas alternative exists
-        return None
-    for candidate in _integer_candidates(tuple(result.x)):
-        if len(candidate) == rows and _farkas_checks(
-                candidate, constraints, bounds):
-            return candidate
-    return None  # pragma: no cover - ladder failed to rationalize
+def _integral(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale nonnegative rationals by the lcm of their denominators."""
+    scale = lcm(*(value.denominator for value in values))
+    return tuple(int(value * scale) for value in values)
 
 
 def _farkas_checks(vector: Sequence[int],
@@ -385,23 +380,22 @@ def certificate_valid(certificate, order: str,
     return True
 
 
-def decide_poly_leq(order: str, p1: Polynomial, p2: Polynomial, *,
-                    want_certificate: bool = True
-                    ) -> tuple[bool, TropicalOrderCertificate | None]:
-    """Decide ``P1 ≼ P2`` under ``order``; optionally certify it.
+def decide_poly_leq(order: str, p1: Polynomial, p2: Polynomial
+                    ) -> tuple[bool, TropicalOrderCertificate]:
+    """Decide ``P1 ≼ P2`` under ``order`` and certify the decision.
 
-    Returns ``(holds, certificate)``.  The boolean is always the plain
-    Prop. 4.19 LP decision — certification never changes the answer.
-    The certificate is ``None`` when ``want_certificate`` is false, or
-    in the (theoretically unreachable, defensively handled) event that
-    an exact integer witness cannot be recovered from the solver's
-    floats — callers then simply don't memoize the decision.
+    Returns ``(holds, certificate)``.  Each violation system of each
+    subset split is solved once, exactly (:func:`_solve`): a feasible
+    one gives the violating point of a ``holds=False`` certificate,
+    and the infeasible ones give the Farkas vectors of a
+    ``holds=True`` certificate.  Every point and vector is checked in
+    integer arithmetic first; a failed check raises
+    :class:`ArithmeticError` instead of certifying an unchecked answer.
     """
     if order not in (MIN_PLUS, MAX_PLUS):
         raise ValueError(f"unknown tropical order {order!r}")
     variables = tuple(sorted(p1.variables() | p2.variables()))
     dominance: list[tuple] = []
-    certifiable = want_certificate
     for infinite in _subsets(variables):
         forms1 = _forms(p1, variables, infinite)
         forms2 = _forms(p2, variables, infinite)
@@ -409,55 +403,44 @@ def decide_poly_leq(order: str, p1: Polynomial, p2: Polynomial, *,
             continue  # P1 is already at the order's infinity: below/above
         if not forms2:
             # P2 degenerates to the wrong infinity against a finite P1.
-            certificate = None
-            if want_certificate:
-                point = tuple(0 for _ in variables)
-                certificate = TropicalOrderCertificate(
-                    order=order, key=(p1, p2), holds=False,
-                    witness=(tuple(sorted(infinite)), point))
-            return False, certificate
-        pivot_vectors: list[tuple[int, ...]] = []
+            return False, _refutation(order, p1, p2, variables, infinite,
+                                      (0,) * len(variables))
+        vectors: list[tuple[int, ...]] = []
         for constraints, bounds in _violation_systems(order, forms1, forms2):
-            point = _feasible_point(constraints, bounds)
-            if point is not None:
-                certificate = None
-                if want_certificate:
-                    for candidate in _integer_candidates(point):
-                        if _witness_violates(order, p1, p2, variables,
-                                             infinite, candidate):
-                            certificate = TropicalOrderCertificate(
-                                order=order, key=(p1, p2), holds=False,
-                                witness=(tuple(sorted(infinite)), candidate))
-                            break
-                return False, certificate
-            if certifiable:
-                vector = _farkas_vector(constraints, bounds)
-                if vector is None:  # pragma: no cover - defensive
-                    certifiable = False
-                else:
-                    pivot_vectors.append(vector)
-        if certifiable:
-            dominance.append((tuple(sorted(infinite)), tuple(pivot_vectors)))
-    certificate = None
-    if certifiable:
-        certificate = TropicalOrderCertificate(
-            order=order, key=(p1, p2), holds=True,
-            witnesses=tuple(dominance))
-    return True, certificate
+            feasible, solution = _solve(constraints, bounds)
+            if feasible:
+                return False, _refutation(order, p1, p2, variables,
+                                          infinite, solution)
+            if not _farkas_checks(solution, constraints, bounds):
+                raise ArithmeticError(
+                    f"Farkas vector {solution} fails its exact check")
+            vectors.append(solution)
+        dominance.append((tuple(sorted(infinite)), tuple(vectors)))
+    return True, TropicalOrderCertificate(
+        order=order, key=(p1, p2), holds=True, witnesses=tuple(dominance))
+
+
+def _refutation(order: str, p1: Polynomial, p2: Polynomial,
+                variables: Sequence[str], infinite: frozenset,
+                point: tuple[int, ...]) -> TropicalOrderCertificate:
+    """The ``holds=False`` certificate of a checked violating valuation."""
+    if not _witness_violates(order, p1, p2, variables, infinite, point):
+        raise ArithmeticError(f"point {point} fails its exact check")
+    return TropicalOrderCertificate(
+        order=order, key=(p1, p2), holds=False,
+        witness=(tuple(sorted(infinite)), point))
 
 
 def min_plus_poly_leq(p1: Polynomial, p2: Polynomial) -> bool:
     """Decide ``P1 ≼T+ P2``: min-plus ``P2`` dominates ``P1`` from below
     on every valuation over ``N0 ∪ {∞}``."""
-    holds, _ = decide_poly_leq(MIN_PLUS, p1, p2, want_certificate=False)
-    return holds
+    return decide_poly_leq(MIN_PLUS, p1, p2)[0]
 
 
 def max_plus_poly_leq(p1: Polynomial, p2: Polynomial) -> bool:
     """Decide ``P1 ≼T− P2``: max-plus ``P2`` dominates ``P1`` from above
     on every valuation over ``N0 ∪ {−∞}``."""
-    holds, _ = decide_poly_leq(MAX_PLUS, p1, p2, want_certificate=False)
-    return holds
+    return decide_poly_leq(MAX_PLUS, p1, p2)[0]
 
 
 def _subsets(variables: Sequence[str]) -> Iterable[frozenset]:

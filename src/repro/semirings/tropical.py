@@ -71,7 +71,7 @@ class TropicalMinPlusSemiring(Semiring):
         return TropicalMinPlusOps()
 
     def poly_leq(self, p1, p2) -> bool:
-        """The plain (uncached) LP decision; engines route this call
+        """The plain (uncached) exact decision; engines route this call
         through their certificate memo via ``poly_order``."""
         from ..polynomials.tropical_order import min_plus_poly_leq
         return min_plus_poly_leq(p1, p2)
@@ -123,7 +123,7 @@ class TropicalMaxPlusSemiring(Semiring):
         return TropicalMaxPlusOps()
 
     def poly_leq(self, p1, p2) -> bool:
-        """The plain (uncached) LP decision; engines route this call
+        """The plain (uncached) exact decision; engines route this call
         through their certificate memo via ``poly_order``."""
         from ..polynomials.tropical_order import max_plus_poly_leq
         return max_plus_poly_leq(p1, p2)

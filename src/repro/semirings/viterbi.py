@@ -69,9 +69,10 @@ class ViterbiSemiring(Semiring):
         min-plus semiring (``0 ↦ ∞``), reversing the order direction the
         same way ``T+``'s natural order reverses the numeric one — so
         ``P1 ≼V P2`` iff ``P1 ≼T+ P2`` read over real exponents, which
-        is exactly what the homogeneous-LP decision answers (its
-        relaxation is real-valued to begin with, and tropical addition
-        absorbs coefficients on both sides of the isomorphism).
+        is exactly what the min-plus decision answers: it decides its
+        homogeneous linear systems over the rationals, which for integer
+        systems is feasibility over the reals, and tropical addition
+        absorbs coefficients on both sides of the isomorphism.
         """
         from ..polynomials.tropical_order import min_plus_poly_leq
         return min_plus_poly_leq(p1, p2)

@@ -122,6 +122,25 @@ def test_rl101_fires_on_hom_search_reachable_from_async(tmp_path):
     assert finding.path.endswith("api.py")
 
 
+def test_rl101_fires_on_tropical_order_reachable_from_async(tmp_path):
+    package = _write_tree(tmp_path, {
+        "polynomials/tropical_order.py": (
+            "def decide_poly_leq(order, p1, p2):\n"
+            "    return True, None\n\n\n"
+            "def min_plus_poly_leq(p1, p2):\n"
+            "    return decide_poly_leq('min-plus', p1, p2)[0]\n"),
+        "service/api.py": (
+            "from ..polynomials.tropical_order import min_plus_poly_leq\n\n\n"
+            "async def order(p1, p2):\n"
+            "    return min_plus_poly_leq(p1, p2)\n"),
+    })
+    report = run_lint([package], select=["RL101"])
+    [finding] = report.findings
+    assert "min_plus_poly_leq" in finding.message
+    assert "decide_poly_leq" in finding.message
+    assert finding.path.endswith("api.py")
+
+
 def test_rl101_trailing_pragma_suppresses(tmp_path):
     package = _write_tree(tmp_path, {
         "service/helper.py": _HELPER,

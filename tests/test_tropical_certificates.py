@@ -177,6 +177,21 @@ def test_false_certificates_carry_a_checkable_violating_point():
     assert not certificate_valid(zeroed, MIN_PLUS, left, right)
 
 
+@pytest.mark.parametrize("feasible", [True, False])
+def test_unchecked_solver_results_raise(monkeypatch, feasible):
+    """A solver result that fails its integer check is never certified:
+    a zero point violates nothing, and a zero vector proves nothing."""
+    from repro.polynomials import tropical_order
+
+    def bogus(constraints, bounds):
+        return feasible, (0,) * (len(constraints[0]) if feasible
+                                 else len(constraints))
+
+    monkeypatch.setattr(tropical_order, "_solve", bogus)
+    with pytest.raises(ArithmeticError):
+        decide_poly_leq(MIN_PLUS, poly([(1, "xx")]), poly([(1, "x")]))
+
+
 def test_certificates_round_trip_through_json_and_pickle():
     for order in (MIN_PLUS, MAX_PLUS):
         for pair in ((poly([(1, "xy")]), poly([(1, "xx")])),

@@ -1,9 +1,10 @@
-"""The tropical polynomial orders (Prop. 4.19) and their LP decision.
+"""The tropical polynomial orders (Prop. 4.19) and their exact decision.
 
-The LP procedure is cross-validated against a bounded grid checker on
+The decision is cross-validated against a bounded grid checker on
 random polynomials: whenever the grid finds a violating valuation the
-LP must say "not ≼", and whenever the LP says "≼" the grid must be
-silent.
+decision must say "not ≼", and whenever it says "≼" the grid must be
+silent.  Every decision also carries a certificate that must
+revalidate, and a refuting one must name a valuation that refutes.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.polynomials import (Polynomial, grid_violation,
-                               max_plus_poly_leq, min_plus_poly_leq)
+from repro.polynomials import (MAX_PLUS, MIN_PLUS, Polynomial,
+                               certificate_valid, decide_poly_leq,
+                               grid_violation, max_plus_poly_leq,
+                               min_plus_poly_leq)
 from repro.polynomials.polynomial import Monomial
+from repro.polynomials.tropical_order import _solve
 from repro.semirings import TMINUS, TPLUS
 
 
@@ -95,9 +99,9 @@ def test_degree_matters_with_infinities():
     assert not max_plus_poly_leq(poly([(1, "xx")]), poly([(1, "x")]))
 
 
-# --- LP vs grid cross-validation --------------------------------------
+# --- exact decision vs grid cross-validation ---------------------------
 
-VARS = ("x", "y")
+VARS = ("x", "y", "z")
 monomials = st.builds(
     Monomial.from_variables,
     st.lists(st.sampled_from(VARS), min_size=1, max_size=3),
@@ -108,10 +112,26 @@ tropical_polys = st.builds(
 )
 
 
+def certified(order, semiring, p, q):
+    """Decide ``p ≼ q`` and check its certificate: it must revalidate,
+    and a refuting one must name a valuation that refutes."""
+    decided, certificate = decide_poly_leq(order, p, q)
+    assert certificate_valid(certificate, order, p, q), (p, q, certificate)
+    if not decided:
+        infinite, point = certificate.witness
+        variables = sorted(p.variables() | q.variables())
+        valuation = {var: semiring.zero if var in infinite else value
+                     for var, value in zip(variables, point)}
+        assert not semiring.leq(p.eval_in(semiring, valuation),
+                                q.eval_in(semiring, valuation)), \
+            (p, q, valuation)
+    return decided
+
+
 @given(p=tropical_polys, q=tropical_polys)
 @settings(max_examples=80, deadline=None)
 def test_min_plus_agrees_with_grid(p, q):
-    decided = min_plus_poly_leq(p, q)
+    decided = certified(MIN_PLUS, TPLUS, p, q)
     witness = grid_violation(p, q, TPLUS, bound=3)
     if decided:
         assert witness is None, (p, q, witness)
@@ -120,10 +140,37 @@ def test_min_plus_agrees_with_grid(p, q):
 @given(p=tropical_polys, q=tropical_polys)
 @settings(max_examples=80, deadline=None)
 def test_max_plus_agrees_with_grid(p, q):
-    decided = max_plus_poly_leq(p, q)
+    decided = certified(MAX_PLUS, TMINUS, p, q)
     witness = grid_violation(p, q, TMINUS, bound=3)
     if decided:
         assert witness is None, (p, q, witness)
+
+
+def test_degenerate_systems_are_certified():
+    """Identical sides: every system has a zero pivot row and ties
+    between rows at bound 0, the degenerate case Bland's rule guards."""
+    p = poly([(1, "xx"), (1, "xy"), (1, "yz"), (1, "z")])
+    for order, semiring in ((MIN_PLUS, TPLUS), (MAX_PLUS, TMINUS)):
+        assert certified(order, semiring, p, p)
+    # Rows that all sit at bound 0 are feasible at the origin.
+    assert _solve([(1, -1), (-1, 1), (0, 0)], [0, 0, 0]) == (True, (0, 0))
+
+
+def test_all_infinite_split_has_zero_columns():
+    """With every variable at ∞ only the constant monomial is left, so
+    the split's systems have all-zero columns (none at all without
+    variables) and are decided by their bounds alone."""
+    one_or_x = poly([(1, ""), (1, "x")])
+    one = Polynomial.one()
+    assert certified(MIN_PLUS, TPLUS, one_or_x, one)
+    _, certificate = decide_poly_leq(MIN_PLUS, one_or_x, one)
+    vectors = dict(certificate.witnesses)[("x",)]
+    assert vectors and all(sum(vector) > 0 for vector in vectors)
+    assert not certified(MAX_PLUS, TMINUS, one_or_x, one)
+    assert certified(MAX_PLUS, TMINUS, one, one_or_x)
+    for order, semiring in ((MIN_PLUS, TPLUS), (MAX_PLUS, TMINUS)):
+        assert certified(order, semiring, one, one)
+        assert not certified(order, semiring, one, Polynomial.zero())
 
 
 def test_grid_violation_finds_witness():
