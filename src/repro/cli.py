@@ -378,7 +378,7 @@ def _cmd_falsify(args) -> int:
                                     falsify_nsur, probe_polynomials)
 
     semiring = args.engine.semiring(args.semiring)
-    if not semiring.properties.poly_order_decidable:
+    if not semiring.poly_order_decidable:
         print(f"error: {semiring.name} has no decidable polynomial order; "
               "the axiom search needs poly_leq", file=sys.stderr)
         return 1

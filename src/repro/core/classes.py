@@ -109,14 +109,17 @@ def classify(semiring: Semiring | SemiringProperties,
              name: str | None = None) -> Classification:
     """Compute every Table-1 class membership for a semiring.
 
-    Accepts either a semiring instance or a bare properties record.
+    Accepts either a semiring instance or a bare properties record; a
+    bare record has no polynomial order, so no small-model procedure.
     """
     if isinstance(semiring, Semiring):
         props = semiring.properties
         name = name or semiring.name
+        poly_order_decidable = semiring.poly_order_decidable
     else:
         props = semiring
         name = name or "K"
+        poly_order_decidable = False
     s_hcov = props.mul_idempotent
     s_in = props.one_annihilating
     s_sur = props.mul_semi_idempotent or s_hcov
@@ -144,5 +147,5 @@ def classify(semiring: Semiring | SemiringProperties,
         c1_bi=s1 and props.in_n1bi,
         ck_bi=finite_offset and props.offset >= 2 and props.in_nk_bi,
         c_inf_bi=props.in_ninf_bi,
-        small_model=s1 and props.poly_order_decidable,
+        small_model=s1 and poly_order_decidable,
     )

@@ -24,6 +24,8 @@ CFGs (:mod:`repro.lint.cfg`) and the forward taint engine
   that each parameter influencing the cached value appears in the key
   expression — the rule that keeps a shared cache tier sound (two
   calls differing only in a dropped parameter would alias one entry).
+  It reads the registry from the AST and reports an entry it cannot
+  read, so an unreadable registry never switches its checks off.
 
 All four are pure AST analyses; the shared call graph is built once
 per project and memoized.  An unresolved receiver or import produces
@@ -42,7 +44,6 @@ from .cfg import build_cfg
 from .dataflow import (MUTATOR_METHODS, REMOVAL_METHODS, TaintAnalysis,
                        run_forward)
 from .model import Finding, Project, Rule, SourceFile, rule
-from .rules import CacheLayerRule
 
 __all__ = ["AsyncBlockingRule", "CacheKeyRule", "ForkSafetyRule",
            "OwnershipRule"]
@@ -761,18 +762,24 @@ class CacheKeyRule(Rule):
     divergence failure a shared cache tier must exclude.  Functions
     memoized with ``functools.lru_cache`` are skipped (their keys are
     complete by construction), and each declared layer must have at
-    least one visible write site.
+    least one visible write site.  The registry must be a literal tuple
+    of ``CacheLayer(...)`` calls with constant arguments; an entry the
+    rule cannot read is itself a finding.
     """
 
     id = "RL104"
     title = "cache-key completeness"
+
+    _FIELD_ORDER = ("name", "attr", "hits", "calls", "entries", "size",
+                    "rejected", "keyed_by_semiring")
 
     def check(self, project: Project) -> Iterator[Finding]:
         graph = get_call_graph(project)
         layers_sf = project.file("repro.api.layers")
         layer_by_attr: dict[str, dict] = {}
         if layers_sf is not None:
-            layers, _problems = CacheLayerRule()._parse_registry(layers_sf)
+            layers, problems = self._parse_registry(layers_sf)
+            yield from problems
             layer_by_attr = {layer["attr"]: layer for layer in layers}
         written: set[str] = set()
         for class_id in sorted(graph.classes):
@@ -801,6 +808,67 @@ class CacheKeyRule(Rule):
                         f"ContainmentEngine — the layer can never fill")
 
     # -- collection ----------------------------------------------------
+
+    def _parse_registry(self, sf: SourceFile
+                        ) -> tuple[list[dict], list[Finding]]:
+        """Extract the literal ``CACHE_LAYERS`` tuple from the AST."""
+        for node in sf.tree.body:
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+                value = node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+                value = node.value
+            else:
+                continue
+            if not any(isinstance(t, ast.Name) and t.id == "CACHE_LAYERS"
+                       for t in targets):
+                continue
+            if not isinstance(value, (ast.Tuple, ast.List)):
+                return [], [self.finding(
+                    sf, node, "CACHE_LAYERS must be a literal tuple of "
+                              "CacheLayer(...) calls (the linter reads "
+                              "it without importing)")]
+            layers = []
+            problems = []
+            for element in value.elts:
+                parsed = self._parse_layer(element)
+                if parsed is None:
+                    problems.append(self.finding(
+                        sf, element,
+                        "unparseable CACHE_LAYERS entry — use literal "
+                        "CacheLayer(name=..., attr=..., ...) calls"))
+                else:
+                    parsed["line"] = element.lineno
+                    layers.append(parsed)
+            return layers, problems
+        return [], [self.finding(
+            sf, 1, "repro.api.layers defines no CACHE_LAYERS registry")]
+
+    @classmethod
+    def _parse_layer(cls, node: ast.AST) -> dict | None:
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "CacheLayer"):
+            return None
+        values: dict[str, object] = {}
+        for index, arg in enumerate(node.args):
+            if index >= len(cls._FIELD_ORDER):
+                return None
+            if not isinstance(arg, ast.Constant):
+                return None
+            values[cls._FIELD_ORDER[index]] = arg.value
+        for keyword in node.keywords:
+            if keyword.arg not in cls._FIELD_ORDER:
+                return None
+            if not isinstance(keyword.value, ast.Constant):
+                return None
+            values[keyword.arg] = keyword.value.value
+        if not all(field in values for field in
+                   ("name", "attr", "hits", "calls", "entries")):
+            return None
+        return values
 
     @staticmethod
     def _memo_attrs(graph: CallGraph, cls) -> set[str]:

@@ -45,7 +45,6 @@ class AbsorptivePolynomialSemiring(Semiring):
         offset=1,
         in_nin=True,
         in_n1in=True,
-        poly_order_decidable=True,
         notes="Free Sin-semiring: Cin representative (Thm. 4.9) and C1in "
               "at the UCQ level (Thm. 5.6). Not ⊗-(semi-)idempotent: "
               "x·y ⋠ x²·y since x²y does not divide xy.",

@@ -15,6 +15,8 @@ Elements are small integers (indices into :data:`LEVELS`).
 
 from __future__ import annotations
 
+from itertools import product
+
 from .base import Semiring, SemiringProperties
 
 #: Clearance levels from least to most restricted.
@@ -31,7 +33,6 @@ class AccessControlSemiring(Semiring):
         add_idempotent=True,
         mul_semi_idempotent=True,
         offset=1,
-        poly_order_decidable=True,
         notes="Finite chain lattice; Chom member (data security "
               "clearances).",
     )
@@ -69,17 +70,8 @@ class AccessControlSemiring(Semiring):
         return all(
             self.leq(p1.eval_in(self, dict(zip(variables, values))),
                      p2.eval_in(self, dict(zip(variables, values))))
-            for values in _assignments(range(len(LEVELS)), len(variables))
+            for values in product(range(len(LEVELS)), repeat=len(variables))
         )
-
-
-def _assignments(domain, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _assignments(domain, length - 1):
-        for value in domain:
-            yield (value,) + rest
 
 
 #: Singleton access-control semiring.

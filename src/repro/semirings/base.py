@@ -28,6 +28,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
+from ..polynomials.tropical_order import MAX_PLUS, MIN_PLUS
+
 #: Symbolic infinity used for offsets ("k = ∞" in the paper's notation).
 INFINITE_OFFSET = math.inf
 
@@ -64,9 +66,8 @@ class SemiringProperties:
       offset ``k ≥ 2`` (``Nkbi``; definition reconstructed, see DESIGN).
     * ``in_ninf_bi`` — ``⟨Q2⟩ →֒∞ ⟨Q1⟩`` necessary (``C∞bi`` axiom).
 
-    ``poly_order_decidable`` marks semirings implementing
-    :meth:`Semiring.poly_leq`, enabling the small-model procedure of
-    Thm. 4.17 (e.g. the tropical semirings, Prop. 4.19).
+    Whether the polynomial order is decidable is not declared here: it
+    is :attr:`Semiring.poly_order_decidable`, derived from the class.
     """
 
     mul_idempotent: bool = False
@@ -87,7 +88,6 @@ class SemiringProperties:
     in_nk_bi: bool = False
     in_ninf_bi: bool = False
 
-    poly_order_decidable: bool = False
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -102,7 +102,7 @@ class SemiringProperties:
             raise ValueError("Shcov ⊆ S² (Prop. 5.19): offset must be 1 or 2")
 
 
-class VectorizedOps:
+class VectorizedOps(ABC):
     """Columnar ⊕/⊗ kernels for one semiring (numpy-array semantics).
 
     The contract mirrors the scalar :class:`Semiring` operations exactly
@@ -113,7 +113,8 @@ class VectorizedOps:
     float64 with exact integer arithmetic below 2**53, booleans);
     everything else falls back to the generic object-array kernels in
     :mod:`repro.eval.kernels`, so *every* registered semiring is
-    evaluable.
+    evaluable.  A kernel missing any of the five operations cannot be
+    instantiated.
 
     ``encode``/``decode`` must be exact inverses on normalized elements:
     ``decode(encode(values)) == list(values)`` with identical Python
@@ -124,22 +125,23 @@ class VectorizedOps:
     #: numpy dtype of the annotation column (``None`` → object arrays).
     dtype: Any = None
 
+    @abstractmethod
     def encode(self, values: Sequence[Any]):
         """Normalized semiring elements → annotation column array."""
-        raise NotImplementedError
 
+    @abstractmethod
     def decode(self, array) -> list:
         """Annotation column array → list of normalized elements."""
-        raise NotImplementedError
 
+    @abstractmethod
     def add(self, a, b):
         """Element-wise ``a ⊕ b`` over two encoded columns."""
-        raise NotImplementedError
 
+    @abstractmethod
     def mul(self, a, b):
         """Element-wise ``a ⊗ b`` over two encoded columns."""
-        raise NotImplementedError
 
+    @abstractmethod
     def segment_add(self, values, group_ids, group_count: int):
         """Per-group ``⊕``-fold of ``values``.
 
@@ -148,7 +150,6 @@ class VectorizedOps:
         caller derives ids from ``np.unique(..., return_inverse=True)``);
         returns an encoded column of ``group_count`` aggregates.
         """
-        raise NotImplementedError
 
 
 class Semiring(ABC):
@@ -176,6 +177,23 @@ class Semiring(ABC):
     #: kind share one cache keyed by canonical polynomial pair, never
     #: by semiring instance, so the entries survive process boundaries.
     poly_order: str | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Reject an incoherent ``poly_order`` when the class is defined.
+
+        The certificate memo keys on the kind and revalidates against
+        :meth:`poly_leq`, so a declared kind must be one of the two
+        tropical orders and must come with an implementation.
+        """
+        super().__init_subclass__(**kwargs)
+        if cls.poly_order not in (None, MIN_PLUS, MAX_PLUS):
+            raise TypeError(
+                f"{cls.__name__}: poly_order must be None, {MIN_PLUS!r} "
+                f"or {MAX_PLUS!r} (got {cls.poly_order!r})")
+        if cls.poly_order is not None and cls.poly_leq is Semiring.poly_leq:
+            raise TypeError(
+                f"{cls.__name__}: declares poly_order={cls.poly_order!r} "
+                f"but implements no poly_leq")
 
     # ------------------------------------------------------------------
     # The algebra
@@ -287,12 +305,19 @@ class Semiring(ABC):
     # Polynomial order (hook for the small-model procedure, Thm. 4.17)
     # ------------------------------------------------------------------
 
+    @property
+    def poly_order_decidable(self) -> bool:
+        """True iff the class implements :meth:`poly_leq`, which enables
+        the small-model procedure of Thm. 4.17 (e.g. the tropical
+        semirings, Prop. 4.19)."""
+        return type(self).poly_leq is not Semiring.poly_leq
+
     def poly_leq(self, p1, p2) -> bool:
         """Decide ``P1 ≼K P2``: for *all* valuations ``ν : X → K``,
         ``Evalν(P1) ≼ Evalν(P2)`` (polynomial notation of Sec. 3.2).
 
-        Only semirings with ``properties.poly_order_decidable`` implement
-        this; the default raises.
+        Only semirings with :attr:`poly_order_decidable` implement this;
+        the default raises.
         """
         raise NotImplementedError(
             f"{self.name} does not implement the polynomial order ≼K; "

@@ -22,7 +22,6 @@ class BooleanSemiring(Semiring):
         add_idempotent=True,
         mul_semi_idempotent=True,
         offset=1,
-        poly_order_decidable=True,
         notes="Chom representative (Thm. 3.3); equals type A' systems of "
               "Ioannidis-Ramakrishnan.",
     )
@@ -48,10 +47,7 @@ class BooleanSemiring(Semiring):
         return rng.random() < 0.5
 
     def vectorized_ops(self):
-        try:
-            from ._vectorized import BooleanOps
-        except ImportError:  # numpy unavailable — generic fallback
-            return None
+        from ._vectorized import BooleanOps
         return BooleanOps()
 
     def poly_leq(self, p1, p2) -> bool:

@@ -11,6 +11,7 @@ Elements are exact :class:`fractions.Fraction` values in ``[0, 1]``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .base import Semiring, SemiringProperties
 
@@ -30,7 +31,6 @@ class FuzzySemiring(Semiring):
         add_idempotent=True,
         mul_semi_idempotent=True,
         offset=1,
-        poly_order_decidable=True,
         notes="Totally ordered distributive lattice; Chom member.",
     )
 
@@ -65,17 +65,8 @@ class FuzzySemiring(Semiring):
         return all(
             p1.eval_in(self, dict(zip(variables, values)))
             <= p2.eval_in(self, dict(zip(variables, values)))
-            for values in _assignments(grid, len(variables))
+            for values in product(grid, repeat=len(variables))
         )
-
-
-def _assignments(domain, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _assignments(domain, length - 1):
-        for value in domain:
-            yield (value,) + rest
 
 
 #: Singleton fuzzy semiring.

@@ -32,7 +32,6 @@ class LineageSemiring(Semiring):
         offset=1,
         in_nhcov=True,
         in_n1hcov=True,
-        poly_order_decidable=True,
         notes="Chcov representative (Thm. 4.3); C1hcov at the UCQ level "
               "(Thm. 5.24, complexity first shown for Lin[X] in Green'11).",
     )

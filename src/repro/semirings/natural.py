@@ -17,6 +17,8 @@ Notably ``N_1 ≅ B`` and ``N_2`` is ⊗-idempotent, giving a member of
 
 from __future__ import annotations
 
+from itertools import product
+
 from .base import INFINITE_OFFSET, Semiring, SemiringProperties
 
 
@@ -55,10 +57,7 @@ class NaturalSemiring(Semiring):
         return rng.choice((0, 0, 1, 1, 1, 2, 2, 3, 5, 7))
 
     def vectorized_ops(self):
-        try:
-            from ._vectorized import NaturalOps
-        except ImportError:  # numpy unavailable — generic fallback
-            return None
+        from ._vectorized import NaturalOps
         return NaturalOps()
 
 
@@ -92,7 +91,6 @@ class SaturatingNaturalSemiring(Semiring):
             # the ⊗-idempotent N_2 gets its sufficient condition from
             # S²hcov (Prop. 5.21).  See semirings/product.py for the
             # C2hcov representative Lin[X] × N₂.
-            poly_order_decidable=True,
             notes="Saturating bag semantics; smallest offset exactly k. "
                   "N_1 ≅ B; N_2 ∈ S²hcov (⊗-idempotent with offset 2).",
         )
@@ -121,10 +119,7 @@ class SaturatingNaturalSemiring(Semiring):
         return rng.randint(0, self.cap)
 
     def vectorized_ops(self):
-        try:
-            from ._vectorized import SaturatingNaturalOps
-        except ImportError:  # numpy unavailable — generic fallback
-            return None
+        from ._vectorized import SaturatingNaturalOps
         return SaturatingNaturalOps(self.cap)
 
     def poly_leq(self, p1, p2) -> bool:
@@ -137,18 +132,9 @@ class SaturatingNaturalSemiring(Semiring):
         return all(
             self.leq(p1.eval_in(self, dict(zip(variables, values))),
                      p2.eval_in(self, dict(zip(variables, values))))
-            for values in _tuples(range(self.cap + 1), len(variables))
+            for values in product(range(self.cap + 1),
+                                  repeat=len(variables))
         )
-
-
-def _tuples(domain, length: int):
-    """All tuples of ``length`` elements drawn from ``domain``."""
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(domain, length - 1):
-        for value in domain:
-            yield (value,) + rest
 
 
 #: Bag semantics singleton.

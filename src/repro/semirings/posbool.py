@@ -38,7 +38,6 @@ class PosBoolSemiring(Semiring):
         add_idempotent=True,
         mul_semi_idempotent=True,
         offset=1,
-        poly_order_decidable=True,
         notes="Free distributive lattice; Chom member (incomplete "
               "databases / c-tables).",
     )

@@ -14,6 +14,8 @@ Elements are ``frozenset`` subsets of a finite sample space.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .base import Semiring, SemiringProperties
 
 
@@ -32,7 +34,6 @@ class EventSemiring(Semiring):
             add_idempotent=True,
             mul_semi_idempotent=True,
             offset=1,
-            poly_order_decidable=True,
             notes="Distributive lattice of events; Chom member "
                   "(probabilistic event tables).",
         )
@@ -69,17 +70,8 @@ class EventSemiring(Semiring):
         return all(
             self.leq(p1.eval_in(self, dict(zip(variables, values))),
                      p2.eval_in(self, dict(zip(variables, values))))
-            for values in _assignments(choices, len(variables))
+            for values in product(choices, repeat=len(variables))
         )
-
-
-def _assignments(domain, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _assignments(domain, length - 1):
-        for value in domain:
-            yield (value,) + rest
 
 
 #: Event semiring over a three-outcome sample space.

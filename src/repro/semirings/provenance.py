@@ -62,7 +62,6 @@ class ProvenancePolynomialSemiring(Semiring):
             in_n1bi=(coefficient_cap == 1),
             in_nk_bi=(coefficient_cap is not None and coefficient_cap >= 2),
             in_ninf_bi=(coefficient_cap is None),
-            poly_order_decidable=True,
             notes="Cbi = Nin ∩ Nsur (Thm. 4.10). N[X] ∈ C∞bi (Prop. 5.10), "
                   "B[X] ∈ C1bi, N_k[X] ∈ Ckbi (reconstruction).",
         )

@@ -35,7 +35,6 @@ class TropicalMinPlusSemiring(Semiring):
         one_annihilating=True,
         add_idempotent=True,
         offset=1,
-        poly_order_decidable=True,
         notes="Sin \\ (Chom ∪ Nin): injective homs sufficient, not "
               "necessary (Ex. 4.6); containment decided by the "
               "small-model procedure (Thm. 4.17, Prop. 4.19).",
@@ -64,10 +63,7 @@ class TropicalMinPlusSemiring(Semiring):
         return rng.choice((math.inf, 0, 0, 1, 1, 2, 3, 5))
 
     def vectorized_ops(self):
-        try:
-            from ._vectorized import TropicalMinPlusOps
-        except ImportError:  # numpy unavailable — generic fallback
-            return None
+        from ._vectorized import TropicalMinPlusOps
         return TropicalMinPlusOps()
 
     def poly_leq(self, p1, p2) -> bool:
@@ -88,7 +84,6 @@ class TropicalMaxPlusSemiring(Semiring):
         offset=1,
         in_nhcov=True,
         in_n1hcov=True,
-        poly_order_decidable=True,
         notes="Ssur \\ Nsur: surjective homs sufficient, not necessary; "
               "homomorphic covering IS necessary (Nhcov: set all xi = 0 "
               "and y = 1). Decided by the small-model procedure.",
@@ -116,10 +111,7 @@ class TropicalMaxPlusSemiring(Semiring):
         return rng.choice((-math.inf, 0, 0, 1, 1, 2, 3, 5))
 
     def vectorized_ops(self):
-        try:
-            from ._vectorized import TropicalMaxPlusOps
-        except ImportError:  # numpy unavailable — generic fallback
-            return None
+        from ._vectorized import TropicalMaxPlusOps
         return TropicalMaxPlusOps()
 
     def poly_leq(self, p1, p2) -> bool:

@@ -34,7 +34,6 @@ class ViterbiSemiring(Semiring):
         one_annihilating=True,
         add_idempotent=True,
         offset=1,
-        poly_order_decidable=True,
         notes="Sin member isomorphic to real-valued T+ via −log; "
               "not in Nin (Ex. 4.6 transfers). The isomorphism makes "
               "the T+ polynomial-order LP decide ≼V, so the small-model "

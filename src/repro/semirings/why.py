@@ -32,7 +32,6 @@ class WhySemiring(Semiring):
         in_nsur=True,
         in_n1sur=True,
         in_n1hcov=True,
-        poly_order_decidable=True,
         notes="Csur representative (Thm. 4.14); C1sur at the UCQ level "
               "(Cor. 5.18). Nsur membership is witnessed by the valuation "
               "x ↦ {{x}}; ։∞ is NOT necessary (finite offset 1).",

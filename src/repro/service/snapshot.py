@@ -74,7 +74,7 @@ SNAPSHOT_VERSION = 1
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here
-# (RL002 flags a literal copy as a drift hazard).
+# (the test suite checks a snapshot's layers against SNAPSHOT_LAYERS).
 
 
 class SnapshotError(ValueError):

@@ -114,207 +114,6 @@ def test_rl001_kwargs_splat_counts_as_threaded(tmp_path):
     assert report.clean
 
 
-# -- RL002: cache-layer registry --------------------------------------
-
-
-_LAYERS_OK = """
-class CacheLayer:
-    pass
-
-
-CACHE_LAYERS = (
-    CacheLayer(name="parsed", attr="_parsed", hits="parse_hits",
-               calls="parse_calls", entries="parsed_entries", size=8),
-)
-"""
-
-_ENGINE_OK = """
-class _LRU:
-    pass
-
-
-class ContainmentEngine:
-    def __init__(self):
-        for layer in CACHE_LAYERS:
-            setattr(self, layer.attr, _LRU(layer.size))
-"""
-
-_SNAPSHOT_OK = """
-from ..api.layers import SNAPSHOT_LAYERS as _LAYERS
-"""
-
-
-def test_rl002_silent_on_registry_driven_engine(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/layers.py": _LAYERS_OK,
-        "api/engine.py": _ENGINE_OK,
-        "service/snapshot.py": _SNAPSHOT_OK,
-    })
-    report = run_lint([package], rule_ids=["RL002"])
-    assert report.clean, report.findings
-
-
-def test_rl002_fires_on_undeclared_store(tmp_path):
-    engine = _ENGINE_OK + "        self._rogue = _LRU(8)\n"
-    package = _write_tree(tmp_path, {
-        "api/layers.py": _LAYERS_OK,
-        "api/engine.py": engine,
-        "service/snapshot.py": _SNAPSHOT_OK,
-    })
-    report = run_lint([package], rule_ids=["RL002"])
-    [finding] = report.findings
-    assert "self._rogue" in finding.message
-    assert "outside CACHE_LAYERS" in finding.message
-
-
-def test_rl002_fires_on_unreadable_or_duplicate_registry(tmp_path):
-    layers = _LAYERS_OK.replace(
-        "entries=\"parsed_entries\", size=8),",
-        "entries=\"parsed_entries\", size=8),\n"
-        "    CacheLayer(name=\"parsed\", attr=\"_again\", hits=\"a\",\n"
-        "               calls=\"b\", entries=\"c\"),\n"
-        "    CacheLayer(name=\"plans\", attr=PLANS, hits=\"a\",\n"
-        "               calls=\"b\", entries=\"c\"),")
-    package = _write_tree(tmp_path, {
-        "api/layers.py": layers,
-        "api/engine.py": _ENGINE_OK,
-        "service/snapshot.py": _SNAPSHOT_OK,
-    })
-    report = run_lint([package], rule_ids=["RL002"])
-    messages = " | ".join(f.message for f in report.findings)
-    assert "unparseable CACHE_LAYERS entry" in messages  # attr=PLANS
-    assert "layer 'parsed' is declared twice" in messages
-
-
-def test_rl002_fires_on_literal_snapshot_schema(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/layers.py": _LAYERS_OK,
-        "api/engine.py": _ENGINE_OK,
-        "service/snapshot.py": '_LAYERS = ("parsed",)\n',
-    })
-    report = run_lint([package], rule_ids=["RL002"])
-    messages = " | ".join(f.message for f in report.findings)
-    assert "import SNAPSHOT_LAYERS" in messages
-    assert "duplicates the registry" in messages
-
-
-# -- RL003: semiring conformance ---------------------------------------
-
-
-_SEMIRING_BASE = """
-class VectorizedOps:
-    def encode(self): ...
-    def decode(self): ...
-    def add(self): ...
-    def mul(self): ...
-    def segment_add(self): ...
-
-
-class SemiringProperties:
-    def __init__(self, **kwargs): ...
-
-
-class Semiring:
-    pass
-"""
-
-_VECTORIZED_OK = """
-from .base import VectorizedOps
-
-
-class FullOps(VectorizedOps):
-    def encode(self): ...
-    def decode(self): ...
-    def add(self): ...
-    def mul(self): ...
-    def segment_add(self): ...
-
-
-class HalfOps(VectorizedOps):
-    def encode(self): ...
-    def decode(self): ...
-"""
-
-_TROPICAL_OK = """
-from .base import Semiring, SemiringProperties
-
-
-class GoodSemiring(Semiring):
-    poly_order = "min-plus"
-    properties = SemiringProperties(poly_order_decidable=True)
-
-    def poly_leq(self, p1, p2):
-        return True
-
-    def vectorized_ops(self):
-        try:
-            from ._vectorized import FullOps
-        except ImportError:
-            return None
-        return FullOps()
-"""
-
-
-def test_rl003_silent_on_coherent_semiring(tmp_path):
-    package = _write_tree(tmp_path, {
-        "semirings/base.py": _SEMIRING_BASE,
-        "semirings/_vectorized.py": _VECTORIZED_OK,
-        "semirings/tropical.py": _TROPICAL_OK,
-    })
-    report = run_lint([package], rule_ids=["RL003"])
-    assert report.clean, report.findings
-
-
-def test_rl003_fires_on_unknown_kind_and_missing_decidability(tmp_path):
-    bad = """
-from .base import Semiring, SemiringProperties
-
-
-class TypoSemiring(Semiring):
-    poly_order = "mid-plus"
-
-
-class UndecidedSemiring(Semiring):
-    poly_order = "min-plus"
-    properties = SemiringProperties(poly_order_decidable=False)
-"""
-    package = _write_tree(tmp_path, {
-        "semirings/base.py": _SEMIRING_BASE,
-        "semirings/bad.py": bad,
-    })
-    report = run_lint([package], rule_ids=["RL003"])
-    messages = " | ".join(f.message for f in report.findings)
-    assert "mid-plus" in messages
-    assert "poly_order_decidable=True" in messages
-    assert "poly_leq" in messages  # UndecidedSemiring has no fallback
-
-
-def test_rl003_fires_on_incomplete_kernel(tmp_path):
-    tropical = _TROPICAL_OK.replace("FullOps", "HalfOps")
-    package = _write_tree(tmp_path, {
-        "semirings/base.py": _SEMIRING_BASE,
-        "semirings/_vectorized.py": _VECTORIZED_OK,
-        "semirings/tropical.py": tropical,
-    })
-    report = run_lint([package], rule_ids=["RL003"])
-    assert len(report.findings) == 1
-    message = report.findings[0].message
-    assert "HalfOps" in message and "segment_add" in message
-
-
-def test_rl003_fires_on_kernel_outside_vectorized_module(tmp_path):
-    tropical = _TROPICAL_OK.replace(
-        "from ._vectorized import FullOps", "FullOps = object")
-    package = _write_tree(tmp_path, {
-        "semirings/base.py": _SEMIRING_BASE,
-        "semirings/_vectorized.py": _VECTORIZED_OK,
-        "semirings/tropical.py": tropical,
-    })
-    report = run_lint([package], rule_ids=["RL003"])
-    assert any("not imported from semirings/_vectorized"
-               in f.message for f in report.findings)
-
-
 # -- RL004: determinism hazards ----------------------------------------
 
 

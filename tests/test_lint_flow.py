@@ -488,6 +488,22 @@ def test_rl104_checks_registry_layers_of_the_engine(tmp_path):
     assert "never fill" in messages
 
 
+def test_rl104_reports_an_unparseable_registry_entry(tmp_path):
+    layers = _LAYERS.replace('attr="_plans"', "attr=PLANS")
+    package = _write_tree(tmp_path, {
+        "api/layers.py": layers,
+        "api/engine.py": _LAYER_ENGINE,
+    })
+    report = run_lint([package], select=["RL104"])
+    [finding] = [f for f in report.findings
+                 if "unparseable CACHE_LAYERS entry" in f.message]
+    assert finding.path.endswith("layers.py")
+    plans_line = 1 + next(index for index, line
+                          in enumerate(layers.splitlines())
+                          if 'name="plans"' in line)
+    assert finding.line == plans_line
+
+
 # -- rule filtering and stats ------------------------------------------
 
 
