@@ -1,8 +1,8 @@
 """Wall-clock budget for the interprocedural linter.
 
 ``python -m repro lint`` is a hard CI gate, so the whole-repo pass —
-call-graph construction, per-function CFGs, the taint fixpoints of
-RL101–RL104 on top of the original per-file rules — must stay cheap
+call-graph construction, per-function CFGs, the dataflow fixpoints of
+RL101–RL103 on top of the per-file rules — must stay cheap
 enough to run on every push.  This benchmark lints the repository's
 own package with ``--stats`` timing enabled and pins:
 
@@ -64,4 +64,4 @@ def test_flow_rules_alone_are_not_the_bottleneck():
     report = run_lint(select=["RL1XX"], with_stats=True)
     assert report.clean, "\n".join(f.render() for f in report.findings)
     assert {rule for rule, _ in report.timings} \
-        == {"RL101", "RL102", "RL103", "RL104"}
+        == {"RL101", "RL102", "RL103"}

@@ -24,8 +24,13 @@ Compare::
 
 prints every end-to-end metric per workload with its relative move and
 flags each move beyond that metric's ``BENCHMARK.json`` bound as
-``WORSE`` or ``better``.  The exit status is 1 when a metric got worse
-beyond its bound or a run was not correct, else 0.
+``WORSE`` or ``better``.  A flagged line also prints both records'
+per-launch quartiles (``q1–q3``), and says ``(inside old q1–q3)`` when
+the new median lies between the old quartiles: such a move is within
+the old record's own launch-to-launch spread, so it may be noise
+rather than a code change.  The exit status is 1 when a metric got
+worse beyond its bound or a run was not correct, else 0; the
+quartiles never change it.
 """
 
 from __future__ import annotations
@@ -113,10 +118,27 @@ def compare(old: dict, new: dict, bounds: dict) -> tuple[list[str], bool]:
                 flag, regressed = "WORSE", True
             elif -worse > spec["bound"]:
                 flag = "better"
+            if flag:
+                flag = _spread_note(before["end_to_end"][name],
+                                    after["end_to_end"][name]) + flag
             lines.append(f"{workload:14} {name:22} {was:12.6g} -> "
                          f"{now:12.6g} {spec['unit']:4} {change:+8.1%} "
                          f"(bound {spec['bound']:.0%}) {flag}".rstrip())
     return lines, regressed
+
+
+def _spread_note(before: dict, after: dict) -> str:
+    """``q1–q3 OLD -> NEW`` for a flagged metric, marked when the new
+    median lies inside the old quartiles; empty for records that carry
+    no quartiles."""
+    if not all(key in entry for entry in (before, after)
+               for key in ("median", "q1", "q3")):
+        return ""
+    note = (f"q1–q3 {before['q1']:.6g}–{before['q3']:.6g} -> "
+            f"{after['q1']:.6g}–{after['q3']:.6g} ")
+    if before["q1"] <= after["median"] <= before["q3"]:
+        note += "(inside old q1–q3) "
+    return note
 
 
 def main(argv=None) -> int:

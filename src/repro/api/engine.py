@@ -271,21 +271,25 @@ class ContainmentEngine(DecisionContext):
 
     # -- memoized primitives -------------------------------------------
 
-    def _memo(self, layer: str, key, compute):
-        """Recall ``key`` from ``layer``'s store, or ``compute()`` it.
+    def _memo(self, layer: str, compute, *args):
+        """Recall ``args`` from ``layer``'s store, or ``compute(*args)``.
 
         The one memo path of the engine: it owns the store lookup, the
         ``_MISSING`` contract (``None`` is a cacheable value), the store
-        write and the layer's ``hits``/``calls`` counters.  ``compute``
-        runs only on a miss, after the call is counted.
+        write and the layer's ``hits``/``calls`` counters.  The key *is*
+        the argument list — ``args[0]`` alone for one argument, else the
+        ``args`` tuple — so it covers every input ``compute`` receives.
+        ``compute`` runs only on a miss, after the call is counted; pass
+        the function itself, never a closure over further inputs.
         """
         spec = _LAYER_BY_NAME[layer]
         store = getattr(self, spec.attr)
         counters = vars(self.stats)
+        key = args[0] if len(args) == 1 else args
         value = store.get(key, _MISSING)
         if value is _MISSING:
             counters[spec.calls] += 1
-            value = compute()
+            value = compute(*args)
             store[key] = value
         else:
             counters[spec.hits] += 1
@@ -295,8 +299,7 @@ class ContainmentEngine(DecisionContext):
         """The Table-1 classification, computed once per semiring."""
         self._sync()
         semiring = self.semiring(semiring)
-        return self._memo("classifications", semiring,
-                          lambda: classify(semiring))
+        return self._memo("classifications", classify, semiring)
 
     def classify(self, semiring) -> Classification:
         """The context's classification hook: :meth:`classification`."""
@@ -304,12 +307,11 @@ class ContainmentEngine(DecisionContext):
 
     def parse(self, text: str) -> CQ:
         """Parse CQ source text, interning by the exact source string."""
-        return self._memo("parsed", text, lambda: parse_cq(text))
+        return self._memo("parsed", parse_cq, text)
 
     def find_homomorphism(self, source, target, kind: HomKind):
         """LRU-cached homomorphism search (``None`` results included)."""
-        return self._memo("homs", (source, target, kind),
-                          lambda: find_homomorphism(source, target, kind))
+        return self._memo("homs", find_homomorphism, source, target, kind)
 
     def covered_atoms(self, source, target) -> frozenset:
         """LRU-cached homomorphic atom coverage (the ``⇉`` primitive).
@@ -318,8 +320,7 @@ class ContainmentEngine(DecisionContext):
         so a succeeding cover never enumerates the rest of the
         (possibly exponentially many) homomorphisms.
         """
-        return self._memo("covered", (source, target),
-                          lambda: self._cover(source, target))
+        return self._memo("covered", self._cover, source, target)
 
     @staticmethod
     def _cover(source, target) -> frozenset:
@@ -335,8 +336,7 @@ class ContainmentEngine(DecisionContext):
 
     def complete_description(self, union) -> tuple:
         """LRU-cached complete description ``⟨Q⟩`` of a UCQ."""
-        return self._memo("descriptions", union,
-                          lambda: complete_description_ucq(union))
+        return self._memo("descriptions", complete_description_ucq, union)
 
     def canonical_form(self, query) -> CanonicalForm:
         """LRU-cached canonical labeling record of a (C)CQ.
@@ -349,8 +349,7 @@ class ContainmentEngine(DecisionContext):
         query, so the layer survives registry changes and snapshots
         as-is.
         """
-        return self._memo("canonical", query,
-                          lambda: compute_canonical_form(query))
+        return self._memo("canonical", compute_canonical_form, query)
 
     def poly_leq(self, semiring, p1, p2) -> bool:
         """Certificate-memoized polynomial-order decision (Prop. 4.19).
@@ -403,7 +402,7 @@ class ContainmentEngine(DecisionContext):
         ``repro eval`` workloads without ever re-planning.
         """
         from ..eval.plan import build_plan
-        return self._memo("eval_plans", query, lambda: build_plan(query))
+        return self._memo("eval_plans", build_plan, query)
 
     # -- deciding -------------------------------------------------------
 
@@ -450,7 +449,7 @@ class ContainmentEngine(DecisionContext):
         # above re-stamps every cached document via with_request(), so
         # a request id never leaks out of the aliased entry; the
         # verdict itself depends only on the keyed inputs.
-        self._verdicts.put(key, document)  # repro-lint: disable=RL104
+        self._verdicts.put(key, document)
         return document
 
     def evaluate(self, query, instance, semiring: str | Semiring | None = None):

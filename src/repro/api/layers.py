@@ -11,15 +11,10 @@ declared here exactly once, with its store size and counter names:
   envelope schema (and :func:`~repro.service.snapshot.merge_states`,
   which the :class:`~repro.service.pool.WorkerPool` cache merge goes
   through, iterates the same tuple);
-* the ``RL104`` lint rule reads it to check every layer's memo keys
-  and write sites, and reports an entry it cannot read;
 * the test suite checks that names and attributes are unique, that
-  every ``_LRU`` store of a fresh engine is a registered layer and that
-  a snapshot carries exactly :data:`SNAPSHOT_LAYERS`.
-
-The declaration must stay a *literal* tuple of keyword-argument
-:class:`CacheLayer` calls: the linter reads it from the AST, without
-importing anything.
+  every ``_LRU`` store of a fresh engine is a registered layer, that
+  one workload fills every layer, and that a snapshot carries exactly
+  :data:`SNAPSHOT_LAYERS` and restores every entry.
 """
 
 from __future__ import annotations

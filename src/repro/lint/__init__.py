@@ -1,13 +1,13 @@
 """``repro.lint`` — the project's AST-based invariant checker.
 
 The conventions the engine's correctness and warm-path performance
-rest on (context threading, determinism discipline, pickle-boundary
-safety) are machine-enforced here rather than by review, and an
+rest on (context threading, determinism discipline) are
+machine-enforced here rather than by review, and an
 interprocedural layer — a project-wide call graph, per-function CFGs
 and a forward taint engine — checks the service invariants no single
 file shows:
-event-loop blocking (RL101), fork-safety (RL102), shared-state
-ownership (RL103) and cache-key completeness (RL104).  Run it as::
+event-loop blocking (RL101), fork-safety (RL102) and shared-state
+ownership (RL103).  Run it as::
 
     python -m repro lint                  # self-check the package
     python -m repro lint --json           # machine-readable report
@@ -16,8 +16,8 @@ ownership (RL103) and cache-key completeness (RL104).  Run it as::
     python -m repro lint PATH ...         # lint specific trees
 
 Exit code 0 means clean; 1 means findings (CI gates on this).  See
-:mod:`repro.lint.rules` for the per-file rules (RL001, RL004, RL005),
-:mod:`repro.lint.rules_flow` for the dataflow rules (RL101–RL104), and
+:mod:`repro.lint.rules` for the per-file rules (RL001, RL004),
+:mod:`repro.lint.rules_flow` for the dataflow rules (RL101–RL103), and
 the README's "Static analysis" section for the pragma and ``owner=``
 annotation syntax.
 """

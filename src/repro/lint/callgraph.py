@@ -1,7 +1,7 @@
 """Project-wide call graph with import, alias and receiver typing.
 
-The per-file rules (RL001–RL005) resolve names through imports one
-file at a time; the dataflow rules (RL101–RL104) need to answer
+The per-file rules (RL001, RL004) resolve names through imports one
+file at a time; the dataflow rules (RL101–RL103) need to answer
 *whole-project* questions — "is a blocking LP solve reachable from
 this ``async def``?", "does the worker entry point touch a pre-fork
 socket?" — which require following calls across modules, through
@@ -375,10 +375,6 @@ class CallGraph:
                     found.add(sub)
                     stack.append(sub)
         return found
-
-    def is_subclass(self, class_id: str, base_id: str) -> bool:
-        """True when ``class_id`` is ``base_id`` or inherits from it."""
-        return base_id in self.mro(class_id)
 
     def lookup_method(self, class_id: str, name: str) -> tuple[str, ...]:
         """Candidate implementations of ``obj.name()`` for a receiver

@@ -55,13 +55,6 @@ class CFG:
     exit: Block
     blocks: list[Block]
 
-    def containing_block(self, stmt: ast.stmt) -> Block | None:
-        """The block whose statement list holds ``stmt`` (by identity)."""
-        for block in self.blocks:
-            if any(s is stmt for s in block.statements):
-                return block
-        return None
-
 
 class _Builder:
     def __init__(self) -> None:

@@ -8,23 +8,16 @@ Two layers:
   loop runs until nothing changes.  Monotone transfer functions over
   the finite taint lattice guarantee termination.
 
-* :class:`TaintAnalysis` — the concrete analysis the RL1xx rules use.
-  A state maps each local variable to the frozenset of *source labels*
-  (by default: the function's parameters) that may influence its
-  value.  Propagation is deliberately coarse-but-sound in the *may*
-  direction: every ``Name`` read inside the right-hand side
-  contributes its taint, calls taint their result with every argument,
-  tuple unpacking spreads the full RHS taint, in-place mutators
-  (``x.append(v)``, ``s.update(...)``) feed argument taint back into
-  the receiver, and loop/with/except headers model their bindings.
-  Over-approximating influence is the safe default here — RL104 asks
-  "could this parameter affect the cached value?", and a spurious
-  *yes* on the key side can only silence, never fabricate, a finding,
-  while a spurious *yes* on the value side surfaces for human review.
+* :class:`TaintAnalysis` — the taint analysis RL103's alias tracker
+  specializes.  A state maps each local variable to the frozenset of
+  *source labels* that may influence its value.  Propagation is
+  deliberately coarse-but-sound in the *may* direction: every ``Name``
+  read inside the right-hand side contributes its taint, calls taint
+  their result with every argument, tuple unpacking spreads the full
+  RHS taint, and loop/with/except headers model their bindings.
 
-Rules query results with :func:`state_before`, which replays the fixed
-block prefix up to (but excluding) a statement of interest — e.g. the
-taint sets in scope at a ``self._cache.put(key, value)`` site.
+A rule reads results by replaying a block from its entry state (as
+:func:`run_forward` returns it) statement by statement.
 """
 
 from __future__ import annotations
@@ -33,8 +26,7 @@ import ast
 
 from .cfg import CFG, Block
 
-__all__ = ["ForwardAnalysis", "TaintAnalysis", "run_forward",
-           "state_before"]
+__all__ = ["ForwardAnalysis", "TaintAnalysis", "run_forward"]
 
 #: Methods that mutate their receiver in place using their arguments.
 MUTATOR_METHODS = frozenset({
@@ -98,21 +90,6 @@ def run_forward(cfg: CFG, analysis: ForwardAnalysis
     return states
 
 
-def state_before(cfg: CFG, analysis: ForwardAnalysis,
-                 states: dict[Block, dict],
-                 target: ast.stmt) -> dict:
-    """The fixpoint state immediately before ``target`` executes."""
-    block = cfg.containing_block(target)
-    if block is None:
-        return analysis.initial()
-    state = analysis.copy(states[block])
-    for stmt in block.statements:
-        if stmt is target:
-            break
-        analysis.transfer(stmt, state)
-    return state
-
-
 def _assigned_names(target: ast.expr):
     """Every plain Name bound by an assignment target."""
     if isinstance(target, ast.Name):
@@ -128,7 +105,7 @@ class TaintAnalysis(ForwardAnalysis):
     """Track which source labels may influence each local variable.
 
     ``seeds`` maps variable names to their initial label sets (for
-    RL104: each non-self parameter to ``{its own name}``).  Subclasses
+    example each parameter to ``{its own name}``).  Subclasses
     may override :meth:`extra_sources` to inject labels at arbitrary
     expressions — RL103 uses that to treat loads of owned ``self``
     attributes as sources, which turns the same engine into an alias
@@ -157,11 +134,6 @@ class TaintAnalysis(ForwardAnalysis):
         for node in ast.walk(expr):
             if isinstance(node, ast.Name):
                 taint |= state.get(node.id, frozenset())
-            elif isinstance(node, ast.Lambda):
-                # A lambda's body does not run here; its value still
-                # closes over tainted names, which the Name walk above
-                # already covers.
-                continue
             taint |= self.extra_sources(node)
         return taint
 
@@ -209,33 +181,8 @@ class TaintAnalysis(ForwardAnalysis):
         elif isinstance(stmt, ast.ExceptHandler):
             if stmt.name:
                 state[stmt.name] = frozenset()
-        elif isinstance(stmt, ast.Expr):
-            self._mutator_flow(stmt.value, state)
-        elif isinstance(stmt, ast.Return):
-            state["<return>"] = (state.get("<return>", frozenset())
-                                 | self.expr_taint(stmt.value, state))
 
     def _bind(self, target: ast.expr, taint: frozenset[str],
               state: dict) -> None:
         for name in _assigned_names(target):
             state[name] = taint
-
-    def _mutator_flow(self, expr: ast.expr, state: dict) -> None:
-        """``collected.append(item)`` feeds ``item``'s taint into
-        ``collected`` — without this, accumulator loops (the engine's
-        ``covered.update(...)`` idiom) would look untainted."""
-        if not (isinstance(expr, ast.Call)
-                and isinstance(expr.func, ast.Attribute)
-                and expr.func.attr in MUTATOR_METHODS):
-            return
-        receiver = expr.func.value
-        if not isinstance(receiver, ast.Name):
-            return
-        taint: frozenset[str] = frozenset()
-        for arg in expr.args:
-            taint |= self.expr_taint(arg, state)
-        for keyword in expr.keywords:
-            taint |= self.expr_taint(keyword.value, state)
-        if taint:
-            name = receiver.id
-            state[name] = state.get(name, frozenset()) | taint

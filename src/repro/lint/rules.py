@@ -1,4 +1,4 @@
-"""The project-specific per-file lint rules (RL001, RL004, RL005).
+"""The project-specific per-file lint rules (RL001, RL004).
 
 Each rule machine-enforces one convention the engine's correctness or
 warm-path performance rests on; ``docs/ARCHITECTURE.md`` and the
@@ -6,8 +6,9 @@ README's "Static analysis" section describe them from the user side.
 Conventions Python can check itself are not here: a semiring's
 ``poly_order`` is checked when its class is defined, an incomplete
 :class:`~repro.semirings.base.VectorizedOps` kernel cannot be
-instantiated, and the cache-layer registry is covered by RL104 and the
-test suite.
+instantiated, a memo key is the argument list of the engine's
+``_memo`` call, and a pickled query restores through its class, which
+the snapshot unpickler admits like any ``repro`` class.
 
 * **RL001** — calls to the context-accepting decision primitives must
   thread ``context=`` (an omitted keyword silently bypasses every
@@ -15,8 +16,6 @@ test suite.
 * **RL004** — determinism hazards: ``id()``, ``hash()`` outside the
   ``__hash__``/``_hash``-memo idiom, stringified sets, set iteration
   inside digest/shard routines.
-* **RL005** — every ``__reduce__`` crossing the pool boundary restores
-  through a callable the snapshot unpickler's allowlist covers.
 
 All rules are pure AST analyses over a :class:`~repro.lint.model.Project`
 — nothing under analysis is ever imported.
@@ -31,7 +30,7 @@ from .callgraph import import_map as _import_map
 from .model import (Finding, Project, Rule, SourceFile, rule,
                     walk_with_parents)
 
-__all__ = ["ContextThreadingRule", "DeterminismRule", "PickleBoundaryRule"]
+__all__ = ["ContextThreadingRule", "DeterminismRule"]
 
 #: The modules whose public context-accepting functions RL001 covers.
 _CONTEXT_PREFIXES = ("repro.core", "repro.homomorphisms",
@@ -239,129 +238,3 @@ class DeterminismRule(Rule):
                 return True
             current = parent
         return False
-
-
-@rule
-class PickleBoundaryRule(Rule):
-    """RL005: pool-crossing types restore through allowlisted callables.
-
-    Every ``__reduce__`` must return a tuple whose restore callable the
-    linter can see: a same-file class (the restricted unpickler admits
-    any ``repro`` class) or a module-level function present in the
-    snapshot unpickler's ``_ALLOWED_FUNCTIONS`` allowlist.  Classes
-    shipping a ``_from_canonical`` fast restore must also define
-    ``__reduce__`` (otherwise the pool boundary never uses it), and
-    every allowlisted function name must actually exist.
-    """
-
-    id = "RL005"
-    title = "pickle-boundary safety"
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        snapshot_sf = project.file("repro.service.snapshot")
-        allowlist, anchor = self._allowlist(snapshot_sf)
-        module_functions: set[str] = set()
-        for sf in project.files:
-            module_functions.update(
-                node.name for node in sf.tree.body
-                if isinstance(node, ast.FunctionDef))
-            yield from self._check_file(sf, allowlist)
-        if allowlist is not None and snapshot_sf is not None:
-            for name in sorted(allowlist - module_functions):
-                yield self.finding(
-                    snapshot_sf, anchor,
-                    f"allowlisted restore function {name!r} does not "
-                    f"exist as a module-level function anywhere under "
-                    f"analysis")
-
-    @staticmethod
-    def _allowlist(sf: SourceFile | None
-                   ) -> tuple[frozenset[str] | None, int]:
-        if sf is None:
-            return None, 1
-        for node in ast.walk(sf.tree):
-            if not (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name)
-                            and t.id == "_ALLOWED_FUNCTIONS"
-                            for t in node.targets)):
-                continue
-            value = node.value
-            if (isinstance(value, ast.Call)
-                    and isinstance(value.func, ast.Name)
-                    and value.func.id == "frozenset" and value.args
-                    and isinstance(value.args[0], (ast.Set, ast.Tuple,
-                                                   ast.List))):
-                names = frozenset(
-                    element.value for element in value.args[0].elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str))
-                return names, node.lineno
-        return None, 1
-
-    def _check_file(self, sf: SourceFile,
-                    allowlist: frozenset[str] | None
-                    ) -> Iterator[Finding]:
-        local_functions = {node.name for node in sf.tree.body
-                           if isinstance(node, ast.FunctionDef)}
-        local_classes = {node.name for node in sf.tree.body
-                         if isinstance(node, ast.ClassDef)}
-        for cls in [node for node in ast.walk(sf.tree)
-                    if isinstance(node, ast.ClassDef)]:
-            reduce_def = next(
-                (item for item in cls.body
-                 if isinstance(item, ast.FunctionDef)
-                 and item.name == "__reduce__"), None)
-            has_fast_restore = any(
-                isinstance(item, ast.FunctionDef)
-                and item.name == "_from_canonical" for item in cls.body)
-            if has_fast_restore and reduce_def is None:
-                yield self.finding(
-                    sf, cls,
-                    f"{cls.name} defines _from_canonical but no "
-                    f"__reduce__ — the pool boundary and snapshots "
-                    f"will never use the fast restore path")
-            if reduce_def is None:
-                continue
-            for ret in ast.walk(reduce_def):
-                if not isinstance(ret, ast.Return) or ret.value is None:
-                    continue
-                yield from self._check_return(
-                    sf, cls, ret, local_functions, local_classes,
-                    allowlist)
-
-    def _check_return(self, sf: SourceFile, cls: ast.ClassDef,
-                      ret: ast.Return, local_functions, local_classes,
-                      allowlist) -> Iterator[Finding]:
-        value = ret.value
-        if not (isinstance(value, ast.Tuple) and value.elts):
-            yield self.finding(
-                sf, ret,
-                f"{cls.name}.__reduce__ must return a literal tuple "
-                f"(restore_callable, args) the linter can check "
-                f"against the snapshot unpickler allowlist")
-            return
-        head = value.elts[0]
-        if not isinstance(head, ast.Name):
-            yield self.finding(
-                sf, ret,
-                f"{cls.name}.__reduce__: unanalyzable restore callable "
-                f"— use a module-level function or class name")
-            return
-        if head.id in local_classes or head.id == cls.name:
-            return  # class-based restore: the unpickler admits classes
-        if head.id in local_functions:
-            if allowlist is not None and head.id not in allowlist:
-                yield self.finding(
-                    sf, ret,
-                    f"{cls.name}.__reduce__ restores through "
-                    f"{head.id}(), which is missing from the snapshot "
-                    f"unpickler's _ALLOWED_FUNCTIONS allowlist — "
-                    f"warm-start restores of this type will be "
-                    f"rejected")
-            return
-        yield self.finding(
-            sf, ret,
-            f"{cls.name}.__reduce__ restores through {head.id}, which "
-            f"is neither a module-level function nor a class of this "
-            f"module — the linter cannot verify the unpickler admits "
-            f"it")

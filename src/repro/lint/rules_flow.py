@@ -1,4 +1,4 @@
-"""The interprocedural dataflow rules (RL101–RL104).
+"""The interprocedural dataflow rules (RL101–RL103).
 
 Built on the call graph (:mod:`repro.lint.callgraph`), per-function
 CFGs (:mod:`repro.lint.cfg`) and the forward taint engine
@@ -19,15 +19,8 @@ CFGs (:mod:`repro.lint.cfg`) and the forward taint engine
   a ``# repro-lint: owner=`` annotation outside their declared owner
   methods, with CFG-based alias tracking (``home = self._home[i];
   home.pop()`` is still a mutation of ``self._home``).
-* **RL104** — cache-key completeness: for every ``_memo`` call and
-  ``_LRU`` memo write, and every ``CACHE_LAYERS`` layer, taint-check
-  that each parameter influencing the cached value appears in the key
-  expression — the rule that keeps a shared cache tier sound (two
-  calls differing only in a dropped parameter would alias one entry).
-  It reads the registry from the AST and reports an entry it cannot
-  read, so an unreadable registry never switches its checks off.
 
-All four are pure AST analyses; the shared call graph is built once
+All three are pure AST analyses; the shared call graph is built once
 per project and memoized.  An unresolved receiver or import produces
 *no* edge and therefore no finding — the rules err toward silence,
 never toward fabricated violations.
@@ -45,8 +38,7 @@ from .dataflow import (MUTATOR_METHODS, REMOVAL_METHODS, TaintAnalysis,
                        run_forward)
 from .model import Finding, Project, Rule, SourceFile, rule
 
-__all__ = ["AsyncBlockingRule", "CacheKeyRule", "ForkSafetyRule",
-           "OwnershipRule"]
+__all__ = ["AsyncBlockingRule", "ForkSafetyRule", "OwnershipRule"]
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -565,9 +557,6 @@ class _AliasTaint(TaintAnalysis):
                       ) -> frozenset[str]:
         return frozenset()
 
-    def _mutator_flow(self, expr: ast.expr, state: dict) -> None:
-        return  # ``a.append(b)`` does not make ``a`` alias ``b``
-
 
 @rule
 class OwnershipRule(Rule):
@@ -730,277 +719,3 @@ class OwnershipRule(Rule):
                     for attr in state.get(root.id, ()):
                         results.append((attr, True, node))
         return results
-
-
-# ---------------------------------------------------------------------------
-# RL104 — cache-key completeness
-# ---------------------------------------------------------------------------
-
-
-def _is_self(node: ast.AST) -> bool:
-    return isinstance(node, ast.Name) and node.id == "self"
-
-
-_MEMO_DECORATORS = frozenset({"lru_cache", "cache", "cached_property"})
-
-
-@rule
-class CacheKeyRule(Rule):
-    """RL104: every memo key covers every value-influencing parameter.
-
-    The memo *write* sites are the engine's one memo path,
-    ``self._memo("layer", key, compute)`` (the ``compute`` callable
-    stands for the cached value), plus direct writes
-    ``self.X.put(key, value)`` and ``self.X[key] = value`` to a class
-    attribute created as ``self.X = _LRU(...)`` or declared in the
-    ``CACHE_LAYERS`` registry when the engine is under analysis.  For
-    each, the rule runs the forward taint analysis seeded with the
-    enclosing method's parameters and requires the value's parameter
-    taint to be a subset of the key's.  A parameter that influences the
-    cached value but is missing from the key means two calls differing
-    only in that parameter alias a single cache entry — exactly the silent-
-    divergence failure a shared cache tier must exclude.  Functions
-    memoized with ``functools.lru_cache`` are skipped (their keys are
-    complete by construction), and each declared layer must have at
-    least one visible write site.  The registry must be a literal tuple
-    of ``CacheLayer(...)`` calls with constant arguments; an entry the
-    rule cannot read is itself a finding.
-    """
-
-    id = "RL104"
-    title = "cache-key completeness"
-
-    _FIELD_ORDER = ("name", "attr", "hits", "calls", "entries", "size",
-                    "rejected", "keyed_by_semiring")
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        graph = get_call_graph(project)
-        layers_sf = project.file("repro.api.layers")
-        layer_by_attr: dict[str, dict] = {}
-        if layers_sf is not None:
-            layers, problems = self._parse_registry(layers_sf)
-            yield from problems
-            layer_by_attr = {layer["attr"]: layer for layer in layers}
-        written: set[str] = set()
-        for class_id in sorted(graph.classes):
-            cls = graph.classes[class_id]
-            is_engine = (cls.name == "ContainmentEngine"
-                         and cls.module == "repro.api.engine")
-            store_attrs = self._memo_attrs(graph, cls)
-            if is_engine:
-                store_attrs |= set(layer_by_attr)
-            for method_name in sorted(cls.methods):
-                method = graph.functions[cls.methods[method_name]]
-                if self._is_memoized(method.node):
-                    continue
-                yield from self._check_method(
-                    cls.sf, method, store_attrs,
-                    layer_by_attr if is_engine else {}, written)
-        if layers_sf is not None \
-                and project.file("repro.api.engine") is not None:
-            for attr, layer in sorted(layer_by_attr.items()):
-                if attr not in written:
-                    yield self.finding(
-                        layers_sf, layer.get("line", 1),
-                        f"layer {layer['name']!r} declares attr "
-                        f"{attr!r} but no memo write (_memo call, .put "
-                        f"or subscript store) exists in "
-                        f"ContainmentEngine — the layer can never fill")
-
-    # -- collection ----------------------------------------------------
-
-    def _parse_registry(self, sf: SourceFile
-                        ) -> tuple[list[dict], list[Finding]]:
-        """Extract the literal ``CACHE_LAYERS`` tuple from the AST."""
-        for node in sf.tree.body:
-            targets = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            if not any(isinstance(t, ast.Name) and t.id == "CACHE_LAYERS"
-                       for t in targets):
-                continue
-            if not isinstance(value, (ast.Tuple, ast.List)):
-                return [], [self.finding(
-                    sf, node, "CACHE_LAYERS must be a literal tuple of "
-                              "CacheLayer(...) calls (the linter reads "
-                              "it without importing)")]
-            layers = []
-            problems = []
-            for element in value.elts:
-                parsed = self._parse_layer(element)
-                if parsed is None:
-                    problems.append(self.finding(
-                        sf, element,
-                        "unparseable CACHE_LAYERS entry — use literal "
-                        "CacheLayer(name=..., attr=..., ...) calls"))
-                else:
-                    parsed["line"] = element.lineno
-                    layers.append(parsed)
-            return layers, problems
-        return [], [self.finding(
-            sf, 1, "repro.api.layers defines no CACHE_LAYERS registry")]
-
-    @classmethod
-    def _parse_layer(cls, node: ast.AST) -> dict | None:
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "CacheLayer"):
-            return None
-        values: dict[str, object] = {}
-        for index, arg in enumerate(node.args):
-            if index >= len(cls._FIELD_ORDER):
-                return None
-            if not isinstance(arg, ast.Constant):
-                return None
-            values[cls._FIELD_ORDER[index]] = arg.value
-        for keyword in node.keywords:
-            if keyword.arg not in cls._FIELD_ORDER:
-                return None
-            if not isinstance(keyword.value, ast.Constant):
-                return None
-            values[keyword.arg] = keyword.value.value
-        if not all(field in values for field in
-                   ("name", "attr", "hits", "calls", "entries")):
-            return None
-        return values
-
-    @staticmethod
-    def _memo_attrs(graph: CallGraph, cls) -> set[str]:
-        attrs: set[str] = set()
-        for method_id in cls.methods.values():
-            method = graph.functions[method_id]
-            for node in _walk_scope(method.node):
-                target = value = None
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target, value = node.targets[0], node.value
-                elif isinstance(node, ast.AnnAssign):
-                    target, value = node.target, node.value
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and isinstance(value, ast.Call)):
-                    func = value.func
-                    name = (func.id if isinstance(func, ast.Name)
-                            else func.attr
-                            if isinstance(func, ast.Attribute) else None)
-                    if name == "_LRU":
-                        attrs.add(target.attr)
-        return attrs
-
-    @staticmethod
-    def _is_memoized(node) -> bool:
-        for decorator in node.decorator_list:
-            base = decorator
-            if isinstance(base, ast.Call):
-                base = base.func
-            name = (base.id if isinstance(base, ast.Name)
-                    else base.attr if isinstance(base, ast.Attribute)
-                    else None)
-            if name in _MEMO_DECORATORS:
-                return True
-        return False
-
-    # -- checking ------------------------------------------------------
-
-    def _check_method(self, sf: SourceFile, method: FunctionInfo,
-                      store_attrs: set[str], layer_by_attr: dict,
-                      written: set[str]) -> Iterator[Finding]:
-        attr_by_name = {layer["name"]: attr
-                        for attr, layer in layer_by_attr.items()}
-        sites = self._write_sites(method.node, store_attrs, attr_by_name)
-        if not sites:
-            return
-        for attr, _name, _key, _value, _anchor in sites:
-            written.add(attr)
-        args = method.node.args
-        params = [arg.arg
-                  for arg in (*args.posonlyargs, *args.args,
-                              *args.kwonlyargs)
-                  if arg.arg not in ("self", "cls")]
-        if not params:
-            return
-        seeds = {param: frozenset((param,)) for param in params}
-        cfg = build_cfg(method.node)
-        analysis = TaintAnalysis(seeds)
-        states = run_forward(cfg, analysis)
-        for block in cfg.blocks:
-            state = analysis.copy(states[block])
-            for stmt in block.statements:
-                # Each statement appears in exactly one block, so
-                # scanning its own expressions here visits every
-                # write site once, with the correct pre-state.
-                for expr in _stmt_exprs(stmt):
-                    for site in self._write_sites(expr, store_attrs,
-                                                  attr_by_name):
-                        yield from self._check_site(sf, method, site,
-                                                    state, analysis,
-                                                    layer_by_attr)
-                analysis.transfer(stmt, state)
-
-    @staticmethod
-    def _write_sites(func, store_attrs: set[str], attr_by_name: dict):
-        """``(attr, layer name, key expr, value expr, anchor)`` per memo
-        write: ``self._memo("layer", key, compute)`` calls (``compute``
-        stands for the cached value), ``self.X.put(key, value)`` and
-        ``self.X[key] = value``.  ``attr`` is ``None`` for a ``_memo``
-        layer the registry does not declare."""
-        sites = []
-        for node in _walk_scope(func):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute):
-                receiver = node.func.value
-                if node.func.attr == "_memo" and len(node.args) >= 3 \
-                        and _is_self(receiver) \
-                        and isinstance(node.args[0], ast.Constant) \
-                        and isinstance(node.args[0].value, str):
-                    name = node.args[0].value
-                    sites.append((attr_by_name.get(name), name,
-                                  node.args[1], node.args[2], node))
-                elif node.func.attr == "put" and len(node.args) >= 2 \
-                        and isinstance(receiver, ast.Attribute) \
-                        and _is_self(receiver.value) \
-                        and receiver.attr in store_attrs:
-                    sites.append((receiver.attr, None, node.args[0],
-                                  node.args[1], node))
-            elif isinstance(node, ast.Assign) \
-                    and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Subscript):
-                subscript = node.targets[0]
-                store = subscript.value
-                if (isinstance(store, ast.Attribute)
-                        and _is_self(store.value)
-                        and store.attr in store_attrs):
-                    sites.append((store.attr, None, subscript.slice,
-                                  node.value, subscript))
-        return sites
-
-    def _check_site(self, sf: SourceFile, method: FunctionInfo, site,
-                    state: dict, analysis: TaintAnalysis,
-                    layer_by_attr: dict) -> Iterator[Finding]:
-        attr, name, key_expr, value_expr, anchor = site
-        key_taint = analysis.expr_taint(key_expr, state)
-        value_taint = analysis.expr_taint(value_expr, state)
-        missing = sorted(value_taint - key_taint)
-        if not missing:
-            return
-        layer = layer_by_attr.get(attr)
-        if layer is not None:
-            name = layer["name"]
-        label = (f"self.{attr} (layer {name!r})" if attr and name
-                 else f"self.{attr}" if attr else f"layer {name!r}")
-        noun = "parameter" if len(missing) == 1 else "parameters"
-        yield self.finding(
-            sf, anchor,
-            f"memo write to {label} in {_short(method.qualname)} omits "
-            f"{noun} {', '.join(repr(p) for p in missing)} from the "
-            f"key: the cached value depends on "
-            f"{'it' if len(missing) == 1 else 'them'}, so two calls "
-            f"differing only there would alias one cache entry — add "
-            f"{'it' if len(missing) == 1 else 'them'} to the key or "
-            f"pragma with a soundness justification")

@@ -58,10 +58,16 @@ class CQWithInequalities(CQ):
         object.__setattr__(
             self, "_hash", hash((self.head, self.atoms, self.inequalities)))
 
-    def __reduce__(self):
-        # Overrides CQ's hook: the inequality pairs must travel too.
-        return (_restore_ccq,
-                (self.head, self.atoms, self.inequalities))
+    def __getstate__(self) -> tuple:
+        # Extends CQ's state: the inequality pairs must travel too.
+        return (self.head, self.atoms, self.inequalities)
+
+    def __setstate__(self, state: tuple) -> None:
+        head, atoms, inequalities = state
+        super().__setstate__((head, atoms))
+        object.__setattr__(self, "inequalities", inequalities)
+        object.__setattr__(
+            self, "_hash", hash((head, atoms, inequalities)))
 
     # -- structure ------------------------------------------------------
 
@@ -128,16 +134,6 @@ class CQWithInequalities(CQ):
             sorted(tuple(sorted(pair)) for pair in self.inequalities)
         )
         return f"{base}, {constraints}"
-
-
-def _restore_ccq(head: tuple, atoms: tuple,
-                 inequalities: frozenset) -> CQWithInequalities:
-    """Unpickling fast path, mirroring :func:`repro.queries.cq._restore_cq`."""
-    self = CQWithInequalities._from_canonical(head, atoms)
-    object.__setattr__(self, "inequalities", inequalities)
-    object.__setattr__(
-        self, "_hash", hash((head, atoms, inequalities)))
-    return self
 
 
 def set_partitions(items: tuple) -> Iterator[tuple[tuple, ...]]:

@@ -54,26 +54,30 @@ class CQ:
     def __setattr__(self, *args) -> None:  # pragma: no cover - immutability
         raise AttributeError("CQ is immutable")
 
-    def __reduce__(self):
-        # Rebuild through the trusted fast path: the default slot-based
-        # pickle would trip the immutability guard, re-validating via
-        # the constructor is measurable at snapshot scale (tens of
-        # thousands of queries), and the derived matching structures in
-        # ``_hom_cache`` are per-process anyway.
-        return (_restore_cq, (self.head, self.atoms))
+    def __getstate__(self) -> tuple:
+        # Only the validated, sorted parts travel: ``_hash`` is salted
+        # per process and the derived matching structures in
+        # ``_hom_cache`` are per-process anyway.  Pickle restores
+        # through the class itself (``__new__`` plus
+        # :meth:`__setstate__`), so the snapshot unpickler admits it
+        # as it admits any ``repro`` class.
+        return (self.head, self.atoms)
 
-    @classmethod
-    def _from_canonical(cls, head: tuple, atoms: tuple) -> "CQ":
-        """Rebuild from already-validated, already-sorted parts.
-
-        The unpickling fast path: skips sorting and the head/body
-        checks, which the pickling process already established.
-        """
-        self = object.__new__(cls)
+    def __setstate__(self, state: tuple) -> None:
+        # The trusted fast path: no re-sorting and no head/body checks
+        # (the pickling process established both), which is measurable
+        # at snapshot scale (tens of thousands of queries).
+        head, atoms = state
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_hash", hash((head, atoms)))
         object.__setattr__(self, "_hom_cache", {})
+
+    @classmethod
+    def _from_canonical(cls, head: tuple, atoms: tuple) -> "CQ":
+        """Rebuild from already-validated, already-sorted parts."""
+        self = object.__new__(cls)
+        CQ.__setstate__(self, (head, atoms))
         return self
 
     # -- structure ------------------------------------------------------
@@ -155,7 +159,3 @@ class CQ:
         body = ", ".join(repr(atom) for atom in self.atoms)
         return f"Q({head}) :- {body}"
 
-
-def _restore_cq(head: tuple, atoms: tuple) -> CQ:
-    """Module-level unpickling hook for :meth:`CQ._from_canonical`."""
-    return CQ._from_canonical(head, atoms)

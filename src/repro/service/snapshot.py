@@ -12,7 +12,7 @@ Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 1,
+    {"magic": "repro.engine-snapshot", "version": 2,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -25,7 +25,9 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  New cache layers do **not**
     bump the version: unknown layers are ignored on import and absent
     layers default to empty, so snapshots interoperate across adjacent
-    builds.
+    builds.  Version 2 pickles queries as their class plus state
+    (``__getstate__``/``__setstate__``); version 1 files restored them
+    through module functions the unpickler no longer admits.
 ``semirings``
     The canonical names registered on the exporting engine —
     informational (debugging which registry produced a file); import
@@ -70,7 +72,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here
@@ -95,13 +97,15 @@ class _RestrictedUnpickler(pickle.Unpickler):
     ``STACK_GLOBAL`` would otherwise traverse attributes — e.g. reach
     ``os.system`` through any repro module that imports ``os``), the
     module must live in the ``repro`` package, and the resolved object
-    must be a class (or one of the two query-restore functions the
-    pickle hooks emit) — never a module-level import or helper.
+    must be a class — never a function, a module-level import or a
+    helper.  Outside ``repro`` only five container builtins resolve.
+    Every pickled ``repro`` type restores through its class (a
+    constructor ``__reduce__``, or ``__getstate__``/``__setstate__``),
+    so this rule needs no list of restore functions.
     """
 
     _ALLOWED_BUILTINS = frozenset({"frozenset", "set", "tuple", "list",
                                    "dict"})
-    _ALLOWED_FUNCTIONS = frozenset({"_restore_cq", "_restore_ccq"})
 
     def find_class(self, module: str, name: str):
         if "." in name:
@@ -112,7 +116,7 @@ class _RestrictedUnpickler(pickle.Unpickler):
             return super().find_class(module, name)
         if module == "repro" or module.startswith("repro."):
             obj = super().find_class(module, name)
-            if isinstance(obj, type) or name in self._ALLOWED_FUNCTIONS:
+            if isinstance(obj, type):
                 return obj
         raise SnapshotError(
             f"snapshot references disallowed type {module}.{name}")

@@ -26,13 +26,14 @@ def _launch(items: int, seconds: float) -> dict:
             "peak_rss_mb": 50.0 + items}
 
 
-def _write_records(directory: Path, workload: str, scale: float) -> None:
+def _write_records(directory: Path, workload: str, scale: float,
+                   launch_scale: float) -> None:
     untraced = {
         "seconds": 10, "launches": 3, "setup_samples_s": [0.5, 0.7, 0.6],
         "machine": {"nproc": 2, "python": "3.11"},
         "work_identity": {"identical": True, "counts": {"decisions": 20}},
-        "launch_records": [_launch(20, 2.0), _launch(20, 1.0),
-                           _launch(20, 0.5)],
+        "launch_records": [_launch(20, seconds * launch_scale)
+                           for seconds in (2.0, 1.0, 0.5)],
         "result": {"correct": True, "attempted": 60, "failed": 0,
                    "metrics": {name: {"value": scale, "unit": spec["unit"]}
                                for name, spec in END_TO_END.items()}}}
@@ -47,10 +48,11 @@ def _write_records(directory: Path, workload: str, scale: float) -> None:
                                           encoding="utf-8")
 
 
-def _record(tmp_path: Path, name: str, scale: float) -> Path:
+def _record(tmp_path: Path, name: str, scale: float,
+            launch_scale: float = 1.0) -> Path:
     records = tmp_path / f"records-{name}"
     for workload in ("bag_bounds", "table1_mix", "eval_columnar"):
-        _write_records(records, workload, scale)
+        _write_records(records, workload, scale, launch_scale)
     output = tmp_path / f"BENCH_{name}.json"
     assert bench_record.main(["--output", str(output), "--records",
                               str(records)]) == 0
@@ -90,4 +92,34 @@ def test_compare_flags_moves_beyond_the_bounds(tmp_path, capsys):
         assert line.endswith(expected), line
     assert bench_record.main(["--compare", str(old), str(old)]) == 0
     assert not any(line.endswith(("WORSE", "better"))
+                   for line in capsys.readouterr().out.splitlines())
+
+
+def _line(lines: list[str], workload: str, name: str) -> str:
+    [line] = [line for line in lines
+              if line.split()[:2] == [workload, name]]
+    return line
+
+
+def test_flagged_moves_print_both_quartiles(tmp_path, capsys):
+    old = _record(tmp_path, "old", 1.0)
+    # Same launches, doubled headline values: every flagged median lies
+    # inside the old quartiles, and the exit status is still 1.
+    same_spread = _record(tmp_path, "same", 2.0)
+    assert bench_record.main(["--compare", str(old), str(same_spread)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert _line(lines, "bag_bounds", "decisions_per_s").endswith(
+        "q1–q3 15–30 -> 15–30 (inside old q1–q3) better")
+    assert _line(lines, "table1_mix", "setup_s").endswith(
+        "q1–q3 0.55–0.65 -> 0.55–0.65 (inside old q1–q3) WORSE")
+    # Launches twice as fast: per-launch throughput 20, 40 and 80, so
+    # the new median (40) lies above the old quartiles (15–30).
+    faster = _record(tmp_path, "faster", 2.0, launch_scale=0.5)
+    assert bench_record.main(["--compare", str(old), str(faster)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert _line(lines, "eval_columnar", "decisions_per_s").endswith(
+        "q1–q3 15–30 -> 30–60 better")
+    # Unflagged lines carry no quartiles.
+    assert bench_record.main(["--compare", str(old), str(old)]) == 0
+    assert not any("q1–q3" in line
                    for line in capsys.readouterr().out.splitlines())

@@ -152,78 +152,6 @@ def test_rl004_silent_on_hash_memo_idiom(tmp_path):
     assert report.clean, report.findings
 
 
-# -- RL005: pickle-boundary safety -------------------------------------
-
-
-_SNAPSHOT_ALLOWLIST = """
-class _RestrictedUnpickler:
-    _ALLOWED_FUNCTIONS = frozenset({"_restore_cq"})
-"""
-
-
-def test_rl005_silent_on_allowlisted_restores(tmp_path):
-    package = _write_tree(tmp_path, {
-        "service/snapshot.py": _SNAPSHOT_ALLOWLIST,
-        "queries/cq.py": (
-            "def _restore_cq(head, atoms):\n"
-            "    return CQ(head, atoms)\n\n\n"
-            "class CQ:\n"
-            "    @classmethod\n"
-            "    def _from_canonical(cls, head, atoms):\n"
-            "        return cls()\n\n"
-            "    def __reduce__(self):\n"
-            "        return (_restore_cq, (self.head, self.atoms))\n\n\n"
-            "class Atom:\n"
-            "    def __reduce__(self):\n"
-            "        return (Atom, (1,))\n"),
-    })
-    report = run_lint([package], rule_ids=["RL005"])
-    assert report.clean, report.findings
-
-
-def test_rl005_fires_on_unlisted_restore_function(tmp_path):
-    package = _write_tree(tmp_path, {
-        "service/snapshot.py": _SNAPSHOT_ALLOWLIST,
-        "queries/cq.py": (
-            "def _restore_cq(x):\n"
-            "    return x\n\n\n"
-            "def _rogue(x):\n"
-            "    return x\n\n\n"
-            "class CQ:\n"
-            "    def __reduce__(self):\n"
-            "        return (_rogue, (1,))\n"),
-    })
-    report = run_lint([package], rule_ids=["RL005"])
-    assert any("_rogue" in f.message and "allowlist" in f.message
-               for f in report.findings)
-
-
-def test_rl005_fires_on_fast_restore_without_reduce(tmp_path):
-    package = _write_tree(tmp_path, {
-        "service/snapshot.py": _SNAPSHOT_ALLOWLIST,
-        "queries/cq.py": (
-            "def _restore_cq(x):\n"
-            "    return x\n\n\n"
-            "class Orphan:\n"
-            "    @classmethod\n"
-            "    def _from_canonical(cls, x):\n"
-            "        return cls()\n"),
-    })
-    report = run_lint([package], rule_ids=["RL005"])
-    assert any("_from_canonical but no __reduce__" in f.message
-               for f in report.findings)
-
-
-def test_rl005_fires_on_ghost_allowlist_entry(tmp_path):
-    package = _write_tree(tmp_path, {
-        "service/snapshot.py": (
-            "class _RestrictedUnpickler:\n"
-            "    _ALLOWED_FUNCTIONS = frozenset({\"_never_defined\"})\n"),
-    })
-    report = run_lint([package], rule_ids=["RL005"])
-    assert any("_never_defined" in f.message for f in report.findings)
-
-
 # -- pragmas ------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Tests for the interprocedural flow rules (RL101–RL104).
+"""Tests for the interprocedural flow rules (RL101–RL103).
 
 Same shape as ``test_lint.py``: every rule gets fixture trees it must
 fire on and the clean idiom it must stay silent on, written as
@@ -336,186 +336,18 @@ def test_rl103_comment_above_declares_ownership(tmp_path):
     assert any("'sneaky'" in m for m in messages)
 
 
-# -- RL104: cache-key completeness -------------------------------------
-
-
-_MEMO = """
-class _LRU:
-    def __init__(self, size):
-        self._size = size
-
-    def get(self, key, default):
-        return default
-
-    def put(self, key, value):
-        pass
-
-
-def build_plan(query, mode):
-    return (query, mode)
-
-
-class Engine:
-    def __init__(self):
-        self._plans = _LRU(8)
-
-    def plan(self, query, context):
-        hit = self._plans.get(query, None)
-        if hit is not None:
-            return hit
-        plan = build_plan(query, context.mode)
-        self._plans.put(query, plan)
-        return plan
-"""
-
-
-def test_rl104_fires_on_context_dropped_from_key(tmp_path):
-    package = _write_tree(tmp_path, {"api/memo.py": _MEMO})
-    report = run_lint([package], select=["RL104"])
-    [finding] = report.findings
-    assert "'context'" in finding.message
-    assert "self._plans" in finding.message
-    assert "alias one cache entry" in finding.message
-
-
-def test_rl104_silent_on_complete_key(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/memo.py": _MEMO.replace(
-            "self._plans.put(query, plan)",
-            "self._plans.put((query, context.mode), plan)"),
-    })
-    report = run_lint([package], select=["RL104"])
-    assert report.clean, [f.message for f in report.findings]
-
-
-def test_rl104_skips_lru_cache_decorated(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/memo.py": _MEMO.replace(
-            "    def plan(self, query, context):",
-            "    @lru_cache(maxsize=None)\n"
-            "    def plan(self, query, context):"),
-    })
-    report = run_lint([package], select=["RL104"])
-    assert report.clean, [f.message for f in report.findings]
-
-
-def test_rl104_pragma_with_justification(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/memo.py": _MEMO.replace(
-            "self._plans.put(query, plan)",
-            "self._plans.put(query, plan)  # repro-lint: disable=RL104"),
-    })
-    report = run_lint([package], select=["RL104"])
-    assert report.clean
-    assert report.suppressed == 1
-
-
-_MEMO_PATH = """
-def build(query, dialect):
-    return (query, dialect)
-
-
-class Engine:
-    def _memo(self, layer, key, compute):
-        return compute()
-
-    def plan(self, query, dialect):
-        return self._memo("plans", query, lambda: build(query, dialect))
-"""
-
-
-def test_rl104_fires_on_memo_call_missing_a_key_parameter(tmp_path):
-    package = _write_tree(tmp_path, {"api/memo.py": _MEMO_PATH})
-    report = run_lint([package], select=["RL104"])
-    [finding] = report.findings
-    assert "layer 'plans'" in finding.message
-    assert "'dialect'" in finding.message
-    assert "alias one cache entry" in finding.message
-
-
-def test_rl104_silent_on_memo_call_with_complete_key(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/memo.py": _MEMO_PATH.replace(
-            'self._memo("plans", query,',
-            'self._memo("plans", (query, dialect),'),
-    })
-    report = run_lint([package], select=["RL104"])
-    assert report.clean, [f.message for f in report.findings]
-
-
-_LAYERS = """
-class CacheLayer:
-    pass
-
-
-CACHE_LAYERS = (
-    CacheLayer(name="parsed", attr="_parsed", hits="parse_hits",
-               calls="parse_calls", entries="parsed_entries"),
-    CacheLayer(name="plans", attr="_plans", hits="plan_hits",
-               calls="plan_calls", entries="plan_entries"),
-)
-"""
-
-_LAYER_ENGINE = """
-class _LRU:
-    pass
-
-
-class ContainmentEngine:
-    def __init__(self):
-        self._parsed = _LRU()
-        self._plans = _LRU()
-
-    def parse(self, text, dialect):
-        parsed = (text, dialect)
-        self._parsed[text] = parsed
-        return parsed
-"""
-
-
-def test_rl104_checks_registry_layers_of_the_engine(tmp_path):
-    package = _write_tree(tmp_path, {
-        "api/layers.py": _LAYERS,
-        "api/engine.py": _LAYER_ENGINE,
-    })
-    report = run_lint([package], select=["RL104"])
-    messages = " | ".join(f.message for f in report.findings)
-    # the subscript store keys on text but the value depends on dialect
-    assert "layer 'parsed'" in messages
-    assert "'dialect'" in messages
-    # a declared layer with no write site anywhere can never fill
-    assert "layer 'plans'" in messages
-    assert "never fill" in messages
-
-
-def test_rl104_reports_an_unparseable_registry_entry(tmp_path):
-    layers = _LAYERS.replace('attr="_plans"', "attr=PLANS")
-    package = _write_tree(tmp_path, {
-        "api/layers.py": layers,
-        "api/engine.py": _LAYER_ENGINE,
-    })
-    report = run_lint([package], select=["RL104"])
-    [finding] = [f for f in report.findings
-                 if "unparseable CACHE_LAYERS entry" in f.message]
-    assert finding.path.endswith("layers.py")
-    plans_line = 1 + next(index for index, line
-                          in enumerate(layers.splitlines())
-                          if 'name="plans"' in line)
-    assert finding.line == plans_line
-
-
 # -- rule filtering and stats ------------------------------------------
 
 
 def test_match_rule_patterns():
-    assert match_rule("RL104", "RL104")
-    assert match_rule("RL104", "all")
-    assert match_rule("RL104", "RL1*")
-    assert match_rule("RL104", "RL1XX")
-    assert match_rule("RL104", "RLx04")
+    assert match_rule("RL103", "RL103")
+    assert match_rule("RL103", "all")
+    assert match_rule("RL103", "RL1*")
+    assert match_rule("RL103", "RL1XX")
+    assert match_rule("RL103", "RLx03")
     assert not match_rule("RL004", "RL1XX")
-    assert not match_rule("RL104", "RL10")     # length mismatch
-    assert not match_rule("RL104", "RL0*")
+    assert not match_rule("RL103", "RL10")     # length mismatch
+    assert not match_rule("RL103", "RL0*")
 
 
 def test_select_rules_rejects_dead_patterns():
@@ -569,7 +401,7 @@ def test_cli_select_ignore_stats_flags(tmp_path, capsys):
 
 
 def test_repo_tree_passes_flow_rules():
-    """The repository's own package must pass RL101–RL104 — exactly
+    """The repository's own package must pass RL101–RL103 — exactly
     what the CI gate (`python -m repro lint`) enforces."""
     report = run_lint(select=["RL1XX"])
     assert report.clean, "\n".join(f.render() for f in report.findings)

@@ -153,8 +153,8 @@ def test_snapshot_rejects_dotted_global_traversal(tmp_path):
 
 
 def test_snapshot_rejects_module_level_functions(tmp_path):
-    # Even inside the repro package, only classes (and the two query
-    # restore hooks) may resolve — module imports and helpers must not.
+    # Even inside the repro package, only classes may resolve — module
+    # imports, helpers and functions must not.
     def short_unicode(text: str) -> bytes:
         raw = text.encode("utf-8")
         return b"\x8c" + bytes([len(raw)]) + raw
