@@ -1,28 +1,39 @@
-"""Bag-semantics bounds over isomorphism classes: same bytes, less search.
+"""Bag-semantics bounds by homomorphism kernels: same bytes, less search.
 
 ``N`` and ``R+`` lie in no decidable class, so their verdicts come from
 the bounds search of ``_bounded_verdict``, whose costly conditions are
-``⟨Q2⟩ ⇉2 ⟨Q1⟩`` (Cor. 5.23) and ``⟨Q2⟩ ։∞ ⟨Q1⟩`` (Cor. 5.16).  On
-these Boolean, constant-free pairs, ``⇉2``'s ``⇉1`` part runs on the
-given queries (``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``); its class-level part
-is the two-preimage count over isomorphism classes of the complete
-descriptions, and ``։∞`` is a matching over those classes.  This
-benchmark sweeps chain and clique pairs (``Q1`` on ``n`` variables,
-``Q2`` on ``n - 1``) over ``N`` and ``R+`` and pins, per pair:
+``⟨Q2⟩ ⇉2 ⟨Q1⟩`` (Cor. 5.23), ``⟨Q2⟩ ։∞ ⟨Q1⟩`` (Cor. 5.16) and
+``⟨Q2⟩ →֒∞ ⟨Q1⟩`` (Prop. 5.12).  On these Boolean, constant-free
+pairs the package builds and canonicalises only ``⟨Q1⟩``: the
+occurrences of ``⟨Q2⟩`` are read off the kernels of the homomorphisms
+from the given ``Q2`` members into each ``⟨Q1⟩`` class representative.
+This benchmark sweeps chain and clique pairs (``Q1`` on ``n``
+variables, ``Q2`` on ``n - 1``) over ``N`` and ``R+`` and pins, per
+pair:
 
 * **byte identity** — the verdict document equals, byte for byte, the
-  one produced when the dispatch runs the occurrence-grid oracles of
-  ``tests/occurrence_conditions.py`` instead;
-* **less search** — the class-level run issues no more homomorphism
-  searches (``hom_calls``) than the oracle run, and at most one
-  covered-atom enumeration (``cover_calls``): each pair is one CQ
-  against one CQ.  Both runs use a fresh engine.
+  one produced when the dispatch runs the oracles of
+  ``tests/occurrence_conditions.py`` for all three conditions instead:
+  the class-level versions, which build both descriptions, and the
+  occurrence grid (with the class-level ``→֒k``, which has no grid
+  version);
+* **less search** — the kernel run's homomorphism searches, kernel
+  enumerations and canonical forms (``hom_calls + kernel_calls +
+  canon_calls``) are no more than either oracle run's searches and
+  canonical forms (an oracle enumerates no kernels), and the kernel run
+  makes at most one covered-atom enumeration (``cover_calls``): each
+  pair is one CQ against one CQ.  Canonical forms count on both sides
+  because the oracles' ``→֒∞`` compares ``⟨Q2⟩`` class sizes where the
+  kernel run enumerates: an ``R+`` pair, whose only bag condition that
+  is, makes one search in the oracle runs and one search plus one
+  kernel enumeration in the kernel run, but canonicalises a fifth to
+  a third fewer CCQs.  Every run uses a fresh engine.
 
-It prints the milliseconds and both call counts per size.
-``REPRO_BENCH_SMOKE=1`` (the CI default) stops at 5 variables and
-checks no wall-clock figure; the full sweep reaches 6 variables and
-requires the class-level decisions of the largest size to take less
-time than the oracle's.
+It prints the milliseconds of each run, the cover count, the work
+counts and the kernel enumerations per size.  ``REPRO_BENCH_SMOKE=1``
+(the CI default) stops at 5 variables and checks no wall-clock figure;
+the full sweep reaches 6 variables and requires the kernel decisions of
+the largest size to take less time than the occurrence grid's.
 """
 
 from __future__ import annotations
@@ -39,12 +50,20 @@ from repro.api import ContainmentEngine
 from repro.queries import CQ, Atom, Var
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-from tests.occurrence_conditions import (occurrence_covering_2,  # noqa: E402
+from tests.occurrence_conditions import (class_bi_count_k,  # noqa: E402
+                                         class_covering_2, class_sur_infty,
+                                         occurrence_covering_2,
                                          occurrence_sur_infty)
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 SIZES = range(3, 6 if SMOKE else 7)
 SEMIRINGS = ("N", "R+")
+
+#: ``name → (covering_2, sur_infty, bi_count_k)`` of each oracle run.
+ORACLES = {
+    "class": (class_covering_2, class_sur_infty, class_bi_count_k),
+    "grid": (occurrence_covering_2, occurrence_sur_infty, class_bi_count_k),
+}
 
 
 def shape(kind: str, size: int) -> CQ:
@@ -57,57 +76,70 @@ def shape(kind: str, size: int) -> CQ:
 
 
 @contextmanager
-def occurrence_oracles():
-    """Run the dispatch on the occurrence-grid conditions."""
-    saved = containment.covering_2, containment.sur_infty
-    containment.covering_2 = occurrence_covering_2
-    containment.sur_infty = occurrence_sur_infty
+def oracles(name: str):
+    """Run the dispatch on one oracle generation of the conditions."""
+    names = ("covering_2", "sur_infty", "bi_count_k")
+    saved = [getattr(containment, attr) for attr in names]
+    for attr, oracle in zip(names, ORACLES[name]):
+        setattr(containment, attr, oracle)
     try:
         yield
     finally:
-        containment.covering_2, containment.sur_infty = saved
+        for attr, original in zip(names, saved):
+            setattr(containment, attr, original)
 
 
-def decide(q1: CQ, q2: CQ, semiring: str) -> tuple[str, float, int, int]:
-    """Verdict bytes, seconds, cover calls and hom calls on a fresh
+def decide(q1: CQ, q2: CQ, semiring: str) -> tuple[str, float, dict]:
+    """Verdict bytes, seconds and the compute counters on a fresh
     engine."""
     engine = ContainmentEngine()
     start = time.perf_counter()
     document = engine.decide(q1, q2, semiring)
     elapsed = time.perf_counter() - start
     text = json.dumps(document.to_dict(), ensure_ascii=False)
-    return text, elapsed, engine.stats.cover_calls, engine.stats.hom_calls
+    stats = engine.stats
+    return text, elapsed, {"cover": stats.cover_calls,
+                           "kernel": stats.kernel_calls,
+                           "work": (stats.hom_calls + stats.kernel_calls
+                                    + stats.canon_calls)}
 
 
-def test_class_level_bounds_match_occurrence_oracle():
+def test_kernel_bounds_match_class_and_occurrence_oracles():
     print()
-    print(f"{'size':>4} {'class ms':>9} {'oracle ms':>10} "
-          f"{'cover':>13} {'hom':>15}")
+    print(f"{'size':>4} {'kernel ms':>9} {'class ms':>9} {'grid ms':>9} "
+          f"{'cover':>6} {'work':>6} {'class work':>10} {'grid work':>9} "
+          f"{'kernels':>8}")
     totals = {}
     for size in SIZES:
-        class_s = oracle_s = 0.0
-        class_cover = oracle_cover = class_hom = oracle_hom = 0
+        seconds = dict.fromkeys(("kernel", *ORACLES), 0.0)
+        work = dict.fromkeys(("kernel", *ORACLES), 0)
+        cover = kernels = 0
         for semiring in SEMIRINGS:
             for kind in ("chain", "clique"):
                 q1, q2 = shape(kind, size), shape(kind, size - 1)
-                text, seconds, cover, hom = decide(q1, q2, semiring)
-                with occurrence_oracles():
-                    expected, o_seconds, o_cover, o_hom = decide(
-                        q1, q2, semiring)
-                assert text == expected, (semiring, kind, size)
-                assert cover <= 1, (semiring, kind, size)
-                assert cover <= o_cover, (semiring, kind, size)
-                assert hom <= o_hom, (semiring, kind, size)
-                class_s += seconds
-                oracle_s += o_seconds
-                class_cover += cover
-                oracle_cover += o_cover
-                class_hom += hom
-                oracle_hom += o_hom
-        totals[size] = class_s, oracle_s
-        print(f"{size:>4} {class_s * 1e3:>9.1f} {oracle_s * 1e3:>10.1f} "
-              f"{class_cover:>6}/{oracle_cover:<6} "
-              f"{class_hom:>7}/{oracle_hom:<7}")
+                case = (semiring, kind, size)
+                text, elapsed, counts = decide(q1, q2, semiring)
+                assert counts["cover"] <= 1, case
+                seconds["kernel"] += elapsed
+                work["kernel"] += counts["work"]
+                cover += counts["cover"]
+                kernels += counts["kernel"]
+                for name in ORACLES:
+                    with oracles(name):
+                        expected, o_elapsed, o_counts = decide(
+                            q1, q2, semiring)
+                    assert text == expected, (name, *case)
+                    assert o_counts["kernel"] == 0, (name, *case)
+                    assert counts["cover"] <= o_counts["cover"], (name, *case)
+                    assert counts["work"] <= o_counts["work"], (name, *case)
+                    seconds[name] += o_elapsed
+                    work[name] += o_counts["work"]
+        totals[size] = seconds
+        print(f"{size:>4} {seconds['kernel'] * 1e3:>9.1f} "
+              f"{seconds['class'] * 1e3:>9.1f} "
+              f"{seconds['grid'] * 1e3:>9.1f} {cover:>6} "
+              f"{work['kernel']:>6} {work['class']:>10} "
+              f"{work['grid']:>9} {kernels:>8}")
     if not SMOKE:
-        class_s, oracle_s = totals[max(SIZES)]
-        assert class_s < oracle_s, totals
+        seconds = totals[max(SIZES)]
+        assert seconds["kernel"] < seconds["grid"], totals

@@ -8,7 +8,8 @@ benchmarks go through.  One engine owns:
 * memoization layers for every expensive primitive of the Table-1
   dispatch — classification per semiring, parsed-query interning per
   source text, structural LRUs over homomorphism-search results
-  (first mapping, keyed by ``(source, target, HomKind)``), covered-atom
+  (first mapping, keyed by ``(source, target, HomKind)``), homomorphism
+  kernels (keyed by ``(member, target, HomKind, limit)``), covered-atom
   sets, complete descriptions ``⟨Q⟩``, and
   canonical labeling records (isomorphism key + capture-free renaming +
   automorphism group size per CCQ, keyed by the query),
@@ -28,8 +29,8 @@ sub-conditions.
 Registering (or replacing) a semiring bumps the registry's version;
 the engine detects the bump and drops its semiring-dependent caches
 (classification, verdicts).  The structural caches — homomorphisms,
-covered atoms, descriptions, canonical forms, polynomial-order certificates — only
-mention queries and polynomials and survive.
+kernels, covered atoms, descriptions, canonical forms, polynomial-order
+certificates — only mention queries and polynomials and survive.
 
 Every cache layer is declared exactly once, in
 :data:`repro.api.layers.CACHE_LAYERS`, with its store size and counter
@@ -53,7 +54,8 @@ from ..core.containment import (decide_cq_containment,
                                 decide_ucq_containment, k_equivalent)
 from ..core.context import DecisionContext
 from ..homomorphisms.canonical import CanonicalForm, compute_canonical_form
-from ..homomorphisms.search import HomKind, find_homomorphism, homomorphisms
+from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
+                                   homomorphisms)
 from ..polynomials.admissible import canonical_pair
 from ..polynomials.tropical_order import certificate_valid, decide_poly_leq
 from ..queries.ccq import complete_description_ucq
@@ -312,6 +314,14 @@ class ContainmentEngine(DecisionContext):
     def find_homomorphism(self, source, target, kind: HomKind):
         """LRU-cached homomorphism search (``None`` results included)."""
         return self._memo("homs", find_homomorphism, source, target, kind)
+
+    def hom_kernels(self, member, target, kind: HomKind,
+                    limit: int | None) -> tuple[tuple[int, ...], ...]:
+        """LRU-cached homomorphism kernels (the ``⟨Q2⟩`` occurrence
+        count of the bag-semantics conditions), keyed by
+        ``(member, target, kind, limit)``."""
+        return self._memo("kernels", hom_kernels, member, target, kind,
+                          limit)
 
     def covered_atoms(self, source, target) -> frozenset:
         """LRU-cached homomorphic atom coverage (the ``⇉`` primitive).

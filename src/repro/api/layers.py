@@ -86,6 +86,9 @@ CACHE_LAYERS: tuple[CacheLayer, ...] = (
     CacheLayer(name="homs", attr="_homs",
                hits="hom_hits", calls="hom_calls",
                entries="hom_entries", size=65536),
+    CacheLayer(name="kernels", attr="_kernels",
+               hits="kernel_hits", calls="kernel_calls",
+               entries="kernel_entries", size=65536),
     CacheLayer(name="covered", attr="_covered",
                hits="cover_hits", calls="cover_calls",
                entries="cover_entries", size=65536),

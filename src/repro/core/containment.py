@@ -27,6 +27,7 @@ the paper describes.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 from ..homomorphisms.covering import covers
 from ..homomorphisms.search import HomKind
@@ -178,50 +179,56 @@ def decide_ucq_containment(q1, q2, semiring, *,
 def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification,
                      ctx: DecisionContext) -> Verdict:
     """Best-effort verdict from the known necessary and sufficient
-    conditions when no exact procedure exists (e.g. bag semantics)."""
+    conditions when no exact procedure exists (e.g. bag semantics).
+
+    The necessary conditions run in order until one fails, the
+    sufficient ones in order until one holds: the verdict names only
+    that condition, so the conditions after it are never computed.
+    """
     props = semiring.properties
 
-    necessary: list[tuple[str, bool]] = []
+    necessary: list[tuple[str, Callable[[], bool]]] = []
     if props.in_n2hcov:
         necessary.append(("⟨Q2⟩ ⇉2 ⟨Q1⟩ (Cor. 5.23)",
-                          covering_2(q2, q1, context=ctx)))
+                          lambda: covering_2(q2, q1, context=ctx)))
     elif props.in_n1hcov or props.in_nhcov:
-        necessary.append(("Q2 ⇉1 Q1", covering_union(q2, q1, context=ctx)))
+        necessary.append(("Q2 ⇉1 Q1",
+                          lambda: covering_union(q2, q1, context=ctx)))
     if props.in_nsur:
         necessary.append(
-            ("։1 locally", local_condition(q2, q1, HomKind.SURJECTIVE,
-                                           context=ctx)))
+            ("։1 locally", lambda: local_condition(
+                q2, q1, HomKind.SURJECTIVE, context=ctx)))
     if props.in_nin:
         necessary.append(
-            ("→֒ locally", local_condition(q2, q1, HomKind.INJECTIVE,
-                                           context=ctx)))
+            ("→֒ locally", lambda: local_condition(
+                q2, q1, HomKind.INJECTIVE, context=ctx)))
     for description, holds in necessary:
-        if not holds:
+        if not holds():
             return Verdict(False, "necessary-condition",
                            certificate=description,
                            explanation=f"necessary condition failed: "
                                        f"{description}")
 
-    sufficient: list[tuple[str, bool]] = []
+    sufficient: list[tuple[str, Callable[[], bool]]] = []
     if cls.s_sur:
         sufficient.append(("⟨Q2⟩ ։∞ ⟨Q1⟩ (Cor. 5.16)",
-                           sur_infty(q2, q1, context=ctx)))
+                           lambda: sur_infty(q2, q1, context=ctx)))
     if cls.s_hcov:
         k = 1 if cls.s1 else 2
-        condition = (covering_union(q2, q1, context=ctx) if k == 1
-                     else covering_2(q2, q1, context=ctx))
-        sufficient.append((f"⇉{k} (Prop. 5.21)", condition))
+        sufficient.append((f"⇉{k} (Prop. 5.21)",
+                           lambda: covering_union(q2, q1, context=ctx)
+                           if k == 1 else covering_2(q2, q1, context=ctx)))
     if cls.s_in:
         sufficient.append(
-            ("→֒ locally", local_condition(q2, q1, HomKind.INJECTIVE,
-                                           context=ctx)))
+            ("→֒ locally", lambda: local_condition(
+                q2, q1, HomKind.INJECTIVE, context=ctx)))
     offset = cls.offset
     k_label = "∞" if math.isinf(offset) else str(int(offset))
     sufficient.append(
         (f"⟨Q2⟩ →֒{k_label} ⟨Q1⟩ (Prop. 5.12)",
-         bi_count_k(q2, q1, offset, context=ctx)))
+         lambda: bi_count_k(q2, q1, offset, context=ctx)))
     for description, holds in sufficient:
-        if holds:
+        if holds():
             return Verdict(True, "sufficient-condition",
                            certificate=description,
                            explanation=f"sufficient condition holds: "

@@ -2,9 +2,9 @@
 
 The Table-1 dispatch in :mod:`repro.core.containment` is built from a
 handful of expensive primitives: semiring classification, homomorphism
-search (existence and enumeration), homomorphic covering, the complete
-description ``⟨Q⟩`` of a UCQ, and the canonical form (isomorphism key,
-canonical renaming, automorphism group size) of a CCQ.
+search (existence, enumeration and kernels), homomorphic covering, the
+complete description ``⟨Q⟩`` of a UCQ, and the canonical form
+(isomorphism key, canonical renaming, automorphism group size) of a CCQ.
 :class:`DecisionContext` routes
 all of them through one object so callers (most notably
 :class:`repro.api.ContainmentEngine`, which subclasses it) can
@@ -34,7 +34,8 @@ from functools import lru_cache
 from ..homomorphisms.canonical import CanonicalForm
 from ..homomorphisms.canonical import canonical_form as _memoized_canonical_form
 from ..homomorphisms.covering import covered_atoms
-from ..homomorphisms.search import HomKind, find_homomorphism, homomorphisms
+from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
+                                   homomorphisms)
 from ..queries.ccq import complete_description_ucq
 from .classes import Classification, classify
 
@@ -76,6 +77,18 @@ class DecisionContext:
         (the deduplicated enumeration of
         :func:`repro.homomorphisms.homomorphisms`)."""
         return tuple(homomorphisms(source, target, kind))
+
+    def hom_kernels(self, member, target, kind: HomKind,
+                    limit: int | None) -> tuple[tuple[int, ...], ...]:
+        """The distinct kernels of the ``kind`` homomorphisms
+        ``member → target``, at most ``limit`` of them
+        (:func:`repro.homomorphisms.search.hom_kernels`).
+
+        The bag-semantics conditions count the occurrences of ``⟨Q2⟩``
+        that map into a CCQ of ``⟨Q1⟩`` through this primitive, one
+        call per ``Q2`` member, instead of expanding ``⟨Q2⟩``.
+        """
+        return hom_kernels(member, target, kind, limit)
 
     def covered_atoms(self, source, target) -> frozenset:
         """The target atoms reached by some homomorphic image

@@ -45,6 +45,14 @@ The enumeration contract matches the original generate-and-test
 searcher (kept as a test oracle in ``tests/reference_search.py``): the same
 *set* of deduplicated variable mappings is produced, though not
 necessarily in the same order.
+
+:func:`hom_kernels` reads the same search at a coarser grain: the
+distinct *kernels* of the mappings, i.e. which existential variables of
+the source a homomorphism identifies.  Between CCQs every pair of
+distinct existentials is constrained, so the occurrence ``m/π`` of a
+complete description ``⟨m⟩`` maps into a rigid-free CCQ ``c`` iff some
+homomorphism ``m → c`` has kernel ``π`` — the UCQ conditions count
+``⟨Q2⟩`` occurrences this way without ever building ``⟨Q2⟩``.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from ..queries.cq import CQ
 __all__ = [
     "HomKind",
     "homomorphisms",
+    "hom_kernels",
     "find_homomorphism",
     "has_homomorphism",
 ]
@@ -227,6 +236,46 @@ def homomorphisms(source: CQ, target: CQ,
     Queries must have equal arity; the head is matched positionally
     (``h(u2) = u1``).
     """
+    seen: set[frozenset] = set()
+    for mapping in _search(source, target, kind):
+        key = frozenset(mapping.items())
+        if key not in seen:
+            seen.add(key)
+            yield dict(mapping)
+
+
+def hom_kernels(member: CQ, target: CQ, kind: HomKind = HomKind.PLAIN,
+                limit: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The distinct kernels of the ``kind`` homomorphisms
+    ``member → target``, in enumeration order, at most ``limit`` of
+    them (all when ``limit`` is None).
+
+    A kernel is the partition of ``member.existential_vars()`` that a
+    homomorphism induces, coded as one block label per variable, the
+    labels numbered by first appearance: ``(0, 1, 0)`` identifies the
+    first and third variable and keeps the second apart.
+    """
+    if limit is not None and limit < 1:
+        return ()
+    variables = member.existential_vars()
+    kernels: dict[tuple[int, ...], None] = {}
+    for mapping in _search(member, target, kind):
+        labels: dict = {}
+        kernel = tuple(labels.setdefault(mapping[var], len(labels))
+                       for var in variables)
+        if kernel not in kernels:
+            kernels[kernel] = None
+            if len(kernels) == limit:
+                break
+    return tuple(kernels)
+
+
+def _search(source: CQ, target: CQ, kind: HomKind) -> Iterator[dict]:
+    """The backtracking search behind :func:`homomorphisms`.
+
+    Yields its one live mapping dict at every solution: the caller must
+    read it before advancing the generator, and never keep or mutate it.
+    """
     if source.arity != target.arity:
         return
     mapping: dict[Var, Any] = {}
@@ -328,7 +377,6 @@ def homomorphisms(source: CQ, target: CQ,
 
     # -- flat iterative backtracking over the plan ----------------------
     n = n_source
-    seen: set[frozenset] = set()
     cursors = [0] * n
     trails: list[list[Var]] = [[] for _ in range(n)]
     frame_choice: list[Atom | None] = [None] * n
@@ -420,10 +468,7 @@ def homomorphisms(source: CQ, target: CQ,
                 cursors[pos] = 0
                 continue
             if not uncovered_total:  # always 0 for the non-covering kinds
-                key = frozenset(mapping.items())
-                if key not in seen:
-                    seen.add(key)
-                    yield dict(mapping)
+                yield mapping
             pos -= 1
         else:
             cursors[pos] = 0

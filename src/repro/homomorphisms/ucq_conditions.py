@@ -25,32 +25,48 @@ Each function implements one syntactic condition between UCQs ``Q2`` and
   of ``⟨Q2⟩`` (Def. 5.14); by Hall's theorem this is a bipartite
   matching problem (Thm. 5.17).
 
-``⇉2`` and ``։∞`` are decided over isomorphism classes of the complete
-descriptions rather than over their occurrences.  Both are sound at
-class level because every ingredient is invariant under isomorphism of
-either side: an isomorphism renames existential variables bijectively
-and fixes the head and constants, so composing with it carries the
-homomorphisms (plain or surjective) from one CCQ onto those from any
-isomorphic copy, and carries one target's covered atoms onto the
-other's.  A class is therefore checked once, through one
-representative, and its size stands in for the occurrences it groups:
-the ``⇉2`` preimage count sums class sizes, and the ``։∞`` matching is
-the capacitated class-level matching of
-:func:`repro.homomorphisms.matching.saturates`.  The 203 members of a
-6-variable chain's ``⟨Q⟩`` fall into 122 classes (103 once set-reduced)
-and the 52 of a 5-clique into 7: each side of the grid shrinks by 40 %
-(chain) to 87 % (clique).
+``⟨Q1⟩`` is grouped into isomorphism classes.  Every ingredient is
+invariant under isomorphism of the target: an isomorphism renames
+existential variables bijectively and fixes the head and constants, so
+composing with it carries the homomorphisms (plain, surjective or
+bijective) into one CCQ onto those into any isomorphic copy, and one
+target's covered atoms onto the other's.  A ``⟨Q1⟩`` class is therefore
+checked once, through one representative, and its size is its demand.
 
-The ``⇉1`` part of ``⇉2`` needs no description at all when the pair is
-rigid-free (plain CQ members without head variables or constants): it is
-:func:`covering_union` on the given queries, by the paper's
-``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``.  That is one covered-atom
-enumeration per pair of members instead of one per pair of classes.
+When the pair is rigid-free (:func:`_rigid_free`: plain CQ members
+without head variables or constants), ``⟨Q2⟩`` is never built.  Its
+occurrences are the pairs ``(member m, partition π)``, and in a CCQ every
+pair of distinct existentials is constrained, so ``m/π`` maps into a
+rigid-free CCQ ``c`` iff some homomorphism ``m → c`` of the same kind has
+kernel ``π`` (:func:`repro.homomorphisms.search.hom_kernels`).  The
+``⟨Q2⟩`` side of each condition is read off those kernels:
+
+* ``⇉2`` counts the preimages of a ``⟨Q1⟩`` class as the plain kernels
+  of the ``Q2`` members into its representative, at most two per
+  member, stopping at two;
+* ``։∞`` matches each ``⟨Q1⟩`` class against the occurrences
+  ``(member index, surjective kernel)``, each of capacity one; their
+  total, ``Σ Bell(|vars(m)|)``, needs no expansion either;
+* ``→֒k``/``→֒∞`` take a class's count in ``⟨Q2⟩`` as the number of
+  distinct bijective kernels into its representative.  Each occurrence
+  ``m/π ≅ c`` has exactly one kernel, ``π``, so the count is *not*
+  divided by ``|Aut(c)|``.
+
+The ``⇉1`` part of ``⇉2`` needs no description at all on such a pair:
+it is :func:`covering_union` on the given queries, by the paper's
+``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``.  A pair with a head variable, a
+constant or a member with inequalities expands ``⟨Q2⟩`` and groups it
+into isomorphism classes too, until ROADMAP item 1 fixes ``⟨Q⟩`` for
+rigid terms: ``⇉2`` sums the sizes of the ``⟨Q2⟩`` classes whose
+representative maps to the ``⟨Q1⟩`` representative, ``։∞`` is the
+capacitated class-level matching of
+:func:`repro.homomorphisms.matching.saturates`, and the counts are
+class sizes.
 
 Every function accepts an optional ``context``
 (:class:`repro.core.DecisionContext`-like) that reroutes the expensive
-primitives — homomorphism existence, atom covering, the complete
-description ``⟨Q⟩`` and the canonical form (isomorphism key +
+primitives — homomorphism existence and kernels, atom covering, the
+complete description ``⟨Q⟩`` and the canonical form (isomorphism key +
 automorphism group size) — through a caller-provided cache; with no
 context the plain functions run.
 """
@@ -66,7 +82,7 @@ from ..queries.ucq import UCQ, as_ucq
 from .covering import covered_atoms
 from .isomorphism import automorphism_count, isomorphism_classes
 from .matching import saturates
-from .search import HomKind, has_homomorphism
+from .search import HomKind, has_homomorphism, hom_kernels
 
 __all__ = [
     "local_condition",
@@ -90,6 +106,14 @@ def _description(context, union: UCQ) -> tuple:
     if context is not None:
         return context.complete_description(union)
     return complete_description_ucq(union)
+
+
+def _kernels(context, member: CQ, target: CQ, kind: HomKind,
+             limit: int | None = None) -> tuple:
+    """Kernel primitive, routed through ``context`` when given."""
+    if context is not None:
+        return context.hom_kernels(member, target, kind, limit)
+    return hom_kernels(member, target, kind, limit)
 
 
 def _automorphisms(context, query: CQ) -> int:
@@ -161,42 +185,61 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
       ``|Aut| ≥ 2`` equal summands per source, which offset 2
       saturates, hence its exemption (as in the paper).
 
-    Part (1) runs on the given queries when the pair is rigid-free
-    (:func:`_rigid_free`): ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` iff ``Q2 ⇉1 Q1``
-    (Sec. 5.4), which :func:`covering_union` decides.  Otherwise it
-    runs on set-reduced isomorphism classes (see the module docstring
-    for why this is sound): set reduction changes neither the
-    homomorphisms nor their images, so ``⇉1`` holds iff one
-    representative of every ``⟨Q1⟩`` class is covered by the union of
-    one representative per ``⟨Q2⟩`` class.  Part (2) always runs on
-    the classes: the preimages of a ``⟨Q1⟩`` class are counted by
-    summing the sizes of the ``⟨Q2⟩`` classes whose representative maps
-    to it, stopping at two.
+    On a rigid-free pair (:func:`_rigid_free`) part (1) is
+    :func:`covering_union` on the given queries (``⟨Q2⟩ ⇉1 ⟨Q1⟩`` iff
+    ``Q2 ⇉1 Q1``, Sec. 5.4), and part (2) counts the preimages of a
+    ``⟨Q1⟩`` class as plain kernels of the ``Q2`` members into its
+    representative (see the module docstring): set reduction changes
+    neither the homomorphisms nor their kernels.  Otherwise both parts
+    run on set-reduced isomorphism classes of both descriptions: ``⇉1``
+    holds iff one representative of every ``⟨Q1⟩`` class is covered by
+    the union of one representative per ``⟨Q2⟩`` class, and the
+    preimages of a ``⟨Q1⟩`` class are counted by summing the sizes of
+    the ``⟨Q2⟩`` classes whose representative maps to it, stopping at
+    two.
     """
     source, target = as_ucq(source), as_ucq(target)
     rigid_free = _rigid_free(source, target)
     if rigid_free and not covering_union(source, target, context=context):
         return False
-    description2 = _description(context, source)
-    description1 = _description(context, target)
     classes1 = isomorphism_classes(
-        [_set_reduce(ccq) for ccq in description1], context=context)
-    classes2 = isomorphism_classes(
-        [_set_reduce(ccq) for ccq in description2], context=context)
-    if not rigid_free:
+        [_set_reduce(ccq) for ccq in _description(context, target)],
+        context=context)
+    if rigid_free:
+        def reaches_two(representative: CQ) -> bool:
+            return _kernels_reach_two(source, representative, context)
+    else:
+        classes2 = isomorphism_classes(
+            [_set_reduce(ccq) for ccq in _description(context, source)],
+            context=context)
         representatives2 = [members[0] for members in classes2.values()]
         if not all(_union_covers(representatives2, members[0], context)
                    for members in classes1.values()):
             return False
+
+        def reaches_two(representative: CQ) -> bool:
+            return _preimages_reach_two(classes2, representative, context)
     for members in classes1.values():
         if len(members) < 2:
             continue
         representative = members[0]
         if _automorphisms(context, representative) > 1:
             continue
-        if not _preimages_reach_two(classes2, representative, context):
+        if not reaches_two(representative):
             return False
     return True
+
+
+def _kernels_reach_two(source: UCQ, target: CQ, context) -> bool:
+    """True iff at least two occurrences of ``⟨source⟩`` map
+    homomorphically to the rigid-free CCQ ``target``: two distinct
+    ``(member, plain kernel)`` pairs."""
+    preimages = 0
+    for member in source:
+        preimages += len(_kernels(context, member, target, HomKind.PLAIN, 2))
+        if preimages >= 2:
+            return True
+    return False
 
 
 def _preimages_reach_two(classes2: dict, target: CQ, context) -> bool:
@@ -215,14 +258,16 @@ def _rigid_free(source: UCQ, target: UCQ) -> bool:
     """True iff every member of either side is a plain CQ (no
     inequalities) with no head variable and no constant.
 
-    Only then is ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` decided on the given queries.  ``⟨Q⟩``
-    never binds an existential to a constant or a head variable, so on
-    pairs with such rigid terms the class-level check and the direct one
-    disagree; fixing ``⟨Q⟩`` for rigid terms (ROADMAP item 1) deletes
-    that part of this guard.  A member with inequalities stays excluded
-    even then: a homomorphism from it must map each constrained pair
-    onto a constrained pair, so it covers nothing of a plain member
-    although it covers that member's CCQs in ``⟨Q1⟩``.
+    Only then is ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` decided on the given queries and
+    ``⟨Q2⟩`` read off homomorphism kernels instead of being built.
+    ``⟨Q⟩`` never binds an existential to a constant or a head variable,
+    so on pairs with such rigid terms the class-level check and the
+    direct one disagree, and a kernel into a CCQ with rigid terms is no
+    partition ``⟨Q2⟩`` has; fixing ``⟨Q⟩`` for rigid terms (ROADMAP
+    item 1) deletes that part of this guard.  A member with inequalities
+    stays excluded even then: a homomorphism from it must map each
+    constrained pair onto a constrained pair, so it covers nothing of a
+    plain member although it covers that member's CCQs in ``⟨Q1⟩``.
     """
     return all(not cq.head and not getattr(cq, "inequalities", None)
                and all(is_var(term) for atom in cq.atoms
@@ -248,14 +293,7 @@ def bi_count_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                    context=None) -> bool:
     """``⟨Q2⟩ →֒∞ ⟨Q1⟩`` (Def. 5.8): every isomorphism class occurs in
     ``⟨Q2⟩`` at least as often as in ``⟨Q1⟩``."""
-    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
-                                   context=context)
-    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
-                                   context=context)
-    return all(
-        len(members) <= len(classes2.get(key, ()))
-        for key, members in classes1.items()
-    )
+    return _bi_count(as_ucq(source), as_ucq(target), None, context)
 
 
 def bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
@@ -276,14 +314,40 @@ def bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
     k = int(k)
     if k < 1:
         raise ValueError("offset must be at least 1")
-    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
+    return _bi_count(as_ucq(source), as_ucq(target), k, context)
+
+
+def _bi_count(source: UCQ, target: UCQ, k: int | None, context) -> bool:
+    """``⟨Q2⟩ →֒k ⟨Q1⟩`` for a finite ``k``, or ``→֒∞`` for None.
+
+    ``⟨Q2⟩[C]`` is the number of distinct bijective kernels of the
+    ``Q2`` members into ``C``'s representative on a rigid-free pair
+    (one per occurrence — never divided by ``|Aut|``), and the size of
+    ``C``'s class in ``⟨Q2⟩`` otherwise.
+    """
+    classes1 = isomorphism_classes(_description(context, target),
                                    context=context)
-    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
-                                   context=context)
+    if _rigid_free(source, target):
+        def reaches(key, representative: CQ, required: int) -> bool:
+            found = 0
+            for member in source:
+                found += len(_kernels(context, member, representative,
+                                      HomKind.BIJECTIVE))
+                if found >= required:
+                    return True
+            return False
+    else:
+        classes2 = isomorphism_classes(_description(context, source),
+                                       context=context)
+
+        def reaches(key, representative: CQ, required: int) -> bool:
+            return len(classes2.get(key, ())) >= required
     for key, members in classes1.items():
-        group = _automorphisms(context, members[0])
-        required = min(len(members), math.ceil(k / group))
-        if required > len(classes2.get(key, ())):
+        required = len(members)
+        if k is not None:
+            group = _automorphisms(context, members[0])
+            required = min(required, math.ceil(k / group))
+        if not reaches(key, members[0], required):
             return False
     return True
 
@@ -293,26 +357,54 @@ def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
     occurrence of ``⟨Q1⟩`` a unique surjectively-mapping occurrence of
     ``⟨Q2⟩``.
 
-    Surjectivity counts atom occurrences, so the classes here are those
-    of the raw descriptions (the same canonical keys
+    Surjectivity counts atom occurrences, so the ``⟨Q1⟩`` classes here
+    are those of the raw description (the same canonical keys
     :func:`bi_count_k` groups by).  Hall's condition is decided as a
-    capacitated matching in which each ``⟨Q1⟩`` class demands, and each
-    ``⟨Q2⟩`` class supplies, as many occurrences as it has members.  At
-    most one surjective search runs per pair of class representatives,
-    and none for the ``⟨Q1⟩`` classes after a Hall violation.
+    capacitated matching in which each ``⟨Q1⟩`` class demands as many
+    occurrences as it has members.  On a rigid-free pair the supplies
+    are the ``⟨Q2⟩`` occurrences ``(member index, surjective kernel)``,
+    each of capacity one, out of ``Σ Bell(|vars(m)|)`` in all; otherwise
+    they are the ``⟨Q2⟩`` classes, each of its size.  The edges of a
+    ``⟨Q1⟩`` class are asked for only while no Hall violation has shown.
     """
-    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
-                                   context=context)
-    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
+    source, target = as_ucq(source), as_ucq(target)
+    classes1 = isomorphism_classes(_description(context, target),
                                    context=context)
     representatives1 = [members[0] for members in classes1.values()]
+    demand = [len(members) for members in classes1.values()]
+    if _rigid_free(source, target):
+        occurrences: dict[tuple, int] = {}
+
+        def edges(i: int) -> list[int]:
+            return [occurrences.setdefault((j, kernel), len(occurrences))
+                    for j, member in enumerate(source)
+                    for kernel in _kernels(context, member,
+                                           representatives1[i],
+                                           HomKind.SURJECTIVE)]
+
+        total = sum(_bell(len(member.existential_vars()))
+                    for member in source)
+        return saturates(demand, [1] * total, edges)
+    classes2 = isomorphism_classes(_description(context, source),
+                                   context=context)
     representatives2 = [members[0] for members in classes2.values()]
 
-    def edges(i: int) -> list[int]:
+    def class_edges(i: int) -> list[int]:
         return [j for j, ccq2 in enumerate(representatives2)
                 if _exists(context, ccq2, representatives1[i],
                            HomKind.SURJECTIVE)]
 
-    return saturates([len(members) for members in classes1.values()],
-                     [len(members) for members in classes2.values()],
-                     edges)
+    return saturates(demand, [len(members) for members in classes2.values()],
+                     class_edges)
+
+
+def _bell(n: int) -> int:
+    """The Bell number ``B(n)``: the partitions of ``n`` variables, i.e.
+    the CCQs one ``n``-variable member contributes to ``⟨Q⟩``."""
+    row = [1]
+    for _ in range(n):
+        following = [row[-1]]
+        for value in row:
+            following.append(following[-1] + value)
+        row = following
+    return row[0]

@@ -149,6 +149,7 @@ _CPU_BOUND: dict[tuple[str, str], str] = {
     ("repro.homomorphisms", "find_homomorphism"): "exhaustive hom search",
     ("repro.homomorphisms", "homomorphism_mappings"):
         "exhaustive hom search",
+    ("repro.homomorphisms", "hom_kernels"): "exhaustive hom search",
     ("repro.polynomials.tropical_order", "decide_poly_leq"):
         "an exact LP solve",
 }

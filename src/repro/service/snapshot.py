@@ -3,16 +3,16 @@
 Short-lived ``python -m repro batch`` invocations — and worker
 processes of :class:`repro.service.pool.WorkerPool` — start with cold
 caches, re-paying for parse interning, classification, homomorphism
-searches, covered-atom sets, complete descriptions, canonical labeling
-records and LP-backed tropical order certificates that a previous run
-already computed.  A
-*snapshot* persists those layers to disk so the next run starts warm.
+searches and kernels, covered-atom sets, complete descriptions,
+canonical labeling records and LP-backed tropical order certificates
+that a previous run already computed.  A *snapshot* persists those
+layers to disk so the next run starts warm.
 
 Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 2,
+    {"magic": "repro.engine-snapshot", "version": 3,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -22,12 +22,17 @@ A snapshot file is a pickled envelope with four fields::
 ``version``
     The envelope schema version, :data:`SNAPSHOT_VERSION`.  A reader
     accepts exactly its own version; anything else is *stale* (or from
-    the future) and rejected wholesale.  New cache layers do **not**
-    bump the version: unknown layers are ignored on import and absent
-    layers default to empty, so snapshots interoperate across adjacent
-    builds.  Version 2 pickles queries as their class plus state
-    (``__getstate__``/``__setstate__``); version 1 files restored them
-    through module functions the unpickler no longer admits.
+    the future) and rejected wholesale.  A new cache layer alone need
+    not bump the version: unknown layers are ignored on import and
+    absent layers default to empty.  A bump marks a change in what the
+    layers *mean*.  Version 3 came with the ``kernels`` layer, when the
+    bag-semantics conditions stopped building ``⟨Q2⟩``: a version-2
+    file warms descriptions and searches those conditions no longer
+    ask for and none of the kernels they do, so it is refused as stale
+    and the run starts cold.  Version 2 pickles queries as their class
+    plus state (``__getstate__``/``__setstate__``); version 1 files
+    restored them through module functions the unpickler no longer
+    admits.
 ``semirings``
     The canonical names registered on the exporting engine —
     informational (debugging which registry produced a file); import
@@ -72,7 +77,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

@@ -1,12 +1,19 @@
-"""Occurrence-grid ``⇉2`` and ``։∞``: test and benchmark oracles only.
+"""Earlier ``⇉2``, ``։∞`` and ``→֒k``: test and benchmark oracles only.
 
-These are the earlier implementations of
-:func:`repro.homomorphisms.covering_2` and
-:func:`repro.homomorphisms.sur_infty`, kept verbatim.  They walk every
-pair of occurrences of the complete descriptions ``⟨Q1⟩ × ⟨Q2⟩`` and
-decide Hall's condition with networkx's Hopcroft–Karp on the
-occurrence-expanded graph.  The package computes both conditions over
-isomorphism classes instead; the class-level tests and
+Two generations of the package's bag-semantics conditions, kept as
+they were (the class-level ``→֒k`` takes ``k = ∞`` for ``→֒∞``):
+
+* the occurrence grid (:func:`occurrence_covering_2`,
+  :func:`occurrence_sur_infty`) walks every pair of occurrences of the
+  complete descriptions ``⟨Q1⟩ × ⟨Q2⟩`` and decides Hall's condition
+  with networkx's Hopcroft–Karp on the occurrence-expanded graph;
+* the class level (:func:`class_covering_2`, :func:`class_sur_infty`,
+  :func:`class_bi_count_k`) builds both descriptions and works over
+  their isomorphism classes, with the ``⇉1`` part of ``⇉2`` on the
+  given queries for a rigid-free pair.
+
+The package now reads ``⟨Q2⟩`` off homomorphism kernels on rigid-free
+pairs and never builds it there; the condition tests and
 ``benchmarks/bench_bag_bounds.py`` require equal answers.
 
 The small routers the package shares between its conditions are copied
@@ -15,17 +22,22 @@ too, so a fault in the package's helpers cannot hide in the oracle.
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 
 from repro.homomorphisms.covering import covered_atoms
 from repro.homomorphisms.isomorphism import (automorphism_count,
                                              isomorphism_classes)
+from repro.homomorphisms.matching import saturates
 from repro.homomorphisms.search import HomKind, has_homomorphism
+from repro.queries.atoms import is_var
 from repro.queries.ccq import CQWithInequalities, complete_description_ucq
 from repro.queries.cq import CQ
 from repro.queries.ucq import UCQ, as_ucq
 
-__all__ = ["occurrence_covering_2", "occurrence_sur_infty"]
+__all__ = ["occurrence_covering_2", "occurrence_sur_infty",
+           "class_covering_2", "class_sur_infty", "class_bi_count_k"]
 
 
 def _exists(context, source: CQ, target: CQ, kind: HomKind) -> bool:
@@ -111,3 +123,93 @@ def occurrence_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                 graph.add_edge(("t", i), ("s", j))
     matching = nx.bipartite.maximum_matching(graph, top_nodes=left)
     return all(node in matching for node in left)
+
+
+# -- the class level ---------------------------------------------------------
+
+
+def _rigid_free(source: UCQ, target: UCQ) -> bool:
+    return all(not cq.head and not getattr(cq, "inequalities", None)
+               and all(is_var(term) for atom in cq.atoms
+                       for term in atom.terms)
+               for cq in (*source, *target))
+
+
+def _covering_union(source: UCQ, target: UCQ, context=None) -> bool:
+    return all(_union_covers(source, cq1, context) for cq1 in target)
+
+
+def class_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
+                     context=None) -> bool:
+    """``⟨Q2⟩ ⇉2 ⟨Q1⟩`` over isomorphism classes of both descriptions."""
+    source, target = as_ucq(source), as_ucq(target)
+    rigid_free = _rigid_free(source, target)
+    if rigid_free and not _covering_union(source, target, context):
+        return False
+    description2 = _description(context, source)
+    description1 = _description(context, target)
+    classes1 = isomorphism_classes(
+        [_set_reduce(ccq) for ccq in description1], context=context)
+    classes2 = isomorphism_classes(
+        [_set_reduce(ccq) for ccq in description2], context=context)
+    if not rigid_free:
+        representatives2 = [members[0] for members in classes2.values()]
+        if not all(_union_covers(representatives2, members[0], context)
+                   for members in classes1.values()):
+            return False
+    for members in classes1.values():
+        if len(members) < 2:
+            continue
+        representative = members[0]
+        if _automorphisms(context, representative) > 1:
+            continue
+        preimages = 0
+        for members2 in classes2.values():
+            if _exists(context, members2[0], representative, HomKind.PLAIN):
+                preimages += len(members2)
+                if preimages >= 2:
+                    break
+        if preimages < 2:
+            return False
+    return True
+
+
+def class_bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
+                     context=None) -> bool:
+    """``⟨Q2⟩ →֒k ⟨Q1⟩`` (``k = ∞`` included) by class sizes."""
+    if not math.isinf(k):
+        k = int(k)
+        if k < 1:
+            raise ValueError("offset must be at least 1")
+    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
+                                   context=context)
+    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
+                                   context=context)
+    for key, members in classes1.items():
+        required = len(members)
+        if not math.isinf(k):
+            group = _automorphisms(context, members[0])
+            required = min(required, math.ceil(k / group))
+        if required > len(classes2.get(key, ())):
+            return False
+    return True
+
+
+def class_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
+                    context=None) -> bool:
+    """``⟨Q2⟩ ։∞ ⟨Q1⟩`` as a capacitated matching over classes."""
+    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
+                                   context=context)
+    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
+                                   context=context)
+    representatives1 = [members[0] for members in classes1.values()]
+    representatives2 = [members[0] for members in classes2.values()]
+
+    def edges(i: int) -> list[int]:
+        return [j for j, ccq2 in enumerate(representatives2)
+                if _exists(context, ccq2, representatives1[i],
+                           HomKind.SURJECTIVE)]
+
+    return saturates([len(members) for members in classes1.values()],
+                     [len(members) for members in classes2.values()],
+                     edges)

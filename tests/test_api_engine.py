@@ -447,30 +447,36 @@ def _golden_stream(engine) -> list:
 #: counts and key order must not move).  First recorded before the
 #: per-layer cache methods were collapsed onto ``_memo``; the hom, hom
 #: enumeration and cover figures were re-recorded when ``covering_2``
-#: began deciding ``⇉1`` of a rigid-free pair on the given queries, and
-#: the hom figures again when the enumeration layer was removed.
+#: began deciding ``⇉1`` of a rigid-free pair on the given queries, the
+#: hom figures again when the enumeration layer was removed, and the
+#: hom, kernel, description and canonical figures when the bag
+#: conditions began reading ``⟨Q2⟩`` of a rigid-free pair off
+#: homomorphism kernels (the ``N`` pair builds and canonicalises only
+#: ``⟨Q1⟩``, and its ``։∞`` edges are kernels, not surjective searches).
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
-    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 9,
-    "hom_hits": 3, "cover_calls": 5, "cover_hits": 0, "description_calls": 2,
-    "description_hits": 4, "canon_calls": 7, "canon_hits": 24,
+    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 8,
+    "hom_hits": 3, "kernel_calls": 7, "kernel_hits": 0, "cover_calls": 5,
+    "cover_hits": 0, "description_calls": 1, "description_hits": 2,
+    "canon_calls": 6, "canon_hits": 13,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 9,
-    "cover_entries": 5, "description_entries": 2,
-    "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 8,
+    "kernel_entries": 7, "cover_entries": 5, "description_entries": 1,
+    "canon_entries": 6, "poly_entries": 1, "eval_plan_entries": 1,
     "verdict_entries": 6}
 
 _GOLDEN_RESTORED = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 0,
     "classify_hits": 7, "parse_calls": 0, "parse_hits": 20, "hom_calls": 0,
-    "hom_hits": 12, "cover_calls": 0, "cover_hits": 5, "description_calls": 0,
-    "description_hits": 6, "canon_calls": 0, "canon_hits": 31,
+    "hom_hits": 11, "kernel_calls": 0, "kernel_hits": 7, "cover_calls": 0,
+    "cover_hits": 5, "description_calls": 0, "description_hits": 3,
+    "canon_calls": 0, "canon_hits": 19,
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 9,
-    "cover_entries": 5, "description_entries": 2,
-    "canon_entries": 7, "poly_entries": 1, "eval_plan_entries": 1,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 8,
+    "kernel_entries": 7, "cover_entries": 5, "description_entries": 1,
+    "canon_entries": 6, "poly_entries": 1, "eval_plan_entries": 1,
     "verdict_entries": 6}
 
 

@@ -323,9 +323,9 @@ _WARM_RUNS = (
     [{"semiring": "Lin[X]×N_2",
       "q1": ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
       "q2": ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"]},
-     {"semiring": "N", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"}],
-    [{"semiring": "N", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"},
-     {"semiring": "N",
+     {"semiring": "Ssur[X]", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"}],
+    [{"semiring": "Ssur[X]", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"},
+     {"semiring": "Ssur[X]",
       "q1": ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
       "q2": ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"]}],
 )
@@ -334,8 +334,12 @@ _WARM_RUNS = (
 def test_batch_snapshot_keeps_every_computed_layer(capsys, tmp_path):
     """A run that computes only a canonical form must still re-save.
 
-    The second run's only new work is one canonical form; skipping the
-    rewrite would drop it, and the third run would recompute it."""
+    The second run's only new work is one canonical form: ``Lin[X]×N_2``
+    (``⇉2``) canonicalised the set-reduced CCQs of ``⟨Q1⟩``, and
+    ``Ssur[X]``'s ``։∞`` adds the raw ``R(x, x), R(x, x)``, then stops
+    at the totals (six ``⟨Q1⟩`` occurrences, four in ``⟨Q2⟩``) before
+    any kernel is enumerated.  Skipping the rewrite would drop that
+    form, and the third run would recompute it."""
     import json
 
     snapshot = tmp_path / "s.snap"

@@ -105,9 +105,9 @@ def test_snapshot_layers_match_the_registry(tmp_path):
 
 
 #: One pair per layer family: ``B`` (homomorphism search), the lineage
-#: semiring ``Lin[X]`` (homomorphic covering), an ``N`` UCQ pair
-#: (complete descriptions and canonical forms) and ``T+`` (tropical
-#: order certificates).
+#: semiring ``Lin[X]`` (homomorphic covering), a rigid-free ``N`` UCQ
+#: pair (homomorphism kernels, complete descriptions and canonical
+#: forms) and ``T+`` (tropical order certificates).
 _FILLING_PAIRS = (
     ("Q() :- R(u, v), R(u, w)", "Q() :- R(u, v), R(u, v)", "B"),
     ("Q() :- R(u, v), R(u, w)", "Q() :- R(u, v), R(u, v)", "Lin[X]"),
@@ -166,6 +166,7 @@ _MEMO_CALLS = {
     "classifications": ("classification", (B,)),
     "parsed": ("parse", ("Q() :- R(x, y)",)),
     "homs": ("find_homomorphism", (_Q1, _Q2, HomKind.PLAIN)),
+    "kernels": ("hom_kernels", (_Q1, _Q2, HomKind.PLAIN, 2)),
     "covered": ("covered_atoms", (_Q1, _Q2)),
     "descriptions": ("complete_description", (UCQ([_Q2]),)),
     "canonical": ("canonical_form", (_Q2,)),

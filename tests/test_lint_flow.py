@@ -122,6 +122,27 @@ def test_rl101_fires_on_hom_search_reachable_from_async(tmp_path):
     assert finding.path.endswith("api.py")
 
 
+def test_rl101_fires_on_kernel_enumeration_reachable_from_async(tmp_path):
+    package = _write_tree(tmp_path, {
+        "homomorphisms/search.py": (
+            "def hom_kernels(member, target, kind, limit):\n"
+            "    return ()\n"),
+        "homomorphisms/ucq_conditions.py": (
+            "from .search import hom_kernels\n\n\n"
+            "def count(member, target):\n"
+            "    return len(hom_kernels(member, target, None, 2))\n"),
+        "service/api.py": (
+            "from ..homomorphisms.ucq_conditions import count\n\n\n"
+            "async def preimages(member, target):\n"
+            "    return count(member, target)\n"),
+    })
+    report = run_lint([package], select=["RL101"])
+    [finding] = report.findings
+    assert "hom_kernels" in finding.message
+    assert "exhaustive hom search" in finding.message
+    assert finding.path.endswith("api.py")
+
+
 def test_rl101_fires_on_tropical_order_reachable_from_async(tmp_path):
     package = _write_tree(tmp_path, {
         "polynomials/tropical_order.py": (
