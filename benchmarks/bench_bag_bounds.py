@@ -4,7 +4,8 @@
 the bounds search of ``_bounded_verdict``, whose costly conditions are
 ``⟨Q2⟩ ⇉2 ⟨Q1⟩`` (Cor. 5.23), ``⟨Q2⟩ ։∞ ⟨Q1⟩`` (Cor. 5.16) and
 ``⟨Q2⟩ →֒∞ ⟨Q1⟩`` (Prop. 5.12).  On these Boolean, constant-free
-pairs the package builds and canonicalises only ``⟨Q1⟩``: the
+pairs the package builds only ``⟨Q1⟩``, as a class table with one CCQ
+per orbit of the member's automorphism group on its partitions: the
 occurrences of ``⟨Q2⟩`` are read off the kernels of the homomorphisms
 from the given ``Q2`` members into each ``⟨Q1⟩`` class representative.
 This benchmark sweeps chain and clique pairs (``Q1`` on ``n``
@@ -16,7 +17,10 @@ pair:
   ``tests/occurrence_conditions.py`` for all three conditions instead:
   the class-level versions, which build both descriptions, and the
   occurrence grid (with the class-level ``→֒k``, which has no grid
-  version);
+  version).  The oracles expand every CCQ with
+  ``complete_description_ucq`` and group them with
+  ``isomorphism_classes`` themselves, never through the engine's class
+  table, so the identity is checked against an independent expansion;
 * **less search** — the kernel run's homomorphism searches, kernel
   enumerations and canonical forms (``hom_calls + kernel_calls +
   canon_calls``) are no more than either oracle run's searches and

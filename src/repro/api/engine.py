@@ -10,9 +10,10 @@ benchmarks go through.  One engine owns:
   source text, structural LRUs over homomorphism-search results
   (first mapping, keyed by ``(source, target, HomKind)``), homomorphism
   kernels (keyed by ``(member, target, HomKind, limit)``), covered-atom
-  sets, complete descriptions ``⟨Q⟩``, and
+  sets, complete descriptions ``⟨Q⟩`` (as isomorphism-class tables,
+  keyed by the UCQ), and
   canonical labeling records (isomorphism key + capture-free renaming +
-  automorphism group size per CCQ, keyed by the query),
+  automorphism group size and generators per CCQ, keyed by the query),
   and a certificate memo for the LP-backed tropical polynomial orders
   (keyed by ``(order kind, canonical admissible pair)``, revalidated
   on every recall) — plus a verdict-level LRU, so repeated checks are
@@ -54,11 +55,14 @@ from ..core.containment import (decide_cq_containment,
                                 decide_ucq_containment, k_equivalent)
 from ..core.context import DecisionContext
 from ..homomorphisms.canonical import CanonicalForm, compute_canonical_form
+from ..homomorphisms.isomorphism import DescriptionClass, description_classes
 from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
                                    homomorphisms)
 from ..polynomials.admissible import canonical_pair
 from ..polynomials.tropical_order import certificate_valid, decide_poly_leq
-from ..queries.ccq import complete_description_ucq
+# Unused here: ``perfbench/tracing.py`` patches this name on this
+# module and fails if it is missing.
+from ..queries.ccq import complete_description_ucq  # noqa: F401
 from ..queries.cq import CQ
 from ..queries.parser import parse_cq
 from ..semirings.base import Semiring
@@ -344,18 +348,29 @@ class ContainmentEngine(DecisionContext):
                 break
         return frozenset(covered)
 
-    def complete_description(self, union) -> tuple:
-        """LRU-cached complete description ``⟨Q⟩`` of a UCQ."""
-        return self._memo("descriptions", complete_description_ucq, union)
+    def complete_description(self, union) -> tuple[DescriptionClass, ...]:
+        """LRU-cached complete description ``⟨Q⟩`` of a UCQ, as its
+        table of isomorphism classes
+        (:func:`repro.homomorphisms.isomorphism.description_classes`),
+        keyed by the UCQ alone: the table's canonical forms come from
+        this engine's ``canonical`` layer, which changes where they are
+        computed, never what they are."""
+        return self._memo("descriptions", self._description_classes, union)
+
+    def _description_classes(self, union) -> tuple[DescriptionClass, ...]:
+        """The ``descriptions`` computation (see
+        :meth:`complete_description`)."""
+        return description_classes(union, context=self)
 
     def canonical_form(self, query) -> CanonicalForm:
         """LRU-cached canonical labeling record of a (C)CQ.
 
         One refinement-based pass yields the isomorphism key, the
-        capture-free canonical renaming and the automorphism group
-        size (:func:`repro.homomorphisms.canonical.compute_canonical_form`)
-        — the per-CCQ primitives behind the ``→֒k``/``→֒∞`` counting
-        and ``⇉2`` conditions.  Keys mention only the (immutable)
+        capture-free canonical renaming, the automorphism group size
+        and its generators
+        (:func:`repro.homomorphisms.canonical.compute_canonical_form`)
+        — the primitives behind the description class tables and the
+        ``→֒k``/``⇉2`` group-size rules.  Keys mention only the (immutable)
         query, so the layer survives registry changes and snapshots
         as-is.
         """

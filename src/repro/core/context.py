@@ -3,8 +3,9 @@
 The Table-1 dispatch in :mod:`repro.core.containment` is built from a
 handful of expensive primitives: semiring classification, homomorphism
 search (existence, enumeration and kernels), homomorphic covering, the
-complete description ``⟨Q⟩`` of a UCQ, and the canonical form
-(isomorphism key, canonical renaming, automorphism group size) of a CCQ.
+complete description ``⟨Q⟩`` of a UCQ as a multiset of isomorphism
+classes, and the canonical form (isomorphism key, canonical renaming,
+automorphism group size and generators) of a CCQ.
 :class:`DecisionContext` routes
 all of them through one object so callers (most notably
 :class:`repro.api.ContainmentEngine`, which subclasses it) can
@@ -18,9 +19,9 @@ bounds search — accepts a context, so an engine's LRUs see the whole
 decision surface rather than just the top-level searches.
 
 The default context delegates to the plain functions, memoizing only
-the complete description: :func:`_bounded_verdict` evaluates several
-conditions over the same ``⟨Q1⟩``/``⟨Q2⟩`` within a single verdict, and
-recomputing the Bell-number expansion each time is pure waste even
+the complete description's class table: :func:`_bounded_verdict`
+evaluates several conditions over the same ``⟨Q1⟩``/``⟨Q2⟩`` within a
+single verdict, and rebuilding the table each time is pure waste even
 without an engine.
 
 Subclasses must be semantically transparent: same answers as the plain
@@ -34,18 +35,19 @@ from functools import lru_cache
 from ..homomorphisms.canonical import CanonicalForm
 from ..homomorphisms.canonical import canonical_form as _memoized_canonical_form
 from ..homomorphisms.covering import covered_atoms
+from ..homomorphisms.isomorphism import DescriptionClass, description_classes
 from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
                                    homomorphisms)
-from ..queries.ccq import complete_description_ucq
 from .classes import Classification, classify
 
 __all__ = ["DecisionContext", "DEFAULT_CONTEXT"]
 
 
 @lru_cache(maxsize=1024)
-def _cached_description(union) -> tuple:
-    """Process-wide memo of ``⟨Q⟩`` keyed by the (immutable) UCQ."""
-    return complete_description_ucq(union)
+def _cached_description(union) -> tuple[DescriptionClass, ...]:
+    """Process-wide memo of ``⟨Q⟩``'s class table keyed by the
+    (immutable) UCQ; canonical forms come from the process-wide memo."""
+    return description_classes(union, context=None)
 
 
 class DecisionContext:
@@ -103,9 +105,12 @@ class DecisionContext:
         return len(self.covered_atoms(source, target)) == len(
             set(target.atoms))
 
-    def complete_description(self, union) -> tuple:
-        """The complete description ``⟨Q⟩`` of a UCQ (Sec. 5.2),
-        memoized — queries are immutable, so the expansion is a pure
+    def complete_description(self, union) -> tuple[DescriptionClass, ...]:
+        """The complete description ``⟨Q⟩`` of a UCQ (Sec. 5.2) as a
+        multiset of isomorphism classes: ``(key, representative,
+        multiplicity)`` rows
+        (:func:`repro.homomorphisms.isomorphism.description_classes`),
+        memoized — queries are immutable, so the table is a pure
         function of the union."""
         return _cached_description(union)
 
@@ -114,9 +119,9 @@ class DecisionContext:
 
         One :class:`~repro.homomorphisms.canonical.CanonicalForm`
         bundles the isomorphism key, the capture-free canonical
-        renaming and the automorphism group size — the primitives the
-        counting conditions ``→֒k``/``→֒∞`` and the ``⇉2`` exemption
-        consume per CCQ of a complete description.  The default
+        renaming, the automorphism group size and its generators — the
+        primitives the class table of a complete description and the
+        ``→֒k`` cap and ``⇉2`` exemption consume.  The default
         delegates to the process-wide memo of
         :func:`repro.homomorphisms.canonical.canonical_form`; engines
         override it with an observable, snapshot-persisted LRU.

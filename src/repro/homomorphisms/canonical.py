@@ -76,13 +76,17 @@ class CanonicalForm:
     isomorphic queries; ``renaming`` maps every existential variable to
     its capture-free canonical name; ``labeling`` maps it to its
     canonical integer label; ``automorphisms`` is the order of the
-    automorphism group (existential renamings fixing the query).
+    automorphism group (existential renamings fixing the query), and
+    ``generators`` generate that group: each is a permutation of the
+    indices of ``query.existential_vars()``, variable ``i`` going to
+    variable ``generator[i]``.
     """
 
     key: tuple
     renaming: tuple[tuple[Var, Var], ...]
     labeling: tuple[tuple[Var, int], ...]
     automorphisms: int
+    generators: tuple[tuple[int, ...], ...]
 
     def renaming_map(self) -> dict[Var, Var]:
         """The canonical renaming as a substitution dict."""
@@ -451,7 +455,8 @@ class _CanonicalSearch:
 
 
 def compute_canonical_form(query: CQ) -> CanonicalForm:
-    """Canonical key, capture-free renaming and ``|Aut|`` in one pass.
+    """Canonical key, capture-free renaming, ``|Aut|`` and its
+    generators in one pass.
 
     This is the uncached computation; callers wanting process-wide
     memoization use :func:`canonical_form`, and
@@ -474,6 +479,7 @@ def compute_canonical_form(query: CQ) -> CanonicalForm:
         renaming=renaming,
         labeling=named_labeling,
         automorphisms=search.group_order(),
+        generators=tuple(search.generators),
     )
 
 

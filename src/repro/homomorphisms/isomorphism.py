@@ -20,18 +20,29 @@ test oracle ``tests/reference_iso.py``.  Callers holding a
 :class:`repro.core.DecisionContext` can route the computation through
 an engine's observable LRU via ``context.canonical_form``;
 the plain functions here use the process-wide memo.
+
+The bag-semantics conditions read ``⟨Q⟩`` only through its class
+counts, so :func:`description_classes` builds it as a table of
+isomorphism classes directly: one CCQ per orbit of each member's
+automorphism group on the partitions of its existentials, merged by
+canonical key.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from ..queries.ccq import description_orbits
 from ..queries.cq import CQ
 from .canonical import canonical_form
 
 __all__ = [
+    "DescriptionClass",
     "are_isomorphic",
     "automorphism_count",
     "canonical_key",
     "canonical_rename",
+    "description_classes",
     "endomorphisms",
     "is_automorphism",
     "isomorphism_classes",
@@ -70,6 +81,53 @@ def isomorphism_classes(queries, *, context=None) -> dict[tuple, list]:
     for query in queries:
         classes.setdefault(form(query).key, []).append(query)
     return classes
+
+
+class DescriptionClass(NamedTuple):
+    """One isomorphism class of a complete description ``⟨Q⟩``: its
+    canonical key, one CCQ of the class and the number of CCQs of
+    ``⟨Q⟩`` in it."""
+
+    key: tuple
+    representative: CQ
+    multiplicity: int
+
+
+def description_classes(union, *, context=None
+                        ) -> tuple[DescriptionClass, ...]:
+    """``⟨Q⟩`` of a UCQ as a table of isomorphism classes.
+
+    Equal, as ``{key: multiplicity}``, to :func:`isomorphism_classes` of
+    :func:`repro.queries.ccq.complete_description_ucq`, with the same
+    class order and the same representative (the class's first CCQ in
+    that expansion), but it canonicalises one CCQ per orbit of each
+    member's automorphism group on the partitions of its existentials
+    (:func:`repro.queries.ccq.description_orbits`), not one per
+    partition.  The generators come from the canonical form of the
+    member's finest quotient (a CCQ of ``⟨Q⟩`` whose key the table needs
+    anyway, with the member's automorphisms), and each is an
+    automorphism because the labeling search records one only for two
+    leaves that serialise equally.
+    Rows are merged by key, so a generating set that fell short of the
+    whole group would cost more canonical forms, never change the
+    table.  ``context`` routes the canonical forms through a
+    :class:`repro.core.DecisionContext` (an engine's LRU).
+    """
+    form = canonical_form if context is None else context.canonical_form
+    rows: dict[tuple, list] = {}
+    def generators_of(ccq) -> tuple[tuple[int, ...], ...]:
+        return form(ccq).generators
+
+    for member in union:
+        for ccq, size in description_orbits(member, generators_of):
+            key = form(ccq).key
+            row = rows.get(key)
+            if row is None:
+                rows[key] = [ccq, size]
+            else:
+                row[1] += size
+    return tuple(DescriptionClass(key, ccq, size)
+                 for key, (ccq, size) in rows.items())
 
 
 def canonical_rename(query: CQ) -> CQ:

@@ -33,6 +33,14 @@ bijective) into one CCQ onto those into any isomorphic copy, and one
 target's covered atoms onto the other's.  A ``⟨Q1⟩`` class is therefore
 checked once, through one representative, and its size is its demand.
 
+The conditions never see ``⟨Q⟩`` as a CCQ tuple: they read its class
+table, ``(key, representative, multiplicity)`` rows
+(:func:`repro.homomorphisms.isomorphism.description_classes`), which
+builds one CCQ per orbit of each member's automorphism group on the
+partitions of its existentials and never the rest.  ``⇉2`` set-reduces
+one representative per row and merges the rows by the reduced key,
+summing multiplicities: isomorphic CCQs have isomorphic set reducts.
+
 When the pair is rigid-free (:func:`_rigid_free`: plain CQ members
 without head variables or constants), ``⟨Q2⟩`` is never built.  Its
 occurrences are the pairs ``(member m, partition π)``, and in a CCQ every
@@ -55,20 +63,21 @@ kernel ``π`` (:func:`repro.homomorphisms.search.hom_kernels`).  The
 The ``⇉1`` part of ``⇉2`` needs no description at all on such a pair:
 it is :func:`covering_union` on the given queries, by the paper's
 ``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``.  A pair with a head variable, a
-constant or a member with inequalities expands ``⟨Q2⟩`` and groups it
-into isomorphism classes too, until ROADMAP item 1 fixes ``⟨Q⟩`` for
-rigid terms: ``⇉2`` sums the sizes of the ``⟨Q2⟩`` classes whose
+constant or a member with inequalities reads ``⟨Q2⟩``'s class table
+too, until ROADMAP item 1 fixes ``⟨Q⟩`` for rigid terms (an
+automorphism fixes those terms, so the table is exact there as well):
+``⇉2`` sums the multiplicities of the ``⟨Q2⟩`` rows whose
 representative maps to the ``⟨Q1⟩`` representative, ``։∞`` is the
 capacitated class-level matching of
 :func:`repro.homomorphisms.matching.saturates`, and the counts are
-class sizes.
+multiplicities.
 
 Every function accepts an optional ``context``
 (:class:`repro.core.DecisionContext`-like) that reroutes the expensive
 primitives — homomorphism existence and kernels, atom covering, the
-complete description ``⟨Q⟩`` and the canonical form (isomorphism key +
-automorphism group size) — through a caller-provided cache; with no
-context the plain functions run.
+class table of ``⟨Q⟩`` and the canonical form (isomorphism key,
+automorphism group size and generators) — through a caller-provided
+cache; with no context the plain functions run.
 """
 
 from __future__ import annotations
@@ -76,11 +85,12 @@ from __future__ import annotations
 import math
 
 from ..queries.atoms import is_var
-from ..queries.ccq import CQWithInequalities, complete_description_ucq
+from ..queries.ccq import CQWithInequalities
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
+from .canonical import CanonicalForm, canonical_form
 from .covering import covered_atoms
-from .isomorphism import automorphism_count, isomorphism_classes
+from .isomorphism import DescriptionClass, description_classes
 from .matching import saturates
 from .search import HomKind, has_homomorphism, hom_kernels
 
@@ -101,11 +111,11 @@ def _exists(context, source: CQ, target: CQ, kind: HomKind) -> bool:
     return has_homomorphism(source, target, kind)
 
 
-def _description(context, union: UCQ) -> tuple:
-    """``⟨Q⟩`` primitive, routed through ``context`` when given."""
+def _classes(context, union: UCQ) -> tuple[DescriptionClass, ...]:
+    """``⟨Q⟩``'s class table, routed through ``context`` when given."""
     if context is not None:
         return context.complete_description(union)
-    return complete_description_ucq(union)
+    return description_classes(union, context=None)
 
 
 def _kernels(context, member: CQ, target: CQ, kind: HomKind,
@@ -116,11 +126,12 @@ def _kernels(context, member: CQ, target: CQ, kind: HomKind,
     return hom_kernels(member, target, kind, limit)
 
 
-def _automorphisms(context, query: CQ) -> int:
-    """``|Aut|`` primitive, routed through ``context`` when given."""
+def _form(context, query: CQ) -> CanonicalForm:
+    """Canonical-form primitive (key, ``|Aut|``), routed through
+    ``context`` when given."""
     if context is not None:
-        return context.canonical_form(query).automorphisms
-    return automorphism_count(query)
+        return context.canonical_form(query)
+    return canonical_form(query)
 
 
 def local_condition(source: UCQ | CQ, target: UCQ | CQ,
@@ -202,32 +213,52 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     rigid_free = _rigid_free(source, target)
     if rigid_free and not covering_union(source, target, context=context):
         return False
-    classes1 = isomorphism_classes(
-        [_set_reduce(ccq) for ccq in _description(context, target)],
-        context=context)
+    classes1 = _set_reduced(_classes(context, target), context)
     if rigid_free:
         def reaches_two(representative: CQ) -> bool:
             return _kernels_reach_two(source, representative, context)
     else:
-        classes2 = isomorphism_classes(
-            [_set_reduce(ccq) for ccq in _description(context, source)],
-            context=context)
-        representatives2 = [members[0] for members in classes2.values()]
-        if not all(_union_covers(representatives2, members[0], context)
-                   for members in classes1.values()):
+        classes2 = _set_reduced(_classes(context, source), context)
+        representatives2 = [row.representative for row in classes2]
+        if not all(_union_covers(representatives2, row.representative,
+                                 context)
+                   for row in classes1):
             return False
 
         def reaches_two(representative: CQ) -> bool:
             return _preimages_reach_two(classes2, representative, context)
-    for members in classes1.values():
-        if len(members) < 2:
+    for row in classes1:
+        if row.multiplicity < 2:
             continue
-        representative = members[0]
-        if _automorphisms(context, representative) > 1:
+        if _form(context, row.representative).automorphisms > 1:
             continue
-        if not reaches_two(representative):
+        if not reaches_two(row.representative):
             return False
     return True
+
+
+def _set_reduced(classes: tuple[DescriptionClass, ...], context
+                 ) -> list[DescriptionClass]:
+    """The class table of the set-reduced CCQs: each row's
+    representative set-reduced, rows merged by the reduced key.
+
+    Isomorphic CCQs have isomorphic set reducts, so one representative
+    per row stands for the whole row, and the merged table keeps the
+    first-occurrence order and representatives that reducing every CCQ
+    of ``⟨Q⟩`` and grouping them would give.
+    """
+    merged: dict[tuple, list] = {}
+    for row in classes:
+        reduced = _set_reduce(row.representative)
+        key = (row.key if reduced is row.representative
+               else _form(context, reduced).key)
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [reduced, row.multiplicity]
+        else:
+            entry[1] += row.multiplicity
+    return [DescriptionClass(key, reduced, size)
+            for key, (reduced, size) in merged.items()]
 
 
 def _kernels_reach_two(source: UCQ, target: CQ, context) -> bool:
@@ -242,13 +273,14 @@ def _kernels_reach_two(source: UCQ, target: CQ, context) -> bool:
     return False
 
 
-def _preimages_reach_two(classes2: dict, target: CQ, context) -> bool:
-    """True iff at least two occurrences (class members) of ``classes2``
-    map homomorphically to ``target``."""
+def _preimages_reach_two(classes2: list[DescriptionClass], target: CQ,
+                         context) -> bool:
+    """True iff at least two occurrences (CCQs of the rows) of
+    ``classes2`` map homomorphically to ``target``."""
     preimages = 0
-    for members in classes2.values():
-        if _exists(context, members[0], target, HomKind.PLAIN):
-            preimages += len(members)
+    for row in classes2:
+        if _exists(context, row.representative, target, HomKind.PLAIN):
+            preimages += row.multiplicity
             if preimages >= 2:
                 return True
     return False
@@ -325,8 +357,7 @@ def _bi_count(source: UCQ, target: UCQ, k: int | None, context) -> bool:
     (one per occurrence — never divided by ``|Aut|``), and the size of
     ``C``'s class in ``⟨Q2⟩`` otherwise.
     """
-    classes1 = isomorphism_classes(_description(context, target),
-                                   context=context)
+    classes1 = _classes(context, target)
     if _rigid_free(source, target):
         def reaches(key, representative: CQ, required: int) -> bool:
             found = 0
@@ -337,17 +368,16 @@ def _bi_count(source: UCQ, target: UCQ, k: int | None, context) -> bool:
                     return True
             return False
     else:
-        classes2 = isomorphism_classes(_description(context, source),
-                                       context=context)
+        sizes2 = {row.key: row.multiplicity
+                  for row in _classes(context, source)}
 
         def reaches(key, representative: CQ, required: int) -> bool:
-            return len(classes2.get(key, ())) >= required
-    for key, members in classes1.items():
-        required = len(members)
+            return sizes2.get(key, 0) >= required
+    for key, representative, required in classes1:
         if k is not None:
-            group = _automorphisms(context, members[0])
+            group = _form(context, representative).automorphisms
             required = min(required, math.ceil(k / group))
-        if not reaches(key, members[0], required):
+        if not reaches(key, representative, required):
             return False
     return True
 
@@ -368,10 +398,9 @@ def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
     ``⟨Q1⟩`` class are asked for only while no Hall violation has shown.
     """
     source, target = as_ucq(source), as_ucq(target)
-    classes1 = isomorphism_classes(_description(context, target),
-                                   context=context)
-    representatives1 = [members[0] for members in classes1.values()]
-    demand = [len(members) for members in classes1.values()]
+    classes1 = _classes(context, target)
+    representatives1 = [row.representative for row in classes1]
+    demand = [row.multiplicity for row in classes1]
     if _rigid_free(source, target):
         occurrences: dict[tuple, int] = {}
 
@@ -385,16 +414,14 @@ def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
         total = sum(_bell(len(member.existential_vars()))
                     for member in source)
         return saturates(demand, [1] * total, edges)
-    classes2 = isomorphism_classes(_description(context, source),
-                                   context=context)
-    representatives2 = [members[0] for members in classes2.values()]
+    classes2 = _classes(context, source)
 
     def class_edges(i: int) -> list[int]:
-        return [j for j, ccq2 in enumerate(representatives2)
-                if _exists(context, ccq2, representatives1[i],
+        return [j for j, row in enumerate(classes2)
+                if _exists(context, row.representative, representatives1[i],
                            HomKind.SURJECTIVE)]
 
-    return saturates(demand, [len(members) for members in classes2.values()],
+    return saturates(demand, [row.multiplicity for row in classes2],
                      class_edges)
 
 

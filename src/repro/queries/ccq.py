@@ -15,7 +15,7 @@ UCQ procedures (``→֒k``, ``։∞``, ``⇉2``) and of the small-model theorem.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .atoms import Atom, Var
 from .cq import CQ
@@ -24,6 +24,7 @@ __all__ = [
     "CQWithInequalities",
     "complete_description",
     "complete_description_ucq",
+    "description_orbits",
     "set_partitions",
 ]
 
@@ -201,3 +202,73 @@ def complete_description_ucq(queries: Iterable[CQ]) -> tuple[CQWithInequalities,
     for query in queries:
         result.extend(complete_description(query))
     return tuple(result)
+
+
+def description_orbits(query: CQ, generators_of: Callable[
+        [CQWithInequalities], Iterable[tuple[int, ...]]]
+                       ) -> Iterator[tuple[CQWithInequalities, int]]:
+    """``⟨Q⟩`` of a CQ as one CCQ per orbit, with the orbit's size.
+
+    ``generators_of(ccq)`` returns automorphisms of a CCQ that generate
+    a group of them, each a permutation of the indices of
+    ``ccq.existential_vars()`` (variable ``i`` goes to
+    ``generator[i]``).  It is asked once, for the quotient by the
+    finest partition: that CCQ has the query's atoms and existentials
+    and constrains every pair of them, so its automorphisms are exactly
+    the query's.  An automorphism ``σ`` fixes the head and the
+    constants, so the quotients by ``π`` and by ``σ(π)`` are isomorphic
+    CCQs: the group acts on the partitions, and one CCQ per orbit
+    stands for all of the orbit's.  The CCQ yielded is the quotient by
+    the orbit's first partition in :func:`set_partitions` order, and
+    orbits come in the order of their first partitions.  The orbit
+    sizes sum to the Bell number of the existentials; with no
+    generators every orbit is one partition and the CCQs are exactly
+    :func:`complete_description`'s.  A CCQ input is its own one-CCQ
+    orbit, and ``generators_of`` is not asked.
+    """
+    if isinstance(query, CQWithInequalities):
+        for ccq in complete_description(query):
+            yield ccq, 1
+        return
+    variables = query.existential_vars()
+    finest = _quotient(query, tuple((var,) for var in variables))
+    generators = tuple(generators_of(finest))
+    index = {var: i for i, var in enumerate(variables)}
+    seen: set[tuple[int, ...]] = set()
+    for partition in set_partitions(variables):
+        code = _growth_code(partition, index)
+        if code in seen:
+            continue
+        orbit, frontier = {code}, [code]
+        while frontier:
+            labels = frontier.pop()
+            for generator in generators:
+                image = [0] * len(labels)
+                for var_index, label in enumerate(labels):
+                    image[generator[var_index]] = label
+                image = _renumber(image)
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        ccq = finest if len(partition) == len(variables) else \
+            _quotient(query, partition)
+        yield ccq, len(orbit)
+
+
+def _growth_code(partition: tuple[tuple[Var, ...], ...],
+                 index: Mapping[Var, int]) -> tuple[int, ...]:
+    """A partition as one block label per variable index, the labels
+    numbered by first appearance (its restricted-growth code)."""
+    code = [0] * len(index)
+    for block_index, block in enumerate(partition):
+        for var in block:
+            code[index[var]] = block_index
+    return _renumber(code)
+
+
+def _renumber(labels: list[int]) -> tuple[int, ...]:
+    """Relabel blocks by first appearance, so equal partitions get
+    equal codes."""
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(label, len(first)) for label in labels)

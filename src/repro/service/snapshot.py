@@ -3,16 +3,16 @@
 Short-lived ``python -m repro batch`` invocations — and worker
 processes of :class:`repro.service.pool.WorkerPool` — start with cold
 caches, re-paying for parse interning, classification, homomorphism
-searches and kernels, covered-atom sets, complete descriptions,
-canonical labeling records and LP-backed tropical order certificates
-that a previous run already computed.  A *snapshot* persists those
-layers to disk so the next run starts warm.
+searches and kernels, covered-atom sets, complete-description class
+tables, canonical labeling records and LP-backed tropical order
+certificates that a previous run already computed.  A *snapshot*
+persists those layers to disk so the next run starts warm.
 
 Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 3,
+    {"magic": "repro.engine-snapshot", "version": 4,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -25,7 +25,12 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 3 came with the ``kernels`` layer, when the
+    layers *mean*.  Version 4 made a ``descriptions`` value ``⟨Q⟩``'s
+    table of isomorphism classes (``(key, representative,
+    multiplicity)`` rows) instead of its CCQ tuple, and gave each
+    ``canonical`` value the automorphism generators the table is built
+    from; a version-3 file holds neither.  Version 3 came with the
+    ``kernels`` layer, when the
     bag-semantics conditions stopped building ``⟨Q2⟩``: a version-2
     file warms descriptions and searches those conditions no longer
     ask for and none of the kernels they do, so it is refused as stale
@@ -77,7 +82,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

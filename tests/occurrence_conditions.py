@@ -18,6 +18,11 @@ pairs and never builds it there; the condition tests and
 
 The small routers the package shares between its conditions are copied
 too, so a fault in the package's helpers cannot hide in the oracle.
+Both descriptions are expanded here with
+:func:`~repro.queries.ccq.complete_description_ucq` and grouped with
+:func:`~repro.homomorphisms.isomorphism.isomorphism_classes`, never
+through the package's class table (``context.complete_description``),
+so the expansion the oracles check against is independent of it.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ def _exists(context, source: CQ, target: CQ, kind: HomKind) -> bool:
     return has_homomorphism(source, target, kind)
 
 
-def _description(context, union: UCQ) -> tuple:
-    if context is not None:
-        return context.complete_description(union)
+def _description(union: UCQ) -> tuple:
+    # Never ``context.complete_description``: that is the package's
+    # class table, which these oracles exist to check.
     return complete_description_ucq(union)
 
 
@@ -77,8 +82,8 @@ def _set_reduce(ccq):
 def occurrence_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
                           context=None) -> bool:
     """``⟨Q2⟩ ⇉2 ⟨Q1⟩`` over the occurrence grid."""
-    description2 = _description(context, as_ucq(source))
-    description1 = _description(context, as_ucq(target))
+    description2 = _description(as_ucq(source))
+    description1 = _description(as_ucq(target))
     union2 = UCQ(description2)
     if not all(_union_covers(union2, ccq1, context)
                for ccq1 in description1):
@@ -108,8 +113,8 @@ def occurrence_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
 def occurrence_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                          context=None) -> bool:
     """``⟨Q2⟩ ։∞ ⟨Q1⟩`` over the occurrence grid (Hopcroft–Karp)."""
-    description2 = _description(context, as_ucq(source))
-    description1 = _description(context, as_ucq(target))
+    description2 = _description(as_ucq(source))
+    description1 = _description(as_ucq(target))
     if not description1:
         return True
     graph = nx.Graph()
@@ -146,8 +151,8 @@ def class_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     rigid_free = _rigid_free(source, target)
     if rigid_free and not _covering_union(source, target, context):
         return False
-    description2 = _description(context, source)
-    description1 = _description(context, target)
+    description2 = _description(source)
+    description1 = _description(target)
     classes1 = isomorphism_classes(
         [_set_reduce(ccq) for ccq in description1], context=context)
     classes2 = isomorphism_classes(
@@ -181,9 +186,9 @@ def class_bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
         k = int(k)
         if k < 1:
             raise ValueError("offset must be at least 1")
-    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
+    classes2 = isomorphism_classes(_description(as_ucq(source)),
                                    context=context)
-    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
+    classes1 = isomorphism_classes(_description(as_ucq(target)),
                                    context=context)
     for key, members in classes1.items():
         required = len(members)
@@ -198,9 +203,9 @@ def class_bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
 def class_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                     context=None) -> bool:
     """``⟨Q2⟩ ։∞ ⟨Q1⟩`` as a capacitated matching over classes."""
-    classes2 = isomorphism_classes(_description(context, as_ucq(source)),
+    classes2 = isomorphism_classes(_description(as_ucq(source)),
                                    context=context)
-    classes1 = isomorphism_classes(_description(context, as_ucq(target)),
+    classes1 = isomorphism_classes(_description(as_ucq(target)),
                                    context=context)
     representatives1 = [members[0] for members in classes1.values()]
     representatives2 = [members[0] for members in classes2.values()]

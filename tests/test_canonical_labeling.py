@@ -325,6 +325,9 @@ def test_canonical_layer_survives_snapshot_round_trip(tmp_path):
     warm = ContainmentEngine()
     counts = load_snapshot(warm, path)
     assert counts["canonical"] == cold.cache_info()["canon_entries"]
+    # A restored class table asks for no canonical form; without it the
+    # table is rebuilt, and every form it needs must be a recall.
+    warm._descriptions.clear()
     warm_doc = warm.decide(*_COUNTING_REQUEST)
     assert warm_doc.to_dict() == cold_doc.to_dict()
     assert warm.stats.canon_calls == 0

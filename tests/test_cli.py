@@ -319,27 +319,28 @@ def test_evaluate_subcommand_is_gone(capsys):
     assert "invalid choice: 'evaluate'" in err
 
 
+_WARM_PAIR = {"q1": ["Q() :- R(x, y), R(y, x)", "Q() :- S(u)"],
+              "q2": ["Q() :- R(x, y)", "Q() :- S(u)"]}
+
 _WARM_RUNS = (
-    [{"semiring": "Lin[X]×N_2",
-      "q1": ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
-      "q2": ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"]},
-     {"semiring": "Ssur[X]", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"}],
-    [{"semiring": "Ssur[X]", "q1": "Q() :- S(a)", "q2": "Q() :- S(b)"},
-     {"semiring": "Ssur[X]",
-      "q1": ["Q() :- R(x, y), R(y, z)", "Q() :- R(x, x)"],
-      "q2": ["Q() :- R(x, y)", "Q() :- R(x, y), R(y, x)"]}],
+    [{"semiring": "Ssur[X]", **_WARM_PAIR},
+     {"semiring": "Lin[X]", **_WARM_PAIR},
+     {"semiring": "Lin[X]×N_2", "q1": "Q() :- S(u)", "q2": "Q() :- R(x, y)"}],
+    [{"semiring": "Lin[X]×N_2", **_WARM_PAIR}],
 )
 
 
 def test_batch_snapshot_keeps_every_computed_layer(capsys, tmp_path):
     """A run that computes only a canonical form must still re-save.
 
-    The second run's only new work is one canonical form: ``Lin[X]×N_2``
-    (``⇉2``) canonicalised the set-reduced CCQs of ``⟨Q1⟩``, and
-    ``Ssur[X]``'s ``։∞`` adds the raw ``R(x, x), R(x, x)``, then stops
-    at the totals (six ``⟨Q1⟩`` occurrences, four in ``⟨Q2⟩``) before
-    any kernel is enumerated.  Skipping the rewrite would drop that
-    form, and the third run would recompute it."""
+    The second run's only new work is one canonical form.  The first
+    run built ``⟨Q1⟩``'s class table (``Ssur[X]``'s ``։∞``), the
+    covered atoms of ``Q2 ⇉1 Q1`` (``Lin[X]``) and the classification of
+    ``Lin[X]×N_2``.  The second run's ``⇉2`` adds only the set reduct
+    ``R(x, x)`` of the class of ``R(x, x), R(x, x)``, and enumerates no
+    kernel: no set-reduced class both repeats and lacks a symmetry.
+    Skipping the rewrite would drop that form, and the third run would
+    recompute it."""
     import json
 
     snapshot = tmp_path / "s.snap"
