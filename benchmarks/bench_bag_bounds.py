@@ -17,10 +17,11 @@ pair:
   ``tests/occurrence_conditions.py`` for all three conditions instead:
   the class-level versions, which build both descriptions, and the
   occurrence grid (with the class-level ``→֒k``, which has no grid
-  version).  The oracles expand every CCQ with
-  ``complete_description_ucq`` and group them with
-  ``isomorphism_classes`` themselves, never through the engine's class
-  table, so the identity is checked against an independent expansion;
+  version).  The oracles expand every CCQ with the variable-level
+  quotient of ``tests/reference_quotient.py`` and group them with
+  ``isomorphism_classes`` themselves, never through the engine's coded
+  quotients or its class table, so the identity is checked against an
+  independent expansion;
 * **less search** — the kernel run's homomorphism searches, kernel
   enumerations and canonical forms (``hom_calls + kernel_calls +
   canon_calls``) are no more than either oracle run's searches and
@@ -37,7 +38,11 @@ It prints the milliseconds of each run, the cover count, the work
 counts and the kernel enumerations per size.  ``REPRO_BENCH_SMOKE=1``
 (the CI default) stops at 5 variables and checks no wall-clock figure;
 the full sweep reaches 6 variables and requires the kernel decisions of
-the largest size to take less time than the occurrence grid's.
+the largest size to take less time than the occurrence grid's.  The
+full sweep then reports, without asserting on them, the milliseconds
+and canonical labelings of the ``N`` chain-7 ⊆ chain-6 and chain-8 ⊆
+chain-7 pairs (``Q1`` on 7 and 8 variables), each on a fresh engine
+(the oracles are too slow to run there).
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+
+import pytest
 
 import repro.core.containment as containment
 from repro.api import ContainmentEngine
@@ -147,3 +154,21 @@ def test_kernel_bounds_match_class_and_occurrence_oracles():
     if not SMOKE:
         seconds = totals[max(SIZES)]
         assert seconds["kernel"] < seconds["grid"], totals
+
+
+#: ``Q1`` sizes of the chain pairs reported (not asserted) in full mode.
+CHAIN_REPORT = (7, 8)
+
+
+@pytest.mark.skipif(SMOKE, reason="full mode only: seconds per pair")
+def test_report_long_chain_pairs():
+    print()
+    print(f"{'pair':>12} {'ms':>8} {'canonical forms':>16}")
+    for size in CHAIN_REPORT:
+        engine = ContainmentEngine()
+        q1, q2 = shape("chain", size), shape("chain", size - 1)
+        start = time.perf_counter()
+        engine.decide(q1, q2, "N")
+        elapsed = time.perf_counter() - start
+        print(f"{f'N chain {size}':>12} {elapsed * 1e3:>8.0f} "
+              f"{engine.stats.canon_calls:>16}")

@@ -17,9 +17,11 @@ claims:
   match it on every query of the sweep;
 * **warm recall** — the counting-condition workload (``→֒∞``/``→֒k``
   over ``N[X]``/``N_2[X]``/``N_3[X]``) replayed through a snapshot-
-  warmed engine recomputes **zero** canonical forms, stays
-  byte-identical to the cold run, and the ``canonical`` layer reports a
-  perfect hit ratio.
+  warmed engine recomputes **zero** canonical forms and stays
+  byte-identical to the cold run.  A restored class table carries each
+  class's ``|Aut|``, so that replay asks the ``canonical`` layer
+  nothing; a second replay with the class tables dropped rebuilds them,
+  and there the ``canonical`` layer reports a perfect hit ratio.
 
 ``REPRO_BENCH_SMOKE=1`` (the CI default) keeps every equality and
 cache-routing assertion but skips the machine-speed-sensitive timing
@@ -181,8 +183,19 @@ def test_warm_canonical_recalls_through_engine(tmp_path):
     assert warm.stats.canon_calls == 0, (
         "a warmed run must recall every canonical form, computed "
         f"{warm.stats.canon_calls} fresh")
-    assert warm.stats.canon_hits > 0
-    assert warm.cache_stats()["layers"]["canonical"]["hit_ratio"] == 1.0
+
+    # Without the restored class tables the replay rebuilds them, and
+    # every form the rebuild needs must be a recall.
+    rebuilt = ContainmentEngine()
+    load_snapshot(rebuilt, snapshot)
+    rebuilt._descriptions.clear()
+    assert [doc.to_dict() for doc in rebuilt.decide_many(requests)] \
+        == cold_docs
+    assert rebuilt.stats.canon_calls == 0, (
+        "rebuilt class tables must recall every canonical form, computed "
+        f"{rebuilt.stats.canon_calls} fresh")
+    assert rebuilt.stats.canon_hits > 0
+    assert rebuilt.cache_stats()["layers"]["canonical"]["hit_ratio"] == 1.0
     speedup = cold_seconds / max(warm_seconds, 1e-9)
     print(f"\n  {len(requests)} counting decisions: cold "
           f"{cold_seconds * 1e3:8.1f} ms, warm {warm_seconds * 1e3:8.1f} ms "

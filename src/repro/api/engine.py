@@ -353,8 +353,9 @@ class ContainmentEngine(DecisionContext):
         table of isomorphism classes
         (:func:`repro.homomorphisms.isomorphism.description_classes`),
         keyed by the UCQ alone: the table's canonical forms come from
-        this engine's ``canonical`` layer, which changes where they are
-        computed, never what they are."""
+        this engine's ``canonical`` layer (keyed by the quotients'
+        codes), which changes where they are computed, never what they
+        are."""
         return self._memo("descriptions", self._description_classes, union)
 
     def _description_classes(self, union) -> tuple[DescriptionClass, ...]:
@@ -363,7 +364,8 @@ class ContainmentEngine(DecisionContext):
         return description_classes(union, context=self)
 
     def canonical_form(self, query) -> CanonicalForm:
-        """LRU-cached canonical labeling record of a (C)CQ.
+        """LRU-cached canonical labeling record of a (C)CQ, or of the
+        :class:`~repro.queries.ccq.QueryCode` of a quotient in ``⟨Q⟩``.
 
         One refinement-based pass yields the isomorphism key, the
         capture-free canonical renaming, the automorphism group size
@@ -371,8 +373,8 @@ class ContainmentEngine(DecisionContext):
         (:func:`repro.homomorphisms.canonical.compute_canonical_form`)
         — the primitives behind the description class tables and the
         ``→֒k``/``⇉2`` group-size rules.  Keys mention only the (immutable)
-        query, so the layer survives registry changes and snapshots
-        as-is.
+        query or its code, so the layer survives registry changes and
+        snapshots as-is.
         """
         return self._memo("canonical", compute_canonical_form, query)
 

@@ -108,20 +108,21 @@ class DecisionContext:
     def complete_description(self, union) -> tuple[DescriptionClass, ...]:
         """The complete description ``⟨Q⟩`` of a UCQ (Sec. 5.2) as a
         multiset of isomorphism classes: ``(key, representative,
-        multiplicity)`` rows
+        multiplicity, automorphisms)`` rows
         (:func:`repro.homomorphisms.isomorphism.description_classes`),
         memoized — queries are immutable, so the table is a pure
         function of the union."""
         return _cached_description(union)
 
     def canonical_form(self, query) -> CanonicalForm:
-        """The canonical labeling record of a (C)CQ (Sec. 5.2).
+        """The canonical labeling record of a (C)CQ (Sec. 5.2), or of
+        its :class:`~repro.queries.ccq.QueryCode`.
 
         One :class:`~repro.homomorphisms.canonical.CanonicalForm`
         bundles the isomorphism key, the capture-free canonical
         renaming, the automorphism group size and its generators — the
-        primitives the class table of a complete description and the
-        ``→֒k`` cap and ``⇉2`` exemption consume.  The default
+        primitives the class table of a complete description (and
+        through it the ``→֒k`` cap and ``⇉2`` exemption) consumes.  The default
         delegates to the process-wide memo of
         :func:`repro.homomorphisms.canonical.canonical_form`; engines
         override it with an observable, snapshot-persisted LRU.

@@ -45,6 +45,12 @@ key, renaming and ``|Aut|`` in milliseconds
 preserved factorial reference, the test oracle
 ``tests/reference_iso.py``).
 
+The search runs on a query's integer code
+(:class:`repro.queries.ccq.QueryCode`): a query is coded first, and
+the quotients of a complete description arrive already coded, so
+``⟨Q⟩`` is labeled without building its CCQs.  Query and code give the
+same record.
+
 Serializations label variables with *integers* (never strings like
 ``"e10"``, whose lexicographic order disagrees with label order past
 ten labels), and the canonical renaming is capture-free: fresh
@@ -58,6 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..queries.atoms import Var, is_var
+from ..queries.ccq import QueryCode
 from ..queries.cq import CQ
 
 __all__ = [
@@ -103,15 +110,22 @@ def fresh_existential_labels(query: CQ, count: int) -> list[str]:
     head names keeps the scheme idempotent: a canonically-renamed query
     has the same head, hence the same fresh-name sequence.
     """
-    forbidden = {var.name for var in query.head}
-    labels: list[str] = []
+    return [var.name for var in _fresh_vars(
+        frozenset(var.name for var in query.head), count)]
+
+
+@lru_cache(maxsize=1024)
+def _fresh_vars(forbidden: frozenset, count: int) -> tuple[Var, ...]:
+    """The fresh names of :func:`fresh_existential_labels` as shared
+    variables (every canonical renaming reuses them)."""
+    names: list[Var] = []
     index = 0
-    while len(labels) < count:
+    while len(names) < count:
         name = f"e{index}"
         if name not in forbidden:
-            labels.append(name)
+            names.append(Var(name))
         index += 1
-    return labels
+    return tuple(names)
 
 
 #: Leading tags of the term encodings used *inside refinement*: an
@@ -123,110 +137,111 @@ _EVAR, _HEAD, _CONST = 0, 1, 2
 
 
 class _Structure:
-    """Integer-indexed incidence view of one query.
+    """Integer-indexed incidence view of one coded query.
 
-    Existential variables become indices ``0..n-1`` (in sorted-name
+    Existential variables are the code's labels ``0..n-1`` (sorted-name
     order); every per-variable table below is a list indexed by them,
-    so the refinement loop touches no ``Var`` hashing at all.
+    so the refinement loop touches no ``Var`` hashing at all.  The rows
+    are read as they are: refinement signatures and serializations sort
+    what they collect, so the row order never shows in the result.
+
+    On a complete code the inequalities between existentials are not
+    listed: every existential is unequal to every other one, so its
+    inequality signature is "the colors of all the others", which
+    orders two variables exactly as their own colors already do.  The
+    refinement skips it, and the serialization appends the one tuple of
+    all label pairs.
     """
 
-    __slots__ = ("query", "evars", "n", "atom_signatures", "occurrences",
-                 "atom_templates", "serial_templates", "ineq_colors",
-                 "ineq_fixed", "ineq_serial", "head_positions")
+    __slots__ = ("n", "rows", "occurrences", "atom_templates", "fixed",
+                 "ineq_colors", "ineq_fixed", "inequalities", "pairs",
+                 "complete")
 
-    def __init__(self, query: CQ):
-        self.query = query
+    def __init__(self, code: QueryCode):
         head_positions: dict[Var, int] = {}
-        for position, var in enumerate(query.head):
+        for position, var in enumerate(code.head):
             head_positions.setdefault(var, position)
-        self.head_positions = head_positions
-        head = set(query.head)
-        body_vars = {v for atom in query.atoms for v in atom.variables()}
-        self.evars = tuple(sorted(body_vars - head))
-        self.n = len(self.evars)
-        index = {var: i for i, var in enumerate(self.evars)}
-
-        def fixed_refine_code(term) -> tuple:
+        self.n = n = len(code.evars)
+        self.rows = code.rows
+        self.pairs = code.pairs
+        self.complete = code.complete
+        # Refinement and serialization codes of rigid label ~j; the
+        # serialization codes are stored reversed, so that label ~j
+        # indexes them from the end.
+        fixed_refine = []
+        fixed_serial = []
+        for term in code.rigid:
             if is_var(term):
-                return (_HEAD, head_positions[term])
-            return (_CONST, type(term).__name__, repr(term))
+                fixed_refine.append((_HEAD, head_positions[term]))
+                fixed_serial.append((0, head_positions[term]))
+            else:
+                constant = (type(term).__name__, repr(term))
+                fixed_refine.append((_CONST,) + constant)
+                fixed_serial.append((2,) + constant)
+        self.fixed = fixed_serial[::-1]
 
-        def fixed_serial_code(term) -> tuple:
-            if is_var(term):
-                return (0, head_positions[term])
-            return (2, type(term).__name__, repr(term))
-
-        occurrences: list[list] = [[] for _ in self.evars]
+        occurrences: list[list] = [[] for _ in range(n)]
         atom_templates = []
-        serial_templates = []
-        atom_signatures = []
-        for atom_index, atom in enumerate(query.atoms):
-            atom_signatures.append((atom.relation, len(atom.terms)))
-            first_seen: dict = {}
-            refine_entries = []
-            serial_entries = []
-            for position, term in enumerate(atom.terms):
-                link = first_seen.setdefault(term, position)
-                var_index = index.get(term) if is_var(term) else None
-                if var_index is None:
-                    refine_entries.append(
-                        (None, fixed_refine_code(term) + (link,)))
-                    serial_entries.append((None, fixed_serial_code(term)))
-                else:
-                    occurrences[var_index].append((atom_index, position))
-                    refine_entries.append((var_index, link))
-                    serial_entries.append((var_index, None))
-            atom_templates.append(tuple(refine_entries))
-            serial_templates.append((atom.relation, tuple(serial_entries)))
-        self.atom_signatures = tuple(atom_signatures)
-        self.occurrences = [tuple(occ) for occ in occurrences]
-        self.atom_templates = tuple(atom_templates)
-        self.serial_templates = tuple(serial_templates)
+        places: dict[tuple, tuple] = {}
+        for atom_index, (relation, labels) in enumerate(code.rows):
+            # An occurrence's place is ((relation, arity), position);
+            # ``labels.index`` is a label's first position in the atom,
+            # the link that records the atom's repetition pattern.
+            signature = (relation, len(labels))
+            place = places.get(signature)
+            if place is None:
+                place = places[signature] = tuple(
+                    (signature, position) for position in range(len(labels)))
+            atom_templates.append([
+                (label, labels.index(label)) if label >= 0
+                else (None, fixed_refine[~label] + (labels.index(label),))
+                for label in labels])
+            for position, label in enumerate(labels):
+                if label >= 0:
+                    occurrences[label].append((place[position], atom_index))
+        self.occurrences = occurrences
+        self.atom_templates = atom_templates
 
-        pairs = getattr(query, "inequalities", frozenset())
-        ineq_colors: list[list[int]] = [[] for _ in self.evars]
-        ineq_fixed: list[list[tuple]] = [[] for _ in self.evars]
-        ineq_serial = []
-        for pair in pairs:
-            x, y = tuple(pair)
-            xi, yi = index.get(x), index.get(y)
-            for mine, other, other_index in ((xi, y, yi), (yi, x, xi)):
-                if mine is None:
+        ineq_colors: list[list[int]] = [[] for _ in range(n)]
+        ineq_fixed: list[list[tuple]] = [[] for _ in range(n)]
+        for pair in code.pairs:
+            for mine, other in (pair, pair[::-1]):
+                if mine < 0:
                     continue
-                if other_index is not None:
-                    ineq_colors[mine].append(other_index)
+                if other >= 0:
+                    ineq_colors[mine].append(other)
                 else:
-                    ineq_fixed[mine].append(fixed_refine_code(other))
-            ineq_serial.append((
-                (xi, None) if xi is not None else (None, fixed_serial_code(x)),
-                (yi, None) if yi is not None else (None, fixed_serial_code(y)),
-            ))
-        self.ineq_colors = [tuple(ns) for ns in ineq_colors]
+                    ineq_fixed[mine].append(fixed_refine[~other])
+        self.ineq_colors = ineq_colors
         self.ineq_fixed = [tuple(sorted(fs)) for fs in ineq_fixed]
-        self.ineq_serial = tuple(ineq_serial)
+        # Refinement signs inequalities only when some variable has a
+        # listed one: a signature part equal for every variable orders
+        # nothing.
+        self.inequalities = any(ineq_colors) or any(ineq_fixed)
 
     def serialize(self, labeling: list[int]) -> tuple:
         """The hashable normal form under a complete integer labeling:
         existential variables encode as ``(1, label)``, head variables
         as ``(0, first head position)``, constants as ``(2, type name,
         repr)``."""
-        atoms = tuple(sorted(
-            (relation, tuple(
-                (1, labeling[var_index]) if var_index is not None else fixed
-                for var_index, fixed in entries))
-            for relation, entries in self.serial_templates
-        ))
+        marks = [(1, label) for label in labeling] + self.fixed
+        atoms = tuple(sorted([
+            (relation, tuple([marks[label] for label in labels]))
+            for relation, labels in self.rows
+        ]))
+        if self.complete and not self.pairs:
+            return (atoms, _all_pairs(self.n))
+        pairs = [tuple(sorted((marks[x], marks[y]))) for x, y in self.pairs]
+        if self.complete:
+            pairs += _all_pairs(self.n)
+        return (atoms, tuple(sorted(pairs)))
 
-        def encode(entry):
-            var_index, fixed = entry
-            return (1, labeling[var_index]) if var_index is not None \
-                else fixed
 
-        inequalities = tuple(sorted(
-            tuple(sorted((encode(x), encode(y))))
-            for x, y in self.ineq_serial
-        ))
-        return (atoms, inequalities)
+@lru_cache(maxsize=64)
+def _all_pairs(n: int) -> tuple:
+    """The serialized inequalities of a complete code on ``n``
+    existentials: every pair of labels, whatever the labeling."""
+    return tuple(((1, x), (1, y)) for x in range(n) for y in range(x + 1, n))
 
 
 def _refine(struct: _Structure, colors: list[int]) -> list[int]:
@@ -236,23 +251,30 @@ def _refine(struct: _Structure, colors: list[int]) -> list[int]:
     itself renaming-invariant — the property the IR tree relies on.
     """
     n = struct.n
+    templates = struct.atom_templates
+    occurrences = struct.occurrences
+    ineq_colors, ineq_fixed = struct.ineq_colors, struct.ineq_fixed
     while True:
         atom_codes = [
-            tuple((_EVAR, colors[entry[0]], entry[1])
-                  if entry[0] is not None else entry[1]
-                  for entry in template)
-            for template in struct.atom_templates
+            tuple([(_EVAR, colors[label], code) if label is not None
+                   else code for label, code in template])
+            for template in templates
         ]
-        signatures = []
-        for i in range(n):
-            occurrence_sig = sorted(
-                (struct.atom_signatures[atom_index], position,
-                 atom_codes[atom_index])
-                for atom_index, position in struct.occurrences[i]
-            )
-            ineq_sig = sorted(colors[j] for j in struct.ineq_colors[i])
-            signatures.append((colors[i], tuple(occurrence_sig),
-                               tuple(ineq_sig), struct.ineq_fixed[i]))
+        # An occurrence signs as ((relation, arity), position) and the
+        # atom's code: the order of (relation, arity, position, code).
+        signatures = [
+            (colors[i],
+             tuple(sorted([(place, atom_codes[atom_index])
+                           for place, atom_index in occurrences[i]])))
+            for i in range(n)
+        ]
+        if struct.inequalities:
+            signatures = [
+                signature + (tuple(sorted([colors[j]
+                                           for j in ineq_colors[i]])),
+                             ineq_fixed[i])
+                for i, signature in enumerate(signatures)
+            ]
         ranks = {signature: rank for rank, signature
                  in enumerate(sorted(set(signatures)))}
         refined = [ranks[signature] for signature in signatures]
@@ -454,26 +476,26 @@ class _CanonicalSearch:
         return order
 
 
-def compute_canonical_form(query: CQ) -> CanonicalForm:
+def compute_canonical_form(query: CQ | QueryCode) -> CanonicalForm:
     """Canonical key, capture-free renaming, ``|Aut|`` and its
     generators in one pass.
 
-    This is the uncached computation; callers wanting process-wide
-    memoization use :func:`canonical_form`, and
-    :class:`repro.api.ContainmentEngine` routes it through its own
-    observable, snapshot-persisted LRU layer instead.
+    ``query`` is a query or its :class:`~repro.queries.ccq.QueryCode`
+    (a query is coded first); both give the same record.  This is the
+    uncached computation; callers wanting process-wide memoization use
+    :func:`canonical_form`, and :class:`repro.api.ContainmentEngine`
+    routes it through its own observable, snapshot-persisted LRU layer
+    instead.
     """
-    struct = _Structure(query)
+    code = query if isinstance(query, QueryCode) else QueryCode.of(query)
+    struct = _Structure(code)
     search = _CanonicalSearch(struct)
     search.run()
     labeling = search.best_labeling or []
-    key = (type(query).__name__, query.arity, search.best_ser)
-    labels = fresh_existential_labels(query, struct.n)
-    renaming = tuple(
-        (var, Var(labels[labeling[i]]))
-        for i, var in enumerate(struct.evars))
-    named_labeling = tuple(
-        (var, labeling[i]) for i, var in enumerate(struct.evars))
+    key = (code.kind.__name__, len(code.head), search.best_ser)
+    fresh = _fresh_vars(frozenset(var.name for var in code.head), struct.n)
+    renaming = tuple(zip(code.evars, [fresh[label] for label in labeling]))
+    named_labeling = tuple(zip(code.evars, labeling))
     return CanonicalForm(
         key=key,
         renaming=renaming,

@@ -23,9 +23,13 @@ the plain functions here use the process-wide memo.
 
 The bag-semantics conditions read ``⟨Q⟩`` only through its class
 counts, so :func:`description_classes` builds it as a table of
-isomorphism classes directly: one CCQ per orbit of each member's
-automorphism group on the partitions of its existentials, merged by
-canonical key.
+isomorphism classes directly, on integers: each member is coded once
+(:class:`repro.queries.ccq.QueryCode`), one quotient per orbit of the
+member's automorphism group on the partitions of its existentials is
+its rows relabelled through the partition's growth code, the canonical
+labeling runs on those rows, and rows merge by canonical key.  A
+:class:`~repro.queries.ccq.CQWithInequalities` is built only for each
+class's representative, and the row keeps the class's ``|Aut|``.
 """
 
 from __future__ import annotations
@@ -85,12 +89,13 @@ def isomorphism_classes(queries, *, context=None) -> dict[tuple, list]:
 
 class DescriptionClass(NamedTuple):
     """One isomorphism class of a complete description ``⟨Q⟩``: its
-    canonical key, one CCQ of the class and the number of CCQs of
-    ``⟨Q⟩`` in it."""
+    canonical key, one CCQ of the class, the number of CCQs of ``⟨Q⟩``
+    in it and the size of their automorphism group."""
 
     key: tuple
     representative: CQ
     multiplicity: int
+    automorphisms: int
 
 
 def description_classes(union, *, context=None
@@ -100,10 +105,11 @@ def description_classes(union, *, context=None
     Equal, as ``{key: multiplicity}``, to :func:`isomorphism_classes` of
     :func:`repro.queries.ccq.complete_description_ucq`, with the same
     class order and the same representative (the class's first CCQ in
-    that expansion), but it canonicalises one CCQ per orbit of each
-    member's automorphism group on the partitions of its existentials
-    (:func:`repro.queries.ccq.description_orbits`), not one per
-    partition.  The generators come from the canonical form of the
+    that expansion), but it canonicalises one coded CCQ per orbit of
+    each member's automorphism group on the partitions of its
+    existentials (:func:`repro.queries.ccq.description_orbits`), not one
+    per partition, and builds a CCQ only for each class's
+    representative.  The generators come from the canonical form of the
     member's finest quotient (a CCQ of ``⟨Q⟩`` whose key the table needs
     anyway, with the member's automorphisms), and each is an
     automorphism because the labeling search records one only for two
@@ -111,23 +117,25 @@ def description_classes(union, *, context=None
     Rows are merged by key, so a generating set that fell short of the
     whole group would cost more canonical forms, never change the
     table.  ``context`` routes the canonical forms through a
-    :class:`repro.core.DecisionContext` (an engine's LRU).
+    :class:`repro.core.DecisionContext` (an engine's LRU), keyed by the
+    :class:`~repro.queries.ccq.QueryCode` of each quotient.
     """
     form = canonical_form if context is None else context.canonical_form
     rows: dict[tuple, list] = {}
-    def generators_of(ccq) -> tuple[tuple[int, ...], ...]:
-        return form(ccq).generators
+
+    def generators_of(code) -> tuple[tuple[int, ...], ...]:
+        return form(code).generators
 
     for member in union:
-        for ccq, size in description_orbits(member, generators_of):
-            key = form(ccq).key
-            row = rows.get(key)
+        for code, size in description_orbits(member, generators_of):
+            record = form(code)
+            row = rows.get(record.key)
             if row is None:
-                rows[key] = [ccq, size]
+                rows[record.key] = [code, size, record.automorphisms]
             else:
                 row[1] += size
-    return tuple(DescriptionClass(key, ccq, size)
-                 for key, (ccq, size) in rows.items())
+    return tuple(DescriptionClass(key, code.materialise(), size, group)
+                 for key, (code, size, group) in rows.items())
 
 
 def canonical_rename(query: CQ) -> CQ:

@@ -34,12 +34,16 @@ target's covered atoms onto the other's.  A ``⟨Q1⟩`` class is therefore
 checked once, through one representative, and its size is its demand.
 
 The conditions never see ``⟨Q⟩`` as a CCQ tuple: they read its class
-table, ``(key, representative, multiplicity)`` rows
-(:func:`repro.homomorphisms.isomorphism.description_classes`), which
-builds one CCQ per orbit of each member's automorphism group on the
-partitions of its existentials and never the rest.  ``⇉2`` set-reduces
-one representative per row and merges the rows by the reduced key,
-summing multiplicities: isomorphic CCQs have isomorphic set reducts.
+table, ``(key, representative, multiplicity, automorphisms)`` rows
+(:func:`repro.homomorphisms.isomorphism.description_classes`).  The
+table quotients integer-coded members
+(:class:`repro.queries.ccq.QueryCode`), one partition per orbit of each
+member's automorphism group, labels the coded quotients, and builds a
+CCQ only for each row's representative; the row's ``|Aut|`` is what
+``⇉2``'s exemption and ``→֒k``'s cap read.  ``⇉2`` set-reduces one
+representative per row on its code (duplicate rows dropped) and merges
+the rows by the reduced key, summing multiplicities: isomorphic CCQs
+have isomorphic set reducts.
 
 When the pair is rigid-free (:func:`_rigid_free`: plain CQ members
 without head variables or constants), ``⟨Q2⟩`` is never built.  Its
@@ -75,9 +79,9 @@ multiplicities.
 Every function accepts an optional ``context``
 (:class:`repro.core.DecisionContext`-like) that reroutes the expensive
 primitives — homomorphism existence and kernels, atom covering, the
-class table of ``⟨Q⟩`` and the canonical form (isomorphism key,
-automorphism group size and generators) — through a caller-provided
-cache; with no context the plain functions run.
+class table of ``⟨Q⟩`` and the canonical form of a set reduct —
+through a caller-provided cache; with no context the plain functions
+run.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ from __future__ import annotations
 import math
 
 from ..queries.atoms import is_var
-from ..queries.ccq import CQWithInequalities
+from ..queries.ccq import QueryCode
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
 from .canonical import CanonicalForm, canonical_form
@@ -126,7 +130,7 @@ def _kernels(context, member: CQ, target: CQ, kind: HomKind,
     return hom_kernels(member, target, kind, limit)
 
 
-def _form(context, query: CQ) -> CanonicalForm:
+def _form(context, query: CQ | QueryCode) -> CanonicalForm:
     """Canonical-form primitive (key, ``|Aut|``), routed through
     ``context`` when given."""
     if context is not None:
@@ -228,9 +232,7 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
         def reaches_two(representative: CQ) -> bool:
             return _preimages_reach_two(classes2, representative, context)
     for row in classes1:
-        if row.multiplicity < 2:
-            continue
-        if _form(context, row.representative).automorphisms > 1:
+        if row.multiplicity < 2 or row.automorphisms > 1:
             continue
         if not reaches_two(row.representative):
             return False
@@ -245,20 +247,30 @@ def _set_reduced(classes: tuple[DescriptionClass, ...], context
     Isomorphic CCQs have isomorphic set reducts, so one representative
     per row stands for the whole row, and the merged table keeps the
     first-occurrence order and representatives that reducing every CCQ
-    of ``⟨Q⟩`` and grouping them would give.
+    of ``⟨Q⟩`` and grouping them would give.  A representative with
+    duplicate atoms is reduced on its :class:`QueryCode` (duplicate rows
+    dropped) and canonicalised there; a CCQ is built only for the
+    first reduct of each merged row.
     """
     merged: dict[tuple, list] = {}
     for row in classes:
-        reduced = _set_reduce(row.representative)
-        key = (row.key if reduced is row.representative
-               else _form(context, reduced).key)
+        representative = row.representative
+        if len(set(representative.atoms)) == len(representative.atoms):
+            key, reduced, group = \
+                row.key, representative, row.automorphisms
+        else:
+            reduced = QueryCode.of(representative).set_reduced()
+            record = _form(context, reduced)
+            key, group = record.key, record.automorphisms
         entry = merged.get(key)
         if entry is None:
-            merged[key] = [reduced, row.multiplicity]
+            merged[key] = [reduced, row.multiplicity, group]
         else:
             entry[1] += row.multiplicity
-    return [DescriptionClass(key, reduced, size)
-            for key, (reduced, size) in merged.items()]
+    return [DescriptionClass(
+        key, reduced.materialise() if isinstance(reduced, QueryCode)
+        else reduced, size, group)
+        for key, (reduced, size, group) in merged.items()]
 
 
 def _kernels_reach_two(source: UCQ, target: CQ, context) -> bool:
@@ -305,20 +317,6 @@ def _rigid_free(source: UCQ, target: UCQ) -> bool:
                and all(is_var(term) for atom in cq.atoms
                        for term in atom.terms)
                for cq in (*source, *target))
-
-
-def _set_reduce(ccq):
-    """Drop duplicate atoms (a K-equivalence over ⊗-idempotent K).
-
-    A CCQ without duplicates is returned as is: rebuilding it would
-    give an equal query with the same hash.
-    """
-    unique = set(ccq.atoms)
-    if len(unique) == len(ccq.atoms):
-        return ccq
-    pairs = tuple(tuple(pair) for pair in
-                  getattr(ccq, "inequalities", frozenset()))
-    return CQWithInequalities(ccq.head, unique, pairs)
 
 
 def bi_count_infty(source: UCQ | CQ, target: UCQ | CQ, *,
@@ -373,9 +371,8 @@ def _bi_count(source: UCQ, target: UCQ, k: int | None, context) -> bool:
 
         def reaches(key, representative: CQ, required: int) -> bool:
             return sizes2.get(key, 0) >= required
-    for key, representative, required in classes1:
+    for key, representative, required, group in classes1:
         if k is not None:
-            group = _form(context, representative).automorphisms
             required = min(required, math.ceil(k / group))
         if not reaches(key, representative, required):
             return False

@@ -46,9 +46,10 @@ class CQ:
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_hash", hash((head, atoms)))
-        # Lazily populated by repro.homomorphisms.search with immutable
-        # per-query matching structures (queries are shared freely, so
-        # the derived indexes are too).
+        # Lazily populated with immutable per-query derived structures:
+        # the matching indexes of repro.homomorphisms.search and the
+        # integer code of repro.queries.ccq.QueryCode (queries are
+        # shared freely, so the derived structures are too).
         object.__setattr__(self, "_hom_cache", {})
 
     def __setattr__(self, *args) -> None:  # pragma: no cover - immutability

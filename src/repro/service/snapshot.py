@@ -12,7 +12,7 @@ Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 4,
+    {"magic": "repro.engine-snapshot", "version": 5,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -25,7 +25,13 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 4 made a ``descriptions`` value ``⟨Q⟩``'s
+    layers *mean*.  Version 5 gave each ``descriptions`` row the size of
+    its class's automorphism group (``(key, representative,
+    multiplicity, automorphisms)``), and keys the canonical forms of
+    ``⟨Q⟩``'s quotients by their integer code
+    (:class:`repro.queries.ccq.QueryCode`) instead of the CCQ; a
+    version-4 row has no group size, so the file is refused as stale.
+    Version 4 made a ``descriptions`` value ``⟨Q⟩``'s
     table of isomorphism classes (``(key, representative,
     multiplicity)`` rows) instead of its CCQ tuple, and gave each
     ``canonical`` value the automorphism generators the table is built
@@ -82,7 +88,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

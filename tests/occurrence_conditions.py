@@ -18,11 +18,12 @@ pairs and never builds it there; the condition tests and
 
 The small routers the package shares between its conditions are copied
 too, so a fault in the package's helpers cannot hide in the oracle.
-Both descriptions are expanded here with
-:func:`~repro.queries.ccq.complete_description_ucq` and grouped with
+Both descriptions are expanded here with the variable-level quotient of
+``tests/reference_quotient.py`` and grouped with
 :func:`~repro.homomorphisms.isomorphism.isomorphism_classes`, never
-through the package's class table (``context.complete_description``),
-so the expansion the oracles check against is independent of it.
+through the package's coded quotients or its class table
+(``context.complete_description``), so the expansion the oracles check
+against is independent of both.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from repro.homomorphisms.isomorphism import (automorphism_count,
 from repro.homomorphisms.matching import saturates
 from repro.homomorphisms.search import HomKind, has_homomorphism
 from repro.queries.atoms import is_var
-from repro.queries.ccq import CQWithInequalities, complete_description_ucq
 from repro.queries.cq import CQ
 from repro.queries.ucq import UCQ, as_ucq
+from tests.reference_quotient import (reference_complete_description_ucq,
+                                      set_reduce)
 
 __all__ = ["occurrence_covering_2", "occurrence_sur_infty",
            "class_covering_2", "class_sur_infty", "class_bi_count_k"]
@@ -54,7 +56,7 @@ def _exists(context, source: CQ, target: CQ, kind: HomKind) -> bool:
 def _description(union: UCQ) -> tuple:
     # Never ``context.complete_description``: that is the package's
     # class table, which these oracles exist to check.
-    return complete_description_ucq(union)
+    return reference_complete_description_ucq(union)
 
 
 def _automorphisms(context, query: CQ) -> int:
@@ -72,13 +74,6 @@ def _union_covers(source: UCQ, target_cq: CQ, context=None) -> bool:
     return not remaining
 
 
-def _set_reduce(ccq):
-    unique = sorted(set(ccq.atoms))
-    pairs = tuple(tuple(pair) for pair in
-                  getattr(ccq, "inequalities", frozenset()))
-    return CQWithInequalities(ccq.head, unique, pairs)
-
-
 def occurrence_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
                           context=None) -> bool:
     """``⟨Q2⟩ ⇉2 ⟨Q1⟩`` over the occurrence grid."""
@@ -88,8 +83,8 @@ def occurrence_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     if not all(_union_covers(union2, ccq1, context)
                for ccq1 in description1):
         return False
-    reduced1 = [_set_reduce(ccq) for ccq in description1]
-    reduced2 = [_set_reduce(ccq) for ccq in description2]
+    reduced1 = [set_reduce(ccq) for ccq in description1]
+    reduced2 = [set_reduce(ccq) for ccq in description2]
     classes1 = isomorphism_classes(reduced1, context=context)
     classes2 = isomorphism_classes(reduced2, context=context)
     for key, members in classes1.items():
@@ -154,9 +149,9 @@ def class_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     description2 = _description(source)
     description1 = _description(target)
     classes1 = isomorphism_classes(
-        [_set_reduce(ccq) for ccq in description1], context=context)
+        [set_reduce(ccq) for ccq in description1], context=context)
     classes2 = isomorphism_classes(
-        [_set_reduce(ccq) for ccq in description2], context=context)
+        [set_reduce(ccq) for ccq in description2], context=context)
     if not rigid_free:
         representatives2 = [members[0] for members in classes2.values()]
         if not all(_union_covers(representatives2, members[0], context)

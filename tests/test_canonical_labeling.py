@@ -28,7 +28,7 @@ from repro.homomorphisms.isomorphism import (are_isomorphic,
                                              isomorphism_classes)
 from repro.queries import CQWithInequalities, parse_cq
 from repro.queries.atoms import Atom, Var
-from repro.queries.ccq import complete_description
+from repro.queries.ccq import QueryCode, complete_description
 from repro.queries.generators import random_cq
 from repro.service import load_snapshot, save_snapshot
 from tests.reference_iso import (reference_automorphism_count,
@@ -346,3 +346,46 @@ def test_isomorphism_classes_with_context_matches_plain():
     assert ({key: len(members) for key, members in plain.items()}
             == {key: len(members) for key, members in routed.items()})
     assert engine.stats.canon_calls > 0
+
+
+# --- the key format -----------------------------------------------------
+
+#: Three CCQs and their literal canonical keys.  The ``canonical`` and
+#: ``descriptions`` layers and every snapshot share this format, so a
+#: change to it must show here.  Existentials serialize as ``(1,
+#: label)``, head variables as ``(0, first head position)``, constants
+#: as ``(2, type name, repr)``.
+PINNED_KEYS = [
+    # The chain-4 quotient identifying a with c.
+    ("Q() :- E(a, b), E(b, a), E(a, d), a != b, a != d, b != d",
+     ("CQWithInequalities", 0, (
+         (("E", ((1, 0), (1, 1))), ("E", ((1, 0), (1, 2))),
+          ("E", ((1, 1), (1, 0)))),
+         (((1, 0), (1, 1)), ((1, 0), (1, 2)), ((1, 1), (1, 2))))), 1),
+    # The directed 3-clique.
+    ("Q() :- E(x, y), E(y, x), E(y, z), E(z, y), E(x, z), E(z, x), "
+     "x != y, x != z, y != z",
+     ("CQWithInequalities", 0, (
+         (("E", ((1, 0), (1, 1))), ("E", ((1, 0), (1, 2))),
+          ("E", ((1, 1), (1, 0))), ("E", ((1, 1), (1, 2))),
+          ("E", ((1, 2), (1, 0))), ("E", ((1, 2), (1, 1)))),
+         (((1, 0), (1, 1)), ((1, 0), (1, 2)), ((1, 1), (1, 2))))), 6),
+    # A constant and a head variable.
+    ("Q(h) :- E(h, x), E(x, y), S(x, 'c'), S(y, 'c'), x != y",
+     ("CQWithInequalities", 1, (
+         (("E", ((0, 0), (1, 0))), ("E", ((1, 0), (1, 1))),
+          ("S", ((1, 0), (2, "str", "'c'"))),
+          ("S", ((1, 1), (2, "str", "'c'")))),
+         (((1, 0), (1, 1)),))), 1),
+]
+
+
+@pytest.mark.parametrize("text, key, group", PINNED_KEYS,
+                         ids=["chain4-quotient", "clique3", "rigid"])
+def test_canonical_keys_are_pinned(text, key, group):
+    ccq = parse_cq(text)
+    assert ccq.is_complete()
+    form = compute_canonical_form(ccq)
+    assert form.key == key
+    assert form.automorphisms == group
+    assert compute_canonical_form(QueryCode.of(ccq)) == form

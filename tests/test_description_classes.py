@@ -4,9 +4,11 @@
 each plain member by one partition per orbit of the member's
 automorphism group, with the orbit's size as multiplicity, and merges
 the rows by canonical key.  These tests check the table against the
-full expansion (``complete_description_ucq`` grouped by
-``isomorphism_classes``), the automorphism generators it is built from,
-and the canonical forms it saves on a symmetric pair.
+full expansion (the variable-level quotients of
+``tests/reference_quotient.py`` grouped by ``isomorphism_classes``,
+independent of the coded quotients under test), the automorphism
+generators it is built from, and the canonical forms it saves on a
+symmetric pair.
 
 The pool mixes symmetric shapes (cliques, directed cycles, duplicated
 atoms and members), members with head variables and constants (which
@@ -23,15 +25,16 @@ import pytest
 
 from repro.api import ContainmentEngine
 from repro.homomorphisms.canonical import compute_canonical_form
-from repro.homomorphisms.isomorphism import (description_classes,
+from repro.homomorphisms.isomorphism import (automorphism_count,
+                                             description_classes,
                                              is_automorphism,
                                              isomorphism_classes)
 from repro.queries import UCQ, Atom, Var
-from repro.queries.ccq import (complete_description,
-                               complete_description_ucq, description_orbits)
+from repro.queries.ccq import complete_description, description_orbits
 from repro.queries.cq import CQ
 from repro.queries.generators import random_cq
 from repro.queries.parser import parse_cq
+from tests.reference_quotient import reference_complete_description_ucq
 
 
 def _edges(pairs) -> CQ:
@@ -112,7 +115,7 @@ def _partitions(n: int):
 
 def _expected(union: UCQ) -> dict[tuple, int]:
     """``{key: size}`` of the full expansion, grouped by class."""
-    classes = isomorphism_classes(complete_description_ucq(union))
+    classes = isomorphism_classes(reference_complete_description_ucq(union))
     return {key: len(members) for key, members in classes.items()}
 
 
@@ -125,9 +128,13 @@ def test_table_equals_the_grouped_expansion(seed):
         table = description_classes(union)
         assert {row.key: row.multiplicity for row in table} \
             == _expected(union), union
-        expansion = isomorphism_classes(complete_description_ucq(union))
+        expansion = isomorphism_classes(
+            reference_complete_description_ucq(union))
         assert [row.representative for row in table] \
             == [members[0] for members in expansion.values()]
+        assert [row.automorphisms for row in table] \
+            == [automorphism_count(members[0])
+                for members in expansion.values()]
         assert sum(row.multiplicity for row in table) == sum(
             1 if member is CCQ_MEMBER
             else _bell(len(member.existential_vars()))

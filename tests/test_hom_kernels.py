@@ -25,13 +25,14 @@ from repro.homomorphisms import (HomKind, bi_count_k, covering_2,
 from repro.homomorphisms.search import hom_kernels, homomorphisms
 from repro.homomorphisms.ucq_conditions import _rigid_free
 from repro.queries import UCQ, Atom, Var
-from repro.queries.ccq import (CQWithInequalities, _quotient,
-                               complete_description, set_partitions)
+from repro.queries.ccq import (CQWithInequalities, complete_description,
+                               set_partitions)
 from repro.queries.cq import CQ
 from repro.queries.generators import random_cq
 from repro.queries.parser import parse_cq
 from tests.occurrence_conditions import (class_bi_count_k, class_covering_2,
                                          class_sur_infty)
+from tests.reference_quotient import quotient
 
 KINDS = (HomKind.PLAIN, HomKind.SURJECTIVE, HomKind.BIJECTIVE)
 OFFSETS = (1, 2, 3, float("inf"))
@@ -135,7 +136,7 @@ def test_kernels_biject_with_description_occurrences(seed):
                     kernels = set(hom_kernels(member, ccq, kind))
                     for partition in partitions:
                         expected = has_homomorphism(
-                            _quotient(member, partition), ccq, kind)
+                            quotient(member, partition), ccq, kind)
                         assert (_kernel_of(member, partition)
                                 in kernels) == expected, (
                             member, ccq, kind, partition)

@@ -112,6 +112,41 @@ def test_stale_version_rejected(tmp_path):
         read_snapshot(path)
 
 
+def test_version_4_snapshot_is_refused_as_stale(tmp_path, capsys):
+    # Version 4 rows lack the automorphism-group size a version-5
+    # description row carries: such a file must be refused whole, and a
+    # batch run must start cold and still answer.
+    from repro.cli import main
+    from repro.queries import UCQ, parse_cq
+
+    assert SNAPSHOT_VERSION == 5
+    union = UCQ([parse_cq("Q() :- R(u, v)")])
+    warmed = ContainmentEngine()
+    rows = tuple(tuple(row[:3])
+                 for row in warmed.complete_description(union))
+    path = tmp_path / "v4.snap"
+    envelope = {"magic": SNAPSHOT_MAGIC, "version": 4, "semirings": [],
+                "caches": {"descriptions": [(union, rows)]}}
+    path.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(SnapshotError, match="version 4 is not supported"):
+        read_snapshot(path)
+    engine = ContainmentEngine()
+    with pytest.raises(SnapshotError, match="stale|version"):
+        load_snapshot(engine, path)
+    assert engine.cache_info()["description_entries"] == 0
+
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text('{"semiring": "N", "q1": "Q() :- R(u, v)", '
+                        '"q2": "Q() :- R(u, v)"}\n', encoding="utf-8")
+    code = main(["batch", "--snapshot", str(path), "--input",
+                 str(requests), "--output", str(tmp_path / "out.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert "starting cold" in err and "version 4" in err
+    assert '"result": true' in (tmp_path / "out.jsonl").read_text(
+        encoding="utf-8")
+
+
 def test_foreign_pickle_rejected(tmp_path):
     path = tmp_path / "foreign.snap"
     path.write_bytes(pickle.dumps({"something": "else"}))
