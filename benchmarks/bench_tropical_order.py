@@ -19,7 +19,9 @@ that layer on the tropical slice of the Table-1 surface:
 * **byte-identical** — the warm run's verdict documents equal the cold
   run's exactly (``cached`` flags included), and the warm engine
   reports zero ``poly_calls`` (every order decision was a certificate
-  recall, revalidated without a solve);
+  recall, revalidated without a solve) and zero ``small_model_calls``
+  (every test set of canonical pairs was recalled from the
+  ``small_models`` layer, never re-evaluated);
 * **cross-validated** — every memoized dominance decision agrees with
   the bounded grid checker, and every certificate revalidates.
 
@@ -104,6 +106,9 @@ def test_warm_tropical_verdicts_are_certificate_recalls(tmp_path):
     assert warm_engine.stats.poly_calls == 0, (
         "a warmed run must decide every tropical order from certificates, "
         f"ran {warm_engine.stats.poly_calls} order solves")
+    assert warm_engine.stats.small_model_calls == 0, (
+        "a warmed run must recall every small-model test set, computed "
+        f"{warm_engine.stats.small_model_calls}")
     assert warm_engine.stats.poly_hits > 0
     assert warm_engine.stats.poly_rejected == 0
     warm_report = warm_engine.cache_stats()["layers"]["poly_orders"]

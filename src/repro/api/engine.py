@@ -14,10 +14,13 @@ benchmarks go through.  One engine owns:
   keyed by the UCQ), and
   canonical labeling records (isomorphism key + capture-free renaming +
   automorphism group size and generators per CCQ, keyed by the query),
-  and a certificate memo for the LP-backed tropical polynomial orders
-  (keyed by ``(order kind, canonical admissible pair)``, revalidated
-  on every recall) — plus a verdict-level LRU, so repeated checks are
-  near-free;
+  small-model test sets (the distinct canonical polynomial pairs of
+  Thm. 4.17's tests, keyed by ``(Q1, Q2)`` and shared by every
+  ⊕-idempotent semiring; trusted when restored, like the other
+  structural layers), and a certificate memo for the LP-backed
+  tropical polynomial orders (keyed by ``(order kind, canonical
+  admissible pair)``, revalidated on every recall) — plus a
+  verdict-level LRU, so repeated checks are near-free;
 * the document types of :mod:`repro.api.documents` for JSON-clean
   input/output, including the streaming batch entry points.
 
@@ -30,8 +33,9 @@ sub-conditions.
 Registering (or replacing) a semiring bumps the registry's version;
 the engine detects the bump and drops its semiring-dependent caches
 (classification, verdicts).  The structural caches — homomorphisms,
-kernels, covered atoms, descriptions, canonical forms, polynomial-order
-certificates — only mention queries and polynomials and survive.
+kernels, covered atoms, descriptions, canonical forms, small-model test
+sets, polynomial-order certificates — only mention queries and
+polynomials and survive.
 
 Every cache layer is declared exactly once, in
 :data:`repro.api.layers.CACHE_LAYERS`, with its store size and counter
@@ -54,6 +58,7 @@ from ..core.classes import Classification, classify
 from ..core.containment import (decide_cq_containment,
                                 decide_ucq_containment, k_equivalent)
 from ..core.context import DecisionContext
+from ..core.small_model import small_model_pairs
 from ..homomorphisms.canonical import CanonicalForm, compute_canonical_form
 from ..homomorphisms.isomorphism import DescriptionClass, description_classes
 from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
@@ -378,6 +383,18 @@ class ContainmentEngine(DecisionContext):
         """
         return self._memo("canonical", compute_canonical_form, query)
 
+    def small_model_pairs(self, q1, q2) -> tuple:
+        """LRU-cached small-model test set of ``Q1 ⊆ Q2``: the distinct
+        canonical polynomial pairs of
+        :func:`repro.core.small_model.small_model_pairs`, keyed by the
+        two UCQs.  The pairs never mention a semiring, so one entry
+        serves every ⊕-idempotent semiring (``T+``, ``T−``, ``V``, …)
+        deciding the pair, and the layer survives registry changes.
+        Like ``descriptions`` and ``homs``, a restored entry is trusted:
+        only the order decisions asked of its pairs are revalidated.
+        """
+        return self._memo("small_models", small_model_pairs, q1, q2)
+
     def poly_leq(self, semiring, p1, p2) -> bool:
         """Certificate-memoized polynomial-order decision (Prop. 4.19).
 
@@ -389,6 +406,10 @@ class ContainmentEngine(DecisionContext):
         renamings of one admissible pair (and semirings sharing a kind,
         like ``T+`` and ``V``) share one entry, and no semiring
         *instance* ever enters a key (the layer snapshots cleanly).
+        The pair is first looked up exactly as given, and canonicalized
+        only on a miss: stored keys are canonical, so the pairs of
+        :meth:`small_model_pairs` hit without a second
+        canonicalization.
 
         A recalled certificate is **revalidated, not trusted**: its
         witness arithmetic is re-checked against the live pair
@@ -406,9 +427,12 @@ class ContainmentEngine(DecisionContext):
         kind = getattr(semiring, "poly_order", None)
         if kind is None:
             return semiring.poly_leq(p1, p2)
-        c1, c2, _ = canonical_pair(p1, p2)
-        key = (kind, c1, c2)
+        c1, c2, key = p1, p2, (kind, p1, p2)
         certificate = self._poly_orders.get(key, _MISSING)
+        if certificate is _MISSING:
+            c1, c2, _ = canonical_pair(p1, p2)
+            key = (kind, c1, c2)
+            certificate = self._poly_orders.get(key, _MISSING)
         if certificate is not _MISSING:
             if certificate_valid(certificate, kind, c1, c2):
                 self.stats.poly_hits += 1
@@ -555,7 +579,9 @@ class ContainmentEngine(DecisionContext):
         its values are self-certifying
         :class:`~repro.polynomials.tropical_order.TropicalOrderCertificate`
         records, revalidated on recall, so even a maliciously edited
-        snapshot cannot change an answer.  Entry lists keep LRU order
+        certificate cannot change an answer (the other structural
+        layers, ``small_models`` included, are trusted as exported).
+        Entry lists keep LRU order
         (least recently used first), so importing into a same-sized
         engine reproduces the recency order.
         ``include_verdicts=False`` exports only the semiring-independent

@@ -98,6 +98,9 @@ CACHE_LAYERS: tuple[CacheLayer, ...] = (
     CacheLayer(name="canonical", attr="_canon",
                hits="canon_hits", calls="canon_calls",
                entries="canon_entries", size=65536),
+    CacheLayer(name="small_models", attr="_small_models",
+               hits="small_model_hits", calls="small_model_calls",
+               entries="small_model_entries", size=16384),
     CacheLayer(name="poly_orders", attr="_poly_orders",
                hits="poly_hits", calls="poly_calls",
                entries="poly_entries", size=65536,

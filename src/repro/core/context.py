@@ -4,8 +4,9 @@ The Table-1 dispatch in :mod:`repro.core.containment` is built from a
 handful of expensive primitives: semiring classification, homomorphism
 search (existence, enumeration and kernels), homomorphic covering, the
 complete description ``⟨Q⟩`` of a UCQ as a multiset of isomorphism
-classes, and the canonical form (isomorphism key, canonical renaming,
-automorphism group size and generators) of a CCQ.
+classes, the canonical form (isomorphism key, canonical renaming,
+automorphism group size and generators) of a CCQ, and the small-model
+test set of a query pair with its polynomial order checks.
 :class:`DecisionContext` routes
 all of them through one object so callers (most notably
 :class:`repro.api.ContainmentEngine`, which subclasses it) can
@@ -39,6 +40,7 @@ from ..homomorphisms.isomorphism import DescriptionClass, description_classes
 from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
                                    homomorphisms)
 from .classes import Classification, classify
+from .small_model import small_model_pairs
 
 __all__ = ["DecisionContext", "DEFAULT_CONTEXT"]
 
@@ -142,6 +144,18 @@ class DecisionContext:
         """
         from ..eval.plan import cached_plan
         return cached_plan(query)
+
+    def small_model_pairs(self, q1, q2) -> tuple:
+        """The distinct canonical polynomial pairs of the small-model
+        test set of ``Q1 ⊆ Q2`` (Thm. 4.17), in first-test order
+        (:func:`repro.core.small_model.small_model_pairs`).
+
+        They depend on the two UCQs alone, never on the semiring, so an
+        engine computes them once per query pair and every
+        ⊕-idempotent semiring's decision reuses them.  The default
+        computes them afresh on every call.
+        """
+        return small_model_pairs(q1, q2)
 
     def poly_leq(self, semiring, p1, p2) -> bool:
         """Decide the polynomial order ``P1 ≼K P2`` (Prop. 4.19).

@@ -18,6 +18,12 @@ below a value iff each summand is (positivity + idempotence), so
 ``Q1 ⊆K Q2`` reduces to the same canonical-instance tests ranging over
 the CCQs of ``⟨Q1⟩``.  This extension is validated against the
 brute-force oracle in the test suite.
+
+The polynomials depend on ``(Q1, Q2)`` alone; only the final order
+check depends on ``K`` (the universality of provenance polynomials).
+:func:`small_model_pairs` therefore computes the test set once per
+query pair, as distinct canonical pairs, and a context may memoize it
+across semirings (the engine's ``small_models`` layer).
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ from itertools import product
 from typing import Iterator
 
 from ..data.canonical import canonical_instance
+from ..polynomials.admissible import canonical_pair
+from ..polynomials.polynomial import Polynomial
 from ..queries.ccq import CQWithInequalities, complete_description
 from ..queries.evaluation import evaluate
 from ..queries.ucq import as_ucq
 
-__all__ = ["small_model_contained", "small_model_tests"]
+__all__ = ["small_model_contained", "small_model_pairs", "small_model_tests"]
 
 
 def small_model_tests(q1) -> Iterator[tuple[CQWithInequalities, tuple]]:
@@ -44,16 +52,46 @@ def small_model_tests(q1) -> Iterator[tuple[CQWithInequalities, tuple]]:
                 yield ccq, target
 
 
+def small_model_pairs(q1, q2) -> tuple[tuple[Polynomial, Polynomial], ...]:
+    """The distinct polynomial comparisons of the small-model test set.
+
+    Each test point ``(Q, t)`` of :func:`small_model_tests` contributes
+    the pair ``(Q1^⟦Q⟧(t), Q2^⟦Q⟧(t))`` of ``N[X]`` polynomials, put in
+    the canonical form of
+    :func:`repro.polynomials.admissible.canonical_pair`; the result
+    lists each canonical pair once, in the order of its first test.
+
+    The pairs depend on the two queries only — the semiring enters
+    through the order check alone — and every polynomial order is
+    invariant under variable renaming, so ``P1 ≼K P2`` holds for every
+    test iff it holds for every listed pair.  Each CCQ's canonical
+    instance is built once for all of its targets.
+    """
+    from ..semirings.provenance import NX
+
+    q1, q2 = as_ucq(q1), as_ucq(q2)
+    pairs: dict = {}
+    built = instance = None
+    for ccq, target in small_model_tests(q1):
+        if ccq is not built:  # the targets of one CCQ arrive together
+            built, instance = ccq, canonical_instance(ccq).instance
+        left = evaluate(q1, instance, target, NX)
+        right = evaluate(q2, instance, target, NX)
+        pairs.setdefault(canonical_pair(left, right)[:2], None)
+    return tuple(pairs)
+
+
 def small_model_contained(q1, q2, semiring, *, context=None) -> bool:
     """Decide ``Q1 ⊆K Q2`` via canonical-instance polynomial comparison.
 
     Requires ``semiring`` to be ⊕-idempotent and to implement
-    ``poly_leq`` (Thm. 4.17 / Cor. 4.18).  Every polynomial comparison
-    is routed through ``context.poly_leq`` (default:
-    :data:`repro.core.context.DEFAULT_CONTEXT`), so engines can
-    memoize the LP-backed order decisions per admissible pair.
+    ``poly_leq`` (Thm. 4.17 / Cor. 4.18).  The test set comes from
+    ``context.small_model_pairs`` and every comparison is routed
+    through ``context.poly_leq`` (default:
+    :data:`repro.core.context.DEFAULT_CONTEXT`), so engines can memoize
+    the pairs per query pair and the LP-backed order decisions per
+    canonical pair.
     """
-    from ..semirings.provenance import NX
     from .context import DEFAULT_CONTEXT
 
     if not semiring.properties.add_idempotent:
@@ -61,11 +99,5 @@ def small_model_contained(q1, q2, semiring, *, context=None) -> bool:
             f"the small-model procedure needs an ⊕-idempotent semiring; "
             f"{semiring.name} is not (Thm. 4.17 applies to S¹ only)")
     ctx = context if context is not None else DEFAULT_CONTEXT
-    q1, q2 = as_ucq(q1), as_ucq(q2)
-    for ccq, target in small_model_tests(q1):
-        tagged = canonical_instance(ccq)
-        left = evaluate(q1, tagged.instance, target, NX)
-        right = evaluate(q2, tagged.instance, target, NX)
-        if not ctx.poly_leq(semiring, left, right):
-            return False
-    return True
+    return all(ctx.poly_leq(semiring, c1, c2)
+               for c1, c2 in ctx.small_model_pairs(as_ucq(q1), as_ucq(q2)))

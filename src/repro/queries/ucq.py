@@ -32,7 +32,9 @@ class UCQ:
                 if known != arity:
                     raise ValueError(
                         f"inconsistent arity for relation {relation}")
-        object.__setattr__(self, "cqs", tuple(sorted(cqs, key=_cq_key)))
+        if len(cqs) > 1:  # zero or one member is already in order
+            cqs = tuple(sorted(cqs, key=_cq_key))
+        object.__setattr__(self, "cqs", cqs)
         object.__setattr__(self, "_hash", hash(self.cqs))
 
     def __setattr__(self, *args) -> None:  # pragma: no cover - immutability

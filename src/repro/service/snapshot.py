@@ -4,8 +4,9 @@ Short-lived ``python -m repro batch`` invocations — and worker
 processes of :class:`repro.service.pool.WorkerPool` — start with cold
 caches, re-paying for parse interning, classification, homomorphism
 searches and kernels, covered-atom sets, complete-description class
-tables, canonical labeling records and LP-backed tropical order
-certificates that a previous run already computed.  A *snapshot*
+tables, canonical labeling records, small-model test sets and
+LP-backed tropical order certificates that a previous run already
+computed.  A *snapshot*
 persists those layers to disk so the next run starts warm.
 
 Format
@@ -55,8 +56,12 @@ A snapshot file is a pickled envelope with four fields::
     *instances* (classifications and verdicts are re-keyed by
     canonical registry name; the ``poly_orders`` layer is keyed by
     ``(order kind, canonical polynomial pair)`` and its certificate
-    values are revalidated on every recall, so a doctored entry can
-    never change an answer).
+    values are revalidated on every recall, so a doctored certificate
+    can never change an answer).  Every other layer is trusted as
+    restored: a doctored ``homs``, ``descriptions`` or
+    ``small_models`` entry (the canonical polynomial pairs a
+    small-model decision checks) is used as it stands, and nothing
+    revalidates it.
 
 Validation is strict and failure is always *graceful*: every way a
 file can disappoint — missing, truncated, corrupted, a different

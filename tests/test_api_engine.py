@@ -459,19 +459,23 @@ def _golden_stream(engine) -> list:
 #: forms are computed; the table recalls each member's finest CCQ once,
 #: after asking it for the automorphism generators).  They fell by one
 #: on both engines when each row began carrying its class's ``|Aut|``:
-#: ``⇉2`` no longer recalls the form of its one repeated class.
+#: ``⇉2`` no longer recalls the form of its one repeated class.  The
+#: ``small_model_*`` figures arrived with the small-model test-set
+#: layer: the ``T+`` pair computes its one test pair cold and recalls
+#: it restored; every other figure stayed as it was.
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
     "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 8,
     "hom_hits": 3, "kernel_calls": 7, "kernel_hits": 0, "cover_calls": 5,
     "cover_hits": 0, "description_calls": 1, "description_hits": 2,
     "canon_calls": 6, "canon_hits": 3,
+    "small_model_calls": 1, "small_model_hits": 0,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
     "classification_entries": 5, "parsed_entries": 11, "hom_entries": 8,
     "kernel_entries": 7, "cover_entries": 5, "description_entries": 1,
-    "canon_entries": 6, "poly_entries": 1, "eval_plan_entries": 1,
-    "verdict_entries": 6}
+    "canon_entries": 6, "small_model_entries": 1, "poly_entries": 1,
+    "eval_plan_entries": 1, "verdict_entries": 6}
 
 _GOLDEN_RESTORED = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 0,
@@ -479,12 +483,13 @@ _GOLDEN_RESTORED = {
     "hom_hits": 11, "kernel_calls": 0, "kernel_hits": 7, "cover_calls": 0,
     "cover_hits": 5, "description_calls": 0, "description_hits": 3,
     "canon_calls": 0, "canon_hits": 1,
+    "small_model_calls": 0, "small_model_hits": 1,
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
     "classification_entries": 5, "parsed_entries": 11, "hom_entries": 8,
     "kernel_entries": 7, "cover_entries": 5, "description_entries": 1,
-    "canon_entries": 6, "poly_entries": 1, "eval_plan_entries": 1,
-    "verdict_entries": 6}
+    "canon_entries": 6, "small_model_entries": 1, "poly_entries": 1,
+    "eval_plan_entries": 1, "verdict_entries": 6}
 
 
 #: The ``to_dict()`` JSON of :func:`_golden_stream`'s verdict documents,

@@ -170,6 +170,7 @@ _MEMO_CALLS = {
     "covered": ("covered_atoms", (_Q1, _Q2)),
     "descriptions": ("complete_description", (UCQ([_Q2]),)),
     "canonical": ("canonical_form", (_Q2,)),
+    "small_models": ("small_model_pairs", (UCQ([_Q1]), UCQ([_Q2]))),
     "eval_plans": ("eval_plan", (parse_cq("Q(x) :- R(x, y)"),)),
 }
 

@@ -152,6 +152,22 @@ def test_mis_keyed_certificate_is_rejected():
     assert engine.stats.poly_rejected == 1
 
 
+def test_a_certificate_recalled_under_its_exact_key_is_revalidated():
+    """A canonical pair (as the small-model layer hands them out) is
+    found under its own key without canonicalizing; that recall is
+    revalidated like any other."""
+    engine = ContainmentEngine()
+    a, b = canonical_pair(poly([(1, "x")]), poly([(1, "x"), (1, "y")]))[:2]
+    c, d = canonical_pair(poly([(1, "xx")]), poly([(1, "x")]))[:2]
+    assert engine.poly_leq(TPLUS, a, b) == min_plus_poly_leq(a, b)
+    ((_, certificate),) = engine.export_caches()["poly_orders"]
+    engine.import_caches({"poly_orders": [(("min-plus", c, d), certificate)]})
+    assert engine.poly_leq(TPLUS, c, d) == min_plus_poly_leq(c, d)
+    assert engine.stats.poly_rejected == 1
+    assert engine.poly_leq(TPLUS, c, d) == min_plus_poly_leq(c, d)
+    assert (engine.stats.poly_calls, engine.stats.poly_hits) == (2, 1)
+
+
 def test_certificate_valid_rejects_garbage_values():
     left, right = poly([(1, "x")]), poly([(1, "x"), (1, "y")])
     holds, certificate = decide_poly_leq(MIN_PLUS, left, right)
