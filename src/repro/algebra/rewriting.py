@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.containment import decide_ucq_containment
+from ..core.context import resolve_context
 from ..core.verdict import Verdict
 from .expressions import RAExpression
 
@@ -58,8 +59,10 @@ def check_rewrite(original: RAExpression, rewritten: RAExpression,
     directions with the class-appropriate decision procedure.
     ``context`` threads a :class:`~repro.core.context.DecisionContext`
     into both directions, so the backward check replays the forward
-    check's homomorphism searches (pass ``engine.context``).
+    check's homomorphism searches (pass ``engine.context``; ``None``
+    decides both on one fresh engine).
     """
+    context = resolve_context(context)
     if original.attributes != rewritten.attributes:
         raise ValueError(
             f"rewrite changes the schema: {original.attributes} vs "

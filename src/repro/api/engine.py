@@ -218,12 +218,12 @@ class ContainmentEngine(DecisionContext):
     long-running batch/service workloads at bounded memory; only the
     classification cache is unbounded (one small entry per semiring).
 
-    The engine *is* a :class:`DecisionContext`: every primitive of the
-    context contract the decision paths use recalls this engine's
-    stores (``homomorphism_mappings``, which none of them calls, stays
-    the uncached inherited enumeration), so the covering/
+    The engine is the one :class:`DecisionContext`: every primitive of
+    the context contract recalls this engine's stores, so the covering/
     UCQ/small-model/bounds code paths share work with the top-level
-    dispatch (and with each other) instead of recomputing searches.
+    dispatch (and with each other) instead of recomputing searches.  A
+    library call given no context decides on a fresh engine
+    (:func:`repro.core.context.resolve_context`).
     """
 
     def __init__(self, registry: SemiringRegistry | None = None):
@@ -323,6 +323,15 @@ class ContainmentEngine(DecisionContext):
     def find_homomorphism(self, source, target, kind: HomKind):
         """LRU-cached homomorphism search (``None`` results included)."""
         return self._memo("homs", find_homomorphism, source, target, kind)
+
+    # Unused by the decision paths: ``perfbench/tracing.py`` wraps this
+    # name on every engine and fails if it is missing.
+    def homomorphism_mappings(self, source, target,
+                              kind: HomKind) -> tuple[dict, ...]:
+        """All ``kind`` homomorphisms ``source → target`` as a tuple
+        (the deduplicated enumeration of
+        :func:`repro.homomorphisms.homomorphisms`), uncached."""
+        return tuple(homomorphisms(source, target, kind))
 
     def hom_kernels(self, member, target, kind: HomKind,
                     limit: int | None) -> tuple[tuple[int, ...], ...]:

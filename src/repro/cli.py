@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = commands.add_parser(
         "lint", help="run the project invariant checker (per-file "
-                     "rules RL001, RL004, interprocedural RL101–RL103)")
+                     "rule RL004, interprocedural RL101–RL103)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package)")

@@ -37,7 +37,7 @@ from ..homomorphisms.ucq_conditions import (bi_count_infty, bi_count_k,
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
 from .classes import Classification
-from .context import DEFAULT_CONTEXT, DecisionContext
+from .context import DecisionContext, resolve_context
 from .small_model import small_model_contained
 from .verdict import Verdict
 
@@ -55,15 +55,15 @@ def decide_cq_containment(q1: CQ, q2: CQ, semiring, *,
                           context: DecisionContext | None = None) -> Verdict:
     """Decide ``Q1 ⊆K Q2`` for conjunctive queries.
 
-    ``context`` optionally reroutes classification and homomorphism
-    search (e.g. through the caches of an
-    :class:`repro.api.ContainmentEngine`).
+    ``context`` supplies classification, homomorphism search and every
+    other primitive (pass an engine to share its caches); ``None``
+    decides on a fresh :class:`repro.api.ContainmentEngine`.
     """
     if not isinstance(q1, CQ) or not isinstance(q2, CQ):
         raise TypeError("decide_cq_containment expects CQs; use "
                         "decide_ucq_containment for unions")
     _check_arity(q1, q2)
-    ctx = context or DEFAULT_CONTEXT
+    ctx = resolve_context(context)
     cls = ctx.classify(semiring)
 
     # A plain homomorphism Q2 → Q1 is necessary over EVERY positive
@@ -112,7 +112,7 @@ def decide_ucq_containment(q1, q2, semiring, *,
     q1, q2 = as_ucq(q1), as_ucq(q2)
     if not q1.is_empty() and not q2.is_empty():
         _check_arity(q1, q2)
-    ctx = context or DEFAULT_CONTEXT
+    ctx = resolve_context(context)
     cls = ctx.classify(semiring)
 
     if q1.is_empty():
@@ -173,11 +173,11 @@ def decide_ucq_containment(q1, q2, semiring, *,
         return Verdict(holds, "small-model",
                        explanation=f"{semiring.name}: canonical-instance "
                                    "polynomial comparison (Thm. 4.17)")
-    return _bounded_verdict(q1, q2, semiring, cls, ctx)
+    return _bounded_verdict(q1, q2, semiring, cls, context=ctx)
 
 
-def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification,
-                     ctx: DecisionContext) -> Verdict:
+def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
+                     context: DecisionContext) -> Verdict:
     """Best-effort verdict from the known necessary and sufficient
     conditions when no exact procedure exists (e.g. bag semantics).
 
@@ -190,18 +190,18 @@ def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification,
     necessary: list[tuple[str, Callable[[], bool]]] = []
     if props.in_n2hcov:
         necessary.append(("⟨Q2⟩ ⇉2 ⟨Q1⟩ (Cor. 5.23)",
-                          lambda: covering_2(q2, q1, context=ctx)))
+                          lambda: covering_2(q2, q1, context=context)))
     elif props.in_n1hcov or props.in_nhcov:
         necessary.append(("Q2 ⇉1 Q1",
-                          lambda: covering_union(q2, q1, context=ctx)))
+                          lambda: covering_union(q2, q1, context=context)))
     if props.in_nsur:
         necessary.append(
             ("։1 locally", lambda: local_condition(
-                q2, q1, HomKind.SURJECTIVE, context=ctx)))
+                q2, q1, HomKind.SURJECTIVE, context=context)))
     if props.in_nin:
         necessary.append(
             ("→֒ locally", lambda: local_condition(
-                q2, q1, HomKind.INJECTIVE, context=ctx)))
+                q2, q1, HomKind.INJECTIVE, context=context)))
     for description, holds in necessary:
         if not holds():
             return Verdict(False, "necessary-condition",
@@ -212,21 +212,21 @@ def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification,
     sufficient: list[tuple[str, Callable[[], bool]]] = []
     if cls.s_sur:
         sufficient.append(("⟨Q2⟩ ։∞ ⟨Q1⟩ (Cor. 5.16)",
-                           lambda: sur_infty(q2, q1, context=ctx)))
+                           lambda: sur_infty(q2, q1, context=context)))
     if cls.s_hcov:
         k = 1 if cls.s1 else 2
         sufficient.append((f"⇉{k} (Prop. 5.21)",
-                           lambda: covering_union(q2, q1, context=ctx)
-                           if k == 1 else covering_2(q2, q1, context=ctx)))
+                           lambda: covering_union(q2, q1, context=context)
+                           if k == 1 else covering_2(q2, q1, context=context)))
     if cls.s_in:
         sufficient.append(
             ("→֒ locally", lambda: local_condition(
-                q2, q1, HomKind.INJECTIVE, context=ctx)))
+                q2, q1, HomKind.INJECTIVE, context=context)))
     offset = cls.offset
     k_label = "∞" if math.isinf(offset) else str(int(offset))
     sufficient.append(
         (f"⟨Q2⟩ →֒{k_label} ⟨Q1⟩ (Prop. 5.12)",
-         lambda: bi_count_k(q2, q1, offset, context=ctx)))
+         lambda: bi_count_k(q2, q1, offset, context=context)))
     for description, holds in sufficient:
         if holds():
             return Verdict(True, "sufficient-condition",
@@ -248,6 +248,7 @@ def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification,
 def k_equivalent(q1, q2, semiring, *,
                  context: DecisionContext | None = None) -> Verdict:
     """Decide ``Q1 ≡K Q2`` via mutual containment (requirement (C2))."""
+    context = resolve_context(context)
     forward = (decide_cq_containment(q1, q2, semiring, context=context)
                if isinstance(q1, CQ) and isinstance(q2, CQ)
                else decide_ucq_containment(q1, q2, semiring,

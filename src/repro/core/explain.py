@@ -15,6 +15,7 @@ from ..homomorphisms.search import HomKind
 from ..oracle.brute_force import Counterexample, find_counterexample
 from ..queries.cq import CQ
 from .containment import decide_cq_containment, decide_ucq_containment
+from .context import resolve_context
 from .verdict import Verdict
 
 __all__ = ["check_homomorphism_certificate", "Explanation", "explain"]
@@ -100,8 +101,9 @@ def explain(q1, q2, semiring, witness_budget: int = 1500, *,
 
     ``context`` threads a :class:`~repro.core.context.DecisionContext`
     into the decision (pass ``engine.context`` so the explanation
-    reuses — and warms — an engine's caches).
+    reuses — and warms — an engine's caches; ``None``: a fresh engine).
     """
+    context = resolve_context(context)
     if isinstance(q1, CQ) and isinstance(q2, CQ):
         verdict = decide_cq_containment(q1, q2, semiring, context=context)
     else:

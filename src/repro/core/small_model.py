@@ -37,6 +37,7 @@ from ..polynomials.polynomial import Polynomial
 from ..queries.ccq import CQWithInequalities, complete_description
 from ..queries.evaluation import evaluate
 from ..queries.ucq import as_ucq
+from .context import resolve_context
 
 __all__ = ["small_model_contained", "small_model_pairs", "small_model_tests"]
 
@@ -87,17 +88,15 @@ def small_model_contained(q1, q2, semiring, *, context=None) -> bool:
     Requires ``semiring`` to be ⊕-idempotent and to implement
     ``poly_leq`` (Thm. 4.17 / Cor. 4.18).  The test set comes from
     ``context.small_model_pairs`` and every comparison is routed
-    through ``context.poly_leq`` (default:
-    :data:`repro.core.context.DEFAULT_CONTEXT`), so engines can memoize
-    the pairs per query pair and the LP-backed order decisions per
-    canonical pair.
+    through ``context.poly_leq`` (``None``: a fresh engine), so an
+    engine memoizes the pairs per query pair and the LP-backed order
+    decisions per canonical pair.
     """
-    from .context import DEFAULT_CONTEXT
-
     if not semiring.properties.add_idempotent:
         raise ValueError(
             f"the small-model procedure needs an ⊕-idempotent semiring; "
             f"{semiring.name} is not (Thm. 4.17 applies to S¹ only)")
-    ctx = context if context is not None else DEFAULT_CONTEXT
-    return all(ctx.poly_leq(semiring, c1, c2)
-               for c1, c2 in ctx.small_model_pairs(as_ucq(q1), as_ucq(q2)))
+    context = resolve_context(context)
+    return all(context.poly_leq(semiring, c1, c2)
+               for c1, c2 in context.small_model_pairs(as_ucq(q1),
+                                                       as_ucq(q2)))

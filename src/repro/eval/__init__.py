@@ -13,7 +13,7 @@ point, byte-identical to the tuple-at-a-time reference evaluator).
 from .columns import ColumnarInstance, ColumnarRelation, ValueInterner
 from .engine import AnswerTable, evaluate
 from .kernels import GenericObjectOps, ops_for
-from .plan import AtomStep, EvalPlan, build_plan, cached_plan
+from .plan import AtomStep, EvalPlan, build_plan
 
 __all__ = [
     "AnswerTable",
@@ -24,7 +24,6 @@ __all__ = [
     "GenericObjectOps",
     "ValueInterner",
     "build_plan",
-    "cached_plan",
     "evaluate",
     "ops_for",
 ]

@@ -31,9 +31,10 @@ overflows at run time demotes the whole evaluation to
 entry, as an overflow at encode time demotes the whole instance.
 
 Plan lookups go through the supplied
-:class:`~repro.core.context.DecisionContext` — the default memoizes
-process-wide, a :class:`~repro.api.engine.ContainmentEngine` (itself a
-context) routes into its snapshot-persisted ``eval_plans`` LRU.
+:class:`~repro.core.context.DecisionContext`: a
+:class:`~repro.api.engine.ContainmentEngine` (itself a context) routes
+them into its snapshot-persisted ``eval_plans`` LRU, and
+:func:`evaluate` without one plans on a fresh engine.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from ..core.context import DEFAULT_CONTEXT, DecisionContext
+from ..core.context import DecisionContext, resolve_context
 from ..data.instance import Instance
 from ..queries.atoms import is_var
 from ..queries.cq import CQ
@@ -108,8 +109,8 @@ def _group(head_columns: list[np.ndarray], values: np.ndarray,
     return [column[representatives] for column in head_columns], folded
 
 
-def _member_answers(cq: CQ, columnar: ColumnarInstance,
-                    context: DecisionContext, constant_ids: dict
+def _member_answers(cq: CQ, columnar: ColumnarInstance, constant_ids: dict,
+                    *, context: DecisionContext
                     ) -> tuple[list[np.ndarray], np.ndarray] | None:
     """One CQ member's answers, still in id space.
 
@@ -150,7 +151,7 @@ def _nonzero(values: np.ndarray, columnar: ColumnarInstance) -> np.ndarray:
     return values != columnar.ops.encode([semiring.zero])[0]
 
 
-def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance,
+def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance, *,
              context: DecisionContext) -> list[tuple[tuple, Any]]:
     """The non-zero ``(head, annotation)`` rows of a union of members."""
     interner = columnar.interner
@@ -167,7 +168,7 @@ def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance,
                     fresh.append(term)
                 constant_ids[term] = ident
     parts = [part for part in (
-        _member_answers(cq, columnar, context, constant_ids)
+        _member_answers(cq, columnar, constant_ids, context=context)
         for cq in members) if part is not None]
     if not parts:
         return []
@@ -186,7 +187,7 @@ def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance,
 
 def evaluate(query, instance: Instance | ColumnarInstance,
              semiring: Semiring | None = None, *,
-             context: DecisionContext = DEFAULT_CONTEXT) -> AnswerTable:
+             context: DecisionContext | None = None) -> AnswerTable:
     """Evaluate a CQ or UCQ columnar-ly; all non-zero answers.
 
     ``instance`` may be a plain :class:`Instance` (transposed on the
@@ -200,8 +201,10 @@ def evaluate(query, instance: Instance | ColumnarInstance,
     segment sum beyond int64) demotes the evaluation to
     :class:`~repro.eval.kernels.GenericObjectOps`: the annotation
     columns are decoded, re-encoded as exact Python objects and the
-    query is run again.
+    query is run again.  ``context`` supplies the plans (``None``: a
+    fresh engine).
     """
+    context = resolve_context(context)
     if isinstance(instance, ColumnarInstance):
         if semiring is not None and semiring is not instance.semiring:
             raise ValueError(
@@ -220,9 +223,9 @@ def evaluate(query, instance: Instance | ColumnarInstance,
     else:
         raise TypeError(f"expected CQ or UCQ, got {type(query).__name__}")
     try:
-        rows = _answers(members, columnar, context)
+        rows = _answers(members, columnar, context=context)
     except OverflowError:
         if isinstance(columnar.ops, GenericObjectOps):
             raise
-        rows = _answers(members, columnar.generic(), context)
+        rows = _answers(members, columnar.generic(), context=context)
     return AnswerTable(semiring, arity, rows)

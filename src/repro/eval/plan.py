@@ -15,24 +15,21 @@ variables (selective filters first), then fewer new variables, then the
 canonical atom order for determinism.
 
 Plans are immutable, hashable and numpy-free, so they ride the engine's
-cache plumbing like every other derived structure: the module-level
-:func:`cached_plan` memo backs the default
-:class:`~repro.core.context.DecisionContext`, and
-``ContainmentEngine`` routes the same call through its ``eval_plans``
-LRU layer (snapshot-portable — plans contain only query terms).
+cache plumbing like every other derived structure: ``ContainmentEngine``
+memoizes :func:`build_plan` in its ``eval_plans`` LRU layer
+(snapshot-portable — plans contain only query terms).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 from ..queries.atoms import Var, is_var
 from ..queries.ccq import CQWithInequalities
 from ..queries.cq import CQ
 
-__all__ = ["AtomStep", "EvalPlan", "build_plan", "cached_plan"]
+__all__ = ["AtomStep", "EvalPlan", "build_plan"]
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,3 @@ def build_plan(query: CQ) -> EvalPlan:
             f"query is not range-restricted: head variables {unbound} "
             "appear in no atom")
     return EvalPlan(head=tuple(query.head), steps=tuple(steps))
-
-
-@lru_cache(maxsize=4096)
-def cached_plan(query: CQ) -> EvalPlan:
-    """Process-wide plan memo backing the default decision context."""
-    return build_plan(query)

@@ -481,11 +481,9 @@ def compute_canonical_form(query: CQ | QueryCode) -> CanonicalForm:
     generators in one pass.
 
     ``query`` is a query or its :class:`~repro.queries.ccq.QueryCode`
-    (a query is coded first); both give the same record.  This is the
-    uncached computation; callers wanting process-wide memoization use
-    :func:`canonical_form`, and :class:`repro.api.ContainmentEngine`
-    routes it through its own observable, snapshot-persisted LRU layer
-    instead.
+    (a query is coded first); both give the same record.
+    :class:`repro.api.ContainmentEngine` memoizes it in its observable,
+    snapshot-persisted ``canonical`` layer.
     """
     code = query if isinstance(query, QueryCode) else QueryCode.of(query)
     struct = _Structure(code)
@@ -505,13 +503,6 @@ def compute_canonical_form(query: CQ | QueryCode) -> CanonicalForm:
     )
 
 
-@lru_cache(maxsize=8192)
-def canonical_form(query: CQ) -> CanonicalForm:
-    """Process-wide memo of :func:`compute_canonical_form`.
-
-    Queries are immutable, so the form is a pure function of the query.
-    This default memo backs the plain module functions and
-    :class:`repro.core.DecisionContext`; engines carry their own LRU so
-    the layer shows up in ``cache_stats()`` and snapshots.
-    """
-    return compute_canonical_form(query)
+#: The exported name of the computation.  It memoizes nothing: a
+#: caller that needs a memo asks an engine (``context.canonical_form``).
+canonical_form = compute_canonical_form

@@ -7,18 +7,16 @@ This is the characterizing condition of the class ``Chcov``
 semiring is the flagship member, Thm. 4.3).  Checking it is
 NP-complete.
 
-Both functions accept an optional ``context``
-(:class:`repro.core.decision-context-like <repro.core.DecisionContext>`
-duck type) through which callers such as
-:class:`repro.api.ContainmentEngine` interpose result caches; with no
-context the plain lazy computation runs — enumeration stops as soon as
-every target atom is covered.
+Both functions take an optional ``context``
+(:class:`repro.core.DecisionContext`), resolved once at the top: an
+engine's ``covered`` layer computes and keeps the covered atoms;
+``None`` computes them on a fresh engine.  The core dispatch imports
+this package, so each function imports the resolver lazily.
 """
 
 from __future__ import annotations
 
 from ..queries.cq import CQ
-from .search import HomKind, homomorphisms
 
 __all__ = ["covers", "covered_atoms"]
 
@@ -26,18 +24,8 @@ __all__ = ["covers", "covered_atoms"]
 def covered_atoms(source: CQ, target: CQ, *, context=None) -> frozenset:
     """The atoms of ``target`` that occur in the image of some
     homomorphism from ``source``."""
-    if context is not None:
-        return context.covered_atoms(source, target)
-    remaining = set(target.atoms)
-    covered = set()
-    for mapping in homomorphisms(source, target, HomKind.PLAIN):
-        image = {atom.substitute(mapping) for atom in source.atoms}
-        newly = remaining & image
-        covered |= newly
-        remaining -= newly
-        if not remaining:
-            break
-    return frozenset(covered)
+    from ..core.context import resolve_context
+    return resolve_context(context).covered_atoms(source, target)
 
 
 def covers(source: CQ, target: CQ, *, context=None) -> bool:
@@ -47,7 +35,5 @@ def covers(source: CQ, target: CQ, *, context=None) -> bool:
     twice in ``target`` is covered as soon as its value appears in some
     homomorphic image (images cannot distinguish occurrences).
     """
-    if context is not None:
-        return context.covers(source, target)
-    return len(covered_atoms(source, target,
-                             context=context)) == len(set(target.atoms))
+    from ..core.context import resolve_context
+    return resolve_context(context).covers(source, target)

@@ -16,10 +16,10 @@ refinement-based canonical labeling engine of
 individualization-refinement pass instead of minimizing over all
 (factorially many) permutations of the existential variables.  The old
 exhaustive algorithm survives as an executable specification in the
-test oracle ``tests/reference_iso.py``.  Callers holding a
-:class:`repro.core.DecisionContext` can route the computation through
-an engine's observable LRU via ``context.canonical_form``;
-the plain functions here use the process-wide memo.
+test oracle ``tests/reference_iso.py``.  The single-query functions
+here compute the form directly; :func:`isomorphism_classes` and
+:func:`description_classes` take their forms from a
+:class:`repro.core.DecisionContext` (an engine's observable LRU).
 
 The bag-semantics conditions read ``⟨Q⟩`` only through its class
 counts, so :func:`description_classes` builds it as a table of
@@ -77,10 +77,11 @@ def isomorphism_classes(queries, *, context=None) -> dict[tuple, list]:
     """Group a multiset of queries by isomorphism class.
 
     Returns canonical key → list of members (multiplicities preserved).
-    ``context`` optionally routes the canonical-form computation
-    through a :class:`repro.core.DecisionContext` (an engine's LRU).
+    The canonical forms come from ``context`` (an engine's LRU;
+    ``None``: a fresh engine).
     """
-    form = canonical_form if context is None else context.canonical_form
+    from ..core.context import resolve_context
+    form = resolve_context(context).canonical_form
     classes: dict[tuple, list] = {}
     for query in queries:
         classes.setdefault(form(query).key, []).append(query)
@@ -98,8 +99,7 @@ class DescriptionClass(NamedTuple):
     automorphisms: int
 
 
-def description_classes(union, *, context=None
-                        ) -> tuple[DescriptionClass, ...]:
+def description_classes(union, *, context) -> tuple[DescriptionClass, ...]:
     """``⟨Q⟩`` of a UCQ as a table of isomorphism classes.
 
     Equal, as ``{key: multiplicity}``, to :func:`isomorphism_classes` of
@@ -116,11 +116,11 @@ def description_classes(union, *, context=None
     leaves that serialise equally.
     Rows are merged by key, so a generating set that fell short of the
     whole group would cost more canonical forms, never change the
-    table.  ``context`` routes the canonical forms through a
-    :class:`repro.core.DecisionContext` (an engine's LRU), keyed by the
+    table.  The canonical forms come from ``context.canonical_form``
+    (an engine's LRU), keyed by the
     :class:`~repro.queries.ccq.QueryCode` of each quotient.
     """
-    form = canonical_form if context is None else context.canonical_form
+    form = context.canonical_form
     rows: dict[tuple, list] = {}
 
     def generators_of(code) -> tuple[tuple[int, ...], ...]:

@@ -76,12 +76,13 @@ capacitated class-level matching of
 :func:`repro.homomorphisms.matching.saturates`, and the counts are
 multiplicities.
 
-Every function accepts an optional ``context``
-(:class:`repro.core.DecisionContext`-like) that reroutes the expensive
-primitives — homomorphism existence and kernels, atom covering, the
-class table of ``⟨Q⟩`` and the canonical form of a set reduct —
-through a caller-provided cache; with no context the plain functions
-run.
+Every condition reads the expensive primitives — homomorphism
+existence and kernels, atom covering, the class table of ``⟨Q⟩`` and
+the canonical form of a set reduct — from a
+:class:`repro.core.DecisionContext` (an engine's caches).  The exported
+conditions accept ``context=None`` and resolve it once, at their top,
+to a fresh engine (imported lazily: the core dispatch imports this
+module); the helpers below them require it.
 """
 
 from __future__ import annotations
@@ -92,11 +93,9 @@ from ..queries.atoms import is_var
 from ..queries.ccq import QueryCode
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
-from .canonical import CanonicalForm, canonical_form
-from .covering import covered_atoms
-from .isomorphism import DescriptionClass, description_classes
+from .isomorphism import DescriptionClass
 from .matching import saturates
-from .search import HomKind, has_homomorphism, hom_kernels
+from .search import HomKind
 
 __all__ = [
     "local_condition",
@@ -108,56 +107,22 @@ __all__ = [
 ]
 
 
-def _exists(context, source: CQ, target: CQ, kind: HomKind) -> bool:
-    """Existence primitive, routed through ``context`` when given."""
-    if context is not None:
-        return context.has_homomorphism(source, target, kind)
-    return has_homomorphism(source, target, kind)
-
-
-def _classes(context, union: UCQ) -> tuple[DescriptionClass, ...]:
-    """``⟨Q⟩``'s class table, routed through ``context`` when given."""
-    if context is not None:
-        return context.complete_description(union)
-    return description_classes(union, context=None)
-
-
-def _kernels(context, member: CQ, target: CQ, kind: HomKind,
-             limit: int | None = None) -> tuple:
-    """Kernel primitive, routed through ``context`` when given."""
-    if context is not None:
-        return context.hom_kernels(member, target, kind, limit)
-    return hom_kernels(member, target, kind, limit)
-
-
-def _form(context, query: CQ | QueryCode) -> CanonicalForm:
-    """Canonical-form primitive (key, ``|Aut|``), routed through
-    ``context`` when given."""
-    if context is not None:
-        return context.canonical_form(query)
-    return canonical_form(query)
-
-
 def local_condition(source: UCQ | CQ, target: UCQ | CQ,
                     kind: HomKind, *, context=None) -> bool:
-    """``Q2 (hom-kind)1 Q1``: each target member has a source preimage.
-
-    ``context`` routes the existence check through a cache-providing
-    :class:`repro.core.DecisionContext`.
-    """
+    """``Q2 (hom-kind)1 Q1``: each target member has a source preimage."""
+    from ..core.context import resolve_context
     source, target = as_ucq(source), as_ucq(target)
-    finder = (has_homomorphism if context is None
-              else context.has_homomorphism)
+    finder = resolve_context(context).has_homomorphism
     return all(
         any(finder(cq2, cq1, kind) for cq2 in source)
         for cq1 in target
     )
 
 
-def _union_covers(source, target_cq: CQ, context=None) -> bool:
+def _union_covers(source, target_cq: CQ, *, context) -> bool:
     remaining = set(target_cq.atoms)
     for cq2 in source:
-        remaining -= covered_atoms(cq2, target_cq, context=context)
+        remaining -= context.covered_atoms(cq2, target_cq)
         if not remaining:
             return True
     return not remaining
@@ -171,8 +136,11 @@ def covering_union(source: UCQ | CQ, target: UCQ | CQ, *,
     The paper notes ``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``, so the check runs
     directly on the given queries.
     """
+    from ..core.context import resolve_context
     source, target = as_ucq(source), as_ucq(target)
-    return all(_union_covers(source, cq1, context) for cq1 in target)
+    context = resolve_context(context)
+    return all(_union_covers(source, cq1, context=context)
+               for cq1 in target)
 
 
 def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
@@ -213,24 +181,30 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     the ``⟨Q2⟩`` classes whose representative maps to it, stopping at
     two.
     """
+    from ..core.context import resolve_context
     source, target = as_ucq(source), as_ucq(target)
+    context = resolve_context(context)
     rigid_free = _rigid_free(source, target)
     if rigid_free and not covering_union(source, target, context=context):
         return False
-    classes1 = _set_reduced(_classes(context, target), context)
+    classes1 = _set_reduced(context.complete_description(target),
+                            context=context)
     if rigid_free:
         def reaches_two(representative: CQ) -> bool:
-            return _kernels_reach_two(source, representative, context)
+            return _kernels_reach_two(source, representative,
+                                      context=context)
     else:
-        classes2 = _set_reduced(_classes(context, source), context)
+        classes2 = _set_reduced(context.complete_description(source),
+                                context=context)
         representatives2 = [row.representative for row in classes2]
         if not all(_union_covers(representatives2, row.representative,
-                                 context)
+                                 context=context)
                    for row in classes1):
             return False
 
         def reaches_two(representative: CQ) -> bool:
-            return _preimages_reach_two(classes2, representative, context)
+            return _preimages_reach_two(classes2, representative,
+                                        context=context)
     for row in classes1:
         if row.multiplicity < 2 or row.automorphisms > 1:
             continue
@@ -239,7 +213,7 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     return True
 
 
-def _set_reduced(classes: tuple[DescriptionClass, ...], context
+def _set_reduced(classes: tuple[DescriptionClass, ...], *, context
                  ) -> list[DescriptionClass]:
     """The class table of the set-reduced CCQs: each row's
     representative set-reduced, rows merged by the reduced key.
@@ -260,7 +234,7 @@ def _set_reduced(classes: tuple[DescriptionClass, ...], context
                 row.key, representative, row.automorphisms
         else:
             reduced = QueryCode.of(representative).set_reduced()
-            record = _form(context, reduced)
+            record = context.canonical_form(reduced)
             key, group = record.key, record.automorphisms
         entry = merged.get(key)
         if entry is None:
@@ -273,25 +247,27 @@ def _set_reduced(classes: tuple[DescriptionClass, ...], context
         for key, (reduced, size, group) in merged.items()]
 
 
-def _kernels_reach_two(source: UCQ, target: CQ, context) -> bool:
+def _kernels_reach_two(source: UCQ, target: CQ, *, context) -> bool:
     """True iff at least two occurrences of ``⟨source⟩`` map
     homomorphically to the rigid-free CCQ ``target``: two distinct
     ``(member, plain kernel)`` pairs."""
     preimages = 0
     for member in source:
-        preimages += len(_kernels(context, member, target, HomKind.PLAIN, 2))
+        preimages += len(context.hom_kernels(member, target, HomKind.PLAIN,
+                                             2))
         if preimages >= 2:
             return True
     return False
 
 
-def _preimages_reach_two(classes2: list[DescriptionClass], target: CQ,
+def _preimages_reach_two(classes2: list[DescriptionClass], target: CQ, *,
                          context) -> bool:
     """True iff at least two occurrences (CCQs of the rows) of
     ``classes2`` map homomorphically to ``target``."""
     preimages = 0
     for row in classes2:
-        if _exists(context, row.representative, target, HomKind.PLAIN):
+        if context.has_homomorphism(row.representative, target,
+                                    HomKind.PLAIN):
             preimages += row.multiplicity
             if preimages >= 2:
                 return True
@@ -323,7 +299,9 @@ def bi_count_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                    context=None) -> bool:
     """``⟨Q2⟩ →֒∞ ⟨Q1⟩`` (Def. 5.8): every isomorphism class occurs in
     ``⟨Q2⟩`` at least as often as in ``⟨Q1⟩``."""
-    return _bi_count(as_ucq(source), as_ucq(target), None, context)
+    from ..core.context import resolve_context
+    return _bi_count(as_ucq(source), as_ucq(target), None,
+                     context=resolve_context(context))
 
 
 def bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
@@ -339,15 +317,18 @@ def bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
     degenerates to per-class presence, equivalent to the local bijective
     condition ``→֒1``.
     """
+    from ..core.context import resolve_context
+    context = resolve_context(context)
     if math.isinf(k):
         return bi_count_infty(source, target, context=context)
     k = int(k)
     if k < 1:
         raise ValueError("offset must be at least 1")
-    return _bi_count(as_ucq(source), as_ucq(target), k, context)
+    return _bi_count(as_ucq(source), as_ucq(target), k, context=context)
 
 
-def _bi_count(source: UCQ, target: UCQ, k: int | None, context) -> bool:
+def _bi_count(source: UCQ, target: UCQ, k: int | None, *,
+              context) -> bool:
     """``⟨Q2⟩ →֒k ⟨Q1⟩`` for a finite ``k``, or ``→֒∞`` for None.
 
     ``⟨Q2⟩[C]`` is the number of distinct bijective kernels of the
@@ -355,19 +336,19 @@ def _bi_count(source: UCQ, target: UCQ, k: int | None, context) -> bool:
     (one per occurrence — never divided by ``|Aut|``), and the size of
     ``C``'s class in ``⟨Q2⟩`` otherwise.
     """
-    classes1 = _classes(context, target)
+    classes1 = context.complete_description(target)
     if _rigid_free(source, target):
         def reaches(key, representative: CQ, required: int) -> bool:
             found = 0
             for member in source:
-                found += len(_kernels(context, member, representative,
-                                      HomKind.BIJECTIVE))
+                found += len(context.hom_kernels(member, representative,
+                                                 HomKind.BIJECTIVE, None))
                 if found >= required:
                     return True
             return False
     else:
         sizes2 = {row.key: row.multiplicity
-                  for row in _classes(context, source)}
+                  for row in context.complete_description(source)}
 
         def reaches(key, representative: CQ, required: int) -> bool:
             return sizes2.get(key, 0) >= required
@@ -394,8 +375,10 @@ def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
     they are the ``⟨Q2⟩`` classes, each of its size.  The edges of a
     ``⟨Q1⟩`` class are asked for only while no Hall violation has shown.
     """
+    from ..core.context import resolve_context
     source, target = as_ucq(source), as_ucq(target)
-    classes1 = _classes(context, target)
+    context = resolve_context(context)
+    classes1 = context.complete_description(target)
     representatives1 = [row.representative for row in classes1]
     demand = [row.multiplicity for row in classes1]
     if _rigid_free(source, target):
@@ -404,19 +387,20 @@ def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
         def edges(i: int) -> list[int]:
             return [occurrences.setdefault((j, kernel), len(occurrences))
                     for j, member in enumerate(source)
-                    for kernel in _kernels(context, member,
-                                           representatives1[i],
-                                           HomKind.SURJECTIVE)]
+                    for kernel in context.hom_kernels(
+                        member, representatives1[i], HomKind.SURJECTIVE,
+                        None)]
 
         total = sum(_bell(len(member.existential_vars()))
                     for member in source)
         return saturates(demand, [1] * total, edges)
-    classes2 = _classes(context, source)
+    classes2 = context.complete_description(source)
 
     def class_edges(i: int) -> list[int]:
         return [j for j, row in enumerate(classes2)
-                if _exists(context, row.representative, representatives1[i],
-                           HomKind.SURJECTIVE)]
+                if context.has_homomorphism(row.representative,
+                                            representatives1[i],
+                                            HomKind.SURJECTIVE)]
 
     return saturates(demand, [row.multiplicity for row in classes2],
                      class_edges)

@@ -16,7 +16,7 @@ ownership (RL103).  Run it as::
     python -m repro lint PATH ...         # lint specific trees
 
 Exit code 0 means clean; 1 means findings (CI gates on this).  See
-:mod:`repro.lint.rules` for the per-file rules (RL001, RL004),
+:mod:`repro.lint.rules` for the per-file rule (RL004),
 :mod:`repro.lint.rules_flow` for the dataflow rules (RL101–RL103), and
 the README's "Static analysis" section for the pragma and ``owner=``
 annotation syntax.

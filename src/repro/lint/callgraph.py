@@ -1,7 +1,7 @@
 """Project-wide call graph with import, alias and receiver typing.
 
-The per-file rules (RL001, RL004) resolve names through imports one
-file at a time; the dataflow rules (RL101–RL103) need to answer
+The per-file rule (RL004) is a pattern check on one file at a time;
+the dataflow rules (RL101–RL103) need to answer
 *whole-project* questions — "is a blocking LP solve reachable from
 this ``async def``?", "does the worker entry point touch a pre-fork
 socket?" — which require following calls across modules, through

@@ -4,13 +4,13 @@ The linter is a pure AST pass: it never imports the code it checks.
 Every checked file becomes a :class:`SourceFile` (parsed tree, dotted
 module name, suppression pragmas); the set of files under analysis is
 a :class:`Project`, which is what every rule receives — the repo's
-invariants are *cross-file* (a call site in ``optimize/`` versus a
-definition in ``core/``, an engine layer versus the snapshot schema),
+invariants are *cross-file* (an ``async def`` in ``service/`` versus a
+blocking solve in ``polynomials/``, a pre-fork socket versus a worker),
 so rules see the whole tree at once rather than one file at a time.
 
 Suppression pragmas are comments::
 
-    engine.covered_atoms(q1, q2)  # repro-lint: disable=RL001
+    names = {id(s): s.name for s in semirings}  # repro-lint: disable=RL004
     # repro-lint: disable=RL004
     key = id(semiring)
 
@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator
 __all__ = ["Finding", "SourceFile", "Project", "Rule", "RULES",
            "rule", "load_source_file", "module_name_for"]
 
-#: ``# repro-lint: disable=RL001,RL004`` (or ``disable=all``).
+#: ``# repro-lint: disable=RL004,RL101`` (or ``disable=all``).
 _PRAGMA = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
 
 #: ``# repro-lint: owner=_collect,on_result`` — mutation allowlist for

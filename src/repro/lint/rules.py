@@ -1,4 +1,4 @@
-"""The project-specific per-file lint rules (RL001, RL004).
+"""The project-specific per-file lint rule (RL004).
 
 Each rule machine-enforces one convention the engine's correctness or
 warm-path performance rests on; ``docs/ARCHITECTURE.md`` and the
@@ -7,12 +7,11 @@ Conventions Python can check itself are not here: a semiring's
 ``poly_order`` is checked when its class is defined, an incomplete
 :class:`~repro.semirings.base.VectorizedOps` kernel cannot be
 instantiated, a memo key is the argument list of the engine's
-``_memo`` call, and a pickled query restores through its class, which
-the snapshot unpickler admits like any ``repro`` class.
+``_memo`` call, a pickled query restores through its class, which
+the snapshot unpickler admits like any ``repro`` class, and an
+internal decision function called without its context raises
+``TypeError``, because the argument is required.
 
-* **RL001** — calls to the context-accepting decision primitives must
-  thread ``context=`` (an omitted keyword silently bypasses every
-  engine cache).
 * **RL004** — determinism hazards: ``id()``, ``hash()`` outside the
   ``__hash__``/``_hash``-memo idiom, stringified sets, set iteration
   inside digest/shard routines.
@@ -26,122 +25,16 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .callgraph import import_map as _import_map
 from .model import (Finding, Project, Rule, SourceFile, rule,
                     walk_with_parents)
 
-__all__ = ["ContextThreadingRule", "DeterminismRule"]
-
-#: The modules whose public context-accepting functions RL001 covers.
-_CONTEXT_PREFIXES = ("repro.core", "repro.homomorphisms",
-                     "repro.polynomials")
-
-
-# Import/alias resolution is shared with the interprocedural layer:
-# ``_import_map`` above is :func:`repro.lint.callgraph.import_map`.
+__all__ = ["DeterminismRule"]
 
 
 def _const_str(node: ast.AST | None) -> str | None:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return node.value
     return None
-
-
-@rule
-class ContextThreadingRule(Rule):
-    """RL001: decision-primitive calls must thread ``context=``.
-
-    Pass 1 collects every public module-level function under
-    ``repro.core``/``repro.homomorphisms``/``repro.polynomials`` that
-    accepts a ``context`` parameter.  Pass 2 flags call sites anywhere
-    in the tree that resolve (through imports, package re-exports
-    included) to one of those functions without a ``context=`` keyword
-    (or a ``**kwargs`` splat that could carry one).
-    """
-
-    id = "RL001"
-    title = "context-threading"
-
-    def check(self, project: Project) -> Iterator[Finding]:
-        targets = self._context_functions(project)
-        if not targets:
-            return
-        for sf in project.files:
-            yield from self._check_file(sf, targets)
-
-    @staticmethod
-    def _accepts_context(node: ast.FunctionDef) -> bool:
-        args = node.args
-        return any(arg.arg == "context"
-                   for arg in list(args.args) + list(args.kwonlyargs))
-
-    def _context_functions(self, project: Project
-                           ) -> dict[str, frozenset[str]]:
-        """``function name → acceptable origin modules``."""
-        targets: dict[str, set[str]] = {}
-        for prefix in _CONTEXT_PREFIXES:
-            for sf in project.modules_under(prefix):
-                for node in sf.tree.body:
-                    if not isinstance(node, ast.FunctionDef):
-                        continue
-                    if node.name.startswith("_"):
-                        continue
-                    if not self._accepts_context(node):
-                        continue
-                    origins = targets.setdefault(node.name, set())
-                    # The defining module plus every ancestor package:
-                    # re-exports through __init__ stay recognized.
-                    parts = sf.module.split(".")
-                    for end in range(1, len(parts) + 1):
-                        origins.add(".".join(parts[:end]))
-        return {name: frozenset(origins)
-                for name, origins in targets.items()}
-
-    def _check_file(self, sf: SourceFile,
-                    targets: dict[str, frozenset[str]]
-                    ) -> Iterator[Finding]:
-        imports = _import_map(sf)
-        local_defs = {node.name for node in sf.tree.body
-                      if isinstance(node, ast.FunctionDef)}
-        local_covered = (sf.module is not None
-                         and sf.module.startswith(_CONTEXT_PREFIXES))
-        for node in ast.walk(sf.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            symbol, origin = self._resolve_call(
-                node, imports, sf, local_defs, local_covered)
-            if symbol is None:
-                continue
-            origins = targets.get(symbol)
-            if origins is None or origin not in origins:
-                continue
-            if any(kw.arg == "context" or kw.arg is None
-                   for kw in node.keywords):
-                continue
-            yield self.finding(
-                sf, node,
-                f"call to {symbol}() omits context= — engine caches "
-                f"are silently bypassed; thread the caller's "
-                f"DecisionContext (or pragma with a justification)")
-
-    @staticmethod
-    def _resolve_call(node: ast.Call, imports, sf: SourceFile,
-                      local_defs, local_covered
-                      ) -> tuple[str | None, str | None]:
-        func = node.func
-        if isinstance(func, ast.Name):
-            entry = imports.get(func.id)
-            if entry is not None and entry[1] is not None:
-                return entry[1], entry[0]
-            if local_covered and func.id in local_defs:
-                return func.id, sf.module
-            return None, None
-        if isinstance(func, ast.Attribute) and isinstance(func.value,
-                                                          ast.Name):
-            entry = imports.get(func.value.id)
-            if entry is not None and entry[1] is None:
-                return func.attr, entry[0]
-        return None, None
 
 
 @rule

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import rules as _rules  # noqa: F401 - registers RL001, RL004
+from . import rules as _rules  # noqa: F401 - registers RL004
 from . import rules_flow as _rules_flow  # noqa: F401 - registers RL101–RL103
 from .model import Finding, Project, RULES, load_source_file
 from .report import LintReport

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.containment import k_equivalent
+from ..core.context import resolve_context
 from ..queries.cq import CQ
 
 __all__ = ["MinimizationResult", "minimize_cq"]
@@ -67,10 +68,12 @@ def minimize_cq(query: CQ, semiring, *,
     semantics) the minimization is sound but may be conservative.
 
     ``context`` threads a :class:`~repro.core.context.DecisionContext`
-    into every equivalence check; pass an engine's caching context
-    (``engine.context``) so the quadratically many candidate checks
-    share homomorphism searches.
+    into every equivalence check, so the quadratically many candidate
+    checks share homomorphism searches: pass an engine's caching
+    context (``engine.context``), or ``None`` for one fresh engine
+    shared by every check of this call.
     """
+    context = resolve_context(context)
     current = query
     steps = [query]
     changed = True

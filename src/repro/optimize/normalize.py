@@ -19,6 +19,7 @@ can never absorb an existential (see
 
 from __future__ import annotations
 
+from ..core.context import resolve_context
 from ..homomorphisms.isomorphism import canonical_rename
 from ..queries.ucq import UCQ, as_ucq
 from .minimize import minimize_cq
@@ -33,6 +34,7 @@ def normalize_cq(query, semiring, *, context=None):
     ``context`` is threaded into the minimization's equivalence checks
     (pass ``engine.context`` to reuse an engine's caches).
     """
+    context = resolve_context(context)
     minimized = minimize_cq(query, semiring, context=context).query
     return canonical_rename(minimized)
 
@@ -43,8 +45,9 @@ def normalize_ucq(query, semiring, *, context=None) -> UCQ:
     Pipeline: minimize each member, drop provably redundant members,
     rename every member canonically (the UCQ constructor then sorts
     members deterministically).  ``context`` is threaded into every
-    certified step.
+    certified step (``None``: one fresh engine for all of them).
     """
+    context = resolve_context(context)
     union = as_ucq(query)
     minimized = UCQ(tuple(
         minimize_cq(member, semiring, context=context).query

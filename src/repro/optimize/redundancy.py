@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.containment import k_equivalent
+from ..core.context import resolve_context
 from ..queries.ucq import UCQ, as_ucq
 
 __all__ = ["RedundancyResult", "eliminate_redundant_members"]
@@ -48,8 +49,10 @@ def eliminate_redundant_members(query, semiring, *,
     keep the member (sound, possibly conservative — exactly the honest
     behaviour for bag semantics).  ``context`` threads a
     :class:`~repro.core.context.DecisionContext` into every check so
-    engine callers reuse their caches.
+    engine callers reuse their caches (``None``: one fresh engine for
+    every check of this call).
     """
+    context = resolve_context(context)
     original = as_ucq(query)
     current = original
     removed: list = []

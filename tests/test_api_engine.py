@@ -409,7 +409,7 @@ def test_covered_atoms_stays_lazy_on_early_success(monkeypatch):
     # The uncached enumeration still sees all 3^4 = 81 mappings (each
     # independent atom picks a target atom); coverage stopped long
     # before that.
-    mappings = engine.homomorphism_mappings(source, target, HomKind.PLAIN)
+    mappings = list(homomorphisms(source, target, HomKind.PLAIN))
     assert len(mappings) == 81
     assert 0 < len(seen) < len(mappings)
 
@@ -592,3 +592,79 @@ def test_golden_cache_counters_cold_and_restored():
         info = engine.cache_info()
         assert info == golden
         assert list(info) == list(golden)
+
+
+#: Curated pairs for the one-engine test: the CQ pair of Ex. 4.6, a
+#: rigid-free bag chain pair (``⇉2``, ``։∞`` and ``→֒k`` on kernels), a
+#: UCQ pair with head variables (the class-table paths) and the ``T+``
+#: pair of the small-model procedure.
+_ONE_ENGINE_PAIRS = (
+    (Q1, Q2),
+    ("Q() :- E(a, b), E(b, c), E(c, d)", "Q() :- E(x, y), E(y, z)"),
+    (["Q(x) :- R(x, y), R(y, z)", "Q(x) :- R(x, x)"],
+     ["Q(x) :- R(x, y)", "Q(x) :- R(x, y), R(y, x)"]),
+    ("Q() :- R(v), S(v)", ["Q() :- R(v), R(v)", "Q() :- S(v), S(v)"]),
+)
+
+
+def _count_engines(monkeypatch) -> list:
+    """Record every :class:`ContainmentEngine` built from now on."""
+    built = []
+    init = ContainmentEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ContainmentEngine, "__init__", counting_init)
+    return built
+
+
+def test_every_path_runs_on_the_callers_engine(monkeypatch):
+    # A path that dropped its context would build an engine of its own
+    # (the exported names default to a fresh one) and lose the caller's
+    # caches: count constructions instead of trusting the call sites.
+    from repro.algebra import check_rewrite, table
+    from repro.core import explain, k_equivalent
+    from repro.data import Instance
+    from repro.optimize import (eliminate_redundant_members, minimize_cq,
+                                normalize_ucq)
+    from repro.queries import UCQ
+
+    engine = ContainmentEngine()
+    built = _count_engines(monkeypatch)
+    for semiring in engine.registry:
+        for q1, q2 in _ONE_ENGINE_PAIRS:
+            engine.decide(q1, q2, semiring)
+            engine.decide(q1, q2, semiring, equivalence=True)
+    instance = Instance.from_facts(engine.semiring("N"), [
+        ("R", ("a", "b"), 2), ("R", ("b", "c"), 3)])
+    engine.evaluate("Q(x) :- R(x, y), R(y, z)", instance)
+    lineage = engine.semiring("Lin[X]")
+    cq1, cq2 = engine.parse(Q1), engine.parse(Q2)
+    redundant = UCQ((cq1, cq2, engine.parse("Q() :- R(x, x)")))
+    assert explain(cq1, cq2, lineage, context=engine).verdict.result
+    assert k_equivalent(cq1, cq2, engine.semiring("B"),
+                        context=engine).result
+    for semiring in (engine.semiring("B"), lineage, engine.semiring("N")):
+        minimize_cq(cq1, semiring, context=engine)
+        normalize_ucq(redundant, semiring, context=engine)
+        eliminate_redundant_members(redundant, semiring, context=engine)
+    relation = table("R", "a", "b")
+    check_rewrite(relation.join(relation), relation, lineage,
+                  context=engine)
+    assert built == []
+    stats = engine.stats  # the curated pairs reach every kind of layer
+    assert min(stats.cover_calls, stats.kernel_calls, stats.description_calls,
+               stats.small_model_calls, stats.eval_plan_calls) > 0
+
+
+def test_library_minimization_builds_one_engine(monkeypatch):
+    from repro.optimize import minimize_cq
+    from repro.queries import parse_cq
+    from repro.semirings import B
+
+    built = _count_engines(monkeypatch)
+    result = minimize_cq(parse_cq("Q() :- R(x, y), R(x, z), R(x, w)"), B)
+    assert result.removed == 2
+    assert len(built) == 1

@@ -125,7 +125,7 @@ def _expected(union: UCQ) -> dict[tuple, int]:
 @pytest.mark.parametrize("seed", range(6))
 def test_table_equals_the_grouped_expansion(seed):
     for union in _unions(seed, 25):
-        table = description_classes(union)
+        table = description_classes(union, context=ContainmentEngine())
         assert {row.key: row.multiplicity for row in table} \
             == _expected(union), union
         expansion = isomorphism_classes(
@@ -146,14 +146,15 @@ def test_table_equals_the_grouped_expansion(seed):
 def test_every_member_alone_and_doubled(member):
     for union in (UCQ([member]), UCQ([member, member])):
         assert {row.key: row.multiplicity
-                for row in description_classes(union)} == _expected(union)
+                for row in description_classes(
+                    union, context=ContainmentEngine())} == _expected(union)
 
 
 def test_engine_table_equals_the_plain_table():
     engine = ContainmentEngine()
     for union in _unions(99, 20):
         assert engine.complete_description(union) \
-            == description_classes(union)
+            == description_classes(union, context=ContainmentEngine())
 
 
 def _generators_of(ccq) -> tuple[tuple[int, ...], ...]:

@@ -1,14 +1,15 @@
 """Documentation integrity: no dead links, no phantom modules.
 
 Fails when README.md or any file under ``docs/`` links to a repository
-path that does not exist, or name-drops a ``repro`` module or a
-``src/``/``benchmarks/``/``examples/``/``tests/`` file that is not in
-the tree — the cheap guard that keeps the architecture docs honest as
-the codebase moves.
+path that does not exist, or name-drops a ``repro`` module, a name in
+one, or a ``src/``/``benchmarks/``/``examples/``/``tests/`` file that
+is not in the tree — the cheap guard that keeps the architecture docs
+honest as the codebase moves.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -19,8 +20,8 @@ DOCUMENTS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
 #: Markdown inline links: [text](target)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
-#: Dotted module references like ``repro.api.engine`` (in backticks or
-#: prose); attribute tails are tolerated by prefix-checking.
+#: Dotted references like ``repro.api.engine`` or
+#: ``repro.api.ContainmentEngine`` (in backticks or prose).
 _MODULE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 
 #: Repository file paths named in prose/code blocks.
@@ -72,17 +73,30 @@ def test_referenced_paths_exist():
     assert not missing, "nonexistent paths referenced:\n" + "\n".join(missing)
 
 
+def _resolves(reference: str) -> bool:
+    """True iff the longest module prefix of ``reference`` exists and
+    the rest of it resolves as attributes of that module (a class, a
+    function, a constant, a method)."""
+    parts = reference.split(".")
+    for length in range(len(parts), 0, -1):
+        module = ".".join(parts[:length])
+        if module in MODULES:
+            target = importlib.import_module(module)
+            for name in parts[length:]:
+                if not hasattr(target, name):
+                    return False
+                target = getattr(target, name)
+            return True
+    return False
+
+
 def test_referenced_modules_exist():
     phantoms = []
     for document in DOCUMENTS:
         text = document.read_text(encoding="utf-8")
         for reference in set(_MODULE.findall(text)):
-            parts = reference.split(".")
-            # Accept any prefix that is a real module: the tail may be
-            # a class/function/attribute (repro.api.ContainmentEngine).
-            if not any(".".join(parts[:length]) in MODULES
-                       for length in range(len(parts), 0, -1)):
+            if not _resolves(reference):
                 phantoms.append(
                     f"{document.relative_to(ROOT)} -> {reference}")
     assert not phantoms, \
-        "nonexistent modules referenced:\n" + "\n".join(phantoms)
+        "nonexistent modules or names referenced:\n" + "\n".join(phantoms)

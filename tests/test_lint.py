@@ -39,81 +39,6 @@ def _rules_fired(report) -> set[str]:
     return {finding.rule for finding in report.findings}
 
 
-# -- RL001: context threading ------------------------------------------
-
-
-_CONTEXT_DEF = """
-def decide_cq_containment(q1, q2, semiring, *, context=None):
-    return True
-
-
-def _private_helper(q1, *, context=None):
-    return None
-
-
-def no_context_here(q1, q2):
-    return False
-"""
-
-
-def test_rl001_fires_on_unthreaded_call(tmp_path):
-    package = _write_tree(tmp_path, {
-        "core/containment.py": _CONTEXT_DEF,
-        "optimize/minimize.py": (
-            "from ..core.containment import decide_cq_containment\n\n\n"
-            "def minimize(q, s):\n"
-            "    return decide_cq_containment(q, q, s)\n"),
-    })
-    report = run_lint([package], rule_ids=["RL001"])
-    assert [f.rule for f in report.findings] == ["RL001"]
-    finding = report.findings[0]
-    assert finding.path.endswith("minimize.py")
-    assert "decide_cq_containment" in finding.message
-    assert finding.line == 5
-
-
-def test_rl001_silent_on_threaded_and_uncovered_calls(tmp_path):
-    package = _write_tree(tmp_path, {
-        "core/containment.py": _CONTEXT_DEF,
-        "optimize/minimize.py": (
-            "from ..core.containment import (decide_cq_containment,\n"
-            "                                no_context_here)\n\n\n"
-            "def minimize(q, s, *, context=None):\n"
-            "    no_context_here(q, q)\n"  # takes no context: not covered
-            "    return decide_cq_containment(q, q, s, context=context)\n"),
-    })
-    report = run_lint([package], rule_ids=["RL001"])
-    assert report.clean
-
-
-def test_rl001_recognizes_package_reexports(tmp_path):
-    package = _write_tree(tmp_path, {
-        "core/containment.py": _CONTEXT_DEF,
-        "core/__init__.py": (
-            "from .containment import decide_cq_containment\n"
-            "__all__ = [\"decide_cq_containment\"]\n"),
-        "algebra/rewrite.py": (
-            "from ..core import decide_cq_containment\n\n\n"
-            "def check(q, s):\n"
-            "    return decide_cq_containment(q, q, s)\n"),
-    })
-    report = run_lint([package], rule_ids=["RL001"])
-    assert len(report.findings) == 1
-    assert report.findings[0].path.endswith("rewrite.py")
-
-
-def test_rl001_kwargs_splat_counts_as_threaded(tmp_path):
-    package = _write_tree(tmp_path, {
-        "core/containment.py": _CONTEXT_DEF,
-        "optimize/wrap.py": (
-            "from ..core.containment import decide_cq_containment\n\n\n"
-            "def forward(q, s, **kwargs):\n"
-            "    return decide_cq_containment(q, q, s, **kwargs)\n"),
-    })
-    report = run_lint([package], rule_ids=["RL001"])
-    assert report.clean
-
-
 # -- RL004: determinism hazards ----------------------------------------
 
 
@@ -182,7 +107,7 @@ def test_pragma_for_other_rule_does_not_suppress(tmp_path):
     package = _write_tree(tmp_path, {
         "service/routing.py": (
             "def route(key):\n"
-            "    return id(key)  # repro-lint: disable=RL001\n"),
+            "    return id(key)  # repro-lint: disable=RL101\n"),
     })
     report = run_lint([package], rule_ids=["RL004"])
     assert len(report.findings) == 1

@@ -217,7 +217,7 @@ def test_snapshot_with_retired_enumeration_layer_still_loads(tmp_path):
     # Older engines also cached full homomorphism enumerations, so
     # their snapshots carry one more entry list.  It is ignored; every
     # layer this engine still has restores in full.
-    from repro.homomorphisms import HomKind
+    from repro.homomorphisms import HomKind, homomorphisms
     from repro.queries import parse_cq
 
     warmed = ContainmentEngine()
@@ -227,7 +227,7 @@ def test_snapshot_with_retired_enumeration_layer_still_loads(tmp_path):
     target = parse_cq("Q() :- R(u, v), R(v, w)")
     state["hom_enums"] = [
         ((source, target, HomKind.PLAIN),
-         warmed.homomorphism_mappings(source, target, HomKind.PLAIN))]
+         tuple(homomorphisms(source, target, HomKind.PLAIN)))]
     path = tmp_path / "old.snap"
     write_snapshot(state, path, semirings=warmed.registry.names())
 
