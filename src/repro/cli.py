@@ -349,23 +349,11 @@ def _cmd_eval(args) -> int:
 def _cmd_lint(args) -> int:
     from .lint import render_json, render_text, run_lint
 
-    def patterns(raw: str | None) -> list[str] | None:
-        if raw is None:
-            return None
-        return [part.strip() for part in raw.split(",") if part.strip()]
-
-    try:
-        report = run_lint(args.paths or None,
-                          select=patterns(args.select),
-                          ignore=patterns(args.ignore),
-                          with_stats=args.stats)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    report = run_lint(args.paths or None)
     if args.json:
         print(json.dumps(render_json(report), ensure_ascii=False))
     else:
-        print(render_text(report, stats=args.stats))
+        print(render_text(report))
     return report.exit_code
 
 
@@ -526,21 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.set_defaults(func=_cmd_eval)
 
     lint = commands.add_parser(
-        "lint", help="run the project invariant checker (per-file "
-                     "rule RL004, interprocedural RL101–RL103)")
+        "lint", help="run the project invariant checker (rule RL004: "
+                     "determinism hazards)")
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files/directories to lint (default: the "
                            "installed repro package)")
     lint.add_argument("--json", action="store_true",
                       help="print the report as JSON")
-    lint.add_argument("--select", metavar="PATTERNS",
-                      help="comma-separated rule patterns to run "
-                           "(exact ids, RL1*, or X wildcards like "
-                           "RL00X,RL1XX)")
-    lint.add_argument("--ignore", metavar="PATTERNS",
-                      help="comma-separated rule patterns to skip")
-    lint.add_argument("--stats", action="store_true",
-                      help="print per-rule wall-clock timings")
     lint.set_defaults(func=_cmd_lint)
 
     falsify = commands.add_parser(

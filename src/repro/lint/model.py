@@ -1,12 +1,9 @@
 """Data model of the project linter: findings, files, rules, pragmas.
 
 The linter is a pure AST pass: it never imports the code it checks.
-Every checked file becomes a :class:`SourceFile` (parsed tree, dotted
-module name, suppression pragmas); the set of files under analysis is
-a :class:`Project`, which is what every rule receives — the repo's
-invariants are *cross-file* (an ``async def`` in ``service/`` versus a
-blocking solve in ``polynomials/``, a pre-fork socket versus a worker),
-so rules see the whole tree at once rather than one file at a time.
+Every checked file becomes a :class:`SourceFile` (parsed tree and
+suppression pragmas); the set of files under analysis is a
+:class:`Project`, which is what every rule receives.
 
 Suppression pragmas are comments::
 
@@ -17,16 +14,6 @@ Suppression pragmas are comments::
 A trailing pragma suppresses its own line; a comment-only pragma line
 suppresses itself *and* the next line (so a justification sentence can
 precede the code it excuses).  ``disable=all`` mutes every rule.
-
-Ownership annotations use the same comment channel::
-
-    # Touched only by the collector thread and the delivery helpers.
-    self._results = {}  # repro-lint: owner=_collect,on_result
-
-``# repro-lint: owner=method,method`` on (or immediately above) an
-attribute declaration names the methods allowed to mutate that
-attribute; rule RL103 flags mutations anywhere else.  The declaring
-method itself is always allowed.
 """
 
 from __future__ import annotations
@@ -37,17 +24,13 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-__all__ = ["Finding", "SourceFile", "Project", "Rule", "RULES",
-           "rule", "load_source_file", "module_name_for"]
+__all__ = ["Finding", "SourceFile", "Project", "Rule",
+           "load_source_file", "walk_with_parents"]
 
-#: ``# repro-lint: disable=RL004,RL101`` (or ``disable=all``).
+#: ``# repro-lint: disable=RL004`` (or ``disable=all``).
 _PRAGMA = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: ``# repro-lint: owner=_collect,on_result`` — mutation allowlist for
-#: the attribute declared on the annotated line (RL103).
-_OWNER = re.compile(r"#\s*repro-lint:\s*owner=([A-Za-z0-9_.,\s]+)")
 
 
 @dataclass(frozen=True)
@@ -96,67 +79,14 @@ def _pragmas(text: str) -> dict[int, frozenset[str]]:
             for line, rules in suppressed.items()}
 
 
-def _owner_annotations(text: str) -> dict[int, tuple[str, ...]]:
-    """``line → allowed mutator methods`` from ``owner=`` comments.
-
-    Line-coverage semantics match :func:`_pragmas`: a trailing comment
-    annotates the declaration on its own line, a comment-only line the
-    declaration on the next line.
-    """
-    owners: dict[int, tuple[str, ...]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(text).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _OWNER.search(token.string)
-            if match is None:
-                continue
-            methods = tuple(part.strip()
-                            for part in match.group(1).split(",")
-                            if part.strip())
-            if not methods:
-                continue
-            line = token.start[0]
-            lines = [line]
-            if token.line.lstrip().startswith("#"):
-                lines.append(line + 1)
-            for covered in lines:
-                owners[covered] = methods
-    except (tokenize.TokenError, IndentationError):
-        pass
-    return owners
-
-
-def module_name_for(path: Path) -> str | None:
-    """The dotted module name of ``path``, walked up ``__init__.py``s.
-
-    Returns ``None`` for scripts outside any package — rules that key
-    on module prefixes simply skip those files.
-    """
-    path = path.resolve()
-    parts = [path.stem] if path.name != "__init__.py" else []
-    parent = path.parent
-    while (parent / "__init__.py").exists():
-        parts.append(parent.name)
-        if parent.parent == parent:
-            break
-        parent = parent.parent
-    if not parts:
-        return None
-    return ".".join(reversed(parts))
-
-
 @dataclass(frozen=True)
 class SourceFile:
     """One parsed file under analysis."""
 
     path: Path
     display: str
-    module: str | None
     tree: ast.Module
     pragmas: dict[int, frozenset[str]] = field(default_factory=dict)
-    owners: dict[int, tuple[str, ...]] = field(default_factory=dict)
 
     def suppressed(self, rule_id: str, line: int) -> bool:
         """True when a pragma mutes ``rule_id`` on ``line``."""
@@ -180,10 +110,8 @@ def load_source_file(path: Path, root: Path | None = None,
         line = getattr(error, "lineno", None) or 1
         return Finding(rule="RL000", path=display, line=line,
                        message=f"cannot parse file ({error})")
-    return SourceFile(path=path, display=display,
-                      module=module_name_for(path), tree=tree,
-                      pragmas=_pragmas(text),
-                      owners=_owner_annotations(text))
+    return SourceFile(path=path, display=display, tree=tree,
+                      pragmas=_pragmas(text))
 
 
 class Project:
@@ -191,20 +119,6 @@ class Project:
 
     def __init__(self, files: Iterable[SourceFile]):
         self.files: tuple[SourceFile, ...] = tuple(files)
-        self.by_module: dict[str, SourceFile] = {
-            sf.module: sf for sf in self.files if sf.module is not None}
-
-    def file(self, module: str) -> SourceFile | None:
-        """The file defining ``module``, if it is under analysis."""
-        return self.by_module.get(module)
-
-    def modules_under(self, prefix: str) -> Iterator[SourceFile]:
-        """Files whose module is ``prefix`` or lives beneath it."""
-        for sf in self.files:
-            if sf.module is None:
-                continue
-            if sf.module == prefix or sf.module.startswith(prefix + "."):
-                yield sf
 
 
 class Rule:
@@ -232,18 +146,6 @@ class Rule:
                        message=message)
 
 
-#: ``rule id → rule class`` — the registry the runner instantiates.
-RULES: dict[str, type[Rule]] = {}
-
-
-def rule(cls: type[Rule]) -> type[Rule]:
-    """Class decorator registering a rule under its stable id."""
-    if cls.id in RULES:
-        raise ValueError(f"duplicate rule id {cls.id}")
-    RULES[cls.id] = cls
-    return cls
-
-
 def walk_with_parents(tree: ast.AST) -> dict[ast.AST, ast.AST]:
     """``child → parent`` links for every node (rules climb them)."""
     parents: dict[ast.AST, ast.AST] = {}
@@ -251,6 +153,3 @@ def walk_with_parents(tree: ast.AST) -> dict[ast.AST, ast.AST]:
         for child in ast.iter_child_nodes(node):
             parents[child] = node
     return parents
-
-
-RuleFactory = Callable[[], Rule]

@@ -19,15 +19,11 @@ class LintReport:
     ``findings``   — surviving findings, sorted by (path, line, rule).
     ``suppressed`` — how many findings pragmas muted.
     ``files``      — how many files were analyzed.
-    ``timings``    — per-rule ``(rule id, seconds)`` pairs; populated
-                     only when the run was asked for stats, so the
-                     default JSON document stays byte-stable.
     """
 
     findings: tuple[Finding, ...]
     suppressed: int
     files: int
-    timings: tuple[tuple[str, float], ...] = ()
 
     @property
     def clean(self) -> bool:
@@ -40,10 +36,9 @@ class LintReport:
         return 0 if self.clean else 1
 
 
-def render_text(report: LintReport, *, stats: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """Human-readable report: one ``path:line: RULE message`` per
-    finding plus a one-line summary (and, with ``stats``, a per-rule
-    timing table)."""
+    finding plus a one-line summary."""
     lines = [finding.render() for finding in report.findings]
     noun = "finding" if len(report.findings) == 1 else "findings"
     summary = (f"{len(report.findings)} {noun} in {report.files} "
@@ -51,30 +46,15 @@ def render_text(report: LintReport, *, stats: bool = False) -> str:
     if report.suppressed:
         summary += f" ({report.suppressed} suppressed by pragmas)"
     lines.append(summary if report.findings else f"clean: {summary}")
-    if stats and report.timings:
-        lines.append("rule timings:")
-        total = sum(seconds for _, seconds in report.timings)
-        for rule_id, seconds in sorted(report.timings,
-                                       key=lambda t: -t[1]):
-            lines.append(f"  {rule_id}  {seconds * 1000:8.1f} ms")
-        lines.append(f"  total  {total * 1000:8.1f} ms")
     return "\n".join(lines)
 
 
 def render_json(report: LintReport) -> dict:
-    """JSON-clean report document (stable schema, see tests).
-
-    ``timings`` is additive and appears only when the run collected
-    stats, so existing consumers of version-1 documents are unaffected.
-    """
-    document = {
+    """JSON-clean report document (stable schema, see tests)."""
+    return {
         "version": JSON_SCHEMA_VERSION,
         "clean": report.clean,
         "files": report.files,
         "suppressed": report.suppressed,
         "findings": [finding.to_dict() for finding in report.findings],
     }
-    if report.timings:
-        document["timings"] = {rule_id: seconds
-                               for rule_id, seconds in report.timings}
-    return document

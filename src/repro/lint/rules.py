@@ -1,9 +1,8 @@
-"""The project-specific per-file lint rule (RL004).
+"""The project-specific lint rule (RL004).
 
-Each rule machine-enforces one convention the engine's correctness or
-warm-path performance rests on; ``docs/ARCHITECTURE.md`` and the
-README's "Static analysis" section describe them from the user side.
-Conventions Python can check itself are not here: a semiring's
+It machine-enforces one convention the engine's correctness rests on;
+the README's "Static analysis" section describes it from the user
+side.  Conventions Python can check itself are not here: a semiring's
 ``poly_order`` is checked when its class is defined, an incomplete
 :class:`~repro.semirings.base.VectorizedOps` kernel cannot be
 instantiated, a memo key is the argument list of the engine's
@@ -16,7 +15,7 @@ internal decision function called without its context raises
   ``__hash__``/``_hash``-memo idiom, stringified sets, set iteration
   inside digest/shard routines.
 
-All rules are pure AST analyses over a :class:`~repro.lint.model.Project`
+The rule is a pure AST analysis over a :class:`~repro.lint.model.Project`
 — nothing under analysis is ever imported.
 """
 
@@ -25,8 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .model import (Finding, Project, Rule, SourceFile, rule,
-                    walk_with_parents)
+from .model import Finding, Project, Rule, SourceFile, walk_with_parents
 
 __all__ = ["DeterminismRule"]
 
@@ -37,7 +35,6 @@ def _const_str(node: ast.AST | None) -> str | None:
     return None
 
 
-@rule
 class DeterminismRule(Rule):
     """RL004: flag constructs whose value varies across processes.
 

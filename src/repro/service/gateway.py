@@ -40,9 +40,12 @@ flow control), and responses are written to stdout directly.
 
 Admission outcomes are counted in the pool's
 :class:`~repro.service.metrics.ServiceMetrics` (``accepted`` / ``shed``
-/ ``expired``) next to its respawn/steal counters; control ops and
-snapshot flushes run on executor threads so a stats broadcast never
-stalls the event loop.
+/ ``expired``) next to its respawn/steal counters.  The event loop
+calls the pool only to normalize, submit, bridge or abandon a request,
+and the server only to count it; every other server or pool call
+(control ops, snapshot flushes, the final close) goes through
+:meth:`AsyncGateway._offload` onto an executor thread, so a stats
+broadcast never stalls the event loop.
 """
 
 from __future__ import annotations
@@ -249,7 +252,7 @@ class AsyncGateway:
         self._queue_limit = max(1, int(queue_limit))
         self._max_line_bytes = max(0, int(max_line_bytes))
         self.metrics = pool.metrics
-        self._inflight = 0  # repro-lint: owner=_admit,_decide
+        self._inflight = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Event | None = None
         self._readers: set = set()
@@ -267,6 +270,10 @@ class AsyncGateway:
     def _begin(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
+
+    def _offload(self, fn, *args) -> asyncio.Future:
+        """Run a blocking server or pool call on an executor thread."""
+        return self._loop.run_in_executor(None, fn, *args)
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0, *,
                     ready=None) -> int:
@@ -303,7 +310,7 @@ class AsyncGateway:
                 for task in stragglers:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
-            await self._loop.run_in_executor(None, self.server.close)
+            await self._offload(self.server.close)
         return self.served
 
     async def serve_stdio(self, stdin=None, stdout=None) -> int:
@@ -321,7 +328,7 @@ class AsyncGateway:
         try:
             await self._on_connection(reader, _SinkWriter(sink))
         finally:
-            await self._loop.run_in_executor(None, self.server.close)
+            await self._offload(self.server.close)
         return self.served
 
     async def _on_connection(self, reader: asyncio.StreamReader,
@@ -445,8 +452,7 @@ class AsyncGateway:
 
     async def _control(self, data: dict) -> dict:
         """Run a control op on an executor thread; never blocks the loop."""
-        return await self._loop.run_in_executor(None, self.server.control,
-                                                data)
+        return await self._offload(self.server.control, data)
 
     async def _decide(self, data: dict) -> dict:
         """Decide one admitted request against the pool, with deadline."""
@@ -485,7 +491,7 @@ class AsyncGateway:
                 self.server.record(served=1, errors=1)
                 return outcome.to_dict()
             self.server.record(served=1, decided=1)
-            loop.run_in_executor(None, self.server.maybe_flush)
+            self._offload(self.server.maybe_flush)
             return outcome.to_dict()
         finally:
             self._inflight -= 1

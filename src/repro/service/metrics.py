@@ -38,10 +38,10 @@ class ServiceMetrics:
 
     def __init__(self, workers: int = 0):
         self._lock = threading.Lock()
-        self._counts = {name: 0 for name in _COUNTERS}  # repro-lint: owner=add
-        self._restarts = [0] * max(0, int(workers))  # repro-lint: owner=note_restart
-        self._queue_depths: list[int] = []  # repro-lint: owner=note_depths
-        self._max_backlog = 0  # repro-lint: owner=note_depths
+        self._counts = {name: 0 for name in _COUNTERS}
+        self._restarts = [0] * max(0, int(workers))
+        self._queue_depths: list[int] = []
+        self._max_backlog = 0
 
     def add(self, name: str, amount: int = 1) -> None:
         """Increment one of the named monotonic counters."""
@@ -59,6 +59,11 @@ class ServiceMetrics:
             while len(self._restarts) <= index:
                 self._restarts.append(0)
             self._restarts[index] += 1
+
+    def respawns(self, index: int) -> int:
+        """How many times worker ``index`` was respawned so far."""
+        with self._lock:
+            return self._restarts[index]
 
     def note_depths(self, queue_depths: list[int]) -> None:
         """Record the dispatcher's current per-shard backlog depths."""

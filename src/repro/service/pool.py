@@ -222,6 +222,65 @@ class _BoundedKeySet:
             self._entries.popitem(last=False)
 
 
+class _Backlogs:
+    """Each shard's parent-side FIFO backlog, and the steal policy.
+
+    An entry is a submitted request with its sequence token.  A *fresh*
+    entry (its key was neither decided nor in flight when it was
+    submitted) may move to an idle worker; every other entry is pinned
+    to its home shard.  These methods are the backlogs' only mutators;
+    the pool calls them with its condition held.
+    """
+
+    def __init__(self, shards: int):
+        self._queues: list[deque] = [deque() for _ in range(shards)]
+
+    def push(self, shard: int, seq: int, request: ContainmentRequest, *,
+             fresh: bool) -> None:
+        """Queue a submitted request at the back of its home backlog."""
+        self._queues[shard].append((seq, request, fresh))
+
+    def requeue(self, shard: int, entries: list[tuple]) -> None:
+        """Put re-driven ``(seq, request)`` pairs back at the front of
+        ``shard``'s backlog, in order and pinned there."""
+        self._queues[shard].extendleft(
+            (seq, request, False) for seq, request in reversed(entries))
+
+    def take(self, shard: int) -> tuple | None:
+        """The next ``(seq, request, stolen)`` for ``shard``'s worker.
+
+        That is the oldest entry of its own backlog.  When that is
+        empty, it is the newest fresh entry of the deepest backlog:
+        a retired shard's backlog is drained, so that is a live peer's,
+        and the newest entry is the one its own worker would reach
+        last.  Every other occurrence of a fresh key is pinned to the
+        home shard, which is never the thief, so the first occurrence
+        never finds its key in a verdict LRU and stays ``cached:
+        false``, as in a sequential run.
+        """
+        own = self._queues[shard]
+        if own:
+            seq, request, _ = own.popleft()
+            return seq, request, False
+        deepest = max(self._queues, key=len)
+        for position in reversed(range(len(deepest))):
+            seq, request, fresh = deepest[position]
+            if fresh:
+                del deepest[position]
+                return seq, request, True
+        return None
+
+    def drain(self, shard: int) -> list[int]:
+        """Empty a retired shard's backlog; returns the seqs it held."""
+        seqs = [seq for seq, _, _ in self._queues[shard]]
+        self._queues[shard].clear()
+        return seqs
+
+    def depths(self) -> list[int]:
+        """The number of entries in each shard's backlog."""
+        return [len(queue) for queue in self._queues]
+
+
 def _worker_main(index: int, inbox, outbox, snapshot_path,
                  load_verdicts: bool) -> None:
     """One worker process: an engine plus a message loop.
@@ -294,14 +353,12 @@ class WorkerPool:
         # Parent-side engine: parse interning for request normalization
         # plus the registry for canonical shard keys.  It never decides.
         self._parent_engine = ContainmentEngine()
-        # repro-lint: owner=_spawn_process,_broadcast,_dispatch_locked,_handle_worker_death
         self._inboxes: list = []
         self._processes: list = []
         # Parent-side read end of each worker's result pipe (None once
         # the collector saw it end).
         self._result_pipes: list = []
         self._cond = threading.Condition()
-        # repro-lint: owner=_route_reply,_deliver_error_locked,result,on_result,abandon
         self._results: dict[int, tuple] = {}
         self._replies: dict[str, dict[int, Any]] = {"caches": {},
                                                     "stats": {}}
@@ -312,11 +369,8 @@ class WorkerPool:
         self._active_broadcast: tuple | None = None
         self._dead: set[int] = set()
         # Parent-side dispatch state, all guarded by self._cond.
-        # Each entry is (seq, request, fresh); only fresh ones are stolen.
-        # repro-lint: owner=submit,_pump_locked,_steal_locked,_retire_worker_locked,_handle_worker_death
-        self._home: list[deque] = [deque() for _ in range(count)]
+        self._backlogs = _Backlogs(count)
         self._outstanding = [0] * count   # requests inside each worker
-        self._restarts = [0] * count  # repro-lint: owner=_handle_worker_death
         self._redrives: dict[int, int] = {}
         self._key_of: dict[int, bytes] = {}
         self._live_keys: dict[bytes, int] = {}   # key → in-flight count
@@ -465,7 +519,8 @@ class WorkerPool:
                 self._live_keys[key] = self._live_keys.get(key, 0) + 1
                 if duplicate:
                     self._expect_cached.add(seq)
-                self._home[worker].append((seq, request, not duplicate))
+                self._backlogs.push(worker, seq, request,
+                                    fresh=not duplicate)
                 self._pump_locked()
             return seq
 
@@ -483,15 +538,14 @@ class WorkerPool:
         and every delivery, so dispatch depth is an invariant, not a
         schedule.  Abandoned requests are dropped here, unsent.
         """
-        for index, home in enumerate(self._home):
+        for index in range(len(self._processes)):
             if index in self._dead:
                 continue
             while self._outstanding[index] < _PREFETCH:
-                stolen = not home
-                entry = self._steal_locked() if stolen else home.popleft()
+                entry = self._backlogs.take(index)
                 if entry is None:
                     break
-                seq, request, _ = entry
+                seq, request, stolen = entry
                 if seq in self._abandoned:
                     self._abandoned.discard(seq)
                     self._forget_seq(seq)
@@ -499,26 +553,7 @@ class WorkerPool:
                 if stolen:
                     self.metrics.add("steals")
                 self._dispatch_locked(index, seq, request)
-        self.metrics.note_depths([len(backlog) for backlog in self._home])
-
-    def _steal_locked(self) -> tuple | None:
-        """Pop the newest fresh entry of the deepest backlog, if any.
-
-        The thief's own backlog is empty and a retired shard's is
-        cleared, so the deepest backlog is always a live peer's.  The
-        newest entry is the one its own worker would reach last.  Only
-        fresh entries move: every other occurrence of a fresh key is
-        pinned to the home shard, which is never the thief, so the
-        first occurrence never finds its key in a verdict LRU and stays
-        ``cached: false``, as in a sequential run.
-        """
-        backlog = max(self._home, key=len)
-        for position in reversed(range(len(backlog))):
-            if backlog[position][2]:
-                entry = backlog[position]
-                del backlog[position]
-                return entry
-        return None
+        self.metrics.note_depths(self._backlogs.depths())
 
     # -- result collection ----------------------------------------------
 
@@ -643,8 +678,7 @@ class WorkerPool:
             failed.append((seq, f"worker {index} exited with code "
                                 f"{process.exitcode} while deciding"))
         failed += [(seq, f"worker {index} died and exceeded its respawn "
-                         f"budget") for seq, _, _ in self._home[index]]
-        self._home[index].clear()
+                         f"budget") for seq in self._backlogs.drain(index)]
         self._outstanding[index] = 0
         fired = []
         for seq, text in failed:
@@ -664,8 +698,7 @@ class WorkerPool:
         in-band instead.  Returns the ``(callback, outcome)`` pairs to
         fire outside the lock.
         """
-        self._restarts[index] += 1
-        if self._restarts[index] > _MAX_RESPAWNS:
+        if self.metrics.respawns(index) >= _MAX_RESPAWNS:
             return self._retire_worker_locked(index, process)
         self.metrics.add("respawns")
         self.metrics.note_restart(index)
@@ -696,9 +729,9 @@ class WorkerPool:
             self.metrics.add("redriven")
             # Re-driven work is pinned: it must re-run on this shard,
             # in its original order, ahead of newer arrivals.
-            requeue.append((seq, request, False))
+            requeue.append((seq, request))
         self._outstanding[index] = 0
-        self._home[index].extendleft(reversed(requeue))
+        self._backlogs.requeue(index, requeue)
         self._spawn_process(index, load_verdicts=False)
         if self._active_broadcast is not None:
             # A stats/caches broadcast was waiting on the dead worker;

@@ -51,7 +51,7 @@ def test_rl004_fires_on_each_hazard(tmp_path):
             "        key += item\n"
             "    return id(key), hash(key), repr({4, 5})\n"),
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     messages = " | ".join(f.message for f in report.findings)
     assert "id() is a per-process address" in messages
     assert "hash() is salted per process" in messages
@@ -73,7 +73,7 @@ def test_rl004_silent_on_hash_memo_idiom(tmp_path):
             "        for atom in sorted({1, 2}):\n"
             "            yield atom\n"),
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     assert report.clean, report.findings
 
 
@@ -86,7 +86,7 @@ def test_trailing_pragma_suppresses_own_line(tmp_path):
             "def route(key):\n"
             "    return id(key)  # repro-lint: disable=RL004\n"),
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     assert report.clean
     assert report.suppressed == 1
 
@@ -98,7 +98,7 @@ def test_comment_pragma_suppresses_next_line(tmp_path):
             "    # in-process only.  # repro-lint: disable=RL004\n"
             "    return id(key)\n"),
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     assert report.clean
     assert report.suppressed == 1
 
@@ -107,9 +107,9 @@ def test_pragma_for_other_rule_does_not_suppress(tmp_path):
     package = _write_tree(tmp_path, {
         "service/routing.py": (
             "def route(key):\n"
-            "    return id(key)  # repro-lint: disable=RL101\n"),
+            "    return id(key)  # repro-lint: disable=RL000\n"),
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     assert len(report.findings) == 1
     assert report.suppressed == 0
 
@@ -120,7 +120,7 @@ def test_disable_all_pragma(tmp_path):
             "def route(key):\n"
             "    return id(key)  # repro-lint: disable=all\n"),
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     assert report.clean
 
 
@@ -138,7 +138,7 @@ def test_json_reporter_schema(tmp_path):
     package = _write_tree(tmp_path, {
         "service/routing.py": "def route(key):\n    return id(key)\n",
     })
-    report = run_lint([package], rule_ids=["RL004"])
+    report = run_lint([package])
     document = render_json(report)
     assert document["version"] == 1
     assert document["clean"] is False

@@ -3,7 +3,9 @@
 Each test boots a real :class:`AsyncGateway` on an ephemeral port in a
 background thread and speaks the JSONL protocol over genuine sockets.
 SIGSTOP/SIGCONT on a worker process make overload and deadline expiry
-deterministic without sleeps-as-synchronisation.
+deterministic without sleeps-as-synchronisation.  Every test runs under
+:func:`tests.loop_guard.loop_thread_guard`: no blocking pool or server
+call may run on the event loop.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import os
 import signal
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.service import AsyncGateway, WorkerPool
+from tests.loop_guard import loop_thread_guard
 
 
 def request_line(index: int, *, prefix: str = "g") -> str:
@@ -25,6 +29,14 @@ def request_line(index: int, *, prefix: str = "g") -> str:
                        "q1": f"Q() :- R(u, v), W{index}(u)",
                        "q2": "Q() :- R(u, v)",
                        "id": f"{prefix}{index}"})
+
+
+@pytest.fixture(autouse=True)
+def no_blocking_calls_on_the_loop():
+    """Fails the test if a gateway made a blocking call on its loop."""
+    with loop_thread_guard() as violations:
+        yield
+    assert not violations, f"blocking calls on the event loop: {violations}"
 
 
 @pytest.fixture()
@@ -188,3 +200,45 @@ def test_stats_op_runs_in_pipeline_order(gateway_factory):
         assert replies[0]["request_id"] == "g0"
         assert replies[1]["served"] == 1
         assert sum(info["decisions"] for info in replies[1]["workers"]) == 1
+
+
+def _socket_links(pid: int) -> list[str]:
+    links = []
+    for name in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            link = os.readlink(f"/proc/{pid}/fd/{name}")
+        except OSError:  # closed since the listing
+            continue
+        if link.startswith("socket:"):
+            links.append(link)
+    return links
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="reads a worker's open fds from /proc")
+def test_a_worker_respawned_mid_service_holds_no_socket(gateway_factory):
+    # A worker forked while the gateway serves inherits the listen
+    # socket and every open connection; unless it closes them, a client
+    # never sees its connection end.
+    with WorkerPool(2) as pool:
+        gateway = gateway_factory(pool)
+        shard0 = next(line for line in map(request_line, range(64))
+                      if pool.shard_of(pool.normalize(json.loads(line))) == 0)
+        with socket.create_connection(gateway.tcp_address,
+                                      timeout=30) as client:
+            with client.makefile("rw", encoding="utf-8",
+                                 newline="\n") as stream:
+                victim = pool.worker_pids()[0]
+                os.kill(victim, signal.SIGKILL)
+                deadline = time.monotonic() + 30
+                while (pool.worker_pids()[0] in (None, victim)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                stream.write(shard0 + "\n")
+                stream.flush()
+                reply = json.loads(stream.readline())
+                assert "result" in reply, reply
+                assert pool.metrics.get("respawns") == 1
+                pool.stats()  # every worker answers: each is past start-up
+                for pid in pool.worker_pids():
+                    assert _socket_links(pid) == [], pid

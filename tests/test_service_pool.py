@@ -2,14 +2,21 @@
 
 Chaos itself (SIGKILL mid-stream, warm-start respawn, redrive budgets,
 stalled workers) lives in ``test_failure_injection.py``; this module
-checks the pool with nobody dying: byte identity with sequential
-evaluation, duplicate-cache semantics, snapshots, and the plumbing the
-gateway relies on (metrics, result callbacks, abandonment, pids).
+checks the pool's own plumbing: byte identity with sequential
+evaluation, duplicate-cache semantics, snapshots, what the gateway
+relies on (metrics, result callbacks, abandonment, pids), the backlogs
+and steal policy, the respawn budget's boundary, and the arguments a
+worker process is started with.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.connection
+import multiprocessing.queues
+import os
+import signal
 import threading
 import time
 
@@ -201,6 +208,94 @@ def test_dead_worker_shard_reports_and_other_workers_survive(monkeypatch):
         stream = fresh.decide_many([survivor_request, dead_request])
         assert stream[0].result is True
         assert isinstance(stream[1], DecisionError)
+
+
+def _wait_until(predicate, timeout: float = 30.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return predicate()
+
+
+def _respawned(pool, index: int, victim: int) -> bool:
+    return pool.worker_pids()[index] not in (None, victim)
+
+
+def test_respawn_budget_of_one_respawns_once_then_retires(monkeypatch):
+    monkeypatch.setattr(pool_module, "_MAX_RESPAWNS", 1)
+    with WorkerPool(2) as fresh:
+        first = fresh.worker_pids()[0]
+        os.kill(first, signal.SIGKILL)
+        assert _wait_until(lambda: _respawned(fresh, 0, first)), \
+            "the first death is within the budget: respawn"
+        assert 0 not in fresh._dead
+        second = fresh.worker_pids()[0]
+        os.kill(second, signal.SIGKILL)
+        assert _wait_until(lambda: 0 in fresh._dead), \
+            "the second death exhausts the budget: retire"
+        report = fresh.metrics.as_dict()
+    assert report["respawns"] == 1
+    assert report["worker_restarts"] == [1, 0]
+
+
+def test_worker_processes_get_only_plain_arguments(monkeypatch, tmp_path):
+    # A forked worker inherits whatever its arguments reference: a lock
+    # or a socket there would be shared with the serving parent.
+    context = multiprocessing.get_context(pool_module._START_METHOD)
+    spawn = context.Process
+    arguments = []
+
+    def recording_process(*args, **kwargs):
+        arguments.append(kwargs["args"])
+        return spawn(*args, **kwargs)
+
+    monkeypatch.setattr(context, "Process", recording_process)
+    with WorkerPool(1, snapshot_path=tmp_path / "absent.snap") as fresh:
+        victim = fresh.worker_pids()[0]
+        os.kill(victim, signal.SIGKILL)
+        assert _wait_until(lambda: _respawned(fresh, 0, victim))
+    kinds = (int, multiprocessing.queues.Queue,
+             multiprocessing.connection.Connection, (str, type(None)), bool)
+    assert len(arguments) == 2  # the first worker and its replacement
+    for args in arguments:
+        assert len(args) == len(kinds), args
+        assert all(isinstance(value, kind)
+                   for value, kind in zip(args, kinds)), args
+    assert [args[4] for args in arguments] == [True, False]
+
+
+def test_backlogs_hand_out_each_entry_once():
+    backlogs = pool_module._Backlogs(2)
+    for seq in range(4):
+        backlogs.push(0, seq, f"r{seq}", fresh=seq != 1)
+    backlogs.requeue(0, [(9, "r9")])
+    # Shard 1 has no backlog of its own: it steals shard 0's newest
+    # fresh entries, and never a pinned one.
+    assert [backlogs.take(1) for _ in range(4)] \
+        == [(3, "r3", True), (2, "r2", True), (0, "r0", True), None]
+    assert backlogs.depths() == [2, 0]
+    assert [backlogs.take(0) for _ in range(3)] \
+        == [(9, "r9", False), (1, "r1", False), None]
+    backlogs.push(1, 10, "r10", fresh=False)
+    assert backlogs.drain(1) == [10]
+    assert backlogs.depths() == [0, 0]
+
+
+def test_abandoning_one_backlogged_request_keeps_the_rest_queued():
+    with WorkerPool(1) as fresh:
+        requests = [fresh.normalize(dict(REQUEST, id=f"k{index}",
+                                         q1=f"Q() :- R(u, v), K{index}(u)"))
+                    for index in range(7)]
+        pid = fresh.worker_pids()[0]
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            seqs = [fresh.submit(request) for request in requests]
+            fresh.abandon(seqs[5])
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        answered = [fresh.result(seq, timeout=30).request_id
+                    for seq in seqs[:5] + seqs[6:]]
+    assert answered == ["k0", "k1", "k2", "k3", "k4", "k6"]
 
 
 def test_rejects_zero_workers():

@@ -3,7 +3,9 @@
 Every conversation runs through :class:`AsyncGateway` over a real
 :class:`WorkerPool`: stdio through in-memory binary streams (and, at
 the end, through ``python -m repro serve`` subprocesses with a real
-stdin), TCP over genuine sockets.
+stdin), TCP over genuine sockets.  In-process conversations run under
+:func:`tests.loop_guard.loop_thread_guard`: no blocking pool or server
+call may run on the event loop.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import pytest
 
 from repro.api import ContainmentEngine
 from repro.service import AsyncGateway, WorkerPool, load_snapshot
+from tests.loop_guard import loop_thread_guard
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -42,10 +45,12 @@ REQUESTS = [
 def serving(workers: int = 1, *, snapshot_path=None,
             include_verdict_snapshot: bool = True, **options):
     """A gateway over a fresh pool; the pool closes on exit."""
-    with WorkerPool(workers, snapshot_path=snapshot_path,
-                    include_verdict_snapshot=include_verdict_snapshot
-                    ) as pool:
-        yield AsyncGateway(pool, **options)
+    with loop_thread_guard() as violations:
+        with WorkerPool(workers, snapshot_path=snapshot_path,
+                        include_verdict_snapshot=include_verdict_snapshot
+                        ) as pool:
+            yield AsyncGateway(pool, **options)
+    assert not violations, f"blocking calls on the event loop: {violations}"
 
 
 def run_stdio(gateway: AsyncGateway, lines: list[str] | None = None, *,
@@ -54,7 +59,9 @@ def run_stdio(gateway: AsyncGateway, lines: list[str] | None = None, *,
     if raw is None:
         raw = "".join(line + "\n" for line in lines).encode("utf-8")
     sink = io.BytesIO()
-    asyncio.run(gateway.serve_stdio(io.BytesIO(raw), sink))
+    with loop_thread_guard() as violations:
+        asyncio.run(gateway.serve_stdio(io.BytesIO(raw), sink))
+    assert not violations, f"blocking calls on the event loop: {violations}"
     return [json.loads(line) for line in sink.getvalue().splitlines()]
 
 
