@@ -3,14 +3,15 @@
 ``N`` and ``R+`` lie in no decidable class, so their verdicts come from
 the bounds search of ``_bounded_verdict``, whose costly conditions are
 ``⟨Q2⟩ ⇉2 ⟨Q1⟩`` (Cor. 5.23), ``⟨Q2⟩ ։∞ ⟨Q1⟩`` (Cor. 5.16) and
-``⟨Q2⟩ →֒∞ ⟨Q1⟩`` (Prop. 5.12).  On these Boolean, constant-free
-pairs the package builds only ``⟨Q1⟩``, as a class table with one CCQ
-per orbit of the member's automorphism group on its partitions: the
+``⟨Q2⟩ →֒∞ ⟨Q1⟩`` (Prop. 5.12).  The package builds only ``⟨Q1⟩``,
+relative to the pair's head variables and constants, as a class table
+with one CCQ per orbit of the member's automorphism group on its
+partitions with bindings: the
 occurrences of ``⟨Q2⟩`` are read off the kernels of the homomorphisms
 from the given ``Q2`` members into each ``⟨Q1⟩`` class representative.
 This benchmark sweeps chain and clique pairs (``Q1`` on ``n``
-variables, ``Q2`` on ``n - 1``) over ``N`` and ``R+`` and pins, per
-pair:
+terms, ``Q2`` on ``n - 1``), and chains rooted at a head variable or
+anchored at a constant, over ``N`` and ``R+`` and pins, per pair:
 
 * **byte identity** — the verdict document equals, byte for byte, the
   one produced when the dispatch runs the oracles of
@@ -77,13 +78,23 @@ ORACLES = {
 }
 
 
+#: The shapes swept: a directed chain and clique, and the chain with its
+#: first term a head variable (``rooted``) or the constant ``'c'``
+#: (``anchored``), whose descriptions bind blocks to that rigid term.
+KINDS = ("chain", "clique", "rooted", "anchored")
+
+
 def shape(kind: str, size: int) -> CQ:
-    """A directed chain or clique on ``size`` variables."""
-    if kind == "chain":
-        pairs = [(i, i + 1) for i in range(size - 1)]
-    else:
+    """A directed chain or clique on ``size`` terms."""
+    if kind == "clique":
         pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
-    return CQ((), [Atom("E", (Var(f"v{i}"), Var(f"v{j}"))) for i, j in pairs])
+    else:
+        pairs = [(i, i + 1) for i in range(size - 1)]
+    terms = [Var(f"v{i}") for i in range(size)]
+    if kind == "anchored":
+        terms[0] = "c"
+    head = (terms[0],) if kind == "rooted" else ()
+    return CQ(head, [Atom("E", (terms[i], terms[j])) for i, j in pairs])
 
 
 @contextmanager
@@ -126,7 +137,7 @@ def test_kernel_bounds_match_class_and_occurrence_oracles():
         work = dict.fromkeys(("kernel", *ORACLES), 0)
         cover = kernels = 0
         for semiring in SEMIRINGS:
-            for kind in ("chain", "clique"):
+            for kind in KINDS:
                 q1, q2 = shape(kind, size), shape(kind, size - 1)
                 case = (semiring, kind, size)
                 text, elapsed, counts = decide(q1, q2, semiring)

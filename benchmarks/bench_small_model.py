@@ -29,7 +29,7 @@ def _chain_pair(length: int):
 def test_small_model_chain_scaling_tplus(benchmark, length):
     q1, q2 = _chain_pair(length)
     expected_ccqs = {1: 2, 2: 5, 3: 15}[length]  # Bell(existentials)
-    assert len(list(small_model_tests(q1))) == expected_ccqs
+    assert len(list(small_model_tests(q1, ()))) == expected_ccqs
     result = benchmark(small_model_contained, q1, q2, TPLUS)
     # duplicated edges double the min-plus cost: not contained
     assert result is False

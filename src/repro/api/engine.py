@@ -11,7 +11,7 @@ benchmarks go through.  One engine owns:
   (first mapping, keyed by ``(source, target, HomKind)``), homomorphism
   kernels (keyed by ``(member, target, HomKind, limit)``), covered-atom
   sets, complete descriptions ``⟨Q⟩`` (as isomorphism-class tables,
-  keyed by the UCQ), and
+  keyed by the UCQ and the pair's constants), and
   canonical labeling records (isomorphism key + capture-free renaming +
   automorphism group size and generators per CCQ, keyed by the query),
   small-model test sets (the distinct canonical polynomial pairs of
@@ -362,20 +362,24 @@ class ContainmentEngine(DecisionContext):
                 break
         return frozenset(covered)
 
-    def complete_description(self, union) -> tuple[DescriptionClass, ...]:
-        """LRU-cached complete description ``⟨Q⟩`` of a UCQ, as its
-        table of isomorphism classes
+    def complete_description(self, union, constants
+                             ) -> tuple[DescriptionClass, ...]:
+        """LRU-cached complete description ``⟨Q⟩`` of a UCQ relative to
+        ``constants`` (the pair's constants), as
+        its table of isomorphism classes
         (:func:`repro.homomorphisms.isomorphism.description_classes`),
-        keyed by the UCQ alone: the table's canonical forms come from
-        this engine's ``canonical`` layer (keyed by the quotients'
-        codes), which changes where they are computed, never what they
-        are."""
-        return self._memo("descriptions", self._description_classes, union)
+        keyed by ``(union, constants)``: the table's canonical forms
+        come from this engine's ``canonical`` layer (keyed by the
+        quotients' codes), which changes where they are computed, never
+        what they are."""
+        return self._memo("descriptions", self._description_classes, union,
+                          tuple(constants))
 
-    def _description_classes(self, union) -> tuple[DescriptionClass, ...]:
+    def _description_classes(self, union, constants
+                             ) -> tuple[DescriptionClass, ...]:
         """The ``descriptions`` computation (see
         :meth:`complete_description`)."""
-        return description_classes(union, context=self)
+        return description_classes(union, constants, context=self)
 
     def canonical_form(self, query) -> CanonicalForm:
         """LRU-cached canonical labeling record of a (C)CQ, or of the

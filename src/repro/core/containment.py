@@ -16,6 +16,12 @@ Cbi        bijective ``Q2 →֒→ Q1``                      ``→֒1/→֒k/→
 S¹+order   small model (Thm. 4.17)                     small model
 =========  ==========================================  ==============
 
+The procedures that read complete descriptions (``⇉2``, ``։∞``,
+``→֒k``, the small model and the bag bounds) run once per head pattern
+(:func:`repro.queries.ccq.head_patterns`): ``⟨Q⟩`` splits a query's
+valuations exactly only at head values that differ from each other and
+from the constants.
+
 For semirings outside every decidable class (bag semantics ``N``,
 ``R+``) the verdict reports the strongest applicable bounds: a failed
 necessary condition still *refutes*, a satisfied sufficient condition
@@ -34,6 +40,7 @@ from ..homomorphisms.search import HomKind
 from ..homomorphisms.ucq_conditions import (bi_count_infty, bi_count_k,
                                             covering_2, covering_union,
                                             local_condition, sur_infty)
+from ..queries.ccq import head_patterns
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
 from .classes import Classification
@@ -141,7 +148,8 @@ def decide_ucq_containment(q1, q2, semiring, *,
                        explanation=f"{semiring.name} ∈ C1hcov "
                                    "(Thm. 5.24, k = 1)")
     if cls.c2_hcov:
-        holds = covering_2(q2, q1, context=ctx)
+        holds = _every_pattern(
+            q1, q2, lambda p1, p2: covering_2(p2, p1, context=ctx))
         return Verdict(holds, "union-covering-2",
                        explanation=f"{semiring.name} ∈ C2hcov "
                                    "(Thm. 5.24, k = 2)")
@@ -150,7 +158,8 @@ def decide_ucq_containment(q1, q2, semiring, *,
         return Verdict(holds, "local-surjective",
                        explanation=f"{semiring.name} ∈ C1sur (Cor. 5.18)")
     if cls.c_inf_sur:
-        holds = sur_infty(q2, q1, context=ctx)
+        holds = _every_pattern(
+            q1, q2, lambda p1, p2: sur_infty(p2, p1, context=ctx))
         return Verdict(holds, "sur-infty-matching",
                        explanation=f"{semiring.name} ∈ C∞sur (Thm. 5.17)")
     if cls.c1_bi:
@@ -159,12 +168,15 @@ def decide_ucq_containment(q1, q2, semiring, *,
                        explanation=f"{semiring.name} ∈ C1bi "
                                    "(Thm. 5.13, k = 1)")
     if cls.ck_bi:
-        holds = bi_count_k(q2, q1, cls.offset, context=ctx)
+        holds = _every_pattern(
+            q1, q2,
+            lambda p1, p2: bi_count_k(p2, p1, cls.offset, context=ctx))
         return Verdict(holds, "bi-count-k",
                        explanation=f"{semiring.name} ∈ Ckbi "
                                    f"(Thm. 5.13, k = {int(cls.offset)})")
     if cls.c_inf_bi:
-        holds = bi_count_infty(q2, q1, context=ctx)
+        holds = _every_pattern(
+            q1, q2, lambda p1, p2: bi_count_infty(p2, p1, context=ctx))
         return Verdict(holds, "bi-count-infty",
                        explanation=f"{semiring.name} ∈ C∞bi (Prop. 5.10 / "
                                    "Prop. 5.9)")
@@ -173,13 +185,31 @@ def decide_ucq_containment(q1, q2, semiring, *,
         return Verdict(holds, "small-model",
                        explanation=f"{semiring.name}: canonical-instance "
                                    "polynomial comparison (Thm. 4.17)")
-    return _bounded_verdict(q1, q2, semiring, cls, context=ctx)
+    first = None
+    for p1, p2 in head_patterns(q1, q2):
+        verdict = _bounded_verdict(p1, p2, semiring, cls, context=ctx)
+        if verdict.result is False:
+            return verdict
+        if first is None or first.result and verdict.result is None:
+            first = verdict
+    return first
+
+
+def _every_pattern(q1: UCQ, q2: UCQ,
+                   holds: Callable[[UCQ, UCQ], bool]) -> bool:
+    """True iff ``holds`` on every head pattern of the pair
+    (:func:`repro.queries.ccq.head_patterns`): a condition that reads
+    ``⟨Q⟩`` is exact only where the head values differ from each other
+    and from the constants."""
+    return all(holds(p1, p2) for p1, p2 in head_patterns(q1, q2))
 
 
 def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
                      context: DecisionContext) -> Verdict:
     """Best-effort verdict from the known necessary and sufficient
-    conditions when no exact procedure exists (e.g. bag semantics).
+    conditions when no exact procedure exists (e.g. bag semantics), on
+    one head pattern: the dispatcher answers ``False`` if one pattern
+    does, ``True`` if all do, and else the first undecided one.
 
     The necessary conditions run in order until one fails, the
     sufficient ones in order until one holds: the verdict names only

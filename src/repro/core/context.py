@@ -98,10 +98,13 @@ class DecisionContext(ABC):
             set(target.atoms))
 
     @abstractmethod
-    def complete_description(self, union) -> tuple[DescriptionClass, ...]:
-        """The complete description ``⟨Q⟩`` of a UCQ (Sec. 5.2) as a
-        multiset of isomorphism classes: ``(key, representative,
-        multiplicity, automorphisms)`` rows
+    def complete_description(self, union, constants
+                             ) -> tuple[DescriptionClass, ...]:
+        """The complete description ``⟨Q⟩`` of a UCQ (Sec. 5.2)
+        relative to its members' head variables and ``constants`` (the
+        pair's constants) as a multiset of
+        isomorphism classes: ``(key, representative, multiplicity,
+        automorphisms)`` rows
         (:func:`repro.homomorphisms.isomorphism.description_classes`)."""
 
     @abstractmethod

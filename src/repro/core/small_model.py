@@ -34,7 +34,8 @@ from typing import Iterator
 from ..data.canonical import canonical_instance
 from ..polynomials.admissible import canonical_pair
 from ..polynomials.polynomial import Polynomial
-from ..queries.ccq import CQWithInequalities, complete_description
+from ..queries.ccq import (CQWithInequalities, complete_description,
+                           head_patterns, rigid_constants)
 from ..queries.evaluation import evaluate
 from ..queries.ucq import as_ucq
 from .context import resolve_context
@@ -42,12 +43,13 @@ from .context import resolve_context
 __all__ = ["small_model_contained", "small_model_pairs", "small_model_tests"]
 
 
-def small_model_tests(q1) -> Iterator[tuple[CQWithInequalities, tuple]]:
+def small_model_tests(q1, constants
+                      ) -> Iterator[tuple[CQWithInequalities, tuple]]:
     """The canonical test points of Thm. 4.17: each CCQ of ``⟨Q1⟩``
-    paired with each head tuple over its variables."""
-    q1 = as_ucq(q1)
-    for member in q1:
-        for ccq in complete_description(member):
+    (relative to ``constants``, the pair's constants) paired with each
+    head tuple over its variables and constants."""
+    for member in as_ucq(q1):
+        for ccq in complete_description(member, constants):
             domain = tuple(ccq.variables()) + ccq.constants()
             for target in product(domain, repeat=ccq.arity):
                 yield ccq, target
@@ -62,6 +64,11 @@ def small_model_pairs(q1, q2) -> tuple[tuple[Polynomial, Polynomial], ...]:
     :func:`repro.polynomials.admissible.canonical_pair`; the result
     lists each canonical pair once, in the order of its first test.
 
+    ``⟨Q1⟩`` is taken relative to the constants of both queries, so
+    a test instance may identify an existential with a constant of
+    ``Q2``, and once per head pattern
+    (:func:`repro.queries.ccq.head_patterns`), so a test instance may
+    identify two head variables, or a head variable with a constant.
     The pairs depend on the two queries only — the semiring enters
     through the order check alone — and every polynomial order is
     invariant under variable renaming, so ``P1 ≼K P2`` holds for every
@@ -73,12 +80,14 @@ def small_model_pairs(q1, q2) -> tuple[tuple[Polynomial, Polynomial], ...]:
     q1, q2 = as_ucq(q1), as_ucq(q2)
     pairs: dict = {}
     built = instance = None
-    for ccq, target in small_model_tests(q1):
-        if ccq is not built:  # the targets of one CCQ arrive together
-            built, instance = ccq, canonical_instance(ccq).instance
-        left = evaluate(q1, instance, target, NX)
-        right = evaluate(q2, instance, target, NX)
-        pairs.setdefault(canonical_pair(left, right)[:2], None)
+    for p1, p2 in head_patterns(q1, q2):
+        for ccq, target in small_model_tests(p1,
+                                             rigid_constants((*p1, *p2))):
+            if ccq is not built:  # the targets of one CCQ arrive together
+                built, instance = ccq, canonical_instance(ccq).instance
+            left = evaluate(p1, instance, target, NX)
+            right = evaluate(p2, instance, target, NX)
+            pairs.setdefault(canonical_pair(left, right)[:2], None)
     return tuple(pairs)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..queries.atoms import Var
+from ..queries.atoms import Var, is_var
 from .columns import ColumnarInstance
 from .plan import EvalPlan
 
@@ -213,8 +213,11 @@ def run_plan(plan: EvalPlan, instance: ColumnarInstance) -> Frontier | None:
                 merged, ops.mul(frontier.annotations[left_rows],
                                 annotations[right_rows]))
         for x, y in step.ineq_checks:
-            frontier = frontier.select(
-                frontier.columns[x] != frontier.columns[y])
+            if is_var(y):
+                frontier = frontier.select(
+                    frontier.columns[x] != frontier.columns[y])
+            elif (ident := instance.interner.lookup(y)) is not None:
+                frontier = frontier.select(frontier.columns[x] != ident)
         if not frontier.row_count:
             return None
     return frontier

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..queries.atoms import Var, is_var
+from ..queries.atoms import Var, is_var, term_sort_key
 from ..queries.ccq import CQWithInequalities
 from ..queries.cq import CQ
 
@@ -48,8 +48,9 @@ class AtomStep:
     join_vars: tuple[Var, ...]
     #: Variables this step binds for the first time.
     new_vars: tuple[Var, ...]
-    #: Inequality pairs that become fully bound after this step.
-    ineq_checks: tuple[tuple[Var, Var], ...]
+    #: Inequality pairs (a variable, then a variable or a constant) that
+    #: become fully bound after this step.
+    ineq_checks: tuple[tuple[Var, Any], ...]
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,9 @@ def build_plan(query: CQ) -> EvalPlan:
     variable that no atom binds), which the tuple-at-a-time evaluator
     cannot answer either.
     """
-    inequalities = (tuple(sorted((tuple(sorted(pair)) for pair in
-                                  query.inequalities)))
+    # A pair sorts its variable first: ``(x, y)`` or ``(x, constant)``.
+    inequalities = (tuple(sorted(tuple(sorted(pair, key=term_sort_key))
+                                 for pair in query.inequalities))
                     if isinstance(query, CQWithInequalities) else ())
     shapes = [(atom, *_atom_shape(atom)) for atom in query.atoms]
     bound: set[Var] = set()
@@ -105,7 +107,8 @@ def build_plan(query: CQ) -> EvalPlan:
         new_vars = tuple(var for var, _ in out_vars if var not in bound)
         bound.update(new_vars)
         ready = tuple(pair for pair in pending_ineqs
-                      if pair[0] in bound and pair[1] in bound)
+                      if pair[0] in bound
+                      and (pair[1] in bound or not is_var(pair[1])))
         pending_ineqs = [pair for pair in pending_ineqs
                          if pair not in ready]
         steps.append(AtomStep(

@@ -145,12 +145,13 @@ class _Structure:
     are read as they are: refinement signatures and serializations sort
     what they collect, so the row order never shows in the result.
 
-    On a complete code the inequalities between existentials are not
-    listed: every existential is unequal to every other one, so its
-    inequality signature is "the colors of all the others", which
-    orders two variables exactly as their own colors already do.  The
-    refinement skips it, and the serialization appends the one tuple of
-    all label pairs.
+    On a complete code the inequalities of existentials are not listed:
+    every existential is unequal to every other one and to every rigid
+    term, so its inequality signature is "the colors of all the others
+    and every rigid term", which orders two variables exactly as their
+    own colors already do.  The refinement skips it, and the
+    serialization appends all label pairs and every label with every
+    rigid term.
     """
 
     __slots__ = ("n", "rows", "occurrences", "atom_templates", "fixed",
@@ -229,18 +230,21 @@ class _Structure:
             (relation, tuple([marks[label] for label in labels]))
             for relation, labels in self.rows
         ]))
-        if self.complete and not self.pairs:
+        if self.complete and not self.pairs and not self.fixed:
             return (atoms, _all_pairs(self.n))
         pairs = [tuple(sorted((marks[x], marks[y]))) for x, y in self.pairs]
         if self.complete:
             pairs += _all_pairs(self.n)
+            pairs += [tuple(sorted(((1, x), mark))) for x in range(self.n)
+                      for mark in self.fixed]
         return (atoms, tuple(sorted(pairs)))
 
 
 @lru_cache(maxsize=64)
 def _all_pairs(n: int) -> tuple:
     """The serialized inequalities of a complete code on ``n``
-    existentials: every pair of labels, whatever the labeling."""
+    existentials among themselves: every pair of labels, whatever the
+    labeling."""
     return tuple(((1, x), (1, y)) for x in range(n) for y in range(x + 1, n))
 
 

@@ -26,8 +26,9 @@ counts, so :func:`description_classes` builds it as a table of
 isomorphism classes directly, on integers: each member is coded once
 (:class:`repro.queries.ccq.QueryCode`), one quotient per orbit of the
 member's automorphism group on the partitions of its existentials is
-its rows relabelled through the partition's growth code, the canonical
-labeling runs on those rows, and rows merge by canonical key.  A
+its rows relabelled through the partition's labels (blocks free or
+bound to a head variable or constant), the canonical labeling runs on
+those rows, and rows merge by canonical key.  A
 :class:`~repro.queries.ccq.CQWithInequalities` is built only for each
 class's representative, and the row keeps the class's ``|Aut|``.
 """
@@ -99,11 +100,14 @@ class DescriptionClass(NamedTuple):
     automorphisms: int
 
 
-def description_classes(union, *, context) -> tuple[DescriptionClass, ...]:
-    """``⟨Q⟩`` of a UCQ as a table of isomorphism classes.
+def description_classes(union, constants, *,
+                        context) -> tuple[DescriptionClass, ...]:
+    """``⟨Q⟩`` of a UCQ relative to ``constants`` (the pair's constants)
+    as a table of isomorphism classes.
 
     Equal, as ``{key: multiplicity}``, to :func:`isomorphism_classes` of
-    :func:`repro.queries.ccq.complete_description_ucq`, with the same
+    :func:`repro.queries.ccq.complete_description_ucq` (relative to the
+    same constants), with the same
     class order and the same representative (the class's first CCQ in
     that expansion), but it canonicalises one coded CCQ per orbit of
     each member's automorphism group on the partitions of its
@@ -127,7 +131,8 @@ def description_classes(union, *, context) -> tuple[DescriptionClass, ...]:
         return form(code).generators
 
     for member in union:
-        for code, size in description_orbits(member, generators_of):
+        for code, size in description_orbits(member, generators_of,
+                                             constants):
             record = form(code)
             row = rows.get(record.key)
             if row is None:

@@ -15,8 +15,9 @@ all acting on the *multiset* image ``h(φ2)`` (each occurrence of a
 Between CCQs, homomorphisms must additionally *preserve inequalities*:
 for each constrained pair ``x ≠ y`` of the source, every valuation of
 the target must be guaranteed to separate ``h(x)`` and ``h(y)`` — which
-holds exactly when the images are existential target variables joined by
-a target inequality, or two distinct constants.
+holds exactly when the images are two distinct constants or a pair the
+target constrains (two existentials, an existential and a head variable
+or constant, or two rigid terms).
 
 Deciding existence is NP-complete for each kind (Cor. 3.4, 4.4, 4.9,
 4.15), so the search is engineered rather than naive.  It is an
@@ -48,11 +49,13 @@ necessarily in the same order.
 
 :func:`hom_kernels` reads the same search at a coarser grain: the
 distinct *kernels* of the mappings, i.e. which existential variables of
-the source a homomorphism identifies.  Between CCQs every pair of
-distinct existentials is constrained, so the occurrence ``m/π`` of a
-complete description ``⟨m⟩`` maps into a rigid-free CCQ ``c`` iff some
-homomorphism ``m → c`` has kernel ``π`` — the UCQ conditions count
-``⟨Q2⟩`` occurrences this way without ever building ``⟨Q2⟩``.
+the source a homomorphism identifies and which it maps onto a head
+variable or constant.  In a CCQ every pair of distinct existentials is
+constrained, and so is every existential with every rigid term, so the
+occurrence ``m/π`` of a complete description ``⟨m⟩`` maps into a CCQ
+``c`` iff some homomorphism ``m → c`` has kernel ``π`` — the UCQ
+conditions count ``⟨Q2⟩`` occurrences this way without ever building
+``⟨Q2⟩``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from enum import Enum
 from typing import Any, Iterator
 
 from ..queries.atoms import Atom, Var, is_var
+from ..queries.ccq import QueryCode
 from ..queries.cq import CQ
 
 __all__ = [
@@ -122,16 +126,18 @@ def _target_info(target: CQ):
     return info
 
 
-def _target_ineq_info(target: CQ):
-    """``(existential-variable set, inequality pairs)`` of the target,
-    needed only when the source carries inequalities.  Cached."""
+def _rigid_labels(target: CQ) -> dict:
+    """The target's rigid terms (head variables and constants) by
+    identity, each with its :class:`~repro.queries.ccq.QueryCode` label
+    ``~j``: empty when the target has none.  Cached."""
     cache = target._hom_cache
-    info = cache.get("ineq")
-    if info is None:
-        info = (set(target.existential_vars()),
-                getattr(target, "inequalities", frozenset()))
-        cache["ineq"] = info
-    return info
+    labels = cache.get("rigid")
+    if labels is None:
+        code = QueryCode.of(target)
+        labels = {(type(term), term): ~j
+                  for j, term in enumerate(code.rigid)}
+        cache["rigid"] = labels
+    return labels
 
 
 def _source_info(source: CQ):
@@ -157,11 +163,12 @@ def _source_info(source: CQ):
                     constants = True
             atom_vars.append(tuple(distinct))
             grounded.append(constants)
-        neighbors: dict[Var, tuple[Var, ...]] = {}
+        neighbors: dict[Var, tuple[Any, ...]] = {}
         for pair in getattr(source, "inequalities", frozenset()):
             x, y = tuple(pair)
-            neighbors[x] = neighbors.get(x, ()) + (y,)
-            neighbors[y] = neighbors.get(y, ()) + (x,)
+            for var, partner in ((x, y), (y, x)):
+                if is_var(var):
+                    neighbors[var] = neighbors.get(var, ()) + (partner,)
         info = (tuple(atom_vars), tuple(grounded), neighbors,
                 _relation_profile(source.atoms))
         cache["source"] = info
@@ -251,23 +258,37 @@ def hom_kernels(member: CQ, target: CQ, kind: HomKind = HomKind.PLAIN,
     them (all when ``limit`` is None).
 
     A kernel is the partition of ``member.existential_vars()`` that a
-    homomorphism induces, coded as one block label per variable, the
-    labels numbered by first appearance: ``(0, 1, 0)`` identifies the
-    first and third variable and keeps the second apart.
+    homomorphism induces, with its bindings, coded as one label per
+    variable: a variable mapped to a rigid term of the target (a head
+    variable or a constant) gets that term's
+    :class:`~repro.queries.ccq.QueryCode` label ``~j`` in the target's
+    code, and the others block numbers by first appearance:
+    ``(0, 1, 0)`` identifies the first and third variable and keeps the
+    second apart, and ``(0, -1)`` maps the second onto the target's
+    first rigid term.
     """
     if limit is not None and limit < 1:
         return ()
     variables = member.existential_vars()
+    rigid = _rigid_labels(target)
     kernels: dict[tuple[int, ...], None] = {}
     for mapping in _search(member, target, kind):
         labels: dict = {}
-        kernel = tuple(labels.setdefault(mapping[var], len(labels))
+        kernel = tuple(_block_label(mapping[var], labels, rigid)
                        for var in variables)
         if kernel not in kernels:
             kernels[kernel] = None
             if len(kernels) == limit:
                 break
     return tuple(kernels)
+
+
+def _block_label(image, labels: dict, rigid: dict) -> int:
+    """A variable's kernel label: its image's ``~j`` when that is a
+    rigid term of the target, else its block's number (numbered by
+    first appearance in ``labels``)."""
+    label = rigid.get((type(image), image))
+    return labels.setdefault(image, len(labels)) if label is None else label
 
 
 def _search(source: CQ, target: CQ, kind: HomKind) -> Iterator[dict]:
@@ -307,26 +328,27 @@ def _search(source: CQ, target: CQ, kind: HomKind) -> Iterator[dict]:
 
     # -- inequality preservation machinery ------------------------------
     if neighbors:
-        target_existential, target_pairs = _target_ineq_info(target)
+        target_pairs = getattr(target, "inequalities", frozenset())
 
         def pair_separated(image_x, image_y) -> bool:
+            # Separated on every valuation of the target: two distinct
+            # constants, or a pair the target constrains (existentials,
+            # an existential and a rigid term, or two rigid terms).
             if image_x == image_y:
                 return False
-            if is_var(image_x):
-                return (is_var(image_y)
-                        and image_x in target_existential
-                        and image_y in target_existential
-                        and frozenset((image_x, image_y)) in target_pairs)
-            return not is_var(image_y)  # two distinct constants
+            if not is_var(image_x) and not is_var(image_y):
+                return True
+            return frozenset((image_x, image_y)) in target_pairs
 
-        # Pairs of head variables are fully bound before the search.
-        if len(mapping) > 1:
+        # Pairs of a head variable with a head variable or a constant
+        # are fully bound before the search.
+        if mapping:
             for x, partners in neighbors.items():
                 image_x = mapping.get(x, _UNBOUND)
                 if image_x is _UNBOUND:
                     continue
                 for y in partners:
-                    image_y = mapping.get(y, _UNBOUND)
+                    image_y = mapping.get(y, _UNBOUND) if is_var(y) else y
                     if (image_y is not _UNBOUND
                             and not pair_separated(image_x, image_y)):
                         return
@@ -417,7 +439,8 @@ def _search(source: CQ, target: CQ, kind: HomKind) -> Iterator[dict]:
                         continue
                     image_x = mapping[var]
                     for partner in partners:
-                        image_y = mapping_get(partner, _UNBOUND)
+                        image_y = (mapping_get(partner, _UNBOUND)
+                                   if is_var(partner) else partner)
                         if (image_y is not _UNBOUND
                                 and not pair_separated(image_x, image_y)):
                             ok = False

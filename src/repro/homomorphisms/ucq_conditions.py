@@ -25,59 +25,52 @@ Each function implements one syntactic condition between UCQs ``Q2`` and
   of ``⟨Q2⟩`` (Def. 5.14); by Hall's theorem this is a bipartite
   matching problem (Thm. 5.17).
 
-``⟨Q1⟩`` is grouped into isomorphism classes.  Every ingredient is
-invariant under isomorphism of the target: an isomorphism renames
-existential variables bijectively and fixes the head and constants, so
-composing with it carries the homomorphisms (plain, surjective or
-bijective) into one CCQ onto those into any isomorphic copy, and one
-target's covered atoms onto the other's.  A ``⟨Q1⟩`` class is therefore
-checked once, through one representative, and its size is its demand.
+Both descriptions are taken relative to the pair's rigid terms (each
+member's head variables and the constants of either side), so a block
+of existentials may be bound to a head variable or a constant
+(:mod:`repro.queries.ccq`).  That split is exact only at head values
+that differ from each other and from the constants, so the dispatcher
+(:mod:`repro.core.containment`) applies these three conditions once per
+head pattern (:func:`repro.queries.ccq.head_patterns`); called
+directly, a condition compares the pair as given.  ``⟨Q1⟩`` is read as
+its class table,
+``(key, representative, multiplicity, automorphisms)`` rows
+(:func:`repro.homomorphisms.isomorphism.description_classes`): every
+ingredient is invariant under isomorphism of the target (an isomorphism
+renames existentials and fixes the head and constants), so a class is
+checked once, through its representative, and its size is its demand.
+The row's ``|Aut|`` is what ``⇉2``'s exemption and ``→֒k``'s cap read;
+``⇉2`` set-reduces one representative per row on its code and merges
+rows by the reduced key (isomorphic CCQs have isomorphic set reducts).
 
-The conditions never see ``⟨Q⟩`` as a CCQ tuple: they read its class
-table, ``(key, representative, multiplicity, automorphisms)`` rows
-(:func:`repro.homomorphisms.isomorphism.description_classes`).  The
-table quotients integer-coded members
-(:class:`repro.queries.ccq.QueryCode`), one partition per orbit of each
-member's automorphism group, labels the coded quotients, and builds a
-CCQ only for each row's representative; the row's ``|Aut|`` is what
-``⇉2``'s exemption and ``→֒k``'s cap read.  ``⇉2`` set-reduces one
-representative per row on its code (duplicate rows dropped) and merges
-the rows by the reduced key, summing multiplicities: isomorphic CCQs
-have isomorphic set reducts.
-
-When the pair is rigid-free (:func:`_rigid_free`: plain CQ members
-without head variables or constants), ``⟨Q2⟩`` is never built.  Its
-occurrences are the pairs ``(member m, partition π)``, and in a CCQ every
-pair of distinct existentials is constrained, so ``m/π`` maps into a
-rigid-free CCQ ``c`` iff some homomorphism ``m → c`` of the same kind has
-kernel ``π`` (:func:`repro.homomorphisms.search.hom_kernels`).  The
-``⟨Q2⟩`` side of each condition is read off those kernels:
+``⟨Q2⟩`` is never built.  Its occurrences are the pairs ``(member m,
+partition π with bindings)``, and a CCQ ``c`` of ``⟨Q1⟩`` constrains
+every pair of its existentials and each against every rigid term, so
+``m/π`` maps into ``c`` iff some homomorphism ``m → c`` of the same kind
+has kernel ``π`` (:func:`repro.homomorphisms.search.hom_kernels`;
+:func:`_occurrences` reads a bound block back as ``m``'s own rigid
+term).  That holds for a member with inequalities too, because ``m/π``
+keeps them: a complete member is its own one-occurrence description.
 
 * ``⇉2`` counts the preimages of a ``⟨Q1⟩`` class as the plain kernels
-  of the ``Q2`` members into its representative, at most two per
-  member, stopping at two;
+  of the ``Q2`` members into its representative, stopping at two;
 * ``։∞`` matches each ``⟨Q1⟩`` class against the occurrences
-  ``(member index, surjective kernel)``, each of capacity one; their
-  total, ``Σ Bell(|vars(m)|)``, needs no expansion either;
-* ``→֒k``/``→֒∞`` take a class's count in ``⟨Q2⟩`` as the number of
-  distinct bijective kernels into its representative.  Each occurrence
-  ``m/π ≅ c`` has exactly one kernel, ``π``, so the count is *not*
+  ``(member index, surjective kernel)``, each of capacity one, out of
+  :func:`repro.queries.ccq.description_size` per member;
+* ``→֒k``/``→֒∞`` count the bijective kernels into a class's
+  representative from the members with its head pattern
+  (:func:`_isomorphic_occurrences`): one per occurrence, so *not*
   divided by ``|Aut(c)|``.
 
-The ``⇉1`` part of ``⇉2`` needs no description at all on such a pair:
-it is :func:`covering_union` on the given queries, by the paper's
-``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``.  A pair with a head variable, a
-constant or a member with inequalities reads ``⟨Q2⟩``'s class table
-too, until ROADMAP item 1 fixes ``⟨Q⟩`` for rigid terms (an
-automorphism fixes those terms, so the table is exact there as well):
-``⇉2`` sums the multiplicities of the ``⟨Q2⟩`` rows whose
-representative maps to the ``⟨Q1⟩`` representative, ``։∞`` is the
-capacitated class-level matching of
-:func:`repro.homomorphisms.matching.saturates`, and the counts are
-multiplicities.
+The ``⇉1`` part of ``⇉2`` is :func:`covering_union` on the given
+queries (``Q2 ⇉1 Q1`` iff ``⟨Q2⟩ ⇉1 ⟨Q1⟩``) unless ``Q2`` has a member
+with inequalities: a homomorphism from one must map each constrained
+pair onto a constrained pair, so it covers nothing of a plain member of
+``Q1`` although it covers that member's CCQs.  Such a pair checks the
+members' cover of each ``⟨Q1⟩`` representative instead.
 
 Every condition reads the expensive primitives — homomorphism
-existence and kernels, atom covering, the class table of ``⟨Q⟩`` and
+existence and kernels, atom covering, the class table of ``⟨Q1⟩`` and
 the canonical form of a set reduct — from a
 :class:`repro.core.DecisionContext` (an engine's caches).  The exported
 conditions accept ``context=None`` and resolve it once, at their top,
@@ -88,9 +81,11 @@ module); the helpers below them require it.
 from __future__ import annotations
 
 import math
+from itertools import product
 
 from ..queries.atoms import is_var
-from ..queries.ccq import QueryCode
+from ..queries.ccq import (CQWithInequalities, QueryCode, description_size,
+                           require_described, rigid_constants)
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
 from .isomorphism import DescriptionClass
@@ -168,47 +163,30 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
       ``|Aut| ≥ 2`` equal summands per source, which offset 2
       saturates, hence its exemption (as in the paper).
 
-    On a rigid-free pair (:func:`_rigid_free`) part (1) is
-    :func:`covering_union` on the given queries (``⟨Q2⟩ ⇉1 ⟨Q1⟩`` iff
-    ``Q2 ⇉1 Q1``, Sec. 5.4), and part (2) counts the preimages of a
-    ``⟨Q1⟩`` class as plain kernels of the ``Q2`` members into its
-    representative (see the module docstring): set reduction changes
-    neither the homomorphisms nor their kernels.  Otherwise both parts
-    run on set-reduced isomorphism classes of both descriptions: ``⇉1``
-    holds iff one representative of every ``⟨Q1⟩`` class is covered by
-    the union of one representative per ``⟨Q2⟩`` class, and the
-    preimages of a ``⟨Q1⟩`` class are counted by summing the sizes of
-    the ``⟨Q2⟩`` classes whose representative maps to it, stopping at
-    two.
+    Part (1) and the preimage counts of part (2) read ``Q2``'s members
+    directly (see the module docstring); set reduction changes neither
+    the homomorphisms nor their kernels.
     """
     from ..core.context import resolve_context
     source, target = as_ucq(source), as_ucq(target)
     context = resolve_context(context)
-    rigid_free = _rigid_free(source, target)
-    if rigid_free and not covering_union(source, target, context=context):
+    constants = _pair_constants(source, target)
+    inequalities = any(isinstance(member, CQWithInequalities)
+                       for member in source)
+    if not inequalities and not covering_union(source, target,
+                                               context=context):
         return False
-    classes1 = _set_reduced(context.complete_description(target),
+    classes1 = _set_reduced(context.complete_description(target, constants),
                             context=context)
-    if rigid_free:
-        def reaches_two(representative: CQ) -> bool:
-            return _kernels_reach_two(source, representative,
-                                      context=context)
-    else:
-        classes2 = _set_reduced(context.complete_description(source),
-                                context=context)
-        representatives2 = [row.representative for row in classes2]
-        if not all(_union_covers(representatives2, row.representative,
-                                 context=context)
-                   for row in classes1):
-            return False
-
-        def reaches_two(representative: CQ) -> bool:
-            return _preimages_reach_two(classes2, representative,
-                                        context=context)
+    if inequalities and not all(
+            _union_covers(source, row.representative, context=context)
+            for row in classes1):
+        return False
     for row in classes1:
         if row.multiplicity < 2 or row.automorphisms > 1:
             continue
-        if not reaches_two(row.representative):
+        if not _kernels_reach_two(source, row.representative, constants,
+                                  context=context):
             return False
     return True
 
@@ -247,52 +225,66 @@ def _set_reduced(classes: tuple[DescriptionClass, ...], *, context
         for key, (reduced, size, group) in merged.items()]
 
 
-def _kernels_reach_two(source: UCQ, target: CQ, *, context) -> bool:
+def _pair_constants(source: UCQ, target: UCQ) -> tuple:
+    """The constants both descriptions are taken relative to, once every
+    ``Q2`` member is known to have a description (``⟨Q1⟩``'s
+    construction checks its own members)."""
+    for member in source:
+        if isinstance(member, CQWithInequalities):
+            require_described(member)
+    return rigid_constants((*source, *target))
+
+
+def _occurrences(member: CQ, target: CQ, kernel: tuple[int, ...],
+                 constants: tuple) -> list[tuple[int, ...]]:
+    """The occurrences of ``⟨member⟩`` that a kernel of homomorphisms
+    ``member → target`` stands for, each coded as the labels of
+    :func:`repro.queries.ccq.description_orbits` (a block bound to
+    ``member``'s own rigid term, relative to ``constants``).
+
+    A block bound to a constant is bound to that constant.  A block
+    bound to a target head variable is bound to a member head variable
+    in the same head positions; when several member head variables
+    share one target head variable, each choice is its own occurrence
+    (all of them map into ``target``).
+    """
+    if not kernel or min(kernel) >= 0:
+        return [kernel]
+    bound = sorted({label for label in kernel if label < 0})
+    own = {(type(term), term): ~j for j, term in
+           enumerate(QueryCode.of(member).relative(constants).rigid)}
+    target_rigid = QueryCode.of(target).rigid
+    options = []
+    for label in bound:
+        term = target_rigid[~label]
+        if is_var(term):
+            options.append(sorted({own[(type(var), var)] for var, image
+                                   in zip(member.head, target.head)
+                                   if image == term}))
+        else:
+            options.append([own[(type(term), term)]])
+    occurrences = []
+    for choice in product(*options):
+        chosen = dict(zip(bound, choice))
+        occurrences.append(tuple(chosen.get(label, label)
+                                 for label in kernel))
+    return occurrences
+
+
+def _kernels_reach_two(source: UCQ, target: CQ, constants: tuple, *,
+                       context) -> bool:
     """True iff at least two occurrences of ``⟨source⟩`` map
-    homomorphically to the rigid-free CCQ ``target``: two distinct
-    ``(member, plain kernel)`` pairs."""
+    homomorphically to the CCQ ``target``: two distinct ``(member,
+    plain kernel)`` pairs, or one kernel standing for two
+    occurrences."""
     preimages = 0
     for member in source:
-        preimages += len(context.hom_kernels(member, target, HomKind.PLAIN,
-                                             2))
+        for kernel in context.hom_kernels(member, target, HomKind.PLAIN, 2):
+            preimages += len(_occurrences(member, target, kernel,
+                                          constants))
         if preimages >= 2:
             return True
     return False
-
-
-def _preimages_reach_two(classes2: list[DescriptionClass], target: CQ, *,
-                         context) -> bool:
-    """True iff at least two occurrences (CCQs of the rows) of
-    ``classes2`` map homomorphically to ``target``."""
-    preimages = 0
-    for row in classes2:
-        if context.has_homomorphism(row.representative, target,
-                                    HomKind.PLAIN):
-            preimages += row.multiplicity
-            if preimages >= 2:
-                return True
-    return False
-
-
-def _rigid_free(source: UCQ, target: UCQ) -> bool:
-    """True iff every member of either side is a plain CQ (no
-    inequalities) with no head variable and no constant.
-
-    Only then is ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` decided on the given queries and
-    ``⟨Q2⟩`` read off homomorphism kernels instead of being built.
-    ``⟨Q⟩`` never binds an existential to a constant or a head variable,
-    so on pairs with such rigid terms the class-level check and the
-    direct one disagree, and a kernel into a CCQ with rigid terms is no
-    partition ``⟨Q2⟩`` has; fixing ``⟨Q⟩`` for rigid terms (ROADMAP
-    item 1) deletes that part of this guard.  A member with inequalities
-    stays excluded even then: a homomorphism from it must map each
-    constrained pair onto a constrained pair, so it covers nothing of a
-    plain member although it covers that member's CCQs in ``⟨Q1⟩``.
-    """
-    return all(not cq.head and not getattr(cq, "inequalities", None)
-               and all(is_var(term) for atom in cq.atoms
-                       for term in atom.terms)
-               for cq in (*source, *target))
 
 
 def bi_count_infty(source: UCQ | CQ, target: UCQ | CQ, *,
@@ -331,33 +323,50 @@ def _bi_count(source: UCQ, target: UCQ, k: int | None, *,
               context) -> bool:
     """``⟨Q2⟩ →֒k ⟨Q1⟩`` for a finite ``k``, or ``→֒∞`` for None.
 
-    ``⟨Q2⟩[C]`` is the number of distinct bijective kernels of the
-    ``Q2`` members into ``C``'s representative on a rigid-free pair
-    (one per occurrence — never divided by ``|Aut|``), and the size of
-    ``C``'s class in ``⟨Q2⟩`` otherwise.
+    ``⟨Q2⟩[C]`` is the number of occurrences isomorphic to ``C``'s
+    representative (:func:`_isomorphic_occurrences`), one per
+    bijective kernel — never divided by ``|Aut|``.
     """
-    classes1 = context.complete_description(target)
-    if _rigid_free(source, target):
-        def reaches(key, representative: CQ, required: int) -> bool:
-            found = 0
-            for member in source:
-                found += len(context.hom_kernels(member, representative,
-                                                 HomKind.BIJECTIVE, None))
-                if found >= required:
-                    return True
-            return False
-    else:
-        sizes2 = {row.key: row.multiplicity
-                  for row in context.complete_description(source)}
-
-        def reaches(key, representative: CQ, required: int) -> bool:
-            return sizes2.get(key, 0) >= required
-    for key, representative, required, group in classes1:
+    constants = _pair_constants(source, target)
+    for key, representative, required, group in \
+            context.complete_description(target, constants):
         if k is not None:
             required = min(required, math.ceil(k / group))
-        if not reaches(key, representative, required):
+        found = 0
+        for member in source:
+            found += _isomorphic_occurrences(member, key, representative,
+                                             constants, context=context)
+            if found >= required:
+                break
+        else:
             return False
     return True
+
+
+def _isomorphic_occurrences(member: CQ, key: tuple, representative: CQ,
+                            constants: tuple, *, context) -> int:
+    """The occurrences of ``⟨member⟩`` isomorphic to ``representative``
+    (of canonical key ``key``): bijective kernels, when the rigid terms
+    map one-to-one (equal head patterns).  A pair of rigid terms the
+    representative constrains and the occurrence does not (only members
+    with inequalities have one) is told apart by key."""
+    if _head_pattern(member.head) != _head_pattern(representative.head):
+        return 0
+    kernels = context.hom_kernels(member, representative, HomKind.BIJECTIVE,
+                                  None)
+    if not kernels or not QueryCode.of(representative).pairs:
+        return len(kernels)
+    code = QueryCode.of(member).relative(constants)
+    return sum(
+        1 for kernel in kernels
+        if context.canonical_form(code.quotient(_occurrences(
+            member, representative, kernel, constants)[0])).key == key)
+
+
+def _head_pattern(head: tuple) -> tuple[int, ...]:
+    """Which head positions repeat a variable: each position's first
+    occurrence."""
+    return tuple(head.index(var) for var in head)
 
 
 def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
@@ -369,50 +378,29 @@ def sur_infty(source: UCQ | CQ, target: UCQ | CQ, *, context=None) -> bool:
     are those of the raw description (the same canonical keys
     :func:`bi_count_k` groups by).  Hall's condition is decided as a
     capacitated matching in which each ``⟨Q1⟩`` class demands as many
-    occurrences as it has members.  On a rigid-free pair the supplies
-    are the ``⟨Q2⟩`` occurrences ``(member index, surjective kernel)``,
-    each of capacity one, out of ``Σ Bell(|vars(m)|)`` in all; otherwise
-    they are the ``⟨Q2⟩`` classes, each of its size.  The edges of a
-    ``⟨Q1⟩`` class are asked for only while no Hall violation has shown.
+    occurrences as it has members, and the supplies are the ``⟨Q2⟩``
+    occurrences ``(member index, surjective kernel)``, each of capacity
+    one, out of :func:`~repro.queries.ccq.description_size` per member
+    in all.  The edges of a ``⟨Q1⟩`` class are asked for only while no
+    Hall violation has shown.
     """
     from ..core.context import resolve_context
     source, target = as_ucq(source), as_ucq(target)
     context = resolve_context(context)
-    classes1 = context.complete_description(target)
+    constants = _pair_constants(source, target)
+    classes1 = context.complete_description(target, constants)
     representatives1 = [row.representative for row in classes1]
     demand = [row.multiplicity for row in classes1]
-    if _rigid_free(source, target):
-        occurrences: dict[tuple, int] = {}
+    occurrences: dict[tuple, int] = {}
 
-        def edges(i: int) -> list[int]:
-            return [occurrences.setdefault((j, kernel), len(occurrences))
-                    for j, member in enumerate(source)
-                    for kernel in context.hom_kernels(
-                        member, representatives1[i], HomKind.SURJECTIVE,
-                        None)]
+    def edges(i: int) -> list[int]:
+        representative = representatives1[i]
+        return [occurrences.setdefault((j, occurrence), len(occurrences))
+                for j, member in enumerate(source)
+                for kernel in context.hom_kernels(
+                    member, representative, HomKind.SURJECTIVE, None)
+                for occurrence in _occurrences(member, representative,
+                                               kernel, constants)]
 
-        total = sum(_bell(len(member.existential_vars()))
-                    for member in source)
-        return saturates(demand, [1] * total, edges)
-    classes2 = context.complete_description(source)
-
-    def class_edges(i: int) -> list[int]:
-        return [j for j, row in enumerate(classes2)
-                if context.has_homomorphism(row.representative,
-                                            representatives1[i],
-                                            HomKind.SURJECTIVE)]
-
-    return saturates(demand, [row.multiplicity for row in classes2],
-                     class_edges)
-
-
-def _bell(n: int) -> int:
-    """The Bell number ``B(n)``: the partitions of ``n`` variables, i.e.
-    the CCQs one ``n``-variable member contributes to ``⟨Q⟩``."""
-    row = [1]
-    for _ in range(n):
-        following = [row[-1]]
-        for value in row:
-            following.append(following[-1] + value)
-        row = following
-    return row[0]
+    total = sum(description_size(member, constants) for member in source)
+    return saturates(demand, [1] * total, edges)

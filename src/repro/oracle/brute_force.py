@@ -7,7 +7,8 @@ classified semirings, a witness lives on a *canonical instance* of the
 complete description ``⟨Q1⟩`` under some valuation of its tags.  The
 oracle therefore searches:
 
-1. every canonical instance ``⟦Q⟧`` for ``Q ∈ ⟨Q1⟩``, evaluating both
+1. every canonical instance ``⟦Q⟧`` for ``Q ∈ ⟨Q1⟩`` (relative to the
+   constants of both queries, in every head pattern), evaluating both
    queries once as ``N[X]`` polynomials and then sweeping valuations of
    the tag variables over a sampled element pool (exhaustively when the
    grid is small, randomly otherwise); and
@@ -28,7 +29,8 @@ from typing import Any, Iterator
 
 from ..data.canonical import canonical_instance
 from ..data.instance import Instance
-from ..queries.ccq import complete_description
+from ..queries.ccq import (complete_description, head_patterns,
+                           rigid_constants)
 from ..queries.evaluation import evaluate_all
 from ..queries.ucq import UCQ, as_ucq
 
@@ -95,38 +97,48 @@ def _generic_valuation(semiring, tags: tuple[str, ...]) -> dict | None:
     return {tag: var(tag) for tag in tags}
 
 
+def _test_ccqs(q1: UCQ, q2: UCQ) -> Iterator:
+    """The CCQs whose canonical instances the search tries: ``⟨P1⟩``
+    for every head pattern ``(P1, P2)`` of the pair
+    (:func:`repro.queries.ccq.head_patterns`), relative to the
+    pattern's constants."""
+    for p1, p2 in head_patterns(q1, q2):
+        constants = rigid_constants((*p1, *p2))
+        for member in p1:
+            yield from complete_description(member, constants)
+
+
 def _canonical_search(q1: UCQ, q2: UCQ, semiring, pool: list,
                       rng: random.Random, budget: int) -> Counterexample | None:
     from ..semirings.provenance import NX
 
-    for member in q1:
-        for ccq in complete_description(member):
-            tagged = canonical_instance(ccq)
-            domain = tuple(ccq.variables()) + ccq.constants()
-            # One evaluation per (instance, query): every answer of both
-            # queries over ⟦ccq⟧ is computed in a single join sweep, and
-            # the per-target loop below becomes dictionary lookups
-            # (targets without an entry evaluate to the zero polynomial).
-            left_answers = evaluate_all(q1, tagged.instance, NX)
-            right_answers = evaluate_all(q2, tagged.instance, NX)
-            zero_poly = NX.zero
-            for target in product(domain, repeat=ccq.arity):
-                left_poly = left_answers.get(target, zero_poly)
-                right_poly = right_answers.get(target, zero_poly)
-                valuations = []
-                generic = _generic_valuation(semiring, tagged.tag_names)
-                if generic is not None:
-                    valuations.append(generic)
-                for valuation in valuations + list(_valuation_grid(
-                        tagged.tag_names, pool, rng, budget)):
-                    lhs = left_poly.eval_in(semiring, valuation)
-                    rhs = right_poly.eval_in(semiring, valuation)
-                    if not semiring.leq(lhs, rhs):
-                        witness = tagged.instance.map_annotations(
-                            semiring,
-                            lambda poly: poly.eval_in(semiring, valuation))
-                        return Counterexample(witness, target, lhs, rhs,
-                                              source=f"canonical ⟦{ccq!r}⟧")
+    for ccq in _test_ccqs(q1, q2):
+        tagged = canonical_instance(ccq)
+        domain = tuple(ccq.variables()) + ccq.constants()
+        # One evaluation per (instance, query): every answer of both
+        # queries over ⟦ccq⟧ is computed in a single join sweep, and
+        # the per-target loop below becomes dictionary lookups
+        # (targets without an entry evaluate to the zero polynomial).
+        left_answers = evaluate_all(q1, tagged.instance, NX)
+        right_answers = evaluate_all(q2, tagged.instance, NX)
+        zero_poly = NX.zero
+        for target in product(domain, repeat=q1.arity):
+            left_poly = left_answers.get(target, zero_poly)
+            right_poly = right_answers.get(target, zero_poly)
+            valuations = []
+            generic = _generic_valuation(semiring, tagged.tag_names)
+            if generic is not None:
+                valuations.append(generic)
+            for valuation in valuations + list(_valuation_grid(
+                    tagged.tag_names, pool, rng, budget)):
+                lhs = left_poly.eval_in(semiring, valuation)
+                rhs = right_poly.eval_in(semiring, valuation)
+                if not semiring.leq(lhs, rhs):
+                    witness = tagged.instance.map_annotations(
+                        semiring,
+                        lambda poly: poly.eval_in(semiring, valuation))
+                    return Counterexample(witness, target, lhs, rhs,
+                                          source=f"canonical ⟦{ccq!r}⟧")
     return None
 
 

@@ -97,7 +97,7 @@ def _cq_key(cq: CQ) -> tuple:
         tuple(term_sort_key(term) for term in cq.head),
         tuple(atom.sort_key() for atom in cq.atoms),
         tuple(sorted(
-            tuple(sorted(var.name for var in pair))
+            tuple(sorted(term_sort_key(term) for term in pair))
             for pair in getattr(cq, "inequalities", ())
         )),
     )

@@ -13,7 +13,7 @@ Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 5,
+    {"magic": "repro.engine-snapshot", "version": 6,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -26,7 +26,13 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 5 gave each ``descriptions`` row the size of
+    layers *mean*.  Version 6 takes ``⟨Q⟩`` relative to the pair's
+    rigid terms, so a block may be bound to a head variable or a
+    constant: a ``descriptions`` entry is keyed by ``(union,
+    constants)``, a kernel may carry a rigid term's label ``~j``, and a
+    complete code is unequal to its rigid terms too; a version-5 file
+    holds descriptions and canonical forms of the old ``⟨Q⟩``, so it is
+    refused as stale.  Version 5 gave each ``descriptions`` row the size of
     its class's automorphism group (``(key, representative,
     multiplicity, automorphisms)``), and keys the canonical forms of
     ``⟨Q⟩``'s quotients by their integer code
@@ -93,7 +99,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

@@ -1,7 +1,8 @@
 """Earlier ``⇉2``, ``։∞`` and ``→֒k``: test and benchmark oracles only.
 
-Two generations of the package's bag-semantics conditions, kept as
-they were (the class-level ``→֒k`` takes ``k = ∞`` for ``→֒∞``):
+Two generations of the package's bag-semantics conditions, both over
+the rigid-relative ``⟨Q⟩`` (the class-level ``→֒k`` takes ``k = ∞`` for
+``→֒∞``):
 
 * the occurrence grid (:func:`occurrence_covering_2`,
   :func:`occurrence_sur_infty`) walks every pair of occurrences of the
@@ -9,17 +10,17 @@ they were (the class-level ``→֒k`` takes ``k = ∞`` for ``→֒∞``):
   with networkx's Hopcroft–Karp on the occurrence-expanded graph;
 * the class level (:func:`class_covering_2`, :func:`class_sur_infty`,
   :func:`class_bi_count_k`) builds both descriptions and works over
-  their isomorphism classes, with the ``⇉1`` part of ``⇉2`` on the
-  given queries for a rigid-free pair.
+  their isomorphism classes.
 
-The package now reads ``⟨Q2⟩`` off homomorphism kernels on rigid-free
-pairs and never builds it there; the condition tests and
-``benchmarks/bench_bag_bounds.py`` require equal answers.
+The package reads ``⟨Q2⟩`` off homomorphism kernels and never builds
+it; the condition tests and ``benchmarks/bench_bag_bounds.py`` require
+equal answers.
 
 The small routers the package shares between its conditions are copied
 too, so a fault in the package's helpers cannot hide in the oracle.
-Both descriptions are expanded here with the variable-level quotient of
-``tests/reference_quotient.py`` and grouped with
+Both descriptions are expanded here, relative to the pair's constants,
+with the variable-level enumeration of ``tests/reference_quotient.py``
+and grouped with
 :func:`~repro.homomorphisms.isomorphism.isomorphism_classes`, never
 through the package's coded quotients or its class table
 (``context.complete_description``), so the expansion the oracles check
@@ -29,18 +30,20 @@ against is independent of both.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import networkx as nx
 
+from repro.api import ContainmentEngine
 from repro.homomorphisms.covering import covered_atoms
 from repro.homomorphisms.isomorphism import (automorphism_count,
                                              isomorphism_classes)
 from repro.homomorphisms.matching import saturates
 from repro.homomorphisms.search import HomKind, has_homomorphism
-from repro.queries.atoms import is_var
 from repro.queries.cq import CQ
 from repro.queries.ucq import UCQ, as_ucq
-from tests.reference_quotient import (reference_complete_description_ucq,
+from tests.reference_quotient import (pair_constants,
+                                      reference_complete_description_ucq,
                                       set_reduce)
 
 __all__ = ["occurrence_covering_2", "occurrence_sur_infty",
@@ -53,10 +56,15 @@ def _exists(context, source: CQ, target: CQ, kind: HomKind) -> bool:
     return has_homomorphism(source, target, kind)
 
 
-def _description(union: UCQ) -> tuple:
+@lru_cache(maxsize=512)
+def _descriptions(source: UCQ, target: UCQ) -> tuple[tuple, tuple]:
+    """``(⟨Q2⟩, ⟨Q1⟩)``, both relative to the pair's constants (kept for
+    the next condition asked of the same pair)."""
     # Never ``context.complete_description``: that is the package's
     # class table, which these oracles exist to check.
-    return reference_complete_description_ucq(union)
+    constants = pair_constants(source, target)
+    return (reference_complete_description_ucq(source, constants),
+            reference_complete_description_ucq(target, constants))
 
 
 def _automorphisms(context, query: CQ) -> int:
@@ -77,10 +85,10 @@ def _union_covers(source: UCQ, target_cq: CQ, context=None) -> bool:
 def occurrence_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
                           context=None) -> bool:
     """``⟨Q2⟩ ⇉2 ⟨Q1⟩`` over the occurrence grid."""
-    description2 = _description(as_ucq(source))
-    description1 = _description(as_ucq(target))
-    union2 = UCQ(description2)
-    if not all(_union_covers(union2, ccq1, context)
+    context = context or ContainmentEngine()  # the grid repeats searches
+    description2, description1 = _descriptions(as_ucq(source),
+                                               as_ucq(target))
+    if not all(_union_covers(description2, ccq1, context)
                for ccq1 in description1):
         return False
     reduced1 = [set_reduce(ccq) for ccq in description1]
@@ -108,8 +116,9 @@ def occurrence_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
 def occurrence_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                          context=None) -> bool:
     """``⟨Q2⟩ ։∞ ⟨Q1⟩`` over the occurrence grid (Hopcroft–Karp)."""
-    description2 = _description(as_ucq(source))
-    description1 = _description(as_ucq(target))
+    context = context or ContainmentEngine()  # the grid repeats searches
+    description2, description1 = _descriptions(as_ucq(source),
+                                               as_ucq(target))
     if not description1:
         return True
     graph = nx.Graph()
@@ -128,35 +137,19 @@ def occurrence_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
 # -- the class level ---------------------------------------------------------
 
 
-def _rigid_free(source: UCQ, target: UCQ) -> bool:
-    return all(not cq.head and not getattr(cq, "inequalities", None)
-               and all(is_var(term) for atom in cq.atoms
-                       for term in atom.terms)
-               for cq in (*source, *target))
-
-
-def _covering_union(source: UCQ, target: UCQ, context=None) -> bool:
-    return all(_union_covers(source, cq1, context) for cq1 in target)
-
-
 def class_covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
                      context=None) -> bool:
     """``⟨Q2⟩ ⇉2 ⟨Q1⟩`` over isomorphism classes of both descriptions."""
-    source, target = as_ucq(source), as_ucq(target)
-    rigid_free = _rigid_free(source, target)
-    if rigid_free and not _covering_union(source, target, context):
-        return False
-    description2 = _description(source)
-    description1 = _description(target)
+    description2, description1 = _descriptions(as_ucq(source),
+                                               as_ucq(target))
     classes1 = isomorphism_classes(
         [set_reduce(ccq) for ccq in description1], context=context)
     classes2 = isomorphism_classes(
         [set_reduce(ccq) for ccq in description2], context=context)
-    if not rigid_free:
-        representatives2 = [members[0] for members in classes2.values()]
-        if not all(_union_covers(representatives2, members[0], context)
-                   for members in classes1.values()):
-            return False
+    representatives2 = [members[0] for members in classes2.values()]
+    if not all(_union_covers(representatives2, members[0], context)
+               for members in classes1.values()):
+        return False
     for members in classes1.values():
         if len(members) < 2:
             continue
@@ -181,10 +174,10 @@ def class_bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
         k = int(k)
         if k < 1:
             raise ValueError("offset must be at least 1")
-    classes2 = isomorphism_classes(_description(as_ucq(source)),
-                                   context=context)
-    classes1 = isomorphism_classes(_description(as_ucq(target)),
-                                   context=context)
+    description2, description1 = _descriptions(as_ucq(source),
+                                               as_ucq(target))
+    classes2 = isomorphism_classes(description2, context=context)
+    classes1 = isomorphism_classes(description1, context=context)
     for key, members in classes1.items():
         required = len(members)
         if not math.isinf(k):
@@ -198,10 +191,10 @@ def class_bi_count_k(source: UCQ | CQ, target: UCQ | CQ, k: float, *,
 def class_sur_infty(source: UCQ | CQ, target: UCQ | CQ, *,
                     context=None) -> bool:
     """``⟨Q2⟩ ։∞ ⟨Q1⟩`` as a capacitated matching over classes."""
-    classes2 = isomorphism_classes(_description(as_ucq(source)),
-                                   context=context)
-    classes1 = isomorphism_classes(_description(as_ucq(target)),
-                                   context=context)
+    description2, description1 = _descriptions(as_ucq(source),
+                                               as_ucq(target))
+    classes2 = isomorphism_classes(description2, context=context)
+    classes1 = isomorphism_classes(description1, context=context)
     representatives1 = [members[0] for members in classes1.values()]
     representatives2 = [members[0] for members in classes2.values()]
 

@@ -350,28 +350,30 @@ def test_isomorphism_classes_with_context_matches_plain():
 
 # --- the key format -----------------------------------------------------
 
-#: Three CCQs and their literal canonical keys.  The ``canonical`` and
+#: Three queries with inequalities, whether each is complete, and their
+#: literal canonical keys.  The ``canonical`` and
 #: ``descriptions`` layers and every snapshot share this format, so a
 #: change to it must show here.  Existentials serialize as ``(1,
 #: label)``, head variables as ``(0, first head position)``, constants
 #: as ``(2, type name, repr)``.
 PINNED_KEYS = [
     # The chain-4 quotient identifying a with c.
-    ("Q() :- E(a, b), E(b, a), E(a, d), a != b, a != d, b != d",
+    ("Q() :- E(a, b), E(b, a), E(a, d), a != b, a != d, b != d", True,
      ("CQWithInequalities", 0, (
          (("E", ((1, 0), (1, 1))), ("E", ((1, 0), (1, 2))),
           ("E", ((1, 1), (1, 0)))),
          (((1, 0), (1, 1)), ((1, 0), (1, 2)), ((1, 1), (1, 2))))), 1),
     # The directed 3-clique.
     ("Q() :- E(x, y), E(y, x), E(y, z), E(z, y), E(x, z), E(z, x), "
-     "x != y, x != z, y != z",
+     "x != y, x != z, y != z", True,
      ("CQWithInequalities", 0, (
          (("E", ((1, 0), (1, 1))), ("E", ((1, 0), (1, 2))),
           ("E", ((1, 1), (1, 0))), ("E", ((1, 1), (1, 2))),
           ("E", ((1, 2), (1, 0))), ("E", ((1, 2), (1, 1)))),
          (((1, 0), (1, 1)), ((1, 0), (1, 2)), ((1, 1), (1, 2))))), 6),
-    # A constant and a head variable.
-    ("Q(h) :- E(h, x), E(x, y), S(x, 'c'), S(y, 'c'), x != y",
+    # A constant and a head variable, which the existentials are not
+    # constrained against: pairwise unequal, but not complete.
+    ("Q(h) :- E(h, x), E(x, y), S(x, 'c'), S(y, 'c'), x != y", False,
      ("CQWithInequalities", 1, (
          (("E", ((0, 0), (1, 0))), ("E", ((1, 0), (1, 1))),
           ("S", ((1, 0), (2, "str", "'c'"))),
@@ -380,11 +382,11 @@ PINNED_KEYS = [
 ]
 
 
-@pytest.mark.parametrize("text, key, group", PINNED_KEYS,
+@pytest.mark.parametrize("text, complete, key, group", PINNED_KEYS,
                          ids=["chain4-quotient", "clique3", "rigid"])
-def test_canonical_keys_are_pinned(text, key, group):
+def test_canonical_keys_are_pinned(text, complete, key, group):
     ccq = parse_cq(text)
-    assert ccq.is_complete()
+    assert ccq.is_complete() is complete
     form = compute_canonical_form(ccq)
     assert form.key == key
     assert form.automorphisms == group

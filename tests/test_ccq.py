@@ -15,7 +15,7 @@ from repro.data import Instance
 from repro.queries import (CQ, Atom, CQWithInequalities, UCQ, Var,
                            complete_description, complete_description_ucq,
                            evaluate, parse_cq)
-from repro.queries.ccq import set_partitions
+from repro.queries.ccq import head_patterns, set_partitions
 from repro.queries.generators import random_cq
 from repro.semirings import ALL_SEMIRINGS, B, N, NX, TPLUS, WHY
 
@@ -115,8 +115,10 @@ def test_description_ucq_is_disjoint_union():
 def test_free_variables_not_partitioned():
     q = parse_cq("Q(x) :- R(x, y)")
     description = complete_description(q)
-    assert len(description) == 1  # only the existential y is partitioned
-    assert description[0].head == (Var("x"),)
+    # Only the existential y is partitioned: free (y ≠ x) or bound to x.
+    assert len(description) == 2
+    assert all(ccq.head == (Var("x"),) for ccq in description)
+    assert description[1].atoms == parse_cq("Q(x) :- R(x, x)").atoms
 
 
 # --- the equivalence ⟨Q⟩ ≡K Q ------------------------------------------
@@ -149,3 +151,34 @@ def test_complete_description_equivalent(semiring):
                 split = evaluate(description, instance, target)
                 assert semiring.eq(direct, split), (
                     query, instance, target, direct, split)
+
+
+# --- head patterns -----------------------------------------------------
+
+def _union(*texts: str) -> UCQ:
+    return UCQ(parse_cq(text) for text in texts)
+
+
+def test_a_pair_without_head_variables_is_its_own_pattern():
+    q1, q2 = _union("Q() :- R(x, 'a')"), _union("Q() :- R(x, y)")
+    [(p1, p2)] = head_patterns(q1, q2)
+    assert p1 is q1 and p2 is q2
+
+
+def test_head_patterns_bind_and_merge_head_positions():
+    q1 = _union("Q(x) :- R(x, x)", "Q(x) :- R(x, 'c')")
+    q2 = _union("Q(x) :- R(x, z)")
+    (free1, free2), (bound1, bound2) = head_patterns(q1, q2)
+    assert free1 is q1 and free2 is q2
+    # At x = 'c' both members answer with the fact R('c', 'c').
+    assert bound1 == _union("Q() :- R('c', 'c')", "Q() :- R('c', 'c')")
+    assert bound2 == _union("Q() :- R('c', z)")
+    # A repeated head variable answers only where its positions meet;
+    # an inequality the pattern breaks drops its member.
+    x, y = Var("x"), Var("y")
+    q1 = UCQ([parse_cq("Q(x, x) :- S(x)"),
+              CQWithInequalities((x, y), [Atom("R", (x, y))], [(x, y)])])
+    patterns = head_patterns(q1, _union("Q(x, y) :- R(x, y)"))
+    assert [p1 for p1, _ in patterns] == [
+        _union("Q(x) :- S(x)"),
+        UCQ([CQWithInequalities((x, y), [Atom("R", (x, y))], [(x, y)])])]

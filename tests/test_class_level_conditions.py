@@ -1,14 +1,14 @@
-"""Class-level ``⇉2``/``։∞``, the capacitated matcher, and ``Ssur[X]``'s
+"""Kernel-level ``⇉2``/``։∞``, the capacitated matcher, and ``Ssur[X]``'s
 order, each against an occurrence-level oracle.
 
 :func:`covering_2` and :func:`sur_infty` decide over isomorphism
-classes of ``⟨Q1⟩`` (and of ``⟨Q2⟩`` on pairs with rigid terms; on
-rigid-free pairs ``⟨Q2⟩`` is read off homomorphism kernels); the
-oracles in ``tests/occurrence_conditions.py`` walk the full occurrence
-grid.  The
-matcher is checked against Hall's condition on the blown-up graph, and
-``Ssur[X]``'s order against an exhaustive search for an injective
-occurrence assignment.
+classes of ``⟨Q1⟩`` and read ``⟨Q2⟩`` off homomorphism kernels; both
+descriptions are taken relative to the pair's rigid terms (head
+variables and constants).  The oracles in
+``tests/occurrence_conditions.py`` walk the full occurrence grid of the
+variable-level descriptions.  The matcher is checked against Hall's
+condition on the blown-up graph, and ``Ssur[X]``'s order against an
+exhaustive search for an injective occurrence assignment.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from repro.api import ContainmentEngine
 from repro.homomorphisms import covering_2, covering_union, sur_infty
 from repro.homomorphisms.matching import saturates
-from repro.homomorphisms.ucq_conditions import _rigid_free
 from repro.polynomials.polynomial import Monomial, Polynomial
 from repro.queries import UCQ, Atom, Var
 from repro.queries.ccq import complete_description
@@ -67,8 +66,8 @@ def ucq_pairs(draw) -> tuple[UCQ, UCQ]:
 
 @st.composite
 def rigid_free_pairs(draw) -> tuple[UCQ, UCQ]:
-    """Boolean, constant-free pairs: those whose ``⇉1`` part
-    :func:`covering_2` decides on the given queries."""
+    """Boolean, constant-free pairs: ``⟨Q⟩`` partitions the
+    existentials alone."""
     members = st.lists(cqs((), constants=()), min_size=1, max_size=3)
     return UCQ(tuple(draw(members))), UCQ(tuple(draw(members)))
 
@@ -78,7 +77,7 @@ def ccq_member_pairs(draw) -> tuple[UCQ, UCQ]:
     """Boolean, constant-free pairs whose ``Q2`` holds CCQs of a
     member of ``Q1`` (part of its complete description), next to
     plain members: pairs the direct ``⇉1`` check must leave to the
-    class-level one."""
+    members' cover of each ``⟨Q1⟩`` representative."""
     plain = st.lists(cqs((), constants=()), max_size=2)
     split = draw(cqs((), constants=()))
     ccqs = draw(st.lists(st.sampled_from(complete_description(split)),
@@ -106,7 +105,6 @@ def test_covering_2_on_rigid_free_pairs_matches_occurrence_oracle(pair):
     """``Q2 ⇉1 Q1`` on the given queries stands in for
     ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` here (Sec. 5.4)."""
     q2, q1 = pair
-    assert _rigid_free(q2, q1)
     expected = occurrence_covering_2(q2, q1)
     assert covering_2(q2, q1) == expected
     assert covering_2(q2, q1,
@@ -120,16 +118,16 @@ def test_covering_2_on_rigid_free_pairs_matches_occurrence_oracle(pair):
 def test_covering_2_with_rigid_terms_keeps_the_class_level_check(
         source, target):
     """Pairs with a constant or a head variable, where ``Q2 ⇉1 Q1``
-    holds but ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` does not: ``⟨Q⟩`` never binds an
-    existential to a rigid term, so the direct check would answer
-    ``True`` here.  Both pass only while :func:`_rigid_free` guards
-    the direct check."""
+    holds.  ``⇉2`` still answers ``⟨Q2⟩ ⇉1 ⟨Q1⟩`` over the classes of
+    ``⟨Q1⟩``; ``⟨Q⟩`` binds existentials to rigid terms, so that holds
+    too and agrees with the occurrence grid.  (Before ``⟨Q⟩`` was taken
+    relative to the rigid terms, both answered ``False``, and ``N``
+    refuted the first pair although ``Q1`` specialises ``Q2``.)"""
     q2, q1 = UCQ((parse_cq(source),)), UCQ((parse_cq(target),))
-    assert not _rigid_free(q2, q1)
     assert covering_union(q2, q1)
-    assert occurrence_covering_2(q2, q1) is False
-    assert covering_2(q2, q1) is False
-    assert covering_2(q2, q1, context=ContainmentEngine().context) is False
+    assert occurrence_covering_2(q2, q1) is True
+    assert covering_2(q2, q1) is True
+    assert covering_2(q2, q1, context=ContainmentEngine().context) is True
 
 
 def test_covering_2_with_a_ccq_member_keeps_the_class_level_check():
@@ -142,7 +140,6 @@ def test_covering_2_with_a_ccq_member_keeps_the_class_level_check():
               parse_cq("Q() :- R(x, x), S(x)"),
               parse_cq("Q() :- S(z)")))
     q1 = UCQ((parse_cq("Q() :- R(u, v), S(u)"),))
-    assert not _rigid_free(q2, q1)
     assert not covering_union(q2, q1)
     assert occurrence_covering_2(q2, q1) is True
     assert covering_2(q2, q1) is True

@@ -27,7 +27,8 @@ import pytest
 
 from repro.homomorphisms.canonical import compute_canonical_form
 from repro.queries import Atom, Var
-from repro.queries.ccq import (QueryCode, complete_description,
+from repro.queries.ccq import (CQWithInequalities, QueryCode, binding_codes,
+                               complete_description, description_size,
                                growth_codes, set_partitions)
 from repro.queries.cq import CQ
 from tests.reference_quotient import (quotient,
@@ -117,6 +118,18 @@ def test_growth_codes_follow_set_partitions(n):
         assert len(set(code)) == len(partition)
 
 
+@pytest.mark.parametrize("n, r", [(1, 0), (3, 0), (0, 2), (2, 1), (3, 2),
+                                  (4, 1)])
+def test_binding_codes_count_and_extend_growth_codes(n, r):
+    codes = list(binding_codes(n, r))
+    member = CQ([Var(f"h{j}") for j in range(r)],
+                [Atom("T", (Var(f"h{j}"),)) for j in range(r)]
+                + [Atom("A", (Var(f"x{i}"),)) for i in range(n)])
+    assert len(set(codes)) == len(codes) == description_size(member, ())
+    assert [code for code in codes if min(code, default=0) >= 0] \
+        == list(growth_codes(n))
+
+
 def test_codes_are_equal_exactly_when_the_queries_are():
     codes: dict[CQ, QueryCode] = {}
     for member in MEMBERS:
@@ -133,3 +146,31 @@ def test_a_code_survives_pickling():
         restored = pickle.loads(pickle.dumps(code))
         assert restored == code and hash(restored) == hash(code)
         assert restored.materialise() == ccq
+
+
+def test_a_member_with_inequalities_enumerates_only_its_bindings():
+    """A described member with inequalities has pairwise unequal
+    existentials, so its CCQs are its injective bindings to rigid terms
+    that no inequality forbids: a complete member with ten existentials
+    is its own description, and one new constant adds one CCQ per
+    existential, without walking the r-Bell many partitions."""
+    evars = tuple(Var(f"e{i}") for i in range(10))
+    member = CQWithInequalities(
+        (), [Atom("E", (var, var)) for var in evars],
+        [(x, y) for i, x in enumerate(evars) for y in evars[i + 1:]])
+    assert complete_description(member) == (member,)
+    assert description_size(member, ()) == 1
+    assert len(complete_description(member, ("c",))) \
+        == description_size(member, ("c",)) == 11
+    small = CQWithInequalities(
+        (), member.atoms[:4],
+        [(x, y) for i, x in enumerate(evars[:4]) for y in evars[i + 1:4]])
+    assert complete_description(small, ("c", "d")) \
+        == reference_complete_description(small, ("c", "d"))
+    # x may bind to 'd' only (x ≠ 'c'), y to 'c' or 'd', never both to
+    # 'd' (x ≠ y): five CCQs.
+    x, y = Var("x"), Var("y")
+    member = CQWithInequalities(
+        (), [Atom("E", (x, y))], [(x, y), (x, "c")])
+    assert description_size(member, ("d",)) == len(
+        reference_complete_description(member, ("d",))) == 5

@@ -168,7 +168,7 @@ _MEMO_CALLS = {
     "homs": ("find_homomorphism", (_Q1, _Q2, HomKind.PLAIN)),
     "kernels": ("hom_kernels", (_Q1, _Q2, HomKind.PLAIN, 2)),
     "covered": ("covered_atoms", (_Q1, _Q2)),
-    "descriptions": ("complete_description", (UCQ([_Q2]),)),
+    "descriptions": ("complete_description", (UCQ([_Q2]), ())),
     "canonical": ("canonical_form", (_Q2,)),
     "small_models": ("small_model_pairs", (UCQ([_Q1]), UCQ([_Q2]))),
     "eval_plans": ("eval_plan", (parse_cq("Q(x) :- R(x, y)"),)),
@@ -222,7 +222,7 @@ class _RecordingUnpickler(pickle.Unpickler):
 
 def test_queries_restore_through_their_class_only():
     query = parse_cq("Q(x) :- R(x, y), R(x, z), S(z)")
-    [_, ccq] = complete_description(query)  # y, z apart: y ≠ z
+    ccq = complete_description(query)[1]  # y, z apart, and from x
     assert ccq.inequalities
     for original in (query, ccq):
         unpickler = _RecordingUnpickler(

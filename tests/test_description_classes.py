@@ -34,7 +34,9 @@ from repro.queries.ccq import complete_description, description_orbits
 from repro.queries.cq import CQ
 from repro.queries.generators import random_cq
 from repro.queries.parser import parse_cq
-from tests.reference_quotient import reference_complete_description_ucq
+from tests.reference_quotient import (pair_constants,
+                                      reference_complete_description,
+                                      reference_complete_description_ucq)
 
 
 def _edges(pairs) -> CQ:
@@ -98,21 +100,6 @@ def _unions(seed: int, count: int):
         yield UCQ(members)
 
 
-def _bell(n: int) -> int:
-    return sum(1 for _ in _partitions(n))
-
-
-def _partitions(n: int):
-    """Restricted-growth codes of length ``n`` (one per partition)."""
-    def extend(code, blocks):
-        if len(code) == n:
-            yield code
-            return
-        for label in range(blocks + 1):
-            yield from extend(code + (label,), max(blocks, label + 1))
-    yield from extend((), 0)
-
-
 def _expected(union: UCQ) -> dict[tuple, int]:
     """``{key: size}`` of the full expansion, grouped by class."""
     classes = isomorphism_classes(reference_complete_description_ucq(union))
@@ -125,7 +112,8 @@ def _expected(union: UCQ) -> dict[tuple, int]:
 @pytest.mark.parametrize("seed", range(6))
 def test_table_equals_the_grouped_expansion(seed):
     for union in _unions(seed, 25):
-        table = description_classes(union, context=ContainmentEngine())
+        table = description_classes(union, pair_constants(union),
+                                    context=ContainmentEngine())
         assert {row.key: row.multiplicity for row in table} \
             == _expected(union), union
         expansion = isomorphism_classes(
@@ -135,10 +123,8 @@ def test_table_equals_the_grouped_expansion(seed):
         assert [row.automorphisms for row in table] \
             == [automorphism_count(members[0])
                 for members in expansion.values()]
-        assert sum(row.multiplicity for row in table) == sum(
-            1 if member is CCQ_MEMBER
-            else _bell(len(member.existential_vars()))
-            for member in union)
+        assert sum(row.multiplicity for row in table) == len(
+            reference_complete_description_ucq(union))
 
 
 @pytest.mark.parametrize("member", SYMMETRIC + ASYMMETRIC + (CCQ_MEMBER,),
@@ -147,14 +133,19 @@ def test_every_member_alone_and_doubled(member):
     for union in (UCQ([member]), UCQ([member, member])):
         assert {row.key: row.multiplicity
                 for row in description_classes(
-                    union, context=ContainmentEngine())} == _expected(union)
+                    union, pair_constants(union),
+                    context=ContainmentEngine())} == _expected(union)
 
 
 def test_engine_table_equals_the_plain_table():
     engine = ContainmentEngine()
     for union in _unions(99, 20):
-        assert engine.complete_description(union) \
-            == description_classes(union, context=ContainmentEngine())
+        own = pair_constants(union)
+        assert engine.complete_description(union, own) \
+            == description_classes(union, own, context=ContainmentEngine())
+        assert engine.complete_description(union, ("c", "d")) \
+            == description_classes(union, ("c", "d"),
+                                   context=ContainmentEngine())
 
 
 def _generators_of(ccq) -> tuple[tuple[int, ...], ...]:
@@ -166,15 +157,15 @@ def test_symmetric_members_build_fewer_ccqs():
     for member in SYMMETRIC:
         if len(member.existential_vars()) < 3:
             continue
-        orbits = list(description_orbits(member, _generators_of))
-        bell = _bell(len(member.existential_vars()))
-        assert sum(size for _, size in orbits) == bell
-        assert len(orbits) < bell, member
+        orbits = list(description_orbits(member, _generators_of, ()))
+        expansion = len(reference_complete_description(member, ()))
+        assert sum(size for _, size in orbits) == expansion
+        assert len(orbits) < expansion, member
 
 
 def test_a_clique_collapses_to_integer_partitions():
     member = clique(5)
-    orbits = list(description_orbits(member, _generators_of))
+    orbits = list(description_orbits(member, _generators_of, ()))
     assert sorted(size for _, size in orbits) \
         == [1, 1, 5, 10, 10, 10, 15]  # p(5) = 7 orbits, Bell(5) = 52
     assert len(orbits) == 7

@@ -112,6 +112,15 @@ def test_columnar_matches_reference_edge_cases(semiring):
         _agree(EDGE_CCQ, instance, semiring)
 
 
+def test_inequality_against_a_constant():
+    """``y ≠ 'a'`` drops the rows binding ``y`` to ``'a'``; a constant
+    the instance never holds drops nothing."""
+    instance = Instance(N, {"R": {(1, "a"): 2, (1, "b"): 3, (2, 7): 4}})
+    for constant in ("a", "absent", 7):
+        query = CQWithInequalities([X], [Atom("R", (X, Y))], [(Y, constant)])
+        _agree(query, instance, N)
+
+
 def test_empty_and_missing_relations():
     query = parse_cq("Q(x, y) :- R(x, z), R(z, y)")
     empty = Instance(N, {"R": {}})

@@ -1,11 +1,14 @@
 """Homomorphism kernels and the conditions that count ``⟨Q2⟩`` by them.
 
-On a rigid-free pair the bag-semantics conditions never build ``⟨Q2⟩``:
-the occurrence ``m/π`` maps into a CCQ ``c`` of ``⟨Q1⟩`` iff some
-homomorphism ``m → c`` of the same kind has kernel ``π``.  These tests
-check that bijection directly, then check ``covering_2``, ``sur_infty``
-and ``bi_count_k`` against the class-level oracles of
-``tests/occurrence_conditions.py``, which build both descriptions.
+The bag-semantics conditions never build ``⟨Q2⟩``: the occurrence
+``m/π`` (a partition of ``m``'s existentials whose blocks are free or
+bound to a head variable or constant) maps into a CCQ ``c`` of ``⟨Q1⟩``
+iff some homomorphism ``m → c`` of the same kind has kernel ``π``.
+These tests check that bijection directly, against the variable-level
+occurrences of ``tests/reference_quotient.py``, then check
+``covering_2``, ``sur_infty`` and ``bi_count_k`` against the
+class-level oracles of ``tests/occurrence_conditions.py``, which build
+both descriptions.
 
 The pool mixes random queries with symmetric shapes (cliques, directed
 cycles, duplicated members and atoms): a CCQ with a nontrivial
@@ -23,7 +26,7 @@ from repro.api import ContainmentEngine
 from repro.homomorphisms import (HomKind, bi_count_k, covering_2,
                                  has_homomorphism, sur_infty)
 from repro.homomorphisms.search import hom_kernels, homomorphisms
-from repro.homomorphisms.ucq_conditions import _rigid_free
+from repro.homomorphisms.ucq_conditions import _occurrences
 from repro.queries import UCQ, Atom, Var
 from repro.queries.ccq import (CQWithInequalities, complete_description,
                                set_partitions)
@@ -32,7 +35,9 @@ from repro.queries.generators import random_cq
 from repro.queries.parser import parse_cq
 from tests.occurrence_conditions import (class_bi_count_k, class_covering_2,
                                          class_sur_infty)
-from tests.reference_quotient import quotient
+from tests.reference_quotient import (pair_constants, quotient,
+                                      reference_complete_description,
+                                      reference_occurrences)
 
 KINDS = (HomKind.PLAIN, HomKind.SURJECTIVE, HomKind.BIJECTIVE)
 OFFSETS = (1, 2, 3, float("inf"))
@@ -144,11 +149,91 @@ def test_kernels_biject_with_description_occurrences(seed):
     assert checked > 3000
 
 
+#: Members over ``E/2`` and ``S/1`` with a head variable ``h`` and the
+#: constants ``'c'`` and ``'d'``: blocks of a description may bind to
+#: either.
+RIGID = tuple(parse_cq(text) for text in (
+    "Q(h) :- E(h, x)", "Q(h) :- E(h, x), E(x, y)", "Q(h) :- E(x, h), S(x)",
+    "Q(h) :- E(h, h), S(h)", "Q(h) :- E(h, x), E(h, y), S(y)",
+    "Q(h) :- E(x, 'c'), S(h)", "Q(h) :- E(h, 'c'), E(x, y)",
+    "Q(h) :- E(x, y), E(y, x), S(h)", "Q(h) :- E(h, x), S('d')",
+    "Q(h) :- E(h, x), E(x, 'c'), E(y, x)", "Q(u) :- E(u, v), E(v, 'c')",
+))
+
+
+def test_kernels_biject_with_rigid_occurrences():
+    """With head variables and constants: ``m/π → c`` iff ``π`` (its
+    bindings read back as ``m``'s own rigid terms) comes from a kernel
+    of some ``m → c``, for every occurrence of ``⟨m⟩`` and every CCQ
+    ``c`` of a pool member's description, both relative to the pair's
+    constants."""
+    checked = 0
+    for member in RIGID:
+        for target_query in RIGID:
+            constants = pair_constants([member], [target_query])
+            occurrences = list(reference_occurrences(member, constants))
+            for ccq in reference_complete_description(target_query,
+                                                      constants):
+                for kind in KINDS:
+                    found = {occurrence
+                             for kernel in hom_kernels(member, ccq, kind)
+                             for occurrence in _occurrences(
+                                 member, ccq, kernel, constants)}
+                    for labels, occurrence in occurrences:
+                        assert (labels in found) == has_homomorphism(
+                            occurrence, ccq, kind), (
+                            member, ccq, kind, occurrence)
+                        checked += 1
+    assert checked > 3000
+
+
+def test_a_shared_target_head_variable_stands_for_each_member_head():
+    """``Q(h, g)`` into ``Q(u, u)``: a block mapped onto ``u`` is bound
+    to ``h`` in one occurrence and to ``g`` in another, and both map."""
+    member = parse_cq("Q(h, g) :- E(h, x), E(g, g)")
+    target = parse_cq("Q(u, u) :- E(u, u)")
+    [ccq] = reference_complete_description(target, ())
+    [kernel] = hom_kernels(member, ccq)
+    found = set(_occurrences(member, ccq, kernel, ()))
+    assert len(found) == 2
+    assert found == {labels for labels, occurrence
+                     in reference_occurrences(member, ())
+                     if has_homomorphism(occurrence, ccq)}
+
+
+def test_a_rigid_inequality_keeps_two_classes_apart():
+    """``⟨q⟩`` binds ``x ≠ y`` to ``h`` and ``g`` and keeps ``h ≠ g``;
+    ``⟨m⟩``'s CCQ with the same atoms does not.  A bijective kernel
+    from ``m`` reaches both, but only the class without ``h ≠ g`` is
+    ``m``'s: counting it for both would answer ``True``."""
+    q = parse_cq("Q(h, g) :- R(h, x), R(g, y), x != y")
+    plain = parse_cq("Q(h, g) :- R(h, x), R(g, y)")
+    for q2, q1 in ((UCQ([plain, plain]), UCQ([q, plain])),
+                   (UCQ([q, plain]), UCQ([q, plain])),
+                   (UCQ([plain]), UCQ([q]))):
+        _agree(q2, q1, None, None)
+    assert not bi_count_k(UCQ([plain, plain]), UCQ([q, plain]),
+                          float("inf"))
+    assert bi_count_k(UCQ([q, plain]), UCQ([q, plain]), float("inf"))
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_kernel_conditions_match_class_oracles_with_rigid_terms(seed):
+    """Unions of the rigid pool (head variables and constants), each
+    pair in both directions and against itself doubled."""
+    rng = random.Random(seed)
+    fast, slow = ContainmentEngine(), ContainmentEngine()
+    for _ in range(40):
+        q2, q1 = _union(rng, list(RIGID)), _union(rng, list(RIGID))
+        for source, target in ((q2, q1), (q1, q2),
+                               (q1, q1.union(q1)), (q1.union(q1), q1)):
+            _agree(source, target, fast.context, slow.context)
+
+
 # -- the conditions against the class-level oracles -------------------------
 
 
 def _agree(q2: UCQ, q1: UCQ, fast, slow) -> None:
-    assert _rigid_free(q2, q1)
     assert covering_2(q2, q1, context=fast) == class_covering_2(
         q2, q1, context=slow), ("covering_2", q2, q1)
     assert sur_infty(q2, q1, context=fast) == class_sur_infty(
@@ -197,7 +282,8 @@ def test_rigid_free_bag_pair_builds_only_q1_description():
     engine.decide(q1, q2, "N")
     info = engine.cache_info()
     assert info["description_calls"] == 1
-    assert [key for key, _ in engine._descriptions.items()] == [UCQ((q1,))]
+    assert [key for key, _ in engine._descriptions.items()] \
+        == [(UCQ((q1,)), ())]
     assert info["kernel_calls"] > 0
 
 
@@ -210,19 +296,26 @@ def test_zero_offset_raises_before_any_kernel_work():
     assert engine.cache_info()["description_calls"] == 0
 
 
-def test_rigid_pair_takes_the_class_path():
+@pytest.mark.parametrize("q1, q2", [
+    (["Q() :- R(x, 'a')"], ["Q() :- R(x, y)"]),
+    (["Q() :- R(x, 'a')", "Q() :- S(y)"], ["Q() :- R(x, y)", "Q() :- S(y)"]),
+    (["Q(h) :- R(h, h), S(h)"], ["Q(h) :- R(h, y), S(h)"]),
+], ids=["cq-constant", "ucq-constant", "head-variable"])
+@pytest.mark.parametrize("semiring", ["N", "N[X]", "N_2[X]", "Ssur[X]",
+                                      "N_2"])
+def test_rigid_pair_builds_only_q1_description(q1, q2, semiring):
+    """An inequality-free pair with rigid terms reads ``⟨Q2⟩`` through
+    kernels alone: the only description built is ``⟨Q1⟩``'s, relative
+    to the pair's constants."""
     engine = ContainmentEngine()
-    q1 = UCQ((parse_cq("Q() :- R(x, 'a')"),))
-    q2 = UCQ((parse_cq("Q() :- R(x, y)"),))
-    assert not _rigid_free(q2, q1)
-    for condition, oracle in ((covering_2, class_covering_2),
-                              (sur_infty, class_sur_infty)):
-        assert condition(q2, q1, context=engine.context) == oracle(q2, q1)
-    assert bi_count_k(q2, q1, float("inf"), context=engine.context) == (
-        class_bi_count_k(q2, q1, float("inf")))
-    info = engine.cache_info()
-    assert info["kernel_calls"] == 0
-    assert info["description_calls"] == 2
+    verdict = engine.decide(q1, q2, semiring)
+    assert verdict.result is not False
+    union1 = UCQ([parse_cq(text) for text in q1])
+    constants = pair_constants(union1, [parse_cq(text) for text in q2])
+    assert [key for key, _ in engine._descriptions.items()] \
+        in ([], [(union1, constants)])
+    if engine._descriptions:
+        assert engine.cache_info()["kernel_calls"] > 0
 
 
 def test_kernel_layer_recalls_repeated_enumerations():

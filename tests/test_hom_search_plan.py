@@ -17,7 +17,7 @@ from repro.homomorphisms import (HomKind, find_homomorphism,
                                  has_homomorphism, homomorphisms)
 from repro.oracle import find_counterexample
 from repro.queries import CQ, Atom, Var, parse_cq
-from repro.queries.ccq import complete_description
+from repro.queries.ccq import CQWithInequalities, complete_description
 from repro.queries.generators import random_cq
 from tests.reference_search import (reference_find_homomorphism,
                                     reference_homomorphisms)
@@ -96,11 +96,32 @@ def test_inequality_needs_target_inequality_between_existentials():
 
 
 def test_inequality_with_head_variable_images_rejected():
-    # Images must be *existential* target variables: a free variable is
-    # not guaranteed distinct from anything.
+    # A head variable is guaranteed distinct from nothing the target
+    # does not constrain it against.
+    source = parse_cq("Q(z) :- R(x, y), S(z), x != y")
+    target = parse_cq("Q(c) :- R(c, b), S(c), T(b)")
+    assert not has_homomorphism(source, target)
+
+
+def test_inequality_onto_a_constrained_head_variable_allowed():
+    # The target keeps b apart from its head variable c on every
+    # valuation, so x ≠ y survives the images c and b.
     source = parse_cq("Q(z) :- R(x, y), S(z), x != y")
     target = parse_cq("Q(c) :- R(c, b), S(c), b != c")
-    assert not has_homomorphism(source, target)
+    assert has_homomorphism(source, target)
+    assert mapping_set(source, target, HomKind.PLAIN) == \
+        reference_set(source, target, HomKind.PLAIN)
+
+
+def test_inequality_against_a_constant():
+    # x ≠ 'c' maps only where the target keeps the image apart from 'c'.
+    x, b = Var("x"), Var("b")
+    source = CQWithInequalities((), [Atom("R", (x, "c"))], [(x, "c")])
+    apart = CQWithInequalities((), [Atom("R", (b, "c"))], [(b, "c")])
+    assert has_homomorphism(source, apart)
+    assert not has_homomorphism(source, parse_cq("Q() :- R(b, 'c')"))
+    assert not has_homomorphism(source, parse_cq("Q() :- R('c', 'c')"))
+    assert has_homomorphism(source, parse_cq("Q() :- R('d', 'c')"))
 
 
 def test_inequality_incremental_pruning_matches_reference():

@@ -113,17 +113,18 @@ def test_stale_version_rejected(tmp_path):
 
 
 def test_version_4_snapshot_is_refused_as_stale(tmp_path, capsys):
-    # Version 4 rows lack the automorphism-group size a version-5
-    # description row carries: such a file must be refused whole, and a
-    # batch run must start cold and still answer.
+    # Version 4 rows lack the automorphism-group size (and version 5
+    # entries the rigid-term key) a version-6 description carries: such
+    # a file must be refused whole, and a batch run must start cold and
+    # still answer.
     from repro.cli import main
     from repro.queries import UCQ, parse_cq
 
-    assert SNAPSHOT_VERSION == 5
+    assert SNAPSHOT_VERSION == 6
     union = UCQ([parse_cq("Q() :- R(u, v)")])
     warmed = ContainmentEngine()
     rows = tuple(tuple(row[:3])
-                 for row in warmed.complete_description(union))
+                 for row in warmed.complete_description(union, ()))
     path = tmp_path / "v4.snap"
     envelope = {"magic": SNAPSHOT_MAGIC, "version": 4, "semirings": [],
                 "caches": {"descriptions": [(union, rows)]}}

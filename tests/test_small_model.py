@@ -23,16 +23,17 @@ def test_test_points_enumeration():
     """⟨Q1⟩ for Ex. 4.6 has 5 CCQs; a boolean query has one () target
     each."""
     q1 = parse_cq("Q() :- R(u, v), R(u, w)")
-    points = list(small_model_tests(q1))
+    points = list(small_model_tests(q1, ()))
     assert len(points) == 5
     assert all(target == () for _, target in points)
 
 
 def test_test_points_with_free_variables():
     q = parse_cq("Q(x) :- R(x, y)")
-    points = list(small_model_tests(q))
-    # ⟨Q⟩ = {R(x,y)} (only y existential): 2 variables, arity 1 → 2 pts.
-    assert len(points) == 2
+    points = list(small_model_tests(q, ()))
+    # ⟨Q⟩ = {R(x,y) with y ≠ x, R(x,x)} (only y existential, free or
+    # bound to the head variable x): 2 + 1 points of arity 1.
+    assert len(points) == 3
 
 
 def test_example_4_6_tropical():
