@@ -33,8 +33,9 @@ from .algebra import RewriteCheck, check_rewrite, table
 from .api import (ContainmentEngine, ContainmentRequest, EngineStats,
                   VerdictDocument)
 from .core import (Classification, Undecided, Verdict, classify,
-                   decide_cq_containment, decide_ucq_containment, explain,
-                   k_equivalent, small_model_contained)
+                   decide_containment, decide_cq_containment,
+                   decide_ucq_containment, explain, k_equivalent,
+                   small_model_contained)
 from .data import CanonicalInstance, Instance, canonical_instance
 from .homomorphisms import (CanonicalForm, HomKind, are_isomorphic,
                             automorphism_count, bi_count_infty, bi_count_k,
@@ -76,7 +77,8 @@ __all__ = [
     "canonical_form", "canonical_instance", "canonical_key",
     "canonical_rename", "classify", "complete_description",
     "complete_description_ucq", "covering_2", "covering_union", "covers",
-    "decide_cq_containment", "decide_ucq_containment", "endomorphisms",
+    "decide_containment", "decide_cq_containment",
+    "decide_ucq_containment", "endomorphisms",
     "evaluate", "evaluate_all", "find_counterexample", "find_homomorphism",
     "get_semiring", "has_homomorphism", "homomorphisms",
     "is_automorphism", "is_cq_admissible", "isomorphism_classes",

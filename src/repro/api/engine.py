@@ -55,8 +55,7 @@ from collections import OrderedDict
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..core.classes import Classification, classify
-from ..core.containment import (decide_cq_containment,
-                                decide_ucq_containment, k_equivalent)
+from ..core.containment import decide_containment, k_equivalent
 from ..core.context import DecisionContext
 from ..core.small_model import small_model_pairs
 from ..homomorphisms.canonical import CanonicalForm, compute_canonical_form
@@ -477,7 +476,8 @@ class ContainmentEngine(DecisionContext):
 
         ``q1``/``q2`` accept CQ/UCQ objects, Datalog source text, lists
         of member texts, or serialized query dicts.  Singleton unions
-        are decided through the CQ-level procedures.
+        are decided through the CQ-level procedures
+        (:func:`repro.core.containment.decide_containment`).
         """
         self._sync()
         resolved = self.semiring(semiring)
@@ -493,19 +493,8 @@ class ContainmentEngine(DecisionContext):
         if cached is not _MISSING:
             self.stats.verdict_hits += 1
             return cached.with_request(request_id, cached=True)
-        singletons = len(union1) == 1 and len(union2) == 1
-        if equivalence:
-            verdict = (k_equivalent(union1.cqs[0], union2.cqs[0], resolved,
-                                    context=self)
-                       if singletons else
-                       k_equivalent(union1, union2, resolved,
-                                    context=self))
-        elif singletons:
-            verdict = decide_cq_containment(union1.cqs[0], union2.cqs[0],
-                                            resolved, context=self)
-        else:
-            verdict = decide_ucq_containment(union1, union2, resolved,
-                                             context=self)
+        decide = k_equivalent if equivalence else decide_containment
+        verdict = decide(union1, union2, resolved, context=self)
         document = VerdictDocument.from_verdict(
             verdict, semiring=resolved.name, q1=union1, q2=union2,
             request_id=request_id)

@@ -106,12 +106,9 @@ def _explain_contain(engine: ContainmentEngine, args):
     from .core.explain import explain
     from .queries import UCQ
 
-    q1 = [engine.parse(text) for text in args.q1]
-    q2 = [engine.parse(text) for text in args.q2]
-    singletons = len(q1) == 1 and len(q2) == 1
     return explain(
-        q1[0] if singletons else UCQ(tuple(q1)),
-        q2[0] if singletons else UCQ(tuple(q2)),
+        UCQ(tuple(map(engine.parse, args.q1))),
+        UCQ(tuple(map(engine.parse, args.q2))),
         engine.semiring(args.semiring),
         context=engine.context)
 

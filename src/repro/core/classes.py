@@ -12,8 +12,9 @@ through conditions on (CQ-admissible) polynomials and are declared on
 each semiring's :class:`~repro.semirings.base.SemiringProperties`.
 
 The decidable classes are the intersections; this module computes them
-all from a properties record, yielding the dispatch table used by
-:mod:`repro.core.containment`.
+all from a properties record.  :data:`CQ_CLASSES` and :data:`UCQ_CLASSES`
+list them in dispatch priority order, once: the class report and
+:mod:`repro.core.containment`'s dispatch both read these rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 from ..semirings.base import Semiring, SemiringProperties
 
-__all__ = ["Classification", "classify"]
+__all__ = ["CQ_CLASSES", "Classification", "SUFFICIENT_CLASSES", "UCQ_CLASSES",
+           "classify"]
 
 
 @dataclass(frozen=True)
@@ -60,49 +62,42 @@ class Classification:
     small_model: bool
 
     def cq_exact_class(self) -> str | None:
-        """Name of the class whose CQ procedure decides containment, in
-        dispatch priority order; None when only bounds exist."""
-        for name, member in (
-            ("Chom", self.c_hom),
-            ("Chcov", self.c_hcov),
-            ("Cin", self.c_in),
-            ("Csur", self.c_sur),
-            ("Cbi", self.c_bi),
-        ):
-            if member:
-                return name
-        return None
+        """Name of the first :data:`CQ_CLASSES` class the semiring is in;
+        None when only bounds exist."""
+        return self._first(CQ_CLASSES)
 
     def ucq_exact_class(self) -> str | None:
-        """Name of the class whose UCQ procedure decides containment."""
-        for name, member in (
-            ("Chom", self.c_hom),
-            ("C1in", self.c1_in),
-            ("C1hcov", self.c1_hcov),
-            ("C2hcov", self.c2_hcov),
-            ("C1sur", self.c1_sur),
-            ("C∞sur", self.c_inf_sur),
-            ("C1bi", self.c1_bi),
-            ("Ckbi", self.ck_bi),
-            ("C∞bi", self.c_inf_bi),
-        ):
-            if member:
-                return name
-        return None
+        """Name of the first :data:`UCQ_CLASSES` class the semiring is in."""
+        return self._first(UCQ_CLASSES)
 
     def memberships(self) -> dict[str, bool]:
         """All class flags as a name → bool map (for reports)."""
-        return {
-            "Shcov": self.s_hcov, "Sin": self.s_in, "Ssur": self.s_sur,
-            "S1": self.s1,
-            "Chom": self.c_hom, "Chcov": self.c_hcov, "Cin": self.c_in,
-            "Csur": self.c_sur, "Cbi": self.c_bi,
-            "C1in": self.c1_in, "C1hcov": self.c1_hcov,
-            "C2hcov": self.c2_hcov, "C1sur": self.c1_sur,
-            "C∞sur": self.c_inf_sur, "C1bi": self.c1_bi,
-            "Ckbi": self.ck_bi, "C∞bi": self.c_inf_bi,
-            "small-model": self.small_model,
-        }
+        return {name: getattr(self, flag) for name, flag in (
+            *SUFFICIENT_CLASSES, *CQ_CLASSES, *UCQ_CLASSES,
+            ("small-model", "small_model"))}
+
+    def _first(self, rows) -> str | None:
+        for name, flag in rows:
+            if getattr(self, flag):
+                return name
+        return None
+
+
+#: The axiomatic sufficient classes as ``(name, field)`` rows.
+SUFFICIENT_CLASSES = (("Shcov", "s_hcov"), ("Sin", "s_in"), ("Ssur", "s_sur"),
+                      ("S1", "s1"))
+
+#: Table 1's decidable CQ classes as ``(name, field)`` rows, in dispatch
+#: priority order: the first class a semiring is in decides its CQ pairs
+#: with that class's procedure in :mod:`repro.core.containment`.
+CQ_CLASSES = (("Chom", "c_hom"), ("Chcov", "c_hcov"), ("Cin", "c_in"),
+              ("Csur", "c_sur"), ("Cbi", "c_bi"))
+
+#: The decidable UCQ classes, likewise in dispatch priority order.
+UCQ_CLASSES = (("Chom", "c_hom"), ("C1in", "c1_in"), ("C1hcov", "c1_hcov"),
+               ("C2hcov", "c2_hcov"), ("C1sur", "c1_sur"),
+               ("C∞sur", "c_inf_sur"), ("C1bi", "c1_bi"), ("Ckbi", "ck_bi"),
+               ("C∞bi", "c_inf_bi"))
 
 
 def classify(semiring: Semiring | SemiringProperties,

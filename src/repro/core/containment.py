@@ -1,20 +1,19 @@
 """Top-level containment decision procedures (the paper's Table 1).
 
-:func:`decide_cq_containment` and :func:`decide_ucq_containment` answer
-``Q1 ⊆K Q2`` for any registered semiring by dispatching on its
-classification:
-
-=========  ==========================================  ==============
-class      CQ procedure                                UCQ procedure
-=========  ==========================================  ==============
-Chom       homomorphism ``Q2 → Q1``                    local ``→``
-Chcov      homomorphic covering ``Q2 ⇉ Q1``            —
-C1/2hcov   —                                           ``⇉1`` / ``⟨⟩⇉2⟨⟩``
-Cin/C1in   injective ``Q2 →֒ Q1``                       local ``→֒``
-Csur       surjective ``Q2 ։ Q1``                      ``։1`` / ``⟨⟩։∞⟨⟩``
-Cbi        bijective ``Q2 →֒→ Q1``                      ``→֒1/→֒k/→֒∞``
-S¹+order   small model (Thm. 4.17)                     small model
-=========  ==========================================  ==============
+:func:`decide_containment` answers ``Q1 ⊆K Q2`` for any registered
+semiring: a pair of CQs or singleton unions goes to
+:func:`decide_cq_containment`, any other pair to
+:func:`decide_ucq_containment`.  Each dispatches through one table.
+The rows :data:`repro.core.classes.CQ_CLASSES` and
+:data:`repro.core.classes.UCQ_CLASSES` list the decidable classes in
+priority order, and :data:`CQ_PROCEDURES` and :data:`UCQ_PROCEDURES`
+map each class name to its procedure: the verdict's method, the
+theorem, and the condition, which these procedures call through this
+module's globals when they run (so a replaced
+``repro.core.containment.local_condition``, say, reaches every
+dispatch).  A semiring in no class falls back to the small-model
+procedure (Thm. 4.17) when it is ⊕-idempotent with a decidable
+polynomial order.
 
 The procedures that read complete descriptions (``⇉2``, ``։∞``,
 ``→֒k``, the small model and the bag bounds) run once per head pattern
@@ -48,7 +47,62 @@ from .context import DecisionContext, resolve_context
 from .small_model import small_model_contained
 from .verdict import Verdict
 
-__all__ = ["decide_cq_containment", "decide_ucq_containment", "k_equivalent"]
+__all__ = ["decide_containment", "decide_cq_containment",
+           "decide_ucq_containment", "k_equivalent"]
+
+
+def _local(kind: HomKind) -> Callable:
+    return lambda q1, q2, cls, ctx: local_condition(q2, q1, kind,
+                                                    context=ctx)
+
+
+def _per_pattern(condition: Callable) -> Callable:
+    """``condition`` on every head pattern of the pair
+    (:func:`repro.queries.ccq.head_patterns`): a condition that reads
+    ``⟨Q⟩`` is exact only where the head values differ from each other
+    and from the constants."""
+    def every(q1, q2, cls, ctx):
+        for p1, p2 in head_patterns(q1, q2):
+            if not condition(p1, p2, cls, ctx):
+                return False
+        return True
+    return every
+
+
+#: The procedure of each :data:`~repro.core.classes.CQ_CLASSES` class:
+#: ``(method, theorem, kind)``, deciding by a homomorphism ``Q2 → Q1`` of
+#: that kind (None: by a homomorphic covering ``Q2 ⇉ Q1``).
+CQ_PROCEDURES = {
+    "Chom": ("homomorphism", "Thm. 3.3", HomKind.PLAIN),
+    "Chcov": ("homomorphic-covering", "Thm. 4.3", None),
+    "Cin": ("injective-homomorphism", "Thm. 4.9", HomKind.INJECTIVE),
+    "Csur": ("surjective-homomorphism", "Thm. 4.14", HomKind.SURJECTIVE),
+    "Cbi": ("bijective-homomorphism", "Thm. 4.10", HomKind.BIJECTIVE),
+}
+
+#: The procedure of each :data:`~repro.core.classes.UCQ_CLASSES` class:
+#: ``(method, theorem, condition)``, deciding by
+#: ``condition(q1, q2, classification, context)``; ``{k}`` in a theorem
+#: is the semiring's offset.
+UCQ_PROCEDURES = {
+    # Holds once the local homomorphism, checked first, exists.
+    "Chom": ("local-homomorphism", "Thm. 5.2", lambda *args: True),
+    "C1in": ("local-injective", "Thm. 5.6", _local(HomKind.INJECTIVE)),
+    "C1hcov": ("union-covering", "Thm. 5.24, k = 1",
+               lambda q1, q2, cls, ctx: covering_union(q2, q1, context=ctx)),
+    "C2hcov": ("union-covering-2", "Thm. 5.24, k = 2", _per_pattern(
+        lambda q1, q2, cls, ctx: covering_2(q2, q1, context=ctx))),
+    "C1sur": ("local-surjective", "Cor. 5.18", _local(HomKind.SURJECTIVE)),
+    "C∞sur": ("sur-infty-matching", "Thm. 5.17", _per_pattern(
+        lambda q1, q2, cls, ctx: sur_infty(q2, q1, context=ctx))),
+    "C1bi": ("local-bijective", "Thm. 5.13, k = 1",
+             _local(HomKind.BIJECTIVE)),
+    "Ckbi": ("bi-count-k", "Thm. 5.13, k = {k}", _per_pattern(
+        lambda q1, q2, cls, ctx: bi_count_k(q2, q1, cls.offset,
+                                            context=ctx))),
+    "C∞bi": ("bi-count-infty", "Prop. 5.10 / Prop. 5.9", _per_pattern(
+        lambda q1, q2, cls, ctx: bi_count_infty(q2, q1, context=ctx))),
+}
 
 
 def _check_arity(q1, q2) -> None:
@@ -56,6 +110,33 @@ def _check_arity(q1, q2) -> None:
         raise ValueError(
             f"containment compares queries of equal arity, got "
             f"{q1.arity} and {q2.arity}")
+
+
+def _k_label(offset: float) -> str:
+    return "∞" if math.isinf(offset) else str(int(offset))
+
+
+def _single(query) -> CQ | None:
+    """The CQ a query or singleton union stands for, else None."""
+    if isinstance(query, CQ):
+        return query
+    if isinstance(query, UCQ) and len(query.cqs) == 1:
+        return query.cqs[0]
+    return None
+
+
+def decide_containment(q1, q2, semiring, *,
+                       context: DecisionContext | None = None) -> Verdict:
+    """Decide ``Q1 ⊆K Q2`` for CQs or UCQs.
+
+    A pair of CQs or singleton unions is decided through the CQ-level
+    procedures, any other pair through the UCQ-level ones; ``context``
+    is forwarded as in :func:`decide_cq_containment`.
+    """
+    cq1, cq2 = _single(q1), _single(q2)
+    if cq1 is not None and cq2 is not None:
+        return decide_cq_containment(cq1, cq2, semiring, context=context)
+    return decide_ucq_containment(q1, q2, semiring, context=context)
 
 
 def decide_cq_containment(q1: CQ, q2: CQ, semiring, *,
@@ -82,32 +163,21 @@ def decide_cq_containment(q1: CQ, q2: CQ, semiring, *,
                                    "is necessary over every positive "
                                    "semiring")
 
-    if cls.c_hom:
-        return Verdict(True, "homomorphism", certificate=witness,
-                       explanation=f"{semiring.name} ∈ Chom (Thm. 3.3)")
-    if cls.c_hcov:
-        holds = covers(q2, q1, context=ctx)
-        return Verdict(holds, "homomorphic-covering",
-                       explanation=f"{semiring.name} ∈ Chcov (Thm. 4.3)")
-    if cls.c_in:
-        mapping = ctx.find_homomorphism(q2, q1, HomKind.INJECTIVE)
-        return Verdict(mapping is not None, "injective-homomorphism",
-                       certificate=mapping,
-                       explanation=f"{semiring.name} ∈ Cin (Thm. 4.9)")
-    if cls.c_sur:
-        mapping = ctx.find_homomorphism(q2, q1, HomKind.SURJECTIVE)
-        return Verdict(mapping is not None, "surjective-homomorphism",
-                       certificate=mapping,
-                       explanation=f"{semiring.name} ∈ Csur (Thm. 4.14)")
-    if cls.c_bi:
-        mapping = ctx.find_homomorphism(q2, q1, HomKind.BIJECTIVE)
-        return Verdict(mapping is not None, "bijective-homomorphism",
-                       certificate=mapping,
-                       explanation=f"{semiring.name} ∈ Cbi (Thm. 4.10)")
-    # No CQ-specific characterization: the UCQ machinery (on singleton
-    # unions) and the small-model procedure still apply.
-    return decide_ucq_containment(UCQ((q1,)), UCQ((q2,)), semiring,
-                                  context=ctx)
+    name = cls.cq_exact_class()
+    if name is None:
+        # No CQ-specific characterization: the UCQ machinery (on
+        # singleton unions) and the small-model procedure still apply.
+        return decide_ucq_containment(UCQ((q1,)), UCQ((q2,)), semiring,
+                                      context=ctx)
+    method, reference, kind = CQ_PROCEDURES[name]
+    if kind is None:
+        holds, mapping = covers(q2, q1, context=ctx), None
+    else:
+        mapping = (witness if kind is HomKind.PLAIN
+                   else ctx.find_homomorphism(q2, q1, kind))
+        holds = mapping is not None
+    return Verdict(holds, method, certificate=mapping,
+                   explanation=f"{semiring.name} ∈ {name} ({reference})")
 
 
 def decide_ucq_containment(q1, q2, semiring, *,
@@ -135,51 +205,12 @@ def decide_ucq_containment(q1, q2, semiring, *,
                                    "homomorphism from any member of Q2; "
                                    "necessary over every positive semiring")
 
-    if cls.c_hom:
-        return Verdict(True, "local-homomorphism",
-                       explanation=f"{semiring.name} ∈ Chom (Thm. 5.2)")
-    if cls.c1_in:
-        holds = local_condition(q2, q1, HomKind.INJECTIVE, context=ctx)
-        return Verdict(holds, "local-injective",
-                       explanation=f"{semiring.name} ∈ C1in (Thm. 5.6)")
-    if cls.c1_hcov:
-        holds = covering_union(q2, q1, context=ctx)
-        return Verdict(holds, "union-covering",
-                       explanation=f"{semiring.name} ∈ C1hcov "
-                                   "(Thm. 5.24, k = 1)")
-    if cls.c2_hcov:
-        holds = _every_pattern(
-            q1, q2, lambda p1, p2: covering_2(p2, p1, context=ctx))
-        return Verdict(holds, "union-covering-2",
-                       explanation=f"{semiring.name} ∈ C2hcov "
-                                   "(Thm. 5.24, k = 2)")
-    if cls.c1_sur:
-        holds = local_condition(q2, q1, HomKind.SURJECTIVE, context=ctx)
-        return Verdict(holds, "local-surjective",
-                       explanation=f"{semiring.name} ∈ C1sur (Cor. 5.18)")
-    if cls.c_inf_sur:
-        holds = _every_pattern(
-            q1, q2, lambda p1, p2: sur_infty(p2, p1, context=ctx))
-        return Verdict(holds, "sur-infty-matching",
-                       explanation=f"{semiring.name} ∈ C∞sur (Thm. 5.17)")
-    if cls.c1_bi:
-        holds = local_condition(q2, q1, HomKind.BIJECTIVE, context=ctx)
-        return Verdict(holds, "local-bijective",
-                       explanation=f"{semiring.name} ∈ C1bi "
-                                   "(Thm. 5.13, k = 1)")
-    if cls.ck_bi:
-        holds = _every_pattern(
-            q1, q2,
-            lambda p1, p2: bi_count_k(p2, p1, cls.offset, context=ctx))
-        return Verdict(holds, "bi-count-k",
-                       explanation=f"{semiring.name} ∈ Ckbi "
-                                   f"(Thm. 5.13, k = {int(cls.offset)})")
-    if cls.c_inf_bi:
-        holds = _every_pattern(
-            q1, q2, lambda p1, p2: bi_count_infty(p2, p1, context=ctx))
-        return Verdict(holds, "bi-count-infty",
-                       explanation=f"{semiring.name} ∈ C∞bi (Prop. 5.10 / "
-                                   "Prop. 5.9)")
+    name = cls.ucq_exact_class()
+    if name is not None:
+        method, reference, condition = UCQ_PROCEDURES[name]
+        reference = reference.format(k=_k_label(cls.offset))
+        return Verdict(condition(q1, q2, cls, ctx), method,
+                       explanation=f"{semiring.name} ∈ {name} ({reference})")
     if cls.small_model:
         holds = small_model_contained(q1, q2, semiring, context=ctx)
         return Verdict(holds, "small-model",
@@ -193,15 +224,6 @@ def decide_ucq_containment(q1, q2, semiring, *,
         if first is None or first.result and verdict.result is None:
             first = verdict
     return first
-
-
-def _every_pattern(q1: UCQ, q2: UCQ,
-                   holds: Callable[[UCQ, UCQ], bool]) -> bool:
-    """True iff ``holds`` on every head pattern of the pair
-    (:func:`repro.queries.ccq.head_patterns`): a condition that reads
-    ``⟨Q⟩`` is exact only where the head values differ from each other
-    and from the constants."""
-    return all(holds(p1, p2) for p1, p2 in head_patterns(q1, q2))
 
 
 def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
@@ -252,11 +274,9 @@ def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
         sufficient.append(
             ("→֒ locally", lambda: local_condition(
                 q2, q1, HomKind.INJECTIVE, context=context)))
-    offset = cls.offset
-    k_label = "∞" if math.isinf(offset) else str(int(offset))
     sufficient.append(
-        (f"⟨Q2⟩ →֒{k_label} ⟨Q1⟩ (Prop. 5.12)",
-         lambda: bi_count_k(q2, q1, offset, context=context)))
+        (f"⟨Q2⟩ →֒{_k_label(cls.offset)} ⟨Q1⟩ (Prop. 5.12)",
+         lambda: bi_count_k(q2, q1, cls.offset, context=context)))
     for description, holds in sufficient:
         if holds():
             return Verdict(True, "sufficient-condition",
@@ -277,19 +297,14 @@ def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
 
 def k_equivalent(q1, q2, semiring, *,
                  context: DecisionContext | None = None) -> Verdict:
-    """Decide ``Q1 ≡K Q2`` via mutual containment (requirement (C2))."""
+    """Decide ``Q1 ≡K Q2`` via mutual containment (requirement (C2)),
+    each direction through :func:`decide_containment`."""
     context = resolve_context(context)
-    forward = (decide_cq_containment(q1, q2, semiring, context=context)
-               if isinstance(q1, CQ) and isinstance(q2, CQ)
-               else decide_ucq_containment(q1, q2, semiring,
-                                           context=context))
+    forward = decide_containment(q1, q2, semiring, context=context)
     if forward.result is False:
         return Verdict(False, forward.method, certificate=forward.certificate,
                        explanation=f"Q1 ⊆K Q2 fails: {forward.explanation}")
-    backward = (decide_cq_containment(q2, q1, semiring, context=context)
-                if isinstance(q1, CQ) and isinstance(q2, CQ)
-                else decide_ucq_containment(q2, q1, semiring,
-                                            context=context))
+    backward = decide_containment(q2, q1, semiring, context=context)
     if backward.result is False:
         return Verdict(False, backward.method,
                        certificate=backward.certificate,

@@ -14,8 +14,8 @@ from typing import Any
 from ..homomorphisms.search import HomKind
 from ..oracle.brute_force import Counterexample, find_counterexample
 from ..queries.cq import CQ
-from .containment import decide_cq_containment, decide_ucq_containment
-from .context import resolve_context
+from ..queries.ucq import as_ucq
+from .containment import CQ_PROCEDURES, decide_containment
 from .verdict import Verdict
 
 __all__ = ["check_homomorphism_certificate", "Explanation", "explain"]
@@ -59,12 +59,9 @@ def _all_variables(query: CQ):
     return {v for atom in query.atoms for v in atom.variables()}
 
 
-_METHOD_KINDS = {
-    "homomorphism": HomKind.PLAIN,
-    "injective-homomorphism": HomKind.INJECTIVE,
-    "surjective-homomorphism": HomKind.SURJECTIVE,
-    "bijective-homomorphism": HomKind.BIJECTIVE,
-}
+#: The homomorphism kind behind each CQ method that certifies a mapping.
+_METHOD_KINDS = {method: kind for method, _, kind in CQ_PROCEDURES.values()
+                 if kind is not None}
 
 
 @dataclass(frozen=True)
@@ -97,23 +94,22 @@ class Explanation:
 
 def explain(q1, q2, semiring, witness_budget: int = 1500, *,
             context=None) -> Explanation:
-    """Decide ``Q1 ⊆K Q2`` and attach checkable evidence.
+    """Decide ``Q1 ⊆K Q2`` (through
+    :func:`~repro.core.containment.decide_containment`) and attach
+    checkable evidence.
 
     ``context`` threads a :class:`~repro.core.context.DecisionContext`
     into the decision (pass ``engine.context`` so the explanation
     reuses — and warms — an engine's caches; ``None``: a fresh engine).
     """
-    context = resolve_context(context)
-    if isinstance(q1, CQ) and isinstance(q2, CQ):
-        verdict = decide_cq_containment(q1, q2, semiring, context=context)
-    else:
-        verdict = decide_ucq_containment(q1, q2, semiring, context=context)
+    verdict = decide_containment(q1, q2, semiring, context=context)
     certificate_valid = None
-    if (verdict.result is True and verdict.certificate is not None
-            and verdict.method in _METHOD_KINDS
-            and isinstance(q1, CQ) and isinstance(q2, CQ)):
+    kind = _METHOD_KINDS.get(verdict.method)
+    if verdict.result is True and verdict.certificate is not None \
+            and kind is not None:
+        # A CQ method: both sides are CQs or singleton unions.
         certificate_valid = check_homomorphism_certificate(
-            q2, q1, verdict.certificate, _METHOD_KINDS[verdict.method])
+            as_ucq(q2).cqs[0], as_ucq(q1).cqs[0], verdict.certificate, kind)
     witness = None
     if verdict.result is False:
         witness = find_counterexample(q1, q2, semiring,
