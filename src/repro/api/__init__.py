@@ -18,15 +18,15 @@ be embedded in services, batch pipelines and golden-file tests::
 The CLI, the examples and the benchmarks all route through this facade.
 """
 
-from .batch import (BatchError, error_text, process_lines,
+from .batch import (DecisionError, error_text, process_lines,
                     requests_from_lines)
 from .documents import ContainmentRequest, VerdictDocument
 from .engine import ContainmentEngine, EngineStats, stats_report
 
 __all__ = [
-    "BatchError",
     "ContainmentEngine",
     "ContainmentRequest",
+    "DecisionError",
     "EngineStats",
     "VerdictDocument",
     "error_text",

@@ -13,23 +13,26 @@ becomes
     {"result": false, "method": "homomorphism", ...}
 
 Used by ``python -m repro batch`` and directly importable for services.
-With a :class:`~repro.service.pool.WorkerPool`, :func:`process_lines`
-pipelines the same stream across worker processes — output order and
-in-band error positions are identical to the sequential run.
+Every JSONL front end reads its lines through :func:`decode_line` and
+answers failures with one in-band type, :class:`DecisionError`.  With
+a :class:`~repro.service.pool.WorkerPool`, :func:`process_lines` runs
+the same stream on :meth:`~repro.service.pool.WorkerPool.decide_stream`
+— output order and in-band error positions are identical to the
+sequential run.
 """
 
 from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Mapping
 
 from .documents import ContainmentRequest, coerce_request_id
 from .engine import ContainmentEngine
 
-__all__ = ["BatchError", "REQUEST_ERRORS", "error_text", "process_lines",
-           "requests_from_lines"]
+__all__ = ["DecisionError", "REQUEST_ERRORS", "decode_line", "error_text",
+           "process_lines", "request_id_of", "requests_from_lines"]
 
 #: Exceptions a decision may raise that are *request* problems, not
 #: engine or pool problems — reported in-band (a query ``ParseError``
@@ -49,19 +52,57 @@ def error_text(error: BaseException) -> str:
 
 
 @dataclass(frozen=True)
-class BatchError:
-    """A per-line failure, reported in-band in the output stream."""
+class DecisionError:
+    """An in-band per-request failure.
 
-    line: int
+    The message text, the request's correlation id (when one was
+    readable) and, in ``batch`` output, the input line number.  Fields
+    that are not set are left out of :meth:`to_dict`, so ``serve``
+    answers ``{"error": ..., "id": ...}`` and ``batch`` answers
+    ``{"line": n, "error": ..., "id": ...}``.
+    """
+
     error: str
     id: str | None = None
+    line: int | None = None
 
     def to_dict(self) -> dict:
         """Plain JSON-able representation."""
-        data: dict = {"line": self.line, "error": self.error}
+        data: dict = {} if self.line is None else {"line": self.line}
+        data["error"] = self.error
         if self.id is not None:
             data["id"] = self.id
         return data
+
+
+def request_id_of(item) -> str | None:
+    """The correlation id of a raw request, when one is readable."""
+    if isinstance(item, Mapping):
+        try:
+            return coerce_request_id(item.get("id"))
+        except TypeError:
+            pass
+    return None
+
+
+def decode_line(line: str) -> dict | DecisionError | None:
+    """Decode one JSONL request line.
+
+    Returns ``None`` for a blank or ``#`` comment line, the decoded
+    JSON object, or a :class:`DecisionError` when the line is not a
+    JSON object — nesting too deep for the decoder included, so no
+    line can crash the stream.
+    """
+    text = line.strip()
+    if not text or text.startswith("#"):
+        return None
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as error:
+        return DecisionError(error_text(error))
+    if not isinstance(data, dict):
+        return DecisionError("request line must be a JSON object")
+    return data
 
 
 def requests_from_lines(lines: Iterable[str], *, parse=None
@@ -69,26 +110,36 @@ def requests_from_lines(lines: Iterable[str], *, parse=None
     """Parse JSONL request lines into ``(lineno, request-or-error)``.
 
     Blank lines and ``#`` comments are skipped.  Malformed lines yield
-    a :class:`BatchError` instead of raising, so callers can keep
-    streaming.
+    a :class:`DecisionError` carrying the line number instead of
+    raising, so callers can keep streaming.
     """
     for lineno, line in enumerate(lines, 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
+        data = decode_line(line)
+        if data is None:
             continue
-        request_id = None
+        if isinstance(data, DecisionError):
+            yield lineno, replace(data, line=lineno)
+            continue
         try:
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise ValueError("request line must be a JSON object")
-            try:
-                request_id = coerce_request_id(data.get("id"))
-            except TypeError:
-                request_id = None  # unusable id: not echoed on errors
-            yield lineno, ContainmentRequest.from_dict(data, parse=parse)
+            request = ContainmentRequest.from_dict(data, parse=parse)
         except REQUEST_ERRORS as error:
-            yield lineno, BatchError(lineno, error_text(error),
-                                     id=request_id)
+            yield lineno, DecisionError(error_text(error),
+                                        id=request_id_of(data), line=lineno)
+            continue
+        yield lineno, request
+
+
+def _decide_each(engine: ContainmentEngine, items: Iterable
+                 ) -> Iterator[object]:
+    """Decide requests in process, passing in-band errors through."""
+    for item in items:
+        if isinstance(item, DecisionError):
+            yield item
+            continue
+        try:
+            yield engine.decide_request(item)
+        except REQUEST_ERRORS as error:
+            yield DecisionError(error_text(error), id=item.id)
 
 
 def process_lines(engine: ContainmentEngine, lines: Iterable[str], *,
@@ -96,62 +147,25 @@ def process_lines(engine: ContainmentEngine, lines: Iterable[str], *,
     """Decide a JSONL request stream, yielding JSON-able result dicts.
 
     Each yielded dict is either a verdict document or an in-band error
-    object ``{"line": n, "error": ...}``.  Pass a
-    :class:`~repro.service.pool.WorkerPool` as ``pool`` to decide
-    across worker processes: lines are still parsed here (through the
-    engine's interning cache), requests are pipelined through the pool
-    with bounded look-ahead, and results come out in input order with
-    in-band errors in exactly the positions of a sequential run.  The
-    caller owns the pool's lifecycle.
+    object ``{"line": n, "error": ...}``.  Lines are always parsed
+    here, through the engine's interning cache.  Pass a
+    :class:`~repro.service.pool.WorkerPool` as ``pool`` to decide them
+    on :meth:`~repro.service.pool.WorkerPool.decide_stream`: results
+    come out in input order with in-band errors in exactly the
+    positions of a sequential run.  The caller owns the pool's
+    lifecycle.
     """
-    if pool is None:
+    linenos: deque[int] = deque()
+
+    def items() -> Iterator[object]:
         for lineno, item in requests_from_lines(lines, parse=engine.parse):
-            if isinstance(item, BatchError):
-                yield item.to_dict()
-                continue
-            try:
-                yield engine.decide_request(item).to_dict()
-            except REQUEST_ERRORS as error:
-                yield BatchError(lineno, error_text(error),
-                                 id=item.id).to_dict()
-        return
-    yield from _process_lines_pooled(engine, lines, pool)
+            linenos.append(lineno)
+            yield item
 
-
-def _process_lines_pooled(engine: ContainmentEngine, lines: Iterable[str],
-                          pool) -> Iterator[dict]:
-    """The pool-backed pipeline behind :func:`process_lines`."""
-    from ..service.pool import DecisionError
-
-    window = 32 * pool.workers
-    # Head-of-line entries: ("done", dict) for already-resolved lines,
-    # ("seq", token, lineno, id) for requests in flight on the pool.
-    pending: deque = deque()
-
-    def resolve(entry) -> dict:
-        if entry[0] == "done":
-            return entry[1]
-        _, token, lineno, request_id = entry
-        outcome = pool.result(token)
+    outcomes = (_decide_each(engine, items()) if pool is None
+                else pool.decide_stream(items()))
+    for outcome in outcomes:
+        lineno = linenos.popleft()
         if isinstance(outcome, DecisionError):
-            return BatchError(lineno, outcome.error,
-                              id=outcome.id if outcome.id is not None
-                              else request_id).to_dict()
-        return outcome.to_dict()
-
-    for lineno, item in requests_from_lines(lines, parse=engine.parse):
-        if isinstance(item, BatchError):
-            pending.append(("done", item.to_dict()))
-        else:
-            try:
-                pending.append(("seq", pool.submit(item), lineno, item.id))
-            except RuntimeError as error:  # dead shard: stay in-band
-                pending.append(("done", BatchError(
-                    lineno, str(error), id=item.id).to_dict()))
-        # Yield everything already decided (head-of-line), and block on
-        # the head once the look-ahead window is full.
-        while pending and (pending[0][0] == "done"
-                           or len(pending) >= window):
-            yield resolve(pending.popleft())
-    while pending:
-        yield resolve(pending.popleft())
+            outcome = replace(outcome, line=lineno)
+        yield outcome.to_dict()

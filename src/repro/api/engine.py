@@ -592,18 +592,15 @@ class ContainmentEngine(DecisionContext):
         cold runs (a restored verdict layer answers with
         ``cached: true``).
         """
-        # The ``id()`` keys below never leave the process: they only
-        # re-key live semiring instances by registry name while the
-        # export payload is being built.
-        names = {id(semiring): semiring.name  # repro-lint: disable=RL004
-                 for semiring in self.registry}
+        # Semiring instances hash by identity, as in the stores.
+        names = {semiring: semiring.name for semiring in self.registry}
         state: dict[str, list] = {}
         for layer in CACHE_LAYERS:
             if not layer.keyed_by_semiring:
                 state[layer.name] = getattr(self, layer.attr).items()
         classifications = []
         for semiring, classification in self._classifications.items():
-            name = names.get(id(semiring))  # repro-lint: disable=RL004
+            name = names.get(semiring)
             if name is not None:
                 classifications.append((name, classification))
         state["classifications"] = classifications
@@ -611,7 +608,7 @@ class ContainmentEngine(DecisionContext):
         if include_verdicts:
             for (semiring, q1, q2, equivalence), document \
                     in self._verdicts.items():
-                name = names.get(id(semiring))  # repro-lint: disable=RL004
+                name = names.get(semiring)
                 if name is not None:
                     verdicts.append(((name, q1, q2, equivalence), document))
         state["verdicts"] = verdicts

@@ -265,7 +265,7 @@ def _cmd_serve(args) -> int:
     except KeyboardInterrupt:
         pass  # graceful: final flush happens below
     finally:
-        close_stats = gateway.server.close()
+        close_stats = gateway.close()
         pool.close()
     flush_error = close_stats.get("flush_error")
     if flush_error:

@@ -1,6 +1,6 @@
 """``repro.service`` — the containment engine as a deployable service.
 
-Four layers turn the cached :class:`~repro.api.ContainmentEngine`
+Four modules turn the cached :class:`~repro.api.ContainmentEngine`
 library facade into a scalable, self-healing decision service:
 
 * :mod:`repro.service.pool` — :class:`WorkerPool`, a multiprocess
@@ -14,21 +14,23 @@ library facade into a scalable, self-healing decision service:
 * :mod:`repro.service.snapshot` — versioned, validated warm-start
   snapshots of every engine cache layer, so short-lived CLI batch runs
   stop re-paying for structural work;
-* :mod:`repro.service.server` — :class:`DecisionServer`, the JSONL
-  protocol's control ops, request counters and periodic snapshot
-  flushes;
 * :mod:`repro.service.gateway` — :class:`AsyncGateway`, the one front
   end behind ``python -m repro serve``: stdio or TCP on one event loop,
   with per-connection pipelining, bounded input lines, bounded
-  admission with load shedding, and per-request deadlines, while
-  :mod:`repro.service.metrics` counts every admission and supervision
-  event for the ``stats`` op.
+  admission with load shedding, per-request deadlines, the protocol's
+  control ops and periodic snapshot flushes;
+* :mod:`repro.service.metrics` — :class:`ServiceMetrics`, which counts
+  every admission and supervision event for the ``stats`` op.
+
+Per-request failures are :class:`~repro.api.batch.DecisionError`
+values, re-exported here: the one in-band error type of ``batch``,
+``serve`` and the pool.
 """
 
+from ..api.batch import DecisionError
 from .gateway import AsyncGateway
 from .metrics import ServiceMetrics
-from .pool import DecisionError, WorkerPool, shard_key
-from .server import DecisionServer
+from .pool import WorkerPool, shard_key
 from .snapshot import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SnapshotError,
                        load_snapshot, merge_states, read_snapshot,
                        save_snapshot, write_snapshot)
@@ -36,7 +38,6 @@ from .snapshot import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SnapshotError,
 __all__ = [
     "AsyncGateway",
     "DecisionError",
-    "DecisionServer",
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_VERSION",
     "ServiceMetrics",

@@ -1,13 +1,44 @@
 """The one ``serve`` front end: asyncio JSONL over stdio or TCP.
 
-:class:`AsyncGateway` speaks the :mod:`repro.service.server` protocol
-on a single event loop, deciding on one self-healing
+:class:`AsyncGateway` speaks the ``serve`` protocol on a single event
+loop, deciding on one self-healing
 :class:`~repro.service.pool.WorkerPool` (a pool of one worker by
 default, so a long decision never blocks the loop).  TCP connections
 (:meth:`AsyncGateway.serve`) and stdin/stdout
 (:meth:`AsyncGateway.serve_stdio`) run the same per-connection
-conversation, so every behaviour below applies to both:
+conversation, so everything below applies to both.
 
+Protocol
+--------
+One JSON object per line.  A *decision* request is exactly the JSONL
+batch format::
+
+    {"semiring": "B", "q1": "Q() :- R(x, y)", "q2": "Q() :- R(x, x)",
+     "id": "r1"}
+
+and is answered with the verdict document (the ``request_id`` echoes
+``id``).  Lines are decoded by :func:`repro.api.batch.decode_line`, as
+``batch`` decodes them.  Malformed lines (nesting too deep to decode
+included) and per-request failures are answered *in-band* as
+``{"error": ..., "id": ...}`` — the service never dies on a bad
+request.  Blank lines and ``#`` comments are ignored.
+
+A *control* request is an object with an ``"op"`` key:
+
+``{"op": "ping"}``
+    liveness probe; answers ``{"op": "ping", "ok": true}``.
+``{"op": "stats"}``
+    the per-worker ``cache_info()`` counter list (``workers``), a
+    layered ``cache_stats`` report over their sum — every cache layer,
+    poly_leq certificates included, with zero-division-safe hit ratios
+    — and the serving layer's ``service`` counters.
+``{"op": "snapshot"}``
+    flush the warm-start snapshot now; answers the per-layer counts.
+``{"op": "shutdown"}``
+    acknowledge, drain, flush the snapshot, and stop serving.
+
+Serving
+-------
 **Pipelining.**  A client may write many request lines without
 waiting; the gateway submits each to the worker pool as it arrives
 and writes responses back *in request order*, overlapping the pool's
@@ -31,6 +62,14 @@ is abandoned; the eventual verdict is discarded instead of leaking.
 unterminated) line is drained in bounded chunks and answered in-band
 with ``{"error": ..., "oversized": true}``, never buffered whole.
 
+**Snapshot flushes.**  When the pool has a snapshot path, the gateway
+flushes it every ``flush_every`` decisions and/or every
+``flush_interval`` seconds, so a crash loses at most one flush window
+of cache warmth, and once more on :meth:`AsyncGateway.close`, which
+returns the final counters *including* any flush failure, so
+supervising callers see a broken snapshot path instead of silently
+losing warmth.
+
 EOF ends a conversation after its pipeline drains; on stdio that also
 stops serving, as does a ``shutdown`` op on any conversation.  Stdin
 may be a pipe, a regular file or ``/dev/null``: asyncio's pipe
@@ -41,11 +80,11 @@ flow control), and responses are written to stdout directly.
 Admission outcomes are counted in the pool's
 :class:`~repro.service.metrics.ServiceMetrics` (``accepted`` / ``shed``
 / ``expired``) next to its respawn/steal counters.  The event loop
-calls the pool only to normalize, submit, bridge or abandon a request,
-and the server only to count it; every other server or pool call
-(control ops, snapshot flushes, the final close) goes through
-:meth:`AsyncGateway._offload` onto an executor thread, so a stats
-broadcast never stalls the event loop.
+calls the pool only to normalize, submit, bridge or abandon a request;
+it keeps the ``served``/``errors`` counters and decides when a flush
+is due itself.  Every blocking call (control ops, snapshot flushes,
+the final close) goes through :meth:`AsyncGateway._offload` onto an
+executor thread, so a stats broadcast never stalls the event loop.
 """
 
 from __future__ import annotations
@@ -57,9 +96,10 @@ import os
 import sys
 import threading
 
-from ..api.batch import REQUEST_ERRORS, error_text
-from .pool import DecisionError, WorkerPool, request_id_of
-from .server import DecisionServer
+from ..api.batch import (REQUEST_ERRORS, DecisionError, decode_line,
+                         error_text, request_id_of)
+from ..api.engine import stats_report
+from .pool import WorkerPool, sum_stats
 
 __all__ = ["AsyncGateway"]
 
@@ -230,13 +270,14 @@ def _bridge(loop: asyncio.AbstractEventLoop, future: asyncio.Future,
 class AsyncGateway:
     """An asyncio JSONL front end multiplexing clients into a pool.
 
-    Wraps a :class:`WorkerPool` (for byte-identical decisions) and
-    builds its :attr:`server`, a :class:`DecisionServer` for control
-    ops, counters and snapshot flushing (every ``flush_every``
-    decisions and/or ``flush_interval`` seconds, into the pool's
-    snapshot file).  One instance serves stdio or many concurrent TCP
-    connections on one event loop; per-request work happens in the
-    pool's worker processes, bridged back via ``call_soon_threadsafe``.
+    Wraps a :class:`WorkerPool` (for byte-identical decisions), answers
+    the control ops, counts answers and flushes the pool's snapshot
+    file every ``flush_every`` decisions and/or every
+    ``flush_interval`` seconds.  One instance serves stdio or many
+    concurrent TCP connections on one event loop; per-request work
+    happens in the pool's worker processes, bridged back via
+    ``call_soon_threadsafe``.  The gateway does not own the pool:
+    close it where you created it, after :meth:`close`.
     """
 
     def __init__(self, pool: WorkerPool, *,
@@ -246,13 +287,23 @@ class AsyncGateway:
                  queue_limit: int = 256,
                  max_line_bytes: int = 0):
         self._pool = pool
-        self.server = DecisionServer(pool, flush_every=flush_every,
-                                     flush_interval=flush_interval)
+        self._snapshot_path = pool.snapshot_path
+        self._flush_every = max(0, int(flush_every))
+        self._flush_interval = max(0.0, float(flush_interval))
         self._deadline = max(0.0, float(deadline))
         self._queue_limit = max(1, int(queue_limit))
         self._max_line_bytes = max(0, int(max_line_bytes))
         self.metrics = pool.metrics
+        # Written only on the event loop.
         self._inflight = 0
+        self._served = 0
+        self._errors = 0
+        self._decided_since_flush = 0
+        # Flushes and the close run on executor threads, one at a time.
+        self._flush_lock = threading.Lock()
+        self._flush_error: str | None = None
+        self._close_stats: dict | None = None
+        self._timer: asyncio.Task | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._stopping: asyncio.Event | None = None
         self._readers: set = set()
@@ -262,17 +313,19 @@ class AsyncGateway:
 
     @property
     def served(self) -> int:
-        """Decision requests answered so far (the server's counter)."""
-        return self.server.served
+        """Decision requests answered so far (including in-band errors)."""
+        return self._served
 
     # -- serving -------------------------------------------------------
 
     def _begin(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
+        if self._snapshot_path is not None and self._flush_interval > 0:
+            self._timer = self._loop.create_task(self._flush_periodically())
 
     def _offload(self, fn, *args) -> asyncio.Future:
-        """Run a blocking server or pool call on an executor thread."""
+        """Run a blocking gateway or pool call on an executor thread."""
         return self._loop.run_in_executor(None, fn, *args)
 
     async def serve(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -283,8 +336,8 @@ class AsyncGateway:
         carries the bound address once ``ready`` (anything with a
         ``set()`` method, e.g. a ``threading.Event``) is set.  On
         shutdown, open connections are closed, in-flight responses are
-        drained, and the final snapshot flush runs.  Returns the number
-        of decision requests served.
+        drained, and :meth:`close` runs the final snapshot flush.
+        Returns the number of decision requests served.
         """
         self._begin()
         server = await asyncio.start_server(self._on_connection, host, port)
@@ -310,15 +363,16 @@ class AsyncGateway:
                 for task in stragglers:
                     task.cancel()
                 await asyncio.gather(*tasks, return_exceptions=True)
-            await self._offload(self.server.close)
+            await self._offload(self.close)
         return self.served
 
     async def serve_stdio(self, stdin=None, stdout=None) -> int:
         """Serve one conversation on binary ``stdin``/``stdout``.
 
         Defaults to the process's standard streams.  EOF or a
-        ``shutdown`` op drains the pipeline, runs the final snapshot
-        flush and returns the number of decision requests served.
+        ``shutdown`` op drains the pipeline, runs :meth:`close` (the
+        final snapshot flush) and returns the number of decision
+        requests served.
         """
         self._begin()
         reader = asyncio.StreamReader()
@@ -328,7 +382,7 @@ class AsyncGateway:
         try:
             await self._on_connection(reader, _SinkWriter(sink))
         finally:
-            await self._offload(self.server.close)
+            await self._offload(self.close)
         return self.served
 
     async def _on_connection(self, reader: asyncio.StreamReader,
@@ -348,11 +402,10 @@ class AsyncGateway:
                 if kind == "eof":
                     break
                 if kind == "oversized":
-                    self.server.record(served=1, errors=1)
-                    await pending.put({
+                    await pending.put(self._answered({
                         "error": f"request line exceeds --max-line-bytes "
                                  f"({self._max_line_bytes} bytes)",
-                        "oversized": True})
+                        "oversized": True}))
                     continue
                 item, stop = self._admit(payload)
                 if item is not None:
@@ -411,6 +464,13 @@ class AsyncGateway:
 
     # -- admission -----------------------------------------------------
 
+    def _answered(self, response: dict) -> dict:
+        """Count one answered decision request; returns the response."""
+        self._served += 1
+        if "error" in response:
+            self._errors += 1
+        return response
+
     def _admit(self, text: str) -> tuple:
         """Classify one line; returns ``(pipeline item, stop serving)``.
 
@@ -421,23 +481,18 @@ class AsyncGateway:
         synchronously in arrival order, so the high watermark cannot
         be overrun by a burst.
         """
-        text = text.strip()
-        if not text or text.startswith("#"):
+        data = decode_line(text)
+        if data is None:
             return None, False
-        try:
-            data = json.loads(text)
-            if not isinstance(data, dict):
-                raise ValueError("request line must be a JSON object")
-        except ValueError as error:
-            self.server.record(served=1, errors=1)
-            return {"error": error_text(error)}, False
+        if isinstance(data, DecisionError):
+            return self._answered(data.to_dict()), False
         if "op" in data:
             if data.get("op") == "shutdown":
                 return {"op": "shutdown", "ok": True}, True
-            return functools.partial(self._control, data), False
+            return functools.partial(self._offload, self.control,
+                                     data), False
         if self._inflight >= self._queue_limit:
             self.metrics.add("shed")
-            self.server.record(served=1, errors=1)
             response = {"error": f"overloaded: {self._inflight} requests "
                                  f"in flight (limit {self._queue_limit}); "
                                  f"retry later",
@@ -445,14 +500,10 @@ class AsyncGateway:
             request_id = request_id_of(data)
             if request_id is not None:
                 response["id"] = request_id
-            return response, False
+            return self._answered(response), False
         self._inflight += 1
         self.metrics.add("accepted")
         return asyncio.ensure_future(self._decide(data)), False
-
-    async def _control(self, data: dict) -> dict:
-        """Run a control op on an executor thread; never blocks the loop."""
-        return await self._offload(self.server.control, data)
 
     async def _decide(self, data: dict) -> dict:
         """Decide one admitted request against the pool, with deadline."""
@@ -460,14 +511,13 @@ class AsyncGateway:
             try:
                 request = self._pool.normalize(data)
             except REQUEST_ERRORS as error:
-                self.server.record(served=1, errors=1)
-                return DecisionError(error_text(error),
-                                     id=request_id_of(data)).to_dict()
+                return self._answered(DecisionError(
+                    error_text(error), id=request_id_of(data)).to_dict())
             try:
                 seq = self._pool.submit(request)
             except RuntimeError as error:  # dead shard / closed: in-band
-                self.server.record(served=1, errors=1)
-                return DecisionError(str(error), id=request.id).to_dict()
+                return self._answered(DecisionError(
+                    str(error), id=request.id).to_dict())
             loop = self._loop
             future = loop.create_future()
             self._pool.on_result(
@@ -480,18 +530,119 @@ class AsyncGateway:
             except asyncio.TimeoutError:
                 self._pool.abandon(seq)
                 self.metrics.add("expired")
-                self.server.record(served=1, errors=1)
                 response = {"error": f"deadline expired after "
                                      f"{self._deadline:g}s",
                             "expired": True}
                 if request.id is not None:
                     response["id"] = request.id
-                return response
-            if isinstance(outcome, DecisionError):
-                self.server.record(served=1, errors=1)
-                return outcome.to_dict()
-            self.server.record(served=1, decided=1)
-            self._offload(self.server.maybe_flush)
-            return outcome.to_dict()
+                return self._answered(response)
+            if not isinstance(outcome, DecisionError):
+                self._count_decision()
+            return self._answered(outcome.to_dict())
         finally:
             self._inflight -= 1
+
+    # -- control ops and snapshot flushes ------------------------------
+
+    def control(self, data: dict) -> dict:
+        """Answer one parsed control op (``shutdown`` is the loop's).
+
+        Blocking — ``stats`` and ``snapshot`` wait on every worker — so
+        the writer pump runs it on an executor thread when it reaches
+        the op.
+        """
+        op = data["op"]
+        if op == "ping":
+            return {"op": "ping", "ok": True}
+        if op == "stats":
+            service = self._pool.metrics.as_dict()
+            service["worker_pids"] = self._pool.worker_pids()
+            # Per-worker flat counters plus one layered report over
+            # their sum — hit ratios stay zero-division-safe even for
+            # layers (e.g. poly_orders) that saw no traffic.
+            workers = self._pool.stats()
+            response = {"op": "stats", "served": self._served,
+                        "errors": self._errors, "workers": workers,
+                        "cache_stats": stats_report(sum_stats(workers),
+                                                    service=service),
+                        "service": service}
+            if self._flush_error is not None:
+                response["flush_error"] = self._flush_error
+            return response
+        if op == "snapshot":
+            try:
+                return {"op": "snapshot", "layers": self.flush_snapshot()}
+            except (ValueError, OSError) as error:
+                return {"op": "snapshot", "error": error_text(error)}
+        return {"error": f"unknown op {op!r}"}
+
+    def flush_snapshot(self) -> dict[str, int]:
+        """Write the warm-start snapshot now; returns per-layer counts.
+
+        Blocking: the event loop runs it on an executor thread.
+        """
+        with self._flush_lock:
+            return self._flush_locked()
+
+    def _flush_locked(self) -> dict[str, int]:
+        if self._snapshot_path is None:
+            raise ValueError("no snapshot path configured")
+        counts = self._pool.save_snapshot()
+        self._flush_error = None
+        return counts
+
+    def _flush_quietly(self) -> None:
+        """A policy flush (executor thread): failures are recorded."""
+        with self._flush_lock:
+            if self._close_stats is not None:
+                return  # closed: the final flush already ran
+            try:
+                self._flush_locked()
+            except Exception as error:  # flush must not kill serve
+                self._flush_error = error_text(error)
+
+    def _count_decision(self) -> None:
+        """Offload the every-``flush_every`` flush, only once it is due."""
+        self._decided_since_flush += 1
+        if (self._flush_every and self._snapshot_path is not None
+                and self._decided_since_flush >= self._flush_every):
+            self._decided_since_flush = 0
+            self._offload(self._flush_quietly)
+
+    async def _flush_periodically(self) -> None:
+        """The ``flush_interval`` timer, a loop task until :meth:`close`."""
+        while True:
+            await asyncio.sleep(self._flush_interval)
+            await self._offload(self._flush_quietly)
+
+    def close(self) -> dict:
+        """Stop the flush timer and run the final snapshot flush.
+
+        Idempotent: serving closes on exit and CLI teardown may close
+        again — the snapshot is flushed exactly once and every call
+        returns the same final stats dict: ``served``/``errors``
+        counters, the per-layer ``flushed`` counts (``None`` when no
+        snapshot is configured), and ``flush_error`` — the final
+        flush's failure text instead of a silent drop.  Blocking: the
+        event loop runs it on an executor thread.
+        """
+        with self._flush_lock:
+            if self._close_stats is None:
+                timer, self._timer = self._timer, None
+                if timer is not None:
+                    try:
+                        self._loop.call_soon_threadsafe(timer.cancel)
+                    except RuntimeError:  # the loop closed, and the task
+                        pass
+                flushed = flush_error = None
+                if self._snapshot_path is not None:
+                    try:
+                        flushed = self._flush_locked()
+                    except Exception as error:  # teardown stays graceful
+                        flush_error = error_text(error)
+                        self._flush_error = flush_error
+                self._close_stats = {"served": self._served,
+                                     "errors": self._errors,
+                                     "flushed": flushed,
+                                     "flush_error": flush_error}
+            return dict(self._close_stats)

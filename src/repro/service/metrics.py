@@ -4,10 +4,10 @@ The engine's ``cache_info()`` counters describe *decision* work (hits,
 misses, hom searches); they say nothing about the serving layer —
 whether requests were shed under load, expired past their deadline,
 or re-driven through a respawned worker.  :class:`ServiceMetrics` is
-the one shared scoreboard for that layer: the supervisor, the gateway
-and the :class:`~repro.service.server.DecisionServer` ``stats`` op all
-read and write the same instance, so a single ``{"op": "stats"}``
-round-trip shows the full serving picture.
+the one shared scoreboard for that layer: the pool's supervisor writes
+it, the :class:`~repro.service.gateway.AsyncGateway` writes its
+admission outcomes to it and reads it back for the ``stats`` op, so a
+single ``{"op": "stats"}`` round-trip shows the full serving picture.
 
 Everything here is a plain monotonic counter or a gauge — cheap enough
 to update on every request under one lock, JSON-able via

@@ -17,8 +17,8 @@ evenly; only exact duplicates co-locate.
 
 Results are returned in input order regardless of which worker finishes
 first.  Per-request failures (unknown semirings, malformed queries) are
-reported in-band as :class:`DecisionError` values — one bad request
-never kills the stream.  Workers can warm-start from a
+reported in-band as :class:`~repro.api.batch.DecisionError` values —
+one bad request never kills the stream.  Workers can warm-start from a
 :mod:`repro.service.snapshot` file, and :meth:`WorkerPool.collect_caches`
 gathers the merged cache state back out of the workers so a batch run
 can leave a fresh snapshot behind.
@@ -72,17 +72,16 @@ import threading
 import time
 from collections import OrderedDict, deque
 from multiprocessing.connection import wait as wait_readable
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from ..api.batch import REQUEST_ERRORS, error_text
-from ..api.documents import (ContainmentRequest, VerdictDocument,
-                             coerce_request_id)
+from ..api.batch import (REQUEST_ERRORS, DecisionError, error_text,
+                         request_id_of)
+from ..api.documents import ContainmentRequest, VerdictDocument
 from ..api.engine import ContainmentEngine
 from .metrics import ServiceMetrics
 from .snapshot import SnapshotError, load_snapshot, merge_states
 
-__all__ = ["DecisionError", "WorkerPool", "shard_key", "sum_stats"]
+__all__ = ["WorkerPool", "shard_key", "sum_stats"]
 
 #: How often the collector checks worker liveness even while results
 #: keep flowing — a steady stream must not postpone crash detection.
@@ -104,12 +103,16 @@ _MAX_RESPAWNS = 5
 #: it is answered with an in-band error.
 _MAX_REDRIVES = 2
 
+#: Requests :meth:`WorkerPool.decide_stream` reads ahead of its output,
+#: per worker process.
+_STREAM_WINDOW_PER_WORKER = 32
+
 
 def sum_stats(infos: Iterable[Mapping[str, int]]) -> dict[str, int]:
     """Sum per-worker ``cache_info()`` counter dicts into one.
 
     The single aggregation rule for worker stats — used by
-    :meth:`WorkerPool.aggregate_stats` and by the server's ``stats``
+    :meth:`WorkerPool.aggregate_stats` and by the gateway's ``stats``
     op (which already holds the per-worker list and must not trigger a
     second broadcast).
     """
@@ -118,35 +121,6 @@ def sum_stats(infos: Iterable[Mapping[str, int]]) -> dict[str, int]:
         for key, value in info.items():
             totals[key] = totals.get(key, 0) + value
     return totals
-
-
-@dataclass(frozen=True)
-class DecisionError:
-    """An in-band per-request failure from the pool.
-
-    Mirrors the error objects of the JSONL batch stream: the message
-    text plus the request's correlation id (when one was readable).
-    """
-
-    error: str
-    id: str | None = None
-
-    def to_dict(self) -> dict:
-        """Plain JSON-able representation."""
-        data: dict = {"error": self.error}
-        if self.id is not None:
-            data["id"] = self.id
-        return data
-
-
-def request_id_of(item) -> str | None:
-    """The correlation id of a raw request, when one is readable."""
-    if isinstance(item, Mapping):
-        try:
-            return coerce_request_id(item.get("id"))
-        except TypeError:
-            pass
-    return None
 
 
 def shard_key(request: ContainmentRequest, registry=None) -> bytes:
@@ -817,53 +791,45 @@ class WorkerPool:
         """Decide a single request (dicts accepted); errors in-band."""
         return next(self.decide_stream([request]))
 
-    def decide_stream(self, requests: Iterable, *,
-                      window: int | None = None
+    def decide_stream(self, requests: Iterable
                       ) -> Iterator[VerdictDocument | DecisionError]:
         """Lazily decide an iterable of requests, preserving input order.
 
-        Keeps at most ``window`` requests in flight (default
-        ``32 × workers``), so an endless stream runs at bounded memory;
-        results are yielded strictly in input order even though workers
-        finish out of order.
+        Reads at most ``32 × workers`` requests ahead of its output, so
+        an endless stream runs at bounded memory; results are yielded
+        strictly in input order even though workers finish out of
+        order.  A :class:`DecisionError` in the input is passed through
+        in its position, as is any request that cannot be read or
+        submitted.
         """
-        window = window if window is not None else 32 * len(self._processes)
-        if window < 1:
-            raise ValueError(f"window must be positive, got {window}")
-        outputs: deque = deque()   # ("done", value) | ("seq", token)
+        window = _STREAM_WINDOW_PER_WORKER * len(self._processes)
+        outputs: deque = deque()   # DecisionError | sequence token
         iterator = iter(requests)
         exhausted = False
-        in_flight = 0
         while True:
-            while not exhausted and in_flight < window:
+            while not exhausted and len(outputs) < window:
                 try:
                     item = next(iterator)
                 except StopIteration:
                     exhausted = True
                     break
+                if isinstance(item, DecisionError):
+                    outputs.append(item)
+                    continue
                 try:
                     request = self.normalize(item)
                 except REQUEST_ERRORS as error:
-                    outputs.append(("done", DecisionError(
-                        error_text(error), id=request_id_of(item))))
+                    outputs.append(DecisionError(
+                        error_text(error), id=request_id_of(item)))
                     continue
                 try:
-                    outputs.append(("seq", self.submit(request)))
+                    outputs.append(self.submit(request))
                 except RuntimeError as error:  # dead shard: in-band
-                    outputs.append(("done", DecisionError(
-                        str(error), id=request.id)))
-                    continue
-                in_flight += 1
+                    outputs.append(DecisionError(str(error), id=request.id))
             if not outputs:
-                if exhausted:
-                    return
-                continue  # pragma: no cover - window >= 1 always queues
-            kind, value = outputs.popleft()
-            if kind == "done":
-                yield value
-            else:
-                in_flight -= 1
-                yield self.result(value)
+                return
+            head = outputs.popleft()
+            yield head if isinstance(head, DecisionError) else self.result(head)
 
     def decide_many(self, requests: Iterable
                     ) -> list[VerdictDocument | DecisionError]:

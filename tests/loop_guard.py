@@ -1,12 +1,13 @@
 """A test guard: no blocking service call runs on an event-loop thread.
 
 The asyncio gateway calls the pool from its event loop only to
-normalize, submit, bridge (``on_result``) or abandon a request, and the
-server only to count an answer (``record``, ``served``).  Each of those
-takes at most a short lock.  Every other public method of
-:class:`WorkerPool` and :class:`DecisionServer`, and every ``decide*``
-entry point of :class:`ContainmentEngine`, may block, so the gateway
-must run it on an executor thread.
+normalize, submit, bridge (``on_result``) or abandon a request, and
+reads its own ``served`` counter there.  Each of those takes at most a
+short lock.  Every other public method of :class:`WorkerPool`, every
+public non-coroutine member of :class:`AsyncGateway` (the control-op
+body ``control``, ``flush_snapshot`` and ``close``), and every
+``decide*`` entry point of :class:`ContainmentEngine`, may block, so
+the gateway must run it on an executor thread.
 
 :func:`loop_thread_guard` wraps all of those methods for the duration
 of a ``with`` block and records each call made on a thread that is
@@ -18,21 +19,24 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import inspect
 from contextlib import contextmanager
 
 from repro.api import ContainmentEngine
-from repro.service import DecisionServer, WorkerPool
+from repro.service import AsyncGateway, WorkerPool
 
-#: The only pool and server members the event loop may call itself.
+#: The only pool and gateway members the event loop may call itself.
 LOOP_SAFE = frozenset({"normalize", "submit", "on_result", "abandon",
-                       "record", "served"})
+                       "served"})
 
 
 def _guarded_names(cls) -> list[str]:
     if cls is ContainmentEngine:
         return [name for name in vars(cls) if name.startswith("decide")]
+    # Coroutine functions (``serve``, ``serve_stdio``) are the loop's own.
     return [name for name, member in vars(cls).items()
             if not name.startswith("_") and name not in LOOP_SAFE
+            and not inspect.iscoroutinefunction(member)
             and (callable(member) or isinstance(member, property))]
 
 
@@ -61,7 +65,7 @@ def loop_thread_guard():
     """Yield the list of blocking calls made on an event-loop thread."""
     violations: list[str] = []
     originals = []
-    for cls in (WorkerPool, DecisionServer, ContainmentEngine):
+    for cls in (WorkerPool, AsyncGateway, ContainmentEngine):
         for name in _guarded_names(cls):
             member = vars(cls)[name]
             originals.append((cls, name, member))

@@ -154,6 +154,24 @@ def test_batch_reports_bad_lines_in_band(tmp_path, capsys):
     assert lines[1]["result"] is True
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_answers_nested_json_line_in_band(tmp_path, capsys, workers):
+    import json
+
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("[" * 100000 + "\n"
+                        '{"semiring": "B", "q1": "Q() :- R(x)", '
+                        '"q2": "Q() :- R(x)", "id": "after"}\n')
+    code, out, _ = run_cli(capsys, "batch", "--workers", workers,
+                           "--input", str(requests))
+    assert code == 1  # the nested line is an in-band error
+    lines = [json.loads(line) for line in out.splitlines() if line]
+    assert list(lines[0]) == ["line", "error"] and lines[0]["line"] == 1
+    assert "recursion" in lines[0]["error"]
+    assert lines[1]["request_id"] == "after"
+    assert lines[1]["result"] is True
+
+
 def test_minimize(capsys):
     code, out, _ = run_cli(
         capsys, "minimize", "--semiring", "B", "Q(x) :- R(x, y), R(x, z)")

@@ -4,7 +4,7 @@ Each test boots a real :class:`AsyncGateway` on an ephemeral port in a
 background thread and speaks the JSONL protocol over genuine sockets.
 SIGSTOP/SIGCONT on a worker process make overload and deadline expiry
 deterministic without sleeps-as-synchronisation.  Every test runs under
-:func:`tests.loop_guard.loop_thread_guard`: no blocking pool or server
+:func:`tests.loop_guard.loop_thread_guard`: no blocking pool or gateway
 call may run on the event loop.
 """
 

@@ -4,7 +4,7 @@ Every conversation runs through :class:`AsyncGateway` over a real
 :class:`WorkerPool`: stdio through in-memory binary streams (and, at
 the end, through ``python -m repro serve`` subprocesses with a real
 stdin), TCP over genuine sockets.  In-process conversations run under
-:func:`tests.loop_guard.loop_thread_guard`: no blocking pool or server
+:func:`tests.loop_guard.loop_thread_guard`: no blocking pool or gateway
 call may run on the event loop.
 """
 
@@ -235,27 +235,77 @@ def test_tcp_oversized_line_then_valid_request_same_connection():
         assert not thread.is_alive()
 
 
+#: A line nested too deep for the JSON decoder (it raises RecursionError).
+NESTED = "[" * 100000
+
+
+def test_stdio_nested_json_line_answered_in_band():
+    with serving() as gateway:
+        responses = run_stdio(gateway, [NESTED, json.dumps(REQUESTS[0])])
+    assert list(responses[0]) == ["error"]
+    assert "recursion" in responses[0]["error"]
+    assert responses[1]["request_id"] == "r1"
+    assert gateway.served == 2
+
+
+def test_tcp_nested_json_line_answered_in_band():
+    with tcp_gateway() as (gateway, thread):
+        responses = _connect_lines(
+            gateway.tcp_address, [NESTED, json.dumps(REQUESTS[0])])
+        assert list(responses[0]) == ["error"]
+        assert responses[1]["request_id"] == "r1"
+        # The gateway keeps serving after the conversation ends.
+        responses = _connect_lines(
+            gateway.tcp_address, ['{"op": "ping"}', '{"op": "shutdown"}'])
+        assert responses[0] == {"op": "ping", "ok": True}
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_flush_interval_writes_the_snapshot_until_close(tmp_path):
+    path = tmp_path / "timer.snap"
+    with tcp_gateway(snapshot_path=path, flush_interval=0.05,
+                     flush_every=0) as (gateway, thread):
+        responses = _connect_lines(gateway.tcp_address,
+                                   [json.dumps(REQUESTS[0])])
+        assert responses[0]["request_id"] == "r1"
+        deadline = time.monotonic() + 10.0
+        while not path.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert path.exists(), "the flush timer never wrote the snapshot"
+        stats = gateway.close()  # while the gateway is still serving
+        assert stats["flushed"]["verdicts"] == 1
+        assert stats["flush_error"] is None
+        path.unlink()
+        time.sleep(0.25)  # five timer periods
+        assert not path.exists(), "the flush timer outlived close()"
+        _connect_lines(gateway.tcp_address, ['{"op": "shutdown"}'])
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert gateway.close() == stats  # idempotent
+
+
 def test_close_returns_final_stats_and_flush_counts(tmp_path):
     path = tmp_path / "final.snap"
     with serving(snapshot_path=path) as gateway:
         run_stdio(gateway, [json.dumps(request) for request in REQUESTS])
-        stats = gateway.server.close()
+        stats = gateway.close()
     assert stats["served"] == len(REQUESTS)
     assert stats["errors"] == 0
     assert stats["flushed"]["verdicts"] == len(REQUESTS)
     assert stats["flush_error"] is None
-    assert gateway.server.close() == stats  # idempotent
+    assert gateway.close() == stats  # idempotent
 
 
 def test_close_surfaces_final_flush_failure(tmp_path):
     path = tmp_path / "no-such-dir" / "final.snap"
     with serving(snapshot_path=path) as gateway:
         run_stdio(gateway, [json.dumps(REQUESTS[0])])
-        stats = gateway.server.close()
+        stats = gateway.close()
     assert stats["flushed"] is None
     assert stats["flush_error"] is not None
     assert "no-such-dir" in stats["flush_error"]
-    assert gateway.server.close()["flush_error"] == stats["flush_error"]
+    assert gateway.close()["flush_error"] == stats["flush_error"]
 
 
 def test_pool_close_escalates_to_kill_for_wedged_workers():
@@ -326,6 +376,16 @@ def test_cli_serve_output_equals_sequential_batch(request_file, workers,
         served = _repro(*args, input=request_file.read_bytes())
     assert served.returncode == 0, served.stderr
     assert served.stdout == batch.stdout  # cmp-identical bytes
+
+
+def test_cli_serve_answers_nested_json_line_and_keeps_serving():
+    lines = [NESTED, json.dumps(REQUESTS[0])]
+    served = _repro("serve", input="".join(
+        line + "\n" for line in lines).encode("utf-8"))
+    assert served.returncode == 0, served.stderr
+    responses = [json.loads(line) for line in served.stdout.splitlines()]
+    assert list(responses[0]) == ["error"]
+    assert responses[1]["request_id"] == "r1"
 
 
 def test_cli_serve_on_dev_null_exits_cleanly():
