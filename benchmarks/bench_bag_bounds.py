@@ -35,6 +35,14 @@ anchored at a constant, over ``N`` and ``R+`` and pins, per pair:
   kernel enumeration in the kernel run, but canonicalises a fifth to
   a third fewer CCQs.  Every run uses a fresh engine.
 
+A second test re-decides the whole sweep warm: one engine decides
+every pair, its structural caches go through a snapshot file
+(verdicts left out, so every decision runs again), and a fresh engine
+restored from it must give byte-identical documents without computing
+a description or looking up a canonical form, hit or miss (``⟨Q1⟩``
+and ``⇉2``'s set-reduced table are both recalled from the
+``descriptions`` layer).  It prints both passes' milliseconds.
+
 It prints the milliseconds of each run, the cover count, the work
 counts and the kernel enumerations per size.  ``REPRO_BENCH_SMOKE=1``
 (the CI default) stops at 5 variables and checks no wall-clock figure;
@@ -60,6 +68,7 @@ import pytest
 import repro.core.containment as containment
 from repro.api import ContainmentEngine
 from repro.queries import CQ, Atom, Var
+from repro.service import read_snapshot, save_snapshot
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tests.occurrence_conditions import (class_bi_count_k,  # noqa: E402
@@ -165,6 +174,31 @@ def test_kernel_bounds_match_class_and_occurrence_oracles():
     if not SMOKE:
         seconds = totals[max(SIZES)]
         assert seconds["kernel"] < seconds["grid"], totals
+
+
+def test_warm_sweep_recomputes_no_description(tmp_path):
+    pairs = [(shape(kind, size), shape(kind, size - 1), semiring)
+             for size in SIZES for semiring in SEMIRINGS for kind in KINDS]
+    cold_engine = ContainmentEngine()
+    start = time.perf_counter()
+    cold = [json.dumps(cold_engine.decide(*pair).to_dict(),
+                       ensure_ascii=False) for pair in pairs]
+    cold_s = time.perf_counter() - start
+    path = tmp_path / "sweep.snap"
+    save_snapshot(cold_engine, path, include_verdicts=False)
+    engine = ContainmentEngine()
+    engine.import_caches(read_snapshot(path))
+    start = time.perf_counter()
+    warm = [json.dumps(engine.decide(*pair).to_dict(), ensure_ascii=False)
+            for pair in pairs]
+    warm_s = time.perf_counter() - start
+    print(f"\n{len(pairs)} pairs: cold {cold_s * 1e3:.1f} ms, "
+          f"warm {warm_s * 1e3:.1f} ms")
+    assert warm == cold
+    stats = engine.stats
+    assert stats.verdict_hits == 0
+    assert stats.description_calls == 0
+    assert stats.canon_calls == stats.canon_hits == 0
 
 
 #: ``Q1`` sizes of the chain pairs reported (not asserted) in full mode.

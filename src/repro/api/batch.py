@@ -152,7 +152,9 @@ def process_lines(engine: ContainmentEngine, lines: Iterable[str], *,
     :class:`~repro.service.pool.WorkerPool` as ``pool`` to decide them
     on :meth:`~repro.service.pool.WorkerPool.decide_stream`: results
     come out in input order with in-band errors in exactly the
-    positions of a sequential run.  The caller owns the pool's
+    positions of a sequential run, each as soon as it is decided (the
+    lines are then read and parsed on the stream's feeder thread, so a
+    result never waits for the next line).  The caller owns the pool's
     lifecycle.
     """
     linenos: deque[int] = deque()

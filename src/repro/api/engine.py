@@ -11,7 +11,8 @@ benchmarks go through.  One engine owns:
   (first mapping, keyed by ``(source, target, HomKind)``), homomorphism
   kernels (keyed by ``(member, target, HomKind, limit)``), covered-atom
   sets, complete descriptions ``⟨Q⟩`` (as isomorphism-class tables,
-  keyed by the UCQ and the pair's constants), and
+  keyed by the UCQ and the pair's constants, and the set-reduced
+  tables ``⇉2`` reads, keyed with a trailing ``True``), and
   canonical labeling records (isomorphism key + capture-free renaming +
   automorphism group size and generators per CCQ, keyed by the query),
   small-model test sets (the distinct canonical polynomial pairs of
@@ -59,7 +60,9 @@ from ..core.containment import decide_containment, k_equivalent
 from ..core.context import DecisionContext
 from ..core.small_model import small_model_pairs
 from ..homomorphisms.canonical import CanonicalForm, compute_canonical_form
-from ..homomorphisms.isomorphism import DescriptionClass, description_classes
+from ..homomorphisms.isomorphism import (DescriptionClass,
+                                         description_classes,
+                                         set_reduced_classes)
 from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
                                    homomorphisms)
 from ..polynomials.admissible import canonical_pair
@@ -361,7 +364,7 @@ class ContainmentEngine(DecisionContext):
                 break
         return frozenset(covered)
 
-    def complete_description(self, union, constants
+    def complete_description(self, union, constants, reduced: bool = False
                              ) -> tuple[DescriptionClass, ...]:
         """LRU-cached complete description ``⟨Q⟩`` of a UCQ relative to
         ``constants`` (the pair's constants), as
@@ -370,14 +373,24 @@ class ContainmentEngine(DecisionContext):
         keyed by ``(union, constants)``: the table's canonical forms
         come from this engine's ``canonical`` layer (keyed by the
         quotients' codes), which changes where they are computed, never
-        what they are."""
-        return self._memo("descriptions", self._description_classes, union,
-                          tuple(constants))
+        what they are.
 
-    def _description_classes(self, union, constants
+        ``reduced`` asks for the set-reduced table
+        (:func:`repro.homomorphisms.isomorphism.set_reduced_classes` of
+        the one above), kept in the same layer under ``(union,
+        constants, True)``, so a warm ``⇉2`` recalls it instead of
+        re-reducing ``⟨Q⟩``.  It is computed only when asked for.
+        """
+        key = (union, tuple(constants)) + ((True,) if reduced else ())
+        return self._memo("descriptions", self._description_classes, *key)
+
+    def _description_classes(self, union, constants, reduced=False
                              ) -> tuple[DescriptionClass, ...]:
         """The ``descriptions`` computation (see
         :meth:`complete_description`)."""
+        if reduced:
+            return set_reduced_classes(
+                self.complete_description(union, constants), context=self)
         return description_classes(union, constants, context=self)
 
     def canonical_form(self, query) -> CanonicalForm:

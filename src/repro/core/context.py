@@ -98,14 +98,19 @@ class DecisionContext(ABC):
             set(target.atoms))
 
     @abstractmethod
-    def complete_description(self, union, constants
+    def complete_description(self, union, constants, reduced: bool = False
                              ) -> tuple[DescriptionClass, ...]:
         """The complete description ``⟨Q⟩`` of a UCQ (Sec. 5.2)
         relative to its members' head variables and ``constants`` (the
         pair's constants) as a multiset of
         isomorphism classes: ``(key, representative, multiplicity,
         automorphisms)`` rows
-        (:func:`repro.homomorphisms.isomorphism.description_classes`)."""
+        (:func:`repro.homomorphisms.isomorphism.description_classes`).
+
+        With ``reduced``, the table of its set-reduced CCQs (duplicate
+        atoms dropped, rows merged by the reduced key;
+        :func:`repro.homomorphisms.isomorphism.set_reduced_classes`),
+        which ``⇉2`` reads."""
 
     @abstractmethod
     def canonical_form(self, query) -> CanonicalForm:

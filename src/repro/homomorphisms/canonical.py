@@ -81,8 +81,7 @@ class CanonicalForm:
 
     ``key`` is a hashable normal form equal across (and only across)
     isomorphic queries; ``renaming`` maps every existential variable to
-    its capture-free canonical name; ``labeling`` maps it to its
-    canonical integer label; ``automorphisms`` is the order of the
+    its capture-free canonical name; ``automorphisms`` is the order of the
     automorphism group (existential renamings fixing the query), and
     ``generators`` generate that group: each is a permutation of the
     indices of ``query.existential_vars()``, variable ``i`` going to
@@ -91,7 +90,6 @@ class CanonicalForm:
 
     key: tuple
     renaming: tuple[tuple[Var, Var], ...]
-    labeling: tuple[tuple[Var, int], ...]
     automorphisms: int
     generators: tuple[tuple[int, ...], ...]
 
@@ -497,11 +495,9 @@ def compute_canonical_form(query: CQ | QueryCode) -> CanonicalForm:
     key = (code.kind.__name__, len(code.head), search.best_ser)
     fresh = _fresh_vars(frozenset(var.name for var in code.head), struct.n)
     renaming = tuple(zip(code.evars, [fresh[label] for label in labeling]))
-    named_labeling = tuple(zip(code.evars, labeling))
     return CanonicalForm(
         key=key,
         renaming=renaming,
-        labeling=named_labeling,
         automorphisms=search.group_order(),
         generators=tuple(search.generators),
     )

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ..queries.ccq import description_orbits
+from ..queries.ccq import QueryCode, description_orbits
 from ..queries.cq import CQ
 from .canonical import canonical_form
 
@@ -51,6 +51,7 @@ __all__ = [
     "endomorphisms",
     "is_automorphism",
     "isomorphism_classes",
+    "set_reduced_classes",
 ]
 
 
@@ -141,6 +142,41 @@ def description_classes(union, constants, *,
                 row[1] += size
     return tuple(DescriptionClass(key, code.materialise(), size, group)
                  for key, (code, size, group) in rows.items())
+
+
+def set_reduced_classes(classes: tuple[DescriptionClass, ...], *, context
+                        ) -> tuple[DescriptionClass, ...]:
+    """The class table of the set-reduced CCQs: each row's
+    representative set-reduced (duplicate atoms dropped), rows merged
+    by the reduced key.
+
+    Isomorphic CCQs have isomorphic set reducts, so one representative
+    per row stands for the whole row, and the merged table keeps the
+    first-occurrence order and representatives that reducing every CCQ
+    of ``⟨Q⟩`` and grouping them would give.  A representative with
+    duplicate atoms is reduced on its :class:`QueryCode` (duplicate rows
+    dropped) and canonicalised there (``context.canonical_form``); a
+    CCQ is built only for the first reduct of each merged row.
+    """
+    merged: dict[tuple, list] = {}
+    for row in classes:
+        representative = row.representative
+        if len(set(representative.atoms)) == len(representative.atoms):
+            key, reduced, group = \
+                row.key, representative, row.automorphisms
+        else:
+            reduced = QueryCode.of(representative).set_reduced()
+            record = context.canonical_form(reduced)
+            key, group = record.key, record.automorphisms
+        entry = merged.get(key)
+        if entry is None:
+            merged[key] = [reduced, row.multiplicity, group]
+        else:
+            entry[1] += row.multiplicity
+    return tuple(DescriptionClass(
+        key, reduced.materialise() if isinstance(reduced, QueryCode)
+        else reduced, size, group)
+        for key, (reduced, size, group) in merged.items())
 
 
 def canonical_rename(query: CQ) -> CQ:

@@ -40,8 +40,11 @@ ingredient is invariant under isomorphism of the target (an isomorphism
 renames existentials and fixes the head and constants), so a class is
 checked once, through its representative, and its size is its demand.
 The row's ``|Aut|`` is what ``⇉2``'s exemption and ``→֒k``'s cap read;
-``⇉2`` set-reduces one representative per row on its code and merges
-rows by the reduced key (isomorphic CCQs have isomorphic set reducts).
+``⇉2`` reads the set-reduced table instead, one representative per row
+set-reduced on its code and rows merged by the reduced key (isomorphic
+CCQs have isomorphic set reducts;
+:func:`repro.homomorphisms.isomorphism.set_reduced_classes`), which the
+context memoises beside ``⟨Q1⟩``.
 
 ``⟨Q2⟩`` is never built.  Its occurrences are the pairs ``(member m,
 partition π with bindings)``, and a CCQ ``c`` of ``⟨Q1⟩`` constrains
@@ -71,7 +74,7 @@ members' cover of each ``⟨Q1⟩`` representative instead.
 
 Every condition reads the expensive primitives — homomorphism
 existence and kernels, atom covering, the class table of ``⟨Q1⟩`` and
-the canonical form of a set reduct — from a
+its set-reduced table — from a
 :class:`repro.core.DecisionContext` (an engine's caches).  The exported
 conditions accept ``context=None`` and resolve it once, at their top,
 to a fresh engine (imported lazily: the core dispatch imports this
@@ -88,7 +91,6 @@ from ..queries.ccq import (CQWithInequalities, QueryCode, description_size,
                            require_described, rigid_constants)
 from ..queries.cq import CQ
 from ..queries.ucq import UCQ, as_ucq
-from .isomorphism import DescriptionClass
 from .matching import saturates
 from .search import HomKind
 
@@ -176,8 +178,7 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
     if not inequalities and not covering_union(source, target,
                                                context=context):
         return False
-    classes1 = _set_reduced(context.complete_description(target, constants),
-                            context=context)
+    classes1 = context.complete_description(target, constants, reduced=True)
     if inequalities and not all(
             _union_covers(source, row.representative, context=context)
             for row in classes1):
@@ -189,40 +190,6 @@ def covering_2(source: UCQ | CQ, target: UCQ | CQ, *,
                                   context=context):
             return False
     return True
-
-
-def _set_reduced(classes: tuple[DescriptionClass, ...], *, context
-                 ) -> list[DescriptionClass]:
-    """The class table of the set-reduced CCQs: each row's
-    representative set-reduced, rows merged by the reduced key.
-
-    Isomorphic CCQs have isomorphic set reducts, so one representative
-    per row stands for the whole row, and the merged table keeps the
-    first-occurrence order and representatives that reducing every CCQ
-    of ``⟨Q⟩`` and grouping them would give.  A representative with
-    duplicate atoms is reduced on its :class:`QueryCode` (duplicate rows
-    dropped) and canonicalised there; a CCQ is built only for the
-    first reduct of each merged row.
-    """
-    merged: dict[tuple, list] = {}
-    for row in classes:
-        representative = row.representative
-        if len(set(representative.atoms)) == len(representative.atoms):
-            key, reduced, group = \
-                row.key, representative, row.automorphisms
-        else:
-            reduced = QueryCode.of(representative).set_reduced()
-            record = context.canonical_form(reduced)
-            key, group = record.key, record.automorphisms
-        entry = merged.get(key)
-        if entry is None:
-            merged[key] = [reduced, row.multiplicity, group]
-        else:
-            entry[1] += row.multiplicity
-    return [DescriptionClass(
-        key, reduced.materialise() if isinstance(reduced, QueryCode)
-        else reduced, size, group)
-        for key, (reduced, size, group) in merged.items()]
 
 
 def _pair_constants(source: UCQ, target: UCQ) -> tuple:

@@ -68,6 +68,7 @@ from __future__ import annotations
 import hashlib
 import multiprocessing
 import os
+import queue
 import threading
 import time
 from collections import OrderedDict, deque
@@ -106,6 +107,9 @@ _MAX_REDRIVES = 2
 #: Requests :meth:`WorkerPool.decide_stream` reads ahead of its output,
 #: per worker process.
 _STREAM_WINDOW_PER_WORKER = 32
+
+#: The last item a stream's feeder queues.
+_END = object()
 
 
 def sum_stats(infos: Iterable[Mapping[str, int]]) -> dict[str, int]:
@@ -789,47 +793,83 @@ class WorkerPool:
     def decide_one(self,
                    request) -> VerdictDocument | DecisionError:
         """Decide a single request (dicts accepted); errors in-band."""
-        return next(self.decide_stream([request]))
+        outcome = self._admit(request)
+        return (outcome if isinstance(outcome, DecisionError)
+                else self.result(outcome))
+
+    def _admit(self, item) -> int | DecisionError:
+        """Submit one stream item: its sequence token, or the in-band
+        error it is answered with (a :class:`DecisionError` in the
+        input passes through; so does a request that cannot be read or
+        submitted)."""
+        if isinstance(item, DecisionError):
+            return item
+        try:
+            request = self.normalize(item)
+        except REQUEST_ERRORS as error:
+            return DecisionError(error_text(error), id=request_id_of(item))
+        try:
+            return self.submit(request)
+        except RuntimeError as error:  # dead shard: in-band
+            return DecisionError(str(error), id=request.id)
 
     def decide_stream(self, requests: Iterable
                       ) -> Iterator[VerdictDocument | DecisionError]:
         """Lazily decide an iterable of requests, preserving input order.
 
-        Reads at most ``32 × workers`` requests ahead of its output, so
-        an endless stream runs at bounded memory; results are yielded
-        strictly in input order even though workers finish out of
-        order.  A :class:`DecisionError` in the input is passed through
-        in its position, as is any request that cannot be read or
-        submitted.
+        One feeder thread reads and submits the requests, about
+        ``32 × workers`` ahead of the output, so an endless stream runs
+        at bounded memory; the generator yields each result, strictly
+        in input order, as soon as it arrives, while the feeder waits
+        for the next request (a request on a pipe that stays open is
+        answered without waiting for more input).  A
+        :class:`DecisionError` in the input is passed through in its
+        position, as is any request that cannot be read or submitted;
+        an exception raised by ``requests`` is re-raised in its
+        position.  Closing the generator early abandons the requests
+        still queued.
         """
-        window = _STREAM_WINDOW_PER_WORKER * len(self._processes)
-        outputs: deque = deque()   # DecisionError | sequence token
-        iterator = iter(requests)
-        exhausted = False
+        outputs: queue.Queue = queue.Queue(
+            _STREAM_WINDOW_PER_WORKER * len(self._processes))
+        stop = threading.Event()
+
+        def feed() -> None:
+            try:
+                for item in requests:
+                    outputs.put(self._admit(item))
+                    if stop.is_set():
+                        self._abandon_queued(outputs)
+                        return
+            except BaseException as error:  # re-raised by the consumer
+                outputs.put(error)
+            outputs.put(_END)
+
+        threading.Thread(target=feed, name="repro-stream-feeder",
+                         daemon=True).start()
+        try:
+            while True:
+                head = outputs.get()
+                if head is _END:
+                    return
+                if isinstance(head, BaseException):
+                    raise head
+                yield (head if isinstance(head, DecisionError)
+                       else self.result(head))
+        finally:
+            stop.set()
+            self._abandon_queued(outputs)
+
+    def _abandon_queued(self, outputs: queue.Queue) -> None:
+        """Abandon every sequence token left in a closed stream's
+        queue (the feeder and the consumer both drain it, so a token
+        queued while the stream closes is dropped by one of them)."""
         while True:
-            while not exhausted and len(outputs) < window:
-                try:
-                    item = next(iterator)
-                except StopIteration:
-                    exhausted = True
-                    break
-                if isinstance(item, DecisionError):
-                    outputs.append(item)
-                    continue
-                try:
-                    request = self.normalize(item)
-                except REQUEST_ERRORS as error:
-                    outputs.append(DecisionError(
-                        error_text(error), id=request_id_of(item)))
-                    continue
-                try:
-                    outputs.append(self.submit(request))
-                except RuntimeError as error:  # dead shard: in-band
-                    outputs.append(DecisionError(str(error), id=request.id))
-            if not outputs:
+            try:
+                head = outputs.get_nowait()
+            except queue.Empty:
                 return
-            head = outputs.popleft()
-            yield head if isinstance(head, DecisionError) else self.result(head)
+            if isinstance(head, int):
+                self.abandon(head)
 
     def decide_many(self, requests: Iterable
                     ) -> list[VerdictDocument | DecisionError]:

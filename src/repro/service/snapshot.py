@@ -13,7 +13,7 @@ Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 6,
+    {"magic": "repro.engine-snapshot", "version": 7,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -26,7 +26,15 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 6 takes ``⟨Q⟩`` relative to the pair's
+    layers *mean*.  Version 7 keeps ``⇉2``'s set-reduced table of
+    ``⟨Q1⟩`` in the ``descriptions`` layer beside ``⟨Q1⟩``: ``⟨Q⟩``'s
+    class table is keyed by ``(union, constants)`` and its set-reduced
+    table by ``(union, constants, True)``, both valued as tuples of
+    ``(key, representative, multiplicity, automorphisms)`` rows; a
+    ``canonical`` value is ``(key, renaming, automorphisms,
+    generators)``, without the unread integer labeling a version-6
+    record carries, so a version-6 file is refused as stale.  Version 6
+    takes ``⟨Q⟩`` relative to the pair's
     rigid terms, so a block may be bound to a head variable or a
     constant: a ``descriptions`` entry is keyed by ``(union,
     constants)``, a kernel may carry a rigid term's label ``~j``, and a
@@ -99,7 +107,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

@@ -172,6 +172,40 @@ def test_batch_answers_nested_json_line_in_band(tmp_path, capsys, workers):
     assert lines[1]["result"] is True
 
 
+def test_pooled_batch_answers_before_stdin_closes():
+    # batch is a streaming filter with a pool too: one request on a pipe
+    # that stays open is answered without waiting for more input.
+    import json
+    import os
+    import select
+    import signal
+
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "batch", "--workers", "2"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        process.stdin.write('{"semiring": "B", "q1": "Q() :- R(x)", '
+                            '"q2": "Q() :- R(x)", "id": "open"}\n')
+        process.stdin.flush()
+        ready, _, _ = select.select([process.stdout], [], [], 30)
+        assert ready, "no answer while stdin stays open"
+        document = json.loads(process.stdout.readline())
+        assert document["request_id"] == "open"
+        assert document["result"] is True
+        process.stdin.close()
+        assert process.wait(timeout=60) == 0
+        assert process.stdout.read() == ""
+    finally:
+        try:  # the batch process and its pool workers, on any failure
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+        process.stdin.close()
+        process.stdout.close()
+
+
 def test_minimize(capsys):
     code, out, _ = run_cli(
         capsys, "minimize", "--semiring", "B", "Q(x) :- R(x, y), R(x, z)")
@@ -349,16 +383,17 @@ _WARM_RUNS = (
 
 
 def test_batch_snapshot_keeps_every_computed_layer(capsys, tmp_path):
-    """A run that computes only a canonical form must still re-save.
+    """A run that computes only structural entries must still re-save.
 
-    The second run's only new work is one canonical form.  The first
-    run built ``⟨Q1⟩``'s class table (``Ssur[X]``'s ``։∞``), the
-    covered atoms of ``Q2 ⇉1 Q1`` (``Lin[X]``) and the classification of
-    ``Lin[X]×N_2``.  The second run's ``⇉2`` adds only the set reduct
-    ``R(x, x)`` of the class of ``R(x, x), R(x, x)``, and enumerates no
-    kernel: no set-reduced class both repeats and lacks a symmetry.
-    Skipping the rewrite would drop that form, and the third run would
-    recompute it."""
+    The second run's only new work is ``⇉2``'s set-reduced table of
+    ``⟨Q1⟩`` and one canonical form.  The first run built ``⟨Q1⟩``'s
+    class table (``Ssur[X]``'s ``։∞``), the covered atoms of
+    ``Q2 ⇉1 Q1`` (``Lin[X]``) and the classification of
+    ``Lin[X]×N_2``.  The second run's ``⇉2`` adds only the set-reduced
+    table, whose one new form is the set reduct ``R(x, x)`` of the class
+    of ``R(x, x), R(x, x)``, and enumerates no kernel: no set-reduced
+    class both repeats and lacks a symmetry.  Skipping the rewrite
+    would drop both, and the third run would recompute them."""
     import json
 
     snapshot = tmp_path / "s.snap"
@@ -375,5 +410,5 @@ def test_batch_snapshot_keeps_every_computed_layer(capsys, tmp_path):
         stats = json.loads(err.strip().splitlines()[-1])
         calls.append({key: value for key, value in stats.items()
                       if key.endswith("_calls") and value})
-    assert calls[1] == {"canon_calls": 1}
+    assert calls[1] == {"description_calls": 1, "canon_calls": 1}
     assert calls[2] == {}

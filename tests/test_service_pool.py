@@ -17,6 +17,7 @@ import multiprocessing.connection
 import multiprocessing.queues
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -121,6 +122,55 @@ def test_decide_stream_preserves_order_lazily(pool):
     requests = mixed_workload()
     ids = [doc.request_id for doc in pool.decide_stream(iter(requests))]
     assert ids == [request["id"] for request in requests]
+
+
+def test_decide_stream_answers_before_the_input_ends(pool):
+    # The input stalls after one request, like a pipe that stays open:
+    # its answer must come out while the feeder waits for the next.
+    release = threading.Event()
+    waited = []
+
+    def stalling():
+        yield dict(REQUEST, id="first")
+        waited.append(release.wait(timeout=30))
+        yield dict(REQUEST, id="second")
+
+    stream = pool.decide_stream(stalling())
+    assert next(stream).request_id == "first"
+    assert waited == []
+    release.set()
+    assert [doc.request_id for doc in stream] == ["second"]
+    assert waited == [True]
+
+
+def test_decide_stream_reraises_an_input_error_in_position(pool):
+    def failing():
+        yield dict(REQUEST, id="before")
+        raise OSError("input went away")
+
+    stream = pool.decide_stream(failing())
+    assert next(stream).request_id == "before"
+    with pytest.raises(OSError, match="input went away"):
+        next(stream)
+
+
+def test_closing_a_stream_abandons_its_queued_requests():
+    requests = [dict(REQUEST, id=f"s{index}",
+                     q1=f"Q() :- R(u, v), S{index}(u)") for index in range(40)]
+    with WorkerPool(1) as fresh:
+        stream = fresh.decide_stream(iter(requests))
+        assert next(stream).request_id == "s0"
+        stream.close()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            with fresh._cond:
+                if not fresh._results and not fresh._requests:
+                    break
+            time.sleep(0.05)
+        with fresh._cond:
+            assert fresh._results == {} and fresh._requests == {}
+            assert not fresh._abandoned
+        assert fresh.decide_one(dict(REQUEST, id="after")).result is True
 
 
 def test_sharding_is_deterministic_and_alias_stable(pool):
@@ -369,3 +419,24 @@ def test_pooled_batch_equals_sequential_batch_byte_for_byte():
     assert pooled == sequential
     assert sum('"error"' in line for line in sequential) == 4
     assert sum('"cached": true' in line for line in sequential) == 3
+
+    # The feeder thread reads the lines (and records their numbers)
+    # while the caller writes results: more workers than cores, a long
+    # stream past the read-ahead window and a thread switch every few
+    # bytecodes must still give the sequential bytes.
+    long_lines = lines * 20
+    sequential = render(process_lines(ContainmentEngine(), long_lines))
+    outputs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with WorkerPool(3) as fresh:
+            runner = threading.Thread(target=lambda: outputs.append(render(
+                process_lines(ContainmentEngine(), long_lines,
+                              pool=fresh))))
+            runner.start()
+            runner.join(timeout=120)
+            assert not runner.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs == [sequential]

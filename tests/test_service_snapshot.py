@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 
@@ -11,6 +12,7 @@ from repro.api import ContainmentEngine
 from repro.service import (SNAPSHOT_MAGIC, SNAPSHOT_VERSION, SnapshotError,
                            load_snapshot, merge_states, read_snapshot,
                            save_snapshot, write_snapshot)
+from tests.test_description_classes import chain, clique
 
 WORKLOAD = [
     ("Q() :- R(u, v), R(u, w)", "Q() :- R(u, v), R(u, v)", "B"),
@@ -80,6 +82,32 @@ def test_structural_snapshot_keeps_documents_byte_identical(tmp_path):
     assert stats.hom_calls == 0
 
 
+#: ``N`` pairs whose verdicts come from the bag bounds search, ``⇉2``
+#: included.
+BAG_PAIRS = [(chain(5), chain(4)), (clique(4), clique(3))]
+
+
+def test_warm_bag_decisions_recompute_no_description(tmp_path):
+    # A structural snapshot carries ⟨Q1⟩ and ⇉2's set-reduced table, so
+    # a restored engine re-decides bag pairs without one description
+    # or canonical form, hit or miss.
+    path = tmp_path / "bag.snap"
+    warmed = ContainmentEngine()
+    cold = [json.dumps(warmed.decide(q1, q2, "N").to_dict())
+            for q1, q2 in BAG_PAIRS]
+    save_snapshot(warmed, path, include_verdicts=False)
+
+    restored = ContainmentEngine()
+    restored.import_caches(read_snapshot(path))
+    warm = [json.dumps(restored.decide(q1, q2, "N").to_dict())
+            for q1, q2 in BAG_PAIRS]
+    assert warm == cold
+    stats = restored.stats
+    assert stats.verdict_hits == 0
+    assert stats.description_calls == 0
+    assert stats.canon_calls == stats.canon_hits == 0
+
+
 def test_missing_file_raises_snapshot_error(tmp_path):
     with pytest.raises(SnapshotError, match="cannot read"):
         read_snapshot(tmp_path / "absent.snap")
@@ -112,15 +140,27 @@ def test_stale_version_rejected(tmp_path):
         read_snapshot(path)
 
 
+def test_version_6_snapshot_is_refused_as_stale(tmp_path):
+    # A version-6 canonical record carries an integer labeling that
+    # version 7 dropped, and its descriptions layer has no set-reduced
+    # tables: the file is refused whole.
+    path = tmp_path / "v6.snap"
+    envelope = {"magic": SNAPSHOT_MAGIC, "version": 6, "semirings": [],
+                "caches": {}}
+    path.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(SnapshotError, match="version 6 is not supported"):
+        read_snapshot(path)
+
+
 def test_version_4_snapshot_is_refused_as_stale(tmp_path, capsys):
     # Version 4 rows lack the automorphism-group size (and version 5
-    # entries the rigid-term key) a version-6 description carries: such
+    # entries the rigid-term key) a version-7 description carries: such
     # a file must be refused whole, and a batch run must start cold and
     # still answer.
     from repro.cli import main
     from repro.queries import UCQ, parse_cq
 
-    assert SNAPSHOT_VERSION == 6
+    assert SNAPSHOT_VERSION == 7
     union = UCQ([parse_cq("Q() :- R(u, v)")])
     warmed = ContainmentEngine()
     rows = tuple(tuple(row[:3])
