@@ -14,7 +14,9 @@ paper's cost-annotation reading):
   minutes) and compared by throughput, which favours the *reference* —
   small instances pay none of the columnar path's fixed setup costs.
 * **byte-identical** — on the subsample both paths return exactly the
-  same answer map, annotation types included.
+  same answer map, annotation types included; so do two more queries
+  there (``EXTRA_QUERIES``), which reach the counting join's densify
+  step and the decode of a head constant the instance never interned.
 * **warm plan-cache hits** — repeated evaluations of the workload
   query hit the engine's ``eval_plans`` layer, visible in
   ``cache_stats()``.
@@ -32,6 +34,8 @@ import time
 
 from repro.api import ContainmentEngine
 from repro.data.instance import Instance
+from repro.queries.atoms import Atom, Var
+from repro.queries.cq import CQ
 from repro.queries.evaluation import evaluate_all
 from repro.queries.parser import parse_cq
 from repro.queries.ucq import as_ucq
@@ -45,6 +49,17 @@ FULL_FACTS = 100_000 if SMOKE else 1_000_000
 REFERENCE_FACTS = 2_000 if SMOKE else 10_000
 
 QUERY_TEXT = "Q(x) :- R(x, y), S(y)"
+
+X, Y = Var("x"), Var("y")
+#: Byte-identity extras on the subsample: a two-column join key with an
+#: inequality (its packed key space is the domain squared, sparse enough
+#: that the counting join densifies it first) and a head constant the
+#: instance never interned (built past ``CQ``'s variable-head check, as
+#: quotient members are).
+EXTRA_QUERIES = (
+    parse_cq("Q(x, y) :- R(x, y), R(y, x), x != y"),
+    CQ._from_canonical((X, "unseen"), (Atom("R", (X, Y)), Atom("S", (Y,)))),
+)
 
 
 def edge_instance(fact_count: int, seed: int = 7) -> Instance:
@@ -97,6 +112,14 @@ def test_columnar_throughput_and_plan_cache():
         assert type(columnar_small[head]) is type(value), (head, value)
     print(f"  identical: {len(reference_answers):,} answers agree "
           f"(annotation types included)")
+    for extra in EXTRA_QUERIES:
+        reference_extra = evaluate_all(extra, small)
+        columnar_extra = ContainmentEngine().evaluate(extra, small).to_dict()
+        assert reference_extra, extra
+        assert columnar_extra == reference_extra, extra
+        assert list(map(repr, sorted(columnar_extra.items()))) == \
+            list(map(repr, sorted(reference_extra.items()))), extra
+        print(f"  identical: {len(reference_extra):,} answers of {extra!r}")
 
     # -- plan-cache warm hits ------------------------------------------
     plan_layer = engine.cache_stats()["layers"]["eval_plans"]

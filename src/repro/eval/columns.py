@@ -33,7 +33,7 @@ import numpy as np
 
 from ..data.instance import Instance
 from ..semirings.base import Semiring, VectorizedOps
-from .kernels import GenericObjectOps, ops_for
+from .kernels import GenericObjectOps, object_array, ops_for
 
 __all__ = ["ColumnarInstance", "ColumnarRelation", "ValueInterner"]
 
@@ -41,12 +41,13 @@ __all__ = ["ColumnarInstance", "ColumnarRelation", "ValueInterner"]
 class ValueInterner:
     """Bidirectional map between domain values and dense int ids."""
 
-    __slots__ = ("_ids", "by_id")
+    __slots__ = ("_ids", "by_id", "_table")
 
     def __init__(self):
         self._ids: dict[Any, int] = {}
         #: The interned values, indexed by id (read it, never mutate it).
         self.by_id: list[Any] = []
+        self._table: np.ndarray | None = None
 
     def intern(self, value: Any) -> int:
         """The id of ``value``, allocating one on first sight."""
@@ -64,6 +65,13 @@ class ValueInterner:
     def value(self, ident: int) -> Any:
         """The value behind an id."""
         return self.by_id[ident]
+
+    def table(self) -> np.ndarray:
+        """:attr:`by_id` as an object array, so an id column decodes with
+        one take (built on first use, rebuilt after new interning)."""
+        if self._table is None or len(self._table) != len(self.by_id):
+            self._table = object_array(self.by_id)
+        return self._table
 
     def __len__(self) -> int:
         return len(self.by_id)

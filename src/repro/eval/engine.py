@@ -16,9 +16,10 @@ The correspondence, member by member:
 * head grouping + ``segment_add`` replays the per-head ⊕-accumulation:
   each member groups its frontier rows by their head id columns (a
   head constant is one more id, fresh past the interner's if the
-  instance never saw it), and the members' rows are concatenated in
-  member order and grouped once more, so the cross-member ⊕ is a
-  single ``segment_add`` too;
+  instance never saw it); when two or more members have rows, those
+  rows are concatenated in member order and grouped once more, so the
+  cross-member ⊕ is a single ``segment_add`` too (a lone member's rows
+  are already one per head);
 * ⊕-zeros are dropped only after that merge, by one mask over the
   encoded column (zero *products* flow through joins, exactly like
   the reference keeps them until its final filter), and only the
@@ -50,8 +51,8 @@ from ..queries.cq import CQ
 from ..queries.ucq import UCQ
 from ..semirings.base import Semiring, VectorizedOps
 from .columns import ColumnarInstance
-from .join import pack_rows, run_plan
-from .kernels import GenericObjectOps
+from .join import pack_rows, run_plan, stable_order
+from .kernels import GenericObjectOps, object_array
 
 __all__ = ["AnswerTable", "evaluate"]
 
@@ -97,7 +98,7 @@ def _group(head_columns: list[np.ndarray], values: np.ndarray,
     first-value-then-``add`` accumulation.
     """
     keys = pack_rows(head_columns, len(values))
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     sorted_keys = keys[order]
     starts = np.empty(len(values), dtype=bool)
     starts[:1] = True
@@ -172,14 +173,18 @@ def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance, *,
         for cq in members) if part is not None]
     if not parts:
         return []
-    head_columns = [np.concatenate(column)
-                    for column in zip(*(heads for heads, _ in parts))]
-    values = np.concatenate([folded for _, folded in parts])
-    head_columns, values = _group(head_columns, values, columnar.ops)
+    if len(parts) == 1:
+        head_columns, values = parts[0]
+    else:
+        head_columns = [np.concatenate(column)
+                        for column in zip(*(heads for heads, _ in parts))]
+        values = np.concatenate([folded for _, folded in parts])
+        head_columns, values = _group(head_columns, values, columnar.ops)
     keep = _nonzero(values, columnar)
-    table = interner.by_id + fresh if fresh else interner.by_id
-    decoded = [list(map(table.__getitem__, column[keep].tolist()))
-               for column in head_columns]
+    table = interner.table()
+    if fresh:
+        table = np.concatenate([table, object_array(fresh)])
+    decoded = [table[column[keep]].tolist() for column in head_columns]
     annotations = columnar.ops.decode(values[keep])
     heads = zip(*decoded) if decoded else [()] * len(annotations)
     return list(zip(heads, annotations))

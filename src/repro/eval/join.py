@@ -10,12 +10,13 @@ annotations, and applies the inequality filters that just became fully
 bound.
 
 Join machinery is semiring-independent — annotations only ever flow
-through fancy indexing and the kernel set's ``mul`` — and is built from
-sorting primitives: multi-column keys are packed into a single int64
-per row (progressively re-densified so the key space never overflows),
-matches are found with ``searchsorted`` against the sorted distinct
-left keys, and one-to-many matches are expanded with the
-``repeat``/``arange`` trick instead of any Python-level loop.
+through fancy indexing and the kernel set's ``mul`` — and counts
+instead of sorting: every key column holds dense interned ids, so
+multi-column keys pack into a single non-negative int64 per row by id
+width (progressively re-densified so the key space never overflows),
+the left side's keys index a CSR table (``bincount`` + ``cumsum``) that
+the right side probes directly, and one-to-many matches are expanded
+with the ``repeat``/``arange`` trick instead of any Python-level loop.
 
 Zero annotations are *kept* through the pipeline: the support carries
 no ⊕-zeros, but ⊗ may produce them (Łukasiewicz), and the reference
@@ -32,10 +33,14 @@ from .columns import ColumnarInstance
 from .plan import EvalPlan
 
 __all__ = ["Frontier", "join_indices", "pack_pairs", "pack_rows",
-           "run_plan"]
+           "run_plan", "stable_order"]
 
 #: Packed join keys are re-densified before they could exceed this.
 _KEY_LIMIT = 2 ** 62
+#: :func:`join_indices` counts over the key space directly while it is
+#: at most this many times the rows of both sides (so its count table
+#: stays a few words per row).
+_DENSE_FACTOR = 4
 
 
 def _ranges(counts: np.ndarray) -> np.ndarray:
@@ -46,6 +51,22 @@ def _ranges(counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     return np.arange(total, dtype=np.int64) - np.repeat(ends - counts,
                                                         counts)
+
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for non-negative keys.
+
+    Keys below 2**48 sort in 16-bit digits, least significant first:
+    numpy's stable sort of a 16-bit key is a radix sort.
+    """
+    high = int(key.max()) if len(key) else 0
+    if high >= 2 ** 48:
+        return np.argsort(key, kind="stable")
+    order = np.arange(len(key))
+    for shift in range(0, high.bit_length(), 16):
+        digit = (key[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 def pack_rows(columns: list[np.ndarray], row_count: int) -> np.ndarray:
@@ -73,47 +94,42 @@ def pack_pairs(left_columns: list[np.ndarray],
                ) -> tuple[np.ndarray, np.ndarray]:
     """Consistent join keys for both sides of an equi-join.
 
-    Per key column the two sides are densified *together*, so equal
-    values get equal codes across sides — a per-side :func:`pack_rows`
-    would not line up.
+    The two sides are packed *together* (one :func:`pack_rows` over
+    their concatenation), so equal rows get equal keys across sides.
     """
     left_count = len(left_columns[0])
-    left_key = np.zeros(left_count, dtype=np.int64)
-    right_key = np.zeros(len(right_columns[0]), dtype=np.int64)
-    cardinality = 1
-    for left_column, right_column in zip(left_columns, right_columns):
-        combined = np.concatenate([left_column, right_column])
-        uniques, codes = np.unique(combined, return_inverse=True)
-        width = max(len(uniques), 1)
-        if cardinality * width >= _KEY_LIMIT:
-            combined_keys = np.concatenate([left_key, right_key])
-            dense, rekeyed = np.unique(combined_keys, return_inverse=True)
-            left_key = rekeyed[:left_count]
-            right_key = rekeyed[left_count:]
-            cardinality = max(len(dense), 1)
-        left_key = left_key * width + codes[:left_count]
-        right_key = right_key * width + codes[left_count:]
-        cardinality *= width
-    return left_key, right_key
+    key = pack_rows([np.concatenate(pair)
+                     for pair in zip(left_columns, right_columns)],
+                    left_count + len(right_columns[0]))
+    return key[:left_count], key[left_count:]
 
 
 def join_indices(left_key: np.ndarray, right_key: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """All matching ``(left_row, right_row)`` pairs of an equi-join."""
+    """All matching ``(left_row, right_row)`` pairs of an equi-join.
+
+    Keys must be non-negative (packed ids).  Pairs come ordered by right
+    row, then by left row.  A key space wider than
+    ``_DENSE_FACTOR`` times the rows is densified once first.
+    """
     empty = np.zeros(0, dtype=np.int64)
-    if not len(left_key) or not len(right_key):
+    left_count = len(left_key)
+    if not left_count or not len(right_key):
         return empty, empty
-    order = np.argsort(left_key, kind="stable")
-    sorted_left = left_key[order]
-    uniques, starts = np.unique(sorted_left, return_index=True)
-    counts = np.diff(np.append(starts, len(sorted_left)))
-    positions = np.searchsorted(uniques, right_key)
-    positions = np.minimum(positions, len(uniques) - 1)
-    matched = uniques[positions] == right_key
-    groups = positions[matched]
-    match_counts = counts[groups]
-    right_rows = np.repeat(np.nonzero(matched)[0], match_counts)
-    offsets = np.repeat(starts[groups], match_counts) + _ranges(match_counts)
+    size = int(max(left_key.max(), right_key.max())) + 1
+    if size > _DENSE_FACTOR * (left_count + len(right_key)):
+        uniques, dense = np.unique(np.concatenate([left_key, right_key]),
+                                   return_inverse=True)
+        left_key, right_key = dense[:left_count], dense[left_count:]
+        size = len(uniques)
+    counts = np.bincount(left_key, minlength=size)
+    starts = np.cumsum(counts) - counts
+    order = stable_order(left_key)
+    match_counts = counts[right_key]
+    right_rows = np.repeat(np.arange(len(right_key), dtype=np.int64),
+                           match_counts)
+    offsets = (np.repeat(starts[right_key], match_counts)
+               + _ranges(match_counts))
     return order[offsets], right_rows
 
 
@@ -190,21 +206,14 @@ def run_plan(plan: EvalPlan, instance: ColumnarInstance) -> Frontier | None:
         columns, annotations = filtered
         if frontier is None:
             frontier = Frontier(dict(columns), annotations)
-        elif step.join_vars:
-            left_key, right_key = pack_pairs(
-                [frontier.columns[var] for var in step.join_vars],
-                [columns[var] for var in step.join_vars])
-            left_rows, right_rows = join_indices(left_key, right_key)
-            merged = {var: column[left_rows]
-                      for var, column in frontier.columns.items()}
-            for var in step.new_vars:
-                merged[var] = columns[var][right_rows]
-            frontier = Frontier(
-                merged, ops.mul(frontier.annotations[left_rows],
-                                annotations[right_rows]))
         else:
-            left_rows, right_rows = cross_indices(frontier.row_count,
-                                                  len(annotations))
+            if step.join_vars:
+                left_rows, right_rows = join_indices(*pack_pairs(
+                    [frontier.columns[var] for var in step.join_vars],
+                    [columns[var] for var in step.join_vars]))
+            else:
+                left_rows, right_rows = cross_indices(frontier.row_count,
+                                                      len(annotations))
             merged = {var: column[left_rows]
                       for var, column in frontier.columns.items()}
             for var in step.new_vars:

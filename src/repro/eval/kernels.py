@@ -27,7 +27,16 @@ import numpy as np
 
 from ..semirings.base import Semiring, VectorizedOps
 
-__all__ = ["GenericObjectOps", "ops_for"]
+__all__ = ["GenericObjectOps", "object_array", "ops_for"]
+
+#: Marks a segment that has no value yet.
+_UNSET = object()
+
+
+def object_array(values: Sequence[Any]) -> np.ndarray:
+    """``values`` as a 1-d object array, one element per value (a tuple
+    stays one element, it is not broadcast)."""
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 class GenericObjectOps(VectorizedOps):
@@ -49,10 +58,7 @@ class GenericObjectOps(VectorizedOps):
         self._mul = np.frompyfunc(semiring.mul, 2, 1)
 
     def encode(self, values: Sequence[Any]) -> np.ndarray:
-        array = np.empty(len(values), dtype=object)
-        for index, value in enumerate(values):
-            array[index] = value
-        return array
+        return object_array(values)
 
     def decode(self, array: np.ndarray) -> list:
         return list(array)
@@ -65,17 +71,13 @@ class GenericObjectOps(VectorizedOps):
 
     def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
                     group_count: int) -> np.ndarray:
-        out = np.empty(group_count, dtype=object)
-        filled = np.zeros(group_count, dtype=bool)
+        folded: list[Any] = [_UNSET] * group_count
         add = self.semiring.add
-        for index in range(len(values)):
-            group = group_ids[index]
-            if filled[group]:
-                out[group] = add(out[group], values[index])
-            else:
-                out[group] = values[index]
-                filled[group] = True
-        return out
+        for group, value in zip(group_ids.tolist(), values.tolist()):
+            current = folded[group]
+            folded[group] = value if current is _UNSET else add(current,
+                                                                 value)
+        return object_array(folded)
 
 
 def ops_for(semiring: Semiring) -> VectorizedOps:

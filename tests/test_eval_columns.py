@@ -17,7 +17,8 @@ from repro.api import ContainmentEngine
 from repro.data.instance import Instance
 from repro.eval import evaluate
 from repro.eval.columns import ColumnarInstance, ValueInterner
-from repro.eval.join import join_indices, pack_pairs, pack_rows
+from repro.eval.join import (_DENSE_FACTOR, _KEY_LIMIT, join_indices,
+                             pack_pairs, pack_rows, stable_order)
 from repro.eval.kernels import GenericObjectOps, ops_for
 from repro.queries.evaluation import evaluate_all
 from repro.queries.parser import parse_cq
@@ -193,18 +194,72 @@ def test_pack_pairs_is_consistent_across_sides():
     assert right_key[2] not in set(left_key.tolist())
 
 
+def _nested_loop(left, right):
+    """The join pairs by right row, then by left row."""
+    return [(i, j) for j, rv in enumerate(right) for i, lv in enumerate(left)
+            if lv == rv]
+
+
+def _join_pairs(left, right):
+    li, ri = join_indices(np.asarray(left, dtype=np.int64),
+                          np.asarray(right, dtype=np.int64))
+    assert li.dtype == ri.dtype == np.int64
+    return list(zip(li.tolist(), ri.tolist()))
+
+
 def test_join_indices_match_nested_loop():
-    left = np.asarray([1, 2, 2, 3], dtype=np.int64)
-    right = np.asarray([2, 3, 4, 2], dtype=np.int64)
-    li, ri = join_indices(left, right)
-    pairs = sorted(zip(li.tolist(), ri.tolist()))
-    expected = sorted(
-        (i, j)
-        for i, lv in enumerate(left.tolist())
-        for j, rv in enumerate(right.tolist())
-        if lv == rv
-    )
-    assert pairs == expected
+    left, right = [1, 2, 2, 3], [2, 3, 4, 2]
+    assert _join_pairs(left, right) == \
+        [(1, 0), (2, 0), (3, 1), (1, 3), (2, 3)]
+    assert _join_pairs(left, right) == _nested_loop(left, right)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_indices_order_matches_nested_loop_on_random_keys(seed):
+    """Duplicates on both sides, ids ``0`` and the largest id, and both
+    the direct count and the densify step, in the exact pair order."""
+    rng = np.random.default_rng(seed)
+    top = int(rng.integers(1, 40))
+    for high in (top, 2 ** 40, np.iinfo(np.int64).max):
+        left = rng.integers(0, top + 1, 30).tolist() + [0, 0, top]
+        right = rng.integers(0, top + 1, 25).tolist() + [top, 0, top]
+        if high != top:  # spread the ids over a sparse key space
+            spread = {key: key * (high // top) for key in range(top)}
+            spread[top] = high
+            left = [spread[key] for key in left]
+            right = [spread[key] for key in right]
+            assert high > _DENSE_FACTOR * (len(left) + len(right))
+        rng.shuffle(left)
+        rng.shuffle(right)
+        assert _join_pairs(left, right) == _nested_loop(left, right)
+        # The largest id on the right side only matches nothing.
+        below = [key for key in left if key != max(right)]
+        assert _join_pairs(below, right) == _nested_loop(below, right)
+
+
+def test_pack_pairs_three_columns_past_the_key_limit():
+    """Three 2**21-wide columns overflow ``_KEY_LIMIT``: the packed key
+    is re-densified mid-way and still joins exactly like the rows."""
+    rng = np.random.default_rng(5)
+    width = 2 ** 21
+    assert width ** 3 >= _KEY_LIMIT
+    pool = rng.integers(0, width, (6, 3))
+    pool[0] = width - 1
+    pool[1] = 0
+    left_rows = pool[rng.integers(0, 6, 40)]
+    right_rows = pool[rng.integers(0, 6, 30)]
+    left_key, right_key = pack_pairs(list(left_rows.T), list(right_rows.T))
+    left = [tuple(row) for row in left_rows.tolist()]
+    right = [tuple(row) for row in right_rows.tolist()]
+    assert _join_pairs(left_key, right_key) == _nested_loop(left, right)
+
+
+@pytest.mark.parametrize("high", [1, 2 ** 16, 2 ** 16 + 1, 2 ** 40,
+                                  2 ** 48 + 1])
+def test_stable_order_is_a_stable_argsort(high):
+    keys = np.random.default_rng(high).integers(0, high, 500)
+    assert stable_order(keys).tolist() == \
+        np.argsort(keys, kind="stable").tolist()
 
 
 def test_join_indices_empty_sides():

@@ -26,7 +26,7 @@ from repro.queries.cq import CQ
 from repro.queries.evaluation import evaluate_all
 from repro.queries.parser import parse_cq
 from repro.queries.ucq import UCQ, as_ucq
-from repro.semirings import ALL_SEMIRINGS, LUKASIEWICZ, N, TPLUS
+from repro.semirings import ALL_SEMIRINGS, LUKASIEWICZ, N, TPLUS, WHY
 
 X, Y, Z = Var("x"), Var("y"), Var("z")
 
@@ -179,6 +179,75 @@ def test_answer_table_views():
     assert len(table) == 1
     assert list(table) == [((1, 2), 3)]
     assert "AnswerTable" in repr(table)
+
+
+#: Domain values the decode must hand back unchanged: tuples (one value
+#: each, never spread over an object array) and strings.
+MIXED_VALUE_ROWS = {(("a", 1), "s"): 2, ("s", ("b", (2, 3))): 3,
+                    (("b", (2, 3)), ("a", 1)): 5, ("t", "s"): 7}
+#: ``1`` and ``True`` in different rows: the interner gives them one id.
+CONFLATED_ROWS = {(1, "s"): 11, (True, ("a", 1)): 13, ("t", True): 17}
+
+
+@pytest.mark.parametrize("semiring", [N, WHY], ids=["N", "Why"])
+def test_decode_keeps_tuple_string_and_conflated_values(semiring):
+    rng = random.Random(3)
+    base = random_annotated_instance({"R": 2}, semiring, rng,
+                                     domain_size=2, facts_per_relation=5)
+    values = list(dict(base.support("R")).values())
+
+    def instance(rows):
+        return Instance(semiring, {"R": {
+            row: values[index % len(values)]
+            for index, row in enumerate(rows)}})
+
+    mixed = instance(MIXED_VALUE_ROWS)
+    conflated = instance({**MIXED_VALUE_ROWS, **CONFLATED_ROWS})
+    for text in ("Q(x, y) :- R(x, y)", "Q(x, z) :- R(x, y), R(y, z)",
+                 "Q(y) :- R(x, y)"):
+        query = parse_cq(text)
+        reference = evaluate_all(query, mixed)
+        assert reference, text
+        columnar = evaluate(query, mixed).to_dict()
+        assert columnar == reference
+        assert sorted(map(repr, columnar)) == sorted(map(repr, reference))
+        # Conflated values decode to the first one interned, which is
+        # ``==`` to (not always the same object as) the reference's.
+        assert evaluate(query, conflated).to_dict() == \
+            evaluate_all(query, conflated)
+
+
+def test_decode_head_constants_the_instance_never_interned():
+    """Fresh head constants (a tuple among them) decode past the
+    interner's ids, and the interner itself stays untouched."""
+    instance = Instance(N, {"R": {(1, ("a", 1)): 2, (2, 3): 4}})
+    columnar = ColumnarInstance.from_instance(instance)
+    query = UCQ([_member([X, "fresh"], [Atom("R", (X, Y))]),
+                 _member([("t", 2), Y], [Atom("R", (X, Y))]),
+                 _member([X, 3], [Atom("R", (X, Y))])])
+    expected = evaluate_all(query, instance)
+    assert (("t", 2), ("a", 1)) in expected
+    assert evaluate(query, columnar).to_dict() == expected
+    assert columnar.interner.lookup("fresh") is None
+    assert len(columnar.interner) == 4
+
+
+@pytest.mark.parametrize("semiring", [N, TPLUS, WHY],
+                         ids=["N", "T+", "Why"])
+def test_one_member_union_equals_the_cq_and_a_doubled_union(semiring):
+    """A lone member skips the union-level regroup; two identical
+    members go through it.  All three answer maps are the reference's."""
+    rng = random.Random(11)
+    cq = parse_cq("Q(x, z) :- R(x, y), R(y, z)")
+    for trial in range(4):
+        instance = random_annotated_instance(
+            {"R": 2}, semiring, rng, domain_size=4, facts_per_relation=10)
+        answers = evaluate(cq, instance).to_dict()
+        assert answers == evaluate_all(cq, instance)
+        assert evaluate(UCQ([cq]), instance).to_dict() == answers
+        doubled = UCQ([cq, cq])
+        assert evaluate(doubled, instance).to_dict() == \
+            evaluate_all(doubled, instance)
 
 
 def test_plan_rejects_unsafe_queries():
