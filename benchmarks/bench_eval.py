@@ -14,9 +14,11 @@ paper's cost-annotation reading):
   minutes) and compared by throughput, which favours the *reference* —
   small instances pay none of the columnar path's fixed setup costs.
 * **byte-identical** — on the subsample both paths return exactly the
-  same answer map, annotation types included; so do two more queries
+  same answer map, annotation types included; so do four more queries
   there (``EXTRA_QUERIES``), which reach the counting join's densify
-  step and the decode of a head constant the instance never interned.
+  step, the decode of a head constant the instance never interned, the
+  arity-0 rows of a Boolean query and the cross-member merge of a
+  two-member UCQ, each read through the ``AnswerTable.rows`` view.
 * **warm plan-cache hits** — repeated evaluations of the workload
   query hit the engine's ``eval_plans`` layer, visible in
   ``cache_stats()``.
@@ -37,7 +39,7 @@ from repro.data.instance import Instance
 from repro.queries.atoms import Atom, Var
 from repro.queries.cq import CQ
 from repro.queries.evaluation import evaluate_all
-from repro.queries.parser import parse_cq
+from repro.queries.parser import parse_cq, parse_ucq
 from repro.queries.ucq import as_ucq
 from repro.semirings import TPLUS
 
@@ -55,10 +57,13 @@ X, Y = Var("x"), Var("y")
 #: inequality (its packed key space is the domain squared, sparse enough
 #: that the counting join densifies it first) and a head constant the
 #: instance never interned (built past ``CQ``'s variable-head check, as
-#: quotient members are).
+#: quotient members are), a Boolean query (``()`` heads) and a two-member
+#: UCQ whose members' rows merge.
 EXTRA_QUERIES = (
     parse_cq("Q(x, y) :- R(x, y), R(y, x), x != y"),
     CQ._from_canonical((X, "unseen"), (Atom("R", (X, Y)), Atom("S", (Y,)))),
+    parse_cq("Q() :- R(x, y), S(y)"),
+    parse_ucq(["Q(x) :- R(x, y), S(y)", "Q(x) :- R(y, x), S(y)"]),
 )
 
 
@@ -114,7 +119,10 @@ def test_columnar_throughput_and_plan_cache():
           f"(annotation types included)")
     for extra in EXTRA_QUERIES:
         reference_extra = evaluate_all(extra, small)
-        columnar_extra = ContainmentEngine().evaluate(extra, small).to_dict()
+        table = ContainmentEngine().evaluate(extra, small)
+        columnar_extra = table.to_dict()
+        assert repr(table.rows) == repr(list(table.rows)), extra
+        assert len(table.rows) == len(columnar_extra), extra
         assert reference_extra, extra
         assert columnar_extra == reference_extra, extra
         assert list(map(repr, sorted(columnar_extra.items()))) == \

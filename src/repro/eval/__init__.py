@@ -7,7 +7,10 @@ columns plus an encoded annotation column),
 :mod:`~repro.eval.kernels` (per-semiring ⊕/⊗ kernel dispatch with a
 generic object-array fallback), :mod:`~repro.eval.join` (vectorized
 hash joins) and :mod:`~repro.eval.engine` (the ``evaluate`` entry
-point, byte-identical to the tuple-at-a-time reference evaluator).
+point, ``==`` to the tuple-at-a-time reference evaluator and
+repr-identical to it unless dict-equal values of different types such
+as ``1`` and ``True`` sit in different rows, which decode to the value
+interned first).
 """
 
 from .columns import ColumnarInstance, ColumnarRelation, ValueInterner

@@ -1,10 +1,14 @@
 """Columnar UCQ evaluation: plans + joins + kernels, end to end.
 
 :func:`evaluate` is the columnar counterpart of
-:func:`repro.queries.evaluation.evaluate_all` and is contractually
-**byte-identical** to it: same answer tuples, same normalized
-annotation values, for every registered semiring (the randomized
+:func:`repro.queries.evaluation.evaluate_all`: its answer map is
+``==`` to the reference's, with the same normalized annotation values
+and types, for every registered semiring (the randomized
 cross-validation suite in ``tests/test_eval_engine.py`` enforces this).
+It is repr-identical too unless dict-equal values of different types
+(``1``, ``True``, ``1.0``) sit in different rows: the interner gives
+them one id, which decodes to the value interned first
+(``test_decode_keeps_tuple_string_and_conflated_values`` pins this).
 The correspondence, member by member:
 
 * every support-hitting valuation of a CQ appears as exactly one
@@ -23,7 +27,9 @@ The correspondence, member by member:
 * ⊕-zeros are dropped only after that merge, by one mask over the
   encoded column (zero *products* flow through joins, exactly like
   the reference keeps them until its final filter), and only the
-  surviving rows are decoded into values and head tuples.
+  surviving rows are decoded: into one value list per head position
+  and one annotation list, which :class:`AnswerRows` pairs up as
+  they are walked.
 
 Everything stays in int64 id space and encoded annotation columns
 until that last step, for CQs and UCQs alike.  A dtype kernel that
@@ -40,6 +46,8 @@ them into its snapshot-persisted ``eval_plans`` LRU, and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import repeat
 from typing import Any, Iterator
 
 import numpy as np
@@ -54,25 +62,68 @@ from .columns import ColumnarInstance
 from .join import pack_rows, run_plan, stable_order
 from .kernels import GenericObjectOps, object_array
 
-__all__ = ["AnswerTable", "evaluate"]
+__all__ = ["AnswerRows", "AnswerTable", "evaluate"]
+
+
+class AnswerRows(Sequence):
+    """Read-only ``(head_tuple, annotation)`` rows over decoded columns.
+
+    Holds one list of decoded values per head position and the list of
+    annotations; each pair is built only as a consumer walks it, so no
+    per-answer tuple outlives its use.  Behaves like the list of those
+    pairs: ``len``, repeatable iteration, ``int`` and ``slice``
+    indexing (a slice is a list), ``==`` with a list and ``repr``.
+    """
+
+    __slots__ = ("_heads", "_annotations")
+
+    def __init__(self, heads: list[list], annotations: list):
+        self._heads = heads
+        self._annotations = annotations
+
+    def __len__(self) -> int:
+        return len(self._annotations)
+
+    def __iter__(self) -> Iterator[tuple[tuple, Any]]:
+        heads = (zip(*self._heads) if self._heads
+                 else repeat((), len(self._annotations)))
+        return zip(heads, self._annotations)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(AnswerRows([column[index] for column in self._heads],
+                                   self._annotations[index]))
+        annotation = self._annotations[index]
+        return tuple(column[index] for column in self._heads), annotation
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, AnswerRows)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # unhashable, as a list
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class AnswerTable:
     """The K-annotated answer relation of one evaluation.
 
-    Rows are ``(head_tuple, annotation)`` pairs with non-zero
-    annotations, in a deterministic (grouping) order; :meth:`to_dict`
-    gives the exact shape of
+    :attr:`rows` is an :class:`AnswerRows` view of ``(head_tuple,
+    annotation)`` pairs with non-zero annotations, in a deterministic
+    (grouping) order, built pair by pair from the decoded head columns;
+    :meth:`to_dict` gives the exact shape of
     :func:`repro.queries.evaluation.evaluate_all` for comparisons.
     """
 
     __slots__ = ("semiring", "arity", "rows")
 
     def __init__(self, semiring: Semiring, arity: int,
-                 rows: list[tuple[tuple, Any]]):
+                 heads: list[list], annotations: list):
         self.semiring = semiring
         self.arity = arity
-        self.rows = rows
+        self.rows = AnswerRows(heads, annotations)
 
     def to_dict(self) -> dict[tuple, Any]:
         """``head tuple → annotation`` (the reference evaluator's shape)."""
@@ -153,8 +204,13 @@ def _nonzero(values: np.ndarray, columnar: ColumnarInstance) -> np.ndarray:
 
 
 def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance, *,
-             context: DecisionContext) -> list[tuple[tuple, Any]]:
-    """The non-zero ``(head, annotation)`` rows of a union of members."""
+             context: DecisionContext) -> tuple[list[list], list]:
+    """The non-zero answers of a union of members, column by column.
+
+    Returns one list of decoded values per head position and the list
+    of decoded annotations, row-aligned; :class:`AnswerRows` pairs them
+    up on demand.
+    """
     interner = columnar.interner
     # Head constants join the id space.  One the instance never interned
     # gets a fresh id past the interner's, which stays untouched.
@@ -172,7 +228,7 @@ def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance, *,
         _member_answers(cq, columnar, constant_ids, context=context)
         for cq in members) if part is not None]
     if not parts:
-        return []
+        return [], []
     if len(parts) == 1:
         head_columns, values = parts[0]
     else:
@@ -185,9 +241,7 @@ def _answers(members: tuple[CQ, ...], columnar: ColumnarInstance, *,
     if fresh:
         table = np.concatenate([table, object_array(fresh)])
     decoded = [table[column[keep]].tolist() for column in head_columns]
-    annotations = columnar.ops.decode(values[keep])
-    heads = zip(*decoded) if decoded else [()] * len(annotations)
-    return list(zip(heads, annotations))
+    return decoded, columnar.ops.decode(values[keep])
 
 
 def evaluate(query, instance: Instance | ColumnarInstance,
@@ -228,9 +282,10 @@ def evaluate(query, instance: Instance | ColumnarInstance,
     else:
         raise TypeError(f"expected CQ or UCQ, got {type(query).__name__}")
     try:
-        rows = _answers(members, columnar, context=context)
+        heads, annotations = _answers(members, columnar, context=context)
     except OverflowError:
         if isinstance(columnar.ops, GenericObjectOps):
             raise
-        rows = _answers(members, columnar.generic(), context=context)
-    return AnswerTable(semiring, arity, rows)
+        heads, annotations = _answers(members, columnar.generic(),
+                                      context=context)
+    return AnswerTable(semiring, arity, heads, annotations)

@@ -146,9 +146,11 @@ class VectorizedOps(ABC):
         """Per-group ``⊕``-fold of ``values``.
 
         ``group_ids`` is an int64 array assigning each row to a group in
-        ``range(group_count)`` with **every** group populated (the
-        caller derives ids from ``np.unique(..., return_inverse=True)``);
-        returns an encoded column of ``group_count`` aggregates.
+        ``range(group_count)`` with **every** group populated; the
+        caller (``repro.eval.engine._group``) derives them with a
+        ``cumsum`` over the group starts of a stable order, so they
+        arrive non-decreasing.  Returns an encoded column of
+        ``group_count`` aggregates.
         """
 
 

@@ -11,6 +11,7 @@ inequalities, cross products).
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from repro.queries.atoms import Atom, Var
 from repro.queries.ccq import CQWithInequalities
 from repro.queries.cq import CQ
 from repro.queries.evaluation import evaluate_all
-from repro.queries.parser import parse_cq
+from repro.queries.parser import parse_cq, parse_ucq
 from repro.queries.ucq import UCQ, as_ucq
 from repro.semirings import ALL_SEMIRINGS, LUKASIEWICZ, N, TPLUS, WHY
 
@@ -179,6 +180,104 @@ def test_answer_table_views():
     assert len(table) == 1
     assert list(table) == [((1, 2), 3)]
     assert "AnswerTable" in repr(table)
+
+
+def _why(*witnesses: str) -> frozenset:
+    """A Why element: one witness set per string of variable letters."""
+    return frozenset(frozenset(witness) for witness in witnesses)
+
+
+EDGES = {(1, 2): 3, (2, 3): 4, (2, 4): 5, (3, 1): 2, (4, 4): 6}
+WHY_EDGES = {(1, 0): _why("yz"), (1, 1): _why("z", "y"), (0, 0): _why("z", "y")}
+
+#: ``(query, semiring, relations, rows)``: each answer table's rows in
+#: the grouping order the evaluator has always produced them in.
+ROW_VIEW_CASES = [
+    pytest.param(parse_cq("Q(x) :- R(x, y), R(y, z)"), N, {"R": EDGES},
+                 [((1,), 27), ((2,), 38), ((3,), 6), ((4,), 36)],
+                 id="projecting-join"),
+    pytest.param(parse_cq("Q() :- R(x, y), R(y, z)"), N, {"R": EDGES},
+                 [((), 107)], id="boolean"),
+    pytest.param(parse_cq("Q(x, y) :- R(x, z), S(z, y)"), N, {"R": EDGES},
+                 [], id="empty"),
+    pytest.param(UCQ([_member([X, "fresh"], [Atom("R", (X, Y))]),
+                      _member([X, 4], [Atom("R", (X, Y))])]),
+                 N, {"R": EDGES},
+                 [((1, 4), 3), ((1, "fresh"), 3), ((2, 4), 9),
+                  ((2, "fresh"), 9), ((3, 4), 2), ((3, "fresh"), 2),
+                  ((4, 4), 6), ((4, "fresh"), 6)], id="fresh-constant"),
+    pytest.param(parse_ucq(["Q(x, y) :- R(x, y)", "Q(x, y) :- R(y, x)"]),
+                 N, {"R": EDGES},
+                 [((1, 2), 3), ((1, 3), 2), ((2, 1), 3), ((2, 3), 4),
+                  ((2, 4), 5), ((3, 1), 2), ((3, 2), 4), ((4, 2), 5),
+                  ((4, 4), 12)], id="two-member-ucq"),
+    pytest.param(parse_cq("Q(x, z) :- R(x, y), R(y, z)"), WHY,
+                 {"R": WHY_EDGES},
+                 [((1, 1), _why("z", "yz", "y")), ((1, 0), _why("yz")),
+                  ((0, 0), _why("z", "yz", "y"))], id="why"),
+    pytest.param(parse_cq("Q(x, z) :- R(x, y), R(y, z)"), N,
+                 {"R": {(1, 2): 2 ** 40, (2, 3): 2 ** 40, (3, 3): 2 ** 33}},
+                 [((1, 3), 2 ** 80), ((2, 3), 2 ** 73), ((3, 3), 2 ** 66)],
+                 id="n-overflow"),
+]
+
+
+@pytest.mark.parametrize("query, semiring, tables, expected",
+                         ROW_VIEW_CASES)
+def test_answer_rows_behave_like_the_row_list(query, semiring, tables,
+                                              expected):
+    """``AnswerTable.rows`` is a view over the decoded columns with the
+    row list's order, length, iteration, indexing, ``==`` and ``repr``."""
+    instance = Instance(semiring, tables)
+    table = evaluate(query, instance)
+    rows = table.rows
+    listed = list(rows)
+    assert listed == expected
+    assert list(rows) == listed  # iteration is repeatable
+    assert list(table) == listed
+    assert len(rows) == len(table) == len(expected)
+    assert rows == expected and expected == rows
+    assert not rows != expected and not expected != rows
+    assert rows != expected + [((), 0)] and expected + [((), 0)] != rows
+    assert rows != tuple(expected)
+    assert repr(rows) == repr(listed)
+    for index in range(-len(expected), len(expected)):
+        assert rows[index] == expected[index]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            rows[index]
+    for part in (slice(None), slice(1, None), slice(None, -1),
+                 slice(None, None, -1), slice(0, None, 2), slice(5, 2)):
+        assert type(rows[part]) is list
+        assert rows[part] == expected[part]
+    assert table.to_dict() == dict(expected) == evaluate_all(query, instance)
+
+
+def test_walking_rows_keeps_no_per_answer_objects():
+    """Evaluating a 10k-answer join and walking its rows once leaves
+    O(1) new GC-tracked objects: each ``(head, annotation)`` pair dies
+    as soon as the walk moves on."""
+    rng = random.Random(5)
+    instance = Instance(N, {
+        "E": {(rng.randrange(150), rng.randrange(30)): rng.randrange(1, 9)
+              for _ in range(1500)},
+        "F": {(rng.randrange(30), rng.randrange(150)): rng.randrange(1, 9)
+              for _ in range(1500)},
+    })
+    columnar = ColumnarInstance.from_instance(instance)
+    query = parse_cq("Q(x, z) :- E(x, y), F(y, z)")
+    engine = ContainmentEngine()
+    assert len(evaluate(query, columnar, context=engine)) >= 10_000
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        table = evaluate(query, columnar, context=engine)
+        walked = sum(1 for _ in table.rows)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert walked == len(table) >= 10_000
+    assert grown < 100, grown
 
 
 #: Domain values the decode must hand back unchanged: tuples (one value
