@@ -35,6 +35,25 @@ anchored at a constant, over ``N`` and ``R+`` and pins, per pair:
   kernel enumeration in the kernel run, but canonicalises a fifth to
   a third fewer CCQs.  Every run uses a fresh engine.
 
+The oracle runs patch only those three conditions, not the dispatch's
+``transferred`` step (``Q1 ⊆N[X] Q2`` by a matching of members under
+bijective homomorphisms, carried along ``N[X] → K``).  It never
+decides a swept pair: ``Q1``'s one member has more atoms than ``Q2``'s,
+so no bijective homomorphism exists, and the identities above compare
+the bounds search itself.  The test asserts that no swept verdict is
+``transferred``.
+
+A head-pattern test decides the pair ``Q(x0..x{k-1}) :- R(xi, zi) for
+each i, R(z0, 'a'), R('b', z1)`` against itself over ``N``, ``N_2`` and
+``T+`` on a fresh engine, for head arity ``k`` = 2..4 (5 in full
+mode).  Its ``⟨Q⟩`` splits into a Bell-number count of head patterns,
+but the identity is a bijective homomorphism, so each pair must answer
+``transferred`` without computing a description or a canonical form (a
+work-count gate; no wall clock is checked).  A near miss, the pair with
+``'a'`` changed to ``'c'`` in ``Q2``, must give the same verdict bytes
+with the transfer patched out, which is the dispatch without it (it is
+refuted by the missing plain homomorphism before any head pattern).
+
 A second test re-decides the whole sweep warm: one engine decides
 every pair, its structural caches go through a snapshot file
 (verdicts left out, so every decision runs again), and a fresh engine
@@ -151,6 +170,7 @@ def test_kernel_bounds_match_class_and_occurrence_oracles():
                 case = (semiring, kind, size)
                 text, elapsed, counts = decide(q1, q2, semiring)
                 assert counts["cover"] <= 1, case
+                assert json.loads(text)["method"] != "transferred", case
                 seconds["kernel"] += elapsed
                 work["kernel"] += counts["work"]
                 cover += counts["cover"]
@@ -217,3 +237,47 @@ def test_report_long_chain_pairs():
         elapsed = time.perf_counter() - start
         print(f"{f'N chain {size}':>12} {elapsed * 1e3:>8.0f} "
               f"{engine.stats.canon_calls:>16}")
+
+
+#: Head arities of the head-pattern pairs, and the semirings deciding them.
+HEAD_ARITIES = range(2, 5 if SMOKE else 6)
+HEAD_SEMIRINGS = ("N", "N_2", "T+")
+
+
+def head_pattern_query(arity: int, constant: str = "a") -> CQ:
+    """``Q(x0..x{k-1}) :- R(xi, zi) for each i, R(z0, constant),
+    R('b', z1)``: ``k`` head variables and two constants."""
+    heads = [Var(f"x{i}") for i in range(arity)]
+    blocks = [Var(f"z{i}") for i in range(arity)]
+    atoms = [Atom("R", (head, block)) for head, block in zip(heads, blocks)]
+    atoms += [Atom("R", (blocks[0], constant)), Atom("R", ("b", blocks[1]))]
+    return CQ(heads, atoms)
+
+
+def test_head_pattern_self_pairs_are_transferred():
+    print()
+    print(f"{'k':>2} {'semiring':>8} {'ms':>8}")
+    for arity in HEAD_ARITIES:
+        query = head_pattern_query(arity)
+        for semiring in HEAD_SEMIRINGS:
+            engine = ContainmentEngine()
+            start = time.perf_counter()
+            document = engine.decide(query, query, semiring)
+            elapsed = time.perf_counter() - start
+            case = (arity, semiring)
+            assert document.result is True, case
+            assert document.method == "transferred", case
+            assert engine.stats.description_calls == 0, case
+            assert engine.stats.canon_calls == 0, case
+            print(f"{arity:>2} {semiring:>8} {elapsed * 1e3:>8.2f}")
+
+
+def test_head_pattern_near_miss_is_not_transferred(monkeypatch):
+    q1, q2 = head_pattern_query(2), head_pattern_query(2, "c")
+    texts = {}
+    for semiring in HEAD_SEMIRINGS:
+        texts[semiring], _, _ = decide(q1, q2, semiring)
+        assert json.loads(texts[semiring])["method"] != "transferred"
+    monkeypatch.setattr(containment, "transferred", lambda *args: None)
+    for semiring in HEAD_SEMIRINGS:
+        assert decide(q1, q2, semiring)[0] == texts[semiring], semiring

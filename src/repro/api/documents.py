@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
-from ..core.verdict import Verdict
+from ..core.verdict import MemberMatching, Verdict
 from ..queries.atoms import is_var
 from ..queries.cq import CQ
 from ..queries.parser import parse_cq
@@ -84,21 +84,31 @@ def certificate_to_doc(certificate) -> dict | None:
     """Normalize a verdict certificate to plain JSON-able data.
 
     Homomorphism mappings become ``{"kind": "homomorphism", "mapping":
-    {var: term-doc}}``; condition names become ``{"kind": "condition",
-    "text": ...}``; anything else is kept as its ``repr``.
+    {var: term-doc}}``; a :class:`~repro.core.verdict.MemberMatching`
+    becomes ``{"kind": "bijective-matching", "assignment": [{"q1": i,
+    "q2": j, "mapping": {var: term-doc}}, ...]}``; condition names
+    become ``{"kind": "condition", "text": ...}``; anything else is kept
+    as its ``repr``.
     """
     if certificate is None:
         return None
     if isinstance(certificate, Mapping):
-        mapping = {
-            var.name if is_var(var) else str(var): term_to_dict(image)
-            for var, image in certificate.items()
-        }
-        return {"kind": "homomorphism",
-                "mapping": dict(sorted(mapping.items()))}
+        return {"kind": "homomorphism", "mapping": _mapping_doc(certificate)}
+    if isinstance(certificate, MemberMatching):
+        return {"kind": "bijective-matching",
+                "assignment": [{"q1": i, "q2": j,
+                                "mapping": _mapping_doc(mapping)}
+                               for i, j, mapping in certificate.assignment]}
     if isinstance(certificate, str):
         return {"kind": "condition", "text": certificate}
     return {"kind": "opaque", "repr": repr(certificate)}
+
+
+def _mapping_doc(mapping: Mapping) -> dict:
+    """A variable mapping as ``{var name: term-doc}``, sorted by name."""
+    doc = {var.name if is_var(var) else str(var): term_to_dict(image)
+           for var, image in mapping.items()}
+    return dict(sorted(doc.items()))
 
 
 @dataclass(frozen=True)

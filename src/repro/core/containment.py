@@ -21,6 +21,24 @@ The procedures that read complete descriptions (``⇉2``, ``։∞``,
 valuations exactly only at head values that differ from each other and
 from the constants.
 
+In front of exactly those procedures the UCQ dispatch tries one edge of
+the classification's own order, :func:`transferred`.  ``N[X]`` keeps
+the most provenance: a homomorphism ``N[X] → K`` exists for every
+``K`` and is monotone in the natural order (Green, Prop. A.2), so
+``Q1 ⊆N[X] Q2`` gives ``Q1 ⊆K Q2``.  The step tests one sufficient
+condition for it on the original pair: every ``Q1`` member has its own
+``Q2`` member with a bijective homomorphism onto it.  Those searches
+are memoised, short, and hold at every head pattern, so a pair they
+decide (a self pair, say) builds no ``⟨Q⟩``, no small model and no
+bounds.  It runs after the universal plain-homomorphism refutation and
+only before the procedures above: the CQ rows and the local UCQ rows
+(``Chom``, ``C1in``, ``C1hcov``, ``C1sur``, ``C1bi``) cost no more than
+the step would, so they are left to answer as they always have.  A
+failed matching leaves the dispatch exactly as without the step.  Its
+``True`` is sound over every ``K``: an exact class procedure agrees
+with it, and where the bounds would leave a pair undecided it decides
+the pair.
+
 For semirings outside every decidable class (bag semantics ``N``,
 ``R+``) the verdict reports the strongest applicable bounds: a failed
 necessary condition still *refutes*, a satisfied sufficient condition
@@ -35,6 +53,7 @@ import math
 from typing import Callable
 
 from ..homomorphisms.covering import covers
+from ..homomorphisms.matching import saturating_flow
 from ..homomorphisms.search import HomKind
 from ..homomorphisms.ucq_conditions import (bi_count_infty, bi_count_k,
                                             covering_2, covering_union,
@@ -45,28 +64,15 @@ from ..queries.ucq import UCQ, as_ucq
 from .classes import Classification
 from .context import DecisionContext, resolve_context
 from .small_model import small_model_contained
-from .verdict import Verdict
+from .verdict import MemberMatching, Verdict
 
 __all__ = ["decide_containment", "decide_cq_containment",
-           "decide_ucq_containment", "k_equivalent"]
+           "decide_ucq_containment", "k_equivalent", "transferred"]
 
 
 def _local(kind: HomKind) -> Callable:
     return lambda q1, q2, cls, ctx: local_condition(q2, q1, kind,
                                                     context=ctx)
-
-
-def _per_pattern(condition: Callable) -> Callable:
-    """``condition`` on every head pattern of the pair
-    (:func:`repro.queries.ccq.head_patterns`): a condition that reads
-    ``⟨Q⟩`` is exact only where the head values differ from each other
-    and from the constants."""
-    def every(q1, q2, cls, ctx):
-        for p1, p2 in head_patterns(q1, q2):
-            if not condition(p1, p2, cls, ctx):
-                return False
-        return True
-    return every
 
 
 #: The procedure of each :data:`~repro.core.classes.CQ_CLASSES` class:
@@ -90,19 +96,26 @@ UCQ_PROCEDURES = {
     "C1in": ("local-injective", "Thm. 5.6", _local(HomKind.INJECTIVE)),
     "C1hcov": ("union-covering", "Thm. 5.24, k = 1",
                lambda q1, q2, cls, ctx: covering_union(q2, q1, context=ctx)),
-    "C2hcov": ("union-covering-2", "Thm. 5.24, k = 2", _per_pattern(
-        lambda q1, q2, cls, ctx: covering_2(q2, q1, context=ctx))),
+    "C2hcov": ("union-covering-2", "Thm. 5.24, k = 2",
+               lambda q1, q2, cls, ctx: covering_2(q2, q1, context=ctx)),
     "C1sur": ("local-surjective", "Cor. 5.18", _local(HomKind.SURJECTIVE)),
-    "C∞sur": ("sur-infty-matching", "Thm. 5.17", _per_pattern(
-        lambda q1, q2, cls, ctx: sur_infty(q2, q1, context=ctx))),
+    "C∞sur": ("sur-infty-matching", "Thm. 5.17",
+              lambda q1, q2, cls, ctx: sur_infty(q2, q1, context=ctx)),
     "C1bi": ("local-bijective", "Thm. 5.13, k = 1",
              _local(HomKind.BIJECTIVE)),
-    "Ckbi": ("bi-count-k", "Thm. 5.13, k = {k}", _per_pattern(
-        lambda q1, q2, cls, ctx: bi_count_k(q2, q1, cls.offset,
-                                            context=ctx))),
-    "C∞bi": ("bi-count-infty", "Prop. 5.10 / Prop. 5.9", _per_pattern(
-        lambda q1, q2, cls, ctx: bi_count_infty(q2, q1, context=ctx))),
+    "Ckbi": ("bi-count-k", "Thm. 5.13, k = {k}",
+             lambda q1, q2, cls, ctx: bi_count_k(q2, q1, cls.offset,
+                                                 context=ctx)),
+    "C∞bi": ("bi-count-infty", "Prop. 5.10 / Prop. 5.9",
+             lambda q1, q2, cls, ctx: bi_count_infty(q2, q1, context=ctx)),
 }
+
+#: The :data:`UCQ_PROCEDURES` rows whose condition reads ``⟨Q⟩``.  The
+#: dispatcher tries :func:`transferred` in front of them and then runs
+#: the condition on every head pattern of the pair
+#: (:func:`repro.queries.ccq.head_patterns`): ``⟨Q⟩`` is exact only
+#: where the head values differ from each other and from the constants.
+PER_PATTERN = frozenset({"C2hcov", "C∞sur", "Ckbi", "C∞bi"})
 
 
 def _check_arity(q1, q2) -> None:
@@ -154,8 +167,11 @@ def decide_cq_containment(q1: CQ, q2: CQ, semiring, *,
     ctx = resolve_context(context)
     cls = ctx.classify(semiring)
 
-    # A plain homomorphism Q2 → Q1 is necessary over EVERY positive
-    # semiring (Sec. 3.3), giving a universal fast refutation.
+    # A plain homomorphism Q2 → Q1 is necessary over every registered
+    # semiring (Sec. 3.3), giving a universal fast refutation: with all
+    # annotations 1 on Q1's canonical instance, Q1 reads at least 1 and
+    # Q2 reads 0.  That needs 1 ⊗ 1 = 1, not positivity, so it holds
+    # over L as well.
     witness = ctx.find_homomorphism(q2, q1, HomKind.PLAIN)
     if witness is None:
         return Verdict(False, "no-homomorphism",
@@ -198,7 +214,9 @@ def decide_ucq_containment(q1, q2, semiring, *,
 
     # Universal fast refutation: each member of Q1 needs some member of
     # Q2 with a plain homomorphism to it (evaluate both sides on the
-    # canonical instance of the uncovered member, all annotations 1).
+    # canonical instance of the uncovered member, all annotations 1;
+    # sound wherever 1 ⊗ 1 = 1, so over L as well as every positive
+    # semiring).
     if not local_condition(q2, q1, HomKind.PLAIN, context=ctx):
         return Verdict(False, "no-local-homomorphism",
                        explanation="some member of Q1 admits no "
@@ -206,10 +224,17 @@ def decide_ucq_containment(q1, q2, semiring, *,
                                    "necessary over every positive semiring")
 
     name = cls.ucq_exact_class()
+    if name is None or name in PER_PATTERN:
+        verdict = transferred(q1, q2, semiring, ctx)
+        if verdict is not None:
+            return verdict
     if name is not None:
         method, reference, condition = UCQ_PROCEDURES[name]
         reference = reference.format(k=_k_label(cls.offset))
-        return Verdict(condition(q1, q2, cls, ctx), method,
+        patterns = (head_patterns(q1, q2) if name in PER_PATTERN
+                    else ((q1, q2),))
+        holds = all(condition(p1, p2, cls, ctx) for p1, p2 in patterns)
+        return Verdict(holds, method,
                        explanation=f"{semiring.name} ∈ {name} ({reference})")
     if cls.small_model:
         holds = small_model_contained(q1, q2, semiring, context=ctx)
@@ -224,6 +249,58 @@ def decide_ucq_containment(q1, q2, semiring, *,
         if first is None or first.result and verdict.result is None:
             first = verdict
     return first
+
+
+def transferred(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext
+                ) -> Verdict | None:
+    """``True`` carried along ``N[X] → K`` when one sufficient condition
+    for ``Q1 ⊆N[X] Q2`` holds; ``None`` when it does not.
+
+    The condition: every ``Q1`` member gets its own ``Q2`` member with a
+    bijective homomorphism from that member onto it (the Hall matcher,
+    :func:`repro.homomorphisms.matching.saturating_flow`, with unit
+    demands and capacities).  Each valuation of a ``Q1`` member then
+    extends to a distinct valuation of its ``Q2`` member with the same
+    monomial, so the member's polynomial is at most its partner's, and
+    the sum over ``Q1`` at most the sum over ``Q2``.  For a CQ pair this
+    is exactly ``N[X]``'s ``Cbi`` procedure (Thm. 4.10); for unions it
+    is sufficient.  A bijective homomorphism maps head to head, so the
+    condition holds at every head pattern.  ``N[X]`` is the free
+    commutative semiring: ``N[X] → K`` exists for every ``K`` and is
+    monotone in the natural order (Green, Prop. A.2), so the verdict
+    holds over ``semiring``.
+
+    The certificate is the mapping for a pair of single members, else a
+    :class:`~repro.core.verdict.MemberMatching`.
+    """
+    members1, members2 = q1.cqs, q2.cqs
+    mappings: dict[tuple[int, int], dict] = {}
+
+    def edges(i: int) -> list[int]:
+        found = []
+        for j, member in enumerate(members2):
+            mapping = ctx.find_homomorphism(member, members1[i],
+                                            HomKind.BIJECTIVE)
+            if mapping is not None:
+                mappings[i, j] = mapping
+                found.append(j)
+        return found
+
+    flow = saturating_flow([1] * len(members1), [1] * len(members2), edges)
+    if flow is None:
+        return None
+    if len(members1) == len(members2) == 1:
+        certificate = mappings[0, 0]
+    else:
+        certificate = MemberMatching(tuple(
+            (i, j, mappings[i, j])
+            for i, j in sorted((i, j) for j, row in enumerate(flow)
+                               for i in row)))
+    return Verdict(True, "transferred", certificate=certificate,
+                   explanation=f"transferred along N[X] → {semiring.name} "
+                               "(Prop. A.2): each member of Q1 has its own "
+                               "member of Q2 with a bijective homomorphism "
+                               "onto it, so Q1 ⊆N[X] Q2 (Thm. 4.10)")
 
 
 def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,

@@ -1,9 +1,11 @@
 """Certificate checking and enriched containment explanations.
 
-The dispatcher's verdicts carry certificates (homomorphism mappings).
-This module makes them *independently checkable* — a reviewer need not
-trust the search — and combines syntactic refutations with semantic
-witnesses from the oracle into a single explanation object.
+The dispatcher's verdicts carry certificates (homomorphism mappings,
+and for a ``transferred`` union verdict a
+:class:`~repro.core.verdict.MemberMatching`).  This module makes them
+*independently checkable* — a reviewer need not trust the search — and
+combines syntactic refutations with semantic witnesses from the oracle
+into a single explanation object.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from typing import Any
 from ..homomorphisms.search import HomKind
 from ..oracle.brute_force import Counterexample, find_counterexample
 from ..queries.cq import CQ
-from ..queries.ucq import as_ucq
+from ..queries.ucq import UCQ, as_ucq
 from .containment import CQ_PROCEDURES, decide_containment
-from .verdict import Verdict
+from .verdict import MemberMatching, Verdict
 
-__all__ = ["check_homomorphism_certificate", "Explanation", "explain"]
+__all__ = ["check_homomorphism_certificate", "check_member_matching",
+           "Explanation", "explain"]
 
 
 def check_homomorphism_certificate(source: CQ, target: CQ, mapping: dict,
@@ -55,13 +58,33 @@ def check_homomorphism_certificate(source: CQ, target: CQ, mapping: dict,
     return True
 
 
+def check_member_matching(source: UCQ, target: UCQ,
+                          matching: MemberMatching) -> bool:
+    """Verify a ``transferred`` union certificate: every ``target``
+    member is assigned exactly once, to a ``source`` member that no
+    other target member shares, through a bijective homomorphism
+    ``source member → target member`` (re-checked by
+    :func:`check_homomorphism_certificate`)."""
+    targets = [i for i, _, _ in matching.assignment]
+    sources = [j for _, j, _ in matching.assignment]
+    if sorted(targets) != list(range(len(target.cqs))):
+        return False
+    if len(set(sources)) != len(sources) or not all(
+            0 <= j < len(source.cqs) for j in sources):
+        return False
+    return all(check_homomorphism_certificate(
+        source.cqs[j], target.cqs[i], mapping, HomKind.BIJECTIVE)
+        for i, j, mapping in matching.assignment)
+
+
 def _all_variables(query: CQ):
     return {v for atom in query.atoms for v in atom.variables()}
 
 
-#: The homomorphism kind behind each CQ method that certifies a mapping.
+#: The homomorphism kind behind each method that certifies a mapping:
+#: the CQ methods, and ``transferred`` on a pair of single members.
 _METHOD_KINDS = {method: kind for method, _, kind in CQ_PROCEDURES.values()
-                 if kind is not None}
+                 if kind is not None} | {"transferred": HomKind.BIJECTIVE}
 
 
 @dataclass(frozen=True)
@@ -104,12 +127,16 @@ def explain(q1, q2, semiring, witness_budget: int = 1500, *,
     """
     verdict = decide_containment(q1, q2, semiring, context=context)
     certificate_valid = None
+    certificate = verdict.certificate
     kind = _METHOD_KINDS.get(verdict.method)
-    if verdict.result is True and verdict.certificate is not None \
+    if verdict.result is True and isinstance(certificate, MemberMatching):
+        certificate_valid = check_member_matching(as_ucq(q2), as_ucq(q1),
+                                                  certificate)
+    elif verdict.result is True and certificate is not None \
             and kind is not None:
-        # A CQ method: both sides are CQs or singleton unions.
+        # A mapping certificate: both sides are CQs or singleton unions.
         certificate_valid = check_homomorphism_certificate(
-            as_ucq(q2).cqs[0], as_ucq(q1).cqs[0], verdict.certificate, kind)
+            as_ucq(q2).cqs[0], as_ucq(q1).cqs[0], certificate, kind)
     witness = None
     if verdict.result is False:
         witness = find_counterexample(q1, q2, semiring,

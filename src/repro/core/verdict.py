@@ -12,11 +12,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["Verdict", "Undecided"]
+__all__ = ["MemberMatching", "Verdict", "Undecided"]
 
 
 class Undecided(RuntimeError):
     """Raised by :meth:`Verdict.unwrap` when no decision was reached."""
+
+
+@dataclass(frozen=True)
+class MemberMatching:
+    """A union-level certificate: each ``Q1`` member gets its own ``Q2``
+    member and a bijective homomorphism from it onto the ``Q1`` member.
+
+    ``assignment`` holds ``(q1 index, q2 index, mapping)`` triples in
+    ``Q1`` member order; indices count the members of the unions as
+    stored (:class:`~repro.queries.ucq.UCQ` sorts them), and no ``Q2``
+    index occurs twice.
+    """
+
+    assignment: tuple[tuple[int, int, dict], ...]
 
 
 @dataclass(frozen=True)

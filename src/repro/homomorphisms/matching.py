@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-__all__ = ["saturates"]
+__all__ = ["saturates", "saturating_flow"]
 
 
 def saturates(demand: Sequence[int], capacity: Sequence[int],
@@ -42,8 +42,18 @@ def saturates(demand: Sequence[int], capacity: Sequence[int],
     the left side.  ``edges`` is called at most once per left vertex,
     in index order.
     """
+    return saturating_flow(demand, capacity, edges) is not None
+
+
+def saturating_flow(demand: Sequence[int], capacity: Sequence[int],
+                    edges: Callable[[int], Sequence[int]]
+                    ) -> list[dict[int, int]] | None:
+    """The flow behind :func:`saturates`: ``flow[j][i]`` units go from
+    left ``i`` to right ``j``, every left demand met; ``None`` when no
+    such flow exists.  With unit demands and capacities it is a
+    matching, each left ``i`` in exactly one ``flow[j]``."""
     if sum(demand) > sum(capacity):
-        return False
+        return None
     spare = list(capacity)
     # assigned[j][i]: units left vertex i currently sends to right j.
     assigned: list[dict[int, int]] = [{} for _ in capacity]
@@ -53,9 +63,9 @@ def saturates(demand: Sequence[int], capacity: Sequence[int],
         while need:
             path = _augmenting_path(source, adjacency, spare, assigned)
             if path is None:
-                return False
+                return None
             need -= _augment(path, need, spare, assigned)
-    return True
+    return assigned
 
 
 def _augmenting_path(source, adjacency, spare, assigned):

@@ -9,10 +9,34 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.containment as containment
 from repro.core import decide_ucq_containment
 from repro.queries import UCQ, parse_cq, parse_ucq
 from repro.semirings import (B, BX, LIN, LIN_X_N2, N, N2X, N3X,
-                             N2_SATURATING, NX, SORP, TPLUS, TRIO, WHY)
+                             N2_SATURATING, NX, SORP, SSUR, TPLUS, TRIO,
+                             WHY)
+
+
+@pytest.fixture
+def no_transfer(monkeypatch):
+    """The dispatch without its ``N[X] → K`` transfer, for a pair whose
+    members match bijectively but whose class procedure is under test
+    (see :func:`test_bijectively_matched_members_are_transferred`)."""
+    monkeypatch.setattr(containment, "transferred", lambda *args: None)
+
+
+def test_bijectively_matched_members_are_transferred():
+    """Each ``Q1`` member has its own ``Q2`` member with a bijective
+    homomorphism onto it, so ``Q1 ⊆N[X] Q2``, and the verdict is
+    carried along ``N[X] → K`` before any class procedure runs."""
+    q = parse_cq("Q() :- R(u, u)")
+    for q1, q2, semiring in ((UCQ((q, q)), UCQ((q, q)), SSUR),
+                             (UCQ((q, q)), UCQ((q, q)), TRIO),
+                             (UCQ((q,)), UCQ((q, q)), N)):
+        verdict = decide_ucq_containment(q1, q2, semiring)
+        assert verdict.result is True, semiring.name
+        assert verdict.method == "transferred", semiring.name
+        assert f"N[X] → {semiring.name}" in verdict.explanation
 
 
 # --- requirement (C3): the empty union ------------------------------------
@@ -117,8 +141,7 @@ def test_c1sur_why():
 
 # --- C∞sur (Thm. 5.17): Trio[X] and the Hall matching ------------------------
 
-def test_cinf_sur_ssur_counts_copies():
-    from repro.semirings import SSUR
+def test_cinf_sur_ssur_counts_copies(no_transfer):
     q = parse_cq("Q() :- R(u, u)")
     q1 = UCQ((q, q))
     verdict = decide_ucq_containment(q1, UCQ((q, q)), SSUR)
@@ -130,7 +153,7 @@ def test_cinf_sur_ssur_counts_copies():
     assert decide_ucq_containment(q1, UCQ((q,)), WHY).result is True
 
 
-def test_trio_ucq_bounds_only():
+def test_trio_ucq_bounds_only(no_transfer):
     """Trio ∉ N1sur/N∞sur: the ⊕-side is honest about the gap — a
     sufficient ։∞ still certifies, but failures stay undecided unless a
     necessary condition refutes."""
@@ -178,7 +201,7 @@ def test_c1bi_bx_local_bijective():
 
 # --- bag semantics: the undecidability frontier ------------------------------
 
-def test_bag_ucq_sufficient_cor_5_16():
+def test_bag_ucq_sufficient_cor_5_16(no_transfer):
     """⟨Q2⟩ ։∞ ⟨Q1⟩ implies Q1 ⊆N Q2 (Cor. 5.16)."""
     q = parse_cq("Q() :- R(u, u)")
     verdict = decide_ucq_containment(UCQ((q,)), UCQ((q, q)), N)

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+import repro.core.containment as containment
+from repro.api import ContainmentEngine
 from repro.core.explain import (Explanation, check_homomorphism_certificate,
                                 explain)
+from repro.core.verdict import MemberMatching
 from repro.homomorphisms import HomKind, find_homomorphism
 from repro.homomorphisms.isomorphism import endomorphisms, is_automorphism
 from repro.queries import Var, complete_description, parse_cq, parse_ucq
 from repro.queries.generators import random_cq
 from repro.semirings import B, N, NX, SORP, WHY
+from tests.test_table1_golden import CORPUS
 
 
 # --- certificate checking -------------------------------------------------
@@ -99,6 +104,69 @@ def test_explain_handles_ucq():
     u2 = parse_ucq(["Q() :- R(u, v)", "Q() :- R(u, u)"])
     explanation = explain(u1, u2, SORP)
     assert explanation.verdict.result is True
+
+
+# --- transferred verdicts (a bijective member matching) ----------------------
+
+def _union(spec):
+    return parse_ucq(spec if isinstance(spec, list) else [spec])
+
+
+def test_every_transferred_golden_verdict_is_checked():
+    engine = ContainmentEngine()
+    checked = set()
+    for semiring in engine.registry:
+        for label, q1, q2, equivalence in CORPUS:
+            if equivalence or engine.decide(
+                    q1, q2, semiring).method != "transferred":
+                continue
+            explanation = explain(_union(q1), _union(q2), semiring,
+                                  context=engine.context)
+            assert explanation.certificate_valid is True, (semiring, label)
+            assert "certificate checked" in explanation.summary()
+            checked.add(type(explanation.verdict.certificate))
+    # Both shapes occur: a CQ pair's mapping and a union's matching.
+    assert checked == {dict, MemberMatching}
+
+
+def _tampering(monkeypatch, tamper):
+    """Patch the dispatch's transfer step to return ``tamper`` applied
+    to the certificate it finds."""
+    original = containment.transferred
+
+    def tampered(*args):
+        verdict = original(*args)
+        return replace(verdict, certificate=tamper(verdict.certificate))
+    monkeypatch.setattr(containment, "transferred", tampered)
+
+
+def test_a_tampered_cq_mapping_is_caught(monkeypatch):
+    q1, q2 = parse_cq("Q() :- R(x, 'a')"), parse_cq("Q() :- R(x, y)")
+    assert "certificate checked" in explain(q1, q2, N).summary()
+    _tampering(monkeypatch, lambda mapping: {**mapping, Var("y"): "b"})
+    explanation = explain(q1, q2, N)
+    assert explanation.verdict.method == "transferred"
+    assert "CERTIFICATE BAD" in explanation.summary()
+
+
+CI_9 = (["Q() :- R(x, 'a')", "Q() :- S(y)"], ["Q() :- R(x, y)", "Q() :- S(y)"])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda matching: MemberMatching(tuple(
+        (i, 0, mapping) for i, _, mapping in matching.assignment)),
+    lambda matching: MemberMatching(tuple(
+        (i, j, {var: "b" for var in mapping})
+        for i, j, mapping in matching.assignment)),
+    lambda matching: MemberMatching(matching.assignment[:1]),
+], ids=["repeated-q2-member", "tampered-mapping", "unassigned-q1-member"])
+def test_a_tampered_member_matching_is_caught(monkeypatch, tamper):
+    q1, q2 = map(parse_ucq, CI_9)
+    assert "certificate checked" in explain(q1, q2, N).summary()
+    _tampering(monkeypatch, tamper)
+    explanation = explain(q1, q2, N)
+    assert explanation.verdict.method == "transferred"
+    assert "CERTIFICATE BAD" in explanation.summary()
 
 
 # --- the endomorphism lemma (Sec. 5.2) ---------------------------------------

@@ -24,6 +24,14 @@ ways, on pairs with constants and head variables:
       ``True``, and where its value at all tags 1 is not below, ``N``
       may not either.  (i)–(iii) only check verdicts against each
       other; this one catches a ``True`` that is wrong everywhere.
+(v)   *The transfer is no shortcut past a refutation.*  The dispatch
+      answers ``True`` along ``N[X] → K`` when every ``Q1`` member has
+      its own ``Q2`` member with a bijective homomorphism onto it
+      (``repro.core.containment.transferred``), so (ii) alone would
+      check that shortcut against itself.  Each pair it decides is
+      re-decided on every semiring with it patched out: no class
+      procedure, small model or bounds sweep may answer ``False``
+      there, and ``N[X]``'s own procedure must answer ``True``.
 
 The pairs come from the generator below, not from
 ``repro.queries.generators``.  ``REPRO_ORACLE_PAIRS`` sets how many
@@ -38,6 +46,7 @@ import random
 
 import pytest
 
+import repro.core.containment as containment
 from repro.api import ContainmentEngine
 from repro.data.canonical import canonical_instance
 from repro.queries import UCQ, Atom, Var
@@ -148,6 +157,26 @@ def test_a_boolean_refutation_refutes_every_positive_semiring(verdicts):
     # The draws must exercise both sides of every property.
     assert any(results["B"] is False for *_, results in verdicts)
     assert any(results["N[X]"] is True for *_, results in verdicts)
+
+
+def test_no_class_procedure_refutes_a_transferred_pair(verdicts,
+                                                       monkeypatch):
+    context = ContainmentEngine().context
+    transferred = [(q1, q2) for q1, q2, *_ in verdicts
+                   if containment.transferred(q1, q2, NX, context)
+                   is not None]
+    assert transferred
+    monkeypatch.setattr(containment, "transferred", lambda *args: None)
+    engine = ContainmentEngine()
+    violations = []
+    for q1, q2 in transferred:
+        results = {name: engine.decide(q1, q2, name).result
+                   for name in NAMES}
+        violations += [(q1, q2, name) for name, result in results.items()
+                       if result is False]
+        if results["N[X]"] is not True:
+            violations.append((q1, q2, "N[X] not True"))
+    assert not violations, violations[:5]
 
 
 def _refuted_at_a_head_pattern(q1: UCQ, q2: UCQ) -> tuple[bool, bool]:
