@@ -49,10 +49,18 @@ each i, R(z0, 'a'), R('b', z1)`` against itself over ``N``, ``N_2`` and
 mode).  Its ``⟨Q⟩`` splits into a Bell-number count of head patterns,
 but the identity is a bijective homomorphism, so each pair must answer
 ``transferred`` without computing a description or a canonical form (a
-work-count gate; no wall clock is checked).  A near miss, the pair with
-``'a'`` changed to ``'c'`` in ``Q2``, must give the same verdict bytes
-with the transfer patched out, which is the dispatch without it (it is
-refuted by the missing plain homomorphism before any head pattern).
+work-count gate; no wall clock is checked).  Three near misses at
+``k = 2`` must not be ``transferred`` and must give the same verdict
+bytes with the transfer patched out, which is the dispatch without it.
+``Q2`` is the query with ``'a'`` changed to ``'c'``, which the missing
+plain homomorphism refutes before any head pattern; or the query
+without ``R('b', z1)``, or with one more atom ``R(x0, w)``, which keep
+the plain homomorphism but have no bijective one.  Those two build a
+description (``N``, ``N_2``) or a small model (``T+``) per head
+pattern, except the dropped atom over ``N``, which fails ``⇉2`` at
+the covering level first.  They pin behaviour for the per-pattern
+cost; no wall clock is checked (``T+`` takes about half a second on
+each; at ``k = 3`` it takes over a minute, so no mode runs it).
 
 A second test re-decides the whole sweep warm: one engine decides
 every pair, its structural caches go through a snapshot file
@@ -150,6 +158,8 @@ def decide(q1: CQ, q2: CQ, semiring: str) -> tuple[str, float, dict]:
     stats = engine.stats
     return text, elapsed, {"cover": stats.cover_calls,
                            "kernel": stats.kernel_calls,
+                           "description": stats.description_calls,
+                           "small_model": stats.small_model_calls,
                            "work": (stats.hom_calls + stats.kernel_calls
                                     + stats.canon_calls)}
 
@@ -272,12 +282,39 @@ def test_head_pattern_self_pairs_are_transferred():
             print(f"{arity:>2} {semiring:>8} {elapsed * 1e3:>8.2f}")
 
 
+def near_misses(arity: int) -> dict[str, CQ]:
+    """``Q2``s for ``head_pattern_query(arity)`` with no bijective
+    homomorphism into it: one constant changed (no plain homomorphism
+    either), ``R('b', z1)`` dropped, or one more atom ``R(x0, w)``."""
+    query = head_pattern_query(arity)
+    return {
+        "constant": head_pattern_query(arity, "c"),
+        "dropped": CQ(query.head, [atom for atom in query.atoms
+                                   if atom.terms[0] != "b"]),
+        "extended": CQ(query.head, [*query.atoms,
+                                    Atom("R", (Var("x0"), Var("w")))]),
+    }
+
+
 def test_head_pattern_near_miss_is_not_transferred(monkeypatch):
-    q1, q2 = head_pattern_query(2), head_pattern_query(2, "c")
-    texts = {}
-    for semiring in HEAD_SEMIRINGS:
-        texts[semiring], _, _ = decide(q1, q2, semiring)
-        assert json.loads(texts[semiring])["method"] != "transferred"
+    q1 = head_pattern_query(2)
+    cases = [(name, q2, semiring) for name, q2 in near_misses(2).items()
+             for semiring in HEAD_SEMIRINGS]
+    texts, idle = {}, set()
+    print()
+    print(f"{'Q2':>8} {'semiring':>8} {'ms':>8} {'descriptions':>12} "
+          f"{'small models':>12}")
+    for name, q2, semiring in cases:
+        texts[name, semiring], elapsed, counts = decide(q1, q2, semiring)
+        assert json.loads(texts[name, semiring])["method"] != "transferred"
+        if not counts["description"] + counts["small_model"]:
+            idle.add((name, semiring))
+        print(f"{name:>8} {semiring:>8} {elapsed * 1e3:>8.1f} "
+              f"{counts['description']:>12} {counts['small_model']:>12}")
+    # Only a refutation before the head patterns builds neither.
+    assert idle == {("constant", semiring) for semiring in HEAD_SEMIRINGS} \
+        | {("dropped", "N")}, idle
     monkeypatch.setattr(containment, "transferred", lambda *args: None)
-    for semiring in HEAD_SEMIRINGS:
-        assert decide(q1, q2, semiring)[0] == texts[semiring], semiring
+    for name, q2, semiring in cases:
+        assert decide(q1, q2, semiring)[0] == texts[name, semiring], \
+            (name, semiring)

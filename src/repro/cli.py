@@ -343,17 +343,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    from .lint import render_json, render_text, run_lint
-
-    report = run_lint(args.paths or None)
-    if args.json:
-        print(json.dumps(render_json(report), ensure_ascii=False))
-    else:
-        print(render_text(report))
-    return report.exit_code
-
-
 def _cmd_falsify(args) -> int:
     import random
 
@@ -509,16 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     eval_cmd.add_argument("--json", action="store_true",
                           help="print the answer table as JSON")
     eval_cmd.set_defaults(func=_cmd_eval)
-
-    lint = commands.add_parser(
-        "lint", help="run the project invariant checker (rule RL004: "
-                     "determinism hazards)")
-    lint.add_argument("paths", nargs="*", metavar="PATH",
-                      help="files/directories to lint (default: the "
-                           "installed repro package)")
-    lint.add_argument("--json", action="store_true",
-                      help="print the report as JSON")
-    lint.set_defaults(func=_cmd_lint)
 
     falsify = commands.add_parser(
         "falsify", help="probe the necessary-class axioms of a semiring")

@@ -279,6 +279,10 @@ def transferred(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext
     def edges(i: int) -> list[int]:
         found = []
         for j, member in enumerate(members2):
+            # A bijection needs equal atom counts: skip the search (and
+            # the `homs` entry its miss would leave) when they differ.
+            if len(member.atoms) != len(members1[i].atoms):
+                continue
             mapping = ctx.find_homomorphism(member, members1[i],
                                             HomKind.BIJECTIVE)
             if mapping is not None:

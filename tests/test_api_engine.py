@@ -470,17 +470,19 @@ def _golden_stream(engine) -> list:
 #: hom figures rose by six when the dispatch began trying the ``N[X]``
 #: transfer (a bijective member matching) in front of the ``N`` bounds
 #: and the ``T+`` small model: each pair searches its two ``Q2``
-#: members against each ``Q1`` member, and no matching exists.
+#: members against each ``Q1`` member, and no matching exists.  They
+#: fell by two when the transfer stopped searching a pair of members
+#: with different atom counts, which no bijection maps.
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
-    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 14,
+    "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 12,
     "hom_hits": 3, "kernel_calls": 7, "kernel_hits": 0, "cover_calls": 5,
     "cover_hits": 0, "description_calls": 2, "description_hits": 2,
     "canon_calls": 6, "canon_hits": 3,
     "small_model_calls": 1, "small_model_hits": 0,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 14,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 12,
     "kernel_entries": 7, "cover_entries": 5, "description_entries": 2,
     "canon_entries": 6, "small_model_entries": 1, "poly_entries": 1,
     "eval_plan_entries": 1, "verdict_entries": 6}
@@ -488,13 +490,13 @@ _GOLDEN_COLD = {
 _GOLDEN_RESTORED = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 0,
     "classify_hits": 7, "parse_calls": 0, "parse_hits": 20, "hom_calls": 0,
-    "hom_hits": 17, "kernel_calls": 0, "kernel_hits": 7, "cover_calls": 0,
+    "hom_hits": 15, "kernel_calls": 0, "kernel_hits": 7, "cover_calls": 0,
     "cover_hits": 5, "description_calls": 0, "description_hits": 3,
     "canon_calls": 0, "canon_hits": 0,
     "small_model_calls": 0, "small_model_hits": 1,
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
-    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 14,
+    "classification_entries": 5, "parsed_entries": 11, "hom_entries": 12,
     "kernel_entries": 7, "cover_entries": 5, "description_entries": 2,
     "canon_entries": 6, "small_model_entries": 1, "poly_entries": 1,
     "eval_plan_entries": 1, "verdict_entries": 6}

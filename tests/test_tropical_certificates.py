@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
-from pathlib import Path
 
 import pytest
 
@@ -289,42 +288,6 @@ def test_doctored_snapshot_certificates_cannot_change_answers(tmp_path):
     assert counts["poly_orders"] > 0
     assert run_tropical(restored) == baseline
     assert restored.stats.poly_rejected > 0
-
-
-def test_certificates_warm_start_across_processes(tmp_path):
-    """A snapshot written by one process must be recalled by another.
-
-    ``Polynomial``/``Monomial`` cache a string-tuple hash, which is
-    salted per process — they must rebuild (not restore) it on
-    unpickling, or every certificate key would silently miss in the
-    restoring process.  Pin it with explicitly different hash seeds.
-    """
-    import json
-    import os
-    import subprocess
-    import sys
-
-    snapshot = tmp_path / "cross.snap"
-    requests = tmp_path / "requests.jsonl"
-    requests.write_text(
-        "".join(json.dumps(request) + "\n" for request in TROPICAL_REQUESTS),
-        encoding="utf-8")
-    outputs = []
-    for run, seed in (("cold", "1"), ("warm", "2")):
-        output = tmp_path / f"{run}.jsonl"
-        stderr = subprocess.run(
-            [sys.executable, "-m", "repro", "batch",
-             "--snapshot", str(snapshot), "--input", str(requests),
-             "--output", str(output), "--stats"],
-            env={**os.environ, "PYTHONHASHSEED": seed,
-                 "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
-            check=True, capture_output=True, text=True).stderr
-        outputs.append(output.read_text(encoding="utf-8"))
-        stats = json.loads(stderr.strip().splitlines()[-1])
-        if run == "warm":
-            assert stats["poly_calls"] == 0, stats
-            assert stats["poly_hits"] > 0, stats
-    assert outputs[0] == outputs[1]
 
 
 # --- randomized cross-validation --------------------------------------
