@@ -211,12 +211,13 @@ def test_supervised_pool_survives_sigkill_byte_identically():
     sequential, sequential_seconds = sequential_pass(requests)
     with WorkerPool(PARALLEL_WORKERS) as pool:
         start = time.perf_counter()
-        seqs = [pool.submit(pool.normalize(request))
-                for request in requests]
-        outcomes = [pool.result(seq, timeout=300) for seq in seqs[:20]]
+        futures = [pool.submit(pool.normalize(request))
+                   for request in requests]
+        outcomes = [future.result(timeout=300) for future in futures[:20]]
         victim = next(pid for pid in pool.worker_pids() if pid)
         os.kill(victim, signal.SIGKILL)
-        outcomes += [pool.result(seq, timeout=300) for seq in seqs[20:]]
+        outcomes += [future.result(timeout=300)
+                     for future in futures[20:]]
         chaos_seconds = time.perf_counter() - start
         report = pool.metrics.as_dict()
     assert [outcome.to_dict() for outcome in outcomes] == sequential, \

@@ -151,13 +151,12 @@ def _group(head_columns: list[np.ndarray], values: np.ndarray,
     keys = pack_rows(head_columns, len(values))
     order = stable_order(keys)
     sorted_keys = keys[order]
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
-    group_ids = np.cumsum(starts) - 1
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    folded = ops.segment_add(values[order], starts)
     representatives = order[starts]
-    folded = ops.segment_add(values[order], group_ids,
-                             len(representatives))
     return [column[representatives] for column in head_columns], folded
 
 

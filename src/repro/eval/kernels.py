@@ -21,6 +21,7 @@ dtype fast path being applicable.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Sequence
 
 import numpy as np
@@ -28,9 +29,6 @@ import numpy as np
 from ..semirings.base import Semiring, VectorizedOps
 
 __all__ = ["GenericObjectOps", "object_array", "ops_for"]
-
-#: Marks a segment that has no value yet.
-_UNSET = object()
 
 
 def object_array(values: Sequence[Any]) -> np.ndarray:
@@ -69,15 +67,14 @@ class GenericObjectOps(VectorizedOps):
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._mul(a, b)
 
-    def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
-        folded: list[Any] = [_UNSET] * group_count
+    def segment_add(self, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
         add = self.semiring.add
-        for group, value in zip(group_ids.tolist(), values.tolist()):
-            current = folded[group]
-            folded[group] = value if current is _UNSET else add(current,
-                                                                 value)
-        return object_array(folded)
+        items = values.tolist()
+        bounds = starts.tolist() + [len(items)]
+        return object_array([
+            functools.reduce(add, items[begin:end])
+            for begin, end in zip(bounds, bounds[1:])])
 
 
 def ops_for(semiring: Semiring) -> VectorizedOps:

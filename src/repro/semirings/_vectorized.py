@@ -50,18 +50,6 @@ __all__ = ["BooleanOps", "NaturalOps", "SaturatingNaturalOps",
 _TROPICAL_LIMIT = 2 ** 52
 
 
-def _segments(group_ids: np.ndarray, group_count: int):
-    """Row order + segment starts for ``ufunc.reduceat`` aggregation.
-
-    ``group_ids`` assigns each row a group in ``range(group_count)``
-    with every group populated (the ``return_inverse`` contract of
-    :meth:`VectorizedOps.segment_add`).
-    """
-    order = np.argsort(group_ids, kind="stable")
-    starts = np.searchsorted(group_ids[order], np.arange(group_count))
-    return order, starts
-
-
 class NaturalOps(VectorizedOps):
     """Exact int64 kernels for bag semantics ``N``."""
 
@@ -88,14 +76,13 @@ class NaturalOps(VectorizedOps):
             raise OverflowError("int64 overflow in N multiplication")
         return result
 
-    def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
-        if not group_count:
+    def segment_add(self, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+        if not starts.size:
             return np.zeros(0, dtype=np.int64)
         if int(values.max()) * values.size >= 2 ** 63:
             raise OverflowError("int64 overflow risk in N segment sum")
-        order, starts = _segments(group_ids, group_count)
-        return np.add.reduceat(values[order], starts)
+        return np.add.reduceat(values, starts)
 
 
 class SaturatingNaturalOps(VectorizedOps):
@@ -123,17 +110,15 @@ class SaturatingNaturalOps(VectorizedOps):
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.minimum(a * b, self.cap)
 
-    def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
-        if not group_count:
+    def segment_add(self, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+        if not starts.size:
             return np.zeros(0, dtype=np.int64)
         # min(min(a+b,k)+c, k) == min(a+b+c, k): clip the true sum once.
         if self.cap * values.size >= 2 ** 63:
             raise OverflowError(
                 f"int64 overflow risk in N_{self.cap} segment sum")
-        order, starts = _segments(group_ids, group_count)
-        totals = np.add.reduceat(values[order], starts)
-        return np.minimum(totals, self.cap)
+        return np.minimum(np.add.reduceat(values, starts), self.cap)
 
 
 class _TropicalOps(VectorizedOps):
@@ -183,12 +168,11 @@ class TropicalMinPlusOps(_TropicalOps):
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.minimum(a, b)
 
-    def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
-        if not group_count:
+    def segment_add(self, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+        if not starts.size:
             return np.zeros(0, dtype=np.float64)
-        order, starts = _segments(group_ids, group_count)
-        return np.minimum.reduceat(values[order], starts)
+        return np.minimum.reduceat(values, starts)
 
 
 class TropicalMaxPlusOps(_TropicalOps):
@@ -199,12 +183,11 @@ class TropicalMaxPlusOps(_TropicalOps):
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.maximum(a, b)
 
-    def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
-        if not group_count:
+    def segment_add(self, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+        if not starts.size:
             return np.zeros(0, dtype=np.float64)
-        order, starts = _segments(group_ids, group_count)
-        return np.maximum.reduceat(values[order], starts)
+        return np.maximum.reduceat(values, starts)
 
 
 class BooleanOps(VectorizedOps):
@@ -225,9 +208,8 @@ class BooleanOps(VectorizedOps):
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a & b
 
-    def segment_add(self, values: np.ndarray, group_ids: np.ndarray,
-                    group_count: int) -> np.ndarray:
-        if not group_count:
+    def segment_add(self, values: np.ndarray,
+                    starts: np.ndarray) -> np.ndarray:
+        if not starts.size:
             return np.zeros(0, dtype=np.bool_)
-        order, starts = _segments(group_ids, group_count)
-        return np.logical_or.reduceat(values[order], starts)
+        return np.logical_or.reduceat(values, starts)

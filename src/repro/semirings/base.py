@@ -142,15 +142,15 @@ class VectorizedOps(ABC):
         """Element-wise ``a ⊗ b`` over two encoded columns."""
 
     @abstractmethod
-    def segment_add(self, values, group_ids, group_count: int):
+    def segment_add(self, values, starts):
         """Per-group ``⊕``-fold of ``values``.
 
-        ``group_ids`` is an int64 array assigning each row to a group in
-        ``range(group_count)`` with **every** group populated; the
-        caller (``repro.eval.engine._group``) derives them with a
-        ``cumsum`` over the group starts of a stable order, so they
-        arrive non-decreasing.  Returns an encoded column of
-        ``group_count`` aggregates.
+        ``values`` arrive grouped: each group's rows are contiguous, in
+        their original order.  ``starts`` is the int64 array of each
+        group's first row, ascending from 0 (empty only when ``values``
+        is); the caller, ``repro.eval.engine._group``, reads it off a
+        stable sort.  Returns an encoded column of ``len(starts)``
+        aggregates.
         """
 
 

@@ -7,6 +7,8 @@ library facade into a scalable, self-healing decision service:
   ``decide_many``/``decide_stream`` that shards requests onto
   per-process engines by a deterministic query/semiring digest
   (identical pairs share one worker's LRUs) and preserves input order;
+  ``submit`` returns a :class:`concurrent.futures.Future` of one
+  request's outcome, and cancelling it abandons the request;
   dead workers are respawned warm from the latest snapshot, their
   in-flight requests re-driven, and skewed shards relieved by idle
   workers stealing fresh requests from the deepest backlog — all while

@@ -55,8 +55,9 @@ work most likely to be near completion — running.)
 
 **Deadlines.**  With ``deadline`` set, a decision that does not
 complete in time is answered in-band with ``{"error": "deadline
-expired...", "expired": true}`` and the pool's interest in the result
-is abandoned; the eventual verdict is discarded instead of leaking.
+expired...", "expired": true}`` and its pool future is cancelled: a
+request still in a backlog is dropped unsent, and the eventual verdict
+of one already inside a worker is discarded instead of leaking.
 
 **Bounded lines.**  With ``max_line_bytes`` set, an over-long (or
 unterminated) line is drained in bounded chunks and answered in-band
@@ -80,11 +81,12 @@ flow control), and responses are written to stdout directly.
 Admission outcomes are counted in the pool's
 :class:`~repro.service.metrics.ServiceMetrics` (``accepted`` / ``shed``
 / ``expired``) next to its respawn/steal counters.  The event loop
-calls the pool only to normalize, submit, bridge or abandon a request;
-it keeps the ``served``/``errors`` counters and decides when a flush
-is due itself.  Every blocking call (control ops, snapshot flushes,
-the final close) goes through :meth:`AsyncGateway._offload` onto an
-executor thread, so a stats broadcast never stalls the event loop.
+calls the pool only to normalize and submit a request, and awaits the
+returned future through :func:`asyncio.wrap_future`; it keeps the
+``served``/``errors`` counters and decides when a flush is due itself.
+Every blocking call (control ops, snapshot flushes, the final close)
+goes through :meth:`AsyncGateway._offload` onto an executor thread, so
+a stats broadcast never stalls the event loop.
 """
 
 from __future__ import annotations
@@ -247,26 +249,6 @@ class _SinkWriter:
         """Leave the sink open: it belongs to the caller."""
 
 
-def _resolve(future: asyncio.Future, outcome) -> None:
-    """Set a bridged result, tolerating a deadline-cancelled future."""
-    if not future.done():
-        future.set_result(outcome)
-
-
-def _bridge(loop: asyncio.AbstractEventLoop, future: asyncio.Future,
-            outcome) -> None:
-    """Deliver a collector-thread outcome into the event loop.
-
-    Runs on the pool's collector thread; a loop that already closed
-    (teardown race) makes the outcome moot and must not kill the
-    collector.
-    """
-    try:
-        loop.call_soon_threadsafe(_resolve, future, outcome)
-    except RuntimeError:
-        pass
-
-
 class AsyncGateway:
     """An asyncio JSONL front end multiplexing clients into a pool.
 
@@ -275,8 +257,8 @@ class AsyncGateway:
     file every ``flush_every`` decisions and/or every
     ``flush_interval`` seconds.  One instance serves stdio or many
     concurrent TCP connections on one event loop; per-request work
-    happens in the pool's worker processes, bridged back via
-    ``call_soon_threadsafe``.  The gateway does not own the pool:
+    happens in the pool's worker processes, and the loop awaits each
+    request's pool future.  The gateway does not own the pool:
     close it where you created it, after :meth:`close`.
     """
 
@@ -514,21 +496,17 @@ class AsyncGateway:
                 return self._answered(DecisionError(
                     error_text(error), id=request_id_of(data)).to_dict())
             try:
-                seq = self._pool.submit(request)
+                future = self._pool.submit(request)
             except RuntimeError as error:  # dead shard / closed: in-band
                 return self._answered(DecisionError(
                     str(error), id=request.id).to_dict())
-            loop = self._loop
-            future = loop.create_future()
-            self._pool.on_result(
-                seq, lambda outcome: _bridge(loop, future, outcome))
             try:
-                if self._deadline > 0:
-                    outcome = await asyncio.wait_for(future, self._deadline)
-                else:
-                    outcome = await future
+                # On expiry wait_for cancels the wrapper, and the
+                # wrapper cancels the pool's future: the request is
+                # abandoned.
+                outcome = await asyncio.wait_for(asyncio.wrap_future(future),
+                                                 self._deadline or None)
             except asyncio.TimeoutError:
-                self._pool.abandon(seq)
                 self.metrics.add("expired")
                 response = {"error": f"deadline expired after "
                                      f"{self._deadline:g}s",

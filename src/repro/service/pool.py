@@ -15,10 +15,13 @@ with a *deterministic* digest of the parsed-query/semiring key, so:
 The digest covers the full query reprs, so distinct requests scatter
 evenly; only exact duplicates co-locate.
 
-Results are returned in input order regardless of which worker finishes
-first.  Per-request failures (unknown semirings, malformed queries) are
-reported in-band as :class:`~repro.api.batch.DecisionError` values —
-one bad request never kills the stream.  Workers can warm-start from a
+:meth:`WorkerPool.submit` returns a :class:`concurrent.futures.Future`
+of the request's outcome, and cancelling that future abandons the
+request.  ``decide_many`` and ``decide_stream`` return results in
+input order regardless of which worker finishes first.  Per-request
+failures (unknown semirings, malformed queries) are reported in-band
+as :class:`~repro.api.batch.DecisionError` values — one bad request
+never kills the stream.  Workers can warm-start from a
 :mod:`repro.service.snapshot` file, and :meth:`WorkerPool.collect_caches`
 gathers the merged cache state back out of the workers so a batch run
 can leave a fresh snapshot behind.
@@ -32,8 +35,8 @@ decided nor in flight when it was submitted.  Every other entry is
 pinned to its home shard, so a duplicate always runs on the worker that
 will have decided its first occurrence, after it, and a worker never
 takes its own work out of order: one worker is plain FIFO.  A request
-abandoned (deadline expiry) while still in a backlog is dropped there
-and never reaches a worker.
+whose future is cancelled (deadline expiry) while still in a backlog
+is dropped there and never reaches a worker.
 
 **Respawn and re-drive.**  A dead worker is replaced *in its own shard
 slot* by a fresh process, warm-started from the pool's snapshot file
@@ -72,8 +75,9 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import Future, InvalidStateError
 from multiprocessing.connection import wait as wait_readable
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 from ..api.batch import (REQUEST_ERRORS, DecisionError, error_text,
                          request_id_of)
@@ -313,8 +317,8 @@ class WorkerPool:
     processes are not daemons of your request stream).
 
     Thread safety: all public methods may be called from multiple
-    threads; a single background collector routes worker replies to
-    waiters and applies the death policy.
+    threads; a single background collector settles each request's
+    future from its worker's reply and applies the death policy.
     """
 
     def __init__(self, workers: int | None = None, *,
@@ -337,13 +341,12 @@ class WorkerPool:
         # the collector saw it end).
         self._result_pipes: list = []
         self._cond = threading.Condition()
-        self._results: dict[int, tuple] = {}
         self._replies: dict[str, dict[int, Any]] = {"caches": {},
                                                     "stats": {}}
         self._assigned: dict[int, int] = {}     # seq → worker index
-        self._requests: dict[int, ContainmentRequest] = {}  # in flight
-        self._callbacks: dict[int, Callable] = {}
-        self._abandoned: set[int] = set()
+        # seq → (request, its outcome future), until it is answered or
+        # dropped.
+        self._requests: dict[int, tuple[ContainmentRequest, Future]] = {}
         self._active_broadcast: tuple | None = None
         self._dead: set[int] = set()
         # Parent-side dispatch state, all guarded by self._cond.
@@ -474,11 +477,15 @@ class WorkerPool:
         """The worker index a request is routed to (deterministic)."""
         return self._route(request)[1]
 
-    def submit(self, request: ContainmentRequest) -> int:
-        """Queue one request; returns its sequence token for :meth:`result`.
+    def submit(self, request: ContainmentRequest) -> Future:
+        """Queue one request; returns the future of its outcome.
 
-        The request joins its shard's parent-side backlog, from which
-        the pump keeps each worker ``_PREFETCH`` deep.
+        The future's result is the :class:`VerdictDocument` or the
+        in-band :class:`DecisionError`.  Cancelling it abandons the
+        request: one still in a backlog is dropped unsent, and one
+        already inside a worker has its outcome discarded.  The request
+        joins its shard's parent-side backlog, from which the pump keeps
+        each worker ``_PREFETCH`` deep.
         """
         key, worker = self._route(request)
         with self._dispatch_lock:
@@ -489,8 +496,9 @@ class WorkerPool:
                     f"worker {worker} died; its shard cannot accept work")
             seq = self._next_seq
             self._next_seq += 1
+            future: Future = Future()
             with self._cond:
-                self._requests[seq] = request
+                self._requests[seq] = (request, future)
                 self._key_of[seq] = key
                 live = key in self._live_keys
                 duplicate = live or key in self._seen_keys
@@ -500,7 +508,7 @@ class WorkerPool:
                 self._backlogs.push(worker, seq, request,
                                     fresh=not duplicate)
                 self._pump_locked()
-            return seq
+            return future
 
     def _dispatch_locked(self, index: int, seq: int,
                          request: ContainmentRequest) -> None:
@@ -514,7 +522,7 @@ class WorkerPool:
 
         Must run with ``self._cond`` held.  Called after every submit
         and every delivery, so dispatch depth is an invariant, not a
-        schedule.  Abandoned requests are dropped here, unsent.
+        schedule.  Cancelled requests are dropped here, unsent.
         """
         for index in range(len(self._processes)):
             if index in self._dead:
@@ -524,8 +532,7 @@ class WorkerPool:
                 if entry is None:
                     break
                 seq, request, stolen = entry
-                if seq in self._abandoned:
-                    self._abandoned.discard(seq)
+                if self._requests[seq][1].cancelled():
                     self._forget_seq(seq)
                     continue
                 if stolen:
@@ -535,50 +542,57 @@ class WorkerPool:
 
     # -- result collection ----------------------------------------------
 
-    @staticmethod
-    def _outcome(message: tuple) -> "VerdictDocument | DecisionError":
-        """Convert a routed result message to its in-band outcome value."""
-        if message[0] == "ok":
-            return message[2]
-        return DecisionError(message[2], id=message[3])
-
-    def _forget_seq(self, seq: int) -> ContainmentRequest | None:
+    def _forget_seq(self, seq: int) -> tuple[ContainmentRequest, Future]:
         """Drop a seq's request and duplicate-tracking state
-        (``self._cond`` held); returns the request."""
+        (``self._cond`` held); returns its request and future."""
         self._redrives.pop(seq, None)
         self._expect_cached.discard(seq)
-        key = self._key_of.pop(seq, None)
-        if key is not None:
-            live = self._live_keys.get(key, 0) - 1
-            if live > 0:
-                self._live_keys[key] = live
-            else:
-                self._live_keys.pop(key, None)
-        return self._requests.pop(seq, None)
+        key = self._key_of.pop(seq)
+        live = self._live_keys[key] - 1
+        if live > 0:
+            self._live_keys[key] = live
+        else:
+            del self._live_keys[key]
+        return self._requests.pop(seq)
 
-    def _account_delivery_locked(self, seq: int, worker: int | None,
-                                 message: tuple) -> tuple:
-        """Free the worker's seat; re-stamp duplicate ``cached`` flags."""
-        if worker is not None:
-            self._outstanding[worker] -= 1
+    def _account_delivery_locked(self, seq: int, worker: int,
+                                 message: tuple) -> tuple[Future, Any]:
+        """Free the worker's seat; re-stamp duplicate ``cached`` flags.
+
+        Returns the seq's future and its outcome, to settle once
+        ``self._cond`` is released.
+        """
+        self._outstanding[worker] -= 1
         expect_cached = seq in self._expect_cached
-        key = self._key_of.get(seq)
-        self._forget_seq(seq)
+        key = self._key_of[seq]
+        _, future = self._forget_seq(seq)
         if message[0] == "ok":
-            if key is not None:
-                self._seen_keys.add(key)
-            document = message[2]
-            if expect_cached and not document.cached:
+            self._seen_keys.add(key)
+            outcome = message[2]
+            if expect_cached and not outcome.cached:
                 # A respawn or a steal recomputed a verdict that a
                 # sequential engine would have served from cache; the
                 # document must say so.
-                document = document.with_request(document.request_id, True)
-                message = ("ok", seq, document)
+                outcome = outcome.with_request(outcome.request_id, True)
+        else:
+            outcome = DecisionError(message[2], id=message[3])
         self._pump_locked()
-        return message
+        return future, outcome
+
+    @staticmethod
+    def _settle(future: Future, outcome) -> None:
+        """Deliver an outcome; one whose future was cancelled is dropped.
+
+        Runs without ``self._cond``: the future's done callbacks may
+        call back into the pool.
+        """
+        try:
+            future.set_result(outcome)
+        except InvalidStateError:
+            pass
 
     def _collect(self) -> None:
-        """Single reader of the result pipes; routes replies to waiters."""
+        """Single reader of the result pipes; settles request futures."""
         last_reap = time.monotonic()
         while not self._stop.is_set():
             pipes = [pipe for pipe in self._result_pipes if pipe is not None]
@@ -598,8 +612,8 @@ class WorkerPool:
                 last_reap = time.monotonic()
 
     def _route_reply(self, message: tuple) -> None:
-        """Deliver one worker reply to its waiter, callback or slot."""
-        callback = None
+        """Settle a decision's future, or file a broadcast reply."""
+        settled = None
         with self._cond:
             kind = message[0]
             if kind in ("ok", "err"):
@@ -609,35 +623,12 @@ class WorkerPool:
                     # Read after its shard was retired and the request
                     # already answered with an in-band error.
                     return
-                message = self._account_delivery_locked(seq, worker, message)
-                if seq in self._abandoned:
-                    self._abandoned.discard(seq)
-                elif seq in self._callbacks:
-                    callback = self._callbacks.pop(seq)
-                else:
-                    self._results[seq] = message
+                settled = self._account_delivery_locked(seq, worker, message)
             elif kind in ("caches", "stats"):
                 self._replies[kind][message[1]] = message[2]
-            self._cond.notify_all()
-        if callback is not None:
-            callback(self._outcome(message))
-
-    def _deliver_error_locked(self, seq: int, text: str,
-                              request_id) -> tuple | None:
-        """Record an in-band error outcome for ``seq`` (``_cond`` held).
-
-        Routes to the registered callback (returned as ``(callback,
-        outcome)`` for the caller to fire outside the lock), the
-        abandoned set, or the results map — mirroring ``_collect``.
-        """
-        if seq in self._abandoned:
-            self._abandoned.discard(seq)
-            return None
-        if seq in self._callbacks:
-            return (self._callbacks.pop(seq),
-                    DecisionError(text, id=request_id))
-        self._results[seq] = ("err", seq, text, request_id)
-        return None
+                self._cond.notify_all()
+        if settled is not None:
+            self._settle(*settled)
 
     # -- death policy --------------------------------------------------
 
@@ -645,8 +636,8 @@ class WorkerPool:
         """Retire a shard for good (``self._cond`` held).
 
         Everything routed to it, dispatched or backlogged, becomes an
-        in-band error.  Returns the ``(callback, outcome)`` pairs to
-        fire outside the lock.
+        in-band error.  Returns the ``(future, outcome)`` pairs to
+        settle outside the lock.
         """
         self._dead.add(index)
         failed = []
@@ -658,14 +649,11 @@ class WorkerPool:
         failed += [(seq, f"worker {index} died and exceeded its respawn "
                          f"budget") for seq in self._backlogs.drain(index)]
         self._outstanding[index] = 0
-        fired = []
+        settles = []
         for seq, text in failed:
-            request = self._forget_seq(seq)
-            routed = self._deliver_error_locked(
-                seq, text, request.id if request is not None else None)
-            if routed is not None:
-                fired.append(routed)
-        return fired
+            request, future = self._forget_seq(seq)
+            settles.append((future, DecisionError(text, id=request.id)))
+        return settles
 
     def _handle_worker_death(self, index: int, process) -> list:
         """Respawn the shard and re-drive its work (``self._cond`` held).
@@ -673,35 +661,30 @@ class WorkerPool:
         Retires the shard once it exhausts ``_MAX_RESPAWNS``.  In-flight
         seqs are re-queued at the front of the backlog in sequence
         order; seqs past their ``_MAX_REDRIVES`` budget are answered
-        in-band instead.  Returns the ``(callback, outcome)`` pairs to
-        fire outside the lock.
+        in-band instead, and cancelled ones are dropped.  Returns the
+        ``(future, outcome)`` pairs to settle outside the lock.
         """
         if self.metrics.respawns(index) >= _MAX_RESPAWNS:
             return self._retire_worker_locked(index, process)
         self.metrics.add("respawns")
         self.metrics.note_restart(index)
-        fired = []
+        settles = []
         requeue = []
         pending = sorted(seq for seq, worker in self._assigned.items()
                          if worker == index)
         for seq in pending:
             del self._assigned[seq]
-            request = self._requests.get(seq)
-            if seq in self._abandoned:
-                self._abandoned.discard(seq)
+            request, future = self._requests[seq]
+            if future.cancelled():
                 self._forget_seq(seq)
                 continue
             attempts = self._redrives.get(seq, 0) + 1
             if attempts > _MAX_REDRIVES:
                 self.metrics.add("redrive_failures")
                 self._forget_seq(seq)
-                routed = self._deliver_error_locked(
-                    seq,
+                settles.append((future, DecisionError(
                     f"request crashed worker {index} {attempts} times; "
-                    f"giving up",
-                    request.id if request is not None else None)
-                if routed is not None:
-                    fired.append(routed)
+                    f"giving up", id=request.id)))
                 continue
             self._redrives[seq] = attempts
             self.metrics.add("redriven")
@@ -716,7 +699,7 @@ class WorkerPool:
             # re-send it so the caller is answered by the replacement.
             self._inboxes[index].put(self._active_broadcast)
         self._pump_locked()
-        return fired
+        return settles
 
     def _reap_dead_workers(self) -> None:
         """Detect crashed workers and apply the death policy."""
@@ -727,57 +710,12 @@ class WorkerPool:
             if index in self._dead or process.is_alive():
                 continue
             with self._cond:
-                fired = self._handle_worker_death(index, process)
+                settles = self._handle_worker_death(index, process)
                 self._cond.notify_all()
-            for callback, outcome in fired:
-                callback(outcome)
+            for future, outcome in settles:
+                self._settle(future, outcome)
 
-    # -- results ----------------------------------------------------------
-
-    def result(self, seq: int,
-               timeout: float | None = None) -> VerdictDocument | DecisionError:
-        """Wait for one submitted request's outcome (in-band errors)."""
-        with self._cond:
-            while seq not in self._results:
-                if not self._cond.wait(timeout=timeout):
-                    raise TimeoutError(f"no result for request #{seq}")
-            message = self._results.pop(seq)
-        return self._outcome(message)
-
-    def on_result(self, seq: int, callback: Callable) -> None:
-        """Register a one-shot callback for a submitted request's outcome.
-
-        The callback receives the :class:`VerdictDocument` or
-        :class:`DecisionError` as its only argument and runs on the
-        pool's collector thread (or on the calling thread, when the
-        result already arrived) — it must be quick and must not call
-        back into blocking pool methods.  A seq with a callback must
-        not also be awaited via :meth:`result`.  This is the bridge the
-        asyncio gateway uses to await pool results without a thread per
-        request.
-        """
-        with self._cond:
-            if seq not in self._results:
-                self._callbacks[seq] = callback
-                return
-            message = self._results.pop(seq)
-        callback(self._outcome(message))
-
-    def abandon(self, seq: int) -> None:
-        """Drop all interest in a submitted request (deadline expiry).
-
-        A request still in a backlog is dropped there, unsent.  One
-        already inside a worker keeps computing, but its outcome is
-        discarded on arrival instead of accumulating in the results
-        map forever.  Safe to call whether or not the result already
-        arrived; any registered callback is dropped unfired.
-        """
-        with self._cond:
-            if seq in self._results:
-                del self._results[seq]
-            elif seq in self._requests or seq in self._callbacks:
-                self._abandoned.add(seq)
-            self._callbacks.pop(seq, None)
+    # -- deciding --------------------------------------------------------
 
     def normalize(self, item) -> ContainmentRequest:
         """Coerce dict/request inputs, sharing the parent parse cache."""
@@ -788,17 +726,15 @@ class WorkerPool:
                 item, parse=self._parent_engine.parse)
         raise TypeError(f"cannot read request {item!r}")
 
-    # -- deciding --------------------------------------------------------
-
     def decide_one(self,
                    request) -> VerdictDocument | DecisionError:
         """Decide a single request (dicts accepted); errors in-band."""
         outcome = self._admit(request)
         return (outcome if isinstance(outcome, DecisionError)
-                else self.result(outcome))
+                else outcome.result())
 
-    def _admit(self, item) -> int | DecisionError:
-        """Submit one stream item: its sequence token, or the in-band
+    def _admit(self, item) -> Future | DecisionError:
+        """Submit one stream item: its outcome future, or the in-band
         error it is answered with (a :class:`DecisionError` in the
         input passes through; so does a request that cannot be read or
         submitted)."""
@@ -826,8 +762,8 @@ class WorkerPool:
         :class:`DecisionError` in the input is passed through in its
         position, as is any request that cannot be read or submitted;
         an exception raised by ``requests`` is re-raised in its
-        position.  Closing the generator early abandons the requests
-        still queued.
+        position.  Closing the generator early cancels the futures of
+        the requests still queued.
         """
         outputs: queue.Queue = queue.Queue(
             _STREAM_WINDOW_PER_WORKER * len(self._processes))
@@ -854,22 +790,22 @@ class WorkerPool:
                 if isinstance(head, BaseException):
                     raise head
                 yield (head if isinstance(head, DecisionError)
-                       else self.result(head))
+                       else head.result())
         finally:
             stop.set()
             self._abandon_queued(outputs)
 
     def _abandon_queued(self, outputs: queue.Queue) -> None:
-        """Abandon every sequence token left in a closed stream's
-        queue (the feeder and the consumer both drain it, so a token
-        queued while the stream closes is dropped by one of them)."""
+        """Cancel every future left in a closed stream's queue (the
+        feeder and the consumer both drain it, so a future queued while
+        the stream closes is cancelled by one of them)."""
         while True:
             try:
                 head = outputs.get_nowait()
             except queue.Empty:
                 return
-            if isinstance(head, int):
-                self.abandon(head)
+            if isinstance(head, Future):
+                head.cancel()
 
     def decide_many(self, requests: Iterable
                     ) -> list[VerdictDocument | DecisionError]:

@@ -1,9 +1,10 @@
 """A test guard: no blocking service call runs on an event-loop thread.
 
 The asyncio gateway calls the pool from its event loop only to
-normalize, submit, bridge (``on_result``) or abandon a request, and
-reads its own ``served`` counter there.  Each of those takes at most a
-short lock.  Every other public method of :class:`WorkerPool`, every
+normalize and submit a request, and reads its own ``served`` counter
+there; it awaits the future ``submit`` returns, and cancels it on a
+deadline, without a pool call.  Each of those takes at most a short
+lock.  Every other public method of :class:`WorkerPool`, every
 public non-coroutine member of :class:`AsyncGateway` (the control-op
 body ``control``, ``flush_snapshot`` and ``close``), and every
 ``decide*`` entry point of :class:`ContainmentEngine`, may block, so
@@ -26,8 +27,7 @@ from repro.api import ContainmentEngine
 from repro.service import AsyncGateway, WorkerPool
 
 #: The only pool and gateway members the event loop may call itself.
-LOOP_SAFE = frozenset({"normalize", "submit", "on_result", "abandon",
-                       "served"})
+LOOP_SAFE = frozenset({"normalize", "submit", "served"})
 
 
 def _guarded_names(cls) -> list[str]:

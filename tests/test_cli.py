@@ -206,6 +206,38 @@ def test_pooled_batch_answers_before_stdin_closes():
         process.stdout.close()
 
 
+def test_pooled_batch_whose_reader_closes_early_exits_cleanly(tmp_path):
+    # `batch --workers 2 | head -n 1`: the next write meets a closed
+    # pipe, and the run must end quietly with its stream cancelled.
+    import json
+    import os
+    import signal
+
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("".join(
+        json.dumps({"semiring": "N", "q1": f"Q() :- R(u, v), S{index}(u)",
+                    "q2": "Q() :- R(u, v)", "id": f"r{index}"}) + "\n"
+        for index in range(400)))
+    errors = tmp_path / "stderr.txt"
+    with open(errors, "w") as sink:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "batch", "--workers", "2",
+             "--input", str(requests)],
+            stdout=subprocess.PIPE, stderr=sink, start_new_session=True)
+    try:
+        first = json.loads(process.stdout.readline())
+        process.stdout.close()
+        assert process.wait(timeout=60) == 0
+    finally:
+        try:  # the batch process and its pool workers, on any failure
+            os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+    assert first["request_id"] == "r0"
+    assert "Traceback" not in errors.read_text()
+
+
 def test_minimize(capsys):
     code, out, _ = run_cli(
         capsys, "minimize", "--semiring", "B", "Q(x) :- R(x, y), R(x, z)")

@@ -2,9 +2,10 @@
 
 Fails when README.md or any file under ``docs/`` links to a repository
 path that does not exist, or name-drops a ``repro`` module, a name in
-one, or a ``src/``/``benchmarks/``/``examples/``/``tests/`` file that
-is not in the tree — the cheap guard that keeps the architecture docs
-honest as the codebase moves.
+one, a member of a ``repro`` class (``WorkerPool.submit``), or a
+``src/``/``benchmarks/``/``examples/``/``tests/`` file that is not in
+the tree — the cheap guard that keeps the architecture docs honest as
+the codebase moves.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: Dotted references like ``repro.api.engine`` or
 #: ``repro.api.ContainmentEngine`` (in backticks or prose).
 _MODULE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+
+#: Backticked class-qualified names like ``WorkerPool.submit``.
+_QUALIFIED = re.compile(r"`([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)")
 
 #: Repository file paths named in prose/code blocks.
 _PATH = re.compile(
@@ -100,3 +104,29 @@ def test_referenced_modules_exist():
                     f"{document.relative_to(ROOT)} -> {reference}")
     assert not phantoms, \
         "nonexistent modules or names referenced:\n" + "\n".join(phantoms)
+
+
+def _repro_classes() -> dict[str, list[type]]:
+    """Every class defined in a ``repro`` module, by name."""
+    classes: dict[str, list[type]] = {}
+    for module in sorted(MODULES):
+        if module.endswith("__main__"):
+            continue
+        for value in vars(importlib.import_module(module)).values():
+            if isinstance(value, type) and value.__module__ == module:
+                classes.setdefault(value.__name__, []).append(value)
+    return classes
+
+
+def test_class_qualified_names_exist():
+    classes = _repro_classes()
+    phantoms = []
+    for document in DOCUMENTS:
+        text = document.read_text(encoding="utf-8")
+        for owner, name in set(_QUALIFIED.findall(text)):
+            if owner in classes and not any(
+                    hasattr(cls, name) for cls in classes[owner]):
+                phantoms.append(
+                    f"{document.relative_to(ROOT)} -> {owner}.{name}")
+    assert not phantoms, \
+        "nonexistent class members referenced:\n" + "\n".join(phantoms)

@@ -9,6 +9,7 @@ saturating/tropical kernels, and the join primitives.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -133,8 +134,8 @@ def test_saturating_kernels_clip_exactly():
     assert ops.mul(a, a).tolist() == [0, 1, 3, 3]
     # Segment fold: clip-once-of-true-sum equals the iterated clip.
     values = ops.encode([2, 2, 2, 1])
-    groups = np.asarray([0, 0, 1, 1], dtype=np.int64)
-    folded = ops.segment_add(values, groups, 2).tolist()
+    starts = np.asarray([0, 2], dtype=np.int64)
+    folded = ops.segment_add(values, starts).tolist()
     assert folded == [3, 3]
     iterated = N3_SATURATING.add(N3_SATURATING.add(2, 2), 2)
     assert N3_SATURATING.add(2, 2) == folded[0] and iterated == 3
@@ -146,8 +147,8 @@ def test_tropical_kernels_restore_int_types():
     decoded = ops.decode(encoded)
     assert decoded == [3, math.inf, 0]
     assert type(decoded[0]) is int and type(decoded[1]) is float
-    groups = np.asarray([0, 0, 1], dtype=np.int64)
-    assert ops.segment_add(encoded, groups, 2).tolist() == [3.0, 0.0]
+    starts = np.asarray([0, 2], dtype=np.int64)
+    assert ops.segment_add(encoded, starts).tolist() == [3.0, 0.0]
 
 
 def test_boolean_kernels():
@@ -156,8 +157,8 @@ def test_boolean_kernels():
     b = ops.encode([False, False, True])
     assert ops.add(a, b).tolist() == [True, False, True]
     assert ops.mul(a, b).tolist() == [False, False, True]
-    groups = np.asarray([0, 0, 1], dtype=np.int64)
-    assert ops.segment_add(b, groups, 2).tolist() == [False, True]
+    starts = np.asarray([0, 2], dtype=np.int64)
+    assert ops.segment_add(b, starts).tolist() == [False, True]
     assert all(type(value) is bool for value in ops.decode(a))
 
 
@@ -166,12 +167,17 @@ def test_generic_segment_add_replays_reference_accumulation():
 
     rng = random.Random(0)
     ops = GenericObjectOps(WHY)
-    values = [WHY.sample(rng) for _ in range(3)]
+    values = [WHY.sample(rng) for _ in range(4)]
     encoded = ops.encode(values)
-    groups = np.asarray([0, 1, 0], dtype=np.int64)
-    folded = ops.decode(ops.segment_add(encoded, groups, 2))
-    assert folded[0] == WHY.add(values[0], values[2])
-    assert folded[1] == values[1]
+    starts = np.asarray([0, 3], dtype=np.int64)
+    folded = ops.decode(ops.segment_add(encoded, starts))
+    assert folded[0] == WHY.add(WHY.add(values[0], values[1]), values[2])
+    assert folded[1] == values[3]
+    # The fold order itself: the first value, then ``add`` left to right.
+    spelled = GenericObjectOps(WHY)
+    spelled.semiring = SimpleNamespace(add=lambda a, b: f"({a}+{b})")
+    assert spelled.decode(spelled.segment_add(
+        spelled.encode(["a", "b", "c", "d"]), starts)) == ["((a+b)+c)", "d"]
 
 
 # -- join primitives ----------------------------------------------------

@@ -228,12 +228,12 @@ def test_sigkill_mid_stream_keeps_output_byte_identical():
     assert len(requests) >= 70
     expected = sequential_documents(requests)
     with WorkerPool(4) as pool:
-        seqs = [pool.submit(pool.normalize(request))
-                for request in requests]
-        outcomes = [pool.result(seq, timeout=60) for seq in seqs[:10]]
+        futures = [pool.submit(pool.normalize(request))
+                   for request in requests]
+        outcomes = [future.result(timeout=60) for future in futures[:10]]
         victim = next(pid for pid in pool.worker_pids() if pid)
         os.kill(victim, signal.SIGKILL)
-        outcomes += [pool.result(seq, timeout=60) for seq in seqs[10:]]
+        outcomes += [future.result(timeout=60) for future in futures[10:]]
         assert [outcome.to_dict() for outcome in outcomes] == expected
         assert pool.metrics.get("respawns") >= 1
         assert sum(pool.metrics.as_dict()["worker_restarts"]) >= 1
@@ -313,9 +313,9 @@ def test_poisonous_request_fails_in_band_after_redrive_budget(monkeypatch):
         pid = pool.worker_pids()[0]
         os.kill(pid, signal.SIGSTOP)
         try:
-            seq = pool.submit(request)
+            future = pool.submit(request)
             os.kill(pid, signal.SIGKILL)
-            outcome = pool.result(seq, timeout=30)
+            outcome = future.result(timeout=30)
         finally:
             try:  # harmless once the kill landed; frees the worker if not
                 os.kill(pid, signal.SIGCONT)
@@ -344,11 +344,11 @@ def _duplicate_behind_a_stalled_worker(pool) -> tuple[list, list[dict]]:
     pid = pool.worker_pids()[0]
     os.kill(pid, signal.SIGSTOP)
     try:
-        seqs = [pool.submit(request) for request in requests]
+        futures = [pool.submit(request) for request in requests]
     finally:
         os.kill(pid, signal.SIGCONT)
-    return requests, [pool.result(seq, timeout=30).to_dict()
-                      for seq in seqs]
+    return requests, [future.result(timeout=30).to_dict()
+                      for future in futures]
 
 
 def test_spilled_first_occurrence_is_not_overtaken_by_its_duplicate():
@@ -389,9 +389,9 @@ def test_one_worker_decides_in_submit_order():
     """One worker is plain FIFO, even for work submitted mid-stream.
 
     Fifteen requests queue behind a stopped worker, and the first
-    one's callback submits a sixteenth.  Nothing may overtake anything:
-    a backlog that parked its newest entries elsewhere would finish
-    the sixteenth before them.
+    one's done callback submits a sixteenth.  Nothing may overtake
+    anything: a backlog that parked its newest entries elsewhere would
+    finish the sixteenth before them.
     """
     requests = _distinct_requests(16, "F")
     order: list[int] = []
@@ -399,10 +399,10 @@ def test_one_worker_decides_in_submit_order():
     with WorkerPool(1) as pool:
 
         def record(index):
-            def callback(outcome):
+            def callback(future):
                 order.append(index)
                 if index == 0:
-                    pool.on_result(pool.submit(requests[15]), record(15))
+                    pool.submit(requests[15]).add_done_callback(record(15))
                 if len(order) == len(requests):
                     finished.set()
             return callback
@@ -411,7 +411,8 @@ def test_one_worker_decides_in_submit_order():
         os.kill(pid, signal.SIGSTOP)
         try:
             for index in range(15):
-                pool.on_result(pool.submit(requests[index]), record(index))
+                pool.submit(requests[index]).add_done_callback(
+                    record(index))
         finally:
             os.kill(pid, signal.SIGCONT)
         assert finished.wait(timeout=60)
@@ -424,12 +425,12 @@ def test_abandoned_backlog_requests_never_reach_a_worker():
         pid = pool.worker_pids()[0]
         os.kill(pid, signal.SIGSTOP)
         try:
-            seqs = [pool.submit(request) for request in requests]
-            for seq in seqs[4:]:
-                pool.abandon(seq)
+            futures = [pool.submit(request) for request in requests]
+            for future in futures[4:]:
+                future.cancel()
         finally:
             os.kill(pid, signal.SIGCONT)
-        outcomes = [pool.result(seq, timeout=30) for seq in seqs[:4]]
+        outcomes = [future.result(timeout=30) for future in futures[:4]]
         assert [outcome.request_id for outcome in outcomes] \
             == ["A0", "A1", "A2", "A3"]
         assert sum(info["decisions"] for info in pool.stats()) == 4

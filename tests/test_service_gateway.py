@@ -21,6 +21,7 @@ import time
 import pytest
 
 from repro.service import AsyncGateway, WorkerPool
+from repro.service import pool as pool_module
 from tests.loop_guard import loop_thread_guard
 
 
@@ -138,6 +139,34 @@ def test_deadline_expiry_is_in_band_and_abandons_the_seat(gateway_factory):
         # free again, and a fresh request decides normally.
         replies = exchange(gateway, [request_line(1)])
         assert replies[0]["request_id"] == "g1"
+
+
+def test_deadline_expiry_drops_backlogged_requests_unsent(gateway_factory):
+    # Eight requests meet a stopped worker: four sit inside it, four
+    # wait in the parent's backlog.  Expiry cancels every pool future,
+    # so once the worker resumes it decides only the four it holds.
+    with WorkerPool(1) as pool:
+        gateway = gateway_factory(pool, deadline=0.3)
+        pid = pool.worker_pids()[0]
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            replies = exchange(gateway,
+                               [request_line(i) for i in range(8)])
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        assert [reply.get("expired") for reply in replies] == [True] * 8
+        assert [reply["id"] for reply in replies] \
+            == [f"g{i}" for i in range(8)]
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            with pool._cond:
+                if not pool._requests:
+                    break
+            time.sleep(0.05)
+        with pool._cond:
+            assert pool._requests == {}
+        assert sum(info["decisions"] for info in pool.stats()) \
+            == pool_module._PREFETCH
 
 
 def test_load_shedding_rejects_newest_in_band(gateway_factory):

@@ -4,7 +4,7 @@ Chaos itself (SIGKILL mid-stream, warm-start respawn, redrive budgets,
 stalled workers) lives in ``test_failure_injection.py``; this module
 checks the pool's own plumbing: byte identity with sequential
 evaluation, duplicate-cache semantics, snapshots, what the gateway
-relies on (metrics, result callbacks, abandonment, pids), the backlogs
+relies on (metrics, outcome futures, cancellation, pids), the backlogs
 and steal policy, the respawn budget's boundary, and the arguments a
 worker process is started with.
 """
@@ -20,6 +20,7 @@ import signal
 import sys
 import threading
 import time
+from concurrent.futures import CancelledError
 
 import pytest
 
@@ -164,12 +165,11 @@ def test_closing_a_stream_abandons_its_queued_requests():
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             with fresh._cond:
-                if not fresh._results and not fresh._requests:
+                if not fresh._requests:
                     break
             time.sleep(0.05)
         with fresh._cond:
-            assert fresh._results == {} and fresh._requests == {}
-            assert not fresh._abandoned
+            assert fresh._requests == {}
         assert fresh.decide_one(dict(REQUEST, id="after")).result is True
 
 
@@ -339,12 +339,12 @@ def test_abandoning_one_backlogged_request_keeps_the_rest_queued():
         pid = fresh.worker_pids()[0]
         os.kill(pid, signal.SIGSTOP)
         try:
-            seqs = [fresh.submit(request) for request in requests]
-            fresh.abandon(seqs[5])
+            futures = [fresh.submit(request) for request in requests]
+            futures[5].cancel()
         finally:
             os.kill(pid, signal.SIGCONT)
-        answered = [fresh.result(seq, timeout=30).request_id
-                    for seq in seqs[:5] + seqs[6:]]
+        answered = [future.result(timeout=30).request_id
+                    for future in futures[:5] + futures[6:]]
     assert answered == ["k0", "k1", "k2", "k3", "k4", "k6"]
 
 
@@ -364,21 +364,32 @@ def test_metrics_report_shape(pool):
     assert report["max_backlog"] >= 0
 
 
-def test_on_result_callback_fires_off_thread(pool):
+def test_done_callback_fires_off_thread(pool):
     done = threading.Event()
     outcomes = []
-    seq = pool.submit(pool.normalize(dict(REQUEST)))
-    pool.on_result(seq, lambda outcome: (outcomes.append(outcome),
-                                         done.set()))
+    future = pool.submit(pool.normalize(dict(REQUEST)))
+    future.add_done_callback(lambda settled: (
+        outcomes.append(settled.result()), done.set()))
     assert done.wait(timeout=30)
     assert outcomes[0].request_id == "cb"
 
 
-def test_abandon_discards_the_eventual_result(pool):
-    seq = pool.submit(pool.normalize(dict(REQUEST)))
-    pool.abandon(seq)
-    with pytest.raises(TimeoutError):
-        pool.result(seq, timeout=0.5)
+def test_cancelling_discards_the_eventual_result(pool):
+    future = pool.submit(pool.normalize(dict(REQUEST, id="gone")))
+    assert future.cancel()
+    with pytest.raises(CancelledError):
+        future.result(timeout=0.5)
+    # The verdict still arrives; the collector drops it and lives on.
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        with pool._cond:
+            if not pool._requests:
+                break
+        time.sleep(0.05)
+    with pool._cond:
+        assert pool._requests == {}
+    assert future.cancelled()
+    assert pool.decide_one(dict(REQUEST)).request_id == "cb"
 
 
 def test_worker_pids_reports_live_processes(pool):
