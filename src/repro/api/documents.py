@@ -54,12 +54,14 @@ def _coerce_query(spec, parse: Callable[[str], CQ]) -> UCQ:
 
     Accepts a ``CQ``/``UCQ`` object, Datalog source text, an iterable of
     member source texts, or the dict format of
-    :func:`repro.queries.serialize.query_from_dict`.
+    :func:`repro.queries.serialize.query_from_dict`.  Text and member
+    lists resolve through :func:`_interned_union`, so with an engine's
+    interning ``parse`` a repeated spec returns the same ``UCQ``.
     """
     if isinstance(spec, (CQ, UCQ)):
         return as_ucq(spec)
     if isinstance(spec, str):
-        return UCQ((parse(spec),))
+        return _interned_union((parse(spec),))
     if isinstance(spec, Mapping):
         return as_ucq(query_from_dict(dict(spec)))
     if isinstance(spec, Iterable):
@@ -76,8 +78,59 @@ def _coerce_query(spec, parse: Callable[[str], CQ]) -> UCQ:
                 members.append(query)
             else:
                 raise TypeError(f"cannot read query member {member!r}")
-        return UCQ(tuple(members))
+        return _interned_union(tuple(members))
     raise TypeError(f"cannot read query spec {spec!r}")
+
+
+#: How many unions one query's ``_hom_cache`` keeps (see
+#: :func:`_interned_union`); the oldest goes first once it is full.
+_UNIONS_PER_QUERY = 64
+
+#: The empty union, which has no member to keep it.
+_EMPTY_UNION = UCQ(())
+
+
+def _interned_union(members: tuple[CQ, ...]) -> UCQ:
+    """``UCQ(members)``, built once per member tuple.
+
+    The union is kept in the first member's ``_hom_cache``, keyed by
+    the member tuple, so an engine's ``parse``, which interns each
+    source text as one ``CQ`` object, turns a repeated text or member
+    list into the same ``UCQ``: validation and member sorting run once
+    per distinct spec.  A tuple that fails validation raises and is
+    never stored.  The memo lives and dies with the interned queries
+    (nothing is kept per process), and is bounded per query.
+    """
+    if not members:
+        return _EMPTY_UNION
+    cache = members[0]._hom_cache
+    unions = cache.get("unions")
+    if unions is None:
+        unions = cache["unions"] = {}
+    union = unions.get(members)
+    if union is None:
+        union = UCQ(members)
+        if len(unions) >= _UNIONS_PER_QUERY:
+            unions.pop(next(iter(unions)), None)
+        unions[members] = union
+    return union
+
+
+def _query_doc(union: UCQ) -> dict[str, Any]:
+    """``query_to_dict(union)``, with each member's document computed
+    once per ``CQ`` object (kept in its ``_hom_cache``).
+
+    Only the top-level ``{"kind": "ucq", "members": [...]}`` wrapper is
+    new on every call: the member documents are shared between every
+    document that echoes the query, so they are read-only.
+    """
+    members = []
+    for member in union:
+        doc = member._hom_cache.get("doc")
+        if doc is None:
+            doc = member._hom_cache["doc"] = query_to_dict(member)
+        members.append(doc)
+    return {"kind": "ucq", "members": members}
 
 
 def certificate_to_doc(certificate) -> dict | None:
@@ -151,11 +204,16 @@ class ContainmentRequest:
                    semiring, equivalence=equivalence, id=id)
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain JSON-able representation (defaults omitted)."""
+        """Plain JSON-able representation (defaults omitted).
+
+        A new top-level dict and query wrappers on every call, but the
+        query *member* documents are shared (memoized per ``CQ``): add
+        top-level keys freely, and never write below ``q1``/``q2``.
+        """
         data: dict[str, Any] = {
             "semiring": self.semiring,
-            "q1": query_to_dict(self.q1),
-            "q2": query_to_dict(self.q2),
+            "q1": _query_doc(self.q1),
+            "q2": _query_doc(self.q2),
         }
         if self.equivalence:
             data["equivalence"] = True
@@ -172,14 +230,21 @@ class ContainmentRequest:
         Also accepts hand-written documents where ``q1``/``q2`` are
         Datalog source strings or lists of member strings.  ``parse``
         optionally reroutes text parsing (e.g. through an engine's
-        interning cache).
+        interning cache).  ``equivalence`` must be a JSON boolean
+        (absent means ``false``): a string such as ``"false"`` is
+        refused, not read by its truthiness.
         """
         if "semiring" not in data or "q1" not in data or "q2" not in data:
             raise ValueError(
                 "a containment request needs 'semiring', 'q1' and 'q2'")
+        equivalence = data.get("equivalence", False)
+        if not isinstance(equivalence, bool):
+            raise TypeError(
+                f"'equivalence' must be true or false, got "
+                f"{type(equivalence).__name__}")
         return cls.make(data["q1"], data["q2"], data["semiring"],
-                        equivalence=bool(data.get("equivalence", False)),
-                        id=data.get("id"), parse=parse)
+                        equivalence=equivalence, id=data.get("id"),
+                        parse=parse)
 
 
 @dataclass(frozen=True)
@@ -236,13 +301,19 @@ class VerdictDocument:
         return _ANSWERS[self.result]
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain JSON-able representation (lossless)."""
+        """Plain JSON-able representation (lossless).
+
+        A new top-level dict and query wrappers on every call, but the
+        query *member* documents are shared (memoized per ``CQ``), and
+        so is ``certificate``: add top-level keys freely, and never
+        write below them.
+        """
         return {
             "result": self.result,
             "method": self.method,
             "semiring": self.semiring,
-            "q1": query_to_dict(self.q1),
-            "q2": query_to_dict(self.q2),
+            "q1": _query_doc(self.q1),
+            "q2": _query_doc(self.q2),
             "certificate": self.certificate,
             "sufficient": self.sufficient,
             "necessary": self.necessary,

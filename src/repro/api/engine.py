@@ -13,14 +13,15 @@ benchmarks go through.  One engine owns:
   sets, complete descriptions ``⟨Q⟩`` (as isomorphism-class tables,
   keyed by the UCQ and the pair's constants, and the set-reduced
   tables ``⇉2`` reads, keyed with a trailing ``True``), and
-  canonical labeling records (isomorphism key + capture-free renaming +
-  automorphism group size and generators per CCQ, keyed by the query),
+  canonical labeling records (isomorphism key + automorphism group
+  size and generators per CCQ, keyed by the query),
   small-model test sets (the distinct canonical polynomial pairs of
   Thm. 4.17's tests, keyed by ``(Q1, Q2)`` and shared by every
   ⊕-idempotent semiring; trusted when restored, like the other
   structural layers), and a certificate memo for the LP-backed
   tropical polynomial orders (keyed by ``(order kind, canonical
-  admissible pair)``, revalidated on every recall) — plus a
+  admissible pair)``; a restored certificate is revalidated on its
+  first recall) — plus a
   verdict-level LRU, so repeated checks are near-free;
 * the document types of :mod:`repro.api.documents` for JSON-clean
   input/output, including the streaming batch entry points.
@@ -44,8 +45,9 @@ names; this module *derives* the stores, the :class:`EngineStats`
 fields, ``cache_info``/``cache_stats``/``clear_caches`` and the
 snapshot export/import payload from that registry, and every layer
 fills through the one memo path :meth:`ContainmentEngine._memo` — except
-``poly_orders`` (recalls are revalidated) and ``verdicts`` (recalls are
-re-stamped), which keep their own lookups.
+``poly_orders`` (the first recall of a restored entry is revalidated)
+and ``verdicts`` (recalls are re-stamped), which keep their own
+lookups.
 ``docs/ARCHITECTURE.md`` documents every layer (key shape, eviction,
 snapshot behavior) and the invariants a new layer must keep.
 """
@@ -235,6 +237,9 @@ class ContainmentEngine(DecisionContext):
         for layer in CACHE_LAYERS:
             setattr(self, layer.attr,
                     {} if layer.size is None else _LRU(layer.size))
+        # Keys of imported entries of the revalidating layer (the
+        # certificate memo) that no recall has checked yet.
+        self._unchecked: set = set()
         self._registry_version = self.registry.version
 
     @property
@@ -398,8 +403,7 @@ class ContainmentEngine(DecisionContext):
         :class:`~repro.queries.ccq.QueryCode` of a quotient in ``⟨Q⟩``.
 
         One refinement-based pass yields the isomorphism key, the
-        capture-free canonical renaming, the automorphism group size
-        and its generators
+        automorphism group size and its generators
         (:func:`repro.homomorphisms.canonical.compute_canonical_form`)
         — the primitives behind the description class tables and the
         ``→֒k``/``⇉2`` group-size rules.  Keys mention only the (immutable)
@@ -436,15 +440,19 @@ class ContainmentEngine(DecisionContext):
         :meth:`small_model_pairs` hit without a second
         canonicalization.
 
-        A recalled certificate is **revalidated, not trusted**: its
-        witness arithmetic is re-checked against the live pair
-        (integer evaluation for a violating point, Farkas inequalities
-        for dominance — never an LP).  Valid recalls count as
-        ``poly_hits``; an invalid (tampered/stale/mis-keyed) recall
-        counts as ``poly_rejected``, is evicted, and the decision is
-        recomputed — so a warmed run's answers are byte-identical to a
-        cold run's no matter what the snapshot contained.  This is why
-        the layer keeps its own lookup instead of :meth:`_memo`.
+        A certificate this engine computed is trusted when recalled.  A
+        certificate that arrived through :meth:`import_caches` is
+        **checked once, not trusted**: its first recall re-checks its
+        witness arithmetic against the live pair (integer evaluation for
+        a violating point, Farkas inequalities for dominance — never an
+        LP), and later recalls of the same entry skip the check.  Valid
+        recalls count as ``poly_hits``; an invalid (tampered/stale/
+        mis-keyed) recall counts as ``poly_rejected``, is evicted, and
+        the decision is recomputed — so a warmed run's answers are
+        byte-identical to a cold run's no matter what the snapshot
+        contained.  Importing a key again makes it unchecked again.
+        This is why the layer keeps its own lookup instead of
+        :meth:`_memo`.
 
         Semirings without a tropical kind (finite/lattice orders, which
         are already cheap exhaustive checks) pass through uncached.
@@ -458,14 +466,18 @@ class ContainmentEngine(DecisionContext):
             c1, c2, _ = canonical_pair(p1, p2)
             key = (kind, c1, c2)
             certificate = self._poly_orders.get(key, _MISSING)
+        if certificate is not _MISSING and key in self._unchecked:
+            self._unchecked.discard(key)
+            if not certificate_valid(certificate, kind, c1, c2):
+                self.stats.poly_rejected += 1
+                self._poly_orders.pop(key)
+                certificate = _MISSING
         if certificate is not _MISSING:
-            if certificate_valid(certificate, kind, c1, c2):
-                self.stats.poly_hits += 1
-                return certificate.holds
-            self.stats.poly_rejected += 1
-            self._poly_orders.pop(key)
+            self.stats.poly_hits += 1
+            return certificate.holds
         self.stats.poly_calls += 1
         holds, certificate = decide_poly_leq(kind, c1, c2)
+        self._unchecked.discard(key)
         self._poly_orders.put(key, certificate)
         return holds
 
@@ -579,6 +591,7 @@ class ContainmentEngine(DecisionContext):
         """Drop every cache layer (stats counters are kept)."""
         for layer in CACHE_LAYERS:
             getattr(self, layer.attr).clear()
+        self._unchecked.clear()
 
     # -- snapshot hooks --------------------------------------------------
 
@@ -593,7 +606,8 @@ class ContainmentEngine(DecisionContext):
         — its keys are ``(order kind, canonical polynomial pair)`` and
         its values are self-certifying
         :class:`~repro.polynomials.tropical_order.TropicalOrderCertificate`
-        records, revalidated on recall, so even a maliciously edited
+        records, each revalidated on its first recall after an import
+        (see :meth:`poly_leq`), so even a maliciously edited
         certificate cannot change an answer (the other structural
         layers, ``small_models`` included, are trusted as exported).
         Entry lists keep LRU order
@@ -634,7 +648,10 @@ class ContainmentEngine(DecisionContext):
         *this* engine's registry, and entries whose semiring name is
         unknown here are skipped (never an error: a snapshot is an
         optimization, not a contract).  Existing entries are
-        overwritten; stats counters are untouched.  Soundness assumes
+        overwritten; stats counters are untouched.  Every imported
+        ``poly_orders`` certificate, one overwriting an entry already
+        checked included, is unchecked until its first recall
+        revalidates it (:meth:`poly_leq`).  Soundness assumes
         the name resolves to a semiring equivalent to the one that
         produced the entry — snapshots are meant to be restored into
         engines with the same registry contents.
@@ -654,6 +671,8 @@ class ContainmentEngine(DecisionContext):
             restored = 0
             for key, value in state.get(layer.name, ()):
                 lru.put(key, value)
+                if layer.rejected is not None:
+                    self._unchecked.add(key)
                 restored += 1
             counts[layer.name] = restored
         restored = 0

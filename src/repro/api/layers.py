@@ -47,9 +47,11 @@ class CacheLayer:
         insertion-ordered dict (the classification map: one small
         entry per semiring).
     ``rejected``
-        For layers that revalidate recalled values (the certificate
+        For layers that revalidate restored values (the certificate
         pattern): the counter of recalls that failed revalidation and
-        were recomputed.
+        were recomputed.  The engine marks each entry of such a layer
+        that :meth:`~repro.api.engine.ContainmentEngine.import_caches`
+        installs as unchecked, until its first recall checks it.
     ``keyed_by_semiring``
         True for layers whose keys mention semiring *instances*: they
         are dropped when the registry changes and re-keyed by

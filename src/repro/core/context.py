@@ -119,8 +119,8 @@ class DecisionContext(ABC):
         (:func:`repro.homomorphisms.canonical.compute_canonical_form`).
 
         One :class:`~repro.homomorphisms.canonical.CanonicalForm`
-        bundles the isomorphism key, the capture-free canonical
-        renaming, the automorphism group size and its generators — the
+        bundles the isomorphism key, the automorphism group size and
+        its generators — the
         primitives the class table of a complete description (and
         through it the ``→֒k`` cap and ``⇉2`` exemption) consumes.
         """

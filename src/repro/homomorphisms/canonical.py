@@ -70,6 +70,7 @@ from ..queries.cq import CQ
 __all__ = [
     "CanonicalForm",
     "canonical_form",
+    "canonical_renaming",
     "compute_canonical_form",
     "fresh_existential_labels",
 ]
@@ -80,22 +81,18 @@ class CanonicalForm:
     """The canonical labeling record of one query, computed in one pass.
 
     ``key`` is a hashable normal form equal across (and only across)
-    isomorphic queries; ``renaming`` maps every existential variable to
-    its capture-free canonical name; ``automorphisms`` is the order of the
+    isomorphic queries; ``automorphisms`` is the order of the
     automorphism group (existential renamings fixing the query), and
     ``generators`` generate that group: each is a permutation of the
     indices of ``query.existential_vars()``, variable ``i`` going to
-    variable ``generator[i]``.
+    variable ``generator[i]``.  The canonical renaming that realizes
+    ``key`` is not part of the record: only
+    :func:`canonical_renaming` builds it.
     """
 
     key: tuple
-    renaming: tuple[tuple[Var, Var], ...]
     automorphisms: int
     generators: tuple[tuple[int, ...], ...]
-
-    def renaming_map(self) -> dict[Var, Var]:
-        """The canonical renaming as a substitution dict."""
-        return dict(self.renaming)
 
 
 def fresh_existential_labels(query: CQ, count: int) -> list[str]:
@@ -478,9 +475,15 @@ class _CanonicalSearch:
         return order
 
 
+def _search(code: QueryCode) -> "_CanonicalSearch":
+    """The finished canonical labeling search of a query code."""
+    search = _CanonicalSearch(_Structure(code))
+    search.run()
+    return search
+
+
 def compute_canonical_form(query: CQ | QueryCode) -> CanonicalForm:
-    """Canonical key, capture-free renaming, ``|Aut|`` and its
-    generators in one pass.
+    """Canonical key, ``|Aut|`` and its generators in one pass.
 
     ``query`` is a query or its :class:`~repro.queries.ccq.QueryCode`
     (a query is coded first); both give the same record.
@@ -488,19 +491,25 @@ def compute_canonical_form(query: CQ | QueryCode) -> CanonicalForm:
     snapshot-persisted ``canonical`` layer.
     """
     code = query if isinstance(query, QueryCode) else QueryCode.of(query)
-    struct = _Structure(code)
-    search = _CanonicalSearch(struct)
-    search.run()
-    labeling = search.best_labeling or []
-    key = (code.kind.__name__, len(code.head), search.best_ser)
-    fresh = _fresh_vars(frozenset(var.name for var in code.head), struct.n)
-    renaming = tuple(zip(code.evars, [fresh[label] for label in labeling]))
+    search = _search(code)
     return CanonicalForm(
-        key=key,
-        renaming=renaming,
+        key=(code.kind.__name__, len(code.head), search.best_ser),
         automorphisms=search.group_order(),
         generators=tuple(search.generators),
     )
+
+
+def canonical_renaming(query: CQ) -> dict[Var, Var]:
+    """The capture-free canonical renaming of ``query``'s existential
+    variables: the labeling that realizes its canonical key, each label
+    named by :func:`fresh_existential_labels`.  It runs the labeling
+    search itself, since the memoized :class:`CanonicalForm` does not
+    carry a renaming."""
+    code = QueryCode.of(query)
+    labeling = _search(code).best_labeling or []
+    fresh = _fresh_vars(frozenset(var.name for var in code.head),
+                        len(code.evars))
+    return dict(zip(code.evars, [fresh[label] for label in labeling]))
 
 
 #: The exported name of the computation.  It memoizes nothing: a

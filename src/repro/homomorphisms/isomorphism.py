@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from ..queries.ccq import QueryCode, description_orbits
 from ..queries.cq import CQ
-from .canonical import canonical_form
+from .canonical import canonical_form, canonical_renaming
 
 __all__ = [
     "DescriptionClass",
@@ -190,10 +190,10 @@ def canonical_rename(query: CQ) -> CQ:
     by the normalizer to give equivalent queries identical normal
     forms; idempotent by construction.
     """
-    form = canonical_form(query)
-    if not form.renaming:
+    renaming = canonical_renaming(query)
+    if not renaming:
         return query
-    return query.substitute(form.renaming_map())
+    return query.substitute(renaming)
 
 
 def endomorphisms(query: CQ):

@@ -13,7 +13,7 @@ Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 7,
+    {"magic": "repro.engine-snapshot", "version": 8,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -26,7 +26,13 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 7 keeps ``⇉2``'s set-reduced table of
+    layers *mean*.  Version 8 drops the canonical renaming from every
+    ``canonical`` value, which is now ``(key, automorphisms,
+    generators)``: no decision reads the renaming, and only
+    :func:`repro.homomorphisms.isomorphism.canonical_rename` (the
+    normalizer) needs one, which it computes itself.  A version-7
+    record carries the renaming as its second field, so a version-7
+    file is refused as stale.  Version 7 keeps ``⇉2``'s set-reduced table of
     ``⟨Q1⟩`` in the ``descriptions`` layer beside ``⟨Q1⟩``: ``⟨Q⟩``'s
     class table is keyed by ``(union, constants)`` and its set-reduced
     table by ``(union, constants, True)``, both valued as tuples of
@@ -69,9 +75,11 @@ A snapshot file is a pickled envelope with four fields::
     ``(key, value)`` lists whose keys never contain semiring
     *instances* (classifications and verdicts are re-keyed by
     canonical registry name; the ``poly_orders`` layer is keyed by
-    ``(order kind, canonical polynomial pair)`` and its certificate
-    values are revalidated on every recall, so a doctored certificate
-    can never change an answer).  Every other layer is trusted as
+    ``(order kind, canonical polynomial pair)``, and each restored
+    certificate is revalidated on its first recall — importing a key
+    again makes it unchecked again — so a doctored certificate can
+    never change an answer, and an entry that passed is not checked
+    again).  Every other layer is trusted as
     restored: a doctored ``homs``, ``descriptions`` or
     ``small_models`` entry (the canonical polynomial pairs a
     small-model decision checks) is used as it stands, and nothing
@@ -107,7 +115,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

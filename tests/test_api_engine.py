@@ -362,6 +362,42 @@ def test_request_id_non_string_non_int_rejected():
             ContainmentRequest.make(Q1, Q2, "B", id=bad)
 
 
+@pytest.mark.parametrize("flag", ["false", "no", 0, 1, None, [], {}])
+def test_non_boolean_equivalence_flag_is_refused(flag):
+    data = {"semiring": "B", "q1": "Q() :- R(u, v)",
+            "q2": "Q() :- R(u, u)", "equivalence": flag}
+    with pytest.raises(TypeError, match="'equivalence' must be true or "
+                                        "false"):
+        ContainmentRequest.from_dict(data)
+
+
+def test_boolean_equivalence_flag_or_none_is_read():
+    data = {"semiring": "B", "q1": "Q() :- R(u, v)",
+            "q2": "Q() :- R(u, u)"}
+    assert ContainmentRequest.from_dict(data).equivalence is False
+    for flag in (True, False):
+        request = ContainmentRequest.from_dict({**data, "equivalence": flag})
+        assert request.equivalence is flag
+
+
+def test_repeated_specs_resolve_to_one_union_object():
+    engine = ContainmentEngine()
+    data = {"semiring": "B", "q1": "Q() :- R(u, v)",
+            "q2": ["Q() :- R(u, u)", "Q() :- S(u, u)"]}
+    first = ContainmentRequest.from_dict(data, parse=engine.parse)
+    second = ContainmentRequest.from_dict(dict(data), parse=engine.parse)
+    assert first.q1 is second.q1 and first.q2 is second.q2
+    # The member order of a list spec does not change the union.
+    swapped = ContainmentRequest.from_dict(
+        {**data, "q2": data["q2"][::-1]}, parse=engine.parse)
+    assert swapped.q2 == first.q2
+    # A spec that fails validation is never interned: it fails again.
+    bad = {**data, "q2": ["Q() :- R(u, u)", "Q(x) :- S(x, x)"]}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="arity"):
+            ContainmentRequest.from_dict(bad, parse=engine.parse)
+
+
 def test_batch_numeric_id_echoed_as_string():
     from repro.api import process_lines
 

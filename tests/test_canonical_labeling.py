@@ -253,7 +253,6 @@ def test_twenty_existential_symmetric_ccq():
     query = _complete_ccq(atoms)
     form = compute_canonical_form(query)
     assert form.automorphisms == math.factorial(20)
-    assert len(form.renaming) == 20
     renamed = canonical_rename(query)
     assert len(renamed.existential_vars()) == 20
     assert canonical_rename(renamed) == renamed

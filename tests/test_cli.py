@@ -172,6 +172,35 @@ def test_batch_answers_nested_json_line_in_band(tmp_path, capsys, workers):
     assert lines[1]["result"] is True
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_batch_answers_bad_flags_and_nested_unions_in_band(
+        tmp_path, capsys, workers):
+    import json
+
+    nested = {"kind": "ucq", "members": [
+        {"kind": "ucq", "members": [
+            {"kind": "cq", "head": [], "atoms": [
+                {"relation": "R", "terms": [{"var": "u"}]}]}]}]}
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text("\n".join([
+        '{"semiring": "B", "q1": "Q() :- R(u, v)", "q2": "Q() :- R(u, u)", '
+        '"equivalence": "false", "id": "flag"}',
+        json.dumps({"semiring": "B", "q1": nested, "q2": "Q() :- R(u)",
+                    "id": "nested"}),
+        '{"semiring": "B", "q1": "Q() :- R(u, v)", "q2": "Q() :- R(u, u)", '
+        '"equivalence": false, "id": "ok"}',
+    ]) + "\n")
+    code, out, _ = run_cli(capsys, "batch", "--workers", workers,
+                           "--input", str(requests))
+    assert code == 1
+    lines = [json.loads(line) for line in out.splitlines() if line]
+    assert lines[0] == {"line": 1, "id": "flag", "error":
+                        "'equivalence' must be true or false, got str"}
+    assert lines[1] == {"line": 2, "id": "nested",
+                        "error": "union members must be CQs"}
+    assert lines[2]["request_id"] == "ok" and lines[2]["result"] is False
+
+
 def test_pooled_batch_answers_before_stdin_closes():
     # batch is a streaming filter with a pool too: one request on a pipe
     # that stays open is answered without waiting for more input.

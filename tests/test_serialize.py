@@ -73,6 +73,46 @@ def test_errors():
         query_from_dict({"kind": "cq", "head": [{"nope": 1}], "atoms": []})
 
 
+def test_nested_union_member_refused_at_decode():
+    inner = query_to_dict(parse_ucq(["Q() :- R(x)"]))
+    with pytest.raises(ValueError, match="union members must be CQs"):
+        query_from_dict({"kind": "ucq", "members": [inner]})
+
+
+def test_non_string_relation_name_refused_at_decode():
+    document = {"kind": "cq", "head": [], "atoms": [
+        {"relation": "R", "terms": [{"var": "x"}]},
+        {"relation": 5, "terms": [{"var": "x"}]}]}
+    with pytest.raises(TypeError, match="relation name 5 is not a string"):
+        query_from_dict(document)
+
+
+def test_non_string_variable_name_refused_at_decode():
+    document = {"kind": "cq", "head": [], "atoms": [
+        {"relation": "R", "terms": [{"var": 5}]}]}
+    with pytest.raises(TypeError, match="variable name 5 is not a string"):
+        query_from_dict(document)
+    document["atoms"][0]["terms"] = [{"const": [1]}]
+    with pytest.raises(TypeError, match="not hashable"):
+        query_from_dict(document)
+
+
+@pytest.mark.parametrize("document", [
+    ["not", "an", "object"],
+    {"kind": "ucq", "members": "R"},
+    {"kind": "ucq", "members": [7]},
+    {"kind": "cq", "head": [], "atoms": ["R(x)"]},
+    {"kind": "cq", "head": [], "atoms": [{"relation": "R", "terms": 3}]},
+    {"kind": "cq", "head": [3], "atoms": []},
+    {"kind": "ccq", "head": [], "atoms": [
+        {"relation": "R", "terms": [{"var": "x"}, {"var": "y"}]}],
+     "inequalities": [["x"]]},
+])
+def test_malformed_documents_raise_type_errors(document):
+    with pytest.raises(TypeError):
+        query_from_dict(document)
+
+
 def test_query_types_pickle_round_trip():
     # Worker-pool requests and cache snapshots cross process boundaries
     # via pickle; the slotted immutable types rebuild through their

@@ -88,6 +88,18 @@ def test_stdio_skips_blanks_and_comments_reports_errors_in_band():
     assert responses[2]["request_id"] == "r1"
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stdio_answers_a_non_boolean_equivalence_flag_in_band(workers):
+    lines = ['{"semiring": "B", "q1": "Q() :- R(u, v)", '
+             '"q2": "Q() :- R(u, u)", "equivalence": "false", "id": "f"}',
+             json.dumps(REQUESTS[0])]
+    with serving(workers) as gateway:
+        responses = run_stdio(gateway, lines)
+    assert responses[0] == {
+        "error": "'equivalence' must be true or false, got str", "id": "f"}
+    assert responses[1]["request_id"] == "r1"
+
+
 def test_control_ops_ping_stats_shutdown():
     lines = [json.dumps(REQUESTS[0]), '{"op": "ping"}', '{"op": "stats"}',
              '{"op": "unknown-op"}', '{"op": "shutdown"}',

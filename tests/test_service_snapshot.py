@@ -152,15 +152,26 @@ def test_version_6_snapshot_is_refused_as_stale(tmp_path):
         read_snapshot(path)
 
 
+def test_version_7_snapshot_is_refused_as_stale(tmp_path):
+    # A version-7 canonical record carries the canonical renaming that
+    # version 8 dropped: the file is refused whole.
+    path = tmp_path / "v7.snap"
+    envelope = {"magic": SNAPSHOT_MAGIC, "version": 7, "semirings": [],
+                "caches": {}}
+    path.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(SnapshotError, match="version 7 is not supported"):
+        read_snapshot(path)
+
+
 def test_version_4_snapshot_is_refused_as_stale(tmp_path, capsys):
     # Version 4 rows lack the automorphism-group size (and version 5
-    # entries the rigid-term key) a version-7 description carries: such
+    # entries the rigid-term key) a version-8 description carries: such
     # a file must be refused whole, and a batch run must start cold and
     # still answer.
     from repro.cli import main
     from repro.queries import UCQ, parse_cq
 
-    assert SNAPSHOT_VERSION == 7
+    assert SNAPSHOT_VERSION == 8
     union = UCQ([parse_cq("Q() :- R(u, v)")])
     warmed = ContainmentEngine()
     rows = tuple(tuple(row[:3])

@@ -167,6 +167,63 @@ def test_a_certificate_recalled_under_its_exact_key_is_revalidated():
     assert (engine.stats.poly_calls, engine.stats.poly_hits) == (2, 1)
 
 
+def _counting_checks(monkeypatch) -> list:
+    """Count the engine's ``certificate_valid`` calls (one entry each)."""
+    from repro.api import engine as api_engine
+
+    checks = []
+
+    def counted(*args):
+        checks.append(args)
+        return certificate_valid(*args)
+    monkeypatch.setattr(api_engine, "certificate_valid", counted)
+    return checks
+
+
+def test_a_restored_certificate_is_checked_once_across_recalls(
+        monkeypatch):
+    checks = _counting_checks(monkeypatch)
+    left, right = poly([(1, "xy")]), poly([(1, "xx")])
+    computed = ContainmentEngine()
+    truth = computed.poly_leq(TPLUS, left, right)
+    for _ in range(3):
+        assert computed.poly_leq(TPLUS, left, right) == truth
+    # A certificate this engine computed is trusted on recall.
+    assert checks == []
+    restored = ContainmentEngine()
+    restored.import_caches(computed.export_caches())
+    for _ in range(3):
+        assert restored.poly_leq(TPLUS, left, right) == truth
+    assert len(checks) == 1
+    assert (restored.stats.poly_calls, restored.stats.poly_hits,
+            restored.stats.poly_rejected) == (0, 3, 0)
+
+
+def test_a_forged_certificate_imported_over_a_checked_key_is_rejected(
+        monkeypatch):
+    checks = _counting_checks(monkeypatch)
+    left, right = poly([(1, "xy")]), poly([(1, "xx")])
+    truth = min_plus_poly_leq(left, right)
+    source = ContainmentEngine()
+    source.poly_leq(TPLUS, left, right)
+    ((key, certificate),) = source.export_caches()["poly_orders"]
+    engine = ContainmentEngine()
+    engine.import_caches({"poly_orders": [(key, certificate)]})
+    assert engine.poly_leq(TPLUS, left, right) == truth
+    assert engine.poly_leq(TPLUS, left, right) == truth
+    assert len(checks) == 1  # checked once, then trusted
+    forged = dataclasses.replace(certificate, holds=not certificate.holds)
+    engine.import_caches({"poly_orders": [(key, forged)]})
+    assert engine.poly_leq(TPLUS, left, right) == truth
+    assert engine.poly_leq(TPLUS, left, right) == truth
+    # The import made the key unchecked again: the forged entry was
+    # checked, rejected and recomputed, and the recomputed one is
+    # trusted.
+    assert len(checks) == 2
+    assert (engine.stats.poly_calls, engine.stats.poly_hits,
+            engine.stats.poly_rejected) == (1, 3, 1)
+
+
 def test_certificate_valid_rejects_garbage_values():
     left, right = poly([(1, "x")]), poly([(1, "x"), (1, "y")])
     holds, certificate = decide_poly_leq(MIN_PLUS, left, right)
