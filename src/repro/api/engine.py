@@ -207,6 +207,22 @@ class _LRU:
     __setitem__ = put
 
 
+class _Unchecked:
+    """An imported value of a revalidating layer (the certificate memo)
+    that no recall has checked yet.
+
+    :meth:`ContainmentEngine.poly_leq` replaces it with the bare value
+    once the value passes its check, and evicts it otherwise; eviction
+    and :meth:`ContainmentEngine.clear_caches` drop it like any entry,
+    and :meth:`ContainmentEngine.export_caches` unwraps it.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
 #: ``layer name → CacheLayer``, for :meth:`ContainmentEngine._memo`.
 _LAYER_BY_NAME = {layer.name: layer for layer in CACHE_LAYERS}
 
@@ -237,9 +253,6 @@ class ContainmentEngine(DecisionContext):
         for layer in CACHE_LAYERS:
             setattr(self, layer.attr,
                     {} if layer.size is None else _LRU(layer.size))
-        # Keys of imported entries of the revalidating layer (the
-        # certificate memo) that no recall has checked yet.
-        self._unchecked: set = set()
         self._registry_version = self.registry.version
 
     @property
@@ -447,10 +460,13 @@ class ContainmentEngine(DecisionContext):
         a violating point, Farkas inequalities for dominance — never an
         LP), and later recalls of the same entry skip the check.  Valid
         recalls count as ``poly_hits``; an invalid (tampered/stale/
-        mis-keyed) recall counts as ``poly_rejected``, is evicted, and
-        the decision is recomputed — so a warmed run's answers are
-        byte-identical to a cold run's no matter what the snapshot
-        contained.  Importing a key again makes it unchecked again.
+        mis-keyed, or malformed so that the check cannot run) recall
+        counts as ``poly_rejected``, is evicted, and the decision is
+        recomputed — so a warmed run's answers are byte-identical to a
+        cold run's no matter what the snapshot contained.  Only a valid
+        recall replaces the :class:`_Unchecked` wrapper
+        :meth:`import_caches` put around the value; importing a key
+        again wraps it again.
         This is why the layer keeps its own lookup instead of
         :meth:`_memo`.
 
@@ -466,9 +482,11 @@ class ContainmentEngine(DecisionContext):
             c1, c2, _ = canonical_pair(p1, p2)
             key = (kind, c1, c2)
             certificate = self._poly_orders.get(key, _MISSING)
-        if certificate is not _MISSING and key in self._unchecked:
-            self._unchecked.discard(key)
-            if not certificate_valid(certificate, kind, c1, c2):
+        if type(certificate) is _Unchecked:
+            if certificate_valid(certificate.value, kind, c1, c2):
+                certificate = certificate.value
+                self._poly_orders.put(key, certificate)
+            else:
                 self.stats.poly_rejected += 1
                 self._poly_orders.pop(key)
                 certificate = _MISSING
@@ -477,7 +495,6 @@ class ContainmentEngine(DecisionContext):
             return certificate.holds
         self.stats.poly_calls += 1
         holds, certificate = decide_poly_leq(kind, c1, c2)
-        self._unchecked.discard(key)
         self._poly_orders.put(key, certificate)
         return holds
 
@@ -591,7 +608,6 @@ class ContainmentEngine(DecisionContext):
         """Drop every cache layer (stats counters are kept)."""
         for layer in CACHE_LAYERS:
             getattr(self, layer.attr).clear()
-        self._unchecked.clear()
 
     # -- snapshot hooks --------------------------------------------------
 
@@ -623,8 +639,13 @@ class ContainmentEngine(DecisionContext):
         names = {semiring: semiring.name for semiring in self.registry}
         state: dict[str, list] = {}
         for layer in CACHE_LAYERS:
-            if not layer.keyed_by_semiring:
-                state[layer.name] = getattr(self, layer.attr).items()
+            if layer.keyed_by_semiring:
+                continue
+            entries = getattr(self, layer.attr).items()
+            if layer.rejected is not None:
+                entries = [(key, value.value if type(value) is _Unchecked
+                            else value) for key, value in entries]
+            state[layer.name] = entries
         classifications = []
         for semiring, classification in self._classifications.items():
             name = names.get(semiring)
@@ -650,8 +671,8 @@ class ContainmentEngine(DecisionContext):
         optimization, not a contract).  Existing entries are
         overwritten; stats counters are untouched.  Every imported
         ``poly_orders`` certificate, one overwriting an entry already
-        checked included, is unchecked until its first recall
-        revalidates it (:meth:`poly_leq`).  Soundness assumes
+        checked included, is stored wrapped as unchecked until its
+        first recall revalidates it (:meth:`poly_leq`).  Soundness assumes
         the name resolves to a semiring equivalent to the one that
         produced the entry — snapshots are meant to be restored into
         engines with the same registry contents.
@@ -670,9 +691,8 @@ class ContainmentEngine(DecisionContext):
             lru = getattr(self, layer.attr)
             restored = 0
             for key, value in state.get(layer.name, ()):
-                lru.put(key, value)
-                if layer.rejected is not None:
-                    self._unchecked.add(key)
+                lru.put(key, value if layer.rejected is None
+                        else _Unchecked(value))
                 restored += 1
             counts[layer.name] = restored
         restored = 0

@@ -49,7 +49,7 @@ class CacheLayer:
     ``rejected``
         For layers that revalidate restored values (the certificate
         pattern): the counter of recalls that failed revalidation and
-        were recomputed.  The engine marks each entry of such a layer
+        were recomputed.  The engine wraps each entry of such a layer
         that :meth:`~repro.api.engine.ContainmentEngine.import_caches`
         installs as unchecked, until its first recall checks it.
     ``keyed_by_semiring``

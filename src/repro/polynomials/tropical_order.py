@@ -339,10 +339,25 @@ def certificate_valid(certificate, order: str,
     still violate, and the Farkas vectors must still prove every
     violation system of every split infeasible.  No LP is run; a stale
     or tampered certificate simply fails, and the caller recomputes.
+    The check never raises: a witness of the wrong type or shape (say
+    ``witnesses=5``, which ``dict`` refuses) fails like any other
+    tampered value, since an error here could only come from the value.
     """
+    try:
+        return _certificate_checks(certificate, order, p1, p2)
+    except Exception:
+        return False
+
+
+def _certificate_checks(certificate, order: str,
+                        p1: Polynomial, p2: Polynomial) -> bool:
+    """The checks of :func:`certificate_valid`, which may raise on a
+    malformed value."""
     if not isinstance(certificate, TropicalOrderCertificate):
         return False
     if certificate.order != order or order not in (MIN_PLUS, MAX_PLUS):
+        return False
+    if not isinstance(certificate.holds, bool):
         return False
     if certificate.key != (p1, p2):
         return False

@@ -224,6 +224,32 @@ def test_a_forged_certificate_imported_over_a_checked_key_is_rejected(
             engine.stats.poly_rejected) == (1, 3, 1)
 
 
+@pytest.mark.parametrize("left, right", [
+    (poly([(1, "xy")]), poly([(1, "xx")])),
+    (poly([(1, "xx")]), poly([(1, "xy")])),
+], ids=["holds", "fails"])
+def test_a_forged_certificate_with_a_malformed_witness_never_answers(
+        left, right):
+    # Flip the answer and make the witness data unreadable: the check
+    # raises on it (``dict(5)``, unpacking ``7``), and that must count
+    # as a failed check on every recall, not as an in-band error that
+    # leaves the forged entry in place.
+    truth = min_plus_poly_leq(left, right)
+    source = ContainmentEngine()
+    source.poly_leq(TPLUS, left, right)
+    ((key, certificate),) = source.export_caches()["poly_orders"]
+    forged = dataclasses.replace(certificate, holds=not certificate.holds,
+                                 witness=7, witnesses=5)
+    assert not certificate_valid(forged, MIN_PLUS, *certificate.key)
+    engine = ContainmentEngine()
+    engine.import_caches({"poly_orders": [(key, forged)]})
+    for _ in range(2):
+        assert engine.poly_leq(TPLUS, left, right) == truth
+    assert (engine.stats.poly_calls, engine.stats.poly_hits,
+            engine.stats.poly_rejected) == (1, 1, 1)
+    assert engine.export_caches()["poly_orders"] == [(key, certificate)]
+
+
 def test_certificate_valid_rejects_garbage_values():
     left, right = poly([(1, "x")]), poly([(1, "x"), (1, "y")])
     holds, certificate = decide_poly_leq(MIN_PLUS, left, right)
