@@ -1,8 +1,9 @@
 """Scaling of the small-model procedure (Thm. 4.17, Prop. 4.19).
 
 The dominant cost is the Bell-number growth of ``⟨Q1⟩`` in the number
-of existential variables, times one LP-backed polynomial comparison per
-CCQ.  The sweep pins that shape: Bell(2) = 2, Bell(3) = 5,
+of existential variables, times one polynomial comparison per CCQ:
+decided by monomial absorption where the rule applies, and otherwise
+by exact LPs over the infinity splits.  The sweep pins that shape: Bell(2) = 2, Bell(3) = 5,
 Bell(4) = 15 canonical instances.
 """
 

@@ -223,10 +223,6 @@ class _Unchecked:
         self.value = value
 
 
-#: ``layer name → CacheLayer``, for :meth:`ContainmentEngine._memo`.
-_LAYER_BY_NAME = {layer.name: layer for layer in CACHE_LAYERS}
-
-
 class ContainmentEngine(DecisionContext):
     """Cached facade over the Table-1 containment decision procedures.
 
@@ -250,9 +246,15 @@ class ContainmentEngine(DecisionContext):
         self.registry = (registry if registry is not None
                          else DEFAULT_REGISTRY.copy())
         self.stats = EngineStats()
+        # ``layer name → (store, counters, calls, hits)`` for ``_memo``,
+        # bound once: the stores are cleared in place, never reassigned.
+        counters = vars(self.stats)
+        self._memos = {}
         for layer in CACHE_LAYERS:
-            setattr(self, layer.attr,
-                    {} if layer.size is None else _LRU(layer.size))
+            store = {} if layer.size is None else _LRU(layer.size)
+            setattr(self, layer.attr, store)
+            self._memos[layer.name] = (store, counters, layer.calls,
+                                       layer.hits)
         self._registry_version = self.registry.version
 
     @property
@@ -313,17 +315,15 @@ class ContainmentEngine(DecisionContext):
         ``compute`` runs only on a miss, after the call is counted; pass
         the function itself, never a closure over further inputs.
         """
-        spec = _LAYER_BY_NAME[layer]
-        store = getattr(self, spec.attr)
-        counters = vars(self.stats)
+        store, counters, calls, hits = self._memos[layer]
         key = args[0] if len(args) == 1 else args
         value = store.get(key, _MISSING)
         if value is _MISSING:
-            counters[spec.calls] += 1
+            counters[calls] += 1
             value = compute(*args)
             store[key] = value
         else:
-            counters[spec.hits] += 1
+            counters[hits] += 1
         return value
 
     def classification(self, semiring: str | Semiring) -> Classification:
@@ -453,12 +453,18 @@ class ContainmentEngine(DecisionContext):
         :meth:`small_model_pairs` hit without a second
         canonicalization.
 
-        A certificate this engine computed is trusted when recalled.  A
-        certificate that arrived through :meth:`import_caches` is
-        **checked once, not trusted**: its first recall re-checks its
-        witness arithmetic against the live pair (integer evaluation for
-        a violating point, Farkas inequalities for dominance — never an
-        LP), and later recalls of the same entry skip the check.  Valid
+        A miss decides with
+        :func:`~repro.polynomials.tropical_order.decide_poly_leq`, which
+        tries monomial absorption before any LP: a holding certificate
+        carries either an absorption ``partners`` map or Farkas
+        ``witnesses``.  A certificate this engine computed is trusted
+        when recalled.  A certificate that arrived through
+        :meth:`import_caches` is **checked once, not trusted**: its
+        first recall re-checks its witness arithmetic against the live
+        pair (integer evaluation for a violating point, exponent
+        comparisons for a partner map, Farkas inequalities for the
+        vectors — never an LP), and later recalls of the same entry
+        skip the check.  Valid
         recalls count as ``poly_hits``; an invalid (tampered/stale/
         mis-keyed, or malformed so that the check cannot run) recall
         counts as ``poly_rejected``, is evicted, and the decision is

@@ -20,6 +20,17 @@ integer one and strict gaps can be normalized to ``≥ 1``.  The paper
 only proves a PSPACE bound for these orders — any sound and complete
 procedure reproduces Prop. 4.19.
 
+Before any split, a sufficient *absorption* rule is tried
+(:func:`_absorption_partners`): under min-plus, ``P1 ≼ P2`` holds when
+every monomial of ``P1`` is divisible by some monomial of ``P2`` (a
+divisor never evaluates higher, and ``min`` over ``P2`` only lowers
+it); under max-plus, when every monomial of ``P1`` has a ``P2``
+monomial on the same variables with exponents at least as large (a
+``−∞`` variable sends both to ``−∞``, and on finite values the partner
+is never lower).  The rule is sufficient only: ``xy ≼T+ x² + y²``
+holds with no divisor, and ``x ⋠T− xy`` because ``y`` may be ``−∞``.
+When it declines, the splits decide.
+
 Each system is solved once, in exact rational arithmetic, by a Phase-I
 simplex with Bland's rule (:func:`_solve`).  A feasible system yields
 its basic point, scaled to integers by the lcm of its denominators.
@@ -54,6 +65,13 @@ certificate format:
     assigns a natural number to every variable (positionally, in
     sorted-variable order; entries under ``infinite`` are ignored).
     Checking it is one evaluation of each side — no solve.
+``partners`` (``holds=True``)
+    The absorption map: for each monomial of ``P1``, in
+    :meth:`Polynomial.items` order, the index of a monomial of ``P2``
+    (in the same order) that absorbs it — divides it under min-plus,
+    or has its variables and exponents at least as large under
+    max-plus.  Checking it is one integer exponent comparison per
+    entry.
 ``witnesses`` (``holds=True``)
     Per-subset-split dominance witnesses: for every split where the
     decision solved systems, one integer Farkas multiplier vector per
@@ -62,9 +80,13 @@ certificate format:
     ``y ≥ 0`` has ``yᵀA ≥ 0`` and ``yᵀb < 0`` — and *that* is
     checkable with exact integer arithmetic, again without a solve.
 
+A ``holds=True`` certificate carries exactly one of ``partners`` and
+``witnesses``; one with both, or with neither, is invalid.
+
 :func:`certificate_valid` is the cheap recall-time revalidation:
-it re-derives the split systems from the pair itself and verifies the
-stored witness arithmetic, so a tampered, stale or mis-keyed
+it re-derives the split systems (or the monomials a partner map
+indexes) from the pair itself and verifies the stored witness
+arithmetic, so a tampered, stale or mis-keyed
 certificate is rejected (and the caller decides afresh).  A
 certificate is therefore *self-certifying*: trusting one never trusts
 the cache, only integer arithmetic.
@@ -232,6 +254,31 @@ def _violation_systems(order: str, forms1: list[tuple[int, ...]],
         yield constraints, bounds
 
 
+def _absorbs(order: str, mono1: Monomial, mono2: Monomial) -> bool:
+    """Does ``P2``'s ``mono2`` absorb ``P1``'s ``mono1`` — is ``mono2``
+    at or below (min-plus) or at or above (max-plus) ``mono1`` on
+    every valuation?"""
+    if order == MIN_PLUS:
+        return mono2.divides(mono1)
+    return mono1.divides(mono2) and mono1.variables() == mono2.variables()
+
+
+def _absorption_partners(order: str, p1: Polynomial, p2: Polynomial
+                         ) -> tuple[int, ...] | None:
+    """The sufficient absorption rule: for each monomial of ``P1`` the
+    index of the first monomial of ``P2`` absorbing it, or ``None``
+    when some monomial has no partner (the rule declines)."""
+    monos2 = p2.monomials()
+    partners = []
+    for mono1 in p1.monomials():
+        partner = next((index for index, mono2 in enumerate(monos2)
+                        if _absorbs(order, mono1, mono2)), None)
+        if partner is None:
+            return None
+        partners.append(partner)
+    return tuple(partners)
+
+
 def _split_value(forms: list[tuple[int, ...]], point: Sequence[int],
                  order: str) -> int | None:
     """Tropical value of one side at a finite point (``None`` = ±∞)."""
@@ -274,6 +321,7 @@ class TropicalOrderCertificate:
     holds: bool
     witness: tuple | None = None
     witnesses: tuple | None = None
+    partners: tuple | None = None
 
     @staticmethod
     def _poly_terms(poly: Polynomial) -> list:
@@ -305,6 +353,8 @@ class TropicalOrderCertificate:
                  "farkas": [list(vector) for vector in vectors]}
                 for infinite, vectors in self.witnesses
             ]
+        if self.partners is not None:
+            data["partners"] = list(self.partners)
         return data
 
     @classmethod
@@ -321,12 +371,16 @@ class TropicalOrderCertificate:
                  tuple(tuple(vector) for vector in entry["farkas"]))
                 for entry in data["witnesses"]
             )
+        partners = None
+        if "partners" in data:
+            partners = tuple(data["partners"])
         return cls(
             order=data["order"],
             key=(cls._terms_poly(data["p1"]), cls._terms_poly(data["p2"])),
             holds=bool(data["holds"]),
             witness=witness,
             witnesses=witnesses,
+            partners=partners,
         )
 
 
@@ -336,8 +390,9 @@ def certificate_valid(certificate, order: str,
 
     True only when the certificate targets exactly this order and pair
     *and* its witness arithmetic checks out — a violating point must
-    still violate, and the Farkas vectors must still prove every
-    violation system of every split infeasible.  No LP is run; a stale
+    still violate, every partner must still absorb its monomial, and
+    the Farkas vectors must still prove every violation system of
+    every split infeasible.  No LP is run; a stale
     or tampered certificate simply fails, and the caller recomputes.
     The check never raises: a witness of the wrong type or shape (say
     ``witnesses=5``, which ``dict`` refuses) fails like any other
@@ -361,10 +416,13 @@ def _certificate_checks(certificate, order: str,
         return False
     if certificate.key != (p1, p2):
         return False
-    variables = tuple(sorted(p1.variables() | p2.variables()))
     if not certificate.holds:
+        if certificate.partners is not None \
+                or certificate.witnesses is not None:
+            return False  # a refutation carries a violating point only
         if certificate.witness is None:
             return False
+        variables = tuple(sorted(p1.variables() | p2.variables()))
         infinite, point = certificate.witness
         if len(point) != len(variables):
             return False
@@ -375,8 +433,11 @@ def _certificate_checks(certificate, order: str,
             return False
         return _witness_violates(order, p1, p2, variables,
                                  frozenset(infinite), point)
-    if certificate.witnesses is None:
-        return False
+    if (certificate.partners is None) == (certificate.witnesses is None):
+        return False  # exactly one kind of dominance witness
+    if certificate.partners is not None:
+        return _partners_check(order, p1, p2, certificate.partners)
+    variables = tuple(sorted(p1.variables() | p2.variables()))
     by_split = dict(certificate.witnesses)
     for infinite in _subsets(variables):
         forms1 = _forms(p1, variables, infinite)
@@ -395,20 +456,53 @@ def _certificate_checks(certificate, order: str,
     return True
 
 
+def _partners_check(order: str, p1: Polynomial, p2: Polynomial,
+                    partners) -> bool:
+    """Exact verification of an absorption map: one in-range ``int``
+    index per ``P1`` monomial, each naming a ``P2`` monomial that
+    absorbs it."""
+    monos1, monos2 = p1.monomials(), p2.monomials()
+    if len(partners) != len(monos1):
+        return False
+    for mono1, index in zip(monos1, partners):
+        if type(index) is not int or not 0 <= index < len(monos2):
+            return False
+        if not _absorbs(order, mono1, monos2[index]):
+            return False
+    return True
+
+
 def decide_poly_leq(order: str, p1: Polynomial, p2: Polynomial
                     ) -> tuple[bool, TropicalOrderCertificate]:
     """Decide ``P1 ≼ P2`` under ``order`` and certify the decision.
 
-    Returns ``(holds, certificate)``.  Each violation system of each
-    subset split is solved once, exactly (:func:`_solve`): a feasible
-    one gives the violating point of a ``holds=False`` certificate,
-    and the infeasible ones give the Farkas vectors of a
-    ``holds=True`` certificate.  Every point and vector is checked in
-    integer arithmetic first; a failed check raises
-    :class:`ArithmeticError` instead of certifying an unchecked answer.
+    Returns ``(holds, certificate)``.  The absorption rule is tried
+    first (:func:`_absorption_partners`); when it finds a partner for
+    every monomial of ``P1`` the pair holds with a ``partners``
+    certificate and no system is solved.  Otherwise the subset splits
+    decide (:func:`_decide_by_splits`).
     """
     if order not in (MIN_PLUS, MAX_PLUS):
         raise ValueError(f"unknown tropical order {order!r}")
+    partners = _absorption_partners(order, p1, p2)
+    if partners is not None:
+        return True, TropicalOrderCertificate(
+            order=order, key=(p1, p2), holds=True, partners=partners)
+    return _decide_by_splits(order, p1, p2)
+
+
+def _decide_by_splits(order: str, p1: Polynomial, p2: Polynomial
+                      ) -> tuple[bool, TropicalOrderCertificate]:
+    """Decide ``P1 ≼ P2`` split by split, with no absorption shortcut.
+
+    Each violation system of each subset split is solved once, exactly
+    (:func:`_solve`): a feasible one gives the violating point of a
+    ``holds=False`` certificate, and the infeasible ones give the
+    Farkas vectors of a ``holds=True`` certificate.  Every point and
+    vector is checked in integer arithmetic first; a failed check
+    raises :class:`ArithmeticError` instead of certifying an unchecked
+    answer.
+    """
     variables = tuple(sorted(p1.variables() | p2.variables()))
     dominance: list[tuple] = []
     for infinite in _subsets(variables):

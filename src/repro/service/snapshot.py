@@ -13,7 +13,7 @@ Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 8,
+    {"magic": "repro.engine-snapshot", "version": 9,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -26,7 +26,14 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 8 drops the canonical renaming from every
+    layers *mean*.  Version 9 gives a holding ``poly_orders``
+    certificate a second witness shape: ``partners``, the absorption
+    map from each ``P1`` monomial to a ``P2`` monomial that absorbs it
+    (:mod:`repro.polynomials.tropical_order`), carried instead of the
+    Farkas ``witnesses`` when the absorption rule decided the pair.  A
+    version-8 reader checks every holding certificate for Farkas
+    vectors and would reject and recompute each partner map, so the
+    two versions do not share files.  Version 8 drops the canonical renaming from every
     ``canonical`` value, which is now ``(key, automorphisms,
     generators)``: no decision reads the renaming, and only
     :func:`repro.homomorphisms.isomorphism.canonical_rename` (the
@@ -115,7 +122,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

@@ -202,7 +202,7 @@ def test_hom_lru_evicts_at_capacity():
     lru.put("c", 3)
     assert lru.items() == [("a", 1), ("c", 3)]
     engine = ContainmentEngine()
-    engine._homs = _LRU(1)
+    engine._homs.maxsize = 1      # stores are bound once: resize in place
     engine.decide(Q1, Q2, "B")
     engine.decide("Q() :- S(x)", "Q() :- S(y)", "B")
     assert engine.cache_info()["hom_entries"] == 1

@@ -163,15 +163,26 @@ def test_version_7_snapshot_is_refused_as_stale(tmp_path):
         read_snapshot(path)
 
 
+def test_version_8_snapshot_is_refused_as_stale(tmp_path):
+    # Version 9 certificates may carry an absorption partner map that a
+    # version-8 build cannot check: the versions share no file.
+    path = tmp_path / "v8.snap"
+    envelope = {"magic": SNAPSHOT_MAGIC, "version": 8, "semirings": [],
+                "caches": {}}
+    path.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(SnapshotError, match="version 8 is not supported"):
+        read_snapshot(path)
+
+
 def test_version_4_snapshot_is_refused_as_stale(tmp_path, capsys):
     # Version 4 rows lack the automorphism-group size (and version 5
-    # entries the rigid-term key) a version-8 description carries: such
+    # entries the rigid-term key) a version-9 description carries: such
     # a file must be refused whole, and a batch run must start cold and
     # still answer.
     from repro.cli import main
     from repro.queries import UCQ, parse_cq
 
-    assert SNAPSHOT_VERSION == 8
+    assert SNAPSHOT_VERSION == 9
     union = UCQ([parse_cq("Q() :- R(u, v)")])
     warmed = ContainmentEngine()
     rows = tuple(tuple(row[:3])

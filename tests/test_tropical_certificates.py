@@ -278,7 +278,9 @@ def test_false_certificates_carry_a_checkable_violating_point():
 @pytest.mark.parametrize("feasible", [True, False])
 def test_unchecked_solver_results_raise(monkeypatch, feasible):
     """A solver result that fails its integer check is never certified:
-    a zero point violates nothing, and a zero vector proves nothing."""
+    a zero point violates nothing, and a zero vector proves nothing.
+    ``x`` has no divisor in ``x²``, so absorption declines and the pair
+    reaches the solver."""
     from repro.polynomials import tropical_order
 
     def bogus(constraints, bounds):
@@ -287,17 +289,130 @@ def test_unchecked_solver_results_raise(monkeypatch, feasible):
 
     monkeypatch.setattr(tropical_order, "_solve", bogus)
     with pytest.raises(ArithmeticError):
-        decide_poly_leq(MIN_PLUS, poly([(1, "xx")]), poly([(1, "x")]))
+        decide_poly_leq(MIN_PLUS, poly([(1, "x")]), poly([(1, "xx")]))
 
 
 def test_certificates_round_trip_through_json_and_pickle():
+    shapes = set()
     for order in (MIN_PLUS, MAX_PLUS):
         for pair in ((poly([(1, "xy")]), poly([(1, "xx")])),
-                     (poly([(1, "xx"), (1, "yy")]), poly([(1, "xy")]))):
+                     (poly([(1, "xx"), (1, "yy")]), poly([(1, "xy")])),
+                     (poly([(1, "xy")]), poly([(1, "xx"), (1, "yy")])),
+                     (poly([(1, "xy"), (1, "xxy")]),
+                      poly([(1, "y"), (1, "xy")]))):
             _, certificate = decide_poly_leq(order, *pair)
             assert TropicalOrderCertificate.from_dict(
                 certificate.to_dict()) == certificate
             assert pickle.loads(pickle.dumps(certificate)) == certificate
+            shapes.add((certificate.witness is not None,
+                        certificate.witnesses is not None,
+                        certificate.partners is not None))
+    # Refutations, Farkas dominance and partner maps all travelled.
+    assert shapes == {(True, False, False), (False, True, False),
+                      (False, False, True)}
+
+
+# --- the absorption witness --------------------------------------------
+
+def _partner_certificate():
+    left = poly([(1, "xy"), (1, "xxy")])
+    right = poly([(1, "y"), (1, "xy")])
+    holds, certificate = decide_poly_leq(MIN_PLUS, left, right)
+    assert holds and certificate.witnesses is None
+    assert certificate.partners == (0, 0)
+    assert certificate_valid(certificate, MIN_PLUS, left, right)
+    return left, right, certificate
+
+
+@pytest.mark.parametrize("partners", [
+    (0, 2), (0, -1),       # out of range (a negative index included)
+    (0, "1"), (0, 1.0),    # not an int
+    (0, True),             # a bool is no index either
+], ids=["past-the-end", "negative", "str", "float", "bool"])
+def test_a_partner_map_with_a_bad_index_is_invalid(partners):
+    left, right, certificate = _partner_certificate()
+    forged = dataclasses.replace(certificate, partners=partners)
+    assert not certificate_valid(forged, MIN_PLUS, left, right)
+
+
+@pytest.mark.parametrize("order, forged_partners", [
+    (MIN_PLUS, {"xy": "xy", "xxy": "z"}),   # z divides neither
+    (MIN_PLUS, {"xy": "xxy", "xxy": "y"}),  # x²y does not divide xy
+    (MAX_PLUS, {"xy": "xyz", "xxy": "xxy"}),  # z = −∞ drops xyz
+    (MAX_PLUS, {"xy": "y", "xxy": "xxy"}),  # y lacks x
+    (MAX_PLUS, {"xy": "xy", "xxy": "xy"}),  # xy is below x²y
+], ids=["min-plus-foreign", "min-plus-higher", "max-plus-more-variables",
+        "max-plus-fewer-variables", "max-plus-lower"])
+def test_a_partner_that_does_not_absorb_is_invalid(order, forged_partners):
+    left = poly([(1, "xy"), (1, "xxy")])
+    right = poly([(1, "y"), (1, "xy"), (1, "xxy"), (1, "z"), (1, "xyz")])
+    holds, certificate = decide_poly_leq(order, left, right)
+    assert holds and certificate.partners is not None
+    index = {mono.as_word(): position
+             for position, mono in enumerate(right.monomials())}
+    partners = tuple(index[tuple(forged_partners["".join(mono.as_word())])]
+                     for mono in left.monomials())
+    forged = dataclasses.replace(certificate, partners=partners)
+    assert not certificate_valid(forged, order, left, right)
+
+
+@pytest.mark.parametrize("partners", [(), (0,), (0, 0, 0)],
+                         ids=["empty", "short", "long"])
+def test_a_partner_map_of_the_wrong_length_is_invalid(partners):
+    left, right, certificate = _partner_certificate()
+    forged = dataclasses.replace(certificate, partners=partners)
+    assert not certificate_valid(forged, MIN_PLUS, left, right)
+
+
+def test_a_partner_map_beside_farkas_vectors_is_invalid():
+    left, right = poly([(1, "x")]), poly([(1, "x"), (1, "y")])
+    _, farkas = decide_poly_leq(MIN_PLUS, poly([(1, "xy")]),
+                                poly([(1, "xx"), (1, "yy")]))
+    assert farkas.witnesses
+    _, certificate = decide_poly_leq(MIN_PLUS, left, right)
+    assert certificate.partners == (0,)
+    both = dataclasses.replace(certificate, witnesses=farkas.witnesses)
+    assert not certificate_valid(both, MIN_PLUS, left, right)
+    neither = dataclasses.replace(certificate, partners=None)
+    assert not certificate_valid(neither, MIN_PLUS, left, right)
+
+
+def test_a_partner_map_on_a_refutation_is_invalid():
+    left, right = poly([(1, "x")]), poly([(1, "xx")])
+    holds, certificate = decide_poly_leq(MIN_PLUS, left, right)
+    assert not holds and certificate_valid(certificate, MIN_PLUS,
+                                           left, right)
+    forged = dataclasses.replace(certificate, partners=(0,))
+    assert not certificate_valid(forged, MIN_PLUS, left, right)
+
+
+def test_a_doctored_snapshot_partner_map_is_recomputed(tmp_path):
+    """Point every partner of every snapshot partner map past the end
+    of its ``P2``: each recall is rejected and recomputed, and no
+    answer changes."""
+    path = tmp_path / "tropical.snap"
+    warmed = ContainmentEngine()
+    baseline = run_tropical(warmed)
+    state = warmed.export_caches(include_verdicts=False)
+    doctored = 0
+    entries = []
+    for key, certificate in state["poly_orders"]:
+        if certificate.partners:
+            certificate = dataclasses.replace(
+                certificate,
+                partners=(len(key[2].monomials()),) * len(
+                    certificate.partners))
+            doctored += 1
+        entries.append((key, certificate))
+    assert doctored > 0, "the requests must produce partner maps"
+    state["poly_orders"] = entries
+    write_snapshot(state, path)
+
+    restored = ContainmentEngine()
+    load_snapshot(restored, path)
+    assert run_tropical(restored) == baseline
+    assert restored.stats.poly_rejected == doctored
+    assert restored.stats.poly_calls == doctored
 
 
 # --- snapshot round trips ----------------------------------------------
