@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Mapping
 
-from ..core.verdict import MemberMatching, Verdict
+from ..core.verdict import MemberMatching, Refutation, Verdict
 from ..queries.atoms import is_var
 from ..queries.cq import CQ
 from ..queries.parser import parse_cq
@@ -145,9 +145,13 @@ def certificate_to_doc(certificate) -> dict | None:
     Homomorphism mappings become ``{"kind": "homomorphism", "mapping":
     {var: term-doc}}``; a :class:`~repro.core.verdict.MemberMatching`
     becomes ``{"kind": "bijective-matching", "assignment": [{"q1": i,
-    "q2": j, "mapping": {var: term-doc}}, ...]}``; condition names
-    become ``{"kind": "condition", "text": ...}``; anything else is kept
-    as its ``repr``.
+    "q2": j, "mapping": {var: term-doc}}, ...]}``; a
+    :class:`~repro.core.verdict.Refutation` becomes ``{"kind":
+    "counterexample", "facts": [{"relation": R, "terms": [term-doc,
+    ...], "value": v}, ...], "target": [term-doc, ...], "lhs": v,
+    "rhs": v}`` (a value is its integer, else its ``str``); condition
+    names become ``{"kind": "condition", "text": ...}``; anything else
+    is kept as its ``repr``.
     """
     if certificate is None:
         return None
@@ -158,9 +162,26 @@ def certificate_to_doc(certificate) -> dict | None:
                 "assignment": [{"q1": i, "q2": j,
                                 "mapping": _mapping_doc(mapping)}
                                for i, j, mapping in certificate.assignment]}
+    if isinstance(certificate, Refutation):
+        return {"kind": "counterexample",
+                "facts": [{"relation": relation,
+                           "terms": [term_to_dict(term) for term in row],
+                           "value": _value_doc(value)}
+                          for relation, row, value in certificate.facts],
+                "target": [term_to_dict(term) for term in certificate.target],
+                "lhs": _value_doc(certificate.lhs),
+                "rhs": _value_doc(certificate.rhs)}
     if isinstance(certificate, str):
         return {"kind": "condition", "text": certificate}
     return {"kind": "opaque", "repr": repr(certificate)}
+
+
+def _value_doc(value) -> int | str:
+    """A semiring element as JSON: an integer as itself (``N``,
+    ``N_k``), anything else as its ``str``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return str(value)
 
 
 def _mapping_doc(mapping: Mapping) -> dict:

@@ -18,7 +18,10 @@ benchmarks go through.  One engine owns:
   small-model test sets (the distinct canonical polynomial pairs of
   Thm. 4.17's tests, keyed by ``(Q1, Q2)`` and shared by every
   ⊕-idempotent semiring; trusted when restored, like the other
-  structural layers), and a certificate memo for the LP-backed
+  structural layers), the bag refuter's tagged probes (each probe's
+  facts and the fact counts that make ``Q1`` outnumber ``Q2`` in
+  ``N``, keyed by the head-pattern pair ``(P1, P2)`` and shared by
+  every semiring), and a certificate memo for the LP-backed
   tropical polynomial orders (keyed by ``(order kind, canonical
   admissible pair)``; a restored certificate is revalidated on its
   first recall) — plus a
@@ -58,7 +61,8 @@ from collections import OrderedDict
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..core.classes import Classification, classify
-from ..core.containment import decide_containment, k_equivalent
+from ..core.containment import (decide_containment, k_equivalent,
+                                tagged_probes)
 from ..core.context import DecisionContext
 from ..core.small_model import small_model_pairs
 from ..homomorphisms.canonical import CanonicalForm, compute_canonical_form
@@ -436,6 +440,18 @@ class ContainmentEngine(DecisionContext):
         only the order decisions asked of its pairs are revalidated.
         """
         return self._memo("small_models", small_model_pairs, q1, q2)
+
+    def tagged_probes(self, q1, q2) -> tuple:
+        """LRU-cached probe instances of the bag refuter for ``Q1 ⊆ Q2``
+        (:func:`repro.core.containment.tagged_probes`): each probe's
+        facts and the fact counts on which ``Q1`` outnumbers ``Q2`` in
+        ``N``, keyed by the two (head-pattern) UCQs.  No semiring enters the key or the value,
+        so one entry serves ``N``, ``R+``, ``N_k`` and ``Trio[X]``, the
+        layer survives registry changes, and a restored entry is
+        trusted like ``small_models``; only its numbers are evaluated
+        per semiring.
+        """
+        return self._memo("probes", tagged_probes, q1, q2)
 
     def poly_leq(self, semiring, p1, p2) -> bool:
         """Certificate-memoized polynomial-order decision (Prop. 4.19).

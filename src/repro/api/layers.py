@@ -103,6 +103,9 @@ CACHE_LAYERS: tuple[CacheLayer, ...] = (
     CacheLayer(name="small_models", attr="_small_models",
                hits="small_model_hits", calls="small_model_calls",
                entries="small_model_entries", size=16384),
+    CacheLayer(name="probes", attr="_probes",
+               hits="probe_hits", calls="probe_calls",
+               entries="probe_entries", size=16384),
     CacheLayer(name="poly_orders", attr="_poly_orders",
                hits="poly_hits", calls="poly_calls",
                entries="poly_entries", size=65536,

@@ -40,11 +40,18 @@ with it, and where the bounds would leave a pair undecided it decides
 the pair.
 
 For semirings outside every decidable class (bag semantics ``N``,
-``R+``) the verdict reports the strongest applicable bounds: a failed
+``R+``) the verdict reports the strongest applicable bounds, one head
+pattern at a time (:func:`_bounded_verdict`).  First a probe refuter
+evaluates both sides on a few small tagged instances, one per ``Q1``
+member with all its existentials merged into one element
+(:func:`tagged_probes`): a probe on which ``Q1`` reads more than
+``Q2`` *refutes* with that instance as its certificate.  Then a failed
 necessary condition still *refutes*, a satisfied sufficient condition
-still *confirms*, and otherwise the verdict is honestly undecided —
+still *confirms*, and otherwise the verdict is honestly undecided,
 which for ``N`` is exactly the open-problem / undecidability frontier
-the paper describes.
+the paper describes (bag containment of a CQ in a UCQ is undecidable,
+so no bound closes the gap; a bounded refutation is what can answer
+``False`` there).
 """
 
 from __future__ import annotations
@@ -58,16 +65,19 @@ from ..homomorphisms.search import HomKind
 from ..homomorphisms.ucq_conditions import (bi_count_infty, bi_count_k,
                                             covering_2, covering_union,
                                             local_condition, sur_infty)
-from ..queries.ccq import head_patterns
+from ..data.instance import Instance
+from ..queries.ccq import head_pattern_splits, head_patterns, pattern_values
 from ..queries.cq import CQ
+from ..queries.evaluation import valuations
 from ..queries.ucq import UCQ, as_ucq
 from .classes import Classification
 from .context import DecisionContext, resolve_context
 from .small_model import small_model_contained
-from .verdict import MemberMatching, Verdict
+from .verdict import MemberMatching, Refutation, Verdict
 
 __all__ = ["decide_containment", "decide_cq_containment",
-           "decide_ucq_containment", "k_equivalent", "transferred"]
+           "decide_ucq_containment", "k_equivalent", "tagged_probes",
+           "transferred"]
 
 
 def _local(kind: HomKind) -> Callable:
@@ -242,8 +252,9 @@ def decide_ucq_containment(q1, q2, semiring, *,
                        explanation=f"{semiring.name}: canonical-instance "
                                    "polynomial comparison (Thm. 4.17)")
     first = None
-    for p1, p2 in head_patterns(q1, q2):
-        verdict = _bounded_verdict(p1, p2, semiring, cls, context=ctx)
+    for pattern, p1, p2 in head_pattern_splits(q1, q2):
+        verdict = _bounded_verdict(p1, p2, semiring, cls, context=ctx,
+                                   pattern=pattern)
         if verdict.result is False:
             return verdict
         if first is None or first.result and verdict.result is None:
@@ -307,17 +318,156 @@ def transferred(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext
                                "onto it, so Q1 ⊆N[X] Q2 (Thm. 4.10)")
 
 
-def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
-                     context: DecisionContext) -> Verdict:
-    """Best-effort verdict from the known necessary and sufficient
-    conditions when no exact procedure exists (e.g. bag semantics), on
-    one head pattern: the dispatcher answers ``False`` if one pattern
-    does, ``True`` if all do, and else the first undecided one.
+def tagged_probes(q1: UCQ, q2: UCQ) -> tuple[tuple, ...]:
+    """The probe instances of the refuter for ``Q1 ⊆ Q2``, each with
+    the fact counts on which ``Q1`` outnumbers ``Q2`` in ``N``.
 
-    The necessary conditions run in order until one fails, the
-    sufficient ones in order until one holds: the verdict names only
-    that condition, so the conditions after it are never computed.
+    One probe per ``Q1`` member: its canonical instance with every
+    existential merged into one element (the member's first
+    existential) and its head variables and constants kept, so each
+    fact is the image of some atom.  Each *distinct* fact gets one tag,
+    its index in order of first occurrence (one tag per atom
+    occurrence would turn clique 5's probe into ``(z1 + … + z20)^20``),
+    and both sides' ``N[X]`` polynomials at the member's head are
+    listed once, one monomial per valuation (:func:`_monomials`).  They
+    are then evaluated in ``N`` with every tag at 1 or 2, in
+    :func:`_tag_counts` order, and a vector is kept as
+    ``(counts, lhs, rhs)`` only when ``lhs > rhs``: otherwise ``rhs``
+    is ``lhs`` plus a natural number, and so is its image in every
+    naturally ordered semiring.  A probe is ``(head, facts, tries)``:
+    the member's head (the output tuple), the facts as ``(relation,
+    row)`` pairs in tag order, and the kept vectors; members giving the
+    same probe give it once, and a probe with no vector kept is
+    dropped.  Nothing here names a semiring, so one computation per
+    pair of head-pattern unions serves every semiring
+    (:meth:`~repro.core.context.DecisionContext.tagged_probes`).
     """
+    from ..semirings.natural import N
+
+    seen, probes = set(), []
+    for member in q1:
+        existential = member.existential_vars()
+        merged = (dict.fromkeys(existential, existential[0]) if existential
+                  else {})
+        facts = tuple(dict.fromkeys(
+            (atom.relation, tuple(atom.substitute(merged).terms))
+            for atom in member.atoms))
+        if (member.head, facts) in seen:
+            continue
+        seen.add((member.head, facts))
+        tags = {fact: tag for tag, fact in enumerate(facts)}
+        relations: dict[str, dict] = {}
+        for relation, row in facts:
+            relations.setdefault(relation, {})[row] = 1
+        instance = Instance(N, relations)
+        left = _monomials(q1, instance, member.head, tags)
+        right = _monomials(q2, instance, member.head, tags)
+        tries = []
+        for counts in _tag_counts(len(facts)):
+            lhs, rhs = _value(left, counts), _value(right, counts)
+            if lhs > rhs:
+                tries.append((counts, lhs, rhs))
+        if tries:
+            probes.append((member.head, facts, tuple(tries)))
+    return tuple(probes)
+
+
+def _monomials(query: UCQ, instance: Instance, head: tuple,
+               tags: dict) -> list[tuple[int, ...]]:
+    """``query``'s ``N[X]`` polynomial at ``head`` on a probe, as one
+    monomial per valuation: the tags of the facts it multiplies."""
+    return [tuple(tags[atom.relation, tuple(valuation.get(term, term)
+                                            for term in atom.terms)]
+                  for atom in member.atoms)
+            for member in query
+            for valuation in valuations(member, instance, head)]
+
+
+def _value(monomials: list, counts: tuple) -> int:
+    """The polynomial of :func:`_monomials` with tag ``i`` at
+    ``counts[i]``, in ``N``."""
+    return sum(math.prod(counts[tag] for tag in monomial)
+               for monomial in monomials)
+
+
+def _tag_counts(count: int):
+    """The fact counts the refuter tries for ``count`` tags, in order:
+    all 1, all 2, then each tag alone at 2."""
+    yield (1,) * count
+    if count:
+        yield (2,) * count
+    if count > 1:
+        for doubled in range(count):
+            yield tuple(2 if tag == doubled else 1 for tag in range(count))
+
+
+def _times_one(semiring, n: int):
+    """``n·1 = 1 ⊕ … ⊕ 1`` in ``semiring``, by doubling."""
+    total, power = semiring.zero, semiring.one
+    while n:
+        if n & 1:
+            total = semiring.add(total, power)
+        power, n = semiring.add(power, power), n >> 1
+    return total
+
+
+def refuted(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext,
+            pattern: tuple) -> Verdict | None:
+    """``False`` when a probe of :func:`tagged_probes` refutes
+    ``Q1 ⊆K Q2``; ``None`` when none does.
+
+    A probe's fact counts map to ``K`` through the unique morphism
+    ``N → K`` (``n ↦ n·1``): every fact is ``1`` or ``1 ⊕ 1``, and the
+    ``K``-instance with those values gives ``Q1`` and ``Q2`` the images
+    of their ``N`` values (evaluation commutes with semiring
+    morphisms), so where those images satisfy ``lhs ⋠ rhs`` the
+    instance is a counterexample over ``K``.  Where ``1 ⊕ 1 = 1`` no
+    probe is tried: every fact is then ``1``, which cannot refute past
+    the plain homomorphisms the dispatch has already found.
+    ``q1``/``q2`` are one head pattern of the pair (``pattern``, from
+    :func:`repro.queries.ccq.head_pattern_splits`), and the
+    certificate's target is stated in the original pair's arity
+    (:func:`repro.queries.ccq.pattern_values`), so it holds of the pair
+    as asked.
+    """
+    one = semiring.one
+    if semiring.eq(semiring.add(one, one), one):
+        return None
+    for head, facts, tries in ctx.tagged_probes(q1, q2):
+        for counts, lhs, rhs in tries:
+            lhs, rhs = _times_one(semiring, lhs), _times_one(semiring, rhs)
+            if not semiring.leq(lhs, rhs):
+                certificate = Refutation(
+                    tuple((relation, row, _times_one(semiring, count))
+                          for (relation, row), count in zip(facts, counts)),
+                    pattern_values(pattern, head), lhs, rhs)
+                return Verdict(False, "refuted", certificate=certificate,
+                               explanation=f"refuted on a probe instance "
+                                           f"(a Q1 member's existentials "
+                                           f"merged, each fact 1 or 1 ⊕ 1): "
+                                           f"Q1 reads {lhs!r}, Q2 reads "
+                                           f"{rhs!r}, and {lhs!r} ⋠ "
+                                           f"{rhs!r} in {semiring.name}")
+    return None
+
+
+def _bounded_verdict(q1: UCQ, q2: UCQ, semiring, cls: Classification, *,
+                     context: DecisionContext, pattern: tuple) -> Verdict:
+    """Best-effort verdict when no exact procedure exists (e.g. bag
+    semantics), on one head pattern: the dispatcher answers ``False``
+    if one pattern does, ``True`` if all do, and else the first
+    undecided one.
+
+    The probe refuter (:func:`refuted`) runs first: its probes are
+    memoised per pattern pair, and refuting a pair costs no complete
+    description, so a refuted pair builds none.  Then the necessary
+    conditions run in order until one fails, and the sufficient ones
+    in order until one holds: the verdict names only that condition,
+    so the conditions after it are never computed.
+    """
+    verdict = refuted(q1, q2, semiring, context, pattern)
+    if verdict is not None:
+        return verdict
     props = semiring.properties
 
     necessary: list[tuple[str, Callable[[], bool]]] = []

@@ -142,6 +142,17 @@ class DecisionContext(ABC):
         """
 
     @abstractmethod
+    def tagged_probes(self, q1, q2) -> tuple:
+        """The bag refuter's probe instances of ``Q1 ⊆ Q2``, each with
+        the fact counts on which ``Q1`` outnumbers ``Q2`` in ``N``
+        (:func:`repro.core.containment.tagged_probes`).
+
+        Like :meth:`small_model_pairs` they depend on the two UCQs
+        alone, so one computation per pair of head-pattern unions
+        serves every semiring the refuter checks them in.
+        """
+
+    @abstractmethod
     def poly_leq(self, semiring, p1, p2) -> bool:
         """Decide the polynomial order ``P1 ≼K P2`` (Prop. 4.19).
 

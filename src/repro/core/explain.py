@@ -1,8 +1,9 @@
 """Certificate checking and enriched containment explanations.
 
 The dispatcher's verdicts carry certificates (homomorphism mappings,
-and for a ``transferred`` union verdict a
-:class:`~repro.core.verdict.MemberMatching`).  This module makes them
+for a ``transferred`` union verdict a
+:class:`~repro.core.verdict.MemberMatching`, and for a ``refuted`` one
+a :class:`~repro.core.verdict.Refutation`).  This module makes them
 *independently checkable* — a reviewer need not trust the search — and
 combines syntactic refutations with semantic witnesses from the oracle
 into a single explanation object.
@@ -13,15 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from ..data.instance import Instance
 from ..homomorphisms.search import HomKind
 from ..oracle.brute_force import Counterexample, find_counterexample
 from ..queries.cq import CQ
+from ..queries.evaluation import evaluate
 from ..queries.ucq import UCQ, as_ucq
 from .containment import CQ_PROCEDURES, decide_containment
-from .verdict import MemberMatching, Verdict
+from .verdict import MemberMatching, Refutation, Verdict
 
 __all__ = ["check_homomorphism_certificate", "check_member_matching",
-           "Explanation", "explain"]
+           "check_refutation", "Explanation", "explain"]
 
 
 def check_homomorphism_certificate(source: CQ, target: CQ, mapping: dict,
@@ -77,6 +80,37 @@ def check_member_matching(source: UCQ, target: UCQ,
         for i, j, mapping in matching.assignment)
 
 
+def check_refutation(q1, q2, semiring, refutation: Refutation) -> bool:
+    """Verify a ``refuted`` certificate against the decided pair: on
+    the instance of its facts, the tuple-at-a-time evaluator
+    (:func:`repro.queries.evaluation.evaluate`) must give ``Q1`` and
+    ``Q2`` exactly the recorded values at the target, and ``Q1``'s
+    must not be below ``Q2``'s.  A certificate the evaluator cannot
+    read (a target of the wrong arity, a row of the wrong width) fails
+    the check."""
+    try:
+        instance = Instance(semiring, _fact_table(refutation.facts))
+        lhs = evaluate(as_ucq(q1), instance, refutation.target, semiring)
+        rhs = evaluate(as_ucq(q2), instance, refutation.target, semiring)
+    except (TypeError, ValueError):
+        return False
+    return (semiring.eq(lhs, refutation.lhs)
+            and semiring.eq(rhs, refutation.rhs)
+            and not semiring.leq(lhs, rhs))
+
+
+def _fact_table(facts) -> dict[str, dict[tuple, object]]:
+    """``(relation, row, value)`` triples as an ``Instance`` table; a
+    row listed twice is malformed."""
+    table: dict[str, dict[tuple, object]] = {}
+    for relation, row, value in facts:
+        rows = table.setdefault(relation, {})
+        if tuple(row) in rows:
+            raise ValueError(f"fact {relation}{tuple(row)} listed twice")
+        rows[tuple(row)] = value
+    return table
+
+
 def _all_variables(query: CQ):
     return {v for atom in query.atoms for v in atom.variables()}
 
@@ -91,11 +125,13 @@ _METHOD_KINDS = {method: kind for method, _, kind in CQ_PROCEDURES.values()
 class Explanation:
     """A verdict plus independently checkable evidence.
 
-    ``certificate_valid`` — for positive homomorphism verdicts, the
-    result of re-checking the certificate (None when not applicable).
-    ``witness``           — for refutations, a semantic counterexample
-    from the oracle (None when containment holds or no witness found
-    within budget).
+    ``certificate_valid`` — for positive homomorphism verdicts and
+    ``refuted`` ones, the result of re-checking the certificate (None
+    when not applicable).
+    ``witness``           — for refutations, a semantic counterexample:
+    a checked ``refuted`` certificate's own instance, else one from the
+    oracle (None when containment holds, the certificate is bad, or no
+    witness was found within budget).
     """
 
     verdict: Verdict
@@ -104,14 +140,15 @@ class Explanation:
 
     def summary(self) -> str:
         """One-line human-readable account."""
+        check = {True: "certificate checked", False: "CERTIFICATE BAD",
+                 None: "no checkable certificate"}[self.certificate_valid]
         if self.verdict.result is True:
-            check = {True: "certificate checked", False: "CERTIFICATE BAD",
-                     None: "no checkable certificate"}[self.certificate_valid]
             return f"contained [{self.verdict.method}; {check}]"
         if self.verdict.result is False:
-            where = ("witness found" if self.witness is not None
-                     else "no witness within budget")
-            return f"not contained [{self.verdict.method}; {where}]"
+            if self.certificate_valid is None:
+                check = ("witness found" if self.witness is not None
+                         else "no witness within budget")
+            return f"not contained [{self.verdict.method}; {check}]"
         return f"undecided [{self.verdict.explanation}]"
 
 
@@ -138,7 +175,17 @@ def explain(q1, q2, semiring, witness_budget: int = 1500, *,
         certificate_valid = check_homomorphism_certificate(
             as_ucq(q2).cqs[0], as_ucq(q1).cqs[0], certificate, kind)
     witness = None
-    if verdict.result is False:
+    if verdict.result is False and isinstance(certificate, Refutation):
+        # The certificate is a witness itself: check it, and run no
+        # oracle search (which can take minutes on the pairs the probe
+        # refutes at once).
+        certificate_valid = check_refutation(q1, q2, semiring, certificate)
+        if certificate_valid:
+            witness = Counterexample(
+                Instance(semiring, _fact_table(certificate.facts)),
+                certificate.target, certificate.lhs, certificate.rhs,
+                source="refuter probe")
+    elif verdict.result is False:
         witness = find_counterexample(q1, q2, semiring,
                                       budget=witness_budget)
     return Explanation(verdict, certificate_valid, witness)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["MemberMatching", "Verdict", "Undecided"]
+__all__ = ["MemberMatching", "Refutation", "Verdict", "Undecided"]
 
 
 class Undecided(RuntimeError):
@@ -31,6 +31,26 @@ class MemberMatching:
     """
 
     assignment: tuple[tuple[int, int, dict], ...]
+
+
+@dataclass(frozen=True)
+class Refutation:
+    """A counterexample certificate: a ``K``-instance on which
+    ``Q1 ⊆K Q2`` fails.
+
+    ``facts`` holds the instance as ``(relation, row, value)`` triples
+    (each row once, its value a ``K`` element), ``target`` is an output
+    tuple of ``Q1``'s arity, and ``lhs``/``rhs`` are the values of
+    ``Q1`` and ``Q2`` there, with ``lhs ⋠ rhs`` in ``K``'s natural
+    order.  It is stated against the decided pair itself, so
+    :func:`repro.core.explain.check_refutation` re-checks it by
+    evaluating both queries.
+    """
+
+    facts: tuple[tuple[str, tuple, Any], ...]
+    target: tuple
+    lhs: Any
+    rhs: Any
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,9 @@ __all__ = [
     "description_orbits",
     "description_size",
     "growth_codes",
+    "head_pattern_splits",
     "head_patterns",
+    "pattern_values",
     "require_described",
     "rigid_constants",
     "set_partitions",
@@ -545,10 +547,17 @@ def head_patterns(q1: UCQ, q2: UCQ) -> list[tuple[UCQ, UCQ]]:
     that changes no member gives back ``Q1`` and ``Q2`` themselves, so
     a pair without head variables or constants is its one pattern.
     """
+    return [(p1, p2) for _, p1, p2 in head_pattern_splits(q1, q2)]
+
+
+def head_pattern_splits(q1: UCQ, q2: UCQ) -> list[tuple[tuple, UCQ, UCQ]]:
+    """:func:`head_patterns` with each pair's pattern in front:
+    ``(pattern, P1, P2)`` triples, where :func:`pattern_values` turns
+    the head of a ``P1`` member back into an output tuple of ``Q1``."""
     if not q1.arity:
-        return [(q1, q2)]
+        return [((), q1, q2)]
     constants = rigid_constants((*q1, *q2))
-    pairs = []
+    splits = []
     for partition in set_partitions(tuple(range(q1.arity))):
         blocks = sorted(partition)
         for binding in product((_ABSENT, *constants), repeat=len(blocks)):
@@ -559,8 +568,22 @@ def head_patterns(q1: UCQ, q2: UCQ) -> list[tuple[UCQ, UCQ]]:
             pattern = tuple(zip(blocks, binding))
             specialised = _specialised(q1, pattern)
             if not specialised.is_empty():
-                pairs.append((specialised, _specialised(q2, pattern)))
-    return pairs
+                splits.append((pattern, specialised,
+                               _specialised(q2, pattern)))
+    return splits
+
+
+def pattern_values(pattern: tuple, head: tuple) -> tuple:
+    """The output tuple of the original pair that a specialised head
+    stands for under ``pattern`` (from :func:`head_pattern_splits`):
+    each position takes its block's constant, or the head value of its
+    free block (the head holds one per free block, in block order)."""
+    values: dict[int, Any] = {}
+    free = iter(head)
+    for positions, constant in pattern:
+        value = next(free) if constant is _ABSENT else constant
+        values.update(dict.fromkeys(positions, value))
+    return tuple(values[position] for position in sorted(values))
 
 
 def _specialised(union: UCQ, pattern: tuple) -> UCQ:

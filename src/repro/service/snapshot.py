@@ -4,16 +4,16 @@ Short-lived ``python -m repro batch`` invocations — and worker
 processes of :class:`repro.service.pool.WorkerPool` — start with cold
 caches, re-paying for parse interning, classification, homomorphism
 searches and kernels, covered-atom sets, complete-description class
-tables, canonical labeling records, small-model test sets and
-LP-backed tropical order certificates that a previous run already
-computed.  A *snapshot*
+tables, canonical labeling records, small-model test sets, the bag
+refuter's tagged probes and LP-backed tropical order certificates that
+a previous run already computed.  A *snapshot*
 persists those layers to disk so the next run starts warm.
 
 Format
 ------
 A snapshot file is a pickled envelope with four fields::
 
-    {"magic": "repro.engine-snapshot", "version": 9,
+    {"magic": "repro.engine-snapshot", "version": 10,
      "semirings": [...canonical names...], "caches": {layer: [...]}}
 
 ``magic``
@@ -26,7 +26,16 @@ A snapshot file is a pickled envelope with four fields::
     the future) and rejected wholesale.  A new cache layer alone need
     not bump the version: unknown layers are ignored on import and
     absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 9 gives a holding ``poly_orders``
+    layers *mean*.  Version 10 adds the ``probes`` layer, the bag
+    refuter's tagged probes (:func:`repro.core.containment.tagged_probes`):
+    keyed by a head-pattern pair ``(P1, P2)``, valued as tuples of
+    ``(head, facts, tries)`` probes, each try a vector of fact counts
+    with ``Q1``'s and ``Q2``'s values in ``N`` there.  With it, ``N``, ``R+``, ``N_k`` and
+    ``Trio[X]`` verdicts answer ``refuted`` where a version-9 run
+    answered ``bounds-only`` or ``necessary-condition``, and a version-9
+    file warms the description searches those refuted pairs no longer
+    make and none of the probes they do, so it is refused as stale.
+    Version 9 gives a holding ``poly_orders``
     certificate a second witness shape: ``partners``, the absorption
     map from each ``P1`` monomial to a ``P2`` monomial that absorbs it
     (:mod:`repro.polynomials.tropical_order`), carried instead of the
@@ -87,7 +96,7 @@ A snapshot file is a pickled envelope with four fields::
     again makes it unchecked again — so a doctored certificate can
     never change an answer, and an entry that passed is not checked
     again).  Every other layer is trusted as
-    restored: a doctored ``homs``, ``descriptions`` or
+    restored: a doctored ``homs``, ``descriptions``, ``probes`` or
     ``small_models`` entry (the canonical polynomial pairs a
     small-model decision checks) is used as it stands, and nothing
     revalidates it.
@@ -122,7 +131,7 @@ __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "SnapshotError",
            "save_snapshot", "write_snapshot"]
 
 SNAPSHOT_MAGIC = "repro.engine-snapshot"
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 
 # The cache layers a snapshot may carry, in import order, come from the
 # one cache-layer registry (repro.api.layers) — never re-list them here

@@ -508,7 +508,10 @@ def _golden_stream(engine) -> list:
 #: and the ``T+`` small model: each pair searches its two ``Q2``
 #: members against each ``Q1`` member, and no matching exists.  They
 #: fell by two when the transfer stopped searching a pair of members
-#: with different atom counts, which no bijection maps.
+#: with different atom counts, which no bijection maps.  The
+#: ``probe_*`` figures arrived with the bag refuter's probe layer: the
+#: ``N`` pair computes its one pattern's probes cold (neither refutes
+#: it, so the verdict stays ``bounds-only``) and recalls them restored.
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
     "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 12,
@@ -516,11 +519,13 @@ _GOLDEN_COLD = {
     "cover_hits": 0, "description_calls": 2, "description_hits": 2,
     "canon_calls": 6, "canon_hits": 3,
     "small_model_calls": 1, "small_model_hits": 0,
+    "probe_calls": 1, "probe_hits": 0,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
     "classification_entries": 5, "parsed_entries": 11, "hom_entries": 12,
     "kernel_entries": 7, "cover_entries": 5, "description_entries": 2,
-    "canon_entries": 6, "small_model_entries": 1, "poly_entries": 1,
+    "canon_entries": 6, "small_model_entries": 1, "probe_entries": 1,
+    "poly_entries": 1,
     "eval_plan_entries": 1, "verdict_entries": 6}
 
 _GOLDEN_RESTORED = {
@@ -530,11 +535,13 @@ _GOLDEN_RESTORED = {
     "cover_hits": 5, "description_calls": 0, "description_hits": 3,
     "canon_calls": 0, "canon_hits": 0,
     "small_model_calls": 0, "small_model_hits": 1,
+    "probe_calls": 0, "probe_hits": 1,
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
     "classification_entries": 5, "parsed_entries": 11, "hom_entries": 12,
     "kernel_entries": 7, "cover_entries": 5, "description_entries": 2,
-    "canon_entries": 6, "small_model_entries": 1, "poly_entries": 1,
+    "canon_entries": 6, "small_model_entries": 1, "probe_entries": 1,
+    "poly_entries": 1,
     "eval_plan_entries": 1, "verdict_entries": 6}
 
 

@@ -210,11 +210,26 @@ def test_bag_ucq_sufficient_cor_5_16(no_transfer):
 
 
 def test_bag_ucq_necessary_cor_5_23():
-    """failing ⟨Q2⟩ ⇉2 ⟨Q1⟩ refutes Q1 ⊆N Q2 (Cor. 5.23)."""
+    """failing ⟨Q2⟩ ⇉2 ⟨Q1⟩ refutes Q1 ⊆N Q2 (Cor. 5.23).  Both members
+    answer ``R(1, 'a')``, which ``Q2`` counts once; no probe of the
+    refuter binds both terms at once, so the condition decides."""
+    q1 = parse_ucq(["Q() :- R(x, 'a')", "Q() :- R(1, y)"])
+    q2 = parse_ucq(["Q() :- R(x, y)"])
+    verdict = decide_ucq_containment(q1, q2, N)
+    assert verdict.result is False
+    assert verdict.method == "necessary-condition"
+    assert verdict.certificate == "⟨Q2⟩ ⇉2 ⟨Q1⟩ (Cor. 5.23)"
+
+
+def test_bag_ucq_doubled_union_is_refuted():
+    """The doubled union ``Q ∪ Q ⊆N Q`` (which also fails ``⇉2``) is
+    refuted by a probe: with its one fact at 1, ``Q1`` reads 2 and
+    ``Q2`` reads 1."""
     q = parse_cq("Q() :- R(u, u)")
     verdict = decide_ucq_containment(UCQ((q, q)), UCQ((q,)), N)
     assert verdict.result is False
-    assert verdict.method == "necessary-condition"
+    assert verdict.method == "refuted"
+    assert (verdict.certificate.lhs, verdict.certificate.rhs) == (2, 1)
 
 
 def test_bag_ucq_gap_undecided():

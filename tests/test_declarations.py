@@ -171,6 +171,7 @@ _MEMO_CALLS = {
     "descriptions": ("complete_description", (UCQ([_Q2]), ())),
     "canonical": ("canonical_form", (_Q2,)),
     "small_models": ("small_model_pairs", (UCQ([_Q1]), UCQ([_Q2]))),
+    "probes": ("tagged_probes", (UCQ([_Q2]), UCQ([_Q1]))),
     "eval_plans": ("eval_plan", (parse_cq("Q(x) :- R(x, y)"),)),
 }
 

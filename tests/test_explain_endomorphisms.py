@@ -169,6 +169,69 @@ def test_a_tampered_member_matching_is_caught(monkeypatch, tamper):
     assert "CERTIFICATE BAD" in explanation.summary()
 
 
+ROOTED = ("Q(x) :- E(x, y), E(y, z)", "Q(x) :- E(x, y)")
+
+
+def test_a_refutation_is_checked_by_evaluation():
+    """A ``refuted`` verdict's probe instance is re-checked on the pair
+    itself, and serves as the witness: no oracle search runs."""
+    q1, q2 = map(parse_cq, ROOTED)
+    explanation = explain(q1, q2, N)
+    assert explanation.verdict.method == "refuted"
+    assert explanation.certificate_valid is True
+    assert explanation.summary() == \
+        "not contained [refuted; certificate checked]"
+    witness = explanation.witness
+    assert witness.source == "refuter probe"
+    assert (witness.target, witness.lhs, witness.rhs) == ((Var("x"),), 4, 2)
+
+
+def test_refutations_on_the_golden_corpus_are_checked():
+    engine = ContainmentEngine()
+    checked = 0
+    for semiring in engine.registry:
+        for label, q1, q2, equivalence in CORPUS:
+            if equivalence or engine.decide(
+                    q1, q2, semiring).method != "refuted":
+                continue
+            explanation = explain(_union(q1), _union(q2), semiring,
+                                  context=engine.context)
+            assert "certificate checked" in explanation.summary(), \
+                (semiring.name, label)
+            checked += 1
+    assert checked == 32
+
+
+def _tampering_refutation(monkeypatch, tamper):
+    """Patch the dispatch's probe refuter to return ``tamper`` applied
+    to the certificate it finds."""
+    original = containment.refuted
+
+    def tampered(*args):
+        verdict = original(*args)
+        if verdict is None:
+            return None
+        return replace(verdict, certificate=tamper(verdict.certificate))
+    monkeypatch.setattr(containment, "refuted", tampered)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda refutation: replace(refutation, facts=(
+        refutation.facts[0][:2] + (1,), *refutation.facts[1:])),
+    lambda refutation: replace(refutation, target=("c",)),
+    lambda refutation: replace(refutation, lhs=refutation.rhs,
+                               rhs=refutation.lhs),
+], ids=["changed-fact-value", "wrong-target", "swapped-sides"])
+def test_a_tampered_refutation_is_caught(monkeypatch, tamper):
+    q1, q2 = map(parse_cq, ROOTED)
+    _tampering_refutation(monkeypatch, tamper)
+    explanation = explain(q1, q2, N)
+    assert explanation.verdict.method == "refuted"
+    assert explanation.certificate_valid is False
+    assert explanation.witness is None
+    assert "CERTIFICATE BAD" in explanation.summary()
+
+
 # --- the endomorphism lemma (Sec. 5.2) ---------------------------------------
 
 def test_ccq_endomorphisms_are_automorphisms():

@@ -27,7 +27,7 @@ from repro.homomorphisms import (HomKind, bi_count_k, covering_2,
                                  has_homomorphism, sur_infty)
 from repro.homomorphisms.search import hom_kernels, homomorphisms
 from repro.homomorphisms.ucq_conditions import _occurrences
-from repro.queries import UCQ, Atom, Var
+from repro.queries import UCQ, Atom, Var, parse_cq
 from repro.queries.ccq import (CQWithInequalities, complete_description,
                                set_partitions)
 from repro.queries.cq import CQ
@@ -278,14 +278,30 @@ def test_counts_are_not_divided_by_automorphisms(shape):
 
 def test_rigid_free_bag_pair_builds_only_q1_description():
     engine = ContainmentEngine()
-    q1, q2 = chain(5), chain(4)
-    engine.decide(q1, q2, "N")
+    # The bounds gap (no probe refutes it), so every bag condition runs.
+    q1 = parse_cq("Q() :- R(u, v), R(u, w)")
+    q2 = parse_cq("Q() :- R(x, y), R(x, y)")
+    assert engine.decide(q1, q2, "N").method == "bounds-only"
     info = engine.cache_info()
     # ⟨Q1⟩'s table and ⇉2's set-reduced table of it; nothing of ⟨Q2⟩.
     assert info["description_calls"] == 2
     assert {key for key, _ in engine._descriptions.items()} \
         == {(UCQ((q1,)), ()), (UCQ((q1,)), (), True)}
     assert info["kernel_calls"] > 0
+
+
+def test_refuted_chain_pair_builds_no_description():
+    """``N`` chain 9 ⊆ chain 8: the all-merged probe gives ``Q1`` the
+    polynomial ``t0^8`` and ``Q2`` ``t0^7``, so with its one fact at 2
+    ``Q1`` reads 256 and ``Q2`` 128, before any bag condition runs."""
+    engine = ContainmentEngine()
+    document = engine.decide(chain(9), chain(8), "N")
+    assert document.method == "refuted"
+    assert (document.certificate["lhs"], document.certificate["rhs"]) \
+        == (256, 128)
+    info = engine.cache_info()
+    assert info["description_calls"] == info["canon_calls"] == 0
+    assert info["probe_calls"] == 1
 
 
 def test_zero_offset_raises_before_any_kernel_work():

@@ -174,15 +174,26 @@ def test_version_8_snapshot_is_refused_as_stale(tmp_path):
         read_snapshot(path)
 
 
+def test_version_9_snapshot_is_refused_as_stale(tmp_path):
+    # A version-9 file has no ``probes`` layer and warms description
+    # searches that the refuted bag pairs of version 10 never make.
+    path = tmp_path / "v9.snap"
+    envelope = {"magic": SNAPSHOT_MAGIC, "version": 9, "semirings": [],
+                "caches": {}}
+    path.write_bytes(pickle.dumps(envelope))
+    with pytest.raises(SnapshotError, match="version 9 is not supported"):
+        read_snapshot(path)
+
+
 def test_version_4_snapshot_is_refused_as_stale(tmp_path, capsys):
     # Version 4 rows lack the automorphism-group size (and version 5
-    # entries the rigid-term key) a version-9 description carries: such
+    # entries the rigid-term key) a version-10 description carries: such
     # a file must be refused whole, and a batch run must start cold and
     # still answer.
     from repro.cli import main
     from repro.queries import UCQ, parse_cq
 
-    assert SNAPSHOT_VERSION == 9
+    assert SNAPSHOT_VERSION == 10
     union = UCQ([parse_cq("Q() :- R(u, v)")])
     warmed = ContainmentEngine()
     rows = tuple(tuple(row[:3])

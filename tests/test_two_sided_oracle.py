@@ -32,6 +32,12 @@ ways, on pairs with constants and head variables:
       re-decided on every semiring with it patched out: no class
       procedure, small model or bounds sweep may answer ``False``
       there, and ``N[X]``'s own procedure must answer ``True``.
+(vi)  *Refutations carry their own proof.*  Every ``refuted`` verdict
+      (the bag refuter's probe instance,
+      ``repro.core.containment.refuted``) re-checks through the
+      tuple-at-a-time evaluator on the pair as drawn: both queries take
+      the recorded values at the recorded tuple, and ``Q1``'s is not
+      below ``Q2``'s (``repro.core.explain.check_refutation``).
 
 The pairs come from the generator below, not from
 ``repro.queries.generators``.  ``REPRO_ORACLE_PAIRS`` sets how many
@@ -48,6 +54,8 @@ import pytest
 
 import repro.core.containment as containment
 from repro.api import ContainmentEngine
+from repro.core import decide_containment
+from repro.core.explain import check_refutation
 from repro.data.canonical import canonical_instance
 from repro.queries import UCQ, Atom, Var
 from repro.queries.cq import CQ
@@ -206,6 +214,24 @@ def test_no_true_is_refuted_at_a_head_pattern(verdicts):
             violations.append((q1, q2))
     assert not violations, violations[:5]
     assert refuted
+
+
+def test_every_refutation_rechecks_by_evaluation(verdicts):
+    engine = ContainmentEngine()
+    checked, violations = 0, []
+    for q1, q2, _, results in verdicts:
+        for name, result in results.items():
+            if result is not False:
+                continue
+            semiring = engine.semiring(name)
+            verdict = decide_containment(q1, q2, semiring, context=engine)
+            if verdict.method != "refuted":
+                continue
+            checked += 1
+            if not check_refutation(q1, q2, semiring, verdict.certificate):
+                violations.append((q1, q2, name, verdict.certificate))
+    assert not violations, violations[:5]
+    assert checked > 0
 
 
 @pytest.mark.parametrize("q1, q2", [

@@ -101,12 +101,32 @@ def test_condition_certificates_round_trip():
     assert safe.method == "sufficient-condition"
     assert safe.certificate["kind"] == "condition"
     _round_trip(safe)
-    # Necessary condition failing over bag semantics (dropped filter).
-    wrong = engine.decide("Q(x) :- R(x, y), S(x)", "Q(x) :- R(x, y)", "N")
+    # Necessary condition failing over bag semantics (two members that
+    # both answer R(1, 'a'), which Q2 counts once).
+    wrong = engine.decide(["Q() :- R(x, 'a')", "Q() :- R(1, y)"],
+                          "Q() :- R(x, y)", "N")
     assert wrong.result is False
     assert wrong.method == "necessary-condition"
     assert wrong.certificate["kind"] == "condition"
     _round_trip(wrong)
+
+
+def test_counterexample_certificate_round_trips():
+    engine = ContainmentEngine()
+    # The dropped filter: a probe with every fact at 1 ⊕ 1 refutes it.
+    wrong = engine.decide("Q(x) :- R(x, y), S(x)", "Q(x) :- R(x, y)", "N")
+    assert wrong.result is False
+    assert wrong.method == "refuted"
+    assert wrong.certificate == {
+        "kind": "counterexample",
+        "facts": [{"relation": "R", "terms": [{"var": "x"}, {"var": "y"}],
+                   "value": 2},
+                  {"relation": "S", "terms": [{"var": "x"}], "value": 2}],
+        "target": [{"var": "x"}], "lhs": 4, "rhs": 2}
+    _round_trip(wrong)
+    # A non-integer semiring writes its values as strings.
+    assert engine.decide("Q(x) :- R(x, y), S(x)", "Q(x) :- R(x, y)",
+                         "R+").certificate["lhs"] == "4"
 
 
 def test_empty_union_document():
