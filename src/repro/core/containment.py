@@ -66,7 +66,7 @@ from ..homomorphisms.ucq_conditions import (bi_count_infty, bi_count_k,
                                             covering_2, covering_union,
                                             local_condition, sur_infty)
 from ..data.instance import Instance
-from ..queries.ccq import head_pattern_splits, head_patterns, pattern_values
+from ..queries.ccq import head_patterns, pattern_values
 from ..queries.cq import CQ
 from ..queries.evaluation import valuations
 from ..queries.ucq import UCQ, as_ucq
@@ -242,8 +242,8 @@ def decide_ucq_containment(q1, q2, semiring, *,
         method, reference, condition = UCQ_PROCEDURES[name]
         reference = reference.format(k=_k_label(cls.offset))
         patterns = (head_patterns(q1, q2) if name in PER_PATTERN
-                    else ((q1, q2),))
-        holds = all(condition(p1, p2, cls, ctx) for p1, p2 in patterns)
+                    else (((), q1, q2),))
+        holds = all(condition(p1, p2, cls, ctx) for _, p1, p2 in patterns)
         return Verdict(holds, method,
                        explanation=f"{semiring.name} ∈ {name} ({reference})")
     if cls.small_model:
@@ -252,7 +252,7 @@ def decide_ucq_containment(q1, q2, semiring, *,
                        explanation=f"{semiring.name}: canonical-instance "
                                    "polynomial comparison (Thm. 4.17)")
     first = None
-    for pattern, p1, p2 in head_pattern_splits(q1, q2):
+    for pattern, p1, p2 in head_patterns(q1, q2):
         verdict = _bounded_verdict(p1, p2, semiring, cls, context=ctx,
                                    pattern=pattern)
         if verdict.result is False:
@@ -401,16 +401,6 @@ def _tag_counts(count: int):
             yield tuple(2 if tag == doubled else 1 for tag in range(count))
 
 
-def _times_one(semiring, n: int):
-    """``n·1 = 1 ⊕ … ⊕ 1`` in ``semiring``, by doubling."""
-    total, power = semiring.zero, semiring.one
-    while n:
-        if n & 1:
-            total = semiring.add(total, power)
-        power, n = semiring.add(power, power), n >> 1
-    return total
-
-
 def refuted(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext,
             pattern: tuple) -> Verdict | None:
     """``False`` when a probe of :func:`tagged_probes` refutes
@@ -425,8 +415,8 @@ def refuted(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext,
     probe is tried: every fact is then ``1``, which cannot refute past
     the plain homomorphisms the dispatch has already found.
     ``q1``/``q2`` are one head pattern of the pair (``pattern``, from
-    :func:`repro.queries.ccq.head_pattern_splits`), and the
-    certificate's target is stated in the original pair's arity
+    :func:`repro.queries.ccq.head_patterns`), and the certificate's
+    target is stated in the original pair's arity
     (:func:`repro.queries.ccq.pattern_values`), so it holds of the pair
     as asked.
     """
@@ -435,10 +425,10 @@ def refuted(q1: UCQ, q2: UCQ, semiring, ctx: DecisionContext,
         return None
     for head, facts, tries in ctx.tagged_probes(q1, q2):
         for counts, lhs, rhs in tries:
-            lhs, rhs = _times_one(semiring, lhs), _times_one(semiring, rhs)
+            lhs, rhs = semiring.from_int(lhs), semiring.from_int(rhs)
             if not semiring.leq(lhs, rhs):
                 certificate = Refutation(
-                    tuple((relation, row, _times_one(semiring, count))
+                    tuple((relation, row, semiring.from_int(count))
                           for (relation, row), count in zip(facts, counts)),
                     pattern_values(pattern, head), lhs, rhs)
                 return Verdict(False, "refuted", certificate=certificate,

@@ -80,7 +80,7 @@ def small_model_pairs(q1, q2) -> tuple[tuple[Polynomial, Polynomial], ...]:
     q1, q2 = as_ucq(q1), as_ucq(q2)
     pairs: dict = {}
     built = instance = None
-    for p1, p2 in head_patterns(q1, q2):
+    for _, p1, p2 in head_patterns(q1, q2):
         for ccq, target in small_model_tests(p1,
                                              rigid_constants((*p1, *p2))):
             if ccq is not built:  # the targets of one CCQ arrive together

@@ -102,7 +102,7 @@ def _test_ccqs(q1: UCQ, q2: UCQ) -> Iterator:
     for every head pattern ``(P1, P2)`` of the pair
     (:func:`repro.queries.ccq.head_patterns`), relative to the
     pattern's constants."""
-    for p1, p2 in head_patterns(q1, q2):
+    for _, p1, p2 in head_patterns(q1, q2):
         constants = rigid_constants((*p1, *p2))
         for member in p1:
             yield from complete_description(member, constants)

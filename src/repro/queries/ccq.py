@@ -76,7 +76,6 @@ __all__ = [
     "description_orbits",
     "description_size",
     "growth_codes",
-    "head_pattern_splits",
     "head_patterns",
     "pattern_values",
     "require_described",
@@ -530,30 +529,25 @@ def rigid_constants(members: Iterable[CQ]) -> tuple:
     return tuple(sorted(found.values(), key=term_sort_key))
 
 
-def head_patterns(q1: UCQ, q2: UCQ) -> list[tuple[UCQ, UCQ]]:
-    """The pair ``(Q1, Q2)`` split by head pattern: one specialised pair
-    per partition of the head positions whose blocks are free or bound
-    to distinct constants of the pair, skipping the patterns that no
-    member of ``Q1`` fits.
+def head_patterns(q1: UCQ, q2: UCQ) -> list[tuple[tuple, UCQ, UCQ]]:
+    """The pair ``(Q1, Q2)`` split by head pattern: one
+    ``(pattern, P1, P2)`` triple per partition of the head positions
+    whose blocks are free or bound to distinct constants of the pair,
+    skipping the patterns that no member of ``Q1`` fits.
 
     A member is specialised by putting each head variable's block in
     its place: a bound block's constant, or a free block's first head
     variable.  Its head keeps one variable per free block, in block
-    order.  A member that no tuple of the pattern answers is dropped:
-    one with a head variable in two blocks, or one with an inequality
-    the pattern breaks.  ``Q1 ⊆K Q2`` holds iff it holds on every pair
-    returned, and each pair's head values are pairwise distinct and
-    distinct from its constants, where ``⟨·⟩`` is exact.  A pattern
-    that changes no member gives back ``Q1`` and ``Q2`` themselves, so
-    a pair without head variables or constants is its one pattern.
+    order, and :func:`pattern_values` turns it back into an output
+    tuple of ``Q1``.  A member that no tuple of the pattern answers is
+    dropped: one with a head variable in two blocks, or one with an
+    inequality the pattern breaks.  ``Q1 ⊆K Q2`` holds iff it holds on
+    every pair ``(P1, P2)`` returned, and each pair's head values are
+    pairwise distinct and distinct from its constants, where ``⟨·⟩`` is
+    exact.  A pattern that changes no member gives back ``Q1`` and
+    ``Q2`` themselves, so a pair without head variables or constants is
+    its one pattern.
     """
-    return [(p1, p2) for _, p1, p2 in head_pattern_splits(q1, q2)]
-
-
-def head_pattern_splits(q1: UCQ, q2: UCQ) -> list[tuple[tuple, UCQ, UCQ]]:
-    """:func:`head_patterns` with each pair's pattern in front:
-    ``(pattern, P1, P2)`` triples, where :func:`pattern_values` turns
-    the head of a ``P1`` member back into an output tuple of ``Q1``."""
     if not q1.arity:
         return [((), q1, q2)]
     constants = rigid_constants((*q1, *q2))
@@ -575,7 +569,7 @@ def head_pattern_splits(q1: UCQ, q2: UCQ) -> list[tuple[tuple, UCQ, UCQ]]:
 
 def pattern_values(pattern: tuple, head: tuple) -> tuple:
     """The output tuple of the original pair that a specialised head
-    stands for under ``pattern`` (from :func:`head_pattern_splits`):
+    stands for under ``pattern`` (from :func:`head_patterns`):
     each position takes its block's constant, or the head value of its
     free block (the head holds one per free block, in block order)."""
     values: dict[int, Any] = {}

@@ -270,10 +270,16 @@ class Semiring(ABC):
         """The image of ``n ∈ N`` under the unique morphism ``N → K``.
 
         That is, ``n·1 = 1 ⊕ ... ⊕ 1`` (``n`` times); ``0`` maps to ``zero``.
+        Computed by doubling, in ``O(log n)`` additions.
         """
         if n < 0:
             raise ValueError("semiring elements have no additive inverses")
-        return self.sum(self.one for _ in range(n))
+        total, power = self.zero, self.one
+        while n:
+            if n & 1:
+                total = self.add(total, power)
+            power, n = self.add(power, power), n >> 1
+        return total
 
     def scale(self, n: int, a: Any) -> Any:
         """Return ``n·a = a ⊕ ... ⊕ a`` (``n`` times)."""

@@ -161,14 +161,14 @@ def _union(*texts: str) -> UCQ:
 
 def test_a_pair_without_head_variables_is_its_own_pattern():
     q1, q2 = _union("Q() :- R(x, 'a')"), _union("Q() :- R(x, y)")
-    [(p1, p2)] = head_patterns(q1, q2)
+    [(_, p1, p2)] = head_patterns(q1, q2)
     assert p1 is q1 and p2 is q2
 
 
 def test_head_patterns_bind_and_merge_head_positions():
     q1 = _union("Q(x) :- R(x, x)", "Q(x) :- R(x, 'c')")
     q2 = _union("Q(x) :- R(x, z)")
-    (free1, free2), (bound1, bound2) = head_patterns(q1, q2)
+    (_, free1, free2), (_, bound1, bound2) = head_patterns(q1, q2)
     assert free1 is q1 and free2 is q2
     # At x = 'c' both members answer with the fact R('c', 'c').
     assert bound1 == _union("Q() :- R('c', 'c')", "Q() :- R('c', 'c')")
@@ -179,6 +179,6 @@ def test_head_patterns_bind_and_merge_head_positions():
     q1 = UCQ([parse_cq("Q(x, x) :- S(x)"),
               CQWithInequalities((x, y), [Atom("R", (x, y))], [(x, y)])])
     patterns = head_patterns(q1, _union("Q(x, y) :- R(x, y)"))
-    assert [p1 for p1, _ in patterns] == [
+    assert [p1 for _, p1, _ in patterns] == [
         _union("Q(x) :- S(x)"),
         UCQ([CQWithInequalities((x, y), [Atom("R", (x, y))], [(x, y)])])]

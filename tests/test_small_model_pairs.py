@@ -131,7 +131,7 @@ def test_a_semiring_without_a_tropical_kind_matches(reference):
 def test_the_pairs_are_the_distinct_canonical_test_pairs():
     for q1, q2 in PAIRS:
         expected = []
-        for p1, p2 in head_patterns(as_ucq(q1), as_ucq(q2)):
+        for _, p1, p2 in head_patterns(as_ucq(q1), as_ucq(q2)):
             for ccq, target in small_model_tests(
                     p1, rigid_constants((*p1, *p2))):
                 instance = canonical_instance(ccq).instance
