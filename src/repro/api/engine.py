@@ -46,11 +46,9 @@ Every cache layer is declared exactly once, in
 :data:`repro.api.layers.CACHE_LAYERS`, with its store size and counter
 names; this module *derives* the stores, the :class:`EngineStats`
 fields, ``cache_info``/``cache_stats``/``clear_caches`` and the
-snapshot export/import payload from that registry, and every layer
-fills through the one memo path :meth:`ContainmentEngine._memo` — except
-``poly_orders`` (the first recall of a restored entry is revalidated)
-and ``verdicts`` (recalls are re-stamped), which keep their own
-lookups.
+snapshot export/import payload from that registry, and every layer but
+``verdicts`` (whose recalls are re-stamped) fills through the one memo
+path :meth:`ContainmentEngine._memo`.
 ``docs/ARCHITECTURE.md`` documents every layer (key shape, eviction,
 snapshot behavior) and the invariants a new layer must keep.
 """
@@ -72,7 +70,10 @@ from ..homomorphisms.isomorphism import (DescriptionClass,
 from ..homomorphisms.search import (HomKind, find_homomorphism, hom_kernels,
                                    homomorphisms)
 from ..polynomials.admissible import canonical_pair
-from ..polynomials.tropical_order import certificate_valid, decide_poly_leq
+# ``certificate_valid`` is the ``poly_orders`` layer's declared check,
+# which ``_memo`` looks up by name on this module.
+from ..polynomials.tropical_order import (  # noqa: F401
+    certificate_valid, decide_poly_leq)
 # Unused here: ``perfbench/tracing.py`` patches this name on this
 # module and fails if it is missing.
 from ..queries.ccq import complete_description_ucq  # noqa: F401
@@ -97,7 +98,7 @@ _MISSING = object()
 
 #: Every :class:`EngineStats` counter, in ``as_dict`` order: the
 #: engine-wide ``decisions``/``verdict_hits``, each computing layer's
-#: ``calls``/``hits`` (plus ``rejected`` for a revalidating layer), and
+#: ``calls``/``hits`` (plus ``rejected`` for a checked layer), and
 #: ``evaluations`` — derived from the one cache-layer registry.
 _COUNTERS: tuple[str, ...] = (
     "decisions", "verdict_hits",
@@ -132,9 +133,9 @@ def stats_report(info: Mapping[str, int], *,
     worker pool (:meth:`repro.service.pool.WorkerPool.aggregate_stats`).
     Every layer reports ``hits``/``calls``/``entries`` plus a
     ``hit_ratio`` that is ``None`` — never a ``ZeroDivisionError`` —
-    for layers that saw no traffic; the ``poly_orders`` layer
-    additionally reports how many recalled certificates failed
-    revalidation (``rejected``) and were recomputed.
+    for layers that saw no traffic; a layer with a restore check
+    (``poly_orders``) additionally reports how many restored entries
+    failed it (``rejected``) and were recomputed.
 
     ``service`` optionally attaches serving-layer counters (a
     :meth:`repro.service.metrics.ServiceMetrics.as_dict` snapshot) to
@@ -212,10 +213,10 @@ class _LRU:
 
 
 class _Unchecked:
-    """An imported value of a revalidating layer (the certificate memo)
-    that no recall has checked yet.
+    """An imported value of a checked layer (one that declares a
+    ``check``) that no recall has checked yet.
 
-    :meth:`ContainmentEngine.poly_leq` replaces it with the bare value
+    :meth:`ContainmentEngine._memo` replaces it with the bare value
     once the value passes its check, and evicts it otherwise; eviction
     and :meth:`ContainmentEngine.clear_caches` drop it like any entry,
     and :meth:`ContainmentEngine.export_caches` unwraps it.
@@ -225,6 +226,17 @@ class _Unchecked:
 
     def __init__(self, value):
         self.value = value
+
+
+def _swap_semiring(key, swap):
+    """A semiring-keyed layer's ``key`` with its semiring swapped by
+    ``swap`` (instance → name on export, name → instance on import):
+    the key itself for a classification, its first element for a
+    verdict.  ``None`` when ``swap`` finds nothing for it."""
+    if type(key) is not tuple:
+        return swap(key)
+    semiring = swap(key[0])
+    return None if semiring is None else (semiring, *key[1:])
 
 
 class ContainmentEngine(DecisionContext):
@@ -250,15 +262,17 @@ class ContainmentEngine(DecisionContext):
         self.registry = (registry if registry is not None
                          else DEFAULT_REGISTRY.copy())
         self.stats = EngineStats()
-        # ``layer name → (store, counters, calls, hits)`` for ``_memo``,
-        # bound once: the stores are cleared in place, never reassigned.
+        # ``layer name → (store, counters, calls, hits, check,
+        # rejected)`` for ``_memo``, bound once: the stores are cleared
+        # in place, never reassigned.
         counters = vars(self.stats)
         self._memos = {}
         for layer in CACHE_LAYERS:
             store = {} if layer.size is None else _LRU(layer.size)
             setattr(self, layer.attr, store)
             self._memos[layer.name] = (store, counters, layer.calls,
-                                       layer.hits)
+                                       layer.hits, layer.check,
+                                       layer.rejected)
         self._registry_version = self.registry.version
 
     @property
@@ -318,10 +332,26 @@ class ContainmentEngine(DecisionContext):
         ``args`` tuple — so it covers every input ``compute`` receives.
         ``compute`` runs only on a miss, after the call is counted; pass
         the function itself, never a closure over further inputs.
+
+        An entry :meth:`import_caches` wrapped as unchecked is checked
+        on its first recall by the layer's declared ``check``, looked
+        up on this module as ``check(value, *args)``: a pass stores the
+        bare value, and a failure counts as ``rejected``, evicts the
+        entry and recomputes it, so a doctored snapshot can cost time
+        but never change an answer.  A check fails, never raises, on a
+        value it cannot read.
         """
-        store, counters, calls, hits = self._memos[layer]
+        store, counters, calls, hits, check, rejected = self._memos[layer]
         key = args[0] if len(args) == 1 else args
         value = store.get(key, _MISSING)
+        if type(value) is _Unchecked:
+            if globals()[check](value.value, *args):
+                value = value.value
+                store[key] = value
+            else:
+                counters[rejected] += 1
+                store.pop(key)
+                value = _MISSING
         if value is _MISSING:
             counters[calls] += 1
             value = compute(*args)
@@ -445,11 +475,11 @@ class ContainmentEngine(DecisionContext):
         """LRU-cached probe instances of the bag refuter for ``Q1 ⊆ Q2``
         (:func:`repro.core.containment.tagged_probes`): each probe's
         facts and the fact counts on which ``Q1`` outnumbers ``Q2`` in
-        ``N``, keyed by the two (head-pattern) UCQs.  No semiring enters the key or the value,
-        so one entry serves ``N``, ``R+``, ``N_k`` and ``Trio[X]``, the
-        layer survives registry changes, and a restored entry is
-        trusted like ``small_models``; only its numbers are evaluated
-        per semiring.
+        ``N``, keyed by the two (head-pattern) UCQs.  No semiring
+        enters the key or the value, so one entry serves ``N``, ``R+``,
+        ``N_k`` and ``Trio[X]``, the layer survives registry changes,
+        and a restored entry is trusted like ``small_models``; only its
+        numbers are evaluated per semiring.
         """
         return self._memo("probes", tagged_probes, q1, q2)
 
@@ -475,22 +505,16 @@ class ContainmentEngine(DecisionContext):
         carries either an absorption ``partners`` map or Farkas
         ``witnesses``.  A certificate this engine computed is trusted
         when recalled.  A certificate that arrived through
-        :meth:`import_caches` is **checked once, not trusted**: its
-        first recall re-checks its witness arithmetic against the live
-        pair (integer evaluation for a violating point, exponent
-        comparisons for a partner map, Farkas inequalities for the
-        vectors — never an LP), and later recalls of the same entry
-        skip the check.  Valid
-        recalls count as ``poly_hits``; an invalid (tampered/stale/
-        mis-keyed, or malformed so that the check cannot run) recall
-        counts as ``poly_rejected``, is evicted, and the decision is
-        recomputed — so a warmed run's answers are byte-identical to a
-        cold run's no matter what the snapshot contained.  Only a valid
-        recall replaces the :class:`_Unchecked` wrapper
-        :meth:`import_caches` put around the value; importing a key
-        again wraps it again.
-        This is why the layer keeps its own lookup instead of
-        :meth:`_memo`.
+        :meth:`import_caches` is **checked once, not trusted**: the
+        layer declares ``certificate_valid`` as its check, so
+        :meth:`_memo` re-checks the witness arithmetic against the live
+        pair on the first recall (integer evaluation for a violating
+        point, exponent comparisons for a partner map, Farkas
+        inequalities for the vectors — never an LP).  A recall that
+        fails, or whose certificate is too malformed to check, counts
+        as ``poly_rejected`` and is recomputed, so a warmed run's
+        answers are byte-identical to a cold run's no matter what the
+        snapshot contained.
 
         Semirings without a tropical kind (finite/lattice orders, which
         are already cheap exhaustive checks) pass through uncached.
@@ -498,27 +522,15 @@ class ContainmentEngine(DecisionContext):
         kind = getattr(semiring, "poly_order", None)
         if kind is None:
             return semiring.poly_leq(p1, p2)
-        c1, c2, key = p1, p2, (kind, p1, p2)
-        certificate = self._poly_orders.get(key, _MISSING)
-        if certificate is _MISSING:
-            c1, c2, _ = canonical_pair(p1, p2)
-            key = (kind, c1, c2)
-            certificate = self._poly_orders.get(key, _MISSING)
-        if type(certificate) is _Unchecked:
-            if certificate_valid(certificate.value, kind, c1, c2):
-                certificate = certificate.value
-                self._poly_orders.put(key, certificate)
-            else:
-                self.stats.poly_rejected += 1
-                self._poly_orders.pop(key)
-                certificate = _MISSING
-        if certificate is not _MISSING:
-            self.stats.poly_hits += 1
-            return certificate.holds
-        self.stats.poly_calls += 1
-        holds, certificate = decide_poly_leq(kind, c1, c2)
-        self._poly_orders.put(key, certificate)
-        return holds
+        if (kind, p1, p2) not in self._poly_orders:
+            p1, p2, _ = canonical_pair(p1, p2)
+        return self._memo("poly_orders", self._poly_certificate, kind,
+                          p1, p2).holds
+
+    @staticmethod
+    def _poly_certificate(kind, p1, p2):
+        """The ``poly_orders`` computation (see :meth:`poly_leq`)."""
+        return decide_poly_leq(kind, p1, p2)[1]
 
     def eval_plan(self, query):
         """LRU-cached columnar evaluation plan of a CQ.
@@ -569,7 +581,8 @@ class ContainmentEngine(DecisionContext):
         self._verdicts.put(key, document)
         return document
 
-    def evaluate(self, query, instance, semiring: str | Semiring | None = None):
+    def evaluate(self, query, instance,
+                 semiring: str | Semiring | None = None):
         """Columnar UCQ evaluation over a K-instance (:mod:`repro.eval`).
 
         ``query`` accepts CQ/UCQ objects, Datalog source text, lists of
@@ -636,52 +649,36 @@ class ContainmentEngine(DecisionContext):
     def export_caches(self, *, include_verdicts: bool = True) -> dict:
         """Every cache layer as picklable ``layer → [(key, value), ...]``.
 
-        Semiring *instances* never leave the engine: the classification
-        and verdict layers are re-keyed by canonical registry name, and
-        entries for semirings passed directly as unregistered instances
-        are dropped (a name is the only identity that survives a
-        process boundary).  The poly_leq layer needs no such re-keying
-        — its keys are ``(order kind, canonical polynomial pair)`` and
-        its values are self-certifying
-        :class:`~repro.polynomials.tropical_order.TropicalOrderCertificate`
-        records, each revalidated on its first recall after an import
-        (see :meth:`poly_leq`), so even a maliciously edited
-        certificate cannot change an answer (the other structural
-        layers, ``small_models`` included, are trusted as exported).
-        Entry lists keep LRU order
-        (least recently used first), so importing into a same-sized
-        engine reproduces the recency order.
-        ``include_verdicts=False`` exports only the semiring-independent
-        structural layers plus classifications — the right payload when
-        restored runs must produce verdict documents byte-identical to
-        cold runs (a restored verdict layer answers with
-        ``cached: true``).
+        Semiring *instances* never leave the engine: a semiring-keyed
+        layer's keys swap the instance for its canonical registry name
+        (:func:`_swap_semiring`), and entries for semirings passed
+        directly as unregistered instances are dropped (a name is the
+        only identity that survives a process boundary).  Every other
+        layer exports its entries verbatim, an unchecked value
+        unwrapped; a checked layer's values are checked again on their
+        first recall after an import (see :meth:`_memo`).  Entry lists
+        keep LRU order (least recently used first), so importing into a
+        same-sized engine reproduces the recency order.
+        ``include_verdicts=False`` exports the verdict layer empty —
+        the right payload when restored runs must produce verdict
+        documents byte-identical to cold runs (a restored verdict layer
+        answers with ``cached: true``).
         """
         # Semiring instances hash by identity, as in the stores.
         names = {semiring: semiring.name for semiring in self.registry}
         state: dict[str, list] = {}
         for layer in CACHE_LAYERS:
-            if layer.keyed_by_semiring:
-                continue
-            entries = getattr(self, layer.attr).items()
-            if layer.rejected is not None:
-                entries = [(key, value.value if type(value) is _Unchecked
-                            else value) for key, value in entries]
+            entries = []
+            if include_verdicts or layer.name != "verdicts":
+                for key, value in getattr(self, layer.attr).items():
+                    if layer.keyed_by_semiring:
+                        key = _swap_semiring(key, names.get)
+                        if key is None:
+                            continue
+                    if type(value) is _Unchecked:
+                        value = value.value
+                    entries.append((key, value))
             state[layer.name] = entries
-        classifications = []
-        for semiring, classification in self._classifications.items():
-            name = names.get(semiring)
-            if name is not None:
-                classifications.append((name, classification))
-        state["classifications"] = classifications
-        verdicts = []
-        if include_verdicts:
-            for (semiring, q1, q2, equivalence), document \
-                    in self._verdicts.items():
-                name = names.get(semiring)
-                if name is not None:
-                    verdicts.append(((name, q1, q2, equivalence), document))
-        state["verdicts"] = verdicts
         return state
 
     def import_caches(self, state: Mapping[str, Any]) -> dict[str, int]:
@@ -691,40 +688,27 @@ class ContainmentEngine(DecisionContext):
         *this* engine's registry, and entries whose semiring name is
         unknown here are skipped (never an error: a snapshot is an
         optimization, not a contract).  Existing entries are
-        overwritten; stats counters are untouched.  Every imported
-        ``poly_orders`` certificate, one overwriting an entry already
-        checked included, is stored wrapped as unchecked until its
-        first recall revalidates it (:meth:`poly_leq`).  Soundness assumes
-        the name resolves to a semiring equivalent to the one that
-        produced the entry — snapshots are meant to be restored into
-        engines with the same registry contents.
+        overwritten; stats counters are untouched.  Every entry of a
+        checked layer, one overwriting an entry already checked
+        included, is stored wrapped as unchecked until its first recall
+        checks it (:meth:`_memo`).  Soundness assumes the name resolves
+        to a semiring equivalent to the one that produced the entry —
+        snapshots are meant to be restored into engines with the same
+        registry contents.
         """
         counts = {}
-        restored = 0
-        for name, classification in state.get("classifications", ()):
-            semiring = self.registry.find(name)
-            if semiring is not None:
-                self._classifications[semiring] = classification
-                restored += 1
-        counts["classifications"] = restored
         for layer in CACHE_LAYERS:
-            if layer.keyed_by_semiring:
-                continue
-            lru = getattr(self, layer.attr)
+            store = getattr(self, layer.attr)
             restored = 0
             for key, value in state.get(layer.name, ()):
-                lru.put(key, value if layer.rejected is None
-                        else _Unchecked(value))
+                if layer.keyed_by_semiring:
+                    key = _swap_semiring(key, self.registry.find)
+                    if key is None:
+                        continue
+                store[key] = (value if layer.check is None
+                              else _Unchecked(value))
                 restored += 1
             counts[layer.name] = restored
-        restored = 0
-        for (name, q1, q2, equivalence), document \
-                in state.get("verdicts", ()):
-            semiring = self.registry.find(name)
-            if semiring is not None:
-                self._verdicts.put((semiring, q1, q2, equivalence), document)
-                restored += 1
-        counts["verdicts"] = restored
         return counts
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -46,18 +46,24 @@ class CacheLayer:
         The LRU bound of the store, or ``None`` for an unbounded
         insertion-ordered dict (the classification map: one small
         entry per semiring).
-    ``rejected``
-        For layers that revalidate restored values (the certificate
-        pattern): the counter of recalls that failed revalidation and
-        were recomputed.  The engine wraps each entry of such a layer
-        that :meth:`~repro.api.engine.ContainmentEngine.import_caches`
-        installs as unchecked, until its first recall checks it.
+    ``check`` / ``rejected``
+        For a layer whose restored entries are checked, not trusted:
+        the name of the :mod:`repro.api.engine` function that checks
+        one, called as ``check(value, *args)`` with the memo's
+        arguments, and the counter of recalls that failed it.
+        :meth:`~repro.api.engine.ContainmentEngine.import_caches` wraps
+        each entry of such a layer as unchecked; the first recall
+        checks it once, keeping it on a pass, and evicting and
+        recomputing it on a failure.  The name is looked up on the
+        engine module at each check, so patching it there reaches
+        every check.
     ``keyed_by_semiring``
-        True for layers whose keys mention semiring *instances*: they
-        are dropped when the registry changes and re-keyed by
-        canonical registry name on export (the classification and
-        verdict layers); the structural layers survive registry
-        changes and export their entries verbatim.
+        True for layers whose keys mention semiring *instances* (the
+        key itself for classifications, its first element for
+        verdicts): they are dropped when the registry changes and
+        re-keyed by canonical registry name on export; the structural
+        layers survive registry changes and export their entries
+        verbatim.
     """
 
     name: str
@@ -66,6 +72,7 @@ class CacheLayer:
     calls: str | None
     entries: str
     size: int | None = None
+    check: str | None = None
     rejected: str | None = None
     keyed_by_semiring: bool = False
 
@@ -109,7 +116,7 @@ CACHE_LAYERS: tuple[CacheLayer, ...] = (
     CacheLayer(name="poly_orders", attr="_poly_orders",
                hits="poly_hits", calls="poly_calls",
                entries="poly_entries", size=65536,
-               rejected="poly_rejected"),
+               check="certificate_valid", rejected="poly_rejected"),
     CacheLayer(name="eval_plans", attr="_eval_plans",
                hits="eval_plan_hits", calls="eval_plan_calls",
                entries="eval_plan_entries", size=4096),

@@ -4,9 +4,9 @@ The Table-1 dispatch in :mod:`repro.core.containment` is built from a
 handful of expensive primitives: semiring classification, homomorphism
 search (existence and kernels), homomorphic covering, the complete
 description ``⟨Q⟩`` of a UCQ as a multiset of isomorphism classes, the
-canonical form (isomorphism key, canonical renaming, automorphism group
-size and generators) of a CCQ, and the small-model test set of a query
-pair with its polynomial order checks.  :class:`DecisionContext` names
+canonical form (isomorphism key, automorphism group size and
+generators) of a CCQ, and the small-model test set of a query pair
+with its polynomial order checks.  :class:`DecisionContext` names
 all of them in one contract, so the core procedures call primitives
 without knowing anything about caching policy.
 

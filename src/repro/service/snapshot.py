@@ -22,65 +22,11 @@ A snapshot file is a pickled envelope with four fields::
     is looked at.
 ``version``
     The envelope schema version, :data:`SNAPSHOT_VERSION`.  A reader
-    accepts exactly its own version; anything else is *stale* (or from
-    the future) and rejected wholesale.  A new cache layer alone need
-    not bump the version: unknown layers are ignored on import and
-    absent layers default to empty.  A bump marks a change in what the
-    layers *mean*.  Version 10 adds the ``probes`` layer, the bag
-    refuter's tagged probes (:func:`repro.core.containment.tagged_probes`):
-    keyed by a head-pattern pair ``(P1, P2)``, valued as tuples of
-    ``(head, facts, tries)`` probes, each try a vector of fact counts
-    with ``Q1``'s and ``Q2``'s values in ``N`` there.  With it, ``N``, ``R+``, ``N_k`` and
-    ``Trio[X]`` verdicts answer ``refuted`` where a version-9 run
-    answered ``bounds-only`` or ``necessary-condition``, and a version-9
-    file warms the description searches those refuted pairs no longer
-    make and none of the probes they do, so it is refused as stale.
-    Version 9 gives a holding ``poly_orders``
-    certificate a second witness shape: ``partners``, the absorption
-    map from each ``P1`` monomial to a ``P2`` monomial that absorbs it
-    (:mod:`repro.polynomials.tropical_order`), carried instead of the
-    Farkas ``witnesses`` when the absorption rule decided the pair.  A
-    version-8 reader checks every holding certificate for Farkas
-    vectors and would reject and recompute each partner map, so the
-    two versions do not share files.  Version 8 drops the canonical renaming from every
-    ``canonical`` value, which is now ``(key, automorphisms,
-    generators)``: no decision reads the renaming, and only
-    :func:`repro.homomorphisms.isomorphism.canonical_rename` (the
-    normalizer) needs one, which it computes itself.  A version-7
-    record carries the renaming as its second field, so a version-7
-    file is refused as stale.  Version 7 keeps ``⇉2``'s set-reduced table of
-    ``⟨Q1⟩`` in the ``descriptions`` layer beside ``⟨Q1⟩``: ``⟨Q⟩``'s
-    class table is keyed by ``(union, constants)`` and its set-reduced
-    table by ``(union, constants, True)``, both valued as tuples of
-    ``(key, representative, multiplicity, automorphisms)`` rows; a
-    ``canonical`` value is ``(key, renaming, automorphisms,
-    generators)``, without the unread integer labeling a version-6
-    record carries, so a version-6 file is refused as stale.  Version 6
-    takes ``⟨Q⟩`` relative to the pair's
-    rigid terms, so a block may be bound to a head variable or a
-    constant: a ``descriptions`` entry is keyed by ``(union,
-    constants)``, a kernel may carry a rigid term's label ``~j``, and a
-    complete code is unequal to its rigid terms too; a version-5 file
-    holds descriptions and canonical forms of the old ``⟨Q⟩``, so it is
-    refused as stale.  Version 5 gave each ``descriptions`` row the size of
-    its class's automorphism group (``(key, representative,
-    multiplicity, automorphisms)``), and keys the canonical forms of
-    ``⟨Q⟩``'s quotients by their integer code
-    (:class:`repro.queries.ccq.QueryCode`) instead of the CCQ; a
-    version-4 row has no group size, so the file is refused as stale.
-    Version 4 made a ``descriptions`` value ``⟨Q⟩``'s
-    table of isomorphism classes (``(key, representative,
-    multiplicity)`` rows) instead of its CCQ tuple, and gave each
-    ``canonical`` value the automorphism generators the table is built
-    from; a version-3 file holds neither.  Version 3 came with the
-    ``kernels`` layer, when the
-    bag-semantics conditions stopped building ``⟨Q2⟩``: a version-2
-    file warms descriptions and searches those conditions no longer
-    ask for and none of the kernels they do, so it is refused as stale
-    and the run starts cold.  Version 2 pickles queries as their class
-    plus state (``__getstate__``/``__setstate__``); version 1 files
-    restored them through module functions the unpickler no longer
-    admits.
+    accepts exactly its own version; any other version, older or
+    newer, is refused wholesale.  A new cache layer alone need not
+    bump the version: unknown layers are ignored on import and absent
+    layers default to empty.  A bump marks a change in what the layers
+    *mean*; ``CHANGES.md`` records what each version changed.
 ``semirings``
     The canonical names registered on the exporting engine —
     informational (debugging which registry produced a file); import
@@ -89,17 +35,18 @@ A snapshot file is a pickled envelope with four fields::
     Exactly the payload of
     :meth:`repro.api.ContainmentEngine.export_caches`: per-layer
     ``(key, value)`` lists whose keys never contain semiring
-    *instances* (classifications and verdicts are re-keyed by
-    canonical registry name; the ``poly_orders`` layer is keyed by
-    ``(order kind, canonical polynomial pair)``, and each restored
-    certificate is revalidated on its first recall — importing a key
-    again makes it unchecked again — so a doctored certificate can
-    never change an answer, and an entry that passed is not checked
-    again).  Every other layer is trusted as
-    restored: a doctored ``homs``, ``descriptions``, ``probes`` or
+    *instances* (the semiring-keyed layers, classifications and
+    verdicts, are re-keyed by canonical registry name).  A layer that
+    declares a ``check`` in :data:`repro.api.layers.CACHE_LAYERS` —
+    ``poly_orders``, keyed by ``(order kind, canonical polynomial
+    pair)`` — has each restored entry checked on its first recall
+    (importing a key again makes it unchecked again), so a doctored
+    certificate can never change an answer, and an entry that passed
+    is not checked again.  Every other layer is trusted as restored: a
+    doctored ``homs``, ``descriptions``, ``probes`` or
     ``small_models`` entry (the canonical polynomial pairs a
     small-model decision checks) is used as it stands, and nothing
-    revalidates it.
+    checks it.
 
 Validation is strict and failure is always *graceful*: every way a
 file can disappoint — missing, truncated, corrupted, a different

@@ -23,10 +23,11 @@ from repro.api.layers import CACHE_LAYERS, SNAPSHOT_LAYERS
 from repro.cli import main
 from repro.data import Instance
 from repro.homomorphisms.search import HomKind
+from repro.polynomials import Polynomial, canonical_pair
 from repro.queries.ccq import complete_description
 from repro.queries.parser import parse_cq
 from repro.queries.ucq import UCQ
-from repro.semirings import ALL_SEMIRINGS, B
+from repro.semirings import ALL_SEMIRINGS, TPLUS, B
 from repro.semirings.base import Semiring, VectorizedOps
 from repro.service import snapshot
 from repro.service.snapshot import (SnapshotError, load_snapshot,
@@ -159,6 +160,9 @@ def test_one_workload_fills_and_restores_every_layer(tmp_path):
 
 _Q1 = parse_cq("Q() :- R(x, y)")
 _Q2 = parse_cq("Q() :- R(u, v), R(v, w)")
+#: A ``T+`` pair that ``canonical_pair`` renames.
+_P1 = Polynomial.parse_terms([(1, "yy")])
+_P2 = Polynomial.parse_terms([(1, "y")])
 
 #: ``layer → (engine method, its arguments)`` for every layer that
 #: fills through ``ContainmentEngine._memo``.
@@ -173,12 +177,20 @@ _MEMO_CALLS = {
     "small_models": ("small_model_pairs", (UCQ([_Q1]), UCQ([_Q2]))),
     "probes": ("tagged_probes", (UCQ([_Q2]), UCQ([_Q1]))),
     "eval_plans": ("eval_plan", (parse_cq("Q(x) :- R(x, y)"),)),
+    "poly_orders": ("poly_leq", (TPLUS, _P1, _P2)),
+}
+
+#: The stored key where the engine method passes ``_memo`` other
+#: arguments than its own: ``poly_leq`` passes the order kind and the
+#: canonical pair.
+_MEMO_KEYS = {
+    "poly_orders": ("min-plus", *canonical_pair(_P1, _P2)[:2]),
 }
 
 
 def test_every_memo_layer_has_a_key_case():
     assert set(_MEMO_CALLS) == {layer.name for layer in CACHE_LAYERS} \
-        - {"poly_orders", "verdicts"}
+        - {"verdicts"}
 
 
 @pytest.mark.parametrize("layer", sorted(_MEMO_CALLS))
@@ -188,7 +200,17 @@ def test_memo_key_is_the_argument_list(layer):
     getattr(engine, method)(*args)
     [spec] = [spec for spec in CACHE_LAYERS if spec.name == layer]
     keys = [key for key, _ in getattr(engine, spec.attr).items()]
-    assert keys == [args[0] if len(args) == 1 else args]
+    assert keys == [_MEMO_KEYS.get(
+        layer, args[0] if len(args) == 1 else args)]
+
+
+def test_a_checked_layer_names_its_check_and_its_counter():
+    from repro.api import engine as api_engine
+
+    for layer in CACHE_LAYERS:
+        assert (layer.check is None) == (layer.rejected is None), layer
+        assert layer.check is None or callable(
+            getattr(api_engine, layer.check)), layer
 
 
 def test_memo_passes_exactly_its_key_arguments():
