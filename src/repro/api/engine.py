@@ -16,16 +16,16 @@ benchmarks go through.  One engine owns:
   canonical labeling records (isomorphism key + automorphism group
   size and generators per CCQ, keyed by the query),
   small-model test sets (the distinct canonical polynomial pairs of
-  Thm. 4.17's tests, keyed by ``(Q1, Q2)`` and shared by every
-  ⊕-idempotent semiring; trusted when restored, like the other
-  structural layers), the bag refuter's tagged probes (each probe's
-  facts and the fact counts that make ``Q1`` outnumber ``Q2`` in
-  ``N``, keyed by the head-pattern pair ``(P1, P2)`` and shared by
-  every semiring), and a certificate memo for the LP-backed
-  tropical polynomial orders (keyed by ``(order kind, canonical
-  admissible pair)``; a restored certificate is revalidated on its
-  first recall) — plus a
-  verdict-level LRU, so repeated checks are near-free;
+  Thm. 4.17's tests, read off the ``descriptions`` class tables, keyed
+  by ``(Q1, Q2)`` and shared by every ⊕-idempotent semiring; trusted
+  when restored, like the other structural layers), the bag refuter's
+  tagged probes (each probe's facts and the fact counts that make
+  ``Q1`` outnumber ``Q2`` in ``N``, keyed by the head-pattern pair
+  ``(P1, P2)`` and shared by every semiring), and a certificate memo
+  for the LP-backed tropical polynomial orders (keyed by ``(order
+  kind, canonical admissible pair)``; a restored certificate is
+  revalidated on its first recall) — plus a verdict-level LRU, so
+  repeated checks are near-free;
 * the document types of :mod:`repro.api.documents` for JSON-clean
   input/output, including the streaming batch entry points.
 
@@ -463,13 +463,17 @@ class ContainmentEngine(DecisionContext):
         """LRU-cached small-model test set of ``Q1 ⊆ Q2``: the distinct
         canonical polynomial pairs of
         :func:`repro.core.small_model.small_model_pairs`, keyed by the
-        two UCQs.  The pairs never mention a semiring, so one entry
-        serves every ⊕-idempotent semiring (``T+``, ``T−``, ``V``, …)
-        deciding the pair, and the layer survives registry changes.
-        Like ``descriptions`` and ``homs``, a restored entry is trusted:
-        only the order decisions asked of its pairs are revalidated.
+        two UCQs and read off the ``descriptions`` layer (a miss fills
+        ``descriptions`` and ``canonical`` too).  The pairs never
+        mention a semiring, so one entry serves every ⊕-idempotent
+        semiring deciding the pair, and the layer survives registry
+        changes.  A restored entry is trusted, like ``descriptions``.
         """
-        return self._memo("small_models", small_model_pairs, q1, q2)
+        return self._memo("small_models", self._small_model_pairs, q1, q2)
+
+    def _small_model_pairs(self, q1, q2) -> tuple:
+        """The ``small_models`` computation."""
+        return small_model_pairs(q1, q2, context=self)
 
     def tagged_probes(self, q1, q2) -> tuple:
         """LRU-cached probe instances of the bag refuter for ``Q1 ⊆ Q2``

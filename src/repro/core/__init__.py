@@ -9,7 +9,7 @@ from .containment import (decide_containment, decide_cq_containment,
                           decide_ucq_containment, k_equivalent)
 from .context import DecisionContext
 from .explain import (Explanation, check_homomorphism_certificate, explain)
-from .small_model import small_model_contained, small_model_tests
+from .small_model import small_model_contained
 from .verdict import Undecided, Verdict
 
 __all__ = [
@@ -20,5 +20,5 @@ __all__ = [
     "falsify_nsur", "probe_polynomials",
     "decide_containment", "decide_cq_containment", "decide_ucq_containment",
     "k_equivalent",
-    "small_model_contained", "small_model_tests",
+    "small_model_contained",
 ]

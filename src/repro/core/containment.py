@@ -66,7 +66,7 @@ from ..homomorphisms.ucq_conditions import (bi_count_infty, bi_count_k,
                                             covering_2, covering_union,
                                             local_condition, sur_infty)
 from ..data.instance import Instance
-from ..queries.ccq import head_patterns, pattern_values
+from ..queries.ccq import check_arity, head_patterns, pattern_values
 from ..queries.cq import CQ
 from ..queries.evaluation import valuations
 from ..queries.ucq import UCQ, as_ucq
@@ -128,13 +128,6 @@ UCQ_PROCEDURES = {
 PER_PATTERN = frozenset({"C2hcov", "C∞sur", "Ckbi", "C∞bi"})
 
 
-def _check_arity(q1, q2) -> None:
-    if q1.arity != q2.arity:
-        raise ValueError(
-            f"containment compares queries of equal arity, got "
-            f"{q1.arity} and {q2.arity}")
-
-
 def _k_label(offset: float) -> str:
     return "∞" if math.isinf(offset) else str(int(offset))
 
@@ -173,7 +166,7 @@ def decide_cq_containment(q1: CQ, q2: CQ, semiring, *,
     if not isinstance(q1, CQ) or not isinstance(q2, CQ):
         raise TypeError("decide_cq_containment expects CQs; use "
                         "decide_ucq_containment for unions")
-    _check_arity(q1, q2)
+    check_arity(q1, q2)
     ctx = resolve_context(context)
     cls = ctx.classify(semiring)
 
@@ -213,8 +206,8 @@ def decide_ucq_containment(q1, q2, semiring, *,
     ``context`` is forwarded as in :func:`decide_cq_containment`.
     """
     q1, q2 = as_ucq(q1), as_ucq(q2)
-    if not q1.is_empty() and not q2.is_empty():
-        _check_arity(q1, q2)
+    if q1.cqs and q2.cqs:
+        check_arity(q1, q2)
     ctx = resolve_context(context)
     cls = ctx.classify(semiring)
 

@@ -134,7 +134,8 @@ class DecisionContext(ABC):
     def small_model_pairs(self, q1, q2) -> tuple:
         """The distinct canonical polynomial pairs of the small-model
         test set of ``Q1 ⊆ Q2`` (Thm. 4.17), in first-test order
-        (:func:`repro.core.small_model.small_model_pairs`).
+        (:func:`repro.core.small_model.small_model_pairs`), computed
+        from this context's :meth:`complete_description` class tables.
 
         They depend on the two UCQs alone, never on the semiring, so one
         computation per query pair serves every ⊕-idempotent semiring's

@@ -22,72 +22,58 @@ brute-force oracle in the test suite.
 The polynomials depend on ``(Q1, Q2)`` alone; only the final order
 check depends on ``K`` (the universality of provenance polynomials).
 :func:`small_model_pairs` therefore computes the test set once per
-query pair, as distinct canonical pairs, and a context may memoize it
-across semirings (the engine's ``small_models`` layer).
+query pair, from the class rows of ``⟨Q1⟩``, as distinct canonical
+pairs, and a context may memoize it across semirings (the engine's
+``small_models`` layer).
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterator
 
 from ..data.canonical import canonical_instance
 from ..polynomials.admissible import canonical_pair
 from ..polynomials.polynomial import Polynomial
-from ..queries.ccq import (CQWithInequalities, complete_description,
-                           head_patterns, rigid_constants)
-from ..queries.evaluation import evaluate
+from ..queries.ccq import head_patterns, rigid_constants
+from ..queries.evaluation import evaluate_all
 from ..queries.ucq import as_ucq
 from .context import resolve_context
 
-__all__ = ["small_model_contained", "small_model_pairs", "small_model_tests"]
+__all__ = ["small_model_contained", "small_model_pairs"]
 
 
-def small_model_tests(q1, constants
-                      ) -> Iterator[tuple[CQWithInequalities, tuple]]:
-    """The canonical test points of Thm. 4.17: each CCQ of ``⟨Q1⟩``
-    (relative to ``constants``, the pair's constants) paired with each
-    head tuple over its variables and constants."""
-    for member in as_ucq(q1):
-        for ccq in complete_description(member, constants):
-            domain = tuple(ccq.variables()) + ccq.constants()
-            for target in product(domain, repeat=ccq.arity):
-                yield ccq, target
-
-
-def small_model_pairs(q1, q2) -> tuple[tuple[Polynomial, Polynomial], ...]:
+def small_model_pairs(q1, q2, *, context=None
+                      ) -> tuple[tuple[Polynomial, Polynomial], ...]:
     """The distinct polynomial comparisons of the small-model test set.
 
-    Each test point ``(Q, t)`` of :func:`small_model_tests` contributes
-    the pair ``(Q1^⟦Q⟧(t), Q2^⟦Q⟧(t))`` of ``N[X]`` polynomials, put in
-    the canonical form of
+    Each test point of Thm. 4.17 — a CCQ ``Q`` of ``⟨Q1⟩`` and a head
+    tuple ``t`` over its terms — gives the pair ``(Q1^⟦Q⟧(t),
+    Q2^⟦Q⟧(t))`` of ``N[X]`` polynomials in the canonical form of
     :func:`repro.polynomials.admissible.canonical_pair`; the result
-    lists each canonical pair once, in the order of its first test.
-
-    ``⟨Q1⟩`` is taken relative to the constants of both queries, so
-    a test instance may identify an existential with a constant of
-    ``Q2``, and once per head pattern
-    (:func:`repro.queries.ccq.head_patterns`), so a test instance may
-    identify two head variables, or a head variable with a constant.
-    The pairs depend on the two queries only — the semiring enters
-    through the order check alone — and every polynomial order is
-    invariant under variable renaming, so ``P1 ≼K P2`` holds for every
-    test iff it holds for every listed pair.  Each CCQ's canonical
-    instance is built once for all of its targets.
+    lists each once, in first-test order.  ``⟨Q1⟩`` is read per head
+    pattern (:func:`repro.queries.ccq.head_patterns`), relative to the
+    constants of both queries, from ``context.complete_description``
+    (``None``: a fresh engine).  Isomorphic CCQs give renamed
+    polynomials and every polynomial order is invariant under
+    renaming, so a class row's representative stands for its class:
+    its canonical instance is built, and each side evaluated, once.
     """
     from ..semirings.provenance import NX
 
+    context = resolve_context(context)
     q1, q2 = as_ucq(q1), as_ucq(q2)
     pairs: dict = {}
-    built = instance = None
     for _, p1, p2 in head_patterns(q1, q2):
-        for ccq, target in small_model_tests(p1,
-                                             rigid_constants((*p1, *p2))):
-            if ccq is not built:  # the targets of one CCQ arrive together
-                built, instance = ccq, canonical_instance(ccq).instance
-            left = evaluate(p1, instance, target, NX)
-            right = evaluate(p2, instance, target, NX)
-            pairs.setdefault(canonical_pair(left, right)[:2], None)
+        for row in context.complete_description(
+                p1, rigid_constants((*p1, *p2))):
+            ccq = row.representative
+            instance = canonical_instance(ccq).instance
+            left, right = (evaluate_all(p, instance, NX) for p in (p1, p2))
+            domain = tuple(ccq.variables()) + ccq.constants()
+            for target in product(domain, repeat=ccq.arity):
+                pair = canonical_pair(left.get(target, NX.zero),
+                                      right.get(target, NX.zero))
+                pairs.setdefault(pair[:2], None)
     return tuple(pairs)
 
 

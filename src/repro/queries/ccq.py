@@ -71,6 +71,7 @@ __all__ = [
     "CQWithInequalities",
     "QueryCode",
     "binding_codes",
+    "check_arity",
     "complete_description",
     "complete_description_ucq",
     "description_orbits",
@@ -529,6 +530,14 @@ def rigid_constants(members: Iterable[CQ]) -> tuple:
     return tuple(sorted(found.values(), key=term_sort_key))
 
 
+def check_arity(q1, q2) -> None:
+    """Raise ``ValueError`` if two queries differ in arity."""
+    if q1.arity != q2.arity:
+        raise ValueError(
+            f"containment compares queries of equal arity, got "
+            f"{q1.arity} and {q2.arity}")
+
+
 def head_patterns(q1: UCQ, q2: UCQ) -> list[tuple[tuple, UCQ, UCQ]]:
     """The pair ``(Q1, Q2)`` split by head pattern: one
     ``(pattern, P1, P2)`` triple per partition of the head positions
@@ -546,8 +555,11 @@ def head_patterns(q1: UCQ, q2: UCQ) -> list[tuple[tuple, UCQ, UCQ]]:
     pairwise distinct and distinct from its constants, where ``⟨·⟩`` is
     exact.  A pattern that changes no member gives back ``Q1`` and
     ``Q2`` themselves, so a pair without head variables or constants is
-    its one pattern.
+    its one pattern.  Two non-empty unions of unequal arity raise
+    ``ValueError`` (:func:`check_arity`).
     """
+    if q1.cqs and q2.cqs:
+        check_arity(q1, q2)
     if not q1.arity:
         return [((), q1, q2)]
     constants = rigid_constants((*q1, *q2))

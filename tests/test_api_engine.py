@@ -512,19 +512,23 @@ def _golden_stream(engine) -> list:
 #: ``probe_*`` figures arrived with the bag refuter's probe layer: the
 #: ``N`` pair computes its one pattern's probes cold (neither refutes
 #: it, so the verdict stays ``bounds-only``) and recalls them restored.
+#: The ``T+`` pair's test set began reading ``⟨P1⟩`` from the
+#: ``descriptions`` layer: cold, that adds one description (its one
+#: class row) and one canonical form, and the table recalls one form;
+#: restored, both entries are carried over and never asked for.
 _GOLDEN_COLD = {
     "decisions": 7, "verdict_hits": 1, "classify_calls": 5,
     "classify_hits": 2, "parse_calls": 11, "parse_hits": 9, "hom_calls": 12,
     "hom_hits": 3, "kernel_calls": 7, "kernel_hits": 0, "cover_calls": 5,
-    "cover_hits": 0, "description_calls": 2, "description_hits": 2,
-    "canon_calls": 6, "canon_hits": 3,
+    "cover_hits": 0, "description_calls": 3, "description_hits": 2,
+    "canon_calls": 7, "canon_hits": 4,
     "small_model_calls": 1, "small_model_hits": 0,
     "probe_calls": 1, "probe_hits": 0,
     "poly_calls": 1, "poly_hits": 0, "poly_rejected": 0,
     "eval_plan_calls": 1, "eval_plan_hits": 0, "evaluations": 1,
     "classification_entries": 5, "parsed_entries": 11, "hom_entries": 12,
-    "kernel_entries": 7, "cover_entries": 5, "description_entries": 2,
-    "canon_entries": 6, "small_model_entries": 1, "probe_entries": 1,
+    "kernel_entries": 7, "cover_entries": 5, "description_entries": 3,
+    "canon_entries": 7, "small_model_entries": 1, "probe_entries": 1,
     "poly_entries": 1,
     "eval_plan_entries": 1, "verdict_entries": 6}
 
@@ -539,8 +543,8 @@ _GOLDEN_RESTORED = {
     "poly_calls": 0, "poly_hits": 1, "poly_rejected": 0,
     "eval_plan_calls": 0, "eval_plan_hits": 1, "evaluations": 1,
     "classification_entries": 5, "parsed_entries": 11, "hom_entries": 12,
-    "kernel_entries": 7, "cover_entries": 5, "description_entries": 2,
-    "canon_entries": 6, "small_model_entries": 1, "probe_entries": 1,
+    "kernel_entries": 7, "cover_entries": 5, "description_entries": 3,
+    "canon_entries": 7, "small_model_entries": 1, "probe_entries": 1,
     "poly_entries": 1,
     "eval_plan_entries": 1, "verdict_entries": 6}
 

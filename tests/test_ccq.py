@@ -165,6 +165,20 @@ def test_a_pair_without_head_variables_is_its_own_pattern():
     assert p1 is q1 and p2 is q2
 
 
+@pytest.mark.parametrize("texts", [
+    ("Q(x) :- R(x, y)", "Q() :- R(u, v)"),
+    ("Q() :- R(u, v)", "Q(x) :- R(x, y)"),
+], ids=["1-0", "0-1"])
+def test_head_patterns_reject_unequal_arities(texts):
+    q1, q2 = (_union(text) for text in texts)
+    with pytest.raises(ValueError, match="equal arity, got "
+                       f"{q1.arity} and {q2.arity}"):
+        head_patterns(q1, q2)
+    # An empty union has no members to compare heads with.
+    head_patterns(q1, UCQ(()))
+    head_patterns(UCQ(()), q2)
+
+
 def test_head_patterns_bind_and_merge_head_positions():
     q1 = _union("Q(x) :- R(x, x)", "Q(x) :- R(x, 'c')")
     q2 = _union("Q(x) :- R(x, z)")

@@ -6,10 +6,13 @@ import random
 
 import pytest
 
-from repro.core import small_model_contained, small_model_tests
+from repro.api import ContainmentEngine
+from repro.core import small_model_contained
 from repro.oracle import find_counterexample
 from repro.queries import UCQ, parse_cq, parse_ucq
+from repro.queries.ccq import description_size
 from repro.queries.generators import random_cq
+from repro.queries.ucq import as_ucq
 from repro.semirings import B, N, TMINUS, TPLUS
 
 
@@ -19,21 +22,32 @@ def test_rejects_non_idempotent_semiring():
         small_model_contained(q, q, N)
 
 
+def _test_points(q) -> int:
+    """The number of test points ``(Q, t)`` of Thm. 4.17 counted through
+    the class table of ``⟨q⟩``: each row stands for ``multiplicity``
+    CCQs, each with one point per tuple over its terms."""
+    rows = ContainmentEngine().complete_description(as_ucq(q), ())
+    return sum(
+        row.multiplicity * len((*row.representative.variables(),
+                                *row.representative.constants())) ** q.arity
+        for row in rows)
+
+
 def test_test_points_enumeration():
     """⟨Q1⟩ for Ex. 4.6 has 5 CCQs; a boolean query has one () target
     each."""
     q1 = parse_cq("Q() :- R(u, v), R(u, w)")
-    points = list(small_model_tests(q1, ()))
-    assert len(points) == 5
-    assert all(target == () for _, target in points)
+    rows = ContainmentEngine().complete_description(as_ucq(q1), ())
+    assert sum(row.multiplicity for row in rows) == 5
+    assert description_size(q1, ()) == 5
+    assert _test_points(q1) == 5
 
 
 def test_test_points_with_free_variables():
     q = parse_cq("Q(x) :- R(x, y)")
-    points = list(small_model_tests(q, ()))
     # ⟨Q⟩ = {R(x,y) with y ≠ x, R(x,x)} (only y existential, free or
     # bound to the head variable x): 2 + 1 points of arity 1.
-    assert len(points) == 3
+    assert _test_points(q) == 3
 
 
 def test_example_4_6_tropical():
@@ -54,6 +68,22 @@ def test_refutes_relation_mismatch():
     q1 = parse_cq("Q() :- R(u, u)")
     q2 = parse_cq("Q() :- S(u)")
     assert not small_model_contained(q1, q2, TPLUS)
+
+
+@pytest.mark.parametrize("texts", [
+    ("Q(x) :- R(x, y)", "Q() :- R(u, v)"),
+    ("Q() :- R(x, y)", "Q(u) :- R(u, v)"),
+], ids=["1-0", "0-1"])
+def test_unequal_arities_are_refused(texts):
+    """Both the procedure and the oracle refuse a pair whose heads
+    differ in length, as the dispatch does, instead of indexing past
+    the shorter head or reporting a witness."""
+    q1, q2 = (parse_cq(text) for text in texts)
+    message = f"equal arity, got {q1.arity} and {q2.arity}"
+    with pytest.raises(ValueError, match=message):
+        small_model_contained(q1, q2, TPLUS)
+    with pytest.raises(ValueError, match=message):
+        find_counterexample(q1, q2, N)
 
 
 def test_agrees_with_boolean_homomorphism():

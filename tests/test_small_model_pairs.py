@@ -12,17 +12,19 @@ counters.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from repro.api import ContainmentEngine
 from repro.api import engine as engine_module
-from repro.core import small_model_contained, small_model_tests
+from repro.core import small_model_contained
 from repro.core.small_model import small_model_pairs
 from repro.data.canonical import canonical_instance
 from repro.polynomials import canonical_pair
 from repro.queries import parse_cq, parse_ucq
-from repro.queries.ccq import head_patterns, rigid_constants
+from repro.queries.ccq import (complete_description, head_patterns,
+                               rigid_constants)
 from repro.queries.evaluation import evaluate
 from repro.queries.generators import random_cq, random_ucq
 from repro.queries.ucq import as_ucq
@@ -31,6 +33,9 @@ from repro.semirings.provenance import NX
 from repro.service import load_snapshot, save_snapshot
 
 from reference_small_model import reference_small_model_contained
+from tests.reference_quotient import (pair_constants,
+                                      reference_complete_description,
+                                      reference_head_patterns)
 
 #: Pairs with head variables (a repeated one included) and constants.
 _CURATED = [
@@ -128,19 +133,42 @@ def test_a_semiring_without_a_tropical_kind_matches(reference):
     assert engine.stats.poly_calls == engine.stats.poly_hits == 0
 
 
-def test_the_pairs_are_the_distinct_canonical_test_pairs():
-    for q1, q2 in PAIRS:
-        expected = []
-        for _, p1, p2 in head_patterns(as_ucq(q1), as_ucq(q2)):
-            for ccq, target in small_model_tests(
-                    p1, rigid_constants((*p1, *p2))):
+def _test_pairs(patterns, description, constants_of) -> list[tuple]:
+    """The distinct canonical pairs of a per-CCQ test walk, in first-test
+    order: every CCQ of ``description(member, constants)`` for every
+    member of ``P1`` of every head pattern ``(P1, P2)``, every target
+    over its terms, both sides evaluated per target."""
+    pairs: list[tuple] = []
+    for _, p1, p2 in patterns:
+        constants = constants_of(p1, p2)
+        for member in p1:
+            for ccq in description(member, constants):
                 instance = canonical_instance(ccq).instance
-                pair = canonical_pair(evaluate(p1, instance, target, NX),
-                                      evaluate(p2, instance, target, NX))[:2]
-                if pair not in expected:
-                    expected.append(pair)
+                domain = tuple(ccq.variables()) + ccq.constants()
+                for target in product(domain, repeat=ccq.arity):
+                    pair = canonical_pair(
+                        evaluate(p1, instance, target, NX),
+                        evaluate(p2, instance, target, NX))[:2]
+                    if pair not in pairs:
+                        pairs.append(pair)
+    return pairs
+
+
+def test_the_pairs_are_the_distinct_canonical_test_pairs():
+    """The class-row computation lists the pairs of the walk over every
+    CCQ, in its order, and the same set as the variable-level ``⟨Q⟩``
+    of ``tests/reference_quotient.py`` (which enumerates head patterns
+    in another order, so only the set is compared)."""
+    for q1, q2 in PAIRS:
+        q1, q2 = as_ucq(q1), as_ucq(q2)
         pairs = small_model_pairs(q1, q2)
-        assert list(pairs) == expected
+        walked = _test_pairs(head_patterns(q1, q2), complete_description,
+                             lambda p1, p2: rigid_constants((*p1, *p2)))
+        assert list(pairs) == walked
+        reference = _test_pairs(reference_head_patterns(q1, q2),
+                                reference_complete_description,
+                                lambda p1, p2: pair_constants(q1, q2))
+        assert set(pairs) == set(reference)
         for c1, c2 in pairs:
             assert canonical_pair(c1, c2)[:2] == (c1, c2)
 
